@@ -10,12 +10,21 @@ A membership path is the ordered list of (side, sibling) steps from leaf to
 root; `side` records where the sibling sits.  For n leaves every path has
 exactly ceil(log2(n)) steps (zero for a single leaf), which keeps path sizes
 and verification cost uniform across the whole tree.
+
+Both hashes are SHA-256 over the `lp_encode` framing of their fields.  The
+part of that framing that never changes (the domain tag, and for a node the
+length prefix of the fixed 32-byte left child) is computed once at import
+as a constant head, so each call only appends its own fields.  The head is
+byte-identical to what `lp_encode` emits, so roots and paths are the same
+as hashing `lp_encode([DOMAIN_LEAF, id])` and
+`lp_encode([DOMAIN_NODE, left, right])` directly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 
 from .canon import lp_encode
@@ -25,6 +34,10 @@ DOMAIN_NODE = "SBPP-NODE"
 
 SIDE_LEFT = 0  # sibling is the left child
 SIDE_RIGHT = 1  # sibling is the right child
+
+_CHILD_LEN = (32).to_bytes(4, "big")
+_LEAF_HEAD = lp_encode([DOMAIN_LEAF])
+_NODE_HEAD = lp_encode([DOMAIN_NODE]) + _CHILD_LEN
 
 
 class MerkleError(ValueError):
@@ -36,13 +49,14 @@ class NotAMemberError(MerkleError):
 
 
 def leaf_hash(drop_id: str) -> bytes:
-    return hashlib.sha256(lp_encode([DOMAIN_LEAF, drop_id])).digest()
+    raw = drop_id.encode("utf-8")
+    return hashlib.sha256(_LEAF_HEAD + len(raw).to_bytes(4, "big") + raw).digest()
 
 
 def node_hash(left: bytes, right: bytes) -> bytes:
     if len(left) != 32 or len(right) != 32:
         raise MerkleError("interior nodes take 32-byte children")
-    return hashlib.sha256(lp_encode([DOMAIN_NODE, left, right])).digest()
+    return hashlib.sha256(_NODE_HEAD + left + _CHILD_LEN + right).digest()
 
 
 @dataclass(frozen=True)
@@ -87,25 +101,28 @@ class MerklePath:
 
 
 class MerkleTree:
-    """Tree over sorted unique ids; keeps all levels for path extraction."""
+    """Tree over sorted unique ids; keeps all levels for path extraction.
+
+    A level with an odd node count is stored padded with a copy of its last
+    node, so every node below the root has a sibling at `index ^ 1`.
+    """
 
     def __init__(self, ids: list[str]):
         if not ids:
             raise MerkleError("cannot commit to an empty result set")
-        ordered = sorted(set(ids), key=lambda s: s.encode("utf-8"))
-        if ordered != list(ids):
+        # Code point order is UTF-8 byte order, so comparing the strings
+        # checks the byte-wise order without encoding them.
+        if not all(map(operator.lt, ids, ids[1:])):
             raise MerkleError("result set ids must be unique and sorted")
         self.ids = list(ids)
         self._index = {drop_id: i for i, drop_id in enumerate(ids)}
-        levels = [[leaf_hash(drop_id) for drop_id in ids]]
-        while len(levels[-1]) > 1:
-            prev = levels[-1]
-            nxt = []
-            for i in range(0, len(prev), 2):
-                left = prev[i]
-                right = prev[i + 1] if i + 1 < len(prev) else prev[i]
-                nxt.append(node_hash(left, right))
-            levels.append(nxt)
+        level = [leaf_hash(drop_id) for drop_id in ids]
+        levels = [level]
+        while len(level) > 1:
+            if len(level) % 2:
+                level.append(level[-1])  # odd tail: the last node pairs with itself
+            level = [node_hash(left, right) for left, right in zip(level[::2], level[1::2])]
+            levels.append(level)
         self._levels = levels
 
     @property
@@ -122,11 +139,8 @@ class MerkleTree:
         index = self._index[drop_id]
         steps = []
         for level in self._levels[:-1]:
-            sibling_index = index ^ 1
-            if sibling_index >= len(level):
-                sibling_index = index  # odd tail: node is its own sibling
-            side = SIDE_LEFT if sibling_index < index else SIDE_RIGHT
-            steps.append(PathStep(side, level[sibling_index]))
+            side = SIDE_LEFT if index % 2 else SIDE_RIGHT
+            steps.append(PathStep(side, level[index ^ 1]))
             index //= 2
         return MerklePath(tuple(steps))
 

@@ -85,10 +85,13 @@ class Proof:
     def parse(cls, raw: bytes) -> "Proof":
         if len(raw) < 4:
             raise NizkError("truncated proof frame")
-        (length,) = (int.from_bytes(raw[:4], "big"),)
+        length = int.from_bytes(raw[:4], "big")
         if 4 + length > len(raw):
             raise NizkError("truncated proof backend id")
-        backend_id = raw[4 : 4 + length].decode("utf-8")
+        try:
+            backend_id = raw[4 : 4 + length].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise NizkError("proof backend id is not UTF-8") from exc
         return cls(backend_id, raw[4 + length :])
 
 

@@ -332,7 +332,7 @@ class AuditRecord:
                 pub=nizk.PublicInputs.from_bytes(fields[3]),
                 proof=nizk.Proof.parse(fields[4]),
             )
-        except (ReceiptError, MerkleError, nizk.NizkError, UnicodeDecodeError) as exc:
+        except (ReceiptError, MerkleError, nizk.NizkError, EncodingError, UnicodeDecodeError) as exc:
             raise AuditRecordError(f"malformed record field: {exc}") from exc
 
 

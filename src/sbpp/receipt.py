@@ -15,19 +15,14 @@ experiment runs reproducible.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
-from cryptography.hazmat.primitives.serialization import (
-    Encoding,
-    NoEncryption,
-    PrivateFormat,
-    PublicFormat,
-)
+from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from .canon import lp_encode, lp_decode, EncodingError
 
@@ -43,21 +38,26 @@ class ReceiptError(ValueError):
 
 @dataclass(frozen=True)
 class SigningKey:
+    """An Ed25519 key pair, parsed once: parsing costs about half a signature."""
+
     private_bytes: bytes
-    public_bytes: bytes
+    public_bytes: bytes = field(init=False)
+    _signer: Ed25519PrivateKey = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        signer = Ed25519PrivateKey.from_private_bytes(self.private_bytes)
+        object.__setattr__(self, "_signer", signer)
+        object.__setattr__(
+            self, "public_bytes", signer.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+        )
 
     def signer(self) -> Ed25519PrivateKey:
-        return Ed25519PrivateKey.from_private_bytes(self.private_bytes)
+        return self._signer
 
 
 def server_keygen(seed: bytes) -> SigningKey:
     """Deterministic Ed25519 key pair from a seed."""
-    private = hashlib.sha256(lp_encode([DOMAIN_KEYGEN, seed])).digest()
-    key = Ed25519PrivateKey.from_private_bytes(private)
-    return SigningKey(
-        private_bytes=key.private_bytes(Encoding.Raw, PrivateFormat.Raw, NoEncryption()),
-        public_bytes=key.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw),
-    )
+    return SigningKey(hashlib.sha256(lp_encode([DOMAIN_KEYGEN, seed])).digest())
 
 
 @dataclass(frozen=True)
@@ -92,19 +92,27 @@ class Receipt:
         if len(N) != 32 or len(root) != 32:
             raise ReceiptError("receipt nonce/root must be 32 bytes")
         try:
-            t_exp = int(t_exp_raw.decode("ascii"))
+            t_exp_text = t_exp_raw.decode("ascii")
+            t_exp = int(t_exp_text)
         except (UnicodeDecodeError, ValueError) as exc:
             raise ReceiptError("receipt expiry is not a decimal string") from exc
-        return cls(
-            S=S.decode("utf-8"),
-            N=N,
-            t_exp=t_exp,
-            root=root,
-            mode=mode.decode("utf-8"),
-            pv=pv.decode("utf-8"),
-            epoch=epoch.decode("utf-8"),
-            sig=sig,
-        )
+        if str(t_exp) != t_exp_text:
+            # int() also takes "+10", "010", "1_0" and " 10"; only the form
+            # receipt_body writes re-serializes to the signed bytes.
+            raise ReceiptError("receipt expiry is not in canonical form")
+        try:
+            return cls(
+                S=S.decode("utf-8"),
+                N=N,
+                t_exp=t_exp,
+                root=root,
+                mode=mode.decode("utf-8"),
+                pv=pv.decode("utf-8"),
+                epoch=epoch.decode("utf-8"),
+                sig=sig,
+            )
+        except UnicodeDecodeError as exc:
+            raise ReceiptError("receipt text field is not UTF-8") from exc
 
 
 def receipt_body(S: str, N: bytes, t_exp: int, root: bytes, mode: str, pv: str, epoch: str) -> bytes:

@@ -4,13 +4,15 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sbpp.canon import lp_encode
 from sbpp.merkle import (
     DOMAIN_LEAF,
     DOMAIN_NODE,
+    SIDE_LEFT,
+    SIDE_RIGHT,
     MerkleError,
     MerklePath,
     NotAMemberError,
@@ -27,6 +29,36 @@ Z32 = bytes(32)
 
 def _ids(n: int) -> list[str]:
     return [f"d{i:06d}" for i in range(n)]
+
+
+def _utf8_order(ids) -> list[str]:
+    return sorted(set(ids), key=lambda s: s.encode("utf-8"))
+
+
+def _oracle_levels(ids: list[str]) -> list[list[bytes]]:
+    """Reference builder: hashes every node through the general lp_encode."""
+    levels = [[hashlib.sha256(lp_encode([DOMAIN_LEAF, drop_id])).digest() for drop_id in ids]]
+    while len(levels[-1]) > 1:
+        prev = levels[-1]
+        nxt = []
+        for i in range(0, len(prev), 2):
+            left = prev[i]
+            right = prev[i + 1] if i + 1 < len(prev) else prev[i]
+            nxt.append(hashlib.sha256(lp_encode([DOMAIN_NODE, left, right])).digest())
+        levels.append(nxt)
+    return levels
+
+
+def _oracle_path(levels: list[list[bytes]], index: int) -> MerklePath:
+    steps = []
+    for level in levels[:-1]:
+        sibling_index = index ^ 1
+        if sibling_index >= len(level):
+            sibling_index = index  # odd tail: node is its own sibling
+        side = SIDE_LEFT if sibling_index < index else SIDE_RIGHT
+        steps.append(PathStep(side, level[sibling_index]))
+        index //= 2
+    return MerklePath(tuple(steps))
 
 
 def test_leaf_hash_frozen_vector():
@@ -66,6 +98,15 @@ def test_three_leaf_structure_self_pairs_the_odd_tail():
     l = [leaf_hash(i) for i in ids]
     want = node_hash(node_hash(l[0], l[1]), node_hash(l[2], l[2]))
     assert tree.root == want
+
+
+def test_frozen_roots():
+    assert build_tree(_ids(1000)).root.hex() == (
+        "f9daa64a37d901c7ddea2fc3f1c5bf2b166e448499ed20f6774025115688d873"
+    )
+    assert build_tree(["Z", "a", "drop-β", "zz", "é", "日本"]).root.hex() == (
+        "82a63a446d6d3538b96f7b393a0ce03f77a308d6a76a71893cbeaebf7e44d293"
+    )
 
 
 def test_requires_sorted_unique_ids():
@@ -156,12 +197,34 @@ def test_root_changes_with_any_membership_change():
     assert build_tree(swapped).root != base.root
 
 
-@given(st.integers(min_value=1, max_value=300), st.randoms(use_true_random=False))
+@given(
+    st.integers(min_value=1, max_value=300).flatmap(
+        lambda n: st.sets(st.text(max_size=4), min_size=n, max_size=n).map(_utf8_order)
+    )
+)
+@example(_ids(1))
+@example(_ids(3))
+@example(_ids(257))
+@example(["Z", "a", "drop-β", "zz", "é", "日本", "\U0001f600"])
 @settings(max_examples=60, deadline=None)
-def test_membership_completeness_property(n, rng):
-    ids = _ids(n)
+def test_membership_completeness_property(ids):
+    # Arbitrary Unicode ids in UTF-8 byte order; the tree must match the
+    # lp_encode reference byte for byte, root and every path.
     tree = build_tree(ids)
-    drop_id = rng.choice(ids)
-    path = tree.prove_membership(drop_id)
-    assert len(path.steps) == expected_depth(n)
-    assert verify_membership(tree.root, drop_id, path)
+    levels = _oracle_levels(ids)
+    assert tree.root == levels[-1][0]
+    for index, drop_id in enumerate(ids):
+        path = tree.prove_membership(drop_id)
+        assert path == _oracle_path(levels, index)
+        assert len(path.steps) == expected_depth(len(ids))
+        assert verify_membership(tree.root, drop_id, path)
+
+
+@given(st.lists(st.text(max_size=3), min_size=1, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_rejects_exactly_the_lists_not_in_strict_utf8_order(ids):
+    if ids == _utf8_order(ids):
+        assert build_tree(ids).ids == ids
+    else:
+        with pytest.raises(MerkleError):
+            build_tree(ids)

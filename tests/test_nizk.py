@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbpp.canon import FieldElement, cd_core
+from sbpp.canon import FieldElement, cd_core, lp_encode
 from sbpp.nizk import (
     BACKEND_ID,
     NizkError,
@@ -168,6 +168,22 @@ def test_proof_serialize_round_trip():
     assert Proof.parse(proof.serialize()) == proof
     with pytest.raises(NizkError):
         Proof.parse(b"\x00\x00")
+
+
+def test_proof_parse_rejects_non_utf8_backend_id():
+    with pytest.raises(NizkError):
+        Proof.parse(b"\x00\x00\x00\x02\xff\xfe" + bytes(32))
+
+
+@given(st.binary(max_size=12), st.binary(max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_proof_parse_raises_or_round_trips(backend_id, body):
+    raw = lp_encode([backend_id]) + body
+    try:
+        proof = Proof.parse(raw)
+    except NizkError:
+        return
+    assert proof.serialize() == raw
 
 
 @given(

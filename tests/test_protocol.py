@@ -6,7 +6,7 @@ import random
 import pytest
 
 from sbpp import nizk
-from sbpp.canon import cd_core, cd_full
+from sbpp.canon import cd_core, cd_full, lp_decode, lp_encode
 from sbpp.geoindex import Drop
 from sbpp.merkle import MerklePath, PathStep, build_tree
 from sbpp.protocol import (
@@ -222,6 +222,16 @@ def test_audit_record_round_trip():
         AuditRecord.parse(raw + b"\x00")
     with pytest.raises(AuditRecordError):
         AuditRecord.parse(raw[:-3])
+
+
+def test_audit_record_parse_rejects_unreduced_public_input():
+    server, client = _pair(MODE_FULL)
+    ses = _searched(server, client)
+    request = client.build_unlock(ses, "d01", nizk.Witness(35.7004, 139.75))
+    fields = lp_decode(emit_audit_record(ses, request).serialize())
+    fields[3] = b"\xff" * (32 * nizk.PUB_LEN)  # every element >= the field order
+    with pytest.raises(AuditRecordError):
+        AuditRecord.parse(lp_encode(fields))
 
 
 def test_audit_accepts_full_mode_offline():

@@ -1,8 +1,10 @@
 """Signed search receipts: the offline-audit trust anchor."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sbpp.canon import lp_decode
+from sbpp.canon import lp_decode, lp_encode
 from sbpp.receipt import (
     Receipt,
     ReceiptError,
@@ -63,6 +65,56 @@ def test_parse_rejects_malformed():
         Receipt.parse(raw + b"\x00")
     with pytest.raises(ReceiptError):
         Receipt.parse(raw[:10])
+
+
+def _frame(**overrides: bytes) -> bytes:
+    """A receipt frame with the given raw fields swapped in."""
+    fields = dict(
+        domain=b"SBPP-RECEIPT", S=b"ab" * 16, N=N, t_exp=str(T_EXP).encode(),
+        root=ROOT, mode=b"full", pv=b"1", epoch=b"ep0", sig=bytes(64),
+    )
+    fields.update(overrides)
+    return lp_encode(list(fields.values()))
+
+
+def test_frame_helper_builds_a_parseable_receipt():
+    assert Receipt.parse(_frame()).serialize() == _frame()
+
+
+@pytest.mark.parametrize("field", ["S", "mode", "pv", "epoch"])
+def test_parse_rejects_non_utf8_text_field(field):
+    with pytest.raises(ReceiptError):
+        Receipt.parse(_frame(**{field: b"\xff\xfe"}))
+
+
+def test_parse_rejects_non_ascii_expiry():
+    with pytest.raises(ReceiptError):
+        Receipt.parse(_frame(t_exp="１０".encode()))
+
+
+@pytest.mark.parametrize("t_exp", [b"+10", b"010", b"1_0", b" 10", b"10 ", b"-0", b""])
+def test_parse_rejects_non_canonical_expiry(t_exp):
+    with pytest.raises(ReceiptError):
+        Receipt.parse(_frame(t_exp=t_exp))
+
+
+def test_parse_accepts_negative_expiry_in_canonical_form():
+    assert Receipt.parse(_frame(t_exp=b"-10")).t_exp == -10
+
+
+@given(
+    st.lists(st.binary(max_size=12), min_size=4, max_size=4),
+    st.text(alphabet="+-_ 0123456789", max_size=5),
+)
+@settings(max_examples=300, deadline=None)
+def test_parse_raises_or_round_trips(texts, t_exp):
+    S, mode, pv, epoch = texts
+    raw = _frame(S=S, mode=mode, pv=pv, epoch=epoch, t_exp=t_exp.encode())
+    try:
+        receipt = Receipt.parse(raw)
+    except ReceiptError:
+        return
+    assert receipt.serialize() == raw
 
 
 def test_any_field_tamper_breaks_signature():
