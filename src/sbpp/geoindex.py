@@ -197,20 +197,29 @@ def make_token(key: bytes, precision: int, cell: str) -> bytes:
     return hmac.new(key, msg, hashlib.sha256).digest()
 
 
-def client_tokens(key: bytes, lat: float, lon: float, radius_m: float) -> tuple[int, list[bytes]]:
+def plain_tag(key: bytes, precision: int, cell: str) -> bytes:
+    """The cell itself as the tag: the plaintext-search baseline.  Ignores the key."""
+    return f"{precision}:{cell}".encode("ascii")
+
+
+def client_tokens(
+    key: bytes, lat: float, lon: float, radius_m: float, tag=make_token
+) -> tuple[int, list[bytes]]:
     """Token set for a proximity query: center cell plus all neighbors.
 
     Returns (precision, tags).  Deterministic, so identical queries emit
     byte-identical tag sets regardless of which protocol variant sends them.
+    ``tag`` must be the function the index was built with.
     """
     precision = precision_for_radius(radius_m, lat)
     center = geohash_encode(lat, lon, precision)
     cells = [center] + geohash_neighbors(center)
-    return precision, [make_token(key, precision, c) for c in cells]
+    return precision, [tag(key, precision, c) for c in cells]
 
 
 class GeoIndex:
-    """Server-side tag -> drop-id map.  Holds no plaintext geometry."""
+    """Server-side tag -> drop-id map.  Built with HMAC tags it holds no
+    plaintext geometry; built with ``plain_tag`` it is the plaintext baseline."""
 
     def __init__(self, precisions: list[int]):
         if not precisions:
@@ -234,33 +243,13 @@ class GeoIndex:
         return sorted(found, key=lambda s: s.encode("utf-8"))
 
 
-def build_index(key: bytes, drops: list[Drop], precisions: list[int]) -> GeoIndex:
+def build_index(key: bytes, drops: list[Drop], precisions: list[int], tag=make_token) -> GeoIndex:
     index = GeoIndex(precisions)
     for drop in drops:
         for p in index.precisions:
             cell = geohash_encode(drop.lat, drop.lon, p)
-            index.add(make_token(key, p, cell), drop.id)
+            index.add(tag(key, p, cell), drop.id)
     return index
-
-
-class PlainIndex:
-    """Plaintext cell -> drop-id map, the no-crypto discovery baseline."""
-
-    def __init__(self, drops: list[Drop], precisions: list[int]):
-        self.precisions = sorted(set(precisions))
-        self.entries: dict[str, list[str]] = {}
-        for drop in drops:
-            for p in self.precisions:
-                cell = geohash_encode(drop.lat, drop.lon, p)
-                self.entries.setdefault(f"{p}:{cell}", []).append(drop.id)
-
-    def match(self, precision: int, cells: list[str]) -> list[str]:
-        found: set[str] = set()
-        for cell in cells:
-            ids = self.entries.get(f"{precision}:{cell}")
-            if ids:
-                found.update(ids)
-        return sorted(found, key=lambda s: s.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

@@ -77,11 +77,14 @@ def derive_key(label: str, seed: int, n: int = 32) -> bytes:
     return hashlib.sha256(f"{label}:{seed}".encode()).digest()[:n]
 
 
-def build_variant(kind: str, seed: int, token_includes_root: bool = True):
-    """One rung with all key material and nonces derived from the seed."""
+def build_variant(
+    kind: str, seed: int, token_includes_root: bool = True, drops: list[Drop] | None = None
+):
+    """One rung with all key material and nonces derived from the seed,
+    over ``drops`` (default: the attack corpus)."""
     proving_key, verifying_key = nizk.setup(derive_key("nizk", seed))
     env = VariantEnv(
-        drops=attack_corpus(),
+        drops=attack_corpus() if drops is None else drops,
         search_key=derive_key("search", seed),
         signing_key=server_keygen(derive_key("sign", seed)),
         proving_key=proving_key,

@@ -56,19 +56,22 @@ from .attacks import (
 from .report import ExperimentReport
 
 
-def _protocol_pair(mode: str, seed: int, drops: list[Drop] | None = None):
-    """An SBPP server/client sharing seed-derived key material."""
+def _protocol_pair(
+    mode: str, seed: int, server_cls: type[SbppServer] = SbppServer, nonce_seed: int | None = None
+):
+    """An SBPP server/client over the attack corpus sharing seed-derived key
+    material; nonces come from ``nonce_seed`` (default: the seed)."""
     proving_key, verifying_key = nizk.setup(derive_key("nizk", seed))
     search_key = derive_key("search", seed)
-    server = SbppServer(
-        drops=drops if drops is not None else attack_corpus(),
+    server = server_cls(
+        drops=attack_corpus(),
         search_key=search_key,
         signing_key=server_keygen(derive_key("sign", seed)),
         nizk_vk=verifying_key,
         mode=mode,
         ttl_s=TTL_S,
         unlock_radius_m=RADIUS_M,
-        nonce_rng=random.Random(seed),
+        nonce_rng=random.Random(seed if nonce_seed is None else nonce_seed),
     )
     return server, SbppClient(search_key, proving_key)
 
@@ -130,7 +133,7 @@ def reassociation_experiment(
     analytic = 1.0 - (1.0 - 1.0 / n_drops) ** (epoch_every - 1)
     rates: dict[str, float] = {}
     for kind in variants:
-        variant = _variant_with_drops(kind, seed, cluster)
+        variant = build_variant(kind, seed, drops=cluster)
         chooser = random.Random(f"reassoc:{seed}")
         records: list[tuple[str, str, bytes]] = []
         for i in range(n_sessions):
@@ -146,24 +149,6 @@ def reassociation_experiment(
         hits = sum(1 for rec in records if groups[rec] >= 2)
         rates[kind] = hits / n_sessions
     return ReassociationResult(n_sessions, epoch_every, n_drops, seed, rates, analytic)
-
-
-def _variant_with_drops(kind: str, seed: int, drops: list[Drop]):
-    from ..variants import VariantEnv, make_variant
-
-    proving_key, verifying_key = nizk.setup(derive_key("nizk", seed))
-    env = VariantEnv(
-        drops=drops,
-        search_key=derive_key("search", seed),
-        signing_key=server_keygen(derive_key("sign", seed)),
-        proving_key=proving_key,
-        verifying_key=verifying_key,
-        mac_key=derive_key("mac", seed),
-        ttl_s=TTL_S,
-        unlock_radius_m=RADIUS_M,
-        nonce_rng=random.Random(seed),
-    )
-    return make_variant(kind, env)
 
 
 # ---------------------------------------------------------------------------
@@ -549,28 +534,15 @@ class MaliciousServerResult:
 
 
 def malicious_server_suite(seed: int = 0, trials: int = 100) -> MaliciousServerResult:
-    drops = attack_corpus()
-    proving_key, verifying_key = nizk.setup(derive_key("nizk", seed))
+    def make_server(cls, nonce_seed: int) -> SbppServer:
+        return _protocol_pair(MODE_FULL, seed, cls, nonce_seed)[0]
+
     search_key = derive_key("search", seed)
-    signing_key = server_keygen(derive_key("sign", seed))
-
-    def make_server(cls, rng_seed: int) -> SbppServer:
-        return cls(
-            drops=drops,
-            search_key=search_key,
-            signing_key=signing_key,
-            nizk_vk=verifying_key,
-            mode=MODE_FULL,
-            ttl_s=TTL_S,
-            unlock_radius_m=RADIUS_M,
-            nonce_rng=random.Random(rng_seed),
-        )
-
-    client = SbppClient(search_key, proving_key)
+    client = SbppClient(search_key, nizk.setup(derive_key("nizk", seed))[0])
 
     # candidate omission: detectable against an honest reference root
     omitting = make_server(_OmittingServer, seed + 1)
-    reference_ids = build_index(search_key, drops, [5]).match(
+    reference_ids = build_index(search_key, attack_corpus(), [5]).match(
         client_tokens(search_key, QUERY_LAT, QUERY_LON, RADIUS_M)[1]
     )
     reference_root = build_tree(reference_ids).root
@@ -590,7 +562,7 @@ def malicious_server_suite(seed: int = 0, trials: int = 100) -> MaliciousServerR
         if not biased.verify(request, T0 + 5).accepted:
             raise AssertionError("biased-server unlock should still verify")
         rec = emit_audit_record(ses, request)
-        biased_passes += int(audit(biased.public_key_bytes, verifying_key, rec).accepted)
+        biased_passes += int(audit(biased.public_key_bytes, biased.nizk_vk, rec).accepted)
 
     # predictable nonces: pre-computed proofs transfer across users
     def transfer_trial(server: SbppServer) -> bool:

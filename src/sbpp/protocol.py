@@ -8,20 +8,27 @@ returned drop, committing a challenge digest over (drop, policy, epoch,
 nonce[, root]) inside the proof's public inputs; the server re-derives the
 digest from its own session state and accepts at most once per session.
 
-Verification is a fixed pipeline and every rejection carries exactly one
-reason, so a failure localizes to the first broken link:
+Verification is a fixed tuple of stages, VERIFY_STAGES, and every rejection
+carries exactly one reason, so a failure localizes to the first broken link:
 
-    session -> digest -> membership -> proof -> consume
+    session -> bound -> digest -> membership -> proof -> consume
 
-The audit path replays the same bindings offline from (receipt, drop id,
-membership path, public inputs, proof) with no session state, which is what
-makes full-mode unlocks attributable after the server forgets everything.
+The audit path, AUDIT_STAGES, replays the same bindings offline from
+(receipt, drop id, membership path, public inputs, proof) with no session
+state, which is what makes full-mode unlocks attributable after the server
+forgets everything:
+
+    receipt signature -> digest -> membership -> proof
+
+Each stage is written once.  The V4a/V4b rungs of the comparison ladder in
+sbpp.variants run these same stage objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import random
+from typing import Any, Callable, NamedTuple
 
 from . import nizk
 from .canon import FieldElement, cd_core, cd_full, lp_encode, lp_decode, EncodingError
@@ -33,9 +40,9 @@ from .session import (
     MODE_FULL,
     ConsumedSessionError,
     ExpiredSessionError,
+    SessionRecord,
     SessionStore,
     UnknownSessionError,
-    ZERO_ROOT,
 )
 
 # Rejection reasons; one per failed check, in pipeline order.
@@ -155,80 +162,172 @@ class SbppServer:
     def search(self, S: str, tags: list[bytes], now: int) -> SearchResponse:
         """Match, bind, and attest in one step.  Empty matches leave the
         session unbound and searchable until it expires."""
-        record = self.sessions.validate(S, now)
+        self.sessions.validate(S, now)
         ids = self._match_ids(tags)
         if not ids:
             return SearchResponse(candidates=(), receipt=None, mode=self.mode)
         record = self.sessions.bind_results(S, ids, self.mode, now)
-        root = record.root if record.root is not None else ZERO_ROOT
-        rcpt = sign_receipt(
-            self.signing_key, S, record.N, record.t_exp, root, self.mode, record.pv, record.epoch
-        )
-        candidates = tuple(
-            CandidateMeta(
-                id=i,
-                lat=self.drops[i].lat,
-                lon=self.drops[i].lon,
-                radius_m=self.unlock_radius_m,
-                pv=record.pv,
-                epoch=record.epoch,
-            )
-            for i in ids
-        )
-        return SearchResponse(candidates=candidates, receipt=rcpt, mode=self.mode)
-
-    def _expected_digest(self, record, drop_id: str) -> FieldElement:
-        if record.mode == MODE_CORE:
-            return cd_core(drop_id, record.pv, record.epoch, record.N)
-        root = record.root if record.root is not None else ZERO_ROOT
-        return cd_full(drop_id, record.pv, record.epoch, record.N, root)
-
-    def _statement_ok(self, request: UnlockRequest) -> bool:
-        drop = self.drops.get(request.drop_id)
-        if drop is None:
-            return False
-        try:
-            expected = nizk.make_public_inputs(
-                drop.lat, drop.lon, self.unlock_radius_m, request.pub[7]
-            )
-        except nizk.NizkError:
-            return False
-        return expected.elements[:7] == request.pub.elements[:7]
+        candidates = candidates_for(self.drops, ids, self.unlock_radius_m, record.pv, record.epoch)
+        return SearchResponse(candidates, sign_session(self.signing_key, record), self.mode)
 
     def verify(self, request: UnlockRequest, now: int) -> VerifyOutcome:
-        # 1. session
-        try:
-            record = self.sessions.validate(request.S, now)
-        except UnknownSessionError:
-            return VerifyOutcome(False, R_SESSION_INVALID)
-        except ExpiredSessionError:
-            return VerifyOutcome(False, R_EXPIRED)
-        except ConsumedSessionError:
-            return VerifyOutcome(False, R_CONSUMED)
-        if not record.bound:
-            return VerifyOutcome(False, R_SESSION_INVALID)
-        # 2. challenge digest binds the proof to this session's context
-        if request.pub[7] != self._expected_digest(record, request.drop_id):
-            return VerifyOutcome(False, R_NONCE_DIGEST)
-        # 3. result-set membership
-        if record.mode == MODE_CORE:
-            assert record.result_set is not None
-            if request.drop_id not in record.result_set:
-                return VerifyOutcome(False, R_NOT_IN_RESULT_SET)
-        else:
-            if request.merkle_path is None or record.root is None:
-                return VerifyOutcome(False, R_MERKLE_INVALID)
-            if not verify_membership(record.root, request.drop_id, request.merkle_path):
-                return VerifyOutcome(False, R_MERKLE_INVALID)
-        # 4. statement consistency and the proximity proof itself
-        if not self._statement_ok(request):
-            return VerifyOutcome(False, R_PROOF_INVALID)
-        if not nizk.verify(self.nizk_vk, request.pub, request.proof):
-            return VerifyOutcome(False, R_PROOF_INVALID)
-        # 5. exactly-once consumption; the grant is the consume
-        if not self.sessions.consume(request.S, now):
-            return VerifyOutcome(False, R_CONSUMED)
-        return VerifyOutcome(True)
+        reason = first_reason(VERIFY_STAGES, self, Attempt(request, now))
+        return VerifyOutcome(reason is None, reason)
+
+
+def candidates_for(
+    drops: dict[str, Drop], ids: list[str], radius_m: float, pv: str, epoch: str
+) -> tuple[CandidateMeta, ...]:
+    return tuple(
+        CandidateMeta(i, drops[i].lat, drops[i].lon, radius_m, pv, epoch) for i in ids
+    )
+
+
+def sign_session(key: SigningKey, s: SessionRecord) -> Receipt:
+    """The receipt over a bound session: its nonce, expiry and root."""
+    return sign_receipt(key, s.S, s.N, s.t_exp, s.root, s.mode, s.pv, s.epoch)
+
+
+def challenge_digest(
+    mode: str, drop_id: str, pv: str, epoch: str, N: bytes, root: bytes | None
+) -> FieldElement:
+    """cd_core, or in full mode cd_full over the result-set root."""
+    if mode == MODE_CORE:
+        return cd_core(drop_id, pv, epoch, N)
+    return cd_full(drop_id, pv, epoch, N, root)
+
+
+# ---------------------------------------------------------------------------
+# stages
+#
+# A stage takes (subject, item) and returns a rejection reason, or None to
+# pass the item on.  Verify stages get the verifier (anything with
+# `sessions`, `drops`, `unlock_radius_m` and `nizk_vk`) and an Attempt;
+# audit stages get the keys (`public_key_bytes`, `nizk_vk`) and a record.
+
+Stage = Callable[[Any, Any], "str | None"]
+
+
+@dataclass
+class Attempt:
+    """One unlock request on its way through the verify stages."""
+
+    request: UnlockRequest
+    now: int
+    record: SessionRecord | None = None  # set by check_session
+
+
+def first_reason(stages: tuple[Stage, ...], subject: Any, item: Any) -> str | None:
+    """Run the stages in order; the first reason stops the run."""
+    for stage in stages:
+        reason = stage(subject, item)
+        if reason is not None:
+            return reason
+    return None
+
+
+def check_session(verifier: Any, attempt: Attempt) -> str | None:
+    try:
+        attempt.record = verifier.sessions.validate(attempt.request.S, attempt.now)
+    except UnknownSessionError:
+        return R_SESSION_INVALID
+    except ExpiredSessionError:
+        return R_EXPIRED
+    except ConsumedSessionError:
+        return R_CONSUMED
+    return None
+
+
+def check_bound(verifier: Any, attempt: Attempt) -> str | None:
+    return None if attempt.record.bound else R_SESSION_INVALID
+
+
+def check_digest(verifier: Any, attempt: Attempt) -> str | None:
+    """The challenge digest binds the proof to this session's context."""
+    record, request = attempt.record, attempt.request
+    expected = challenge_digest(
+        record.mode, request.drop_id, record.pv, record.epoch, record.N, record.root
+    )
+    return None if request.pub[7] == expected else R_NONCE_DIGEST
+
+
+def check_membership(verifier: Any, attempt: Attempt) -> str | None:
+    """Core: the bound id set.  Full: a Merkle path to the bound root."""
+    record, request = attempt.record, attempt.request
+    if record.mode == MODE_CORE:
+        if record.result_set is None or request.drop_id not in record.result_set:
+            return R_NOT_IN_RESULT_SET
+        return None
+    path = request.merkle_path
+    if path is None or not verify_membership(record.root, request.drop_id, path):
+        return R_MERKLE_INVALID
+    return None
+
+
+def check_proof(verifier: Any, attempt: Attempt) -> str | None:
+    """The statement is the named drop's, and the proximity proof holds."""
+    request = attempt.request
+    drop = verifier.drops.get(request.drop_id)
+    if drop is None or request.pub is None or request.proof is None:
+        return R_PROOF_INVALID
+    try:
+        expected = nizk.make_public_inputs(
+            drop.lat, drop.lon, verifier.unlock_radius_m, request.pub[7]
+        )
+    except nizk.NizkError:
+        return R_PROOF_INVALID
+    if expected.elements[:7] != request.pub.elements[:7]:
+        return R_PROOF_INVALID
+    if not nizk.verify(verifier.nizk_vk, request.pub, request.proof):
+        return R_PROOF_INVALID
+    return None
+
+
+def consume_session(verifier: Any, attempt: Attempt) -> str | None:
+    """Exactly-once consumption; the grant is the consume."""
+    return None if verifier.sessions.consume(attempt.request.S, attempt.now) else R_CONSUMED
+
+
+VERIFY_STAGES: tuple[Stage, ...] = (
+    check_session,
+    check_bound,
+    check_digest,
+    check_membership,
+    check_proof,
+    consume_session,
+)
+
+
+def audit_receipt(keys: Any, record: Any) -> str | None:
+    if record.receipt is None or not verify_receipt(keys.public_key_bytes, record.receipt):
+        return R_RECEIPT_SIG
+    return None
+
+
+def audit_digest(keys: Any, record: Any) -> str | None:
+    """The digest recomputed from the receipt's own fields."""
+    rcpt = record.receipt
+    expected = challenge_digest(rcpt.mode, record.drop_id, rcpt.pv, rcpt.epoch, rcpt.N, rcpt.root)
+    return None if record.pub[7] == expected else R_NONCE_DIGEST
+
+
+def audit_membership(keys: Any, record: Any) -> str | None:
+    """Membership against the receipt's root; a core receipt's zero root
+    admits no path, so core records always stop here."""
+    path = record.path
+    if path is None or not verify_membership(record.receipt.root, record.drop_id, path):
+        return R_MERKLE_INVALID
+    return None
+
+
+def audit_proof(keys: Any, record: Any) -> str | None:
+    pub, proof = record.pub, record.proof
+    if pub is None or proof is None or not nizk.verify(keys.nizk_vk, pub, proof):
+        return R_PROOF_INVALID
+    return None
+
+
+AUDIT_STAGES: tuple[Stage, ...] = (audit_receipt, audit_digest, audit_membership, audit_proof)
 
 
 @dataclass
@@ -278,13 +377,11 @@ class SbppClient:
         """Steps the client runs before submitting: recompute the root from
         its own copy of the result list, derive the digest, prove."""
         target = ses.candidate(drop_id)
-        path: MerklePath | None = None
-        if ses.mode == MODE_CORE:
-            cd = cd_core(drop_id, target.pv, target.epoch, ses.N)
-        else:
+        root = path = None
+        if ses.mode == MODE_FULL:
             tree = build_tree(ses.result_ids())
-            cd = cd_full(drop_id, target.pv, target.epoch, ses.N, tree.root)
-            path = tree.prove_membership(drop_id)
+            root, path = tree.root, tree.prove_membership(drop_id)
+        cd = challenge_digest(ses.mode, drop_id, target.pv, target.epoch, ses.N, root)
         pub = nizk.make_public_inputs(target.lat, target.lon, target.radius_m, cd)
         proof = nizk.prove(self.proving_key, witness, pub)
         return UnlockRequest(S=ses.S, drop_id=drop_id, pub=pub, proof=proof, merkle_path=path)
@@ -349,25 +446,13 @@ def emit_audit_record(ses: ClientSession, request: UnlockRequest) -> AuditRecord
     )
 
 
-def audit(server_public_key: bytes, nizk_vk: bytes, record: AuditRecord) -> AuditOutcome:
-    """Replay the protocol's bindings offline, with zero session state.
+class AuditKeys(NamedTuple):
+    public_key_bytes: bytes
+    nizk_vk: bytes
 
-    Order: receipt signature, digest recomputation from the receipt's own
-    fields, result-set membership against the receipt's root, then the
-    proof.  Core-mode receipts carry a zero root, so core records always
-    stop at the membership step: they attest the session, not the set.
-    """
-    rcpt = record.receipt
-    if not verify_receipt(server_public_key, rcpt):
-        return AuditOutcome(False, R_RECEIPT_SIG)
-    if rcpt.mode == MODE_CORE:
-        expected = cd_core(record.drop_id, rcpt.pv, rcpt.epoch, rcpt.N)
-    else:
-        expected = cd_full(record.drop_id, rcpt.pv, rcpt.epoch, rcpt.N, rcpt.root)
-    if record.pub[7] != expected:
-        return AuditOutcome(False, R_NONCE_DIGEST)
-    if not verify_membership(rcpt.root, record.drop_id, record.path):
-        return AuditOutcome(False, R_MERKLE_INVALID)
-    if not nizk.verify(nizk_vk, record.pub, record.proof):
-        return AuditOutcome(False, R_PROOF_INVALID)
-    return AuditOutcome(True)
+
+def audit(server_public_key: bytes, nizk_vk: bytes, record: AuditRecord) -> AuditOutcome:
+    """Replay the protocol's bindings offline, with zero session state:
+    AUDIT_STAGES in order (receipt signature, digest, membership, proof)."""
+    reason = first_reason(AUDIT_STAGES, AuditKeys(server_public_key, nizk_vk), record)
+    return AuditOutcome(reason is None, reason)

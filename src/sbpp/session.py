@@ -126,32 +126,28 @@ class SessionStore:
             self.issued_count += 1
             return record
 
-    def _get(self, S: str) -> SessionRecord:
+    def _live(self, S: str, now: int) -> SessionRecord:
+        """Caller holds the lock."""
         record = self._records.get(S)
         if record is None:
             raise UnknownSessionError("no such session")
+        if record.consumed:
+            raise ConsumedSessionError("session already consumed")
+        if now >= record.t_exp:
+            raise ExpiredSessionError("session expired")
         return record
 
     def validate(self, S: str, now: int) -> SessionRecord:
         """The record, if the session exists, is unconsumed, and is unexpired."""
         with self._lock:
-            record = self._get(S)
-            if record.consumed:
-                raise ConsumedSessionError("session already consumed")
-            if now >= record.t_exp:
-                raise ExpiredSessionError("session expired")
-            return record
+            return self._live(S, now)
 
     def bind_results(self, S: str, ids: list[str], mode: str, now: int) -> SessionRecord:
         """Bind the search result set; a session binds at most once."""
         if not ids:
             raise SessionError("cannot bind an empty result set")
         with self._lock:
-            record = self._get(S)
-            if record.consumed:
-                raise ConsumedSessionError("session already consumed")
-            if now >= record.t_exp:
-                raise ExpiredSessionError("session expired")
+            record = self._live(S, now)
             if record.bound:
                 raise AlreadyBoundError("session already bound to results")
             if mode != record.mode:

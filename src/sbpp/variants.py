@@ -1,7 +1,6 @@
 """Protocol variant ladder for the attack comparison.
 
-Nine variants share one client/server interface so attack scripts can run
-unchanged against each rung:
+Nine rungs share one engine, so attack scripts run unchanged against each:
 
   V1  plaintext cell search, proof bound to (drop, pv, epoch) only
   V2  encrypted search (tokens), same context-only proof binding
@@ -15,10 +14,15 @@ unchanged against each rung:
   V8  proof digest commits to the hash of an opaque signed token (which
       carries the nonce, and the root unless built "lite")
 
-V4a/V4b delegate to the protocol module; the rest run on a generic engine
-driven by per-variant traits.  Verification order mirrors the core pipeline
-(session, echo, evidence, digest, membership, proof, consume) so rejects are
-comparable across rungs.
+Each rung is one row of RUNGS.  The row says what the search side issues
+(capabilities, permits, a MAC, a token or the protocol's signed receipt),
+what the client attaches to a request, and which stages verify and audit
+it.  Verify and audit run the row's stage tuple in order and stop at the
+first reason, so each failure maps to one reason on every rung.  V4a and
+V4b are rows like the others: their stage tuples are the protocol's own
+VERIFY_STAGES and AUDIT_STAGES objects, and the ladder-only stages here
+(nonce echo, evidence, context digest, token hash/signature/root) sit
+beside the shared session, membership, proof and consume stages.
 
 Attack adapters model an adversary who can re-route anything it computed
 itself (session ids, nonce echoes, membership paths) but cannot mint
@@ -30,52 +34,41 @@ from __future__ import annotations
 import hashlib
 import hmac
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
 from . import nizk
-from .canon import FieldElement, cd_core, cd_full, digest, lp_decode, lp_encode
-from .geoindex import (
-    Drop,
-    PlainIndex,
-    build_index,
-    client_tokens,
-    geohash_encode,
-    geohash_neighbors,
-    precision_for_radius,
-)
+from .canon import FieldElement, digest, lp_decode, lp_encode
+from .geoindex import Drop, build_index, client_tokens, make_token, plain_tag
 from .merkle import MerklePath, build_tree, verify_membership
 from .protocol import (
+    AUDIT_STAGES,
+    VERIFY_STAGES,
+    Attempt,
     AuditOutcome,
-    AuditRecord,
-    CandidateMeta,
     ClientSession,
-    R_CONSUMED,
-    R_EXPIRED,
     R_MERKLE_INVALID,
     R_NONCE_DIGEST,
     R_NOT_IN_RESULT_SET,
-    R_PROOF_INVALID,
-    R_RECEIPT_SIG,
     R_SESSION_INVALID,
-    SbppClient,
-    SbppServer,
+    Stage,
     UnlockRequest,
     VerifyOutcome,
-    audit as sbpp_audit,
-    emit_audit_record,
+    audit_proof,
+    candidates_for,
+    challenge_digest,
+    check_membership,
+    check_proof,
+    check_session,
+    consume_session,
+    first_reason,
+    sign_session,
 )
-from .receipt import SigningKey
-from .session import (
-    MODE_CORE,
-    MODE_FULL,
-    ConsumedSessionError,
-    ExpiredSessionError,
-    SessionStore,
-    UnknownSessionError,
-)
+from .receipt import Receipt, SigningKey
+from .session import MODE_CORE, MODE_FULL, SessionStore
 
 VARIANT_KINDS = ("V1", "V2", "V3", "V4a", "V4b", "V5", "V6", "V7", "V8")
 
@@ -119,64 +112,25 @@ class VariantEnv:
     nonce_rng: random.Random | None = None
 
 
-@dataclass(frozen=True)
-class VariantTraits:
-    kind: str
-    plaintext_search: bool = False
-    session_aware: bool = True
-    nonce_echo: bool = False
-    digest_kind: str | None = "context"  # context | token | None
-    evidence: str | None = None  # capability | permit | mac | token
-    has_proof: bool = True
-    token_includes_root: bool = True
-
-
-_GENERIC_TRAITS = {
-    "V1": VariantTraits("V1", plaintext_search=True, session_aware=False),
-    "V2": VariantTraits("V2", session_aware=False),
-    "V3": VariantTraits("V3", nonce_echo=True),
-    "V5": VariantTraits("V5", evidence="capability"),
-    "V6": VariantTraits("V6", evidence="permit", digest_kind=None, has_proof=False),
-    "V7": VariantTraits("V7", evidence="mac"),
-    "V8": VariantTraits("V8", evidence="token", digest_kind="token"),
-}
-
-
 @dataclass
-class VariantSession:
-    """Client-side artifacts for one session under any rung."""
+class VariantSession(ClientSession):
+    """The protocol's client-side session view plus a rung's sidecar evidence."""
 
-    S: str
-    N: bytes
-    t_exp: int
     pv: str = "1"
     epoch: str = "ep0"
-    candidates: tuple[CandidateMeta, ...] = ()
     capabilities: dict[str, bytes] = field(default_factory=dict)
     permits: dict[str, bytes] = field(default_factory=dict)
     result_mac: bytes | None = None
     token: bytes | None = None
-    inner: ClientSession | None = None  # set by the V4a/V4b wrapper
-
-    def result_ids(self) -> list[str]:
-        return [c.id for c in self.candidates]
-
-    def candidate(self, drop_id: str) -> CandidateMeta:
-        for c in self.candidates:
-            if c.id == drop_id:
-                return c
-        raise VariantError(f"{drop_id!r} is not in this session's result list")
 
 
 @dataclass(frozen=True)
-class VariantRequest:
-    S: str
-    drop_id: str
-    pub: nizk.PublicInputs | None
-    proof: nizk.Proof | None
-    pv: str
-    epoch: str
-    merkle_path: MerklePath | None = None
+class VariantRequest(UnlockRequest):
+    """The protocol's request plus a rung's sidecar evidence.  V6 sends no
+    proof, so there ``pub`` and ``proof`` are None."""
+
+    pv: str = "1"
+    epoch: str = "ep0"
     nonce_echo: bytes | None = None
     capability: bytes | None = None
     permit: bytes | None = None
@@ -201,7 +155,7 @@ class VariantAuditRecord:
     result_ids: tuple[str, ...] | None = None
     result_mac: bytes | None = None
     token: bytes | None = None
-    sbpp: AuditRecord | None = None
+    receipt: Receipt | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -235,24 +189,243 @@ def _mac_tag(mac_key: bytes, S: str, pv: str, epoch: str, ids: tuple[str, ...]) 
 
 
 # ---------------------------------------------------------------------------
-# generic engine for V1-V3 and V5-V8
+# ladder-only verify stages; the rest come from the protocol
+
+
+def _context(attempt: Attempt) -> tuple[str, str]:
+    """(pv, epoch) from the session if the rung keeps one, else as claimed."""
+    record = attempt.record
+    if record is not None:
+        return record.pv, record.epoch
+    return attempt.request.pv, attempt.request.epoch
+
+
+def check_echo(variant: GenericVariant, attempt: Attempt) -> str | None:
+    record = attempt.record
+    if record is None or attempt.request.nonce_echo != record.N:
+        return R_NONCE_ECHO
+    return None
+
+
+def _check_grant(
+    variant: GenericVariant, attempt: Attempt, *, attr: str, domain: str
+) -> str | None:
+    """A server-signed grant for exactly this session, drop and context."""
+    request = attempt.request
+    fields = _verify_blob(variant.public_key_bytes, getattr(request, attr) or b"", domain)
+    if fields is None or [f.decode() for f in fields[1:]] != [
+        request.S, request.drop_id, *_context(attempt)
+    ]:
+        return R_EVIDENCE_INVALID
+    return None
+
+
+check_capability = partial(_check_grant, attr="capability", domain=DOMAIN_CAPABILITY)
+check_permit = partial(_check_grant, attr="permit", domain=DOMAIN_PERMIT)
+
+
+def check_mac(variant: GenericVariant, attempt: Attempt) -> str | None:
+    request = attempt.request
+    if request.result_ids is None or request.result_mac is None:
+        return R_EVIDENCE_INVALID
+    expected = _mac_tag(variant.env.mac_key, request.S, *_context(attempt), request.result_ids)
+    if not hmac.compare_digest(expected, request.result_mac):
+        return R_EVIDENCE_INVALID
+    return None if request.drop_id in request.result_ids else R_NOT_IN_RESULT_SET
+
+
+def check_context_digest(variant: GenericVariant, attempt: Attempt) -> str | None:
+    request = attempt.request
+    if request.pub is None or request.pub[7] != context_digest(request.drop_id, *_context(attempt)):
+        return R_NONCE_DIGEST
+    return None
+
+
+def check_token_hash(variant: GenericVariant, attempt: Attempt) -> str | None:
+    token = variant.token_by_session.get(attempt.request.S)
+    if token is None:
+        return R_SESSION_INVALID
+    pub = attempt.request.pub
+    return None if pub is not None and pub[7] == digest([token]) else R_TOKEN_HASH
+
+
+def check_token_root(variant: GenericVariant, attempt: Attempt) -> str | None:
+    """Membership against the root inside this session's token."""
+    request = attempt.request
+    root, path = lp_decode(variant.token_by_session[request.S])[3], request.merkle_path
+    if path is None or not verify_membership(root, request.drop_id, path):
+        return R_MERKLE_INVALID
+    return None
+
+
+# ---------------------------------------------------------------------------
+# ladder-only audit stages
+
+
+def _audit_grant(
+    variant: GenericVariant, rec: VariantAuditRecord, *, attr: str, domain: str
+) -> str | None:
+    fields = _verify_blob(variant.public_key_bytes, getattr(rec, attr) or b"", domain)
+    if fields is None or fields[2].decode() != rec.drop_id:
+        return R_EVIDENCE_INVALID
+    return None
+
+
+audit_capability = partial(_audit_grant, attr="capability", domain=DOMAIN_CAPABILITY)
+audit_permit = partial(_audit_grant, attr="permit", domain=DOMAIN_PERMIT)
+
+
+def audit_mac(variant: GenericVariant, rec: VariantAuditRecord) -> str | None:
+    if rec.result_ids is None or rec.result_mac is None or rec.claimed_S is None:
+        return R_EVIDENCE_INVALID
+    expected = _mac_tag(variant.env.mac_key, rec.claimed_S, rec.pv, rec.epoch, rec.result_ids)
+    if not hmac.compare_digest(expected, rec.result_mac):
+        return R_EVIDENCE_INVALID
+    return None if rec.drop_id in rec.result_ids else R_NOT_IN_RESULT_SET
+
+
+def audit_context_digest(variant: GenericVariant, rec: VariantAuditRecord) -> str | None:
+    if rec.pub is None or rec.pub[7] != context_digest(rec.drop_id, rec.pv, rec.epoch):
+        return R_NONCE_DIGEST
+    return None
+
+
+def audit_token_hash(variant: GenericVariant, rec: VariantAuditRecord) -> str | None:
+    # The only anchor of an opaque token is pub[7] == H(token), so any
+    # token-level tampering collapses into this one symptom.
+    if rec.pub is None or rec.token is None or rec.pub[7] != digest([rec.token]):
+        return R_TOKEN_HASH
+    return None
+
+
+def audit_token_sig(variant: GenericVariant, rec: VariantAuditRecord) -> str | None:
+    domain = DOMAIN_TOKEN_FULL if variant.traits.token_includes_root else DOMAIN_TOKEN_LITE
+    if _verify_blob(variant.public_key_bytes, rec.token, domain) is None:
+        return R_TOKEN_SIG
+    return None
+
+
+def audit_token_root(variant: GenericVariant, rec: VariantAuditRecord) -> str | None:
+    root = lp_decode(rec.token)[3]
+    if rec.path is None or not verify_membership(root, rec.drop_id, rec.path):
+        return R_MERKLE_INVALID
+    return None
+
+
+# ---------------------------------------------------------------------------
+# the rung table
+
+
+@dataclass(frozen=True)
+class VariantTraits:
+    """One row of the rung table."""
+
+    kind: str
+    verify: tuple[Stage, ...]
+    audit: tuple[Stage, ...]
+    plaintext_search: bool = False
+    mode: str = MODE_CORE  # what the session binds: the id set, or (full) its root
+    nonce_echo: bool = False
+    digest_kind: str | None = "context"  # context | token | session | None (no proof)
+    evidence: str | None = None  # capability | permit | mac | token | receipt
+    token_includes_root: bool = True
+
+    @property
+    def session_aware(self) -> bool:
+        return check_session in self.verify
+
+    @property
+    def has_proof(self) -> bool:
+        return self.digest_kind is not None
+
+    @property
+    def carries_path(self) -> bool:
+        """Requests carry a Merkle path: to the session root, or the token's."""
+        return self.mode == MODE_FULL or (self.evidence == "token" and self.token_includes_root)
+
+
+_CONTEXT_AUDIT = (audit_context_digest, audit_proof)
+# The protocol's own stages and signed receipt; V4b binds the session to a Merkle root.
+_PROTOCOL = VariantTraits(
+    "V4a", VERIFY_STAGES, AUDIT_STAGES, digest_kind="session", evidence="receipt"
+)
+
+RUNGS: dict[str, VariantTraits] = {
+    "V1": VariantTraits(
+        "V1", (check_context_digest, check_proof), _CONTEXT_AUDIT, plaintext_search=True
+    ),
+    "V2": VariantTraits("V2", (check_context_digest, check_proof), _CONTEXT_AUDIT),
+    "V3": VariantTraits(
+        "V3",
+        (check_session, check_echo, check_context_digest, check_proof, consume_session),
+        _CONTEXT_AUDIT,
+        nonce_echo=True,
+    ),
+    "V4a": _PROTOCOL,
+    "V4b": replace(_PROTOCOL, kind="V4b", mode=MODE_FULL),
+    "V5": VariantTraits(
+        "V5",
+        (check_session, check_capability, check_context_digest, check_proof, consume_session),
+        (audit_capability, *_CONTEXT_AUDIT),
+        evidence="capability",
+    ),
+    "V6": VariantTraits(
+        "V6",
+        (check_session, check_permit, consume_session),
+        (audit_permit,),  # nothing else to attest: no proof exists
+        digest_kind=None,
+        evidence="permit",
+    ),
+    "V7": VariantTraits(
+        "V7",
+        (check_session, check_mac, check_context_digest, check_proof, consume_session),
+        (audit_mac, *_CONTEXT_AUDIT),
+        evidence="mac",
+    ),
+    "V8": VariantTraits(
+        "V8",
+        (check_session, check_token_hash, check_token_root, check_proof, consume_session),
+        (audit_token_hash, audit_token_sig, audit_token_root, audit_proof),
+        digest_kind="token",
+        evidence="token",
+    ),
+}
+
+# V8 with a token that omits the root: membership falls back to the
+# session's own id set, and the offline trail has nothing to check it on.
+_V8_LITE = replace(
+    RUNGS["V8"],
+    verify=(check_session, check_token_hash, check_membership, check_proof, consume_session),
+    audit=(audit_token_hash, audit_token_sig, audit_proof),
+    token_includes_root=False,
+)
+
+
+# ---------------------------------------------------------------------------
+# the engine
 
 
 class GenericVariant:
+    """Any rung: search side, client side and verifier, driven by its row."""
+
     def __init__(self, traits: VariantTraits, env: VariantEnv):
         self.traits = traits
         self.kind = traits.kind
         self.env = env
         self.has_proximity_proof = traits.has_proof
         self.drops = {d.id: d for d in env.drops}
+        self.unlock_radius_m = env.unlock_radius_m
+        self.nizk_vk = env.verifying_key
         self.sessions = SessionStore(
             ttl_s=env.ttl_s, pv=env.pv, epoch=env.epoch, nonce_rng=env.nonce_rng
         )
-        if traits.plaintext_search:
-            self.plain_index = PlainIndex(env.drops, list(env.precisions))
-        else:
-            self.index = build_index(env.search_key, env.drops, list(env.precisions))
+        self._tag = plain_tag if traits.plaintext_search else make_token
+        self.index = build_index(env.search_key, env.drops, list(env.precisions), tag=self._tag)
         self.token_by_session: dict[str, bytes] = {}
+
+    @property
+    def public_key_bytes(self) -> bytes:
+        return self.env.signing_key.public_bytes
 
     def set_epoch(self, epoch: str) -> None:
         self.sessions.epoch = epoch
@@ -260,196 +433,98 @@ class GenericVariant:
     # -- client/server flow
 
     def open_session(self, now: int) -> VariantSession:
-        record = self.sessions.issue(now, mode=MODE_CORE)
+        record = self.sessions.issue(now, mode=self.traits.mode)
         return VariantSession(
-            S=record.S, N=record.N, t_exp=record.t_exp, pv=record.pv, epoch=record.epoch
+            record.S, record.N, record.t_exp, record.mode, pv=record.pv, epoch=record.epoch
         )
-
-    def _match(self, lat: float, lon: float, radius_m: float) -> list[str]:
-        if self.traits.plaintext_search:
-            p = precision_for_radius(radius_m, lat)
-            center = geohash_encode(lat, lon, p)
-            return self.plain_index.match(p, [center] + geohash_neighbors(center))
-        _, tags = client_tokens(self.env.search_key, lat, lon, radius_m)
-        return self.index.match(tags)
 
     def search(
         self, vses: VariantSession, lat: float, lon: float, radius_m: float, now: int
     ) -> VariantSession:
-        ids = self._match(lat, lon, radius_m)
+        row, key, S = self.traits, self.env.signing_key, vses.S
+        if row.evidence == "receipt":
+            self.sessions.validate(S, now)  # the protocol refuses a dead session outright
+        _, tags = client_tokens(self.env.search_key, lat, lon, radius_m, tag=self._tag)
+        ids = self.index.match(tags)
         pv, epoch = vses.pv, vses.epoch
         if not ids:
             vses.candidates = ()
             return vses
-        if self.traits.session_aware:
-            self.sessions.bind_results(vses.S, ids, MODE_CORE, now)
-        if self.traits.evidence == "capability":
+        record = self.sessions.bind_results(S, ids, row.mode, now) if row.session_aware else None
+        if row.evidence == "capability":
             for i in ids:
-                vses.capabilities[i] = _sign_blob(
-                    self.env.signing_key, [DOMAIN_CAPABILITY, vses.S, i, pv, epoch]
-                )
-        elif self.traits.evidence == "permit":
+                vses.capabilities[i] = _sign_blob(key, [DOMAIN_CAPABILITY, S, i, pv, epoch])
+        elif row.evidence == "permit":
             for i in ids:
-                vses.permits[i] = _sign_blob(
-                    self.env.signing_key, [DOMAIN_PERMIT, vses.S, i, pv, epoch]
-                )
-        elif self.traits.evidence == "mac":
-            vses.result_mac = _mac_tag(self.env.mac_key, vses.S, pv, epoch, tuple(ids))
-        elif self.traits.evidence == "token":
-            if self.traits.token_includes_root:
+                vses.permits[i] = _sign_blob(key, [DOMAIN_PERMIT, S, i, pv, epoch])
+        elif row.evidence == "mac":
+            vses.result_mac = _mac_tag(self.env.mac_key, S, pv, epoch, tuple(ids))
+        elif row.evidence == "token":
+            if row.token_includes_root:
                 root = build_tree(ids).root
-                token = _sign_blob(
-                    self.env.signing_key, [DOMAIN_TOKEN_FULL, vses.S, vses.N, root, pv, epoch]
-                )
+                token = _sign_blob(key, [DOMAIN_TOKEN_FULL, S, vses.N, root, pv, epoch])
             else:
-                token = _sign_blob(
-                    self.env.signing_key, [DOMAIN_TOKEN_LITE, vses.S, vses.N, pv, epoch]
-                )
-            self.token_by_session[vses.S] = token
-            vses.token = token
-        vses.candidates = tuple(
-            CandidateMeta(
-                id=i,
-                lat=self.drops[i].lat,
-                lon=self.drops[i].lon,
-                radius_m=self.env.unlock_radius_m,
-                pv=pv,
-                epoch=epoch,
-            )
-            for i in ids
-        )
+                token = _sign_blob(key, [DOMAIN_TOKEN_LITE, S, vses.N, pv, epoch])
+            self.token_by_session[S] = vses.token = token
+        elif row.evidence == "receipt":
+            vses.receipt = sign_session(key, record)
+        vses.candidates = candidates_for(self.drops, ids, self.unlock_radius_m, pv, epoch)
         return vses
-
-    def _client_digest(self, vses: VariantSession, drop_id: str, pv: str, epoch: str) -> FieldElement:
-        if self.traits.digest_kind == "token":
-            if vses.token is None:
-                raise VariantError("no token issued for this session")
-            return digest([vses.token])
-        return context_digest(drop_id, pv, epoch)
 
     def build_unlock(
         self, vses: VariantSession, drop_id: str, witness: nizk.Witness
     ) -> VariantRequest:
         target = vses.candidate(drop_id)
+        return self._request(vses, drop_id, target.lat, target.lon, witness, path_leaf=drop_id)
+
+    def build_nonmember_unlock(
+        self, vses: VariantSession, drop: Drop, witness: nizk.Witness
+    ) -> VariantRequest:
+        """Attempt an unlock for a drop the search never returned.  The
+        adversary follows the client procedure as far as it can, with a
+        membership path stolen from the first returned id."""
+        ids = vses.result_ids()
+        leaf = ids[0] if ids else None
+        return self._request(vses, drop.id, drop.lat, drop.lon, witness, path_leaf=leaf)
+
+    def _request(
+        self, vses: VariantSession, drop_id: str, lat: float, lon: float,
+        witness: nizk.Witness, path_leaf: str | None,
+    ) -> VariantRequest:
+        row = self.traits
+        ids = vses.result_ids()
+        tree = build_tree(ids) if row.carries_path and path_leaf is not None else None
         pub = proof = None
-        if self.traits.has_proof:
-            cd = self._client_digest(vses, drop_id, target.pv, target.epoch)
-            pub = nizk.make_public_inputs(target.lat, target.lon, target.radius_m, cd)
+        if row.has_proof:
+            if row.digest_kind == "token":
+                if vses.token is None:
+                    raise VariantError("no token issued for this session")
+                cd = digest([vses.token])
+            elif row.digest_kind == "session":
+                root = tree.root if tree is not None else None
+                cd = challenge_digest(row.mode, drop_id, vses.pv, vses.epoch, vses.N, root)
+            else:
+                cd = context_digest(drop_id, vses.pv, vses.epoch)
+            pub = nizk.make_public_inputs(lat, lon, self.unlock_radius_m, cd)
             proof = nizk.prove(self.env.proving_key, witness, pub)
-        path = None
-        if self.traits.evidence == "token" and self.traits.token_includes_root:
-            path = build_tree(vses.result_ids()).prove_membership(drop_id)
         return VariantRequest(
             S=vses.S,
             drop_id=drop_id,
             pub=pub,
             proof=proof,
-            pv=target.pv,
-            epoch=target.epoch,
-            merkle_path=path,
-            nonce_echo=vses.N if self.traits.nonce_echo else None,
+            pv=vses.pv,
+            epoch=vses.epoch,
+            merkle_path=tree.prove_membership(path_leaf) if tree is not None else None,
+            nonce_echo=vses.N if row.nonce_echo else None,
             capability=vses.capabilities.get(drop_id),
             permit=vses.permits.get(drop_id),
-            result_ids=tuple(vses.result_ids()) if self.traits.evidence == "mac" else None,
+            result_ids=tuple(ids) if row.evidence == "mac" else None,
             result_mac=vses.result_mac,
         )
 
-    def _statement_ok(self, request: VariantRequest) -> bool:
-        drop = self.drops.get(request.drop_id)
-        if drop is None or request.pub is None:
-            return False
-        try:
-            expected = nizk.make_public_inputs(
-                drop.lat, drop.lon, self.env.unlock_radius_m, request.pub[7]
-            )
-        except nizk.NizkError:
-            return False
-        return expected.elements[:7] == request.pub.elements[:7]
-
     def verify(self, request: VariantRequest, now: int) -> VerifyOutcome:
-        record = None
-        if self.traits.session_aware:
-            try:
-                record = self.sessions.validate(request.S, now)
-            except UnknownSessionError:
-                return VerifyOutcome(False, R_SESSION_INVALID)
-            except ExpiredSessionError:
-                return VerifyOutcome(False, R_EXPIRED)
-            except ConsumedSessionError:
-                return VerifyOutcome(False, R_CONSUMED)
-        pv = record.pv if record is not None else request.pv
-        epoch = record.epoch if record is not None else request.epoch
-        if self.traits.nonce_echo:
-            if record is None or request.nonce_echo != record.N:
-                return VerifyOutcome(False, R_NONCE_ECHO)
-        # server-issued sidecar evidence
-        if self.traits.evidence == "capability":
-            fields = _verify_blob(
-                self.env.signing_key.public_bytes, request.capability or b"", DOMAIN_CAPABILITY
-            )
-            if fields is None or [f.decode() for f in fields[1:]] != [
-                request.S,
-                request.drop_id,
-                pv,
-                epoch,
-            ]:
-                return VerifyOutcome(False, R_EVIDENCE_INVALID)
-        elif self.traits.evidence == "permit":
-            fields = _verify_blob(
-                self.env.signing_key.public_bytes, request.permit or b"", DOMAIN_PERMIT
-            )
-            if fields is None or [f.decode() for f in fields[1:]] != [
-                request.S,
-                request.drop_id,
-                pv,
-                epoch,
-            ]:
-                return VerifyOutcome(False, R_EVIDENCE_INVALID)
-        elif self.traits.evidence == "mac":
-            if request.result_ids is None or request.result_mac is None:
-                return VerifyOutcome(False, R_EVIDENCE_INVALID)
-            expected_mac = _mac_tag(self.env.mac_key, request.S, pv, epoch, request.result_ids)
-            if not hmac.compare_digest(expected_mac, request.result_mac):
-                return VerifyOutcome(False, R_EVIDENCE_INVALID)
-            if request.drop_id not in request.result_ids:
-                return VerifyOutcome(False, R_NOT_IN_RESULT_SET)
-        # challenge digest
-        token = None
-        if self.traits.digest_kind == "token":
-            token = self.token_by_session.get(request.S)
-            if token is None:
-                return VerifyOutcome(False, R_SESSION_INVALID)
-            if request.pub is None or request.pub[7] != digest([token]):
-                return VerifyOutcome(False, R_TOKEN_HASH)
-        elif self.traits.digest_kind == "context":
-            if request.pub is None or request.pub[7] != context_digest(
-                request.drop_id, pv, epoch
-            ):
-                return VerifyOutcome(False, R_NONCE_DIGEST)
-        # membership (only the token rung checks it, against the token's root)
-        if self.traits.evidence == "token":
-            if self.traits.token_includes_root:
-                fields = lp_decode(token)
-                root = fields[3]
-                if request.merkle_path is None or not verify_membership(
-                    root, request.drop_id, request.merkle_path
-                ):
-                    return VerifyOutcome(False, R_MERKLE_INVALID)
-            else:
-                assert record is not None
-                if record.result_set is None or request.drop_id not in record.result_set:
-                    return VerifyOutcome(False, R_NOT_IN_RESULT_SET)
-        # proximity proof
-        if self.traits.has_proof:
-            if not self._statement_ok(request):
-                return VerifyOutcome(False, R_PROOF_INVALID)
-            assert request.pub is not None and request.proof is not None
-            if not nizk.verify(self.env.verifying_key, request.pub, request.proof):
-                return VerifyOutcome(False, R_PROOF_INVALID)
-        if self.traits.session_aware:
-            if not self.sessions.consume(request.S, now):
-                return VerifyOutcome(False, R_CONSUMED)
-        return VerifyOutcome(True)
+        reason = first_reason(self.traits.verify, self, Attempt(request, now))
+        return VerifyOutcome(reason is None, reason)
 
     # -- offline audit
 
@@ -468,75 +543,33 @@ class GenericVariant:
             result_ids=request.result_ids,
             result_mac=request.result_mac,
             token=vses.token,
+            receipt=vses.receipt,
         )
 
     def audit(self, rec: VariantAuditRecord) -> AuditOutcome:
-        public = self.env.signing_key.public_bytes
-        if self.traits.evidence == "capability":
-            fields = _verify_blob(public, rec.capability or b"", DOMAIN_CAPABILITY)
-            if fields is None:
-                return AuditOutcome(False, R_EVIDENCE_INVALID)
-            if fields[2].decode() != rec.drop_id:
-                return AuditOutcome(False, R_EVIDENCE_INVALID)
-        elif self.traits.evidence == "permit":
-            fields = _verify_blob(public, rec.permit or b"", DOMAIN_PERMIT)
-            if fields is None or fields[2].decode() != rec.drop_id:
-                return AuditOutcome(False, R_EVIDENCE_INVALID)
-            return AuditOutcome(True)  # nothing else to attest: no proof exists
-        elif self.traits.evidence == "mac":
-            if rec.result_ids is None or rec.result_mac is None or rec.claimed_S is None:
-                return AuditOutcome(False, R_EVIDENCE_INVALID)
-            expected_mac = _mac_tag(self.env.mac_key, rec.claimed_S, rec.pv, rec.epoch, rec.result_ids)
-            if not hmac.compare_digest(expected_mac, rec.result_mac):
-                return AuditOutcome(False, R_EVIDENCE_INVALID)
-            if rec.drop_id not in rec.result_ids:
-                return AuditOutcome(False, R_NOT_IN_RESULT_SET)
-        elif self.traits.evidence == "token":
-            # Opaque-token audit: the only anchor is pub[7] == H(token), so any
-            # token-level tampering collapses into the same symptom.
-            if rec.pub is None or rec.token is None or rec.pub[7] != digest([rec.token]):
-                return AuditOutcome(False, R_TOKEN_HASH)
-            domain = DOMAIN_TOKEN_FULL if self.traits.token_includes_root else DOMAIN_TOKEN_LITE
-            fields = _verify_blob(public, rec.token, domain)
-            if fields is None:
-                return AuditOutcome(False, R_TOKEN_SIG)
-            if self.traits.token_includes_root:
-                root = fields[3]
-                if rec.path is None or not verify_membership(root, rec.drop_id, rec.path):
-                    return AuditOutcome(False, R_MERKLE_INVALID)
-        if self.traits.digest_kind == "context":
-            if rec.pub is None or rec.pub[7] != context_digest(rec.drop_id, rec.pv, rec.epoch):
-                return AuditOutcome(False, R_NONCE_DIGEST)
-        if self.traits.has_proof:
-            if rec.pub is None or rec.proof is None:
-                return AuditOutcome(False, R_PROOF_INVALID)
-            if not nizk.verify(self.env.verifying_key, rec.pub, rec.proof):
-                return AuditOutcome(False, R_PROOF_INVALID)
-        return AuditOutcome(True)
+        reason = first_reason(self.traits.audit, self, rec)
+        return AuditOutcome(reason is None, reason)
 
     # -- adversary adapters
+
+    def _path_in(
+        self, vses: VariantSession, drop_id: str, fallback: MerklePath | None
+    ) -> MerklePath | None:
+        """A fresh path to ``drop_id`` in this session's list, where the rung
+        carries paths and the drop is listed; otherwise ``fallback``."""
+        ids = vses.result_ids()
+        if self.traits.carries_path and drop_id in ids:
+            return build_tree(ids).prove_membership(drop_id)
+        return fallback
 
     def rebind_request(self, request: VariantRequest, target: VariantSession) -> VariantRequest:
         """Re-route a request to another session, adapting only what the
         adversary can recompute (id, echo, membership path)."""
-        path = request.merkle_path
-        if self.traits.evidence == "token" and self.traits.token_includes_root:
-            ids = target.result_ids()
-            if request.drop_id in ids:
-                path = build_tree(ids).prove_membership(request.drop_id)
-        return VariantRequest(
+        return replace(
+            request,
             S=target.S,
-            drop_id=request.drop_id,
-            pub=request.pub,
-            proof=request.proof,
-            pv=request.pv,
-            epoch=request.epoch,
-            merkle_path=path,
+            merkle_path=self._path_in(target, request.drop_id, request.merkle_path),
             nonce_echo=target.N if self.traits.nonce_echo else None,
-            capability=request.capability,
-            permit=request.permit,
-            result_ids=request.result_ids,
-            result_mac=request.result_mac,
         )
 
     def retarget_request(
@@ -544,283 +577,37 @@ class GenericVariant:
     ) -> VariantRequest:
         """Point a request at a different drop while keeping its proximity
         attestation (the proof, or for V6 the permit)."""
-        path = request.merkle_path
-        if self.traits.evidence == "token" and self.traits.token_includes_root:
-            ids = vses.result_ids()
-            if new_drop_id in ids:
-                path = build_tree(ids).prove_membership(new_drop_id)
-        return VariantRequest(
-            S=request.S,
+        return replace(
+            request,
             drop_id=new_drop_id,
-            pub=request.pub,
-            proof=request.proof,
-            pv=request.pv,
-            epoch=request.epoch,
-            merkle_path=path,
-            nonce_echo=request.nonce_echo,
+            merkle_path=self._path_in(vses, new_drop_id, request.merkle_path),
             capability=vses.capabilities.get(new_drop_id),
-            permit=request.permit,
-            result_ids=request.result_ids,
-            result_mac=request.result_mac,
-        )
-
-    def build_nonmember_unlock(
-        self, vses: VariantSession, drop: Drop, witness: nizk.Witness
-    ) -> VariantRequest:
-        """Attempt an unlock for a drop the search never returned.  The
-        adversary follows the client procedure as far as it can."""
-        pv, epoch = vses.pv, vses.epoch
-        pub = proof = None
-        if self.traits.has_proof:
-            if self.traits.digest_kind == "token":
-                cd = digest([vses.token]) if vses.token is not None else FieldElement(0)
-            else:
-                cd = context_digest(drop.id, pv, epoch)
-            pub = nizk.make_public_inputs(drop.lat, drop.lon, self.env.unlock_radius_m, cd)
-            proof = nizk.prove(self.env.proving_key, witness, pub)
-        path = None
-        ids = vses.result_ids()
-        if self.traits.evidence == "token" and self.traits.token_includes_root and ids:
-            path = build_tree(ids).prove_membership(ids[0])  # best effort: stolen path
-        return VariantRequest(
-            S=vses.S,
-            drop_id=drop.id,
-            pub=pub,
-            proof=proof,
-            pv=pv,
-            epoch=epoch,
-            merkle_path=path,
-            nonce_echo=vses.N if self.traits.nonce_echo else None,
-            capability=None,  # never issued for a non-member
-            permit=None,
-            result_ids=tuple(ids) if self.traits.evidence == "mac" else None,
-            result_mac=vses.result_mac,
         )
 
     def splice_records(
         self, proof_rec: VariantAuditRecord, ctx_rec: VariantAuditRecord
     ) -> VariantAuditRecord:
         """Pair one record's proof with another record's session evidence."""
-        return VariantAuditRecord(
-            kind=self.kind,
-            drop_id=ctx_rec.drop_id,
-            pv=ctx_rec.pv,
-            epoch=ctx_rec.epoch,
-            pub=proof_rec.pub,
-            proof=proof_rec.proof,
-            path=proof_rec.path,
-            capability=ctx_rec.capability,
-            permit=ctx_rec.permit,
-            claimed_S=ctx_rec.claimed_S,
-            result_ids=ctx_rec.result_ids,
-            result_mac=ctx_rec.result_mac,
-            token=ctx_rec.token,
-        )
+        return replace(ctx_rec, pub=proof_rec.pub, proof=proof_rec.proof, path=proof_rec.path)
 
     def fabricate_nonmember_record(
         self, vses: VariantSession, drop: Drop, witness: nizk.Witness
     ) -> VariantAuditRecord:
-        request = self.build_nonmember_unlock(vses, drop, witness)
-        return VariantAuditRecord(
-            kind=self.kind,
-            drop_id=drop.id,
-            pv=request.pv,
-            epoch=request.epoch,
-            pub=request.pub,
-            proof=request.proof,
-            path=request.merkle_path,
-            capability=vses.capabilities.get(next(iter(vses.capabilities), ""), None),
-            permit=vses.permits.get(next(iter(vses.permits), ""), None),
-            claimed_S=vses.S,
-            result_ids=request.result_ids,
-            result_mac=request.result_mac,
-            token=vses.token,
+        """An audit record for a drop the search never returned, carrying
+        whatever evidence the session was issued for other drops."""
+        rec = self.audit_record(vses, self.build_nonmember_unlock(vses, drop, witness))
+        return replace(
+            rec,
+            capability=next(iter(vses.capabilities.values()), None),
+            permit=next(iter(vses.permits.values()), None),
         )
 
 
-# ---------------------------------------------------------------------------
-# V4a / V4b: the protocol itself behind the same interface
-
-
-class SbppVariant:
-    def __init__(self, kind: str, env: VariantEnv):
-        if kind not in ("V4a", "V4b"):
-            raise VariantError(f"not a protocol rung: {kind}")
-        self.kind = kind
-        self.env = env
-        self.has_proximity_proof = True
-        mode = MODE_CORE if kind == "V4a" else MODE_FULL
-        self.server = SbppServer(
-            drops=env.drops,
-            search_key=env.search_key,
-            signing_key=env.signing_key,
-            nizk_vk=env.verifying_key,
-            mode=mode,
-            precisions=list(env.precisions),
-            ttl_s=env.ttl_s,
-            pv=env.pv,
-            epoch=env.epoch,
-            unlock_radius_m=env.unlock_radius_m,
-            nonce_rng=env.nonce_rng,
-        )
-        self.client = SbppClient(env.search_key, env.proving_key)
-        self.sessions = self.server.sessions
-
-    def set_epoch(self, epoch: str) -> None:
-        self.server.sessions.epoch = epoch
-
-    def open_session(self, now: int) -> VariantSession:
-        inner = self.client.open_session(self.server, now)
-        return VariantSession(
-            S=inner.S,
-            N=inner.N,
-            t_exp=inner.t_exp,
-            pv=self.server.sessions.pv,
-            epoch=self.server.sessions.epoch,
-            inner=inner,
-        )
-
-    def search(
-        self, vses: VariantSession, lat: float, lon: float, radius_m: float, now: int
-    ) -> VariantSession:
-        assert vses.inner is not None
-        self.client.search(self.server, vses.inner, lat, lon, radius_m, now)
-        vses.candidates = vses.inner.candidates
-        return vses
-
-    def build_unlock(
-        self, vses: VariantSession, drop_id: str, witness: nizk.Witness
-    ) -> UnlockRequest:
-        assert vses.inner is not None
-        return self.client.build_unlock(vses.inner, drop_id, witness)
-
-    def verify(self, request: UnlockRequest, now: int) -> VerifyOutcome:
-        return self.server.verify(request, now)
-
-    def audit_record(self, vses: VariantSession, request: UnlockRequest) -> VariantAuditRecord:
-        assert vses.inner is not None
-        rec = emit_audit_record(vses.inner, request)
-        return VariantAuditRecord(
-            kind=self.kind,
-            drop_id=rec.drop_id,
-            pv=rec.receipt.pv,
-            epoch=rec.receipt.epoch,
-            pub=rec.pub,
-            proof=rec.proof,
-            path=rec.path,
-            claimed_S=rec.receipt.S,
-            sbpp=rec,
-        )
-
-    def audit(self, rec: VariantAuditRecord) -> AuditOutcome:
-        if rec.sbpp is None:
-            return AuditOutcome(False, R_RECEIPT_SIG)
-        return sbpp_audit(self.server.public_key_bytes, self.env.verifying_key, rec.sbpp)
-
-    # -- adversary adapters
-
-    def rebind_request(self, request: UnlockRequest, target: VariantSession) -> UnlockRequest:
-        path = request.merkle_path
-        ids = target.result_ids()
-        if self.kind == "V4b" and request.drop_id in ids:
-            path = build_tree(ids).prove_membership(request.drop_id)
-        return UnlockRequest(
-            S=target.S,
-            drop_id=request.drop_id,
-            pub=request.pub,
-            proof=request.proof,
-            merkle_path=path,
-        )
-
-    def retarget_request(
-        self, request: UnlockRequest, vses: VariantSession, new_drop_id: str
-    ) -> UnlockRequest:
-        path = request.merkle_path
-        ids = vses.result_ids()
-        if self.kind == "V4b" and new_drop_id in ids:
-            path = build_tree(ids).prove_membership(new_drop_id)
-        return UnlockRequest(
-            S=request.S,
-            drop_id=new_drop_id,
-            pub=request.pub,
-            proof=request.proof,
-            merkle_path=path,
-        )
-
-    def build_nonmember_unlock(
-        self, vses: VariantSession, drop: Drop, witness: nizk.Witness
-    ) -> UnlockRequest:
-        pv, epoch = vses.pv, vses.epoch
-        ids = vses.result_ids()
-        path = None
-        if self.kind == "V4a":
-            cd = cd_core(drop.id, pv, epoch, vses.N)
-        else:
-            root = build_tree(ids).root
-            cd = cd_full(drop.id, pv, epoch, vses.N, root)
-            if ids:
-                path = build_tree(ids).prove_membership(ids[0])  # stolen path
-        pub = nizk.make_public_inputs(drop.lat, drop.lon, self.env.unlock_radius_m, cd)
-        proof = nizk.prove(self.env.proving_key, witness, pub)
-        return UnlockRequest(S=vses.S, drop_id=drop.id, pub=pub, proof=proof, merkle_path=path)
-
-    def splice_records(
-        self, proof_rec: VariantAuditRecord, ctx_rec: VariantAuditRecord
-    ) -> VariantAuditRecord:
-        assert proof_rec.sbpp is not None and ctx_rec.sbpp is not None
-        spliced = AuditRecord(
-            receipt=ctx_rec.sbpp.receipt,
-            drop_id=proof_rec.sbpp.drop_id,
-            path=proof_rec.sbpp.path,
-            pub=proof_rec.sbpp.pub,
-            proof=proof_rec.sbpp.proof,
-        )
-        return VariantAuditRecord(
-            kind=self.kind,
-            drop_id=spliced.drop_id,
-            pv=ctx_rec.pv,
-            epoch=ctx_rec.epoch,
-            pub=spliced.pub,
-            proof=spliced.proof,
-            path=spliced.path,
-            claimed_S=ctx_rec.claimed_S,
-            sbpp=spliced,
-        )
-
-    def fabricate_nonmember_record(
-        self, vses: VariantSession, drop: Drop, witness: nizk.Witness
-    ) -> VariantAuditRecord:
-        assert vses.inner is not None and vses.inner.receipt is not None
-        request = self.build_nonmember_unlock(vses, drop, witness)
-        fabricated = AuditRecord(
-            receipt=vses.inner.receipt,
-            drop_id=request.drop_id,
-            path=request.merkle_path if request.merkle_path is not None else MerklePath(()),
-            pub=request.pub,
-            proof=request.proof,
-        )
-        return VariantAuditRecord(
-            kind=self.kind,
-            drop_id=request.drop_id,
-            pv=vses.pv,
-            epoch=vses.epoch,
-            pub=request.pub,
-            proof=request.proof,
-            path=fabricated.path,
-            claimed_S=vses.S,
-            sbpp=fabricated,
-        )
-
-
-def make_variant(kind: str, env: VariantEnv, token_includes_root: bool = True):
+def make_variant(kind: str, env: VariantEnv, token_includes_root: bool = True) -> GenericVariant:
     """Instantiate one rung of the ladder over shared environment material."""
-    if kind in ("V4a", "V4b"):
-        return SbppVariant(kind, env)
-    traits = _GENERIC_TRAITS.get(kind)
+    traits = RUNGS.get(kind)
     if traits is None:
         raise VariantError(f"unknown variant kind {kind!r}")
     if kind == "V8" and not token_includes_root:
-        traits = VariantTraits(
-            "V8", evidence="token", digest_kind="token", token_includes_root=False
-        )
+        traits = _V8_LITE
     return GenericVariant(traits, env)

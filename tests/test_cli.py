@@ -5,6 +5,7 @@ import json
 import pytest
 
 from sbpp.cli import main
+from sbpp.harness import attacks
 
 
 def _run(capsys, *argv) -> tuple[int, str]:
@@ -191,6 +192,22 @@ def test_attack_matrix_command(capsys):
     assert code == 0
     assert "matches the expected matrix" in out
     assert "V4b" in out and "A4b" in out
+
+
+def test_attack_matrix_mismatch_exits_1(capsys, monkeypatch):
+    flipped = {a: dict(row) for a, row in attacks.EXPECTED_MATRIX.items()}
+    flipped["A1"]["V4b"] = not flipped["A1"]["V4b"]
+    monkeypatch.setattr(attacks, "EXPECTED_MATRIX", flipped)
+    code, out = _run(capsys, "attack-matrix", "--trials", "1", "--seed", "0")
+    assert code == 1
+    assert "DIFFERS FROM the expected matrix" in out
+
+
+def test_impoverished_token_matrix_exits_0(capsys):
+    # A4b opens on V8 by design here, so the differing matrix is not an error
+    code, out = _run(capsys, "attack-matrix", "--trials", "1", "--seed", "0", "--impoverished-token")
+    assert code == 0
+    assert "DIFFERS FROM the expected matrix" in out
 
 
 def test_bench_merkle_writes_csv(tmp_path, capsys):

@@ -13,6 +13,7 @@ import pytest
 from sbpp import nizk
 from sbpp.canon import digest
 from sbpp.geoindex import Drop
+from sbpp import protocol
 from sbpp.protocol import (
     R_CONSUMED,
     R_EXPIRED,
@@ -30,7 +31,6 @@ from sbpp.variants import (
     R_TOKEN_HASH,
     R_TOKEN_SIG,
     GenericVariant,
-    SbppVariant,
     VariantEnv,
     VariantError,
     context_digest,
@@ -74,9 +74,8 @@ def test_make_variant_dispatch():
     env = _env()
     for kind in VARIANT_KINDS:
         variant = make_variant(kind, env)
-        want = SbppVariant if kind in ("V4a", "V4b") else GenericVariant
-        assert isinstance(variant, want), kind
-        assert variant.kind == kind
+        assert type(variant) is GenericVariant, kind
+        assert variant.kind == variant.traits.kind == kind
     with pytest.raises(VariantError):
         make_variant("V9", env)
 
@@ -219,15 +218,29 @@ def test_set_epoch_stamps_new_sessions():
     assert context_digest("d01", "1", "ep0") != context_digest("d01", "1", "ep1")
 
 
-def test_v4_wrapper_delegates_to_the_protocol():
+def test_v4_rungs_run_the_protocol():
     env = _env()
     for kind, mode in (("V4a", "core"), ("V4b", "full")):
         variant = make_variant(kind, env)
-        assert variant.server.mode == mode
         vses, request = _flow(variant)
-        assert vses.inner is not None
+        assert variant.sessions.validate(vses.S, T0).mode == mode
+        assert vses.receipt is not None and vses.receipt.mode == mode
         assert variant.verify(request, T0 + 1).accepted
         assert variant.verify(request, T0 + 2).fail_reason == R_CONSUMED
+
+
+def test_v4_rungs_share_the_protocol_stage_objects():
+    for kind in ("V4a", "V4b"):
+        traits = make_variant(kind, _env()).traits
+        assert traits.verify is protocol.VERIFY_STAGES
+        assert traits.audit is protocol.AUDIT_STAGES
+    # the other rungs reuse the protocol's session, proof and consume stages
+    v3 = make_variant("V3", _env()).traits.verify
+    assert (v3[0], v3[-2], v3[-1]) == (
+        protocol.check_session,
+        protocol.check_proof,
+        protocol.consume_session,
+    )
 
 
 def test_v4_rebind_rejected_via_digest():
