@@ -234,13 +234,14 @@ class GeoIndex:
         self.entries.setdefault(tag, []).append(drop_id)
 
     def match(self, tags: list[bytes]) -> list[str]:
-        """Union of ids under the queried tags, de-duplicated and sorted."""
+        """Union of ids under the queried tags, de-duplicated and sorted in
+        UTF-8 byte order (which is code point order, so no key is needed)."""
         found: set[str] = set()
         for tag in tags:
             ids = self.entries.get(tag)
             if ids:
                 found.update(ids)
-        return sorted(found, key=lambda s: s.encode("utf-8"))
+        return sorted(found)
 
 
 def build_index(key: bytes, drops: list[Drop], precisions: list[int], tag=make_token) -> GeoIndex:

@@ -14,10 +14,17 @@ and verification cost uniform across the whole tree.
 Both hashes are SHA-256 over the `lp_encode` framing of their fields.  The
 part of that framing that never changes (the domain tag, and for a node the
 length prefix of the fixed 32-byte left child) is computed once at import
-as a constant head, so each call only appends its own fields.  The head is
+as a constant head, so each hash only appends its own fields.  The head is
 byte-identical to what `lp_encode` emits, so roots and paths are the same
 as hashing `lp_encode([DOMAIN_LEAF, id])` and
 `lp_encode([DOMAIN_NODE, left, right])` directly.
+
+`leaf_hash` and `node_hash` are the definitions, and `verify_membership`
+hashes through them.  `MerkleTree` hashes the same bytes a whole level at a
+time: each level is one chain of `map`/`zip` over C functions (encode,
+length prefix, join with the head, SHA-256, digest), so building a tree
+makes no Python-level call per node.  A member's position is found by
+bisecting the sorted ids, so the tree keeps no id -> position map.
 """
 
 from __future__ import annotations
@@ -25,7 +32,10 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
+import struct
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import repeat
 
 from .canon import lp_encode
 
@@ -38,6 +48,9 @@ SIDE_RIGHT = 1  # sibling is the right child
 _CHILD_LEN = (32).to_bytes(4, "big")
 _LEAF_HEAD = lp_encode([DOMAIN_LEAF])
 _NODE_HEAD = lp_encode([DOMAIN_NODE]) + _CHILD_LEN
+
+_pack_len = struct.Struct(">I").pack
+_digest = type(hashlib.sha256()).digest
 
 
 class MerkleError(ValueError):
@@ -57,6 +70,26 @@ def node_hash(left: bytes, right: bytes) -> bytes:
     if len(left) != 32 or len(right) != 32:
         raise MerkleError("interior nodes take 32-byte children")
     return hashlib.sha256(_NODE_HEAD + left + _CHILD_LEN + right).digest()
+
+
+def strictly_sorted(ids: list[str]) -> bool:
+    """True iff the ids are unique and in UTF-8 byte order.  Code point
+    order is UTF-8 byte order, so the strings are compared unencoded."""
+    return all(map(operator.lt, ids, ids[1:]))
+
+
+def _leaf_level(ids: list[str]) -> list[bytes]:
+    """`[leaf_hash(i) for i in ids]`, hashed in one pipeline."""
+    raws = list(map(str.encode, ids))
+    frames = map(b"".join, zip(repeat(_LEAF_HEAD), map(_pack_len, map(len, raws)), raws))
+    return list(map(_digest, map(hashlib.sha256, frames)))
+
+
+def _node_level(level: list[bytes]) -> list[bytes]:
+    """`node_hash` over each (even, odd) pair of an even-length level of
+    32-byte hashes, hashed in one pipeline."""
+    frames = map(b"".join, zip(repeat(_NODE_HEAD), level[::2], repeat(_CHILD_LEN), level[1::2]))
+    return list(map(_digest, map(hashlib.sha256, frames)))
 
 
 @dataclass(frozen=True)
@@ -110,18 +143,15 @@ class MerkleTree:
     def __init__(self, ids: list[str]):
         if not ids:
             raise MerkleError("cannot commit to an empty result set")
-        # Code point order is UTF-8 byte order, so comparing the strings
-        # checks the byte-wise order without encoding them.
-        if not all(map(operator.lt, ids, ids[1:])):
+        if not strictly_sorted(ids):
             raise MerkleError("result set ids must be unique and sorted")
         self.ids = list(ids)
-        self._index = {drop_id: i for i, drop_id in enumerate(ids)}
-        level = [leaf_hash(drop_id) for drop_id in ids]
+        level = _leaf_level(self.ids)
         levels = [level]
         while len(level) > 1:
             if len(level) % 2:
                 level.append(level[-1])  # odd tail: the last node pairs with itself
-            level = [node_hash(left, right) for left, right in zip(level[::2], level[1::2])]
+            level = _node_level(level)
             levels.append(level)
         self._levels = levels
 
@@ -134,9 +164,9 @@ class MerkleTree:
         return len(self._levels) - 1
 
     def prove_membership(self, drop_id: str) -> MerklePath:
-        if drop_id not in self._index:
+        index = bisect_left(self.ids, drop_id)
+        if index == len(self.ids) or self.ids[index] != drop_id:
             raise NotAMemberError(f"{drop_id!r} is not in the committed set")
-        index = self._index[drop_id]
         steps = []
         for level in self._levels[:-1]:
             side = SIDE_LEFT if index % 2 else SIDE_RIGHT

@@ -43,6 +43,7 @@ from .session import (
     SessionRecord,
     SessionStore,
     UnknownSessionError,
+    in_result_set,
 )
 
 # Rejection reasons; one per failed check, in pipeline order.
@@ -73,7 +74,7 @@ class IssuedSession:
     t_exp: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidateMeta:
     """Everything the client needs to prove proximity to one result."""
 
@@ -255,7 +256,7 @@ def check_membership(verifier: Any, attempt: Attempt) -> str | None:
     """Core: the bound id set.  Full: a Merkle path to the bound root."""
     record, request = attempt.record, attempt.request
     if record.mode == MODE_CORE:
-        if record.result_set is None or request.drop_id not in record.result_set:
+        if record.result_set is None or not in_result_set(record.result_set, request.drop_id):
             return R_NOT_IN_RESULT_SET
         return None
     path = request.merkle_path

@@ -8,7 +8,10 @@ exclusive at t_exp (a request arriving exactly at t_exp is already late).
 
 Two storage modes: "core" keeps the bound result-set ids (stateful
 membership checks), "full" keeps only the 32-byte Merkle root, so per-session
-state is constant-size no matter how large the result set was.
+state is constant-size no matter how large the result set was.  Core ids are
+kept as the sorted tuple the search produced and looked up by bisection: a
+tuple of str costs one pointer per id and is not tracked by the garbage
+collector, where a frozenset costs several times that and is.
 
 The store retains terminal records and counts purges, so issued sessions can
 always be reconciled exactly as consumed + expired + pending.
@@ -19,10 +22,11 @@ from __future__ import annotations
 import random
 import secrets
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .canon import lp_encode
-from .merkle import build_tree
+from .merkle import build_tree, strictly_sorted
 
 DEFAULT_TTL_S = 300
 MODE_CORE = "core"
@@ -51,6 +55,12 @@ class AlreadyBoundError(SessionError):
     pass
 
 
+def in_result_set(result_set: tuple[str, ...], drop_id: str) -> bool:
+    """Membership in a core session's sorted, unique id tuple."""
+    i = bisect_left(result_set, drop_id)
+    return i < len(result_set) and result_set[i] == drop_id
+
+
 @dataclass
 class SessionRecord:
     S: str
@@ -60,7 +70,7 @@ class SessionRecord:
     mode: str
     pv: str
     epoch: str
-    result_set: frozenset[str] | None = None
+    result_set: tuple[str, ...] | None = None  # core mode: sorted unique ids
     root: bytes | None = None
     consumed: bool = False
     bound: bool = False
@@ -153,7 +163,9 @@ class SessionStore:
             if mode != record.mode:
                 raise SessionError("bind mode does not match session mode")
             if mode == MODE_CORE:
-                record.result_set = frozenset(ids)
+                if not strictly_sorted(ids):
+                    raise SessionError("result set ids must be unique and sorted")
+                record.result_set = tuple(ids)
                 record.root = ZERO_ROOT
             else:
                 record.root = build_tree(ids).root

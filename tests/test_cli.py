@@ -1,5 +1,6 @@
 """CLI exit-code discipline and file formats: 0 ok, 1 usage, 2 rejection."""
 
+import hashlib
 import json
 
 import pytest
@@ -64,6 +65,20 @@ def test_search_outputs_session_and_candidates(demo, capsys):
     assert parsed["session"]["t_exp"] == 1_700_000_300
     assert parsed["candidates"]
     assert parsed["receipt_hex"]
+
+
+def test_search_output_is_frozen(demo, capsys):
+    # The whole JSON document (session, every candidate in order, receipt)
+    # for a fixed corpus, index and seed.
+    code, out = _run(
+        capsys, "search", "--lat", "35.70", "--lon", "139.75",
+        "--index", str(demo["index"]), "--seed", "7",
+    )
+    assert code == 0
+    assert len(json.loads(out)["candidates"]) == 39
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0435321b2676b41b3a06bdf5e42aaf407d83efeb2cb656d836ab99ca5412e9ad"
+    )
 
 
 def _first_candidate(demo, capsys) -> dict:

@@ -3,12 +3,13 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sbpp.geoindex import (
     CorpusError,
     Drop,
+    GeoIndex,
     GeoindexError,
     build_index,
     cell_dimensions_m,
@@ -153,6 +154,28 @@ def test_index_match_is_sorted_union():
     _, tags = client_tokens(key, 35.70, 139.75, 1000.0)
     assert index.match(tags) == ["a", "b"]
     assert index.match([b"\x00" * 32]) == []
+
+
+# Characters around the places where UTF-8, UTF-16 and code point orders
+# could disagree, mixed with the whole Unicode range.
+_CHARS = st.one_of(
+    st.sampled_from(["a", "\x7f", "\x80", "\u07ff", "\u0800", "\ue000", "\uffff", "\U00010000"]),
+    st.characters(),
+)
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.text(_CHARS, max_size=3)), max_size=60))
+@example([(0, "\uffff"), (1, "\U00010000"), (2, "a"), (3, "a")])
+@settings(max_examples=200, deadline=None)
+def test_match_order_is_utf8_byte_order(postings):
+    # Full-Unicode ids, some under several tags: the union comes back
+    # de-duplicated and in UTF-8 byte order.
+    index = GeoIndex([5])
+    for tag, drop_id in postings:
+        index.add(bytes([tag]), drop_id)
+    ids = {drop_id for _, drop_id in postings}
+    got = index.match([bytes([t]) for t in range(4)])
+    assert got == sorted(ids, key=lambda s: s.encode("utf-8"))
 
 
 def test_covering_recall_within_radius():

@@ -17,6 +17,8 @@ from sbpp.merkle import (
     MerklePath,
     NotAMemberError,
     PathStep,
+    _leaf_level,
+    _node_level,
     build_tree,
     expected_depth,
     leaf_hash,
@@ -228,3 +230,44 @@ def test_rejects_exactly_the_lists_not_in_strict_utf8_order(ids):
     else:
         with pytest.raises(MerkleError):
             build_tree(ids)
+
+
+@given(st.lists(st.text(max_size=4), min_size=1, max_size=300))
+@example([""])
+@example(["", "a", ""])
+@settings(max_examples=60, deadline=None)
+def test_level_pipelines_equal_the_hash_definitions(ids):
+    # Every level the tree builds equals leaf_hash / node_hash applied one
+    # node at a time; ids need not be sorted for the leaf pipeline.
+    level = _leaf_level(ids)
+    assert level == [leaf_hash(drop_id) for drop_id in ids]
+    while len(level) > 1:
+        if len(level) % 2:
+            level.append(level[-1])
+        nxt = _node_level(level)
+        assert nxt == [node_hash(left, right) for left, right in zip(level[::2], level[1::2])]
+        level = nxt
+
+
+_STEP = st.tuples(
+    st.one_of(st.sampled_from([SIDE_LEFT, SIDE_RIGHT]), st.integers(0, 255)),
+    st.one_of(st.binary(min_size=32, max_size=32), st.binary(max_size=40)),
+)
+
+
+@given(
+    st.lists(_STEP, max_size=6),
+    st.one_of(st.none(), st.integers(0, 255)),
+    st.one_of(st.just(b""), st.binary(max_size=2)),
+)
+@example([], None, b"")
+@example([(SIDE_RIGHT, bytes(32))], None, b"")
+@settings(max_examples=300, deadline=None)
+def test_path_parse_raises_or_round_trips(steps, count, tail):
+    raw = bytes([len(steps) if count is None else count])
+    raw += b"".join(bytes([side]) + sibling for side, sibling in steps) + tail
+    try:
+        path = MerklePath.parse(raw)
+    except MerkleError:
+        return
+    assert path.serialize() == raw

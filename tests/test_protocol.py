@@ -4,6 +4,8 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sbpp import nizk
 from sbpp.canon import cd_core, cd_full, lp_decode, lp_encode
@@ -20,6 +22,7 @@ from sbpp.protocol import (
     R_SESSION_INVALID,
     AuditRecord,
     AuditRecordError,
+    CandidateMeta,
     ProtocolError,
     SbppClient,
     SbppServer,
@@ -232,6 +235,60 @@ def test_audit_record_parse_rejects_unreduced_public_input():
     fields[3] = b"\xff" * (32 * nizk.PUB_LEN)  # every element >= the field order
     with pytest.raises(AuditRecordError):
         AuditRecord.parse(lp_encode(fields))
+
+
+def _honest_record_fields() -> list[bytes]:
+    server, client = _pair(MODE_FULL)
+    ses = _searched(server, client)
+    request = client.build_unlock(ses, "d01", nizk.Witness(35.7004, 139.75))
+    return lp_decode(emit_audit_record(ses, request).serialize())
+
+
+_HONEST_FIELDS = _honest_record_fields()
+
+
+# A field edit: keep the honest field, flip one bit of it, or replace it.
+_EDIT = st.one_of(
+    st.none(), st.tuples(st.integers(0, 10_000), st.integers(0, 7)), st.binary(max_size=300)
+)
+
+
+def _edited(field: bytes, edit) -> bytes:
+    if edit is None or not field:
+        return field
+    if isinstance(edit, bytes):
+        return edit
+    pos, bit = edit
+    out = bytearray(field)
+    out[pos % len(out)] ^= 1 << bit
+    return bytes(out)
+
+
+@given(
+    st.lists(_EDIT, min_size=5, max_size=5),
+    st.one_of(st.just(5), st.integers(0, 6)),
+    st.one_of(st.just(b""), st.binary(max_size=2)),
+)
+@example([None] * 5, 5, b"")
+@settings(max_examples=300, deadline=None)
+def test_audit_record_parse_raises_or_round_trips(edits, n_fields, tail):
+    # Each field is the honest one, a bit-flipped copy or arbitrary bytes;
+    # the frame may also lose or gain fields and trailing bytes.
+    fields = [_edited(f, e) for f, e in zip(_HONEST_FIELDS, edits)]
+    fields = (fields + [b"x"])[:n_fields]
+    raw = lp_encode(fields) + tail
+    try:
+        record = AuditRecord.parse(raw)
+    except AuditRecordError:
+        return
+    assert record.serialize() == raw
+
+
+def test_candidate_meta_is_frozen():
+    candidate = CandidateMeta("d00", 35.7, 139.75, RADIUS, "1", "ep0")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        candidate.lat = 0.0
+    assert dataclasses.asdict(candidate)["id"] == "d00"
 
 
 def test_audit_accepts_full_mode_offline():

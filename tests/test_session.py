@@ -5,6 +5,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbpp.canon import lp_decode
 from sbpp.merkle import build_tree
@@ -17,6 +19,7 @@ from sbpp.session import (
     SessionError,
     SessionStore,
     UnknownSessionError,
+    in_result_set,
 )
 
 T0 = 1_700_000_000
@@ -101,13 +104,32 @@ def test_bind_results_core_vs_full():
     store = _store()
     core = store.issue(T0, mode=MODE_CORE)
     store.bind_results(core.S, ["a", "b"], MODE_CORE, T0 + 1)
-    assert core.result_set == frozenset({"a", "b"})
+    assert core.result_set == ("a", "b")
     assert core.root == bytes(32)
 
     full = store.issue(T0, mode=MODE_FULL)
     store.bind_results(full.S, ["a", "b"], MODE_FULL, T0 + 1)
     assert full.result_set is None
     assert full.root == build_tree(["a", "b"]).root
+
+
+@pytest.mark.parametrize("ids", [["b", "a"], ["a", "a"], ["a", "b", "b"], ["é", "z"]])
+def test_core_bind_rejects_ids_not_unique_and_sorted(ids):
+    store = _store()
+    record = store.issue(T0, mode=MODE_CORE)
+    with pytest.raises(SessionError):
+        store.bind_results(record.S, ids, MODE_CORE, T0 + 1)
+    assert not record.bound and record.result_set is None
+    store.bind_results(record.S, sorted(set(ids)), MODE_CORE, T0 + 1)
+    assert record.result_set == tuple(sorted(set(ids)))
+
+
+@given(st.sets(st.text(max_size=3), max_size=40), st.text(max_size=3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_in_result_set_is_set_membership(ids, outsider, data):
+    bound = tuple(sorted(ids, key=lambda s: s.encode("utf-8")))
+    drop_id = data.draw(st.sampled_from(bound)) if bound and data.draw(st.booleans()) else outsider
+    assert in_result_set(bound, drop_id) == (drop_id in ids)
 
 
 def test_bind_is_once_and_mode_checked():
