@@ -7,7 +7,8 @@ one), 2 cryptographic rejection (failed unlock verification or audit).
 
 All randomness flows through --seed; the search key may be supplied as
 --key-hex, and the server signing / proof-system keys are derived from the
-seed so independent invocations agree on them.
+seed (harness.attacks.seeded_env) so independent invocations agree on them.
+The index file fixes the geohash precisions that search and unlock use.
 """
 
 from __future__ import annotations
@@ -16,21 +17,20 @@ import argparse
 import csv
 import hashlib
 import json
-import random
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from pathlib import Path
 
 from . import nizk
 from .geoindex import (
     Drop,
-    build_index,
+    GeoIndex,
     gen_clustered_corpus,
     gen_uniform_corpus,
     load_corpus,
     save_corpus,
 )
-from .harness.attacks import derive_key, run_attack_matrix
+from .harness.attacks import derive_key, protocol_pair, run_attack_matrix, seeded_env
 from .harness.experiments import (
     atomicity_and_isolation_suite,
     audit_replay_experiment,
@@ -40,8 +40,7 @@ from .harness.experiments import (
     reassociation_experiment,
     search_quality_experiment,
 )
-from .protocol import AuditRecord, AuditRecordError, SbppClient, SbppServer, audit
-from .receipt import server_keygen
+from .protocol import AuditRecord, AuditRecordError, audit
 from .session import MODE_CORE, MODE_FULL
 
 EXIT_OK = 0
@@ -49,18 +48,6 @@ EXIT_USAGE = 1
 EXIT_REJECTED = 2
 
 INDEX_FORMAT = "sbpp-index-v1"
-
-
-@dataclass
-class Config:
-    """Run-wide knobs shared by the demo-flow subcommands."""
-
-    seed: int = 0
-    ttl_seconds: int = 300
-    mode: str = MODE_FULL
-    precisions: list[int] = field(default_factory=lambda: [5])
-    pv: str = "1"
-    epoch: str = "ep0"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,31 +80,16 @@ def _search_key(args: argparse.Namespace) -> bytes:
     return derive_key("search", args.seed)
 
 
-def _build_server(cfg: Config, key: bytes, drops: list[Drop]) -> tuple[SbppServer, SbppClient]:
-    proving_key, verifying_key = nizk.setup(derive_key("nizk", cfg.seed))
-    server = SbppServer(
-        drops=drops,
-        search_key=key,
-        signing_key=server_keygen(derive_key("sign", cfg.seed)),
-        nizk_vk=verifying_key,
-        mode=cfg.mode,
-        precisions=cfg.precisions,
-        ttl_s=cfg.ttl_seconds,
-        pv=cfg.pv,
-        epoch=cfg.epoch,
-        nonce_rng=random.Random(cfg.seed),
-    )
-    return server, SbppClient(key, proving_key)
-
-
-def _load_index_file(path: str, key: bytes) -> list[Drop]:
+def _load_index_file(path: str, key: bytes) -> tuple[list[Drop], tuple[int, ...]]:
+    """The drops and the precisions an index file declares."""
     with open(path, encoding="utf-8") as fh:
         blob = json.load(fh)
     if blob.get("format") != INDEX_FORMAT:
         raise ValueError(f"not a {INDEX_FORMAT} file")
     if blob["key_fingerprint"] != _key_fingerprint(key):
         raise ValueError("search key does not match the key this index was built with")
-    return [Drop(i, lat, lon) for i, (lat, lon) in sorted(blob["drops"].items())]
+    drops = [Drop(i, lat, lon) for i, (lat, lon) in sorted(blob["drops"].items())]
+    return drops, tuple(int(p) for p in blob["precisions"])
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +108,12 @@ def _cmd_gen_corpus(args: argparse.Namespace) -> int:
 def _cmd_index(args: argparse.Namespace) -> int:
     key = _search_key(args)
     drops = load_corpus(args.corpus)
-    index = build_index(key, drops, [int(p) for p in args.precisions.split(",")])
-    precisions = index.precisions
+    precisions = GeoIndex([int(p) for p in args.precisions.split(",")]).precisions
     blob = {
         "format": INDEX_FORMAT,
         "precisions": precisions,
         "key_fingerprint": _key_fingerprint(key),
         "drops": {d.id: [d.lat, d.lon] for d in drops},
-        "entries": {tag.hex(): ids for tag, ids in index.entries.items()},
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(blob, fh, indent=1, sort_keys=True)
@@ -152,21 +122,15 @@ def _cmd_index(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _demo_config(args: argparse.Namespace) -> Config:
-    return Config(
-        seed=args.seed,
-        ttl_seconds=args.ttl_seconds,
-        mode=args.mode,
-        precisions=sorted({int(p) for p in args.precisions.split(",")}),
-        pv=args.pv,
-        epoch=args.epoch,
-    )
-
-
 def _demo_search(args: argparse.Namespace, lat: float, lon: float):
     """The demo server and client from the index file, and one searched session."""
     key = _search_key(args)
-    server, client = _build_server(_demo_config(args), key, _load_index_file(args.index, key))
+    drops, precisions = _load_index_file(args.index, key)
+    env = seeded_env(
+        args.seed, drops, search_key=key, precisions=precisions,
+        ttl_s=args.ttl_seconds, pv=args.pv, epoch=args.epoch,
+    )
+    server, client = protocol_pair(env, args.mode)
     ses = client.open_session(server, args.now)
     client.search(server, ses, lat, lon, args.radius, args.now)
     return server, client, ses
@@ -233,7 +197,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     if args.nizk_vk_hex:
         vk = bytes.fromhex(args.nizk_vk_hex)
     else:
-        vk = nizk.setup(derive_key("nizk", args.seed))[1]
+        vk = seeded_env(args.seed).verifying_key
     outcome = audit(pub_key, vk, record)
     print(json.dumps({"accepted": outcome.accepted, "fail_reason": outcome.fail_reason}))
     return EXIT_OK if outcome.accepted else EXIT_REJECTED
@@ -312,7 +276,6 @@ def _add_demo_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--key-hex", help="32-byte search key (hex); default derived from seed")
     p.add_argument("--ttl-seconds", type=int, default=300)
     p.add_argument("--mode", choices=[MODE_CORE, MODE_FULL], default=MODE_FULL)
-    p.add_argument("--precisions", default="5", help="comma-separated geohash precisions")
     p.add_argument("--pv", default="1", help="policy version label")
     p.add_argument("--epoch", default="ep0", help="epoch label")
     p.add_argument("--now", type=int, default=1_700_000_000, help="wall-clock seconds for the demo")
@@ -334,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--key-hex")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--precisions", default="5")
+    p.add_argument("--precisions", default="5", help="comma-separated geohash precisions")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_index)
 

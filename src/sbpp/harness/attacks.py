@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .. import nizk
 from ..geoindex import Drop
+from ..protocol import SbppClient, SbppServer
 from ..receipt import server_keygen
 from ..variants import VARIANT_KINDS, VariantEnv, make_variant
 from .report import render_grid
@@ -77,11 +78,11 @@ def derive_key(label: str, seed: int, n: int = 32) -> bytes:
     return hashlib.sha256(f"{label}:{seed}".encode()).digest()[:n]
 
 
-def build_variant(
-    kind: str, seed: int, token_includes_root: bool = True, drops: list[Drop] | None = None
-):
-    """One rung with all key material and nonces derived from the seed,
-    over ``drops`` (default: the attack corpus)."""
+def seeded_env(seed: int, drops: list[Drop] | None = None, **fields) -> VariantEnv:
+    """The one seeded deployment: every key and a fresh nonce RNG derive
+    from ``seed``, over ``drops`` (default: the attack corpus).  ``fields``
+    override the env's plain fields (search key, precisions, ttl, pv,
+    epoch, radius)."""
     proving_key, verifying_key = nizk.setup(derive_key("nizk", seed))
     env = VariantEnv(
         drops=attack_corpus() if drops is None else drops,
@@ -94,7 +95,35 @@ def build_variant(
         unlock_radius_m=RADIUS_M,
         nonce_rng=random.Random(seed),
     )
-    return make_variant(kind, env, token_includes_root=token_includes_root)
+    return replace(env, **fields) if fields else env
+
+
+def protocol_pair(
+    env: VariantEnv, mode: str, server_cls: type[SbppServer] = SbppServer
+) -> tuple[SbppServer, SbppClient]:
+    """The protocol's server and client over one environment.  The server
+    draws its nonces from ``env.nonce_rng``, so give each server its own."""
+    server = server_cls(
+        drops=env.drops,
+        search_key=env.search_key,
+        signing_key=env.signing_key,
+        nizk_vk=env.verifying_key,
+        mode=mode,
+        precisions=list(env.precisions),
+        ttl_s=env.ttl_s,
+        pv=env.pv,
+        epoch=env.epoch,
+        unlock_radius_m=env.unlock_radius_m,
+        nonce_rng=env.nonce_rng,
+    )
+    return server, SbppClient(env.search_key, env.proving_key)
+
+
+def build_variant(
+    kind: str, seed: int, token_includes_root: bool = True, drops: list[Drop] | None = None
+):
+    """One rung over the seeded environment."""
+    return make_variant(kind, seeded_env(seed, drops), token_includes_root=token_includes_root)
 
 
 def _searched_sessions(variant, n: int, now: int = T0):

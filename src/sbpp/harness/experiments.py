@@ -17,7 +17,6 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
-from .. import nizk
 from ..canon import cd_core, lp_decode, lp_encode
 from ..geoindex import (
     Drop,
@@ -40,7 +39,7 @@ from ..protocol import (
     audit,
     emit_audit_record,
 )
-from ..receipt import server_keygen, verify_receipt
+from ..receipt import verify_receipt
 from ..session import MODE_CORE, MODE_FULL, SessionRecord, SessionStore
 from .attacks import (
     QUERY_LAT,
@@ -49,31 +48,12 @@ from .attacks import (
     T0,
     TTL_S,
     WITNESS_NEAR_QUERY,
-    attack_corpus,
     build_variant,
     derive_key,
+    protocol_pair,
+    seeded_env,
 )
 from .report import ExperimentReport
-
-
-def _protocol_pair(
-    mode: str, seed: int, server_cls: type[SbppServer] = SbppServer, nonce_seed: int | None = None
-):
-    """An SBPP server/client over the attack corpus sharing seed-derived key
-    material; nonces come from ``nonce_seed`` (default: the seed)."""
-    proving_key, verifying_key = nizk.setup(derive_key("nizk", seed))
-    search_key = derive_key("search", seed)
-    server = server_cls(
-        drops=attack_corpus(),
-        search_key=search_key,
-        signing_key=server_keygen(derive_key("sign", seed)),
-        nizk_vk=verifying_key,
-        mode=mode,
-        ttl_s=TTL_S,
-        unlock_radius_m=RADIUS_M,
-        nonce_rng=random.Random(seed if nonce_seed is None else nonce_seed),
-    )
-    return server, SbppClient(search_key, proving_key)
 
 
 def _honest_flow(server: SbppServer, client: SbppClient, now: int):
@@ -268,7 +248,7 @@ def audit_replay_experiment(n: int = 100, seed: int = 0) -> AuditReplayResult:
     distinct reasons under the full protocol and collapse to one
     undifferentiated reason under the opaque-token rung."""
     # honest full-mode trail, re-parsed from serialized bytes
-    server, client = _protocol_pair(MODE_FULL, seed)
+    server, client = protocol_pair(seeded_env(seed), MODE_FULL)
     records: list[AuditRecord] = []
     for _ in range(n):
         ses, request = _honest_flow(server, client, T0)
@@ -278,21 +258,19 @@ def audit_replay_experiment(n: int = 100, seed: int = 0) -> AuditReplayResult:
         rec = emit_audit_record(ses, request)
         records.append(AuditRecord.parse(rec.serialize()))
     server.sessions.purge_all()  # the server forgets everything
-    pub_key = server.public_key_bytes
-    vk = nizk.setup(derive_key("nizk", seed))[1]
+    pub_key, vk = server.public_key_bytes, server.nizk_vk
     full_pass = sum(int(audit(pub_key, vk, rec).accepted) for rec in records)
 
     # core-mode trail: receipts carry no root, so replay cannot attest
-    core_server, core_client = _protocol_pair(MODE_CORE, seed + 1)
+    core_server, core_client = protocol_pair(seeded_env(seed + 1), MODE_CORE)
     core_reasons: Counter = Counter()
     core_pass = 0
-    core_vk = nizk.setup(derive_key("nizk", seed + 1))[1]
     for _ in range(n):
         ses, request = _honest_flow(core_server, core_client, T0)
         if not core_server.verify(request, T0 + 5).accepted:
             raise AssertionError("honest core unlock rejected")
         rec = AuditRecord.parse(emit_audit_record(ses, request).serialize())
-        outcome = audit(core_server.public_key_bytes, core_vk, rec)
+        outcome = audit(core_server.public_key_bytes, core_server.nizk_vk, rec)
         core_pass += int(outcome.accepted)
         if not outcome.accepted:
             core_reasons[outcome.fail_reason] += 1
@@ -397,7 +375,7 @@ class AtomicityResult:
 def atomicity_and_isolation_suite(
     seed: int = 0, trials: int = 1000, bulk_sessions: int = 10000, clients: int = 100
 ) -> AtomicityResult:
-    server, client = _protocol_pair(MODE_FULL, seed)
+    server, client = protocol_pair(seeded_env(seed), MODE_FULL)
 
     sequential_ok = 0
     for _ in range(trials):
@@ -452,7 +430,7 @@ def atomicity_and_isolation_suite(
     )
 
     # isolation: every client tries every other client's session id
-    iso_server, iso_client = _protocol_pair(MODE_FULL, seed + 13)
+    iso_server, iso_client = protocol_pair(seeded_env(seed + 13), MODE_FULL)
     requests = []
     for _ in range(clients):
         _, request = _honest_flow(iso_server, iso_client, T0)
@@ -534,16 +512,15 @@ class MaliciousServerResult:
 
 
 def malicious_server_suite(seed: int = 0, trials: int = 100) -> MaliciousServerResult:
-    def make_server(cls, nonce_seed: int) -> SbppServer:
-        return _protocol_pair(MODE_FULL, seed, cls, nonce_seed)[0]
-
-    search_key = derive_key("search", seed)
-    client = SbppClient(search_key, nizk.setup(derive_key("nizk", seed))[0])
+    # every server gets its own nonce RNG; all share the seed's keys
+    env = seeded_env(seed)
 
     # candidate omission: detectable against an honest reference root
-    omitting = make_server(_OmittingServer, seed + 1)
-    reference_ids = build_index(search_key, attack_corpus(), [5]).match(
-        client_tokens(search_key, QUERY_LAT, QUERY_LON, RADIUS_M)[1]
+    omitting, client = protocol_pair(
+        replace(env, nonce_rng=random.Random(seed + 1)), MODE_FULL, _OmittingServer
+    )
+    reference_ids = build_index(env.search_key, env.drops, list(env.precisions)).match(
+        client_tokens(env.search_key, QUERY_LAT, QUERY_LON, RADIUS_M)[1]
     )
     reference_root = build_tree(reference_ids).root
     omission_detected = 0
@@ -553,7 +530,9 @@ def malicious_server_suite(seed: int = 0, trials: int = 100) -> MaliciousServerR
         omission_detected += int(ses.receipt is not None and ses.receipt.root != reference_root)
 
     # biased root signing: internally consistent, so the audit passes
-    biased = make_server(_BiasedServer, seed + 2)
+    biased, _ = protocol_pair(
+        replace(env, nonce_rng=random.Random(seed + 2)), MODE_FULL, _BiasedServer
+    )
     biased_passes = 0
     for _ in range(trials):
         ses = client.open_session(biased, T0)
@@ -578,12 +557,12 @@ def malicious_server_suite(seed: int = 0, trials: int = 100) -> MaliciousServerR
         )
         return server.verify(stolen, T0 + 5).accepted
 
-    rigged = make_server(SbppServer, seed + 3)
+    rigged, _ = protocol_pair(replace(env, nonce_rng=random.Random(seed + 3)), MODE_FULL)
     rigged.sessions = _PredictableNonceStore(
-        ttl_s=TTL_S, pv="1", epoch="ep0", nonce_rng=random.Random(seed + 3)
+        ttl_s=env.ttl_s, pv=env.pv, epoch=env.epoch, nonce_rng=rigged.sessions.nonce_rng
     )
     transfer_rigged = sum(int(transfer_trial(rigged)) for _ in range(trials))
-    honest = make_server(SbppServer, seed + 4)
+    honest, _ = protocol_pair(replace(env, nonce_rng=random.Random(seed + 4)), MODE_FULL)
     transfer_honest = sum(int(transfer_trial(honest)) for _ in range(trials))
 
     # session refusal: no artifact is ever issued, so nothing is attributable

@@ -194,9 +194,12 @@ class SessionStore:
             return len(dead)
 
     def purge_all(self) -> int:
-        """Drop every record (simulates server-side state loss before audit)."""
+        """Drop every record (simulates server-side state loss before audit).
+        An unconsumed record can never be consumed now, so it counts as
+        expired."""
         with self._lock:
             n = len(self._records)
+            self.purged_expired_count += sum(1 for r in self._records.values() if not r.consumed)
             self._records.clear()
             return n
 

@@ -51,7 +51,40 @@ def test_index_file_shape(demo):
     assert blob["format"] == "sbpp-index-v1"
     assert blob["precisions"] == [5]
     assert len(blob["drops"]) == 150
-    assert all(len(tag) == 64 for tag in blob["entries"])  # 32-byte tags, hex
+    assert "entries" not in blob
+
+
+def test_index_precisions_drive_the_search(tmp_path, capsys):
+    # A precision-6 file answers a 300 m query from its own precision-6 tags.
+    corpus = tmp_path / "corpus.tsv"
+    index = tmp_path / "index6.json"
+    _run(capsys, "gen-corpus", "--n", "2000", "--seed", "7", "--out", str(corpus))
+    code, _ = _run(
+        capsys, "index", "--corpus", str(corpus), "--seed", "7", "--precisions", "6",
+        "--out", str(index),
+    )
+    assert code == 0
+    assert json.loads(index.read_text())["precisions"] == [6]
+    code, out = _run(
+        capsys, "search", "--lat", "35.70", "--lon", "139.75", "--radius", "300",
+        "--index", str(index), "--seed", "7",
+    )
+    assert code == 0
+    parsed = json.loads(out)
+    assert parsed["candidates"]
+    assert parsed["receipt_hex"]
+
+
+def test_index_file_with_entries_still_loads(demo, capsys):
+    argv = ("search", "--lat", "35.70", "--lon", "139.75", "--seed", "7", "--index")
+    _, plain = _run(capsys, *argv, str(demo["index"]))
+    blob = json.loads(demo["index"].read_text())
+    blob["entries"] = {"00" * 32: ["d000001"]}
+    legacy = demo["tmp"] / "legacy.json"
+    legacy.write_text(json.dumps(blob))
+    code, out = _run(capsys, *argv, str(legacy))
+    assert code == 0
+    assert out == plain
 
 
 def test_search_outputs_session_and_candidates(demo, capsys):

@@ -11,9 +11,15 @@ from sbpp.harness.attacks import (
     ATTACK_FUNCS,
     EXPECTED_MATRIX,
     AttackResult,
+    QUERY_LAT,
+    QUERY_LON,
+    RADIUS_M,
+    T0,
     build_variant,
     derive_key,
+    protocol_pair,
     run_attack_matrix,
+    seeded_env,
 )
 from sbpp.harness.experiments import (
     atomicity_and_isolation_suite,
@@ -25,6 +31,7 @@ from sbpp.harness.experiments import (
     search_quality_experiment,
 )
 from sbpp.merkle import expected_depth
+from sbpp.session import MODE_FULL
 from sbpp.variants import VARIANT_KINDS
 
 
@@ -33,6 +40,29 @@ def test_derive_key_stable_and_distinct():
     assert derive_key("a", 0) != derive_key("a", 1)
     assert derive_key("a", 0) != derive_key("b", 0)
     assert len(derive_key("a", 0, 16)) == 16
+
+
+def test_protocol_pair_and_v4b_rung_share_one_deployment():
+    # Same seed, same environment: the server and the V4b rung issue the
+    # same first session and sign the same receipt under the same key.
+    for seed in (0, 5):
+        server, client = protocol_pair(seeded_env(seed), MODE_FULL)
+        variant = build_variant("V4b", seed)
+        ses = client.open_session(server, T0)
+        vses = variant.open_session(T0)
+        assert (ses.S, ses.N) == (vses.S, vses.N)
+        assert server.public_key_bytes == variant.public_key_bytes
+        client.search(server, ses, QUERY_LAT, QUERY_LON, RADIUS_M, T0)
+        variant.search(vses, QUERY_LAT, QUERY_LON, RADIUS_M, T0)
+        assert ses.receipt is not None and ses.receipt == vses.receipt
+
+
+def test_seeded_env_gives_each_call_its_own_nonce_rng():
+    first, second = seeded_env(4), seeded_env(4, search_key=b"k" * 32, ttl_s=60)
+    assert first.nonce_rng is not second.nonce_rng
+    assert first.nonce_rng.random() == second.nonce_rng.random()
+    assert (second.search_key, second.ttl_s) == (b"k" * 32, 60)
+    assert second.signing_key.public_bytes == first.signing_key.public_bytes
 
 
 def test_attack_result_validates_counts():

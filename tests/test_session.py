@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
 
 from sbpp.canon import lp_decode
 from sbpp.merkle import build_tree
@@ -196,3 +197,68 @@ def test_purge_all_simulates_state_loss():
         store.issue(T0)
     assert store.purge_all() == 5
     assert len(store) == 0
+
+
+def test_purge_all_counts_unconsumed_records_as_expired():
+    store = _store()
+    records = [store.issue(T0) for _ in range(10)]
+    for r in records[:3]:
+        assert store.consume(r.S, T0 + 10)
+    assert store.purge_all() == 10
+    assert store.stats(T0 + 10) == {"issued": 10, "consumed": 3, "expired": 7, "pending": 0}
+
+
+class SessionLifecycle(RuleBasedStateMachine):
+    """Issue, bind, consume, purge and advance the clock in any order: the
+    counts always balance and no session is consumed twice."""
+
+    sessions = Bundle("sessions")
+
+    def __init__(self):
+        super().__init__()
+        self.store = _store(ttl_s=60)
+        self.now = T0
+        self.consumed: set[str] = set()
+
+    @rule(target=sessions, mode=st.sampled_from([MODE_CORE, MODE_FULL]))
+    def issue(self, mode):
+        return self.store.issue(self.now, mode).S
+
+    @rule(
+        S=sessions,
+        mode=st.sampled_from([MODE_CORE, MODE_FULL]),
+        ids=st.lists(st.sampled_from("abcd"), min_size=1, unique=True),
+    )
+    def bind(self, S, mode, ids):
+        try:
+            self.store.bind_results(S, sorted(ids), mode, self.now)
+        except SessionError:
+            pass  # unknown, expired, consumed, already bound or wrong mode
+
+    @rule(S=sessions)
+    def consume(self, S):
+        if self.store.consume(S, self.now):
+            assert S not in self.consumed
+            self.consumed.add(S)
+
+    @rule()
+    def purge_expired(self):
+        self.store.purge_expired(self.now)
+
+    @rule()
+    def purge_all(self):
+        self.store.purge_all()
+
+    @rule(dt=st.integers(0, 90))
+    def advance(self, dt):
+        self.now += dt
+
+    @invariant()
+    def conserved(self):
+        stats = self.store.stats(self.now)
+        assert stats["issued"] == stats["consumed"] + stats["expired"] + stats["pending"]
+        assert stats["consumed"] == len(self.consumed)
+
+
+TestSessionLifecycle = SessionLifecycle.TestCase
+TestSessionLifecycle.settings = settings(max_examples=100, stateful_step_count=30, deadline=None)
