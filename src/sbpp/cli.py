@@ -28,6 +28,7 @@ from .geoindex import (
     gen_clustered_corpus,
     gen_uniform_corpus,
     load_corpus,
+    precision_for_radius,
     save_corpus,
 )
 from .harness.attacks import derive_key, protocol_pair, run_attack_matrix, seeded_env
@@ -81,15 +82,18 @@ def _search_key(args: argparse.Namespace) -> bytes:
 
 
 def _load_index_file(path: str, key: bytes) -> tuple[list[Drop], tuple[int, ...]]:
-    """The drops and the precisions an index file declares."""
+    """The drops and the precisions an index file declares; ValueError on any other shape."""
     with open(path, encoding="utf-8") as fh:
         blob = json.load(fh)
-    if blob.get("format") != INDEX_FORMAT:
+    if not isinstance(blob, dict) or blob.get("format") != INDEX_FORMAT:
         raise ValueError(f"not a {INDEX_FORMAT} file")
-    if blob["key_fingerprint"] != _key_fingerprint(key):
-        raise ValueError("search key does not match the key this index was built with")
-    drops = [Drop(i, lat, lon) for i, (lat, lon) in sorted(blob["drops"].items())]
-    return drops, tuple(int(p) for p in blob["precisions"])
+    try:
+        if blob["key_fingerprint"] != _key_fingerprint(key):
+            raise ValueError("search key does not match the key this index was built with")
+        drops = [Drop(i, float(lat), float(lon)) for i, (lat, lon) in sorted(blob["drops"].items())]
+        return drops, tuple(int(p) for p in blob["precisions"])
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed {INDEX_FORMAT} file: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +130,9 @@ def _demo_search(args: argparse.Namespace, lat: float, lon: float):
     """The demo server and client from the index file, and one searched session."""
     key = _search_key(args)
     drops, precisions = _load_index_file(args.index, key)
+    needed = precision_for_radius(args.radius, lat)
+    if needed not in precisions:
+        raise ValueError(f"radius {args.radius:g} m needs precision {needed}, index has {list(precisions)}")
     env = seeded_env(
         args.seed, drops, search_key=key, precisions=precisions,
         ttl_s=args.ttl_seconds, pv=args.pv, epoch=args.epoch,
@@ -138,10 +145,11 @@ def _demo_search(args: argparse.Namespace, lat: float, lon: float):
 
 def _cmd_search(args: argparse.Namespace) -> int:
     server, _, ses = _demo_search(args, args.lat, args.lon)
+    stamps = {"radius_m": ses.radius_m, "pv": ses.pv, "epoch": ses.epoch}
     out = {
         "session": {"S": ses.S, "N": ses.N.hex(), "t_exp": ses.t_exp},
         "mode": server.mode,
-        "candidates": [asdict(c) for c in ses.candidates],
+        "candidates": [{**asdict(d), **stamps} for d in ses.candidates],
         "receipt_hex": ses.receipt.serialize().hex() if ses.receipt else None,
     }
     print(json.dumps(out, indent=1))

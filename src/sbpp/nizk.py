@@ -25,7 +25,7 @@ import hmac
 import math
 from dataclasses import dataclass
 
-from .canon import FieldElement, lp_encode
+from .canon import EncodingError, FieldElement, lp_encode
 
 BACKEND_ID = "sim-hmac-v1"
 DOMAIN_PROOF = "SBPP-PROOF"
@@ -70,7 +70,10 @@ class PublicInputs:
     def from_bytes(cls, raw: bytes) -> "PublicInputs":
         if len(raw) != 32 * PUB_LEN:
             raise NizkError("public inputs must be exactly 256 bytes")
-        return cls(tuple(FieldElement.from_bytes(raw[i * 32 : (i + 1) * 32]) for i in range(PUB_LEN)))
+        try:
+            return cls(tuple(FieldElement.from_bytes(raw[i * 32 : (i + 1) * 32]) for i in range(PUB_LEN)))
+        except EncodingError as exc:
+            raise NizkError(f"public input element: {exc}") from exc
 
 
 @dataclass(frozen=True)

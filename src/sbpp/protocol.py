@@ -3,10 +3,12 @@
 Flow: the server issues a session (id, 256-bit nonce, expiry); the client
 searches with encrypted cell tokens; the server binds the session to the
 matched result set (core: the id set itself, full: its Merkle root) and
-hands back a signed receipt; the client then proves proximity to one
-returned drop, committing a challenge digest over (drop, policy, epoch,
-nonce[, root]) inside the proof's public inputs; the server re-derives the
-digest from its own session state and accepts at most once per session.
+hands back the matched drops themselves, in id order, with a signed receipt;
+the session, not each drop, carries the policy version, epoch and unlock
+radius.  The client then proves proximity to one returned drop, committing
+a challenge digest over (drop, policy, epoch, nonce[, root]) inside the
+proof's public inputs; the server re-derives the digest from its own session
+state and accepts at most once per session.
 
 Verification is a fixed tuple of stages, VERIFY_STAGES, and every rejection
 carries exactly one reason, so a failure localizes to the first broken link:
@@ -72,25 +74,14 @@ class IssuedSession:
     S: str
     N: bytes
     t_exp: int
-
-
-@dataclass(frozen=True, slots=True)
-class CandidateMeta:
-    """Everything the client needs to prove proximity to one result."""
-
-    id: str
-    lat: float
-    lon: float
-    radius_m: float
     pv: str
     epoch: str
 
 
 @dataclass(frozen=True)
 class SearchResponse:
-    candidates: tuple[CandidateMeta, ...]
+    candidates: tuple[Drop, ...]
     receipt: Receipt | None
-    mode: str
 
 
 @dataclass(frozen=True)
@@ -144,8 +135,6 @@ class SbppServer:
         self.index: GeoIndex = build_index(search_key, drops, precisions or [5])
         self.signing_key = signing_key
         self.nizk_vk = nizk_vk
-        self.pv = pv
-        self.epoch = epoch
         self.unlock_radius_m = unlock_radius_m
         self.sessions = SessionStore(ttl_s=ttl_s, pv=pv, epoch=epoch, nonce_rng=nonce_rng)
 
@@ -155,7 +144,7 @@ class SbppServer:
 
     def init_session(self, now: int) -> IssuedSession:
         record = self.sessions.issue(now, mode=self.mode)
-        return IssuedSession(S=record.S, N=record.N, t_exp=record.t_exp)
+        return IssuedSession(record.S, record.N, record.t_exp, record.pv, record.epoch)
 
     def _match_ids(self, tags: list[bytes]) -> list[str]:
         return self.index.match(tags)
@@ -166,22 +155,17 @@ class SbppServer:
         self.sessions.validate(S, now)
         ids = self._match_ids(tags)
         if not ids:
-            return SearchResponse(candidates=(), receipt=None, mode=self.mode)
+            return SearchResponse(candidates=(), receipt=None)
         record = self.sessions.bind_results(S, ids, self.mode, now)
-        candidates = candidates_for(self.drops, ids, self.unlock_radius_m, record.pv, record.epoch)
-        return SearchResponse(candidates, sign_session(self.signing_key, record), self.mode)
+        return SearchResponse(candidates_for(self.drops, ids), sign_session(self.signing_key, record))
 
     def verify(self, request: UnlockRequest, now: int) -> VerifyOutcome:
         reason = first_reason(VERIFY_STAGES, self, Attempt(request, now))
         return VerifyOutcome(reason is None, reason)
 
 
-def candidates_for(
-    drops: dict[str, Drop], ids: list[str], radius_m: float, pv: str, epoch: str
-) -> tuple[CandidateMeta, ...]:
-    return tuple(
-        CandidateMeta(i, drops[i].lat, drops[i].lon, radius_m, pv, epoch) for i in ids
-    )
+def candidates_for(drops: dict[str, Drop], ids: list[str]) -> tuple[Drop, ...]:
+    return tuple(map(drops.__getitem__, ids))
 
 
 def sign_session(key: SigningKey, s: SessionRecord) -> Receipt:
@@ -333,16 +317,19 @@ AUDIT_STAGES: tuple[Stage, ...] = (audit_receipt, audit_digest, audit_membership
 
 @dataclass
 class ClientSession:
-    """Client-side view of one session's artifacts."""
+    """Client-side view of one session: its context, found drops and receipt."""
 
     S: str
     N: bytes
     t_exp: int
     mode: str
-    candidates: tuple[CandidateMeta, ...] = ()
+    pv: str
+    epoch: str
+    radius_m: float
+    candidates: tuple[Drop, ...] = ()
     receipt: Receipt | None = None
 
-    def candidate(self, drop_id: str) -> CandidateMeta:
+    def candidate(self, drop_id: str) -> Drop:
         for c in self.candidates:
             if c.id == drop_id:
                 return c
@@ -361,7 +348,9 @@ class SbppClient:
 
     def open_session(self, server: SbppServer, now: int) -> ClientSession:
         issued = server.init_session(now)
-        return ClientSession(S=issued.S, N=issued.N, t_exp=issued.t_exp, mode=server.mode)
+        return ClientSession(
+            issued.S, issued.N, issued.t_exp, server.mode, issued.pv, issued.epoch, server.unlock_radius_m
+        )
 
     def search(
         self, server: SbppServer, ses: ClientSession, lat: float, lon: float, radius_m: float, now: int
@@ -382,8 +371,8 @@ class SbppClient:
         if ses.mode == MODE_FULL:
             tree = build_tree(ses.result_ids())
             root, path = tree.root, tree.prove_membership(drop_id)
-        cd = challenge_digest(ses.mode, drop_id, target.pv, target.epoch, ses.N, root)
-        pub = nizk.make_public_inputs(target.lat, target.lon, target.radius_m, cd)
+        cd = challenge_digest(ses.mode, drop_id, ses.pv, ses.epoch, ses.N, root)
+        pub = nizk.make_public_inputs(target.lat, target.lon, ses.radius_m, cd)
         proof = nizk.prove(self.proving_key, witness, pub)
         return UnlockRequest(S=ses.S, drop_id=drop_id, pub=pub, proof=proof, merkle_path=path)
 
@@ -430,7 +419,7 @@ class AuditRecord:
                 pub=nizk.PublicInputs.from_bytes(fields[3]),
                 proof=nizk.Proof.parse(fields[4]),
             )
-        except (ReceiptError, MerkleError, nizk.NizkError, EncodingError, UnicodeDecodeError) as exc:
+        except (ReceiptError, MerkleError, nizk.NizkError, UnicodeDecodeError) as exc:
             raise AuditRecordError(f"malformed record field: {exc}") from exc
 
 

@@ -116,8 +116,6 @@ class VariantEnv:
 class VariantSession(ClientSession):
     """The protocol's client-side session view plus a rung's sidecar evidence."""
 
-    pv: str = "1"
-    epoch: str = "ep0"
     capabilities: dict[str, bytes] = field(default_factory=dict)
     permits: dict[str, bytes] = field(default_factory=dict)
     result_mac: bytes | None = None
@@ -435,7 +433,7 @@ class GenericVariant:
     def open_session(self, now: int) -> VariantSession:
         record = self.sessions.issue(now, mode=self.traits.mode)
         return VariantSession(
-            record.S, record.N, record.t_exp, record.mode, pv=record.pv, epoch=record.epoch
+            record.S, record.N, record.t_exp, record.mode, record.pv, record.epoch, self.unlock_radius_m
         )
 
     def search(
@@ -468,7 +466,7 @@ class GenericVariant:
             self.token_by_session[S] = vses.token = token
         elif row.evidence == "receipt":
             vses.receipt = sign_session(key, record)
-        vses.candidates = candidates_for(self.drops, ids, self.unlock_radius_m, pv, epoch)
+        vses.candidates = candidates_for(self.drops, ids)
         return vses
 
     def build_unlock(

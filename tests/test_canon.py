@@ -137,6 +137,34 @@ def test_field_element_range_and_round_trip():
         FieldElement(-1)
 
 
+def _flip(raw: bytes, bit: int) -> bytes:
+    out = bytearray(raw)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+@given(
+    st.one_of(
+        st.binary(max_size=40),
+        st.binary(min_size=32, max_size=32),
+        st.tuples(st.integers(0, Q - 1), st.integers(0, 255)).map(
+            lambda vb: _flip(vb[0].to_bytes(32, "big"), vb[1])
+        ),
+        st.tuples(st.integers(0, Q - 1), st.integers(0, 64)).map(
+            lambda vn: (vn[0].to_bytes(32, "big") * 2)[: vn[1]]
+        ),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_field_element_from_bytes_raises_or_round_trips(raw):
+    # Arbitrary bytes, bit flips of honest encodings and wrong lengths.
+    try:
+        fe = FieldElement.from_bytes(raw)
+    except EncodingError:
+        return
+    assert fe.to_bytes() == raw
+
+
 def test_lp_rejects_unsupported_field_type():
     with pytest.raises(EncodingError):
         lp_encode([b"", 7])  # type: ignore[list-item]

@@ -7,6 +7,7 @@ import pytest
 
 from sbpp.cli import main
 from sbpp.harness import attacks
+from sbpp.receipt import Receipt
 
 
 def _run(capsys, *argv) -> tuple[int, str]:
@@ -112,6 +113,89 @@ def test_search_output_is_frozen(demo, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "0435321b2676b41b3a06bdf5e42aaf407d83efeb2cb656d836ab99ca5412e9ad"
     )
+
+
+def test_search_stamps_every_candidate_with_the_session_context(demo, capsys):
+    code, out = _run(
+        capsys, "search", "--lat", "35.70", "--lon", "139.75",
+        "--index", str(demo["index"]), "--seed", "7",
+        "--pv", "7", "--epoch", "ep42", "--ttl-seconds", "60",
+    )
+    assert code == 0
+    parsed = json.loads(out)
+    receipt = Receipt.parse(bytes.fromhex(parsed["receipt_hex"]))
+    assert (receipt.pv, receipt.epoch, receipt.t_exp) == ("7", "ep42", 1_700_000_060)
+    assert parsed["session"]["t_exp"] == receipt.t_exp
+    assert parsed["candidates"]
+    for cand in parsed["candidates"]:
+        assert list(cand) == ["id", "lat", "lon", "radius_m", "pv", "epoch"]
+        assert (cand["radius_m"], cand["pv"], cand["epoch"]) == (1000.0, "7", "ep42")
+
+
+@pytest.mark.parametrize("command", ["search", "unlock"])
+def test_radius_the_index_cannot_answer_is_a_usage_error(demo, capsys, command):
+    # At lat 35.7 a 300 m query needs precision 6 and a 1 km query needs 5;
+    # the demo index holds only precision 5.
+    argv = [
+        command, "--lat", "35.70", "--lon", "139.75",
+        "--index", str(demo["index"]), "--seed", "7",
+    ]
+    if command == "unlock":
+        argv += ["--drop", "d000000"]
+    code = main(argv + ["--radius", "300"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "needs precision 6" in captured.err
+    code, out = _run(capsys, *argv, "--radius", "1000")
+    assert code != 1
+    if command == "search":
+        assert json.loads(out)["candidates"] and json.loads(out)["receipt_hex"]
+
+
+def _without(key):
+    def edit(blob):
+        del blob[key]
+        return blob
+    return edit
+
+
+def _first_drop_as(value):
+    def edit(blob):
+        blob["drops"][min(blob["drops"])] = value
+        return blob
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _without("precisions"),
+        _without("drops"),
+        _without("key_fingerprint"),
+        lambda blob: [blob],
+        _first_drop_as(5),
+        _first_drop_as("ab"),
+        _first_drop_as([35.7]),
+        lambda blob: {**blob, "drops": [["d0", 35.7, 139.75]]},
+        lambda blob: {**blob, "precisions": 5},
+        lambda blob: {**blob, "precisions": [[5]]},
+    ],
+    ids=[
+        "no-precisions", "no-drops", "no-key-fingerprint", "json-array",
+        "drop-is-a-number", "drop-is-a-string", "drop-is-short", "drops-is-a-list",
+        "precisions-is-a-number", "precision-is-a-list",
+    ],
+)
+def test_malformed_index_file_is_a_usage_error(demo, capsys, edit):
+    bad = demo["tmp"] / "bad.json"
+    bad.write_text(json.dumps(edit(json.loads(demo["index"].read_text()))))
+    code, out = _run(
+        capsys, "search", "--lat", "35.70", "--lon", "139.75",
+        "--index", str(bad), "--seed", "7",
+    )
+    assert code == 1
+    assert out == ""
 
 
 def _first_candidate(demo, capsys) -> dict:

@@ -9,7 +9,7 @@ public-input binding, and unforgeability without the verifying key.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sbpp.canon import FieldElement, cd_core, lp_encode
@@ -78,6 +78,34 @@ def test_public_inputs_serialize_round_trip():
     pub = make_public_inputs(-33.8688, 151.2093, 250.0, CD)
     assert PublicInputs.from_bytes(pub.to_bytes()) == pub
     assert len(pub.to_bytes()) == 8 * 32
+
+
+_HONEST_PUB = make_public_inputs(35.7, 139.75, 1000.0, CD).to_bytes()
+
+
+def _flip(raw: bytes, bit: int) -> bytes:
+    out = bytearray(raw)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+@given(
+    st.one_of(
+        st.binary(max_size=300),
+        st.binary(min_size=256, max_size=256),
+        st.integers(0, 8 * 256 - 1).map(lambda bit: _flip(_HONEST_PUB, bit)),
+        st.integers(0, 512).map(lambda n: (_HONEST_PUB * 2)[:n]),
+    )
+)
+@example(b"\xff" * 256)
+@settings(max_examples=300, deadline=None)
+def test_public_inputs_from_bytes_raises_or_round_trips(raw):
+    # Arbitrary bytes, bit flips of an honest encoding and wrong lengths.
+    try:
+        pub = PublicInputs.from_bytes(raw)
+    except NizkError:
+        return
+    assert pub.to_bytes() == raw
 
 
 def test_prove_verify_round_trip():

@@ -22,7 +22,6 @@ from sbpp.protocol import (
     R_SESSION_INVALID,
     AuditRecord,
     AuditRecordError,
-    CandidateMeta,
     ProtocolError,
     SbppClient,
     SbppServer,
@@ -89,10 +88,13 @@ def test_search_without_matches_leaves_session_unbound():
 
 
 def test_candidates_carry_policy_and_epoch_stamps():
+    # The stamps are said once, on the session; each candidate is the
+    # server's own drop.
     server, client = _pair(MODE_FULL)
     ses = _searched(server, client)
-    assert {(c.pv, c.epoch) for c in ses.candidates} == {("1", "ep0")}
-    assert {c.radius_m for c in ses.candidates} == {RADIUS}
+    assert (ses.pv, ses.epoch, ses.radius_m) == ("1", "ep0", RADIUS)
+    assert (ses.receipt.pv, ses.receipt.epoch) == (ses.pv, ses.epoch)
+    assert all(c is server.drops[c.id] for c in ses.candidates)
 
 
 def test_unknown_session_rejected():
@@ -285,7 +287,8 @@ def test_audit_record_parse_raises_or_round_trips(edits, n_fields, tail):
 
 
 def test_candidate_meta_is_frozen():
-    candidate = CandidateMeta("d00", 35.7, 139.75, RADIUS, "1", "ep0")
+    server, client = _pair(MODE_FULL)
+    candidate = _searched(server, client).candidate("d00")
     with pytest.raises(dataclasses.FrozenInstanceError):
         candidate.lat = 0.0
     assert dataclasses.asdict(candidate)["id"] == "d00"

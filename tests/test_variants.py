@@ -213,8 +213,8 @@ def test_set_epoch_stamps_new_sessions():
     variant.set_epoch("ep1")
     b = variant.open_session(T0)
     variant.search(b, QLAT, QLON, RADIUS, T0)
-    assert a.candidates[0].epoch == "ep0"
-    assert b.candidates[0].epoch == "ep1"
+    assert a.epoch == "ep0"
+    assert b.epoch == "ep1"
     assert context_digest("d01", "1", "ep0") != context_digest("d01", "1", "ep1")
 
 
@@ -308,7 +308,7 @@ def test_v8_audit_checks_signature_when_hash_matches():
     fake_token = b"not-a-real-token"
     cd = digest([fake_token])
     target = vses.candidate("d01")
-    pub = nizk.make_public_inputs(target.lat, target.lon, target.radius_m, cd)
+    pub = nizk.make_public_inputs(target.lat, target.lon, vses.radius_m, cd)
     proof = nizk.prove(variant.env.proving_key, nizk.Witness(target.lat, target.lon), pub)
     rec = dataclasses.replace(
         variant.audit_record(vses, variant.build_unlock(vses, "d01", nizk.Witness(target.lat, target.lon))),
