@@ -8,7 +8,8 @@ one), 2 cryptographic rejection (failed unlock verification or audit).
 All randomness flows through --seed; the search key may be supplied as
 --key-hex, and the server signing / proof-system keys are derived from the
 seed (harness.attacks.seeded_env) so independent invocations agree on them.
-The index file fixes the geohash precisions that search and unlock use.
+The index file fixes the geohash precisions that search and unlock use; a
+radius that none of them covers in geoindex.COVER_BUDGET cells is a usage error.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .geoindex import (
     gen_clustered_corpus,
     gen_uniform_corpus,
     load_corpus,
-    precision_for_radius,
     save_corpus,
 )
 from .harness.attacks import derive_key, protocol_pair, run_attack_matrix, seeded_env
@@ -130,9 +130,6 @@ def _demo_search(args: argparse.Namespace, lat: float, lon: float):
     """The demo server and client from the index file, and one searched session."""
     key = _search_key(args)
     drops, precisions = _load_index_file(args.index, key)
-    needed = precision_for_radius(args.radius, lat)
-    if needed not in precisions:
-        raise ValueError(f"radius {args.radius:g} m needs precision {needed}, index has {list(precisions)}")
     env = seeded_env(
         args.seed, drops, search_key=key, precisions=precisions,
         ttl_s=args.ttl_seconds, pv=args.pv, epoch=args.epoch,

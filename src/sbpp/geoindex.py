@@ -1,34 +1,51 @@
 """Encrypted geographic discovery over geohash cells.
 
 Drops are indexed under HMAC tags of their geohash cells at one or more
-precisions; a querying client derives the tags for its own cell plus the
-eight neighbors and the server intersects tag sets without ever seeing a
-coordinate or cell string.  Anyone holding the search key can reproduce the
-tags, so the key is the query capability.
+precisions.  A querying client covers its search circle with cells at one of
+the index's own precisions, pads the tag list to a fixed length with dummy
+tags, and the server intersects tag sets without ever seeing a coordinate or
+cell string.  Anyone holding the search key can reproduce the tags, so the
+key is the query capability.
 
-Precision selection is recall-first: pick the largest precision whose
-minimum cell dimension (at the query's latitude) still covers the search
-radius.  Every in-radius drop is then guaranteed to land in the 3x3 cell
-neighborhood, at the cost of precision for small radii in coarse cells.
+A cell is an integer pair (x, y): x counts lon steps of 360 / 2**lon_bits
+east of -180, y counts lat steps of 180 / 2**lat_bits north of -90, exactly
+the cell that geohash bisection lands in.  Its string interleaves the bits of
+x and y, longitude first, five to a base-32 character.
+
+The cover is recall-first: for each indexed precision, finest first, take the
+cells that meet the bounding box of the spherical cap of the radius, and keep
+the first precision whose cover has at most COVER_BUDGET cells.  Every point
+within the radius lies in that box, so it lands in the cover; a radius no
+indexed precision can cover within the budget is a GeoindexError, never an
+empty answer.  Every query sends COVER_BUDGET tags, so the tag count does
+not reveal the radius; the number of tags that hit the index (the non-empty
+cover cells) does.
 """
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 import math
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 GEOHASH_ALPHABET = "0123456789bcdefghjkmnpqrstuvwxyz"
 _CHAR_INDEX = {c: i for i, c in enumerate(GEOHASH_ALPHABET)}
 
 TOKEN_LABEL = "gridse:index"
+PAD_LABEL = "pad"  # in the precision slot of a dummy tag, which no index entry uses
+COVER_BUDGET = 16  # tags per query: the cover's cells, then dummies
+DEFAULT_PRECISIONS = (5,)  # of an index built without a choice
 MIN_PRECISION = 1
 MAX_PRECISION = 9
+MAX_GEOHASH_PRECISION = 12
 
 EARTH_RADIUS_M = 6_371_000.0
 _M_PER_DEG = math.pi / 180.0 * EARTH_RADIUS_M
+# Relative widening of the cover's box, far above the float rounding of the
+# trigonometry and far below a cell.
+_COVER_MARGIN = 1e-7
 
 
 class GeoindexError(ValueError):
@@ -47,110 +64,119 @@ class Drop:
 
 
 # ---------------------------------------------------------------------------
-# geohash
+# geohash cells as integer (x, y)
 
 
-def geohash_encode(lat: float, lon: float, precision: int) -> str:
+def _spread(v: int) -> int:
+    """The bits of v moved apart: bit i goes to bit 2i."""
+    return sum(((v >> i) & 1) << (2 * i) for i in range(v.bit_length()))
+
+
+# Two characters carry 5 lon bits and 5 lat bits (lon first): _PAIRS holds
+# them at 2 * (x << 5 | y).  An odd last character carries 3 lon bits and 2
+# lat bits: _TAILS[x << 2 | y].  One string each keeps the tables at 2 KB.
+_PAIRS = "".join(
+    GEOHASH_ALPHABET[v >> 5] + GEOHASH_ALPHABET[v & 31]
+    for v in (_spread(x) << 1 | _spread(y) for x in range(32) for y in range(32))
+)
+_TAILS = "".join(GEOHASH_ALPHABET[_spread(x) | _spread(y) << 1] for x in range(8) for y in range(4))
+
+
+def _grid_bits(precision: int) -> tuple[int, int]:
+    """(lon_bits, lat_bits): five bits per character, longitude first."""
+    if not MIN_PRECISION <= precision <= MAX_GEOHASH_PRECISION:
+        raise GeoindexError("precision out of range")
+    bits = 5 * precision
+    return (bits + 1) // 2, bits // 2
+
+
+def _axis_cell(v: float, lo: float, span: float, bits: int) -> int:
+    """The cell along one axis that bisection puts v in: the largest k with
+    lo + k * step <= v, the last cell for v at the top edge.  Cell edges are
+    exact floats, so comparing v against them repairs the division's rounding."""
+    n = 1 << bits
+    step = span / n
+    k = min(int((v - lo) / step), n - 1)
+    if v < lo + k * step:
+        return k - 1
+    if k + 1 < n and v >= lo + (k + 1) * step:
+        return k + 1
+    return k
+
+
+def _check_point(lat: float, lon: float) -> None:
     if not -90.0 <= lat <= 90.0:
         raise GeoindexError("latitude out of range")
     if not -180.0 <= lon <= 180.0:
         raise GeoindexError("longitude out of range")
-    if not MIN_PRECISION <= precision <= 12:
-        raise GeoindexError("precision out of range")
-    lat_lo, lat_hi = -90.0, 90.0
-    lon_lo, lon_hi = -180.0, 180.0
+
+
+def _cell_string(x: int, y: int, precision: int) -> str:
+    """The geohash of cell (x, y) at the given precision."""
+    sx, sy = _grid_bits(precision)
     chars = []
-    bit = 0
-    ch = 0
-    even = True  # bits alternate starting with longitude
-    while len(chars) < precision:
-        if even:
-            mid = (lon_lo + lon_hi) / 2
-            if lon >= mid:
-                ch = (ch << 1) | 1
-                lon_lo = mid
-            else:
-                ch <<= 1
-                lon_hi = mid
-        else:
-            mid = (lat_lo + lat_hi) / 2
-            if lat >= mid:
-                ch = (ch << 1) | 1
-                lat_lo = mid
-            else:
-                ch <<= 1
-                lat_hi = mid
-        even = not even
-        bit += 1
-        if bit == 5:
-            chars.append(GEOHASH_ALPHABET[ch])
-            bit = 0
-            ch = 0
+    for _ in range(precision // 2):
+        sx -= 5
+        sy -= 5
+        i = ((x >> sx) & 31) << 6 | ((y >> sy) & 31) << 1
+        chars.append(_PAIRS[i : i + 2])
+    if precision & 1:
+        chars.append(_TAILS[(x & 7) << 2 | (y & 3)])
     return "".join(chars)
+
+
+def geohash_encode(lat: float, lon: float, precision: int) -> str:
+    _check_point(lat, lon)
+    lon_bits, lat_bits = _grid_bits(precision)
+    x = _axis_cell(lon, -180.0, 360.0, lon_bits)
+    return _cell_string(x, _axis_cell(lat, -90.0, 180.0, lat_bits), precision)
+
+
+def _cell_xy(cell: str) -> tuple[int, int]:
+    """The (x, y) of a geohash string: its bits dealt out, lon first."""
+    if not cell:
+        raise GeoindexError("empty geohash")
+    _grid_bits(len(cell))
+    xy = [0, 0]
+    for i, c in enumerate(cell):
+        if c not in _CHAR_INDEX:
+            raise GeoindexError(f"invalid geohash character {c!r}")
+        v = _CHAR_INDEX[c]
+        for j in range(5):
+            axis = (5 * i + j) & 1  # 0: lon, 1: lat
+            xy[axis] = xy[axis] << 1 | (v >> (4 - j)) & 1
+    return xy[0], xy[1]
 
 
 def geohash_decode_bbox(cell: str) -> tuple[float, float, float, float]:
     """(lat_min, lat_max, lon_min, lon_max) of the cell."""
-    if not cell:
-        raise GeoindexError("empty geohash")
-    lat_lo, lat_hi = -90.0, 90.0
-    lon_lo, lon_hi = -180.0, 180.0
-    even = True
-    for c in cell:
-        if c not in _CHAR_INDEX:
-            raise GeoindexError(f"invalid geohash character {c!r}")
-        idx = _CHAR_INDEX[c]
-        for shift in range(4, -1, -1):
-            if even:
-                mid = (lon_lo + lon_hi) / 2
-                if (idx >> shift) & 1:
-                    lon_lo = mid
-                else:
-                    lon_hi = mid
-            else:
-                mid = (lat_lo + lat_hi) / 2
-                if (idx >> shift) & 1:
-                    lat_lo = mid
-                else:
-                    lat_hi = mid
-            even = not even
-    return (lat_lo, lat_hi, lon_lo, lon_hi)
+    x, y = _cell_xy(cell)
+    lon_bits, lat_bits = _grid_bits(len(cell))
+    dlat, dlon = 180.0 / (1 << lat_bits), 360.0 / (1 << lon_bits)
+    return (-90.0 + y * dlat, -90.0 + (y + 1) * dlat, -180.0 + x * dlon, -180.0 + (x + 1) * dlon)
 
 
 def geohash_neighbors(cell: str) -> list[str]:
     """The up-to-8 adjacent cells at the same precision.
 
-    Computed by stepping one cell dimension from the center and re-encoding.
     Longitude wraps at the antimeridian; rows past the poles are dropped, so
     polar cells have fewer than 8 neighbors.
     """
-    lat_lo, lat_hi, lon_lo, lon_hi = geohash_decode_bbox(cell)
-    lat_c = (lat_lo + lat_hi) / 2
-    lon_c = (lon_lo + lon_hi) / 2
-    dlat = lat_hi - lat_lo
-    dlon = lon_hi - lon_lo
-    out = []
-    for dy in (-1, 0, 1):
-        lat = lat_c + dy * dlat
-        if not -90.0 <= lat <= 90.0:
-            continue
-        for dx in (-1, 0, 1):
-            if dx == 0 and dy == 0:
-                continue
-            lon = lon_c + dx * dlon
-            if lon >= 180.0:
-                lon -= 360.0
-            elif lon < -180.0:
-                lon += 360.0
-            out.append(geohash_encode(lat, lon, len(cell)))
-    return out
+    x, y = _cell_xy(cell)
+    p = len(cell)
+    lon_bits, lat_bits = _grid_bits(p)
+    return [
+        _cell_string((x + dx) % (1 << lon_bits), y + dy, p)
+        for dy in (-1, 0, 1)
+        if 0 <= y + dy < 1 << lat_bits
+        for dx in (-1, 0, 1)
+        if dx or dy
+    ]
 
 
 def cell_dimensions_m(precision: int, lat: float) -> tuple[float, float]:
     """(height, width) in meters of a cell at the given precision and latitude."""
-    total_bits = 5 * precision
-    lon_bits = (total_bits + 1) // 2
-    lat_bits = total_bits // 2
+    lon_bits, lat_bits = _grid_bits(precision)
     height = (180.0 / (1 << lat_bits)) * _M_PER_DEG
     width = (360.0 / (1 << lon_bits)) * _M_PER_DEG * math.cos(math.radians(abs(lat)))
     return (height, width)
@@ -159,9 +185,9 @@ def cell_dimensions_m(precision: int, lat: float) -> tuple[float, float]:
 def precision_for_radius(radius_m: float, lat: float = 35.7) -> int:
     """Largest precision whose min cell dimension still covers the radius.
 
-    Clamped to [1, 9].  The covering guarantee: a query plus its 3x3
-    neighborhood at the returned precision contains every point within
-    radius_m of the query.
+    Clamped to [1, 9].  The query cell at this precision is the plaintext
+    latency baseline's; its 3x3 neighborhood holds every point within
+    radius_m of the query, up to the curvature the planar width leaves out.
     """
     if radius_m <= 0:
         raise GeoindexError("radius must be positive")
@@ -170,6 +196,38 @@ def precision_for_radius(radius_m: float, lat: float = 35.7) -> int:
         if min(cell_dimensions_m(p, lat)) >= radius_m:
             best = p
     return best
+
+
+def cover_cells(lat: float, lon: float, radius_m: float, precision: int) -> list[str] | None:
+    """The cells at ``precision`` that meet the bounding box of the spherical
+    cap of ``radius_m`` around (lat, lon), row by row from the south; None
+    when there are more than COVER_BUDGET of them."""
+    _check_point(lat, lon)
+    if not radius_m > 0:
+        raise GeoindexError("radius must be positive")
+    lon_bits, lat_bits = _grid_bits(precision)
+    delta = radius_m / EARTH_RADIUS_M * (1.0 + _COVER_MARGIN)  # cap radius, radians
+    lat_lo, lat_hi = lat - math.degrees(delta), lat + math.degrees(delta)
+    y_lo = _axis_cell(max(lat_lo, -90.0), -90.0, 180.0, lat_bits)
+    rows = _axis_cell(min(lat_hi, 90.0), -90.0, 180.0, lat_bits) - y_lo + 1
+    n = 1 << lon_bits
+    ratio = 1.0 if lat_lo <= -90.0 or lat_hi >= 90.0 else math.sin(delta) / math.cos(math.radians(lat))
+    if ratio >= 1.0:  # the cap reaches a pole: every longitude
+        x_lo, cols = 0, n
+    else:
+        half = math.degrees(math.asin(ratio))  # at most 90, so the box wraps at most once
+        west, east = lon - half, lon + half
+        if west <= -180.0:
+            west += 360.0
+        elif east >= 180.0:
+            east -= 360.0
+        x_lo = _axis_cell(west, -180.0, 360.0, lon_bits)
+        cols = (_axis_cell(east, -180.0, 360.0, lon_bits) - x_lo) % n + 1
+    if rows * cols > COVER_BUDGET:
+        return None
+    return [
+        _cell_string((x_lo + i) % n, y, precision) for y in range(y_lo, y_lo + rows) for i in range(cols)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -189,32 +247,49 @@ def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
 # tokens and index
 
 
-def make_token(key: bytes, precision: int, cell: str) -> bytes:
-    """HMAC tag for one cell; the only thing the server ever sees of it."""
+def make_token(key: bytes, precision: int | str, cell: str) -> bytes:
+    """HMAC tag for one cell; the only thing the server ever sees of it.
+    A dummy tag puts PAD_LABEL in the precision slot."""
     if len(key) != 32:
         raise GeoindexError("search key must be 32 bytes")
-    msg = f"{TOKEN_LABEL}:{precision}:{cell}".encode("ascii")
-    return hmac.new(key, msg, hashlib.sha256).digest()
+    return hmac.digest(key, f"{TOKEN_LABEL}:{precision}:{cell}".encode("ascii"), "sha256")
 
 
-def plain_tag(key: bytes, precision: int, cell: str) -> bytes:
+def plain_tag(key: bytes, precision: int | str, cell: str) -> bytes:
     """The cell itself as the tag: the plaintext-search baseline.  Ignores the key."""
     return f"{precision}:{cell}".encode("ascii")
 
 
 def client_tokens(
-    key: bytes, lat: float, lon: float, radius_m: float, tag=make_token
+    key: bytes,
+    lat: float,
+    lon: float,
+    radius_m: float,
+    precisions: Iterable[int] = DEFAULT_PRECISIONS,
+    tag=make_token,
 ) -> tuple[int, list[bytes]]:
-    """Token set for a proximity query: center cell plus all neighbors.
+    """Token set for a proximity query: the cover at the finest of the
+    index's ``precisions`` that fits in COVER_BUDGET cells, padded with
+    dummy tags to exactly COVER_BUDGET and sorted.
 
     Returns (precision, tags).  Deterministic, so identical queries emit
-    byte-identical tag sets regardless of which protocol variant sends them.
-    ``tag`` must be the function the index was built with.
+    byte-identical tag lists regardless of which protocol variant sends them.
+    ``tag`` must be the function the index was built with.  Raises
+    GeoindexError when no indexed precision fits.
     """
-    precision = precision_for_radius(radius_m, lat)
-    center = geohash_encode(lat, lon, precision)
-    cells = [center] + geohash_neighbors(center)
-    return precision, [tag(key, precision, c) for c in cells]
+    for precision in sorted(precisions, reverse=True):
+        cells = cover_cells(lat, lon, radius_m, precision)
+        if cells is not None:
+            break
+    else:
+        raise GeoindexError(
+            f"radius {radius_m:g} m has no cover of at most {COVER_BUDGET} cells "
+            f"at precisions {sorted(precisions)}"
+        )
+    tags = [tag(key, precision, c) for c in cells]
+    tags += [tag(key, PAD_LABEL, f"{cells[0]}:{i}") for i in range(len(cells), COVER_BUDGET)]
+    tags.sort()
+    return precision, tags
 
 
 class GeoIndex:

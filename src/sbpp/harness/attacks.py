@@ -32,7 +32,7 @@ from .report import render_grid
 ATTACK_KINDS = ("A1", "A2", "A3", "A4a", "A4b", "A5")
 
 # Fixed desk-scale geometry: a candidate cluster near the query point and a
-# lone drop one cell block away, so it never lands in the 3x3 covering.
+# lone drop ~12 km east, so it never lands in the 1 km query's cover.
 QUERY_LAT, QUERY_LON = 35.70, 139.75
 OUT_LAT, OUT_LON = 35.70, 139.88
 OUT_DROP_ID = "zz-out"

@@ -9,6 +9,8 @@ deterministic given the seed; timings are reported but never asserted here.
 
 from __future__ import annotations
 
+import bisect
+import math
 import random
 import statistics
 import threading
@@ -19,10 +21,12 @@ from dataclasses import dataclass, replace
 
 from ..canon import cd_core, lp_decode, lp_encode
 from ..geoindex import (
+    EARTH_RADIUS_M,
     Drop,
     TOKYO_BBOX,
     build_index,
     client_tokens,
+    gen_clustered_corpus,
     gen_uniform_corpus,
     geohash_encode,
     haversine_m,
@@ -520,7 +524,7 @@ def malicious_server_suite(seed: int = 0, trials: int = 100) -> MaliciousServerR
         replace(env, nonce_rng=random.Random(seed + 1)), MODE_FULL, _OmittingServer
     )
     reference_ids = build_index(env.search_key, env.drops, list(env.precisions)).match(
-        client_tokens(env.search_key, QUERY_LAT, QUERY_LON, RADIUS_M)[1]
+        client_tokens(env.search_key, QUERY_LAT, QUERY_LON, RADIUS_M, env.precisions)[1]
     )
     reference_root = build_tree(reference_ids).root
     omission_detected = 0
@@ -651,7 +655,7 @@ def protocol_latency_bench(
     """Per-query latency of the three discovery paths.
 
     plaintext: geohash-encode the query cell (no crypto, no hiding).
-    gridse:    derive the 3x3 token set and match it against the index.
+    gridse:    derive the padded cover's token set and match it against the index.
     sbpp:      gridse plus the session-validation and challenge-digest steps
                the binding adds to the query path (sessions are issued ahead
                of time; receipt signing and tree building happen per search
@@ -688,7 +692,7 @@ def protocol_latency_bench(
             plain_us.append((t1 - t0) / 1e3)
         # gridse path
         t0 = time.perf_counter_ns()
-        _, tags = client_tokens(key, lat, lon, radius_m)
+        _, tags = client_tokens(key, lat, lon, radius_m, index.precisions)
         t1 = time.perf_counter_ns()
         index.match(tags)
         t2 = time.perf_counter_ns()
@@ -699,7 +703,7 @@ def protocol_latency_bench(
         # sbpp query path
         record = session_records[i]
         t0 = time.perf_counter_ns()
-        _, tags = client_tokens(key, lat, lon, radius_m)
+        _, tags = client_tokens(key, lat, lon, radius_m, index.precisions)
         t1 = time.perf_counter_ns()
         ids = index.match(tags)
         t2 = time.perf_counter_ns()
@@ -737,30 +741,74 @@ def protocol_latency_bench(
 # search quality (recall against a haversine oracle) and token-set leakage
 
 
+QUALITY_RADII_M = (50.0, 100.0, 300.0, 1000.0, 3000.0, 5000.0)
+QUALITY_PRECISIONS = ((5,), (4, 5, 6, 7))
+QUALITY_CORPORA = {"uniform": gen_uniform_corpus, "clustered": gen_clustered_corpus}
+
+
+@dataclass(frozen=True)
+class QualityRow:
+    """One (corpus, index precisions, radius) cell of the sweep."""
+
+    corpus: str
+    precisions: tuple[int, ...]
+    radius_m: float
+    recall_mean: float
+    recall_min: float
+    queries_with_truth: int
+    precision_mean: float
+    ids_mean: float  # result-set size per query
+    hits_mean: float  # tags per query that hit the index: what the server sees of the cover
+    jaccard_near: float
+    jaccard_far: float
+
+
 @dataclass
 class SearchQualityResult:
     n_drops: int
     n_queries: int
-    radius_m: float
-    recall_mean: float
-    recall_min: float
-    precision_mean: float
-    queries_with_truth: int
-    jaccard_near_mean: float
-    jaccard_far_mean: float
+    rows: tuple[QualityRow, ...]
     runtime_s: float
+
+    @property
+    def recall_mean(self) -> float:
+        return statistics.fmean(r.recall_mean for r in self.rows)
+
+    @property
+    def recall_min(self) -> float:
+        return min(r.recall_min for r in self.rows)
+
+    @property
+    def precision_mean(self) -> float:
+        return statistics.fmean(r.precision_mean for r in self.rows)
+
+    @property
+    def jaccard_near_mean(self) -> float:
+        return statistics.fmean(r.jaccard_near for r in self.rows)
+
+    @property
+    def jaccard_far_mean(self) -> float:
+        return statistics.fmean(r.jaccard_far for r in self.rows)
 
     def to_report(self) -> ExperimentReport:
         rep = ExperimentReport(
             "search_quality",
-            {"n_drops": self.n_drops, "n_queries": self.n_queries, "radius_m": self.radius_m},
+            {"n_drops": self.n_drops, "n_queries": self.n_queries, "rows": len(self.rows)},
         )
         rep.add("recall_mean", round(self.recall_mean, 4))
         rep.add("recall_min", round(self.recall_min, 4))
         rep.add("precision_mean", round(self.precision_mean, 4))
-        rep.add("queries_with_truth", self.queries_with_truth)
         rep.add("token_jaccard_near_pairs", round(self.jaccard_near_mean, 4))
         rep.add("token_jaccard_far_pairs", round(self.jaccard_far_mean, 4))
+        for row in self.rows:
+            name = f"{row.corpus}/p{'+'.join(map(str, row.precisions))}/{row.radius_m:g}m"
+            rep.add(f"{name}/recall_min", round(row.recall_min, 4))
+            rep.add(f"{name}/queries_with_truth", row.queries_with_truth)
+            rep.add(f"{name}/precision_mean", round(row.precision_mean, 4))
+            rep.add(f"{name}/ids_mean", round(row.ids_mean, 2))
+            rep.add(f"{name}/hits_mean", round(row.hits_mean, 2))
+            rep.add(f"{name}/jaccard_near", round(row.jaccard_near, 4))
+            rep.add(f"{name}/jaccard_far", round(row.jaccard_far, 4))
         rep.add("runtime_s", round(self.runtime_s, 2))
         return rep
 
@@ -770,57 +818,85 @@ def _jaccard(a: set, b: set) -> float:
     return len(a & b) / len(union) if union else 1.0
 
 
+def _within(by_lat: list[Drop], lats: list[float], lat: float, lon: float, radius_m: float) -> set[str]:
+    """Ids within the radius by haversine, scanning only the latitude band."""
+    dlat = 1.01 * math.degrees(radius_m / EARTH_RADIUS_M)
+    lo, hi = bisect.bisect_left(lats, lat - dlat), bisect.bisect_right(lats, lat + dlat)
+    return {d.id for d in by_lat[lo:hi] if haversine_m(lat, lon, d.lat, d.lon) <= radius_m}
+
+
 def search_quality_experiment(
-    n_drops: int = 1000, n_queries: int = 200, radius_m: float = 1000.0, seed: int = 0
+    n_drops: int = 1000, n_queries: int = 200, radius_m: float | None = None, seed: int = 0
 ) -> SearchQualityResult:
     """Recall/precision of covering-cell search against exact haversine
-    ground truth, plus the token-set Jaccard similarity an observing server
-    sees for co-located versus distant queries (the leakage surface)."""
+    ground truth, with the result-set size and the token-set Jaccard
+    similarity an observing server sees for co-located versus distant
+    queries (the leakage surface).  One row per corpus kind, index
+    precisions and radius (``radius_m``, or every QUALITY_RADII_M); the
+    queries are uniform over the corpus bbox and the same in every row."""
     t_start = time.perf_counter()
-    drops = gen_uniform_corpus(n_drops, seed)
     key = derive_key("quality-search", seed)
-    index = build_index(key, drops, [5])
     rng = random.Random(f"quality:{seed}")
     lat_min, lat_max, lon_min, lon_max = TOKYO_BBOX
-
-    recalls: list[float] = []
-    precisions: list[float] = []
-    for _ in range(n_queries):
-        lat = rng.uniform(lat_min, lat_max)
-        lon = rng.uniform(lon_min, lon_max)
-        truth = {d.id for d in drops if haversine_m(lat, lon, d.lat, d.lon) <= radius_m}
-        _, tags = client_tokens(key, lat, lon, radius_m)
-        got = set(index.match(tags))
-        if truth:
-            recalls.append(len(got & truth) / len(truth))
-        if got:
-            precisions.append(len(got & truth) / len(got))
-
-    near_vals: list[float] = []
-    far_vals: list[float] = []
+    queries = [(rng.uniform(lat_min, lat_max), rng.uniform(lon_min, lon_max)) for _ in range(n_queries)]
+    pairs = []
     for _ in range(50):
         lat = rng.uniform(lat_min + 0.01, lat_max - 0.01)
         lon = rng.uniform(lon_min + 0.01, lon_max - 0.01)
-        tags_a = set(client_tokens(key, lat, lon, radius_m)[1])
-        tags_near = set(client_tokens(key, lat + 0.002, lon, radius_m)[1])
-        near_vals.append(_jaccard(tags_a, tags_near))
         while True:
             lat_f = rng.uniform(lat_min, lat_max)
             lon_f = rng.uniform(lon_min, lon_max)
             if haversine_m(lat, lon, lat_f, lon_f) > 5000.0:
                 break
-        tags_far = set(client_tokens(key, lat_f, lon_f, radius_m)[1])
-        far_vals.append(_jaccard(tags_a, tags_far))
+        pairs.append((lat, lon, lat_f, lon_f))
+    radii = QUALITY_RADII_M if radius_m is None else (radius_m,)
 
+    rows = []
+    for corpus, gen in QUALITY_CORPORA.items():
+        drops = gen(n_drops, seed)
+        by_lat = sorted(drops, key=lambda d: d.lat)
+        lats = [d.lat for d in by_lat]
+        truths = {r: [_within(by_lat, lats, lat, lon, r) for lat, lon in queries] for r in radii}
+        for precisions in QUALITY_PRECISIONS:
+            index = build_index(key, drops, list(precisions))
+
+            def tags(lat: float, lon: float, r: float) -> list[bytes]:
+                return client_tokens(key, lat, lon, r, precisions)[1]
+
+            for r in radii:
+                recalls: list[float] = []
+                hit_rates: list[float] = []
+                sizes: list[int] = []
+                hits: list[int] = []
+                for (lat, lon), truth in zip(queries, truths[r]):
+                    query_tags = tags(lat, lon, r)
+                    got = set(index.match(query_tags))
+                    sizes.append(len(got))
+                    hits.append(sum(t in index.entries for t in query_tags))
+                    if truth:
+                        recalls.append(len(got & truth) / len(truth))
+                    if got:
+                        hit_rates.append(len(got & truth) / len(got))
+                near = [_jaccard(set(tags(a, b, r)), set(tags(a + 0.002, b, r))) for a, b, _, _ in pairs]
+                far = [_jaccard(set(tags(a, b, r)), set(tags(c, d, r))) for a, b, c, d in pairs]
+                rows.append(
+                    QualityRow(
+                        corpus=corpus,
+                        precisions=precisions,
+                        radius_m=r,
+                        recall_mean=statistics.fmean(recalls) if recalls else 1.0,  # nothing to miss
+                        recall_min=min(recalls, default=1.0),
+                        queries_with_truth=len(recalls),
+                        precision_mean=statistics.fmean(hit_rates) if hit_rates else 0.0,
+                        ids_mean=statistics.fmean(sizes),
+                        hits_mean=statistics.fmean(hits),
+                        jaccard_near=statistics.fmean(near),
+                        jaccard_far=statistics.fmean(far),
+                    )
+                )
     return SearchQualityResult(
         n_drops=n_drops,
         n_queries=n_queries,
-        radius_m=radius_m,
-        recall_mean=statistics.fmean(recalls) if recalls else 0.0,
-        recall_min=min(recalls) if recalls else 0.0,
-        precision_mean=statistics.fmean(precisions) if precisions else 0.0,
-        queries_with_truth=len(recalls),
-        jaccard_near_mean=statistics.fmean(near_vals),
-        jaccard_far_mean=statistics.fmean(far_vals),
+        rows=tuple(rows),
         runtime_s=time.perf_counter() - t_start,
     )

@@ -34,7 +34,7 @@ from typing import Any, Callable, NamedTuple
 
 from . import nizk
 from .canon import FieldElement, cd_core, cd_full, lp_encode, lp_decode, EncodingError
-from .geoindex import Drop, GeoIndex, build_index, client_tokens
+from .geoindex import DEFAULT_PRECISIONS, Drop, GeoIndex, build_index, client_tokens
 from .merkle import MerklePath, MerkleError, build_tree, verify_membership
 from .receipt import Receipt, ReceiptError, SigningKey, sign_receipt, verify_receipt
 from .session import (
@@ -132,7 +132,7 @@ class SbppServer:
         self.drops = {d.id: d for d in drops}
         if len(self.drops) != len(drops):
             raise ProtocolError("duplicate drop ids in corpus")
-        self.index: GeoIndex = build_index(search_key, drops, precisions or [5])
+        self.index: GeoIndex = build_index(search_key, drops, precisions or list(DEFAULT_PRECISIONS))
         self.signing_key = signing_key
         self.nizk_vk = nizk_vk
         self.unlock_radius_m = unlock_radius_m
@@ -326,6 +326,7 @@ class ClientSession:
     pv: str
     epoch: str
     radius_m: float
+    precisions: tuple[int, ...]  # the index's, which the client's cover chooses among
     candidates: tuple[Drop, ...] = ()
     receipt: Receipt | None = None
 
@@ -349,13 +350,14 @@ class SbppClient:
     def open_session(self, server: SbppServer, now: int) -> ClientSession:
         issued = server.init_session(now)
         return ClientSession(
-            issued.S, issued.N, issued.t_exp, server.mode, issued.pv, issued.epoch, server.unlock_radius_m
+            issued.S, issued.N, issued.t_exp, server.mode, issued.pv, issued.epoch,
+            server.unlock_radius_m, tuple(server.index.precisions),
         )
 
     def search(
         self, server: SbppServer, ses: ClientSession, lat: float, lon: float, radius_m: float, now: int
     ) -> ClientSession:
-        _, tags = client_tokens(self.search_key, lat, lon, radius_m)
+        _, tags = client_tokens(self.search_key, lat, lon, radius_m, ses.precisions)
         response = server.search(ses.S, tags, now)
         ses.candidates = response.candidates
         ses.receipt = response.receipt

@@ -42,7 +42,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
 from . import nizk
 from .canon import FieldElement, digest, lp_decode, lp_encode
-from .geoindex import Drop, build_index, client_tokens, make_token, plain_tag
+from .geoindex import DEFAULT_PRECISIONS, Drop, build_index, client_tokens, make_token, plain_tag
 from .merkle import MerklePath, build_tree, verify_membership
 from .protocol import (
     AUDIT_STAGES,
@@ -104,7 +104,7 @@ class VariantEnv:
     proving_key: bytes
     verifying_key: bytes
     mac_key: bytes
-    precisions: tuple[int, ...] = (5,)
+    precisions: tuple[int, ...] = DEFAULT_PRECISIONS
     ttl_s: int = 300
     pv: str = "1"
     epoch: str = "ep0"
@@ -433,7 +433,8 @@ class GenericVariant:
     def open_session(self, now: int) -> VariantSession:
         record = self.sessions.issue(now, mode=self.traits.mode)
         return VariantSession(
-            record.S, record.N, record.t_exp, record.mode, record.pv, record.epoch, self.unlock_radius_m
+            record.S, record.N, record.t_exp, record.mode, record.pv, record.epoch,
+            self.unlock_radius_m, self.env.precisions,
         )
 
     def search(
@@ -442,7 +443,9 @@ class GenericVariant:
         row, key, S = self.traits, self.env.signing_key, vses.S
         if row.evidence == "receipt":
             self.sessions.validate(S, now)  # the protocol refuses a dead session outright
-        _, tags = client_tokens(self.env.search_key, lat, lon, radius_m, tag=self._tag)
+        _, tags = client_tokens(
+            self.env.search_key, lat, lon, radius_m, self.env.precisions, tag=self._tag
+        )
         ids = self.index.match(tags)
         pv, epoch = vses.pv, vses.epoch
         if not ids:

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from sbpp.cli import main
+from sbpp.geoindex import geohash_encode, geohash_neighbors, haversine_m, load_corpus
 from sbpp.harness import attacks
 from sbpp.receipt import Receipt
 
@@ -109,9 +110,19 @@ def test_search_output_is_frozen(demo, capsys):
         "--index", str(demo["index"]), "--seed", "7",
     )
     assert code == 0
-    assert len(json.loads(out)["candidates"]) == 39
+    got = {c["id"] for c in json.loads(out)["candidates"]}
+    # The cover shrinks the 3x3 block of precision-5 cells around the query
+    # (39 drops) and still holds every drop within the 1 km radius.
+    drops = load_corpus(str(demo["corpus"]))
+    center = geohash_encode(35.70, 139.75, 5)
+    block = {center, *geohash_neighbors(center)}
+    block_ids = {d.id for d in drops if geohash_encode(d.lat, d.lon, 5) in block}
+    truth = {d.id for d in drops if haversine_m(35.70, 139.75, d.lat, d.lon) <= 1000.0}
+    assert len(block_ids) == 39
+    assert truth <= got <= block_ids
+    assert len(got) == 8
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "0435321b2676b41b3a06bdf5e42aaf407d83efeb2cb656d836ab99ca5412e9ad"
+        "798bb362487a704fb47065278b8b7dd9b82a6e1c2d15da126ad5d6e61658de86"
     )
 
 
@@ -134,23 +145,39 @@ def test_search_stamps_every_candidate_with_the_session_context(demo, capsys):
 
 @pytest.mark.parametrize("command", ["search", "unlock"])
 def test_radius_the_index_cannot_answer_is_a_usage_error(demo, capsys, command):
-    # At lat 35.7 a 300 m query needs precision 6 and a 1 km query needs 5;
-    # the demo index holds only precision 5.
+    # A 20 km box spans about 9 x 11 precision-5 cells at lat 35.7, more than
+    # the 16-tag budget; the demo index holds only precision 5.
     argv = [
         command, "--lat", "35.70", "--lon", "139.75",
         "--index", str(demo["index"]), "--seed", "7",
     ]
     if command == "unlock":
         argv += ["--drop", "d000000"]
-    code = main(argv + ["--radius", "300"])
+    code = main(argv + ["--radius", "20000"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert "needs precision 6" in captured.err
+    assert "radius 20000 m has no cover of at most 16 cells at precisions [5]" in captured.err
     code, out = _run(capsys, *argv, "--radius", "1000")
     assert code != 1
     if command == "search":
         assert json.loads(out)["candidates"] and json.loads(out)["receipt_hex"]
+
+
+def test_radius_300_on_the_precision_5_index_finds_every_drop_in_range(demo, capsys):
+    # Queried at a drop, so the haversine truth is never empty.
+    drops = load_corpus(str(demo["corpus"]))
+    qlat, qlon = drops[0].lat, drops[0].lon
+    code, out = _run(
+        capsys, "search", "--lat", str(qlat), "--lon", str(qlon), "--radius", "300",
+        "--index", str(demo["index"]), "--seed", "7",
+    )
+    assert code == 0
+    parsed = json.loads(out)
+    assert parsed["receipt_hex"]
+    truth = {d.id for d in drops if haversine_m(qlat, qlon, d.lat, d.lon) <= 300.0}
+    assert drops[0].id in truth
+    assert truth <= {c["id"] for c in parsed["candidates"]}
 
 
 def _without(key):

@@ -3,10 +3,11 @@
 import math
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sbpp.geoindex import (
+    COVER_BUDGET,
     CorpusError,
     Drop,
     GeoIndex,
@@ -14,6 +15,7 @@ from sbpp.geoindex import (
     build_index,
     cell_dimensions_m,
     client_tokens,
+    cover_cells,
     gen_clustered_corpus,
     gen_uniform_corpus,
     geohash_decode_bbox,
@@ -129,12 +131,16 @@ def test_make_token_frozen_vector():
         make_token(b"short", 5, "xn76u")
 
 
-def test_client_tokens_emit_nine_cells():
-    precision, tags = client_tokens(bytes(32), 35.7, 139.75, 1000.0)
-    assert precision == 5
-    assert len(tags) == 9
-    assert len(set(tags)) == 9
-    assert all(len(t) == 32 for t in tags)
+def test_client_tokens_emit_the_cover_budget():
+    # Every query sends exactly COVER_BUDGET distinct tags, whatever its
+    # radius or cover size, and the same query sends the same list.
+    for radius in (50.0, 1000.0, 5000.0):
+        precision, tags = client_tokens(bytes(32), 35.7, 139.75, radius)
+        assert precision == 5
+        assert len(tags) == COVER_BUDGET == 16
+        assert len(set(tags)) == COVER_BUDGET
+        assert all(len(t) == 32 for t in tags)
+        assert client_tokens(bytes(32), 35.7, 139.75, radius) == (precision, tags)
 
 
 def test_client_tokens_deterministic():
@@ -175,11 +181,12 @@ def test_match_order_is_utf8_byte_order(postings):
         index.add(bytes([tag]), drop_id)
     ids = {drop_id for _, drop_id in postings}
     got = index.match([bytes([t]) for t in range(4)])
-    assert got == sorted(ids, key=lambda s: s.encode("utf-8"))
+    # surrogatepass: a lone surrogate encodes in its code point's place
+    assert got == sorted(ids, key=lambda s: s.encode("utf-8", "surrogatepass"))
 
 
 def test_covering_recall_within_radius():
-    # any drop within the query radius lands in the 3x3 token neighborhood
+    # any drop within the query radius lands in the cover
     key = b"\x02" * 32
     drops = gen_uniform_corpus(400, seed=11, bbox=TOKYO)
     index = build_index(key, drops, [5])
@@ -208,6 +215,169 @@ def test_covering_property(lat, lon, offset_deg, angle):
     index = build_index(key, [drop], [5])
     _, tags = client_tokens(key, lat, lon, 1000.0)
     assert index.match(tags) == ["d0"]
+
+
+# ---------------------------------------------------------------------------
+# the integer encoder against bisection, and the cover planner
+
+
+def _bisect_geohash(lat: float, lon: float, precision: int) -> str:
+    """Textbook geohash: halve the lon/lat intervals bit by bit, lon first."""
+    alphabet = "0123456789bcdefghjkmnpqrstuvwxyz"
+    lat_lo, lat_hi, lon_lo, lon_hi = -90.0, 90.0, -180.0, 180.0
+    bits = []
+    for i in range(5 * precision):
+        if i % 2 == 0:
+            mid = (lon_lo + lon_hi) / 2
+            bits.append(lon >= mid)
+            lon_lo, lon_hi = (mid, lon_hi) if lon >= mid else (lon_lo, mid)
+        else:
+            mid = (lat_lo + lat_hi) / 2
+            bits.append(lat >= mid)
+            lat_lo, lat_hi = (mid, lat_hi) if lat >= mid else (lat_lo, mid)
+    return "".join(
+        alphabet[int("".join("1" if b else "0" for b in bits[i : i + 5]), 2)]
+        for i in range(0, len(bits), 5)
+    )
+
+
+@given(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0), st.integers(1, 9))
+@example(90.0, 180.0, 9)
+@example(-90.0, -180.0, 9)
+@example(90.0, -180.0, 1)
+@example(-90.0, 180.0, 1)
+@example(0.0, -1e-300, 9)
+@example(-5e-324, 5e-324, 5)
+@settings(max_examples=500, deadline=None)
+def test_integer_encoder_matches_bisection(lat, lon, precision):
+    assert geohash_encode(lat, lon, precision) == _bisect_geohash(lat, lon, precision)
+
+
+@given(st.integers(1, 9), st.data())
+@settings(max_examples=300, deadline=None)
+def test_integer_encoder_matches_bisection_on_cell_edges(precision, data):
+    # Points exactly on a dyadic cell edge, and one float either side of it.
+    lon_bits, lat_bits = (5 * precision + 1) // 2, 5 * precision // 2
+    lon = -180.0 + data.draw(st.integers(0, 1 << lon_bits)) * 360.0 / (1 << lon_bits)
+    lat = -90.0 + data.draw(st.integers(0, 1 << lat_bits)) * 180.0 / (1 << lat_bits)
+    for dlat in (-math.inf, 0, math.inf):
+        for dlon in (-math.inf, 0, math.inf):
+            p_lat = lat if dlat == 0 else math.nextafter(lat, dlat)
+            p_lon = lon if dlon == 0 else math.nextafter(lon, dlon)
+            if -90.0 <= p_lat <= 90.0 and -180.0 <= p_lon <= 180.0:
+                assert geohash_encode(p_lat, p_lon, precision) == _bisect_geohash(p_lat, p_lon, precision)
+
+
+def _destination(lat: float, lon: float, dist_m: float, bearing: float) -> tuple[float, float]:
+    """The point dist_m along a great circle from (lat, lon), lon in [-180, 180)."""
+    phi, delta = math.radians(lat), dist_m / 6_371_000.0
+    phi2 = math.asin(math.sin(phi) * math.cos(delta) + math.cos(phi) * math.sin(delta) * math.cos(bearing))
+    dlmb = math.atan2(
+        math.sin(bearing) * math.sin(delta) * math.cos(phi),
+        math.cos(delta) - math.sin(phi) * math.sin(phi2),
+    )
+    return math.degrees(phi2), (lon + math.degrees(dlmb) + 180.0) % 360.0 - 180.0
+
+
+_NEAR_ANTIMERIDIAN = st.one_of(
+    st.floats(-180.0, 180.0), st.floats(179.9, 180.0), st.floats(-180.0, -179.9)
+)
+
+
+@given(
+    st.floats(-89.0, 89.0),
+    _NEAR_ANTIMERIDIAN,
+    st.floats(50.0, 5000.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 2 * math.pi),
+    st.sets(st.integers(3, 7), min_size=1),
+)
+@example(0.0, 180.0, 50.0, 1.0, math.pi / 2, {7})
+@example(0.0, -180.0, 50.0, 1.0, -math.pi / 2, {7})
+@example(89.0, 179.99, 5000.0, 1.0, 0.0, {3})
+@settings(max_examples=400, deadline=None)
+def test_cover_recall_every_drop_within_the_radius(lat, lon, radius, frac, bearing, precisions):
+    d_lat, d_lon = _destination(lat, lon, frac * radius, bearing)
+    assume(haversine_m(lat, lon, d_lat, d_lon) <= radius)
+    try:
+        _, tags = client_tokens(b"\x05" * 32, lat, lon, radius, precisions)
+    except GeoindexError:
+        assume(False)  # no indexed precision fits: covered by the exactness property
+    index = build_index(b"\x05" * 32, [Drop("d", d_lat, d_lon)], sorted(precisions))
+    assert index.match(tags) == ["d"]
+
+
+def test_cover_wraps_at_the_antimeridian_and_opens_at_the_pole():
+    key = b"\x06" * 32
+    east = [Drop("e180", 0.0, 180.0), Drop("w180", 0.0, -180.0), Drop("w", 0.0, -179.9996)]
+    for precisions in ([5], [7]):
+        _, tags = client_tokens(key, 0.0, 179.9998, 100.0, precisions)
+        assert build_index(key, east, precisions).match(tags) == ["e180", "w", "w180"]
+    # A cap that reaches the pole spans every longitude.
+    polar = [Drop("p", 89.99, -170.0)]
+    precision, tags = client_tokens(key, 89.99, 10.0, 5000.0, [1, 3])
+    assert precision == 1
+    assert build_index(key, polar, [1, 3]).match(tags) == ["p"]
+
+
+def test_cover_reaches_the_widest_point_of_the_cap():
+    # The cap's easternmost point lies asin(sin d / cos lat) east of the
+    # query, a little more than the planar d / cos lat.  A drop just inside
+    # that point and just past a cell edge must still be covered.
+    key = b"\x09" * 32
+    lat, radius = 60.0, 5000.0
+    delta = radius / 6_371_000.0
+    half = math.degrees(math.asin(math.sin(delta) / math.cos(math.radians(lat))))
+    widest_lat = math.degrees(math.asin(math.sin(math.radians(lat)) / math.cos(delta)))
+    edge = -180.0 + 540 * 360.0 / (1 << 10)  # a precision-4 lon cell edge
+    lon = edge - half + 2e-9
+    drop = Drop("east", widest_lat, edge + 1e-9)
+    assert haversine_m(lat, lon, drop.lat, drop.lon) <= radius
+    assert geohash_encode(drop.lat, drop.lon, 4) != geohash_encode(drop.lat, edge - 1e-9, 4)
+    _, tags = client_tokens(key, lat, lon, radius, [4])
+    assert build_index(key, [drop], [4]).match(tags) == ["east"]
+
+
+@given(
+    st.floats(-89.0, 89.0),
+    st.floats(-180.0, 180.0),
+    st.floats(50.0, 5000.0),
+    st.sets(st.integers(1, 9)),
+)
+@settings(max_examples=300, deadline=None)
+def test_cover_never_leaves_the_3x3_block(lat, lon, radius, extra):
+    # With the precision the 3x3 rule would pick among those indexed, the
+    # planner's cells, at that precision or finer, all lie in its 3x3 block.
+    coarse = precision_for_radius(radius, lat)
+    precision, _ = client_tokens(b"\x07" * 32, lat, lon, radius, extra | {coarse})
+    assert precision >= coarse
+    center = geohash_encode(lat, lon, coarse)
+    block = {center, *geohash_neighbors(center)}
+    assert {c[:coarse] for c in cover_cells(lat, lon, radius, precision)} <= block
+
+
+@given(
+    st.floats(-90.0, 90.0),
+    _NEAR_ANTIMERIDIAN,
+    st.floats(1.0, 3e6),
+    st.sets(st.integers(1, 9), max_size=4),
+)
+@example(35.7, 139.75, 20000.0, {5})
+@example(35.7, 139.75, 1000.0, set())
+@settings(max_examples=300, deadline=None)
+def test_no_fit_raises_exactly_when_no_indexed_precision_fits(lat, lon, radius, precisions):
+    key = b"\x08" * 32
+    fits = [p for p in precisions if cover_cells(lat, lon, radius, p) is not None]
+    if not fits:
+        with pytest.raises(GeoindexError):
+            client_tokens(key, lat, lon, radius, precisions)
+        return
+    precision, tags = client_tokens(key, lat, lon, radius, precisions)
+    assert precision == max(fits)
+    assert len(tags) == len(set(tags)) == COVER_BUDGET
+    cells = cover_cells(lat, lon, radius, precision)
+    assert 1 <= len(cells) <= COVER_BUDGET
+    assert {make_token(key, precision, c) for c in cells} <= set(tags)
 
 
 def test_corpus_round_trip(tmp_path):
