@@ -12,6 +12,13 @@ east of -180, y counts lat steps of 180 / 2**lat_bits north of -90, exactly
 the cell that geohash bisection lands in.  Its string interleaves the bits of
 x and y, longitude first, five to a base-32 character.
 
+The index is built in two passes.  The first computes each drop's cell once,
+at the finest indexed precision, and takes every coarser precision's cell by
+shifting: bisection is a prefix, so fewer bits are the top bits of more, and
+the coarser cell is (x >> dx, y >> dy) for the difference dx, dy in lon and
+lat bits.  The second derives one tag per distinct (precision, cell), so the
+HMACs a build makes scale with the cells the corpus occupies, not its drops.
+
 The cover is recall-first: for each indexed precision, finest first, take the
 cells that meet the bounding box of the spherical cap of the radius, and keep
 the first precision whose cover has at most COVER_BUDGET cells.  Every point
@@ -305,9 +312,6 @@ class GeoIndex:
         self.precisions = sorted(set(precisions))
         self.entries: dict[bytes, list[str]] = {}
 
-    def add(self, tag: bytes, drop_id: str) -> None:
-        self.entries.setdefault(tag, []).append(drop_id)
-
     def match(self, tags: list[bytes]) -> list[str]:
         """Union of ids under the queried tags, de-duplicated and sorted in
         UTF-8 byte order (which is code point order, so no key is needed)."""
@@ -320,11 +324,28 @@ class GeoIndex:
 
 
 def build_index(key: bytes, drops: list[Drop], precisions: list[int], tag=make_token) -> GeoIndex:
+    """The index of ``drops`` at each of ``precisions``, in two passes.
+
+    Pass 1 computes each drop's (x, y) cell once, at the finest precision, and
+    files its id under that cell and each coarser precision's (x >> dx, y >> dy):
+    bisection is a prefix, so the shift is the coarser cell.  Pass 2 derives
+    one tag per distinct (precision, cell).  Id lists keep drop order.
+    """
     index = GeoIndex(precisions)
+    lon_bits, lat_bits = _grid_bits(index.precisions[-1])
+    levels = []  # (precision, lon shift, lat shift, {(x, y): ids})
+    for p in index.precisions:
+        px, py = _grid_bits(p)
+        levels.append((p, lon_bits - px, lat_bits - py, {}))
     for drop in drops:
-        for p in index.precisions:
-            cell = geohash_encode(drop.lat, drop.lon, p)
-            index.add(tag(key, p, cell), drop.id)
+        _check_point(drop.lat, drop.lon)
+        x = _axis_cell(drop.lon, -180.0, 360.0, lon_bits)
+        y = _axis_cell(drop.lat, -90.0, 180.0, lat_bits)
+        for _, dx, dy, cells in levels:
+            cells.setdefault((x >> dx, y >> dy), []).append(drop.id)
+    for p, _, _, cells in levels:
+        for (x, y), ids in cells.items():
+            index.entries[tag(key, p, _cell_string(x, y, p))] = ids
     return index
 
 

@@ -28,7 +28,9 @@ sbpp.variants run these same stage objects.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 import random
 from typing import Any, Callable, NamedTuple
 
@@ -331,9 +333,10 @@ class ClientSession:
     receipt: Receipt | None = None
 
     def candidate(self, drop_id: str) -> Drop:
-        for c in self.candidates:
-            if c.id == drop_id:
-                return c
+        """The listed drop, found by bisection: candidates are in id order."""
+        i = bisect_left(self.candidates, drop_id, key=attrgetter("id"))
+        if i < len(self.candidates) and self.candidates[i].id == drop_id:
+            return self.candidates[i]
         raise ProtocolError(f"{drop_id!r} is not in this session's result list")
 
     def result_ids(self) -> list[str]:

@@ -1,5 +1,6 @@
 """Geohash encoding, covering-cell queries, and the encrypted index."""
 
+import hashlib
 import math
 
 import pytest
@@ -24,6 +25,7 @@ from sbpp.geoindex import (
     haversine_m,
     load_corpus,
     make_token,
+    plain_tag,
     precision_for_radius,
     save_corpus,
 )
@@ -178,7 +180,7 @@ def test_match_order_is_utf8_byte_order(postings):
     # de-duplicated and in UTF-8 byte order.
     index = GeoIndex([5])
     for tag, drop_id in postings:
-        index.add(bytes([tag]), drop_id)
+        index.entries.setdefault(bytes([tag]), []).append(drop_id)
     ids = {drop_id for _, drop_id in postings}
     got = index.match([bytes([t]) for t in range(4)])
     # surrogatepass: a lone surrogate encodes in its code point's place
@@ -378,6 +380,94 @@ def test_no_fit_raises_exactly_when_no_indexed_precision_fits(lat, lon, radius, 
     cells = cover_cells(lat, lon, radius, precision)
     assert 1 <= len(cells) <= COVER_BUDGET
     assert {make_token(key, precision, c) for c in cells} <= set(tags)
+
+
+# ---------------------------------------------------------------------------
+# the two-pass index build against a per-drop, per-precision reference
+
+
+def _reference_entries(key, drops, precisions, tag):
+    """The index built the direct way: encode and tag every drop at every
+    precision, appending ids in drop order."""
+    entries = {}
+    for drop in drops:
+        for p in sorted(set(precisions)):
+            entries.setdefault(tag(key, p, geohash_encode(drop.lat, drop.lon, p)), []).append(drop.id)
+    return entries
+
+
+@st.composite
+def _cell_edge_point(draw):
+    """A point on a dyadic cell edge of some precision, or one float beside it."""
+    p = draw(st.integers(1, 9))
+    lon_bits, lat_bits = (5 * p + 1) // 2, 5 * p // 2
+    lon = -180.0 + draw(st.integers(0, 1 << lon_bits)) * 360.0 / (1 << lon_bits)
+    lat = -90.0 + draw(st.integers(0, 1 << lat_bits)) * 180.0 / (1 << lat_bits)
+    lat = math.nextafter(lat, draw(st.sampled_from([-math.inf, 0.0, math.inf]))) if draw(st.booleans()) else lat
+    lon = math.nextafter(lon, draw(st.sampled_from([-math.inf, 0.0, math.inf]))) if draw(st.booleans()) else lon
+    return min(90.0, max(-90.0, lat)), min(180.0, max(-180.0, lon))
+
+
+_INDEX_POINTS = st.one_of(
+    st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)),
+    st.tuples(st.floats(35.69, 35.71), st.floats(139.74, 139.76)),  # drops sharing cells
+    _cell_edge_point(),
+    st.tuples(st.sampled_from([-90.0, 90.0, 0.0]), st.sampled_from([-180.0, 180.0, 0.0])),
+)
+
+
+@st.composite
+def _index_drops(draw):
+    """Drops at _INDEX_POINTS, with ids in an order unrelated to drop order,
+    so an id list that came out in id order, not drop order, fails."""
+    points = draw(st.lists(_INDEX_POINTS, max_size=40))
+    order = draw(st.permutations(range(len(points))))
+    return [Drop(f"d{i:03d}", lat, lon) for i, (lat, lon) in zip(order, points)]
+
+
+@given(_index_drops(), st.sets(st.integers(1, 9), min_size=1), st.sampled_from([make_token, plain_tag]))
+@example(
+    [Drop("d3", 90.0, 180.0), Drop("d2", -90.0, -180.0), Drop("d1", 90.0, -180.0), Drop("d0", -90.0, 180.0)],
+    {1, 2, 9},
+    make_token,
+)
+@settings(max_examples=300, deadline=None)
+def test_build_index_equals_the_per_drop_reference(drops, precisions, tag):
+    key = b"\x09" * 32
+    index = build_index(key, drops, sorted(precisions), tag=tag)
+    assert index.precisions == sorted(precisions)
+    assert index.entries == _reference_entries(key, drops, precisions, tag)
+
+
+def test_build_index_rejects_out_of_range_points():
+    key = b"\x09" * 32
+    ok = Drop("ok", 35.7, 139.75)
+    for drop, message in (
+        (Drop("n", 90.000001, 0.0), "latitude out of range"),
+        (Drop("s", -91.0, 0.0), "latitude out of range"),
+        (Drop("nan", math.nan, 0.0), "latitude out of range"),
+        (Drop("e", 0.0, 180.000001), "longitude out of range"),
+        (Drop("w", 0.0, -181.0), "longitude out of range"),
+    ):
+        with pytest.raises(GeoindexError, match=f"^{message}$"):
+            build_index(key, [ok, drop], [4, 5, 6, 7])
+
+
+def test_build_index_of_no_drops_is_empty():
+    index = build_index(b"\x09" * 32, [], [7, 5])
+    assert index.entries == {} and index.precisions == [5, 7]
+    assert index.match([make_token(b"\x09" * 32, 5, "xn77h")]) == []
+
+
+def test_build_index_frozen_digest():
+    # SHA-256 of the sorted (tag, ids) dump of a 2,000-drop [4,5,6,7] index,
+    # as the per-drop build wrote it.
+    index = build_index(bytes(range(32)), gen_uniform_corpus(2000, 11), [4, 5, 6, 7])
+    dump = b"".join(
+        tag.hex().encode() + b"\t" + ",".join(ids).encode() + b"\n" for tag, ids in sorted(index.entries.items())
+    )
+    assert len(index.entries) == 2853
+    assert hashlib.sha256(dump).hexdigest() == "f50f37cc91754a6b2d6377f1ab3ca288d9706f9d7a9528fd6c0a980b68b946e4"
 
 
 def test_corpus_round_trip(tmp_path):

@@ -64,6 +64,17 @@ def _searched(server: SbppServer, client: SbppClient, now: int = T0):
     return ses
 
 
+def test_candidate_finds_each_listed_drop_and_refuses_others():
+    ses = _searched(*_pair(MODE_FULL))
+    assert [ses.candidate(d.id) for d in ses.candidates] == list(ses.candidates)
+    for missing in ("", "a", "d005", "d03\x00", "zz"):  # before, between and after the listed ids
+        with pytest.raises(ProtocolError):
+            ses.candidate(missing)
+    ses.candidates = ()
+    with pytest.raises(ProtocolError):
+        ses.candidate("d00")
+
+
 @pytest.mark.parametrize("mode", [MODE_CORE, MODE_FULL])
 def test_end_to_end_accept(mode):
     server, client = _pair(mode)
