@@ -13,7 +13,6 @@ from .geoindex import Drop, build_index, client_tokens, geohash_encode, haversin
 from .merkle import MerklePath, MerkleTree, build_tree, verify_membership
 from .nizk import Proof, PublicInputs, Witness, make_public_inputs, prove, setup, verify
 from .protocol import (
-    AuditOutcome,
     AuditRecord,
     SbppClient,
     SbppServer,
@@ -28,7 +27,6 @@ from .session import SessionStore
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuditOutcome",
     "AuditRecord",
     "Drop",
     "FieldElement",

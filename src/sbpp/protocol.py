@@ -13,17 +13,20 @@ state and accepts at most once per session.
 Verification is a fixed tuple of stages, VERIFY_STAGES, and every rejection
 carries exactly one reason, so a failure localizes to the first broken link:
 
-    session -> bound -> digest -> membership -> proof -> consume
+    session -> bound -> digest -> membership -> statement -> proof -> consume
 
-The audit path, AUDIT_STAGES, replays the same bindings offline from
-(receipt, drop id, membership path, public inputs, proof) with no session
-state, which is what makes full-mode unlocks attributable after the server
-forgets everything:
+The audit path, AUDIT_STAGES, is the same verify stages run with no server
+state: the signed receipt stands in for the session record and the audit
+record (receipt, drop id, membership path, public inputs, proof) for the
+request.  That is what makes full-mode unlocks attributable after the
+server forgets everything:
 
     receipt signature -> digest -> membership -> proof
 
-Each stage is written once.  The V4a/V4b rungs of the comparison ladder in
-sbpp.variants run these same stage objects.
+Only the receipt check is offline-only; the statement check stays online,
+since it needs the server's drop table.  Each stage is written once.  The
+V4a/V4b rungs of the comparison ladder in sbpp.variants run these same
+stage objects.
 """
 
 from __future__ import annotations
@@ -105,12 +108,6 @@ class VerifyOutcome:
             raise ProtocolError("outcome must carry exactly one of accept/reason")
 
 
-@dataclass(frozen=True)
-class AuditOutcome:
-    accepted: bool
-    fail_reason: str | None = None
-
-
 class SbppServer:
     """Server half: index, session table, receipt signer, proof verifier."""
 
@@ -187,21 +184,28 @@ def challenge_digest(
 # ---------------------------------------------------------------------------
 # stages
 #
-# A stage takes (subject, item) and returns a rejection reason, or None to
-# pass the item on.  Verify stages get the verifier (anything with
-# `sessions`, `drops`, `unlock_radius_m` and `nizk_vk`) and an Attempt;
-# audit stages get the keys (`public_key_bytes`, `nizk_vk`) and a record.
+# A stage takes (subject, attempt) and returns a rejection reason, or None to
+# pass the attempt on.  Online the subject is the verifier (anything with
+# `sessions`, `drops`, `unlock_radius_m` and `nizk_vk`); offline it holds only
+# keys (`public_key_bytes`, `nizk_vk`), so an audit runs only the stages that
+# read nothing but the attempt and the keys.
 
 Stage = Callable[[Any, Any], "str | None"]
 
 
 @dataclass
 class Attempt:
-    """One unlock request on its way through the verify stages."""
+    """One unlock on its way through the stages.
 
-    request: UnlockRequest
-    now: int
-    record: SessionRecord | None = None  # set by check_session
+    ``claim`` is what the prover asserts: the unlock request online, the
+    audit record offline.  ``record`` is the server-issued context it is
+    checked against: the session record (set by check_session) online, the
+    record's signed receipt offline (None on rungs that issue none).
+    """
+
+    claim: Any
+    now: int | None  # None offline: an audit has no clock
+    record: SessionRecord | Receipt | None = None
 
 
 def first_reason(stages: tuple[Stage, ...], subject: Any, item: Any) -> str | None:
@@ -215,7 +219,7 @@ def first_reason(stages: tuple[Stage, ...], subject: Any, item: Any) -> str | No
 
 def check_session(verifier: Any, attempt: Attempt) -> str | None:
     try:
-        attempt.record = verifier.sessions.validate(attempt.request.S, attempt.now)
+        attempt.record = verifier.sessions.validate(attempt.claim.S, attempt.now)
     except UnknownSessionError:
         return R_SESSION_INVALID
     except ExpiredSessionError:
@@ -229,50 +233,62 @@ def check_bound(verifier: Any, attempt: Attempt) -> str | None:
     return None if attempt.record.bound else R_SESSION_INVALID
 
 
+def check_receipt(keys: Any, attempt: Attempt) -> str | None:
+    """Offline only: the receipt is the server's, so its fields are the context."""
+    receipt = attempt.record
+    if receipt is None or not verify_receipt(keys.public_key_bytes, receipt):
+        return R_RECEIPT_SIG
+    return None
+
+
 def check_digest(verifier: Any, attempt: Attempt) -> str | None:
     """The challenge digest binds the proof to this session's context."""
-    record, request = attempt.record, attempt.request
+    record, claim = attempt.record, attempt.claim
     expected = challenge_digest(
-        record.mode, request.drop_id, record.pv, record.epoch, record.N, record.root
+        record.mode, claim.drop_id, record.pv, record.epoch, record.N, record.root
     )
-    return None if request.pub[7] == expected else R_NONCE_DIGEST
+    return None if claim.pub[7] == expected else R_NONCE_DIGEST
 
 
 def check_membership(verifier: Any, attempt: Attempt) -> str | None:
-    """Core: the bound id set.  Full: a Merkle path to the bound root."""
-    record, request = attempt.record, attempt.request
-    if record.mode == MODE_CORE:
-        if record.result_set is None or not in_result_set(record.result_set, request.drop_id):
-            return R_NOT_IN_RESULT_SET
-        return None
-    path = request.merkle_path
-    if path is None or not verify_membership(record.root, request.drop_id, path):
+    """The bound id set where the context holds one (a core session), else a
+    Merkle path to the bound root.  A receipt holds no id set, and a core
+    receipt's zero root admits no path, so core audit records stop here."""
+    record, claim = attempt.record, attempt.claim
+    if record.result_set is not None:
+        return None if in_result_set(record.result_set, claim.drop_id) else R_NOT_IN_RESULT_SET
+    path = claim.merkle_path
+    if path is None or not verify_membership(record.root, claim.drop_id, path):
         return R_MERKLE_INVALID
     return None
 
 
-def check_proof(verifier: Any, attempt: Attempt) -> str | None:
-    """The statement is the named drop's, and the proximity proof holds."""
-    request = attempt.request
-    drop = verifier.drops.get(request.drop_id)
-    if drop is None or request.pub is None or request.proof is None:
+def check_statement(verifier: Any, attempt: Attempt) -> str | None:
+    """Online only: the public inputs state the named drop's position."""
+    claim = attempt.claim
+    drop = verifier.drops.get(claim.drop_id)
+    if drop is None or claim.pub is None:
         return R_PROOF_INVALID
     try:
         expected = nizk.make_public_inputs(
-            drop.lat, drop.lon, verifier.unlock_radius_m, request.pub[7]
+            drop.lat, drop.lon, verifier.unlock_radius_m, claim.pub[7]
         )
     except nizk.NizkError:
         return R_PROOF_INVALID
-    if expected.elements[:7] != request.pub.elements[:7]:
-        return R_PROOF_INVALID
-    if not nizk.verify(verifier.nizk_vk, request.pub, request.proof):
+    return None if expected.elements[:7] == claim.pub.elements[:7] else R_PROOF_INVALID
+
+
+def check_proof(verifier: Any, attempt: Attempt) -> str | None:
+    """The proximity proof holds for the public inputs."""
+    pub, proof = attempt.claim.pub, attempt.claim.proof
+    if pub is None or proof is None or not nizk.verify(verifier.nizk_vk, pub, proof):
         return R_PROOF_INVALID
     return None
 
 
 def consume_session(verifier: Any, attempt: Attempt) -> str | None:
     """Exactly-once consumption; the grant is the consume."""
-    return None if verifier.sessions.consume(attempt.request.S, attempt.now) else R_CONSUMED
+    return None if verifier.sessions.consume(attempt.claim.S, attempt.now) else R_CONSUMED
 
 
 VERIFY_STAGES: tuple[Stage, ...] = (
@@ -280,41 +296,12 @@ VERIFY_STAGES: tuple[Stage, ...] = (
     check_bound,
     check_digest,
     check_membership,
+    check_statement,
     check_proof,
     consume_session,
 )
 
-
-def audit_receipt(keys: Any, record: Any) -> str | None:
-    if record.receipt is None or not verify_receipt(keys.public_key_bytes, record.receipt):
-        return R_RECEIPT_SIG
-    return None
-
-
-def audit_digest(keys: Any, record: Any) -> str | None:
-    """The digest recomputed from the receipt's own fields."""
-    rcpt = record.receipt
-    expected = challenge_digest(rcpt.mode, record.drop_id, rcpt.pv, rcpt.epoch, rcpt.N, rcpt.root)
-    return None if record.pub[7] == expected else R_NONCE_DIGEST
-
-
-def audit_membership(keys: Any, record: Any) -> str | None:
-    """Membership against the receipt's root; a core receipt's zero root
-    admits no path, so core records always stop here."""
-    path = record.path
-    if path is None or not verify_membership(record.receipt.root, record.drop_id, path):
-        return R_MERKLE_INVALID
-    return None
-
-
-def audit_proof(keys: Any, record: Any) -> str | None:
-    pub, proof = record.pub, record.proof
-    if pub is None or proof is None or not nizk.verify(keys.nizk_vk, pub, proof):
-        return R_PROOF_INVALID
-    return None
-
-
-AUDIT_STAGES: tuple[Stage, ...] = (audit_receipt, audit_digest, audit_membership, audit_proof)
+AUDIT_STAGES: tuple[Stage, ...] = (check_receipt, check_digest, check_membership, check_proof)
 
 
 @dataclass
@@ -397,6 +384,10 @@ class AuditRecord:
     pub: nizk.PublicInputs
     proof: nizk.Proof
 
+    @property
+    def merkle_path(self) -> MerklePath:
+        return self.path
+
     def serialize(self) -> bytes:
         return lp_encode(
             [
@@ -446,8 +437,11 @@ class AuditKeys(NamedTuple):
     nizk_vk: bytes
 
 
-def audit(server_public_key: bytes, nizk_vk: bytes, record: AuditRecord) -> AuditOutcome:
+def audit(server_public_key: bytes, nizk_vk: bytes, record: AuditRecord) -> VerifyOutcome:
     """Replay the protocol's bindings offline, with zero session state:
-    AUDIT_STAGES in order (receipt signature, digest, membership, proof)."""
-    reason = first_reason(AUDIT_STAGES, AuditKeys(server_public_key, nizk_vk), record)
-    return AuditOutcome(reason is None, reason)
+    AUDIT_STAGES in order (receipt signature, digest, membership, proof),
+    with the record's receipt as the session context."""
+    reason = first_reason(
+        AUDIT_STAGES, AuditKeys(server_public_key, nizk_vk), Attempt(record, None, record.receipt)
+    )
+    return VerifyOutcome(reason is None, reason)

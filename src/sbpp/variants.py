@@ -21,8 +21,14 @@ it.  Verify and audit run the row's stage tuple in order and stop at the
 first reason, so each failure maps to one reason on every rung.  V4a and
 V4b are rows like the others: their stage tuples are the protocol's own
 VERIFY_STAGES and AUDIT_STAGES objects, and the ladder-only stages here
-(nonce echo, evidence, context digest, token hash/signature/root) sit
-beside the shared session, membership, proof and consume stages.
+(nonce echo, evidence, context digest, token hash/root) sit beside the
+shared session, membership, statement, proof and consume stages.
+
+An audit is the verify stages run without server state: the audit record
+takes the request's place and its receipt, where the rung issues one, the
+session record's.  So every audit stage is a verify stage too, except the
+protocol's receipt signature and V8's token hash, signature and root,
+which read the token from the record instead of the server's session.
 
 Attack adapters model an adversary who can re-route anything it computed
 itself (session ids, nonce echoes, membership paths) but cannot mint
@@ -48,7 +54,6 @@ from .protocol import (
     AUDIT_STAGES,
     VERIFY_STAGES,
     Attempt,
-    AuditOutcome,
     ClientSession,
     R_MERKLE_INVALID,
     R_NONCE_DIGEST,
@@ -57,12 +62,12 @@ from .protocol import (
     Stage,
     UnlockRequest,
     VerifyOutcome,
-    audit_proof,
     candidates_for,
     challenge_digest,
     check_membership,
     check_proof,
     check_session,
+    check_statement,
     consume_session,
     first_reason,
     sign_session,
@@ -138,9 +143,10 @@ class VariantRequest(UnlockRequest):
 
 @dataclass(frozen=True)
 class VariantAuditRecord:
-    """Offline evidence bundle; which fields are set depends on the rung."""
+    """Offline evidence bundle; which fields are set depends on the rung.
+    It is the claim an audit's stages check, as a request is online."""
 
-    kind: str
+    S: str
     drop_id: str
     pv: str
     epoch: str
@@ -149,11 +155,14 @@ class VariantAuditRecord:
     path: MerklePath | None = None
     capability: bytes | None = None
     permit: bytes | None = None
-    claimed_S: str | None = None
     result_ids: tuple[str, ...] | None = None
     result_mac: bytes | None = None
     token: bytes | None = None
     receipt: Receipt | None = None
+
+    @property
+    def merkle_path(self) -> MerklePath | None:
+        return self.path
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +196,9 @@ def _mac_tag(mac_key: bytes, S: str, pv: str, epoch: str, ids: tuple[str, ...]) 
 
 
 # ---------------------------------------------------------------------------
-# ladder-only verify stages; the rest come from the protocol
+# ladder-only stages; the rest come from the protocol.  Every one but the
+# V8 audit stages also verifies online; an audit passes them the record as
+# the claim and no session record, so the context is the record's own.
 
 
 def _context(attempt: Attempt) -> tuple[str, str]:
@@ -195,12 +206,12 @@ def _context(attempt: Attempt) -> tuple[str, str]:
     record = attempt.record
     if record is not None:
         return record.pv, record.epoch
-    return attempt.request.pv, attempt.request.epoch
+    return attempt.claim.pv, attempt.claim.epoch
 
 
 def check_echo(variant: GenericVariant, attempt: Attempt) -> str | None:
     record = attempt.record
-    if record is None or attempt.request.nonce_echo != record.N:
+    if record is None or attempt.claim.nonce_echo != record.N:
         return R_NONCE_ECHO
     return None
 
@@ -209,10 +220,10 @@ def _check_grant(
     variant: GenericVariant, attempt: Attempt, *, attr: str, domain: str
 ) -> str | None:
     """A server-signed grant for exactly this session, drop and context."""
-    request = attempt.request
-    fields = _verify_blob(variant.public_key_bytes, getattr(request, attr) or b"", domain)
+    claim = attempt.claim
+    fields = _verify_blob(variant.public_key_bytes, getattr(claim, attr) or b"", domain)
     if fields is None or [f.decode() for f in fields[1:]] != [
-        request.S, request.drop_id, *_context(attempt)
+        claim.S, claim.drop_id, *_context(attempt)
     ]:
         return R_EVIDENCE_INVALID
     return None
@@ -223,87 +234,61 @@ check_permit = partial(_check_grant, attr="permit", domain=DOMAIN_PERMIT)
 
 
 def check_mac(variant: GenericVariant, attempt: Attempt) -> str | None:
-    request = attempt.request
-    if request.result_ids is None or request.result_mac is None:
+    claim = attempt.claim
+    if claim.result_ids is None or claim.result_mac is None:
         return R_EVIDENCE_INVALID
-    expected = _mac_tag(variant.env.mac_key, request.S, *_context(attempt), request.result_ids)
-    if not hmac.compare_digest(expected, request.result_mac):
+    expected = _mac_tag(variant.env.mac_key, claim.S, *_context(attempt), claim.result_ids)
+    if not hmac.compare_digest(expected, claim.result_mac):
         return R_EVIDENCE_INVALID
-    return None if request.drop_id in request.result_ids else R_NOT_IN_RESULT_SET
+    return None if claim.drop_id in claim.result_ids else R_NOT_IN_RESULT_SET
 
 
 def check_context_digest(variant: GenericVariant, attempt: Attempt) -> str | None:
-    request = attempt.request
-    if request.pub is None or request.pub[7] != context_digest(request.drop_id, *_context(attempt)):
+    claim = attempt.claim
+    if claim.pub is None or claim.pub[7] != context_digest(claim.drop_id, *_context(attempt)):
         return R_NONCE_DIGEST
     return None
 
 
 def check_token_hash(variant: GenericVariant, attempt: Attempt) -> str | None:
-    token = variant.token_by_session.get(attempt.request.S)
+    token = variant.token_by_session.get(attempt.claim.S)
     if token is None:
         return R_SESSION_INVALID
-    pub = attempt.request.pub
+    pub = attempt.claim.pub
     return None if pub is not None and pub[7] == digest([token]) else R_TOKEN_HASH
 
 
 def check_token_root(variant: GenericVariant, attempt: Attempt) -> str | None:
     """Membership against the root inside this session's token."""
-    request = attempt.request
-    root, path = lp_decode(variant.token_by_session[request.S])[3], request.merkle_path
-    if path is None or not verify_membership(root, request.drop_id, path):
+    claim = attempt.claim
+    root, path = lp_decode(variant.token_by_session[claim.S])[3], claim.merkle_path
+    if path is None or not verify_membership(root, claim.drop_id, path):
         return R_MERKLE_INVALID
     return None
 
 
-# ---------------------------------------------------------------------------
-# ladder-only audit stages
+# V8 audits read the record's token; online, the token the server holds for
+# the session is the one that counts, so these are offline-only.
 
 
-def _audit_grant(
-    variant: GenericVariant, rec: VariantAuditRecord, *, attr: str, domain: str
-) -> str | None:
-    fields = _verify_blob(variant.public_key_bytes, getattr(rec, attr) or b"", domain)
-    if fields is None or fields[2].decode() != rec.drop_id:
-        return R_EVIDENCE_INVALID
-    return None
-
-
-audit_capability = partial(_audit_grant, attr="capability", domain=DOMAIN_CAPABILITY)
-audit_permit = partial(_audit_grant, attr="permit", domain=DOMAIN_PERMIT)
-
-
-def audit_mac(variant: GenericVariant, rec: VariantAuditRecord) -> str | None:
-    if rec.result_ids is None or rec.result_mac is None or rec.claimed_S is None:
-        return R_EVIDENCE_INVALID
-    expected = _mac_tag(variant.env.mac_key, rec.claimed_S, rec.pv, rec.epoch, rec.result_ids)
-    if not hmac.compare_digest(expected, rec.result_mac):
-        return R_EVIDENCE_INVALID
-    return None if rec.drop_id in rec.result_ids else R_NOT_IN_RESULT_SET
-
-
-def audit_context_digest(variant: GenericVariant, rec: VariantAuditRecord) -> str | None:
-    if rec.pub is None or rec.pub[7] != context_digest(rec.drop_id, rec.pv, rec.epoch):
-        return R_NONCE_DIGEST
-    return None
-
-
-def audit_token_hash(variant: GenericVariant, rec: VariantAuditRecord) -> str | None:
+def audit_token_hash(variant: GenericVariant, attempt: Attempt) -> str | None:
     # The only anchor of an opaque token is pub[7] == H(token), so any
     # token-level tampering collapses into this one symptom.
+    rec = attempt.claim
     if rec.pub is None or rec.token is None or rec.pub[7] != digest([rec.token]):
         return R_TOKEN_HASH
     return None
 
 
-def audit_token_sig(variant: GenericVariant, rec: VariantAuditRecord) -> str | None:
+def audit_token_sig(variant: GenericVariant, attempt: Attempt) -> str | None:
     domain = DOMAIN_TOKEN_FULL if variant.traits.token_includes_root else DOMAIN_TOKEN_LITE
-    if _verify_blob(variant.public_key_bytes, rec.token, domain) is None:
+    if _verify_blob(variant.public_key_bytes, attempt.claim.token, domain) is None:
         return R_TOKEN_SIG
     return None
 
 
-def audit_token_root(variant: GenericVariant, rec: VariantAuditRecord) -> str | None:
+def audit_token_root(variant: GenericVariant, attempt: Attempt) -> str | None:
+    rec = attempt.claim
     root = lp_decode(rec.token)[3]
     if rec.path is None or not verify_membership(root, rec.drop_id, rec.path):
         return R_MERKLE_INVALID
@@ -342,20 +327,20 @@ class VariantTraits:
         return self.mode == MODE_FULL or (self.evidence == "token" and self.token_includes_root)
 
 
-_CONTEXT_AUDIT = (audit_context_digest, audit_proof)
+_PROVE = (check_statement, check_proof)  # offline only the proof: an auditor has no drop table
+_CONTEXT_VERIFY = (check_context_digest, *_PROVE)
+_CONTEXT_AUDIT = (check_context_digest, check_proof)
 # The protocol's own stages and signed receipt; V4b binds the session to a Merkle root.
 _PROTOCOL = VariantTraits(
     "V4a", VERIFY_STAGES, AUDIT_STAGES, digest_kind="session", evidence="receipt"
 )
 
 RUNGS: dict[str, VariantTraits] = {
-    "V1": VariantTraits(
-        "V1", (check_context_digest, check_proof), _CONTEXT_AUDIT, plaintext_search=True
-    ),
-    "V2": VariantTraits("V2", (check_context_digest, check_proof), _CONTEXT_AUDIT),
+    "V1": VariantTraits("V1", _CONTEXT_VERIFY, _CONTEXT_AUDIT, plaintext_search=True),
+    "V2": VariantTraits("V2", _CONTEXT_VERIFY, _CONTEXT_AUDIT),
     "V3": VariantTraits(
         "V3",
-        (check_session, check_echo, check_context_digest, check_proof, consume_session),
+        (check_session, check_echo, *_CONTEXT_VERIFY, consume_session),
         _CONTEXT_AUDIT,
         nonce_echo=True,
     ),
@@ -363,27 +348,27 @@ RUNGS: dict[str, VariantTraits] = {
     "V4b": replace(_PROTOCOL, kind="V4b", mode=MODE_FULL),
     "V5": VariantTraits(
         "V5",
-        (check_session, check_capability, check_context_digest, check_proof, consume_session),
-        (audit_capability, *_CONTEXT_AUDIT),
+        (check_session, check_capability, *_CONTEXT_VERIFY, consume_session),
+        (check_capability, *_CONTEXT_AUDIT),
         evidence="capability",
     ),
     "V6": VariantTraits(
         "V6",
         (check_session, check_permit, consume_session),
-        (audit_permit,),  # nothing else to attest: no proof exists
+        (check_permit,),  # nothing else to attest: no proof exists
         digest_kind=None,
         evidence="permit",
     ),
     "V7": VariantTraits(
         "V7",
-        (check_session, check_mac, check_context_digest, check_proof, consume_session),
-        (audit_mac, *_CONTEXT_AUDIT),
+        (check_session, check_mac, *_CONTEXT_VERIFY, consume_session),
+        (check_mac, *_CONTEXT_AUDIT),
         evidence="mac",
     ),
     "V8": VariantTraits(
         "V8",
-        (check_session, check_token_hash, check_token_root, check_proof, consume_session),
-        (audit_token_hash, audit_token_sig, audit_token_root, audit_proof),
+        (check_session, check_token_hash, check_token_root, *_PROVE, consume_session),
+        (audit_token_hash, audit_token_sig, audit_token_root, check_proof),
         digest_kind="token",
         evidence="token",
     ),
@@ -393,8 +378,8 @@ RUNGS: dict[str, VariantTraits] = {
 # session's own id set, and the offline trail has nothing to check it on.
 _V8_LITE = replace(
     RUNGS["V8"],
-    verify=(check_session, check_token_hash, check_membership, check_proof, consume_session),
-    audit=(audit_token_hash, audit_token_sig, audit_proof),
+    verify=(check_session, check_token_hash, check_membership, *_PROVE, consume_session),
+    audit=(audit_token_hash, audit_token_sig, check_proof),
     token_includes_root=False,
 )
 
@@ -412,6 +397,8 @@ class GenericVariant:
         self.env = env
         self.has_proximity_proof = traits.has_proof
         self.drops = {d.id: d for d in env.drops}
+        if len(self.drops) != len(env.drops):
+            raise VariantError("duplicate drop ids in corpus")
         self.unlock_radius_m = env.unlock_radius_m
         self.nizk_vk = env.verifying_key
         self.sessions = SessionStore(
@@ -531,7 +518,7 @@ class GenericVariant:
 
     def audit_record(self, vses: VariantSession, request: VariantRequest) -> VariantAuditRecord:
         return VariantAuditRecord(
-            kind=self.kind,
+            S=request.S,
             drop_id=request.drop_id,
             pv=request.pv,
             epoch=request.epoch,
@@ -540,16 +527,17 @@ class GenericVariant:
             path=request.merkle_path,
             capability=request.capability,
             permit=request.permit,
-            claimed_S=request.S,
             result_ids=request.result_ids,
             result_mac=request.result_mac,
             token=vses.token,
             receipt=vses.receipt,
         )
 
-    def audit(self, rec: VariantAuditRecord) -> AuditOutcome:
-        reason = first_reason(self.traits.audit, self, rec)
-        return AuditOutcome(reason is None, reason)
+    def audit(self, rec: VariantAuditRecord) -> VerifyOutcome:
+        """The row's audit stages, with the record as the claim and its
+        receipt (if the rung issues one) as the session context."""
+        reason = first_reason(self.traits.audit, self, Attempt(rec, None, rec.receipt))
+        return VerifyOutcome(reason is None, reason)
 
     # -- adversary adapters
 

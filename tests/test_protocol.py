@@ -350,6 +350,15 @@ def test_audit_rejection_order():
     )
 
 
+def test_audit_without_receipt_is_a_signature_failure():
+    server, client = _pair(MODE_FULL)
+    ses = _searched(server, client)
+    request = client.build_unlock(ses, "d01", nizk.Witness(35.7004, 139.75))
+    record = dataclasses.replace(emit_audit_record(ses, request), receipt=None)
+    outcome = audit(server.public_key_bytes, server.nizk_vk, record)
+    assert outcome.fail_reason == R_RECEIPT_SIG
+
+
 def test_emit_audit_record_needs_a_receipt():
     server, client = _pair(MODE_FULL)
     ses = client.open_session(server, T0)

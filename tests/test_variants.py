@@ -21,10 +21,12 @@ from sbpp.protocol import (
     R_NONCE_DIGEST,
     R_NOT_IN_RESULT_SET,
     R_PROOF_INVALID,
+    R_RECEIPT_SIG,
     R_SESSION_INVALID,
 )
 from sbpp.receipt import server_keygen
 from sbpp.variants import (
+    RUNGS,
     VARIANT_KINDS,
     R_EVIDENCE_INVALID,
     R_NONCE_ECHO,
@@ -33,6 +35,9 @@ from sbpp.variants import (
     GenericVariant,
     VariantEnv,
     VariantError,
+    audit_token_hash,
+    audit_token_root,
+    audit_token_sig,
     context_digest,
     make_variant,
 )
@@ -315,3 +320,65 @@ def test_v8_audit_checks_signature_when_hash_matches():
         token=fake_token, pub=pub, proof=proof,
     )
     assert variant.audit(rec).fail_reason == R_TOKEN_SIG
+
+
+def test_duplicate_drop_ids_rejected():
+    # two drops under one id: the id table would keep the second, so a
+    # search near the first would answer with a drop ~11 km away
+    drops = [Drop("a", 35.70, 139.75), Drop("a", 35.80, 139.75), Drop("b", 35.7001, 139.75)]
+    env = dataclasses.replace(_env(), drops=drops)
+    for kind in VARIANT_KINDS:
+        with pytest.raises(VariantError):
+            make_variant(kind, env)
+
+
+@pytest.mark.parametrize(
+    "kind, token_includes_root", [(kind, True) for kind in VARIANT_KINDS] + [("V8", False)]
+)
+def test_audit_needs_no_server_state(kind, token_includes_root):
+    variant = make_variant(kind, _env(), token_includes_root=token_includes_root)
+    vses, request = _flow(variant)
+    assert variant.verify(request, T0 + 1).accepted
+    rec = variant.audit_record(vses, request)
+    before = variant.audit(rec)
+    # core receipts carry a zero root, so V4a's honest record stops at membership
+    assert before.fail_reason == (R_MERKLE_INVALID if kind == "V4a" else None)
+    variant.sessions.purge_all()
+    variant.token_by_session.clear()
+    variant.drops.clear()
+    assert variant.audit(rec) == before
+
+
+def test_every_audit_stage_is_a_verify_stage():
+    # the audit is the verify pipeline without server state; only the
+    # receipt signature and V8's token stages (which read the record's
+    # token, not the session's) run offline alone
+    rows = (*RUNGS.values(), make_variant("V8", _env(), token_includes_root=False).traits)
+    verify_stages = {stage for row in rows for stage in row.verify}
+    audit_stages = {stage for row in rows for stage in row.audit} | set(protocol.AUDIT_STAGES)
+    assert audit_stages - verify_stages == {
+        protocol.check_receipt,
+        audit_token_hash,
+        audit_token_sig,
+        audit_token_root,
+    }
+
+
+@pytest.mark.parametrize("kind", ["V5", "V6"])
+def test_grant_audit_binds_the_claimed_session_and_epoch(kind):
+    variant = make_variant(kind, _env())
+    vses, request = _flow(variant)
+    rec = variant.audit_record(vses, request)
+    assert variant.audit(rec).accepted
+    other_session = dataclasses.replace(rec, S=variant.open_session(T0).S)
+    assert variant.audit(other_session).fail_reason == R_EVIDENCE_INVALID
+    other_epoch = dataclasses.replace(rec, epoch="ep1")
+    assert variant.audit(other_epoch).fail_reason == R_EVIDENCE_INVALID
+
+
+def test_v4_audit_without_receipt_is_a_signature_failure():
+    for kind in ("V4a", "V4b"):
+        variant = make_variant(kind, _env())
+        vses, request = _flow(variant)
+        rec = dataclasses.replace(variant.audit_record(vses, request), receipt=None)
+        assert variant.audit(rec).fail_reason == R_RECEIPT_SIG, kind
