@@ -42,7 +42,7 @@ from .harness.experiments import (
     search_quality_experiment,
 )
 from .protocol import AuditRecord, AuditRecordError, audit
-from .session import MODE_CORE, MODE_FULL
+from .session import DEFAULT_EPOCH, DEFAULT_PV, DEFAULT_TTL_S, MODE_CORE, MODE_FULL
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -279,10 +279,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _add_demo_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--key-hex", help="32-byte search key (hex); default derived from seed")
-    p.add_argument("--ttl-seconds", type=int, default=300)
+    p.add_argument("--ttl-seconds", type=int, default=DEFAULT_TTL_S)
     p.add_argument("--mode", choices=[MODE_CORE, MODE_FULL], default=MODE_FULL)
-    p.add_argument("--pv", default="1", help="policy version label")
-    p.add_argument("--epoch", default="ep0", help="epoch label")
+    p.add_argument("--pv", default=DEFAULT_PV, help="policy version label")
+    p.add_argument("--epoch", default=DEFAULT_EPOCH, help="epoch label")
     p.add_argument("--now", type=int, default=1_700_000_000, help="wall-clock seconds for the demo")
 
 

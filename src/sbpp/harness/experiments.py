@@ -32,7 +32,7 @@ from ..geoindex import (
     haversine_m,
     precision_for_radius,
 )
-from ..merkle import MerklePath, PathStep, build_tree, verify_membership
+from ..merkle import MerklePath, build_tree, verify_membership
 from ..protocol import (
     AuditRecord,
     R_CONSUMED,
@@ -44,7 +44,7 @@ from ..protocol import (
     emit_audit_record,
 )
 from ..receipt import verify_receipt
-from ..session import MODE_CORE, MODE_FULL, SessionRecord, SessionStore
+from ..session import DEFAULT_EPOCH, DEFAULT_PV, MODE_CORE, MODE_FULL, SessionRecord, SessionStore
 from .attacks import (
     QUERY_LAT,
     QUERY_LON,
@@ -195,8 +195,8 @@ def merkle_bench(
             t_issue=T0,
             t_exp=T0 + TTL_S,
             mode=MODE_FULL,
-            pv="1",
-            epoch="ep0",
+            pv=DEFAULT_PV,
+            epoch=DEFAULT_EPOCH,
             root=tree.root,
         )
         rows.append(
@@ -246,6 +246,19 @@ def _flip_byte(raw: bytes, index: int = 0) -> bytes:
     return bytes(out)
 
 
+def _flip_first_sibling(path: MerklePath) -> MerklePath:
+    first, *rest = path.steps
+    return MerklePath((replace(first, sibling=_flip_byte(first.sibling)), *rest))
+
+
+def _fault_reasons(injections: dict, audit_one, n: int) -> dict[str, Counter]:
+    """Per injection, what its n tampered records audit to: a reason or "accepted"."""
+    return {
+        name: Counter(audit_one(make(i)).fail_reason or "accepted" for i in range(n))
+        for name, make in injections.items()
+    }
+
+
 def audit_replay_experiment(n: int = 100, seed: int = 0) -> AuditReplayResult:
     """Honest full-mode records all replay after the server purges state;
     core-mode records never do; three tampering classes localize to three
@@ -280,31 +293,16 @@ def audit_replay_experiment(n: int = 100, seed: int = 0) -> AuditReplayResult:
             core_reasons[outcome.fail_reason] += 1
 
     # fault localization on the full-mode records
-    v4b_faults: dict[str, Counter] = {}
     injections = {
         "receipt_swap": lambda i: replace(records[i], receipt=records[(i + 1) % n].receipt),
         "path_corrupt": lambda i: replace(
-            records[i],
-            path=MerklePath(
-                (
-                    PathStep(
-                        records[i].path.steps[0].side,
-                        _flip_byte(records[i].path.steps[0].sibling),
-                    ),
-                )
-                + records[i].path.steps[1:]
-            ),
+            records[i], merkle_path=_flip_first_sibling(records[i].merkle_path)
         ),
         "receipt_sig_corrupt": lambda i: replace(
             records[i], receipt=replace(records[i].receipt, sig=_flip_byte(records[i].receipt.sig))
         ),
     }
-    for name, make in injections.items():
-        reasons: Counter = Counter()
-        for i in range(n):
-            outcome = audit(pub_key, vk, make(i))
-            reasons[outcome.fail_reason if not outcome.accepted else "accepted"] += 1
-        v4b_faults[name] = reasons
+    v4b_faults = _fault_reasons(injections, lambda rec: audit(pub_key, vk, rec), n)
 
     # the same three tampering classes against the opaque-token rung
     v8 = build_variant("V8", seed + 2)
@@ -329,13 +327,7 @@ def audit_replay_experiment(n: int = 100, seed: int = 0) -> AuditReplayResult:
             v8_records[i], token=_tamper_token_field(v8_records[i].token, 6)
         ),
     }
-    v8_faults: dict[str, Counter] = {}
-    for name, make in v8_injections.items():
-        reasons = Counter()
-        for i in range(n):
-            outcome = v8.audit(make(i))
-            reasons[outcome.fail_reason if not outcome.accepted else "accepted"] += 1
-        v8_faults[name] = reasons
+    v8_faults = _fault_reasons(v8_injections, v8.audit, n)
 
     return AuditReplayResult(
         n=n,

@@ -43,6 +43,9 @@ from .geoindex import DEFAULT_PRECISIONS, Drop, GeoIndex, build_index, client_to
 from .merkle import MerklePath, MerkleError, build_tree, verify_membership
 from .receipt import Receipt, ReceiptError, SigningKey, sign_receipt, verify_receipt
 from .session import (
+    DEFAULT_EPOCH,
+    DEFAULT_PV,
+    DEFAULT_TTL_S,
     MODE_CORE,
     MODE_FULL,
     ConsumedSessionError,
@@ -119,9 +122,9 @@ class SbppServer:
         nizk_vk: bytes,
         mode: str = MODE_FULL,
         precisions: list[int] | None = None,
-        ttl_s: int = 300,
-        pv: str = "1",
-        epoch: str = "ep0",
+        ttl_s: int = DEFAULT_TTL_S,
+        pv: str = DEFAULT_PV,
+        epoch: str = DEFAULT_EPOCH,
         unlock_radius_m: float = DEFAULT_UNLOCK_RADIUS_M,
         nonce_rng: random.Random | None = None,
     ):
@@ -244,6 +247,8 @@ def check_receipt(keys: Any, attempt: Attempt) -> str | None:
 def check_digest(verifier: Any, attempt: Attempt) -> str | None:
     """The challenge digest binds the proof to this session's context."""
     record, claim = attempt.record, attempt.claim
+    if claim.pub is None:
+        return R_NONCE_DIGEST
     expected = challenge_digest(
         record.mode, claim.drop_id, record.pv, record.epoch, record.N, record.root
     )
@@ -380,20 +385,16 @@ _EMPTY_PATH = MerklePath(())
 class AuditRecord:
     receipt: Receipt
     drop_id: str
-    path: MerklePath
+    merkle_path: MerklePath
     pub: nizk.PublicInputs
     proof: nizk.Proof
-
-    @property
-    def merkle_path(self) -> MerklePath:
-        return self.path
 
     def serialize(self) -> bytes:
         return lp_encode(
             [
                 self.receipt.serialize(),
                 self.drop_id,
-                self.path.serialize(),
+                self.merkle_path.serialize(),
                 self.pub.to_bytes(),
                 self.proof.serialize(),
             ]
@@ -411,7 +412,7 @@ class AuditRecord:
             return cls(
                 receipt=Receipt.parse(fields[0]),
                 drop_id=fields[1].decode("utf-8"),
-                path=MerklePath.parse(fields[2]),
+                merkle_path=MerklePath.parse(fields[2]),
                 pub=nizk.PublicInputs.from_bytes(fields[3]),
                 proof=nizk.Proof.parse(fields[4]),
             )
@@ -426,7 +427,7 @@ def emit_audit_record(ses: ClientSession, request: UnlockRequest) -> AuditRecord
     return AuditRecord(
         receipt=ses.receipt,
         drop_id=request.drop_id,
-        path=request.merkle_path if request.merkle_path is not None else _EMPTY_PATH,
+        merkle_path=request.merkle_path if request.merkle_path is not None else _EMPTY_PATH,
         pub=request.pub,
         proof=request.proof,
     )

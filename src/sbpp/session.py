@@ -29,6 +29,8 @@ from .canon import lp_encode
 from .merkle import build_tree, strictly_sorted
 
 DEFAULT_TTL_S = 300
+DEFAULT_PV = "1"  # policy version
+DEFAULT_EPOCH = "ep0"
 MODE_CORE = "core"
 MODE_FULL = "full"
 
@@ -101,8 +103,8 @@ class SessionStore:
     """
 
     ttl_s: int = DEFAULT_TTL_S
-    pv: str = "1"
-    epoch: str = "ep0"
+    pv: str = DEFAULT_PV
+    epoch: str = DEFAULT_EPOCH
     nonce_rng: random.Random | None = None
     _records: dict[str, SessionRecord] = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock)

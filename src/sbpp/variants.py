@@ -25,8 +25,9 @@ VERIFY_STAGES and AUDIT_STAGES objects, and the ladder-only stages here
 shared session, membership, statement, proof and consume stages.
 
 An audit is the verify stages run without server state: the audit record
-takes the request's place and its receipt, where the rung issues one, the
-session record's.  So every audit stage is a verify stage too, except the
+is the request itself, stamped with the token and receipt the session was
+issued, and its receipt, where the rung issues one, takes the session
+record's place.  So every audit stage is a verify stage too, except the
 protocol's receipt signature and V8's token hash, signature and root,
 which read the token from the record instead of the server's session.
 
@@ -52,6 +53,7 @@ from .geoindex import DEFAULT_PRECISIONS, Drop, build_index, client_tokens, make
 from .merkle import MerklePath, build_tree, verify_membership
 from .protocol import (
     AUDIT_STAGES,
+    DEFAULT_UNLOCK_RADIUS_M,
     VERIFY_STAGES,
     Attempt,
     ClientSession,
@@ -73,7 +75,7 @@ from .protocol import (
     sign_session,
 )
 from .receipt import Receipt, SigningKey
-from .session import MODE_CORE, MODE_FULL, SessionStore
+from .session import DEFAULT_EPOCH, DEFAULT_PV, DEFAULT_TTL_S, MODE_CORE, MODE_FULL, SessionStore
 
 VARIANT_KINDS = ("V1", "V2", "V3", "V4a", "V4b", "V5", "V6", "V7", "V8")
 
@@ -110,10 +112,10 @@ class VariantEnv:
     verifying_key: bytes
     mac_key: bytes
     precisions: tuple[int, ...] = DEFAULT_PRECISIONS
-    ttl_s: int = 300
-    pv: str = "1"
-    epoch: str = "ep0"
-    unlock_radius_m: float = 1000.0
+    ttl_s: int = DEFAULT_TTL_S
+    pv: str = DEFAULT_PV
+    epoch: str = DEFAULT_EPOCH
+    unlock_radius_m: float = DEFAULT_UNLOCK_RADIUS_M
     nonce_rng: random.Random | None = None
 
 
@@ -127,42 +129,21 @@ class VariantSession(ClientSession):
     token: bytes | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class VariantRequest(UnlockRequest):
-    """The protocol's request plus a rung's sidecar evidence.  V6 sends no
-    proof, so there ``pub`` and ``proof`` are None."""
+    """The protocol's request plus the context it claims and a rung's sidecar
+    evidence (V6 sends no proof: ``pub`` and ``proof`` are None).  The audit
+    record is the request with the session's ``token`` and ``receipt`` set."""
 
-    pv: str = "1"
-    epoch: str = "ep0"
-    nonce_echo: bytes | None = None
-    capability: bytes | None = None
-    permit: bytes | None = None
-    result_ids: tuple[str, ...] | None = None
-    result_mac: bytes | None = None
-
-
-@dataclass(frozen=True)
-class VariantAuditRecord:
-    """Offline evidence bundle; which fields are set depends on the rung.
-    It is the claim an audit's stages check, as a request is online."""
-
-    S: str
-    drop_id: str
     pv: str
     epoch: str
-    pub: nizk.PublicInputs | None = None
-    proof: nizk.Proof | None = None
-    path: MerklePath | None = None
+    nonce_echo: bytes | None = None
     capability: bytes | None = None
     permit: bytes | None = None
     result_ids: tuple[str, ...] | None = None
     result_mac: bytes | None = None
     token: bytes | None = None
     receipt: Receipt | None = None
-
-    @property
-    def merkle_path(self) -> MerklePath | None:
-        return self.path
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +231,14 @@ def check_context_digest(variant: GenericVariant, attempt: Attempt) -> str | Non
     return None
 
 
+def _token_member(token: bytes, claim: VariantRequest) -> str | None:
+    """Membership against the root inside ``token``."""
+    root, path = lp_decode(token)[3], claim.merkle_path
+    if path is None or not verify_membership(root, claim.drop_id, path):
+        return R_MERKLE_INVALID
+    return None
+
+
 def check_token_hash(variant: GenericVariant, attempt: Attempt) -> str | None:
     token = variant.token_by_session.get(attempt.claim.S)
     if token is None:
@@ -260,11 +249,7 @@ def check_token_hash(variant: GenericVariant, attempt: Attempt) -> str | None:
 
 def check_token_root(variant: GenericVariant, attempt: Attempt) -> str | None:
     """Membership against the root inside this session's token."""
-    claim = attempt.claim
-    root, path = lp_decode(variant.token_by_session[claim.S])[3], claim.merkle_path
-    if path is None or not verify_membership(root, claim.drop_id, path):
-        return R_MERKLE_INVALID
-    return None
+    return _token_member(variant.token_by_session[attempt.claim.S], attempt.claim)
 
 
 # V8 audits read the record's token; online, the token the server holds for
@@ -288,11 +273,7 @@ def audit_token_sig(variant: GenericVariant, attempt: Attempt) -> str | None:
 
 
 def audit_token_root(variant: GenericVariant, attempt: Attempt) -> str | None:
-    rec = attempt.claim
-    root = lp_decode(rec.token)[3]
-    if rec.path is None or not verify_membership(root, rec.drop_id, rec.path):
-        return R_MERKLE_INVALID
-    return None
+    return _token_member(attempt.claim.token, attempt.claim)
 
 
 # ---------------------------------------------------------------------------
@@ -516,24 +497,11 @@ class GenericVariant:
 
     # -- offline audit
 
-    def audit_record(self, vses: VariantSession, request: VariantRequest) -> VariantAuditRecord:
-        return VariantAuditRecord(
-            S=request.S,
-            drop_id=request.drop_id,
-            pv=request.pv,
-            epoch=request.epoch,
-            pub=request.pub,
-            proof=request.proof,
-            path=request.merkle_path,
-            capability=request.capability,
-            permit=request.permit,
-            result_ids=request.result_ids,
-            result_mac=request.result_mac,
-            token=vses.token,
-            receipt=vses.receipt,
-        )
+    def audit_record(self, vses: VariantSession, request: VariantRequest) -> VariantRequest:
+        """The request, stamped with the token and receipt the session was issued."""
+        return replace(request, token=vses.token, receipt=vses.receipt)
 
-    def audit(self, rec: VariantAuditRecord) -> VerifyOutcome:
+    def audit(self, rec: VariantRequest) -> VerifyOutcome:
         """The row's audit stages, with the record as the claim and its
         receipt (if the rung issues one) as the session context."""
         reason = first_reason(self.traits.audit, self, Attempt(rec, None, rec.receipt))
@@ -573,15 +541,15 @@ class GenericVariant:
             capability=vses.capabilities.get(new_drop_id),
         )
 
-    def splice_records(
-        self, proof_rec: VariantAuditRecord, ctx_rec: VariantAuditRecord
-    ) -> VariantAuditRecord:
+    def splice_records(self, proof_rec: VariantRequest, ctx_rec: VariantRequest) -> VariantRequest:
         """Pair one record's proof with another record's session evidence."""
-        return replace(ctx_rec, pub=proof_rec.pub, proof=proof_rec.proof, path=proof_rec.path)
+        return replace(
+            ctx_rec, pub=proof_rec.pub, proof=proof_rec.proof, merkle_path=proof_rec.merkle_path
+        )
 
     def fabricate_nonmember_record(
         self, vses: VariantSession, drop: Drop, witness: nizk.Witness
-    ) -> VariantAuditRecord:
+    ) -> VariantRequest:
         """An audit record for a drop the search never returned, carrying
         whatever evidence the session was issued for other drops."""
         rec = self.audit_record(vses, self.build_nonmember_unlock(vses, drop, witness))

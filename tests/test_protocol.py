@@ -339,8 +339,8 @@ def test_audit_rejection_order():
     assert (
         audit(server.public_key_bytes, server.nizk_vk, swapped).fail_reason == R_NONCE_DIGEST
     )
-    bad_step = PathStep(record.path.steps[0].side, bytes(32))
-    torn = dataclasses.replace(record, path=MerklePath((bad_step, *record.path.steps[1:])))
+    bad_step = PathStep(record.merkle_path.steps[0].side, bytes(32))
+    torn = dataclasses.replace(record, merkle_path=MerklePath((bad_step, *record.merkle_path.steps[1:])))
     assert (
         audit(server.public_key_bytes, server.nizk_vk, torn).fail_reason == R_MERKLE_INVALID
     )
@@ -357,6 +357,18 @@ def test_audit_without_receipt_is_a_signature_failure():
     record = dataclasses.replace(emit_audit_record(ses, request), receipt=None)
     outcome = audit(server.public_key_bytes, server.nizk_vk, record)
     assert outcome.fail_reason == R_RECEIPT_SIG
+
+
+@pytest.mark.parametrize("mode", [MODE_CORE, MODE_FULL])
+def test_missing_public_inputs_answer_a_reason(mode):
+    # the digest stage is the first to read pub: it answers, it does not raise
+    server, client = _pair(mode)
+    ses = _searched(server, client)
+    request = client.build_unlock(ses, "d01", nizk.Witness(35.7004, 139.75))
+    record = dataclasses.replace(emit_audit_record(ses, request), pub=None)
+    assert audit(server.public_key_bytes, server.nizk_vk, record).fail_reason == R_NONCE_DIGEST
+    outcome = server.verify(dataclasses.replace(request, pub=None), T0 + 1)
+    assert outcome.fail_reason == R_NONCE_DIGEST
 
 
 def test_emit_audit_record_needs_a_receipt():

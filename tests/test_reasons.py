@@ -215,17 +215,7 @@ def verify_cell(name: str, mutation: str) -> str:
 
 
 def _field(rec, name: str):
-    # A record may nest the protocol's own AuditRecord under `sbpp`; the
-    # fields of that copy are the ones its audit reads.
-    inner = getattr(rec, "sbpp", None)
-    return getattr(inner if inner is not None else rec, name, None)
-
-
-def _edit_record(rec, **changes):
-    inner = getattr(rec, "sbpp", None)
-    if inner is not None:
-        return dataclasses.replace(rec, sbpp=dataclasses.replace(inner, **changes))
-    return dataclasses.replace(rec, **changes)
+    return getattr(rec, name, None)
 
 
 AUDIT_MUTATIONS = (
@@ -247,38 +237,38 @@ def audit_cell(name: str, mutation: str) -> str:
     rec = sub.record(ses, sub.unlock(ses, TARGET))
     if mutation == "receipt-signature":
         receipt = _field(rec, "receipt")
-        rec = None if receipt is None else _edit_record(
+        rec = None if receipt is None else dataclasses.replace(
             rec, receipt=dataclasses.replace(receipt, sig=_flip(receipt.sig))
         )
     elif mutation == "digest":
         pub = _field(rec, "pub")
-        rec = None if pub is None else _edit_record(rec, pub=_shifted_digest(pub))
+        rec = None if pub is None else dataclasses.replace(rec, pub=_shifted_digest(pub))
     elif mutation == "path":
-        path = _field(rec, "path")
+        path = _field(rec, "merkle_path")
         # a core record's path is empty or unset: there is no root to break it against
-        rec = _edit_record(rec, path=_path_of(ses, SIBLING)) if path and path.steps else None
+        rec = dataclasses.replace(rec, merkle_path=_path_of(ses, SIBLING)) if path and path.steps else None
     elif mutation == "proof":
         proof = _field(rec, "proof")
-        rec = None if proof is None else _edit_record(
+        rec = None if proof is None else dataclasses.replace(
             rec, proof=dataclasses.replace(proof, body=_flip(proof.body))
         )
     elif mutation == "token-hash":
         token = _field(rec, "token")
-        rec = None if token is None else _edit_record(rec, token=_flip(token))
+        rec = None if token is None else dataclasses.replace(rec, token=_flip(token))
     elif mutation == "token-signature":
         # a token the prover honestly committed to, which the server never signed
         token = _field(rec, "token")
         if token is not None:
             fake = _flip(token)
             pub = nizk.make_public_inputs(*nizk.decode_target(_field(rec, "pub")), digest([fake]))
-            rec = _edit_record(rec, token=fake, pub=pub, proof=nizk.prove(PROVING_KEY, WITNESS, pub))
+            rec = dataclasses.replace(rec, token=fake, pub=pub, proof=nizk.prove(PROVING_KEY, WITNESS, pub))
         else:
             rec = None
     elif mutation == "evidence":
         for name_ in ("capability", "permit", "result_mac"):
             value = _field(rec, name_)
             if value is not None:
-                rec = _edit_record(rec, **{name_: _flip(value)})
+                rec = dataclasses.replace(rec, **{name_: _flip(value)})
                 break
         else:
             rec = None

@@ -35,6 +35,7 @@ from sbpp.variants import (
     GenericVariant,
     VariantEnv,
     VariantError,
+    VariantRequest,
     audit_token_hash,
     audit_token_root,
     audit_token_sig,
@@ -382,3 +383,39 @@ def test_v4_audit_without_receipt_is_a_signature_failure():
         vses, request = _flow(variant)
         rec = dataclasses.replace(variant.audit_record(vses, request), receipt=None)
         assert variant.audit(rec).fail_reason == R_RECEIPT_SIG, kind
+
+
+# every rung, plus V8 with a token that omits the root
+ALL_ROWS = [(kind, True) for kind in VARIANT_KINDS] + [("V8", False)]
+
+
+@pytest.mark.parametrize("kind, token_includes_root", ALL_ROWS)
+def test_audit_record_is_the_stamped_request(kind, token_includes_root):
+    variant = make_variant(kind, _env(), token_includes_root=token_includes_root)
+    vses, request = _flow(variant)
+    stamped = dataclasses.replace(request, token=vses.token, receipt=vses.receipt)
+    assert variant.audit_record(vses, request) == stamped
+
+
+def test_request_must_name_its_context():
+    _, request = _flow(make_variant("V2", _env()))
+    fields = dict(S=request.S, drop_id=request.drop_id, pub=request.pub, proof=request.proof)
+    with pytest.raises(TypeError):
+        VariantRequest(**fields, epoch=request.epoch)
+    with pytest.raises(TypeError):
+        VariantRequest(**fields, pv=request.pv)
+    assert VariantRequest(**fields, pv=request.pv, epoch=request.epoch) == request
+
+
+@pytest.mark.parametrize(
+    "kind, token_includes_root",
+    [row for row in ALL_ROWS if RUNGS[row[0]].has_proof],
+)
+def test_missing_public_inputs_answer_a_reason(kind, token_includes_root):
+    # the digest stage is the first to read pub: it answers, it does not raise
+    variant = make_variant(kind, _env(), token_includes_root=token_includes_root)
+    vses, request = _flow(variant)
+    expected = R_TOKEN_HASH if kind == "V8" else R_NONCE_DIGEST
+    rec = dataclasses.replace(variant.audit_record(vses, request), pub=None)
+    assert variant.audit(rec).fail_reason == expected
+    assert variant.verify(dataclasses.replace(request, pub=None), T0 + 1).fail_reason == expected
