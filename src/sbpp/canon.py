@@ -16,6 +16,7 @@ normalization: two ids that differ in codepoints are different ids.
 from __future__ import annotations
 
 import hashlib
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -58,6 +59,13 @@ class FieldElement:
         if value >= Q:
             raise EncodingError("field element encoding not reduced")
         return cls(value)
+
+
+def strictly_sorted(ids: list[str] | tuple[str, ...]) -> bool:
+    """True iff the ids are unique and in UTF-8 byte order, the canonical
+    order of a result set.  Code point order is UTF-8 byte order, so the
+    strings are compared unencoded."""
+    return all(map(operator.lt, ids, ids[1:]))
 
 
 def _as_bytes(field: bytes | str) -> bytes:

@@ -27,15 +27,28 @@ indexed precision can cover within the budget is a GeoindexError, never an
 empty answer.  Every query sends COVER_BUDGET tags, so the tag count does
 not reveal the radius; the number of tags that hit the index (the non-empty
 cover cells) does.
+
+For the result-set commitment (see sbpp.merkle) the index also answers which
+cells a query hit, in tag order, with each cell's sorted ids and Merkle
+root.  A cell's root is computed on its first hit and kept, 32 bytes per hit
+cell, so a build hashes no id and a search hashes only cells never hit before.
+
+Tags are HMAC-SHA-256 (RFC 2104).  `hmac_tagger` hashes the key's inner and
+outer pads once and derives each tag from copies of those two states, which
+gives `hmac.digest`'s bytes without setting the key up again per tag; a query
+and a build each key one tagger.
 """
 
 from __future__ import annotations
 
-import hmac
+import hashlib
 import math
 import random
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from functools import partial
+
+from .merkle import Cell, MerkleTree
 
 GEOHASH_ALPHABET = "0123456789bcdefghjkmnpqrstuvwxyz"
 _CHAR_INDEX = {c: i for i, c in enumerate(GEOHASH_ALPHABET)}
@@ -254,17 +267,44 @@ def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
 # tokens and index
 
 
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+_SHA256_BLOCK = 64
+
+
+def hmac_tagger(key: bytes) -> Callable[[int | str, str], bytes]:
+    """``make_token`` with ``key`` bound: the HMAC-SHA-256 pads are hashed
+    here once, and each tag finishes copies of the two keyed states."""
+    if len(key) != 32:
+        raise GeoindexError("search key must be 32 bytes")
+    block = key.ljust(_SHA256_BLOCK, b"\0")
+    inner = hashlib.sha256(block.translate(_IPAD))
+    outer = hashlib.sha256(block.translate(_OPAD))
+
+    def token(precision: int | str, cell: str) -> bytes:
+        h = inner.copy()
+        h.update(f"{TOKEN_LABEL}:{precision}:{cell}".encode("ascii"))
+        o = outer.copy()
+        o.update(h.digest())
+        return o.digest()
+
+    return token
+
+
 def make_token(key: bytes, precision: int | str, cell: str) -> bytes:
     """HMAC tag for one cell; the only thing the server ever sees of it.
     A dummy tag puts PAD_LABEL in the precision slot."""
-    if len(key) != 32:
-        raise GeoindexError("search key must be 32 bytes")
-    return hmac.digest(key, f"{TOKEN_LABEL}:{precision}:{cell}".encode("ascii"), "sha256")
+    return hmac_tagger(key)(precision, cell)
 
 
 def plain_tag(key: bytes, precision: int | str, cell: str) -> bytes:
     """The cell itself as the tag: the plaintext-search baseline.  Ignores the key."""
     return f"{precision}:{cell}".encode("ascii")
+
+
+def _keyed(tag, key: bytes) -> Callable[[int | str, str], bytes]:
+    """``tag`` with ``key`` bound, keyed once for ``make_token``."""
+    return hmac_tagger(key) if tag is make_token else partial(tag, key)
 
 
 def client_tokens(
@@ -293,8 +333,9 @@ def client_tokens(
             f"radius {radius_m:g} m has no cover of at most {COVER_BUDGET} cells "
             f"at precisions {sorted(precisions)}"
         )
-    tags = [tag(key, precision, c) for c in cells]
-    tags += [tag(key, PAD_LABEL, f"{cells[0]}:{i}") for i in range(len(cells), COVER_BUDGET)]
+    tag_of = _keyed(tag, key)
+    tags = [tag_of(precision, c) for c in cells]
+    tags += [tag_of(PAD_LABEL, f"{cells[0]}:{i}") for i in range(len(cells), COVER_BUDGET)]
     tags.sort()
     return precision, tags
 
@@ -311,6 +352,7 @@ class GeoIndex:
                 raise GeoindexError("index precision out of range")
         self.precisions = sorted(set(precisions))
         self.entries: dict[bytes, list[str]] = {}
+        self._roots: dict[bytes, bytes] = {}  # tag -> cell root, from the cell's first hit
 
     def match(self, tags: list[bytes]) -> list[str]:
         """Union of ids under the queried tags, de-duplicated and sorted in
@@ -321,6 +363,20 @@ class GeoIndex:
             if ids:
                 found.update(ids)
         return sorted(found)
+
+    def cells(self, tags: list[bytes]) -> list[Cell]:
+        """The non-empty cells under the queried tags, each once and in tag
+        order, with their ids sorted and their Merkle roots."""
+        out = []
+        for tag in sorted(set(tags)):
+            ids = self.entries.get(tag)
+            if ids:
+                ids = sorted(ids)
+                root = self._roots.get(tag)
+                if root is None:  # two racing first hits store the same root
+                    root = self._roots[tag] = MerkleTree(ids).root
+                out.append(Cell(root, ids))
+        return out
 
 
 def build_index(key: bytes, drops: list[Drop], precisions: list[int], tag=make_token) -> GeoIndex:
@@ -343,9 +399,10 @@ def build_index(key: bytes, drops: list[Drop], precisions: list[int], tag=make_t
         y = _axis_cell(drop.lat, -90.0, 180.0, lat_bits)
         for _, dx, dy, cells in levels:
             cells.setdefault((x >> dx, y >> dy), []).append(drop.id)
+    tag_of = _keyed(tag, key)
     for p, _, _, cells in levels:
         for (x, y), ids in cells.items():
-            index.entries[tag(key, p, _cell_string(x, y, p))] = ids
+            index.entries[tag_of(p, _cell_string(x, y, p))] = ids
     return index
 
 

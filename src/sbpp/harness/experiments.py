@@ -19,6 +19,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
+from .. import nizk
 from ..canon import cd_core, lp_decode, lp_encode
 from ..geoindex import (
     EARTH_RADIUS_M,
@@ -32,15 +33,25 @@ from ..geoindex import (
     haversine_m,
     precision_for_radius,
 )
-from ..merkle import MerklePath, build_tree, verify_membership
+from ..merkle import (
+    Cell,
+    MerklePath,
+    MerkleTree,
+    build_tree,
+    result_path,
+    result_root,
+    verify_membership,
+)
 from ..protocol import (
     AuditRecord,
+    ProtocolError,
     R_CONSUMED,
     R_EXPIRED,
     SbppClient,
     SbppServer,
     UnlockRequest,
     audit,
+    candidates_for,
     emit_audit_record,
 )
 from ..receipt import verify_receipt
@@ -459,20 +470,56 @@ def atomicity_and_isolation_suite(
 # malicious-server behaviors
 
 
+def _keep(cells: list[Cell], kept: list[str]) -> list[Cell]:
+    """The cells re-committed to the ``kept`` ids alone, empty ones dropped."""
+    keep = set(kept)
+    out = []
+    for cell in cells:
+        ids = [i for i in cell.ids if i in keep]
+        if ids:
+            out.append(Cell(MerkleTree(ids).root, ids))
+    return out
+
+
 class _OmittingServer(SbppServer):
     """Matches honestly, then silently drops the last candidate."""
 
-    def _match_ids(self, tags):
-        ids = super()._match_ids(tags)
-        return ids[:-1] if len(ids) > 1 else ids
+    def _match(self, tags):
+        ids, cells = super()._match(tags)
+        ids = ids[:-1] if len(ids) > 1 else ids
+        return ids, _keep(cells, ids)
 
 
 class _BiasedServer(SbppServer):
     """Consistently returns (and signs) a biased subset of the matches."""
 
-    def _match_ids(self, tags):
-        ids = super()._match_ids(tags)
-        return ids[::2] if len(ids) > 1 else ids
+    def _match(self, tags):
+        ids, cells = super()._match(tags)
+        ids = ids[::2] if len(ids) > 1 else ids
+        return ids, _keep(cells, ids)
+
+
+class _MisreportingServer(_OmittingServer):
+    """Binds and signs the root of the matches without the last candidate,
+    but shows the client every match and honest cells: its receipt disagrees
+    with the cell roots it showed."""
+
+    def search(self, S, tags, now):
+        response = super().search(S, tags, now)
+        ids, cells = SbppServer._match(self, tags)
+        return replace(response, candidates=candidates_for(self.drops, ids), cells=tuple(cells))
+
+
+class _RecommittingServer(SbppServer):
+    """Shows every match, but commits (and shows) the last hit cell's root as
+    if that cell lacked its last id: consistent, and wrong in one cell."""
+
+    def _match(self, tags):
+        ids, cells = super()._match(tags)
+        last = cells[-1]
+        if len(last.ids) > 1:
+            cells[-1] = Cell(MerkleTree(last.ids[:-1]).root, last.ids)
+        return ids, cells
 
 
 class _PredictableNonceStore(SessionStore):
@@ -495,6 +542,8 @@ class MaliciousServerResult:
     transfer_success_honest: int
     refusal_detected: int
     forgery_successes: int
+    receipt_mismatch_detected: int
+    cell_recommit_unnoticed: int
 
     def to_report(self) -> ExperimentReport:
         rep = ExperimentReport("malicious_server", {"trials": self.trials})
@@ -504,6 +553,13 @@ class MaliciousServerResult:
         rep.add("nonce_transfer_honest_issuer", f"{self.transfer_success_honest}/{self.trials}")
         rep.add("refusal_detected (boundary)", f"{self.refusal_detected}/{self.trials}")
         rep.add("receipt_forgery_successes", f"{self.forgery_successes}/{self.trials}")
+        rep.add(
+            "receipt_vs_shown_cells_detected", f"{self.receipt_mismatch_detected}/{self.trials}"
+        )
+        rep.add(
+            "other_cell_recommit_unnoticed (boundary)",
+            f"{self.cell_recommit_unnoticed}/{self.trials}",
+        )
         return rep
 
 
@@ -515,10 +571,11 @@ def malicious_server_suite(seed: int = 0, trials: int = 100) -> MaliciousServerR
     omitting, client = protocol_pair(
         replace(env, nonce_rng=random.Random(seed + 1)), MODE_FULL, _OmittingServer
     )
-    reference_ids = build_index(env.search_key, env.drops, list(env.precisions)).match(
-        client_tokens(env.search_key, QUERY_LAT, QUERY_LON, RADIUS_M, env.precisions)[1]
+    reference_root = result_root(
+        build_index(env.search_key, env.drops, list(env.precisions)).cells(
+            client_tokens(env.search_key, QUERY_LAT, QUERY_LON, RADIUS_M, env.precisions)[1]
+        )
     )
-    reference_root = build_tree(reference_ids).root
     omission_detected = 0
     for _ in range(trials):
         ses = client.open_session(omitting, T0)
@@ -547,7 +604,7 @@ def malicious_server_suite(seed: int = 0, trials: int = 100) -> MaliciousServerR
         request_a = client.build_unlock(ses_a, drop_id, WITNESS_NEAR_QUERY)
         ses_b = client.open_session(server, T0)
         client.search(server, ses_b, QUERY_LAT, QUERY_LON, RADIUS_M, T0)
-        path_b = build_tree(ses_b.result_ids()).prove_membership(drop_id)
+        path_b = result_path(ses_b.cells, drop_id)[1]
         stolen = UnlockRequest(
             S=ses_b.S, drop_id=drop_id, pub=request_a.pub, proof=request_a.proof, merkle_path=path_b
         )
@@ -577,6 +634,39 @@ def malicious_server_suite(seed: int = 0, trials: int = 100) -> MaliciousServerR
             forged = replace(template, root=rng.randbytes(32))  # body swap, stale sig
         forgery_successes += int(verify_receipt(honest.public_key_bytes, forged))
 
+    # The client checks its recomputed root against the receipt.  Over a
+    # corpus whose 1 km query hits several precision-6 cells, it catches
+    # every receipt that disagrees with the cells shown, but not a server
+    # that commits a cell other than the target's differently and
+    # consistently: that rate is the share of picks outside that cell.
+    box = (QUERY_LAT - 0.01, QUERY_LAT + 0.01, QUERY_LON - 0.012, QUERY_LON + 0.012)
+    spread = seeded_env(seed, gen_uniform_corpus(200, seed, box), precisions=(6,))
+    picker = random.Random(f"cells:{seed}")
+
+    def cell_trial(server: SbppServer) -> bool:
+        """True iff the client builds a request and its unlock and audit pass."""
+        ses = client.open_session(server, T0)
+        client.search(server, ses, QUERY_LAT, QUERY_LON, RADIUS_M, T0)
+        target = ses.candidates[picker.randrange(len(ses.candidates))]
+        try:
+            request = client.build_unlock(ses, target.id, nizk.Witness(target.lat, target.lon))
+        except ProtocolError:
+            return False
+        rec = emit_audit_record(ses, request)
+        return (
+            server.verify(request, T0 + 5).accepted
+            and audit(server.public_key_bytes, server.nizk_vk, rec).accepted
+        )
+
+    misreporting, _ = protocol_pair(
+        replace(spread, nonce_rng=random.Random(seed + 5)), MODE_FULL, _MisreportingServer
+    )
+    mismatch_detected = sum(int(not cell_trial(misreporting)) for _ in range(trials))
+    recommitting, _ = protocol_pair(
+        replace(spread, nonce_rng=random.Random(seed + 6)), MODE_FULL, _RecommittingServer
+    )
+    recommit_unnoticed = sum(int(cell_trial(recommitting)) for _ in range(trials))
+
     return MaliciousServerResult(
         trials=trials,
         omission_detected=omission_detected,
@@ -585,6 +675,8 @@ def malicious_server_suite(seed: int = 0, trials: int = 100) -> MaliciousServerR
         transfer_success_honest=transfer_honest,
         refusal_detected=refusal_detected,
         forgery_successes=forgery_successes,
+        receipt_mismatch_detected=mismatch_detected,
+        cell_recommit_unnoticed=recommit_unnoticed,
     )
 
 

@@ -1,15 +1,33 @@
 """Canonical Merkle commitment over a result set.
 
-The tree is built over the sorted, de-duplicated list of drop ids (UTF-8 byte
-order), so any two parties holding the same id set compute the same root.
+A result set is the union of the index cells its search hit, and it is
+committed to in two levels.  Each cell gets a subtree over its sorted,
+de-duplicated drop ids (UTF-8 byte order), so any two parties holding the
+same cell's ids compute the same cell root.  A top tree is then built with
+the cell roots, in the order of the query's sorted tags, as its leaves:
+`result_root` gives its root and `result_path` an id's path through its own
+cell's subtree and on through the top tree.  A one-cell result commits to
+that cell's own flat root, byte for byte.  The cells' ids never change
+after the index is built, so the server keeps each cell's root from its
+first hit and binds a search with at most 15 node hashes.
+
+The trade-off: a client rebuilds only the subtree of the cell that holds the
+drop it unlocks, and takes every other cell's root from the server.  It
+notices a server that signs a root other than the one over the cells it
+showed, or that misstates the client's own cell, but not one that commits a
+different cell differently and consistently.  The audit of the client's own
+unlock is unaffected: its path runs through the cell the client rebuilt.
+
 Leaves and interior nodes use distinct hash domains, which kills
-second-preimage tricks that reinterpret an interior node as a leaf.  When a
-level has an odd node count the trailing node is paired with itself.
+second-preimage tricks that reinterpret an interior node as a leaf, and lets
+`verify_membership` check a path through a tree of any shape, so a two-level
+path needs no verifier of its own.  When a level has an odd node count the
+trailing node is paired with itself.
 
 A membership path is the ordered list of (side, sibling) steps from leaf to
-root; `side` records where the sibling sits.  For n leaves every path has
-exactly ceil(log2(n)) steps (zero for a single leaf), which keeps path sizes
-and verification cost uniform across the whole tree.
+root; `side` records where the sibling sits.  For n leaves every path of a
+flat tree has exactly ceil(log2(n)) steps (zero for a single leaf); a
+two-level path adds ceil(log2(cells)) steps for the top tree.
 
 Both hashes are SHA-256 over the `lp_encode` framing of their fields.  The
 part of that framing that never changes (the domain tag, and for a node the
@@ -31,13 +49,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-import operator
 import struct
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
-from .canon import lp_encode
+from .canon import lp_encode, strictly_sorted
 
 DOMAIN_LEAF = "SBPP-LEAF"
 DOMAIN_NODE = "SBPP-NODE"
@@ -72,12 +91,6 @@ def node_hash(left: bytes, right: bytes) -> bytes:
     return hashlib.sha256(_NODE_HEAD + left + _CHILD_LEN + right).digest()
 
 
-def strictly_sorted(ids: list[str]) -> bool:
-    """True iff the ids are unique and in UTF-8 byte order.  Code point
-    order is UTF-8 byte order, so the strings are compared unencoded."""
-    return all(map(operator.lt, ids, ids[1:]))
-
-
 def _leaf_level(ids: list[str]) -> list[bytes]:
     """`[leaf_hash(i) for i in ids]`, hashed in one pipeline."""
     raws = list(map(str.encode, ids))
@@ -90,6 +103,19 @@ def _node_level(level: list[bytes]) -> list[bytes]:
     32-byte hashes, hashed in one pipeline."""
     frames = map(b"".join, zip(repeat(_NODE_HEAD), level[::2], repeat(_CHILD_LEN), level[1::2]))
     return list(map(_digest, map(hashlib.sha256, frames)))
+
+
+def _levels(level: list[bytes]) -> list[list[bytes]]:
+    """Every level of the tree over the 32-byte hashes ``level``, which it
+    pads: a level with an odd node count gets a copy of its last node, so
+    every node below the root has a sibling at ``index ^ 1``."""
+    levels = [level]
+    while len(level) > 1:
+        if len(level) % 2:
+            level.append(level[-1])  # odd tail: the last node pairs with itself
+        level = _node_level(level)
+        levels.append(level)
+    return levels
 
 
 @dataclass(frozen=True)
@@ -134,11 +160,8 @@ class MerklePath:
 
 
 class MerkleTree:
-    """Tree over sorted unique ids; keeps all levels for path extraction.
-
-    A level with an odd node count is stored padded with a copy of its last
-    node, so every node below the root has a sibling at `index ^ 1`.
-    """
+    """Tree over sorted unique ids; keeps all levels (padded, see `_levels`)
+    for path extraction."""
 
     def __init__(self, ids: list[str]):
         if not ids:
@@ -146,14 +169,7 @@ class MerkleTree:
         if not strictly_sorted(ids):
             raise MerkleError("result set ids must be unique and sorted")
         self.ids = list(ids)
-        level = _leaf_level(self.ids)
-        levels = [level]
-        while len(level) > 1:
-            if len(level) % 2:
-                level.append(level[-1])  # odd tail: the last node pairs with itself
-            level = _node_level(level)
-            levels.append(level)
-        self._levels = levels
+        self._levels = _levels(_leaf_level(self.ids))
 
     @property
     def root(self) -> bytes:
@@ -167,16 +183,67 @@ class MerkleTree:
         index = bisect_left(self.ids, drop_id)
         if index == len(self.ids) or self.ids[index] != drop_id:
             raise NotAMemberError(f"{drop_id!r} is not in the committed set")
-        steps = []
-        for level in self._levels[:-1]:
-            side = SIDE_LEFT if index % 2 else SIDE_RIGHT
-            steps.append(PathStep(side, level[index ^ 1]))
-            index //= 2
-        return MerklePath(tuple(steps))
+        return MerklePath(_steps(self._levels, index))
+
+
+def _steps(levels: list[list[bytes]], index: int) -> tuple[PathStep, ...]:
+    """The path from node ``index`` of the bottom level to the root."""
+    steps = []
+    for level in levels[:-1]:
+        side = SIDE_LEFT if index % 2 else SIDE_RIGHT
+        steps.append(PathStep(side, level[index ^ 1]))
+        index //= 2
+    return tuple(steps)
 
 
 def build_tree(ids: list[str]) -> MerkleTree:
     return MerkleTree(ids)
+
+
+class Cell(NamedTuple):
+    """One hit cell of a result set: the root of the flat tree over its ids,
+    and the ids, sorted and unique."""
+
+    root: bytes
+    ids: Sequence[str]
+
+
+def _top_leaves(cells: Sequence[Cell]) -> list[bytes]:
+    if not cells:
+        raise MerkleError("cannot commit to an empty result set")
+    roots = [cell.root for cell in cells]
+    if any(len(root) != 32 for root in roots):
+        raise MerkleError("cell roots must be 32 bytes")
+    return roots
+
+
+def result_root(cells: Sequence[Cell]) -> bytes:
+    """The commitment to a result set given as its cells in tag order: the
+    root of the top tree over the cells' roots.  It hashes no id, so it costs
+    at most 15 node hashes for 16 cells; for one cell it is that cell's root."""
+    return _levels(_top_leaves(cells))[-1][0]
+
+
+def result_path(cells: Sequence[Cell], drop_id: str) -> tuple[bytes, MerklePath]:
+    """(root, path) for ``drop_id``: the first cell that lists it is rebuilt
+    from its ids, and the path runs through that subtree, then the top tree.
+    The root is the top tree's with the rebuilt root in that cell's place, so
+    it equals the committed root only if the cell's ids are the committed
+    ones and the other cells' roots are as given."""
+    for position, cell in enumerate(cells):
+        i = bisect_left(cell.ids, drop_id)
+        if i < len(cell.ids) and cell.ids[i] == drop_id:
+            break
+    else:
+        raise NotAMemberError(f"{drop_id!r} is not in the committed set")
+    tree = MerkleTree(cell.ids)
+    if len(cells) == 1:
+        return tree.root, tree.prove_membership(drop_id)
+    leaves = _top_leaves(cells)
+    leaves[position] = tree.root
+    top = _levels(leaves)
+    path = tree.prove_membership(drop_id).steps + _steps(top, position)
+    return top[-1][0], MerklePath(path)
 
 
 def verify_membership(root: bytes, drop_id: str, path: MerklePath) -> bool:

@@ -2,13 +2,25 @@
 
 Flow: the server issues a session (id, 256-bit nonce, expiry); the client
 searches with encrypted cell tokens; the server binds the session to the
-matched result set (core: the id set itself, full: its Merkle root) and
-hands back the matched drops themselves, in id order, with a signed receipt;
-the session, not each drop, carries the policy version, epoch and unlock
-radius.  The client then proves proximity to one returned drop, committing
-a challenge digest over (drop, policy, epoch, nonce[, root]) inside the
-proof's public inputs; the server re-derives the digest from its own session
-state and accepts at most once per session.
+matched result set and hands back the matched drops themselves, in id order,
+with a signed receipt; the session, not each drop, carries the policy
+version, epoch and unlock radius.  In core mode the session keeps the id set
+itself.  In full mode it keeps the two-level Merkle root of sbpp.merkle: the
+top tree over the hit cells' roots, in tag order, which the server computes
+from roots its index keeps per cell before it takes the session lock.  The
+response then also lists the hit cells, each as its root and sorted ids.
+
+The client proves proximity to one returned drop, committing a challenge
+digest over (drop, policy, epoch, nonce[, root]) inside the proof's public
+inputs; the server re-derives the digest from its own session state and
+accepts at most once per session.  In full mode the client first rebuilds
+the subtree of the target's own cell from its ids and the top tree from the
+other cells' roots as the server gave them, and refuses to prove if that
+root differs from the receipt's.  So it catches a receipt that disagrees
+with the cells shown, or a misstated own cell, but takes the other cells'
+roots on trust: a server that commits another cell differently and
+consistently goes unnoticed, though the audit of the client's own unlock,
+whose path runs through the cell it rebuilt, is unaffected.
 
 Verification is a fixed tuple of stages, VERIFY_STAGES, and every rejection
 carries exactly one reason, so a failure localizes to the first broken link:
@@ -40,7 +52,7 @@ from typing import Any, Callable, NamedTuple
 from . import nizk
 from .canon import FieldElement, cd_core, cd_full, lp_encode, lp_decode, EncodingError
 from .geoindex import DEFAULT_PRECISIONS, Drop, GeoIndex, build_index, client_tokens
-from .merkle import MerklePath, MerkleError, build_tree, verify_membership
+from .merkle import Cell, MerklePath, MerkleError, result_path, result_root, verify_membership
 from .receipt import Receipt, ReceiptError, SigningKey, sign_receipt, verify_receipt
 from .session import (
     DEFAULT_EPOCH,
@@ -89,6 +101,7 @@ class IssuedSession:
 @dataclass(frozen=True)
 class SearchResponse:
     candidates: tuple[Drop, ...]
+    cells: tuple[Cell, ...]  # full mode: the hit cells in tag order; core: none
     receipt: Receipt | None
 
 
@@ -148,18 +161,23 @@ class SbppServer:
         record = self.sessions.issue(now, mode=self.mode)
         return IssuedSession(record.S, record.N, record.t_exp, record.pv, record.epoch)
 
-    def _match_ids(self, tags: list[bytes]) -> list[str]:
-        return self.index.match(tags)
+    def _match(self, tags: list[bytes]) -> tuple[list[str], list[Cell]]:
+        """The matched ids and, in full mode, the hit cells that commit to them."""
+        ids = self.index.match(tags)
+        return ids, self.index.cells(tags) if ids and self.mode == MODE_FULL else []
 
     def search(self, S: str, tags: list[bytes], now: int) -> SearchResponse:
         """Match, bind, and attest in one step.  Empty matches leave the
         session unbound and searchable until it expires."""
         self.sessions.validate(S, now)
-        ids = self._match_ids(tags)
+        ids, cells = self._match(tags)
         if not ids:
-            return SearchResponse(candidates=(), receipt=None)
-        record = self.sessions.bind_results(S, ids, self.mode, now)
-        return SearchResponse(candidates_for(self.drops, ids), sign_session(self.signing_key, record))
+            return SearchResponse(candidates=(), cells=(), receipt=None)
+        commitment = result_root(cells) if self.mode == MODE_FULL else tuple(ids)
+        record = self.sessions.bind_results(S, commitment, now)
+        return SearchResponse(
+            candidates_for(self.drops, ids), tuple(cells), sign_session(self.signing_key, record)
+        )
 
     def verify(self, request: UnlockRequest, now: int) -> VerifyOutcome:
         reason = first_reason(VERIFY_STAGES, self, Attempt(request, now))
@@ -322,6 +340,7 @@ class ClientSession:
     radius_m: float
     precisions: tuple[int, ...]  # the index's, which the client's cover chooses among
     candidates: tuple[Drop, ...] = ()
+    cells: tuple[Cell, ...] = ()  # full mode: the hit cells as the server listed them
     receipt: Receipt | None = None
 
     def candidate(self, drop_id: str) -> Drop:
@@ -336,7 +355,7 @@ class ClientSession:
 
 
 class SbppClient:
-    """Client half: token derivation, local root recomputation, proving."""
+    """Client half: token derivation, root recomputation and check, proving."""
 
     def __init__(self, search_key: bytes, proving_key: bytes):
         self.search_key = search_key
@@ -355,19 +374,25 @@ class SbppClient:
         _, tags = client_tokens(self.search_key, lat, lon, radius_m, ses.precisions)
         response = server.search(ses.S, tags, now)
         ses.candidates = response.candidates
+        ses.cells = response.cells
         ses.receipt = response.receipt
         return ses
 
     def build_unlock(
         self, ses: ClientSession, drop_id: str, witness: nizk.Witness
     ) -> UnlockRequest:
-        """Steps the client runs before submitting: recompute the root from
-        its own copy of the result list, derive the digest, prove."""
+        """Steps the client runs before submitting: in full mode recompute
+        the root through the target's own cell and check it against the
+        receipt's, then derive the digest and prove."""
         target = ses.candidate(drop_id)
         root = path = None
         if ses.mode == MODE_FULL:
-            tree = build_tree(ses.result_ids())
-            root, path = tree.root, tree.prove_membership(drop_id)
+            try:
+                root, path = result_path(ses.cells, drop_id)
+            except MerkleError as exc:
+                raise ProtocolError(f"the listed cells do not commit to {drop_id!r}") from exc
+            if ses.receipt is None or root != ses.receipt.root:
+                raise ProtocolError("recomputed root differs from the receipt's")
         cd = challenge_digest(ses.mode, drop_id, ses.pv, ses.epoch, ses.N, root)
         pub = nizk.make_public_inputs(target.lat, target.lon, ses.radius_m, cd)
         proof = nizk.prove(self.proving_key, witness, pub)

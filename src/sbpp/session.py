@@ -8,10 +8,12 @@ exclusive at t_exp (a request arriving exactly at t_exp is already late).
 
 Two storage modes: "core" keeps the bound result-set ids (stateful
 membership checks), "full" keeps only the 32-byte Merkle root, so per-session
-state is constant-size no matter how large the result set was.  Core ids are
-kept as the sorted tuple the search produced and looked up by bisection: a
-tuple of str costs one pointer per id and is not tracked by the garbage
-collector, where a frozenset costs several times that and is.
+state is constant-size no matter how large the result set was.  The caller
+computes the root (sbpp.merkle.result_root) before binding, so nothing is
+hashed under the store's lock.  Core ids are kept as the sorted tuple the
+search produced and looked up by bisection: a tuple of str costs one pointer
+per id and is not tracked by the garbage collector, where a frozenset costs
+several times that and is.
 
 The store retains terminal records and counts purges, so issued sessions can
 always be reconciled exactly as consumed + expired + pending.
@@ -25,8 +27,7 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .canon import lp_encode
-from .merkle import build_tree, strictly_sorted
+from .canon import lp_encode, strictly_sorted
 
 DEFAULT_TTL_S = 300
 DEFAULT_PV = "1"  # policy version
@@ -154,24 +155,30 @@ class SessionStore:
         with self._lock:
             return self._live(S, now)
 
-    def bind_results(self, S: str, ids: list[str], mode: str, now: int) -> SessionRecord:
-        """Bind the search result set; a session binds at most once."""
-        if not ids:
-            raise SessionError("cannot bind an empty result set")
+    def bind_results(
+        self, S: str, commitment: bytes | tuple[str, ...], now: int
+    ) -> SessionRecord:
+        """Bind the search result: in full mode its 32-byte Merkle root, in
+        core mode its sorted unique ids.  A session binds at most once."""
+        full = isinstance(commitment, bytes)
+        if full and len(commitment) != 32:
+            raise SessionError("a result-set root is 32 bytes")
+        if not full:
+            if not commitment:
+                raise SessionError("cannot bind an empty result set")
+            if not strictly_sorted(commitment):
+                raise SessionError("result set ids must be unique and sorted")
         with self._lock:
             record = self._live(S, now)
             if record.bound:
                 raise AlreadyBoundError("session already bound to results")
-            if mode != record.mode:
+            if full != (record.mode == MODE_FULL):
                 raise SessionError("bind mode does not match session mode")
-            if mode == MODE_CORE:
-                if not strictly_sorted(ids):
-                    raise SessionError("result set ids must be unique and sorted")
-                record.result_set = tuple(ids)
-                record.root = ZERO_ROOT
+            if full:
+                record.root = commitment
             else:
-                record.root = build_tree(ids).root
-                record.result_set = None
+                record.result_set = tuple(commitment)
+                record.root = ZERO_ROOT
             record.bound = True
             return record
 

@@ -50,7 +50,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 from . import nizk
 from .canon import FieldElement, digest, lp_decode, lp_encode
 from .geoindex import DEFAULT_PRECISIONS, Drop, build_index, client_tokens, make_token, plain_tag
-from .merkle import MerklePath, build_tree, verify_membership
+from .merkle import MerklePath, result_path, result_root, verify_membership
 from .protocol import (
     AUDIT_STAGES,
     DEFAULT_UNLOCK_RADIUS_M,
@@ -161,7 +161,7 @@ def _verify_blob(public_bytes: bytes, blob: bytes, domain: str) -> list[bytes] |
         fields = lp_decode(blob)
     except ValueError:
         return None
-    if len(fields) < 2 or fields[0] != domain.encode("ascii"):
+    if len(fields) < 2 or fields[0] != domain.encode("utf-8"):
         return None
     body = lp_encode(fields[:-1])
     try:
@@ -419,7 +419,10 @@ class GenericVariant:
         if not ids:
             vses.candidates = ()
             return vses
-        record = self.sessions.bind_results(S, ids, row.mode, now) if row.session_aware else None
+        cells = self.index.cells(tags) if row.carries_path else []
+        root = result_root(cells) if cells else None
+        commitment = root if row.mode == MODE_FULL else tuple(ids)
+        record = self.sessions.bind_results(S, commitment, now) if row.session_aware else None
         if row.evidence == "capability":
             for i in ids:
                 vses.capabilities[i] = _sign_blob(key, [DOMAIN_CAPABILITY, S, i, pv, epoch])
@@ -430,7 +433,6 @@ class GenericVariant:
             vses.result_mac = _mac_tag(self.env.mac_key, S, pv, epoch, tuple(ids))
         elif row.evidence == "token":
             if row.token_includes_root:
-                root = build_tree(ids).root
                 token = _sign_blob(key, [DOMAIN_TOKEN_FULL, S, vses.N, root, pv, epoch])
             else:
                 token = _sign_blob(key, [DOMAIN_TOKEN_LITE, S, vses.N, pv, epoch])
@@ -438,6 +440,7 @@ class GenericVariant:
         elif row.evidence == "receipt":
             vses.receipt = sign_session(key, record)
         vses.candidates = candidates_for(self.drops, ids)
+        vses.cells = tuple(cells)
         return vses
 
     def build_unlock(
@@ -461,8 +464,9 @@ class GenericVariant:
         witness: nizk.Witness, path_leaf: str | None,
     ) -> VariantRequest:
         row = self.traits
-        ids = vses.result_ids()
-        tree = build_tree(ids) if row.carries_path and path_leaf is not None else None
+        root = path = None
+        if row.carries_path and path_leaf is not None:
+            root, path = result_path(vses.cells, path_leaf)
         pub = proof = None
         if row.has_proof:
             if row.digest_kind == "token":
@@ -470,7 +474,6 @@ class GenericVariant:
                     raise VariantError("no token issued for this session")
                 cd = digest([vses.token])
             elif row.digest_kind == "session":
-                root = tree.root if tree is not None else None
                 cd = challenge_digest(row.mode, drop_id, vses.pv, vses.epoch, vses.N, root)
             else:
                 cd = context_digest(drop_id, vses.pv, vses.epoch)
@@ -483,11 +486,11 @@ class GenericVariant:
             proof=proof,
             pv=vses.pv,
             epoch=vses.epoch,
-            merkle_path=tree.prove_membership(path_leaf) if tree is not None else None,
+            merkle_path=path,
             nonce_echo=vses.N if row.nonce_echo else None,
             capability=vses.capabilities.get(drop_id),
             permit=vses.permits.get(drop_id),
-            result_ids=tuple(ids) if row.evidence == "mac" else None,
+            result_ids=tuple(vses.result_ids()) if row.evidence == "mac" else None,
             result_mac=vses.result_mac,
         )
 
@@ -514,9 +517,8 @@ class GenericVariant:
     ) -> MerklePath | None:
         """A fresh path to ``drop_id`` in this session's list, where the rung
         carries paths and the drop is listed; otherwise ``fallback``."""
-        ids = vses.result_ids()
-        if self.traits.carries_path and drop_id in ids:
-            return build_tree(ids).prove_membership(drop_id)
+        if self.traits.carries_path and drop_id in vses.result_ids():
+            return result_path(vses.cells, drop_id)[1]
         return fallback
 
     def rebind_request(self, request: VariantRequest, target: VariantSession) -> VariantRequest:

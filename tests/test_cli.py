@@ -6,8 +6,9 @@ import json
 import pytest
 
 from sbpp.cli import main
-from sbpp.geoindex import geohash_encode, geohash_neighbors, haversine_m, load_corpus
+from sbpp.geoindex import geohash_encode, geohash_neighbors, haversine_m, load_corpus, make_token
 from sbpp.harness import attacks
+from sbpp.merkle import build_tree, node_hash
 from sbpp.receipt import Receipt
 
 
@@ -121,8 +122,22 @@ def test_search_output_is_frozen(demo, capsys):
     assert len(block_ids) == 39
     assert truth <= got <= block_ids
     assert len(got) == 8
+    # The 8 candidates span two cells, so the receipt commits to the top
+    # tree over the two cells' flat roots, in the order of their tags.
+    by_cell: dict[str, list[str]] = {}
+    for d in drops:
+        if d.id in got:
+            by_cell.setdefault(geohash_encode(d.lat, d.lon, 5), []).append(d.id)
+    assert sorted(by_cell) == ["xn775", "xn77h"]
+    key = attacks.derive_key("search", 7)
+    left, right = (
+        build_tree(sorted(by_cell[c])).root
+        for c in sorted(by_cell, key=lambda c: make_token(key, 5, c))
+    )
+    receipt = Receipt.parse(bytes.fromhex(json.loads(out)["receipt_hex"]))
+    assert receipt.root == node_hash(left, right)
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "798bb362487a704fb47065278b8b7dd9b82a6e1c2d15da126ad5d6e61658de86"
+        "9cd468d0c0063285e9f9503672fd72fcf3b741fe391a52201dc2a46b0dc1360f"
     )
 
 

@@ -1,14 +1,19 @@
 """Geohash encoding, covering-cell queries, and the encrypted index."""
 
 import hashlib
+import hmac
 import math
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from sbpp import geoindex
 from sbpp.geoindex import (
     COVER_BUDGET,
+    GEOHASH_ALPHABET,
+    PAD_LABEL,
+    TOKEN_LABEL,
     CorpusError,
     Drop,
     GeoIndex,
@@ -29,6 +34,7 @@ from sbpp.geoindex import (
     precision_for_radius,
     save_corpus,
 )
+from sbpp.merkle import MerkleTree
 
 TOKYO = (35.6, 35.8, 139.6, 139.9)
 
@@ -131,6 +137,40 @@ def test_make_token_frozen_vector():
     assert tag.hex() == "174f3fb62f6a4c202c6a33228d4e480573c4cfe16449b96b9737080933c87828"
     with pytest.raises(GeoindexError):
         make_token(b"short", 5, "xn76u")
+
+
+@given(
+    st.binary(min_size=32, max_size=32),
+    st.one_of(st.integers(1, 12), st.just(PAD_LABEL)),
+    st.text(GEOHASH_ALPHABET + ":0123456789", max_size=16),
+)
+@settings(max_examples=300, deadline=None)
+def test_make_token_is_one_shot_hmac_sha256(key, precision, cell):
+    # the copied keyed state gives the bytes of a fresh HMAC
+    message = f"{TOKEN_LABEL}:{precision}:{cell}".encode("ascii")
+    assert make_token(key, precision, cell) == hmac.digest(key, message, "sha256")
+
+
+def test_cell_roots_are_computed_on_first_hit_only(monkeypatch):
+    key = b"\x02" * 32
+    drops = gen_uniform_corpus(400, seed=11, bbox=TOKYO)
+    built = []
+
+    def counting_tree(ids):
+        built.append(list(ids))
+        return MerkleTree(ids)
+
+    monkeypatch.setattr(geoindex, "MerkleTree", counting_tree)
+    index = build_index(key, drops, [5])
+    assert built == []  # the build hashes no id
+    _, tags = client_tokens(key, 35.70, 139.75, 1000.0)
+    cells = index.cells(tags)
+    assert len(cells) >= 2 and len(built) == len(cells)
+    assert index.cells(tags) == cells and len(built) == len(cells)  # kept, not rebuilt
+    hit = sorted(tag for tag in set(tags) if tag in index.entries)
+    for tag, cell in zip(hit, cells, strict=True):
+        assert list(cell.ids) == sorted(index.entries[tag])
+        assert cell.root == MerkleTree(sorted(index.entries[tag])).root
 
 
 def test_client_tokens_emit_the_cover_budget():

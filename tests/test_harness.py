@@ -188,6 +188,11 @@ def test_malicious_server_reduced():
     assert result.transfer_success_honest == 0
     assert result.forgery_successes == 0
     assert result.refusal_detected == 0
+    # the client's root check over a 12-cell result: a receipt that disagrees
+    # with the cells shown is always caught; a consistent recommit of one
+    # cell only when the client unlocks a drop in that cell (1 pick in 10)
+    assert result.receipt_mismatch_detected == 10
+    assert result.cell_recommit_unnoticed == 9
 
 
 def test_latency_bench_structure():

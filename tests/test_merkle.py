@@ -8,11 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sbpp.canon import lp_encode
+from sbpp.geoindex import Drop, GeoindexError, build_index, client_tokens, cover_cells, geohash_encode, make_token
 from sbpp.merkle import (
     DOMAIN_LEAF,
     DOMAIN_NODE,
     SIDE_LEFT,
     SIDE_RIGHT,
+    Cell,
     MerkleError,
     MerklePath,
     NotAMemberError,
@@ -23,6 +25,8 @@ from sbpp.merkle import (
     expected_depth,
     leaf_hash,
     node_hash,
+    result_path,
+    result_root,
     verify_membership,
 )
 
@@ -271,3 +275,93 @@ def test_path_parse_raises_or_round_trips(steps, count, tail):
     except MerkleError:
         return
     assert path.serialize() == raw
+
+
+# ---------------------------------------------------------------------------
+# the two-level commitment against flat per-cell trees
+
+
+def _oracle_top(roots: list[bytes]) -> bytes:
+    """Reference top tree: pair nodes left to right, an odd tail with itself."""
+    level = list(roots)
+    while len(level) > 1:
+        level = [
+            node_hash(level[i], level[i + 1] if i + 1 < len(level) else level[i])
+            for i in range(0, len(level), 2)
+        ]
+    return level[0]
+
+
+def test_one_cell_result_keeps_the_flat_root_and_paths():
+    ids = _ids(11)
+    tree = build_tree(ids)
+    cells = [Cell(tree.root, ids)]
+    assert result_root(cells) == tree.root
+    for drop_id in ids:
+        assert result_path(cells, drop_id) == (tree.root, tree.prove_membership(drop_id))
+
+
+def test_result_commitment_rejects_empty_and_malformed_cells():
+    with pytest.raises(MerkleError):
+        result_root([])
+    with pytest.raises(MerkleError):
+        result_root([Cell(b"short", ["a"])])
+    with pytest.raises(NotAMemberError):
+        result_path([Cell(leaf_hash("a"), ["a"])], "b")
+
+
+@st.composite
+def _searched_corpus(draw):
+    """Drops in a few square km, with ids in an order unrelated to drop
+    order, an index over some precisions, and a query at or near a drop."""
+    points = draw(
+        st.lists(st.tuples(st.floats(35.68, 35.72), st.floats(139.73, 139.77)), min_size=1, max_size=40)
+    )
+    order = draw(st.permutations(range(len(points))))
+    drops = [Drop(f"d{i:03d}", lat, lon) for i, (lat, lon) in zip(order, points)]
+    precisions = sorted(draw(st.sets(st.integers(4, 7), min_size=1)))
+    query = draw(st.one_of(st.sampled_from(points), st.tuples(st.floats(35.68, 35.72), st.floats(139.73, 139.77))))
+    radius = draw(st.sampled_from([100.0, 300.0, 1000.0, 3000.0]))
+    return drops, precisions, query, radius
+
+
+@given(_searched_corpus())
+@example(  # a 10 x 4 grid of drops, so the query hits many precision-6 cells
+    ([Drop(f"d{39 - i:03d}", 35.684 + 0.008 * (i // 10), 139.73 + 0.004 * (i % 10)) for i in range(40)],
+     [6], (35.70, 139.75), 1000.0)
+)
+@settings(max_examples=200, deadline=None)
+def test_result_commitment_equals_the_top_tree_over_flat_cell_roots(searched):
+    drops, precisions, (lat, lon), radius = searched
+    key = b"\x0b" * 32
+    index = build_index(key, drops, precisions)
+    try:
+        precision, tags = client_tokens(key, lat, lon, radius, precisions)
+    except GeoindexError:
+        return  # no indexed precision covers this radius in 16 cells
+    cells = index.cells(tags)
+    returned = set(index.match(tags))
+    # the oracle: the cover's cells from their geohash strings, in tag order
+    oracle_cells = []
+    for cell in sorted(cover_cells(lat, lon, radius, precision), key=lambda c: make_token(key, precision, c)):
+        ids = sorted(d.id for d in drops if geohash_encode(d.lat, d.lon, precision) == cell)
+        if ids:
+            oracle_cells.append(ids)
+    assert [list(c.ids) for c in cells] == oracle_cells
+    assert returned == {i for ids in oracle_cells for i in ids}
+    if not cells:
+        return
+    root = result_root(cells)
+    assert root == _oracle_top([build_tree(ids).root for ids in oracle_cells])
+    if len(cells) == 1:
+        assert root == build_tree(sorted(returned)).root
+    paths = []
+    for drop_id in sorted(returned):
+        got_root, path = result_path(cells, drop_id)
+        assert got_root == root and verify_membership(root, drop_id, path)
+        paths.append(path)
+    for drop in drops:
+        if drop.id not in returned:
+            with pytest.raises(NotAMemberError):
+                result_path(cells, drop.id)
+            assert not any(verify_membership(root, drop.id, p) for p in paths)

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sbpp import nizk
+from sbpp import geoindex, merkle, nizk, protocol
 from sbpp.canon import cd_core, cd_full, lp_decode, lp_encode
 from sbpp.geoindex import Drop
-from sbpp.merkle import MerklePath, PathStep, build_tree
+from sbpp.merkle import Cell, MerklePath, PathStep, result_path, result_root
 from sbpp.protocol import (
     R_CONSUMED,
     R_EXPIRED,
@@ -42,12 +42,14 @@ DROPS = [
     Drop("d03", 35.7012, 139.7508),
     Drop("far", 35.7900, 139.8900),
 ]
+# Two more drops just west of cell xn77h, in xn775: the query hits two cells.
+TWO_CELLS = DROPS + [Drop("w00", 35.7000, 139.7440), Drop("w01", 35.7004, 139.7450)]
 
 
-def _pair(mode: str, seed: int = 0) -> tuple[SbppServer, SbppClient]:
+def _pair(mode: str, seed: int = 0, drops: list[Drop] = DROPS) -> tuple[SbppServer, SbppClient]:
     pk, vk = nizk.setup(b"nizk" + bytes([seed]))
     server = SbppServer(
-        drops=DROPS,
+        drops=drops,
         search_key=b"\x11" * 32,
         signing_key=server_keygen(b"sign" + bytes([seed])),
         nizk_vk=vk,
@@ -73,6 +75,72 @@ def test_candidate_finds_each_listed_drop_and_refuses_others():
     ses.candidates = ()
     with pytest.raises(ProtocolError):
         ses.candidate("d00")
+
+
+def test_full_search_commits_to_the_cells_it_lists():
+    server, client = _pair(MODE_FULL, drops=TWO_CELLS)
+    ses = _searched(server, client)
+    assert sorted(list(c.ids) for c in ses.cells) == [["d00", "d01", "d02", "d03"], ["w00", "w01"]]
+    assert ses.receipt.root == result_root(ses.cells)
+    for d in ses.candidates:
+        request = client.build_unlock(ses, d.id, nizk.Witness(d.lat, d.lon))
+        assert merkle.verify_membership(ses.receipt.root, d.id, request.merkle_path)
+    assert server.verify(request, T0 + 1).accepted
+    record = AuditRecord.parse(emit_audit_record(ses, request).serialize())
+    assert audit(server.public_key_bytes, server.nizk_vk, record).accepted
+
+
+def test_commitment_runs_while_the_store_lock_is_free(monkeypatch):
+    server, client = _pair(MODE_FULL, drops=TWO_CELLS)
+    calls = []
+
+    def stub(cells):
+        assert not server.sessions._lock.locked()
+        calls.append(len(cells))
+        return merkle.result_root(cells)
+
+    monkeypatch.setattr(protocol, "result_root", stub)
+    ses = _searched(server, client)
+    assert calls == [2] and ses.receipt.root == merkle.result_root(ses.cells)
+
+
+def test_core_search_computes_no_cell_root(monkeypatch):
+    def no_tree(ids):
+        raise AssertionError("core mode built a cell tree")
+
+    monkeypatch.setattr(geoindex, "MerkleTree", no_tree)
+    server, client = _pair(MODE_CORE, drops=TWO_CELLS)
+    ses = _searched(server, client)
+    assert len(ses.candidates) == 6 and ses.cells == ()
+    assert client.build_unlock(ses, "d00", nizk.Witness(QLAT, QLON)).merkle_path is None
+
+
+def _flip(raw: bytes) -> bytes:
+    return bytes([raw[0] ^ 1]) + raw[1:]
+
+
+@pytest.mark.parametrize(
+    "tamper", ["receipt-root", "no-receipt", "other-cell-root", "own-cell-ids", "target-unlisted"]
+)
+def test_client_refuses_a_root_that_differs_from_the_receipt(tamper):
+    server, client = _pair(MODE_FULL, drops=TWO_CELLS)
+    ses = _searched(server, client)
+    cells = list(ses.cells)
+    own = next(i for i, c in enumerate(cells) if "d00" in c.ids)
+    root, ids = cells[own]
+    if tamper == "receipt-root":
+        ses.receipt = dataclasses.replace(ses.receipt, root=_flip(ses.receipt.root))
+    elif tamper == "no-receipt":
+        ses.receipt = None
+    elif tamper == "other-cell-root":
+        cells[1 - own] = Cell(_flip(cells[1 - own].root), cells[1 - own].ids)
+    elif tamper == "own-cell-ids":
+        cells[own] = Cell(root, [i for i in ids if i != "d01"])
+    else:
+        cells[own] = Cell(root, [i for i in ids if i != "d00"])
+    ses.cells = tuple(cells)
+    with pytest.raises(ProtocolError):
+        client.build_unlock(ses, "d00", nizk.Witness(QLAT, QLON))
 
 
 @pytest.mark.parametrize("mode", [MODE_CORE, MODE_FULL])
@@ -152,16 +220,15 @@ def test_non_member_rejected_core_vs_full():
         cd = (
             cd_core("far", "1", "ep0", ses.N)
             if mode == MODE_CORE
-            else cd_full("far", "1", "ep0", ses.N, build_tree(ses.result_ids()).root)
+            else cd_full("far", "1", "ep0", ses.N, result_root(ses.cells))
         )
         pub = nizk.make_public_inputs(35.79, 139.89, RADIUS, cd)
         proof = nizk.prove(client.proving_key, nizk.Witness(35.79, 139.89), pub)
-        path = build_tree(ses.result_ids()).prove_membership("d00")
         from sbpp.protocol import UnlockRequest
 
         request = UnlockRequest(
             S=ses.S, drop_id="far", pub=pub, proof=proof,
-            merkle_path=None if mode == MODE_CORE else path,
+            merkle_path=None if mode == MODE_CORE else result_path(ses.cells, "d00")[1],
         )
         assert server.verify(request, T0 + 1).fail_reason == want
 

@@ -9,9 +9,11 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sbpp import nizk
-from sbpp.canon import digest
+from sbpp import merkle, nizk, variants
+from sbpp.canon import digest, lp_encode
 from sbpp.geoindex import Drop
 from sbpp import protocol
 from sbpp.protocol import (
@@ -26,6 +28,10 @@ from sbpp.protocol import (
 )
 from sbpp.receipt import server_keygen
 from sbpp.variants import (
+    DOMAIN_CAPABILITY,
+    DOMAIN_PERMIT,
+    DOMAIN_TOKEN_FULL,
+    DOMAIN_TOKEN_LITE,
     RUNGS,
     VARIANT_KINDS,
     R_EVIDENCE_INVALID,
@@ -41,6 +47,8 @@ from sbpp.variants import (
     audit_token_sig,
     context_digest,
     make_variant,
+    _sign_blob,
+    _verify_blob,
 )
 
 T0 = 1_700_000_000
@@ -91,6 +99,70 @@ def test_honest_flow_accepted_everywhere(kind):
     variant = make_variant(kind, _env())
     _, request = _flow(variant)
     assert variant.verify(request, T0 + 1).accepted
+
+
+@pytest.mark.parametrize("kind", ["V4b", "V8"])
+def test_path_carrying_rungs_commit_to_their_cells(kind, monkeypatch):
+    # A drop just west of cell xn77h puts the query's result in two cells;
+    # the root is computed before the session store takes its lock.
+    env = dataclasses.replace(_env(), drops=[*DROPS, Drop("w00", 35.7000, 139.7440)])
+    variant = make_variant(kind, env)
+    roots = []
+
+    def stub(cells):
+        assert not variant.sessions._lock.locked()
+        roots.append(merkle.result_root(cells))
+        return roots[-1]
+
+    monkeypatch.setattr(variants, "result_root", stub)
+    for drop_id, lat, lon in (("d01", 35.7004, 139.7500), ("w00", 35.7000, 139.7440)):
+        vses = variant.open_session(T0)
+        variant.search(vses, QLAT, QLON, RADIUS, T0)
+        assert len(vses.cells) == 2 and roots[-1] == merkle.result_root(vses.cells)
+        request = variant.build_unlock(vses, drop_id, nizk.Witness(lat, lon))
+        assert merkle.verify_membership(roots[-1], drop_id, request.merkle_path)
+        assert variant.verify(request, T0 + 1).accepted
+        assert variant.audit(variant.audit_record(vses, request)).accepted
+    assert len(roots) == 2
+
+
+_DOMAINS = st.one_of(
+    st.sampled_from([DOMAIN_CAPABILITY, DOMAIN_PERMIT, DOMAIN_TOKEN_FULL, DOMAIN_TOKEN_LITE]),
+    st.text(max_size=12),
+)
+_SIGNER = server_keygen(b"blob-sign")
+
+
+@st.composite
+def _blobs(draw):
+    """Raw bytes, well-framed field lists, and signed blobs with one byte flipped."""
+    kind = draw(st.sampled_from(["raw", "framed", "signed"]))
+    if kind == "raw":
+        return draw(st.binary(max_size=200))
+    fields = draw(st.lists(st.binary(max_size=70), max_size=6))
+    if kind == "framed":
+        return lp_encode([draw(_DOMAINS), *fields])
+    blob = bytearray(_sign_blob(_SIGNER, [draw(_DOMAINS), *fields]))
+    i = draw(st.integers(0, len(blob) - 1))
+    blob[i] ^= draw(st.integers(0, 255))
+    return bytes(blob)
+
+
+@given(_blobs(), _DOMAINS, st.one_of(st.just(_SIGNER.public_bytes), st.binary(max_size=40)))
+@example(_sign_blob(_SIGNER, ["V5-CAP", "S", "d00"]), "V5-CAP", _SIGNER.public_bytes)
+@example(lp_encode([b"x", b"y"]), "\u00e9", b"")  # a non-ASCII domain
+@settings(max_examples=400, deadline=None)
+def test_verify_blob_returns_fields_or_none(blob, domain, public_bytes):
+    fields = _verify_blob(public_bytes, blob, domain)
+    assert fields is None or (isinstance(fields, list) and all(isinstance(f, bytes) for f in fields))
+
+
+def test_verify_blob_accepts_exactly_the_signed_fields():
+    blob = _sign_blob(_SIGNER, ["V5-CAP", "S", "d00", "é"])
+    assert _verify_blob(_SIGNER.public_bytes, blob, "V5-CAP") == [b"V5-CAP", b"S", b"d00", "é".encode()]
+    assert _verify_blob(_SIGNER.public_bytes, blob, "V6-PERMIT") is None
+    blob = _sign_blob(_SIGNER, ["dömain", "x"])
+    assert _verify_blob(_SIGNER.public_bytes, blob, "dömain") == ["dömain".encode(), b"x"]
 
 
 @pytest.mark.parametrize("kind", ["V1", "V2"])
