@@ -10,7 +10,7 @@ and :mod:`sbpp.harness` holds the attack scripts and experiments.
 
 from .canon import FieldElement, Q, cd_core, cd_full, digest, lp_decode, lp_encode
 from .geoindex import Drop, build_index, client_tokens, geohash_encode, haversine_m
-from .merkle import MerklePath, MerkleTree, build_tree, verify_membership
+from .merkle import Cell, MerklePath, MerkleTree, build_tree, verify_membership
 from .nizk import Proof, PublicInputs, Witness, make_public_inputs, prove, setup, verify
 from .protocol import (
     AuditRecord,
@@ -28,6 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuditRecord",
+    "Cell",
     "Drop",
     "FieldElement",
     "MerklePath",

@@ -29,9 +29,11 @@ not reveal the radius; the number of tags that hit the index (the non-empty
 cover cells) does.
 
 For the result-set commitment (see sbpp.merkle) the index also answers which
-cells a query hit, in tag order, with each cell's sorted ids and Merkle
-root.  A cell's root is computed on its first hit and kept, 32 bytes per hit
-cell, so a build hashes no id and a search hashes only cells never hit before.
+cells a query hit, in tag order, each as a `Cell`: its ids, sorted on the
+cell's first hit, and its Merkle root, computed on the first use in a
+commitment.  Both are kept, so a build hashes no id, a search hashes only
+cells never committed before, and a match merges the kept sorted lists
+instead of sorting a union.
 
 Tags are HMAC-SHA-256 (RFC 2104).  `hmac_tagger` hashes the key's inner and
 outer pads once and derives each tag from copies of those two states, which
@@ -47,8 +49,10 @@ import random
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
-from .merkle import Cell, MerkleTree
+from .canon import strictly_sorted
+from .merkle import Cell
 
 GEOHASH_ALPHABET = "0123456789bcdefghjkmnpqrstuvwxyz"
 _CHAR_INDEX = {c: i for i, c in enumerate(GEOHASH_ALPHABET)}
@@ -352,30 +356,31 @@ class GeoIndex:
                 raise GeoindexError("index precision out of range")
         self.precisions = sorted(set(precisions))
         self.entries: dict[bytes, list[str]] = {}
-        self._roots: dict[bytes, bytes] = {}  # tag -> cell root, from the cell's first hit
+        self._cells: dict[bytes, Cell] = {}  # tag -> the cell, from its first hit
 
     def match(self, tags: list[bytes]) -> list[str]:
         """Union of ids under the queried tags, de-duplicated and sorted in
-        UTF-8 byte order (which is code point order, so no key is needed)."""
-        found: set[str] = set()
-        for tag in tags:
-            ids = self.entries.get(tag)
-            if ids:
-                found.update(ids)
-        return sorted(found)
+        UTF-8 byte order (which is code point order, so no key is needed).
+        A query's cells are of one precision, so they are disjoint and the
+        union is a merge of their sorted lists; tags of several precisions
+        may overlap and are de-duplicated."""
+        ids = sorted(chain.from_iterable(cell.ids for cell in self.cells(tags)))
+        return ids if strictly_sorted(ids) else sorted(set(ids))
 
     def cells(self, tags: list[bytes]) -> list[Cell]:
         """The non-empty cells under the queried tags, each once and in tag
-        order, with their ids sorted and their Merkle roots."""
+        order.  A cell is made on its first hit, with its ids sorted, and
+        kept, so its root is computed at most once."""
         out = []
         for tag in sorted(set(tags)):
-            ids = self.entries.get(tag)
-            if ids:
-                ids = sorted(ids)
-                root = self._roots.get(tag)
-                if root is None:  # two racing first hits store the same root
-                    root = self._roots[tag] = MerkleTree(ids).root
-                out.append(Cell(root, ids))
+            cell = self._cells.get(tag)
+            if cell is None:
+                ids = self.entries.get(tag)
+                if not ids:
+                    continue
+                # two racing first hits keep equal cells
+                cell = self._cells[tag] = Cell(tuple(sorted(ids)))
+            out.append(cell)
         return out
 
 

@@ -38,8 +38,6 @@ from ..merkle import (
     MerklePath,
     MerkleTree,
     build_tree,
-    result_path,
-    result_root,
     verify_membership,
 )
 from ..protocol import (
@@ -187,7 +185,7 @@ def merkle_bench(
     for n in sizes:
         ids = [f"d{i:06d}" for i in range(n)]
         t_start = time.perf_counter()
-        tree = build_tree(ids)
+        tree = MerkleTree(ids)
         build_ms = (time.perf_counter() - t_start) * 1e3
         sample = [ids[rng.randrange(n)] for _ in range(prove_samples)]
         t_start = time.perf_counter()
@@ -477,7 +475,7 @@ def _keep(cells: list[Cell], kept: list[str]) -> list[Cell]:
     for cell in cells:
         ids = [i for i in cell.ids if i in keep]
         if ids:
-            out.append(Cell(MerkleTree(ids).root, ids))
+            out.append(Cell(ids))
     return out
 
 
@@ -518,7 +516,7 @@ class _RecommittingServer(SbppServer):
         ids, cells = super()._match(tags)
         last = cells[-1]
         if len(last.ids) > 1:
-            cells[-1] = Cell(MerkleTree(last.ids[:-1]).root, last.ids)
+            cells[-1] = Cell(last.ids, MerkleTree(last.ids[:-1]).root)
         return ids, cells
 
 
@@ -571,11 +569,11 @@ def malicious_server_suite(seed: int = 0, trials: int = 100) -> MaliciousServerR
     omitting, client = protocol_pair(
         replace(env, nonce_rng=random.Random(seed + 1)), MODE_FULL, _OmittingServer
     )
-    reference_root = result_root(
+    reference_root = build_tree(
         build_index(env.search_key, env.drops, list(env.precisions)).cells(
             client_tokens(env.search_key, QUERY_LAT, QUERY_LON, RADIUS_M, env.precisions)[1]
         )
-    )
+    ).root
     omission_detected = 0
     for _ in range(trials):
         ses = client.open_session(omitting, T0)
@@ -604,7 +602,7 @@ def malicious_server_suite(seed: int = 0, trials: int = 100) -> MaliciousServerR
         request_a = client.build_unlock(ses_a, drop_id, WITNESS_NEAR_QUERY)
         ses_b = client.open_session(server, T0)
         client.search(server, ses_b, QUERY_LAT, QUERY_LON, RADIUS_M, T0)
-        path_b = result_path(ses_b.cells, drop_id)[1]
+        path_b = build_tree(ses_b.cells, drop_id).path
         stolen = UnlockRequest(
             S=ses_b.S, drop_id=drop_id, pub=request_a.pub, proof=request_a.proof, merkle_path=path_b
         )

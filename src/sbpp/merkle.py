@@ -5,11 +5,12 @@ committed to in two levels.  Each cell gets a subtree over its sorted,
 de-duplicated drop ids (UTF-8 byte order), so any two parties holding the
 same cell's ids compute the same cell root.  A top tree is then built with
 the cell roots, in the order of the query's sorted tags, as its leaves:
-`result_root` gives its root and `result_path` an id's path through its own
-cell's subtree and on through the top tree.  A one-cell result commits to
-that cell's own flat root, byte for byte.  The cells' ids never change
-after the index is built, so the server keeps each cell's root from its
-first hit and binds a search with at most 15 node hashes.
+`build_tree` gives its root and, for a member, the member's path through
+its own cell's subtree and on through the top tree.  A one-cell result
+commits to that cell's own flat root, byte for byte.  The cells' ids never
+change after the index is built, so a `Cell` computes its root on first use
+and keeps it: the server hashes each cell's ids once, and then binds a
+search with at most 15 node hashes.
 
 The trade-off: a client rebuilds only the subtree of the cell that holds the
 drop it unlocks, and takes every other cell's root from the server.  It
@@ -196,54 +197,63 @@ def _steps(levels: list[list[bytes]], index: int) -> tuple[PathStep, ...]:
     return tuple(steps)
 
 
-def build_tree(ids: list[str]) -> MerkleTree:
-    return MerkleTree(ids)
+class Cell:
+    """One cell of a result set: its drop ids, sorted and unique, and the
+    root of the flat tree over them.  The root is taken as given (a client
+    gets it from the server) or computed from the ids on first use and kept.
+    A kept root is a 65-byte bytes object on top of the cell itself."""
+
+    __slots__ = ("ids", "_root")
+
+    def __init__(self, ids: Sequence[str], root: bytes | None = None):
+        self.ids = ids
+        self._root = root
+
+    @property
+    def root(self) -> bytes:
+        if self._root is None:  # two racing first uses keep the same root
+            self._root = MerkleTree(self.ids).root
+        return self._root
 
 
-class Cell(NamedTuple):
-    """One hit cell of a result set: the root of the flat tree over its ids,
-    and the ids, sorted and unique."""
-
+class ResultTree(NamedTuple):
     root: bytes
-    ids: Sequence[str]
+    path: MerklePath | None  # the member's, when `build_tree` was given one
 
 
-def _top_leaves(cells: Sequence[Cell]) -> list[bytes]:
+def build_tree(cells: Sequence[Cell], member: str | None = None) -> ResultTree:
+    """The commitment to a result set given as its cells in tag order: the
+    root of the top tree over the cells' roots.  Once the roots are known it
+    hashes no id, so it costs at most 15 node hashes for 16 cells; for one
+    cell it is that cell's root.
+
+    With ``member``, the first cell that lists it is rebuilt from its ids,
+    its rebuilt root takes that cell's place, and ``path`` runs from the
+    member through that subtree and on through the top tree.  The root then
+    equals the committed one only if that cell's ids are the committed ones
+    and the other cells' roots are as given."""
     if not cells:
         raise MerkleError("cannot commit to an empty result set")
-    roots = [cell.root for cell in cells]
+    position, steps = -1, ()
+    if member is not None:
+        position = _cell_of(cells, member)
+        own = MerkleTree(cells[position].ids)
+        steps = own.prove_membership(member).steps
+    roots = [own.root if i == position else cell.root for i, cell in enumerate(cells)]
     if any(len(root) != 32 for root in roots):
         raise MerkleError("cell roots must be 32 bytes")
-    return roots
+    top = _levels(roots)
+    path = None if member is None else MerklePath(steps + _steps(top, position))
+    return ResultTree(top[-1][0], path)
 
 
-def result_root(cells: Sequence[Cell]) -> bytes:
-    """The commitment to a result set given as its cells in tag order: the
-    root of the top tree over the cells' roots.  It hashes no id, so it costs
-    at most 15 node hashes for 16 cells; for one cell it is that cell's root."""
-    return _levels(_top_leaves(cells))[-1][0]
-
-
-def result_path(cells: Sequence[Cell], drop_id: str) -> tuple[bytes, MerklePath]:
-    """(root, path) for ``drop_id``: the first cell that lists it is rebuilt
-    from its ids, and the path runs through that subtree, then the top tree.
-    The root is the top tree's with the rebuilt root in that cell's place, so
-    it equals the committed root only if the cell's ids are the committed
-    ones and the other cells' roots are as given."""
+def _cell_of(cells: Sequence[Cell], drop_id: str) -> int:
+    """Position of the first cell that lists ``drop_id``."""
     for position, cell in enumerate(cells):
         i = bisect_left(cell.ids, drop_id)
         if i < len(cell.ids) and cell.ids[i] == drop_id:
-            break
-    else:
-        raise NotAMemberError(f"{drop_id!r} is not in the committed set")
-    tree = MerkleTree(cell.ids)
-    if len(cells) == 1:
-        return tree.root, tree.prove_membership(drop_id)
-    leaves = _top_leaves(cells)
-    leaves[position] = tree.root
-    top = _levels(leaves)
-    path = tree.prove_membership(drop_id).steps + _steps(top, position)
-    return top[-1][0], MerklePath(path)
+            return position
+    raise NotAMemberError(f"{drop_id!r} is not in the committed set")
 
 
 def verify_membership(root: bytes, drop_id: str, path: MerklePath) -> bool:

@@ -6,9 +6,9 @@ matched result set and hands back the matched drops themselves, in id order,
 with a signed receipt; the session, not each drop, carries the policy
 version, epoch and unlock radius.  In core mode the session keeps the id set
 itself.  In full mode it keeps the two-level Merkle root of sbpp.merkle: the
-top tree over the hit cells' roots, in tag order, which the server computes
-from roots its index keeps per cell before it takes the session lock.  The
-response then also lists the hit cells, each as its root and sorted ids.
+top tree over the hit cells' roots, in tag order, built from roots the index
+keeps per cell before the session lock is taken.  The response then also
+lists the hit cells, each as its root and sorted ids.
 
 The client proves proximity to one returned drop, committing a challenge
 digest over (drop, policy, epoch, nonce[, root]) inside the proof's public
@@ -52,7 +52,7 @@ from typing import Any, Callable, NamedTuple
 from . import nizk
 from .canon import FieldElement, cd_core, cd_full, lp_encode, lp_decode, EncodingError
 from .geoindex import DEFAULT_PRECISIONS, Drop, GeoIndex, build_index, client_tokens
-from .merkle import Cell, MerklePath, MerkleError, result_path, result_root, verify_membership
+from .merkle import Cell, MerklePath, MerkleError, build_tree, verify_membership
 from .receipt import Receipt, ReceiptError, SigningKey, sign_receipt, verify_receipt
 from .session import (
     DEFAULT_EPOCH,
@@ -173,8 +173,9 @@ class SbppServer:
         ids, cells = self._match(tags)
         if not ids:
             return SearchResponse(candidates=(), cells=(), receipt=None)
-        commitment = result_root(cells) if self.mode == MODE_FULL else tuple(ids)
-        record = self.sessions.bind_results(S, commitment, now)
+        record = self.sessions.bind_results(
+            S, cells if self.mode == MODE_FULL else ids, self.mode, now
+        )
         return SearchResponse(
             candidates_for(self.drops, ids), tuple(cells), sign_session(self.signing_key, record)
         )
@@ -388,7 +389,7 @@ class SbppClient:
         root = path = None
         if ses.mode == MODE_FULL:
             try:
-                root, path = result_path(ses.cells, drop_id)
+                root, path = build_tree(ses.cells, drop_id)
             except MerkleError as exc:
                 raise ProtocolError(f"the listed cells do not commit to {drop_id!r}") from exc
             if ses.receipt is None or root != ses.receipt.root:

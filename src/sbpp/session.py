@@ -8,9 +8,9 @@ exclusive at t_exp (a request arriving exactly at t_exp is already late).
 
 Two storage modes: "core" keeps the bound result-set ids (stateful
 membership checks), "full" keeps only the 32-byte Merkle root, so per-session
-state is constant-size no matter how large the result set was.  The caller
-computes the root (sbpp.merkle.result_root) before binding, so nothing is
-hashed under the store's lock.  Core ids are kept as the sorted tuple the
+state is constant-size no matter how large the result set was.  A full-mode
+bind is given the hit cells and builds their root (sbpp.merkle.build_tree)
+before it takes the store's lock, so nothing is hashed under it.  Core ids are kept as the sorted tuple the
 search produced and looked up by bisection: a tuple of str costs one pointer
 per id and is not tracked by the garbage collector, where a frozenset costs
 several times that and is.
@@ -25,9 +25,11 @@ import random
 import secrets
 import threading
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .canon import lp_encode, strictly_sorted
+from .merkle import Cell, build_tree
 
 DEFAULT_TTL_S = 300
 DEFAULT_PV = "1"  # policy version
@@ -156,28 +158,28 @@ class SessionStore:
             return self._live(S, now)
 
     def bind_results(
-        self, S: str, commitment: bytes | tuple[str, ...], now: int
+        self, S: str, result: Sequence[Cell] | Sequence[str], mode: str, now: int
     ) -> SessionRecord:
-        """Bind the search result: in full mode its 32-byte Merkle root, in
-        core mode its sorted unique ids.  A session binds at most once."""
-        full = isinstance(commitment, bytes)
-        if full and len(commitment) != 32:
-            raise SessionError("a result-set root is 32 bytes")
-        if not full:
-            if not commitment:
-                raise SessionError("cannot bind an empty result set")
-            if not strictly_sorted(commitment):
-                raise SessionError("result set ids must be unique and sorted")
+        """Bind the search result; a session binds at most once.  In full
+        mode ``result`` is the hit cells in tag order and the record keeps
+        their root, built before the lock is taken; in core mode it is the
+        sorted unique ids, kept as a tuple."""
+        if not result:
+            raise SessionError("cannot bind an empty result set")
+        if mode == MODE_FULL:
+            root = build_tree(result).root
+        elif not strictly_sorted(result):
+            raise SessionError("result set ids must be unique and sorted")
         with self._lock:
             record = self._live(S, now)
             if record.bound:
                 raise AlreadyBoundError("session already bound to results")
-            if full != (record.mode == MODE_FULL):
+            if mode != record.mode:
                 raise SessionError("bind mode does not match session mode")
-            if full:
-                record.root = commitment
+            if mode == MODE_FULL:
+                record.root = root
             else:
-                record.result_set = tuple(commitment)
+                record.result_set = tuple(result)
                 record.root = ZERO_ROOT
             record.bound = True
             return record

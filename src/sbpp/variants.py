@@ -50,7 +50,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 from . import nizk
 from .canon import FieldElement, digest, lp_decode, lp_encode
 from .geoindex import DEFAULT_PRECISIONS, Drop, build_index, client_tokens, make_token, plain_tag
-from .merkle import MerklePath, result_path, result_root, verify_membership
+from .merkle import MerklePath, build_tree, verify_membership
 from .protocol import (
     AUDIT_STAGES,
     DEFAULT_UNLOCK_RADIUS_M,
@@ -417,12 +417,11 @@ class GenericVariant:
         ids = self.index.match(tags)
         pv, epoch = vses.pv, vses.epoch
         if not ids:
-            vses.candidates = ()
+            vses.candidates, vses.cells = (), ()
             return vses
         cells = self.index.cells(tags) if row.carries_path else []
-        root = result_root(cells) if cells else None
-        commitment = root if row.mode == MODE_FULL else tuple(ids)
-        record = self.sessions.bind_results(S, commitment, now) if row.session_aware else None
+        result = cells if row.mode == MODE_FULL else ids
+        record = self.sessions.bind_results(S, result, row.mode, now) if row.session_aware else None
         if row.evidence == "capability":
             for i in ids:
                 vses.capabilities[i] = _sign_blob(key, [DOMAIN_CAPABILITY, S, i, pv, epoch])
@@ -433,14 +432,14 @@ class GenericVariant:
             vses.result_mac = _mac_tag(self.env.mac_key, S, pv, epoch, tuple(ids))
         elif row.evidence == "token":
             if row.token_includes_root:
+                root = build_tree(cells).root
                 token = _sign_blob(key, [DOMAIN_TOKEN_FULL, S, vses.N, root, pv, epoch])
             else:
                 token = _sign_blob(key, [DOMAIN_TOKEN_LITE, S, vses.N, pv, epoch])
             self.token_by_session[S] = vses.token = token
         elif row.evidence == "receipt":
             vses.receipt = sign_session(key, record)
-        vses.candidates = candidates_for(self.drops, ids)
-        vses.cells = tuple(cells)
+        vses.candidates, vses.cells = candidates_for(self.drops, ids), tuple(cells)
         return vses
 
     def build_unlock(
@@ -466,7 +465,7 @@ class GenericVariant:
         row = self.traits
         root = path = None
         if row.carries_path and path_leaf is not None:
-            root, path = result_path(vses.cells, path_leaf)
+            root, path = build_tree(vses.cells, path_leaf)
         pub = proof = None
         if row.has_proof:
             if row.digest_kind == "token":
@@ -518,7 +517,7 @@ class GenericVariant:
         """A fresh path to ``drop_id`` in this session's list, where the rung
         carries paths and the drop is listed; otherwise ``fallback``."""
         if self.traits.carries_path and drop_id in vses.result_ids():
-            return result_path(vses.cells, drop_id)[1]
+            return build_tree(vses.cells, drop_id).path
         return fallback
 
     def rebind_request(self, request: VariantRequest, target: VariantSession) -> VariantRequest:

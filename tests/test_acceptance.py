@@ -32,7 +32,7 @@ from sbpp.harness.experiments import (
     reassociation_experiment,
     search_quality_experiment,
 )
-from sbpp.merkle import build_tree, expected_depth, verify_membership
+from sbpp.merkle import MerkleTree, expected_depth, verify_membership
 from sbpp.protocol import R_MERKLE_INVALID, R_NOT_IN_RESULT_SET
 from sbpp.variants import VARIANT_KINDS
 
@@ -210,7 +210,7 @@ def test_criterion_9_property_suites():
             failures.append(f"theorem-3 {kind}: {bad}/100 wrong outcome")
 
     # Win2 flavor: stolen member paths never authenticate an outsider
-    tree = build_tree([f"d{i:06d}" for i in range(64)])
+    tree = MerkleTree([f"d{i:06d}" for i in range(64)])
     rng = random.Random(92)
     stolen_hits = sum(
         verify_membership(tree.root, "intruder", tree.prove_membership(f"d{rng.randrange(64):06d}"))
@@ -256,7 +256,7 @@ def test_criterion_9_property_suites():
 
     # Merkle completeness, exhaustive 257-leaf tree
     ids = [f"d{i:06d}" for i in range(257)]
-    tree = build_tree(ids)
+    tree = MerkleTree(ids)
     if not all(verify_membership(tree.root, i, tree.prove_membership(i)) for i in ids):
         failures.append("merkle: 257-leaf completeness failed")
     if tree.depth != expected_depth(257):

@@ -8,7 +8,7 @@ import pytest
 from sbpp.cli import main
 from sbpp.geoindex import geohash_encode, geohash_neighbors, haversine_m, load_corpus, make_token
 from sbpp.harness import attacks
-from sbpp.merkle import build_tree, node_hash
+from sbpp.merkle import MerkleTree, node_hash
 from sbpp.receipt import Receipt
 
 
@@ -131,7 +131,7 @@ def test_search_output_is_frozen(demo, capsys):
     assert sorted(by_cell) == ["xn775", "xn77h"]
     key = attacks.derive_key("search", 7)
     left, right = (
-        build_tree(sorted(by_cell[c])).root
+        MerkleTree(sorted(by_cell[c])).root
         for c in sorted(by_cell, key=lambda c: make_token(key, 5, c))
     )
     receipt = Receipt.parse(bytes.fromhex(json.loads(out)["receipt_hex"]))

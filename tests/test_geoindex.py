@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sbpp import geoindex
+from sbpp import geoindex, merkle
 from sbpp.geoindex import (
     COVER_BUDGET,
     GEOHASH_ALPHABET,
@@ -151,7 +151,7 @@ def test_make_token_is_one_shot_hmac_sha256(key, precision, cell):
     assert make_token(key, precision, cell) == hmac.digest(key, message, "sha256")
 
 
-def test_cell_roots_are_computed_on_first_hit_only(monkeypatch):
+def test_cells_are_kept_and_their_roots_computed_once(monkeypatch):
     key = b"\x02" * 32
     drops = gen_uniform_corpus(400, seed=11, bbox=TOKYO)
     built = []
@@ -160,13 +160,15 @@ def test_cell_roots_are_computed_on_first_hit_only(monkeypatch):
         built.append(list(ids))
         return MerkleTree(ids)
 
-    monkeypatch.setattr(geoindex, "MerkleTree", counting_tree)
+    monkeypatch.setattr(merkle, "MerkleTree", counting_tree)
     index = build_index(key, drops, [5])
-    assert built == []  # the build hashes no id
     _, tags = client_tokens(key, 35.70, 139.75, 1000.0)
     cells = index.cells(tags)
-    assert len(cells) >= 2 and len(built) == len(cells)
-    assert index.cells(tags) == cells and len(built) == len(cells)  # kept, not rebuilt
+    assert len(cells) >= 2 and built == []  # neither the build nor a lookup hashes an id
+    assert [cell.root for cell in cells] and len(built) == len(cells)
+    again = index.cells(tags)
+    assert all(a is b for a, b in zip(again, cells, strict=True))  # kept, not remade
+    assert [cell.root for cell in again] and len(built) == len(cells)  # nor rehashed
     hit = sorted(tag for tag in set(tags) if tag in index.entries)
     for tag, cell in zip(hit, cells, strict=True):
         assert list(cell.ids) == sorted(index.entries[tag])

@@ -17,6 +17,7 @@ from sbpp.merkle import (
     Cell,
     MerkleError,
     MerklePath,
+    MerkleTree,
     NotAMemberError,
     PathStep,
     _leaf_level,
@@ -25,8 +26,6 @@ from sbpp.merkle import (
     expected_depth,
     leaf_hash,
     node_hash,
-    result_path,
-    result_root,
     verify_membership,
 )
 
@@ -90,7 +89,7 @@ def test_leaf_and_node_domains_are_separated():
 
 
 def test_single_leaf_tree():
-    tree = build_tree(["d1"])
+    tree = MerkleTree(["d1"])
     assert tree.root == leaf_hash("d1")
     assert tree.depth == 0
     path = tree.prove_membership("d1")
@@ -100,47 +99,47 @@ def test_single_leaf_tree():
 
 def test_three_leaf_structure_self_pairs_the_odd_tail():
     ids = sorted(["a", "b", "c"])
-    tree = build_tree(ids)
+    tree = MerkleTree(ids)
     l = [leaf_hash(i) for i in ids]
     want = node_hash(node_hash(l[0], l[1]), node_hash(l[2], l[2]))
     assert tree.root == want
 
 
 def test_frozen_roots():
-    assert build_tree(_ids(1000)).root.hex() == (
+    assert MerkleTree(_ids(1000)).root.hex() == (
         "f9daa64a37d901c7ddea2fc3f1c5bf2b166e448499ed20f6774025115688d873"
     )
-    assert build_tree(["Z", "a", "drop-β", "zz", "é", "日本"]).root.hex() == (
+    assert MerkleTree(["Z", "a", "drop-β", "zz", "é", "日本"]).root.hex() == (
         "82a63a446d6d3538b96f7b393a0ce03f77a308d6a76a71893cbeaebf7e44d293"
     )
 
 
 def test_requires_sorted_unique_ids():
     with pytest.raises(MerkleError):
-        build_tree(["b", "a"])
+        MerkleTree(["b", "a"])
     with pytest.raises(MerkleError):
-        build_tree(["a", "a"])
+        MerkleTree(["a", "a"])
     with pytest.raises(MerkleError):
-        build_tree([])
+        MerkleTree([])
 
 
 def test_sort_order_is_byte_wise():
     # "Z" < "a" in UTF-8, unlike a case-folding sort
-    tree = build_tree(["Z", "a"])
+    tree = MerkleTree(["Z", "a"])
     assert tree.ids == ["Z", "a"]
 
 
 def test_path_length_table():
     for n, want in {100: 7, 1000: 10, 5000: 13, 10000: 14, 20000: 15, 50000: 16}.items():
         assert expected_depth(n) == want
-    tree = build_tree(_ids(100))
+    tree = MerkleTree(_ids(100))
     assert len(tree.prove_membership("d000000").steps) == 7
 
 
 def test_exhaustive_completeness_257_leaves():
     # 257 = 2^8 + 1 forces a maximally ragged right edge
     ids = _ids(257)
-    tree = build_tree(ids)
+    tree = MerkleTree(ids)
     assert tree.depth == 9
     for drop_id in ids:
         path = tree.prove_membership(drop_id)
@@ -150,7 +149,7 @@ def test_exhaustive_completeness_257_leaves():
 
 def test_non_member_rejected_with_stolen_paths():
     ids = _ids(64)
-    tree = build_tree(ids)
+    tree = MerkleTree(ids)
     rng = random.Random(0)
     for _ in range(1000):
         victim = rng.choice(ids)
@@ -159,14 +158,14 @@ def test_non_member_rejected_with_stolen_paths():
 
 
 def test_prove_membership_raises_for_outsider():
-    tree = build_tree(_ids(8))
+    tree = MerkleTree(_ids(8))
     with pytest.raises(NotAMemberError):
         tree.prove_membership("nope")
 
 
 def test_tampered_path_rejected():
     ids = _ids(32)
-    tree = build_tree(ids)
+    tree = MerkleTree(ids)
     path = tree.prove_membership("d000005")
     bad_sib = PathStep(path.steps[0].side, bytes(32))
     assert not verify_membership(tree.root, "d000005", MerklePath((bad_sib, *path.steps[1:])))
@@ -177,14 +176,14 @@ def test_tampered_path_rejected():
 
 
 def test_path_serialize_round_trip():
-    tree = build_tree(_ids(20))
+    tree = MerkleTree(_ids(20))
     for drop_id in ("d000000", "d000013", "d000019"):
         path = tree.prove_membership(drop_id)
         assert MerklePath.parse(path.serialize()) == path
 
 
 def test_path_parse_rejects_malformed_frames():
-    tree = build_tree(_ids(4))
+    tree = MerkleTree(_ids(4))
     raw = tree.prove_membership("d000001").serialize()
     with pytest.raises(MerkleError):
         MerklePath.parse(raw + b"\x00")
@@ -197,10 +196,10 @@ def test_path_parse_rejects_malformed_frames():
 
 
 def test_root_changes_with_any_membership_change():
-    base = build_tree(_ids(10))
-    assert build_tree(_ids(11)).root != base.root
+    base = MerkleTree(_ids(10))
+    assert MerkleTree(_ids(11)).root != base.root
     swapped = sorted([*_ids(9), "d999999"])
-    assert build_tree(swapped).root != base.root
+    assert MerkleTree(swapped).root != base.root
 
 
 @given(
@@ -216,7 +215,7 @@ def test_root_changes_with_any_membership_change():
 def test_membership_completeness_property(ids):
     # Arbitrary Unicode ids in UTF-8 byte order; the tree must match the
     # lp_encode reference byte for byte, root and every path.
-    tree = build_tree(ids)
+    tree = MerkleTree(ids)
     levels = _oracle_levels(ids)
     assert tree.root == levels[-1][0]
     for index, drop_id in enumerate(ids):
@@ -230,10 +229,10 @@ def test_membership_completeness_property(ids):
 @settings(max_examples=200, deadline=None)
 def test_rejects_exactly_the_lists_not_in_strict_utf8_order(ids):
     if ids == _utf8_order(ids):
-        assert build_tree(ids).ids == ids
+        assert MerkleTree(ids).ids == ids
     else:
         with pytest.raises(MerkleError):
-            build_tree(ids)
+            MerkleTree(ids)
 
 
 @given(st.lists(st.text(max_size=4), min_size=1, max_size=300))
@@ -294,20 +293,22 @@ def _oracle_top(roots: list[bytes]) -> bytes:
 
 def test_one_cell_result_keeps_the_flat_root_and_paths():
     ids = _ids(11)
-    tree = build_tree(ids)
-    cells = [Cell(tree.root, ids)]
-    assert result_root(cells) == tree.root
+    tree = MerkleTree(ids)
+    cells = [Cell(ids)]
+    assert build_tree(cells) == (tree.root, None)
     for drop_id in ids:
-        assert result_path(cells, drop_id) == (tree.root, tree.prove_membership(drop_id))
+        assert build_tree(cells, drop_id) == (tree.root, tree.prove_membership(drop_id))
 
 
 def test_result_commitment_rejects_empty_and_malformed_cells():
     with pytest.raises(MerkleError):
-        result_root([])
+        build_tree([])
     with pytest.raises(MerkleError):
-        result_root([Cell(b"short", ["a"])])
+        build_tree([Cell(["a"], b"short")])
+    with pytest.raises(MerkleError):
+        build_tree([Cell(["b", "a"])])
     with pytest.raises(NotAMemberError):
-        result_path([Cell(leaf_hash("a"), ["a"])], "b")
+        build_tree([Cell(["a"], leaf_hash("a"))], "b")
 
 
 @st.composite
@@ -351,17 +352,17 @@ def test_result_commitment_equals_the_top_tree_over_flat_cell_roots(searched):
     assert returned == {i for ids in oracle_cells for i in ids}
     if not cells:
         return
-    root = result_root(cells)
-    assert root == _oracle_top([build_tree(ids).root for ids in oracle_cells])
+    root = build_tree(cells).root
+    assert root == _oracle_top([MerkleTree(ids).root for ids in oracle_cells])
     if len(cells) == 1:
-        assert root == build_tree(sorted(returned)).root
+        assert root == MerkleTree(sorted(returned)).root
     paths = []
     for drop_id in sorted(returned):
-        got_root, path = result_path(cells, drop_id)
+        got_root, path = build_tree(cells, drop_id)
         assert got_root == root and verify_membership(root, drop_id, path)
         paths.append(path)
     for drop in drops:
         if drop.id not in returned:
             with pytest.raises(NotAMemberError):
-                result_path(cells, drop.id)
+                build_tree(cells, drop.id)
             assert not any(verify_membership(root, drop.id, p) for p in paths)

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sbpp import geoindex, merkle, nizk, protocol
+from sbpp import merkle, nizk, session
 from sbpp.canon import cd_core, cd_full, lp_decode, lp_encode
 from sbpp.geoindex import Drop
-from sbpp.merkle import Cell, MerklePath, PathStep, result_path, result_root
+from sbpp.merkle import Cell, MerklePath, PathStep, build_tree
 from sbpp.protocol import (
     R_CONSUMED,
     R_EXPIRED,
@@ -81,7 +81,7 @@ def test_full_search_commits_to_the_cells_it_lists():
     server, client = _pair(MODE_FULL, drops=TWO_CELLS)
     ses = _searched(server, client)
     assert sorted(list(c.ids) for c in ses.cells) == [["d00", "d01", "d02", "d03"], ["w00", "w01"]]
-    assert ses.receipt.root == result_root(ses.cells)
+    assert ses.receipt.root == build_tree(ses.cells).root
     for d in ses.candidates:
         request = client.build_unlock(ses, d.id, nizk.Witness(d.lat, d.lon))
         assert merkle.verify_membership(ses.receipt.root, d.id, request.merkle_path)
@@ -97,18 +97,18 @@ def test_commitment_runs_while_the_store_lock_is_free(monkeypatch):
     def stub(cells):
         assert not server.sessions._lock.locked()
         calls.append(len(cells))
-        return merkle.result_root(cells)
+        return merkle.build_tree(cells)
 
-    monkeypatch.setattr(protocol, "result_root", stub)
+    monkeypatch.setattr(session, "build_tree", stub)
     ses = _searched(server, client)
-    assert calls == [2] and ses.receipt.root == merkle.result_root(ses.cells)
+    assert calls == [2] and ses.receipt.root == merkle.build_tree(ses.cells).root
 
 
 def test_core_search_computes_no_cell_root(monkeypatch):
     def no_tree(ids):
         raise AssertionError("core mode built a cell tree")
 
-    monkeypatch.setattr(geoindex, "MerkleTree", no_tree)
+    monkeypatch.setattr(merkle, "MerkleTree", no_tree)
     server, client = _pair(MODE_CORE, drops=TWO_CELLS)
     ses = _searched(server, client)
     assert len(ses.candidates) == 6 and ses.cells == ()
@@ -127,17 +127,17 @@ def test_client_refuses_a_root_that_differs_from_the_receipt(tamper):
     ses = _searched(server, client)
     cells = list(ses.cells)
     own = next(i for i, c in enumerate(cells) if "d00" in c.ids)
-    root, ids = cells[own]
+    root, ids = cells[own].root, cells[own].ids
     if tamper == "receipt-root":
         ses.receipt = dataclasses.replace(ses.receipt, root=_flip(ses.receipt.root))
     elif tamper == "no-receipt":
         ses.receipt = None
     elif tamper == "other-cell-root":
-        cells[1 - own] = Cell(_flip(cells[1 - own].root), cells[1 - own].ids)
+        cells[1 - own] = Cell(cells[1 - own].ids, _flip(cells[1 - own].root))
     elif tamper == "own-cell-ids":
-        cells[own] = Cell(root, [i for i in ids if i != "d01"])
+        cells[own] = Cell([i for i in ids if i != "d01"], root)
     else:
-        cells[own] = Cell(root, [i for i in ids if i != "d00"])
+        cells[own] = Cell([i for i in ids if i != "d00"], root)
     ses.cells = tuple(cells)
     with pytest.raises(ProtocolError):
         client.build_unlock(ses, "d00", nizk.Witness(QLAT, QLON))
@@ -220,7 +220,7 @@ def test_non_member_rejected_core_vs_full():
         cd = (
             cd_core("far", "1", "ep0", ses.N)
             if mode == MODE_CORE
-            else cd_full("far", "1", "ep0", ses.N, result_root(ses.cells))
+            else cd_full("far", "1", "ep0", ses.N, build_tree(ses.cells).root)
         )
         pub = nizk.make_public_inputs(35.79, 139.89, RADIUS, cd)
         proof = nizk.prove(client.proving_key, nizk.Witness(35.79, 139.89), pub)
@@ -228,7 +228,7 @@ def test_non_member_rejected_core_vs_full():
 
         request = UnlockRequest(
             S=ses.S, drop_id="far", pub=pub, proof=proof,
-            merkle_path=None if mode == MODE_CORE else result_path(ses.cells, "d00")[1],
+            merkle_path=None if mode == MODE_CORE else build_tree(ses.cells, "d00").path,
         )
         assert server.verify(request, T0 + 1).fail_reason == want
 

@@ -16,7 +16,7 @@ import pytest
 from sbpp import nizk
 from sbpp.canon import Q, FieldElement, digest
 from sbpp.geoindex import Drop
-from sbpp.merkle import result_path
+from sbpp.merkle import build_tree
 from sbpp.protocol import SbppClient, SbppServer, audit, emit_audit_record
 from sbpp.receipt import server_keygen
 from sbpp.session import MODE_CORE, MODE_FULL
@@ -136,7 +136,7 @@ def _moved_statement(pub: nizk.PublicInputs) -> nizk.PublicInputs:
 
 
 def _path_of(ses, drop_id: str):
-    return result_path(ses.cells, drop_id)[1]
+    return build_tree(ses.cells, drop_id).path
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
 
 from sbpp.canon import lp_decode
-from sbpp.merkle import build_tree
+from sbpp.merkle import Cell, MerkleTree
 from sbpp.session import (
     MODE_CORE,
     MODE_FULL,
@@ -30,9 +30,9 @@ def _store(seed: int = 0, ttl_s: int = 300) -> SessionStore:
     return SessionStore(ttl_s=ttl_s, nonce_rng=random.Random(seed))
 
 
-def _root(ids: list[str]) -> bytes:
-    """A full-mode commitment: the root of one cell holding ``ids``."""
-    return build_tree(ids).root
+def _cells(ids: list[str]) -> list[Cell]:
+    """A full-mode result: one cell holding ``ids``."""
+    return [Cell(ids)]
 
 
 def test_issue_shapes_and_uniqueness():
@@ -109,14 +109,14 @@ def test_parallel_double_consume_single_winner():
 def test_bind_results_core_vs_full():
     store = _store()
     core = store.issue(T0, mode=MODE_CORE)
-    store.bind_results(core.S, ("a", "b"), T0 + 1)
+    store.bind_results(core.S, ["a", "b"], MODE_CORE, T0 + 1)
     assert core.result_set == ("a", "b")
     assert core.root == bytes(32)
 
     full = store.issue(T0, mode=MODE_FULL)
-    store.bind_results(full.S, _root(["a", "b"]), T0 + 1)
+    store.bind_results(full.S, _cells(["a", "b"]), MODE_FULL, T0 + 1)
     assert full.result_set is None
-    assert full.root == build_tree(["a", "b"]).root
+    assert full.root == MerkleTree(["a", "b"]).root
 
 
 @pytest.mark.parametrize("ids", [["b", "a"], ["a", "a"], ["a", "b", "b"], ["é", "z"]])
@@ -124,9 +124,9 @@ def test_core_bind_rejects_ids_not_unique_and_sorted(ids):
     store = _store()
     record = store.issue(T0, mode=MODE_CORE)
     with pytest.raises(SessionError):
-        store.bind_results(record.S, tuple(ids), T0 + 1)
+        store.bind_results(record.S, ids, MODE_CORE, T0 + 1)
     assert not record.bound and record.result_set is None
-    store.bind_results(record.S, tuple(sorted(set(ids))), T0 + 1)
+    store.bind_results(record.S, sorted(set(ids)), MODE_CORE, T0 + 1)
     assert record.result_set == tuple(sorted(set(ids)))
 
 
@@ -141,36 +141,30 @@ def test_in_result_set_is_set_membership(ids, outsider, data):
 def test_bind_is_once_and_mode_checked():
     store = _store()
     record = store.issue(T0, mode=MODE_FULL)
-    store.bind_results(record.S, _root(["a"]), T0 + 1)
+    store.bind_results(record.S, _cells(["a"]), MODE_FULL, T0 + 1)
     with pytest.raises(AlreadyBoundError):
-        store.bind_results(record.S, _root(["b"]), T0 + 2)
+        store.bind_results(record.S, _cells(["b"]), MODE_FULL, T0 + 2)
     other = store.issue(T0, mode=MODE_FULL)
     with pytest.raises(SessionError):
-        store.bind_results(other.S, ("a",), T0 + 1)
+        store.bind_results(other.S, ["a"], MODE_CORE, T0 + 1)
     with pytest.raises(SessionError):
-        store.bind_results(other.S, b"short", T0 + 1)
-    core = store.issue(T0, mode=MODE_CORE)
-    with pytest.raises(SessionError):
-        store.bind_results(core.S, (), T0 + 1)
-    with pytest.raises(SessionError):
-        store.bind_results(core.S, _root(["a"]), T0 + 1)
-    assert not other.bound and not core.bound
+        store.bind_results(other.S, [], MODE_FULL, T0 + 1)
 
 
 def test_compact_state_is_constant_size():
     # what a compact verifier keeps per session: root, never the result list
     store = _store()
     small = store.issue(T0, mode=MODE_FULL)
-    store.bind_results(small.S, _root(["a"]), T0 + 1)
+    store.bind_results(small.S, _cells(["a"]), MODE_FULL, T0 + 1)
     big = store.issue(T0, mode=MODE_FULL)
-    store.bind_results(big.S, _root([f"d{i:06d}" for i in range(5000)]), T0 + 1)
+    store.bind_results(big.S, _cells([f"d{i:06d}" for i in range(5000)]), MODE_FULL, T0 + 1)
     assert len(small.compact_bytes()) == len(big.compact_bytes()) == 140
 
 
 def test_compact_bytes_fields():
     store = _store()
     record = store.issue(T0, mode=MODE_FULL)
-    store.bind_results(record.S, _root(["a", "b"]), T0 + 1)
+    store.bind_results(record.S, _cells(["a", "b"]), MODE_FULL, T0 + 1)
     fields = lp_decode(record.compact_bytes())
     assert fields == [
         record.S.encode(),
@@ -243,7 +237,7 @@ class SessionLifecycle(RuleBasedStateMachine):
     def bind(self, S, mode, ids):
         try:
             ids = sorted(ids)
-            self.store.bind_results(S, _root(ids) if mode == MODE_FULL else tuple(ids), self.now)
+            self.store.bind_results(S, _cells(ids) if mode == MODE_FULL else ids, mode, self.now)
         except SessionError:
             pass  # unknown, expired, consumed, already bound or wrong mode
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sbpp import merkle, nizk, variants
+from sbpp import merkle, nizk, session, variants
 from sbpp.canon import digest, lp_encode
 from sbpp.geoindex import Drop
 from sbpp import protocol
@@ -109,16 +109,19 @@ def test_path_carrying_rungs_commit_to_their_cells(kind, monkeypatch):
     variant = make_variant(kind, env)
     roots = []
 
-    def stub(cells):
+    def stub(cells, member=None):
         assert not variant.sessions._lock.locked()
-        roots.append(merkle.result_root(cells))
-        return roots[-1]
+        tree = merkle.build_tree(cells, member)
+        if member is None:  # the server's root, not the client's path
+            roots.append(tree.root)
+        return tree
 
-    monkeypatch.setattr(variants, "result_root", stub)
+    monkeypatch.setattr(session, "build_tree", stub)
+    monkeypatch.setattr(variants, "build_tree", stub)
     for drop_id, lat, lon in (("d01", 35.7004, 139.7500), ("w00", 35.7000, 139.7440)):
         vses = variant.open_session(T0)
         variant.search(vses, QLAT, QLON, RADIUS, T0)
-        assert len(vses.cells) == 2 and roots[-1] == merkle.result_root(vses.cells)
+        assert len(vses.cells) == 2 and roots[-1] == merkle.build_tree(vses.cells).root
         request = variant.build_unlock(vses, drop_id, nizk.Witness(lat, lon))
         assert merkle.verify_membership(roots[-1], drop_id, request.merkle_path)
         assert variant.verify(request, T0 + 1).accepted
