@@ -33,7 +33,9 @@ cells a query hit, in tag order, each as a `Cell`: its ids, sorted on the
 cell's first hit, and its Merkle root, computed on the first use in a
 commitment.  Both are kept, so a build hashes no id, a search hashes only
 cells never committed before, and a match merges the kept sorted lists
-instead of sorting a union.
+instead of sorting a union.  A kept cell costs 8 bytes per id (its tuple)
+plus about 190 bytes; with every cell of a 110,776-drop index at
+precisions 4-7 hit, the kept cells hold 4.2 MB.
 
 Tags are HMAC-SHA-256 (RFC 2104).  `hmac_tagger` hashes the key's inner and
 outer pads once and derives each tag from copies of those two states, which

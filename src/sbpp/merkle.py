@@ -234,17 +234,18 @@ def build_tree(cells: Sequence[Cell], member: str | None = None) -> ResultTree:
     and the other cells' roots are as given."""
     if not cells:
         raise MerkleError("cannot commit to an empty result set")
-    position, steps = -1, ()
+    position, own = -1, None
     if member is not None:
         position = _cell_of(cells, member)
         own = MerkleTree(cells[position].ids)
-        steps = own.prove_membership(member).steps
     roots = [own.root if i == position else cell.root for i, cell in enumerate(cells)]
     if any(len(root) != 32 for root in roots):
         raise MerkleError("cell roots must be 32 bytes")
     top = _levels(roots)
-    path = None if member is None else MerklePath(steps + _steps(top, position))
-    return ResultTree(top[-1][0], path)
+    if own is None:
+        return ResultTree(top[-1][0], None)
+    steps = own.prove_membership(member).steps + _steps(top, position)
+    return ResultTree(top[-1][0], MerklePath(steps))
 
 
 def _cell_of(cells: Sequence[Cell], drop_id: str) -> int:

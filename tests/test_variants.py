@@ -129,6 +129,16 @@ def test_path_carrying_rungs_commit_to_their_cells(kind, monkeypatch):
     assert len(roots) == 2
 
 
+@pytest.mark.parametrize("kind", ["V4b", "V8"])
+def test_empty_search_clears_the_listed_cells(kind):
+    variant = make_variant(kind, _env())
+    vses = variant.open_session(T0)
+    variant.search(vses, QLAT, QLON, RADIUS, T0)
+    assert vses.candidates and vses.cells
+    variant.search(vses, QLAT - 1.0, QLON, RADIUS, T0)  # no drop within 100 km
+    assert vses.candidates == () and vses.cells == ()
+
+
 _DOMAINS = st.one_of(
     st.sampled_from([DOMAIN_CAPABILITY, DOMAIN_PERMIT, DOMAIN_TOKEN_FULL, DOMAIN_TOKEN_LITE]),
     st.text(max_size=12),
