@@ -58,6 +58,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _count(text: str) -> int:
+    """The type of every count flag: a positive int, or a usage error."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {n}")
+    return n
+
+
 def _key_fingerprint(key: bytes) -> str:
     return hashlib.sha256(key).hexdigest()[:16]
 
@@ -292,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-corpus", help="generate a synthetic drop corpus")
     p.add_argument("--kind", choices=["uniform", "clustered"], default="uniform")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--bbox", default="35.6,139.6,35.8,139.9", help="lat_min,lon_min,lat_max,lon_max")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -334,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_audit)
 
     p = sub.add_parser("attack-matrix", help="run every attack against every variant")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--impoverished-token",
@@ -347,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="performance benchmarks")
     p.add_argument("which", choices=["merkle", "latency"])
     p.add_argument("--sizes", help="merkle: comma-separated tree sizes")
-    p.add_argument("--n-drops", type=int, default=1000)
-    p.add_argument("--iters", type=int, default=1000)
+    p.add_argument("--n-drops", type=_count, default=1000)
+    p.add_argument("--iters", type=_count, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir")
     p.set_defaults(fn=_cmd_bench)
@@ -359,13 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["reassoc", "audit-replay", "atomicity", "malicious-server", "search-quality"],
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sessions", type=int, default=1000)
-    p.add_argument("--epoch-every", type=int, default=25)
-    p.add_argument("--drops-per-cell", type=int, default=20)
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--n-drops", type=int, default=1000)
-    p.add_argument("--n-queries", type=int, default=200)
+    p.add_argument("--sessions", type=_count, default=1000)
+    p.add_argument("--epoch-every", type=_count, default=25)
+    p.add_argument("--drops-per-cell", type=_count, default=20)
+    p.add_argument("--n", type=_count, default=100)
+    p.add_argument("--trials", type=_count, default=100)
+    p.add_argument("--n-drops", type=_count, default=1000)
+    p.add_argument("--n-queries", type=_count, default=200)
     p.add_argument("--out-dir")
     p.set_defaults(fn=_cmd_experiment)
 

@@ -28,14 +28,15 @@ empty answer.  Every query sends COVER_BUDGET tags, so the tag count does
 not reveal the radius; the number of tags that hit the index (the non-empty
 cover cells) does.
 
-For the result-set commitment (see sbpp.merkle) the index also answers which
-cells a query hit, in tag order, each as a `Cell`: its ids, sorted on the
-cell's first hit, and its Merkle root, computed on the first use in a
-commitment.  Both are kept, so a build hashes no id, a search hashes only
-cells never committed before, and a match merges the kept sorted lists
-instead of sorting a union.  A kept cell costs 8 bytes per id (its tuple)
-plus about 190 bytes; with every cell of a 110,776-drop index at
-precisions 4-7 hit, the kept cells hold 4.2 MB.
+The index is a map from tag to `Cell` (see sbpp.merkle), one per (precision,
+cell), made by the build with its ids sorted: pass 1 visits the drops in id
+order, so each cell's ids come out sorted without sorting any cell.  A query
+gets the cells it hit, in tag order, as the index holds them, and a match
+merges their sorted lists instead of sorting a union.  A cell's Merkle root
+is computed on its first use in a commitment and kept, so a build hashes no
+id and a search hashes only cells never committed before.  Each id is held
+once, in its cell's tuple: a 110,776-drop index at precisions 4-7 holds
+4.45 MB with every cell's root computed (tracemalloc).
 
 Tags are HMAC-SHA-256 (RFC 2104).  `hmac_tagger` hashes the key's inner and
 outer pads once and derives each tag from copies of those two states, which
@@ -52,6 +53,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
+from operator import attrgetter
 
 from .canon import strictly_sorted
 from .merkle import Cell
@@ -347,7 +349,7 @@ def client_tokens(
 
 
 class GeoIndex:
-    """Server-side tag -> drop-id map.  Built with HMAC tags it holds no
+    """Server-side tag -> `Cell` map.  Built with HMAC tags it holds no
     plaintext geometry; built with ``plain_tag`` it is the plaintext baseline."""
 
     def __init__(self, precisions: list[int]):
@@ -357,8 +359,7 @@ class GeoIndex:
             if not MIN_PRECISION <= p <= MAX_PRECISION:
                 raise GeoindexError("index precision out of range")
         self.precisions = sorted(set(precisions))
-        self.entries: dict[bytes, list[str]] = {}
-        self._cells: dict[bytes, Cell] = {}  # tag -> the cell, from its first hit
+        self.entries: dict[bytes, Cell] = {}
 
     def match(self, tags: list[bytes]) -> list[str]:
         """Union of ids under the queried tags, de-duplicated and sorted in
@@ -370,29 +371,20 @@ class GeoIndex:
         return ids if strictly_sorted(ids) else sorted(set(ids))
 
     def cells(self, tags: list[bytes]) -> list[Cell]:
-        """The non-empty cells under the queried tags, each once and in tag
-        order.  A cell is made on its first hit, with its ids sorted, and
-        kept, so its root is computed at most once."""
-        out = []
-        for tag in sorted(set(tags)):
-            cell = self._cells.get(tag)
-            if cell is None:
-                ids = self.entries.get(tag)
-                if not ids:
-                    continue
-                # two racing first hits keep equal cells
-                cell = self._cells[tag] = Cell(tuple(sorted(ids)))
-            out.append(cell)
-        return out
+        """The cells under the queried tags, each once and in tag order: the
+        index's own, so a root computed once is kept for every later search."""
+        return [self.entries[tag] for tag in sorted(set(tags)) if tag in self.entries]
 
 
 def build_index(key: bytes, drops: list[Drop], precisions: list[int], tag=make_token) -> GeoIndex:
     """The index of ``drops`` at each of ``precisions``, in two passes.
 
-    Pass 1 computes each drop's (x, y) cell once, at the finest precision, and
-    files its id under that cell and each coarser precision's (x >> dx, y >> dy):
-    bisection is a prefix, so the shift is the coarser cell.  Pass 2 derives
-    one tag per distinct (precision, cell).  Id lists keep drop order.
+    Pass 1 visits the drops in id order, computes each drop's (x, y) cell
+    once, at the finest precision, and files its id under that cell and each
+    coarser precision's (x >> dx, y >> dy): bisection is a prefix, so the
+    shift is the coarser cell.  Pass 2 derives one tag per distinct
+    (precision, cell) and files the cell's ids, sorted by the visit order,
+    as one `Cell`.
     """
     index = GeoIndex(precisions)
     lon_bits, lat_bits = _grid_bits(index.precisions[-1])
@@ -400,7 +392,7 @@ def build_index(key: bytes, drops: list[Drop], precisions: list[int], tag=make_t
     for p in index.precisions:
         px, py = _grid_bits(p)
         levels.append((p, lon_bits - px, lat_bits - py, {}))
-    for drop in drops:
+    for drop in sorted(drops, key=attrgetter("id")):
         _check_point(drop.lat, drop.lon)
         x = _axis_cell(drop.lon, -180.0, 360.0, lon_bits)
         y = _axis_cell(drop.lat, -90.0, 180.0, lat_bits)
@@ -409,7 +401,7 @@ def build_index(key: bytes, drops: list[Drop], precisions: list[int], tag=make_t
     tag_of = _keyed(tag, key)
     for p, _, _, cells in levels:
         for (x, y), ids in cells.items():
-            index.entries[tag_of(p, _cell_string(x, y, p))] = ids
+            index.entries[tag_of(p, _cell_string(x, y, p))] = Cell(tuple(ids))
     return index
 
 

@@ -272,6 +272,8 @@ class MatrixResult:
 
 def run_attack_matrix(trials: int = 100, seed: int = 0, token_includes_root: bool = True) -> MatrixResult:
     """Every attack against every rung, `trials` fresh-session repetitions."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")  # zero trials would block every attack
     results: dict[tuple[str, str], AttackResult] = {}
     for variant_kind in VARIANT_KINDS:
         variant = build_variant(variant_kind, seed, token_includes_root=token_includes_root)

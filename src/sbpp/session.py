@@ -78,7 +78,11 @@ class SessionRecord:
     result_set: tuple[str, ...] | None = None  # core mode: sorted unique ids
     root: bytes | None = None
     consumed: bool = False
-    bound: bool = False
+
+    @property
+    def bound(self) -> bool:
+        """Bound to a result set: every bind sets the root (ZERO_ROOT in core mode)."""
+        return self.root is not None
 
     def compact_bytes(self) -> bytes:
         """Serialized fixed-width form of a full-mode record; size is
@@ -181,7 +185,6 @@ class SessionStore:
             else:
                 record.result_set = tuple(result)
                 record.root = ZERO_ROOT
-            record.bound = True
             return record
 
     def consume(self, S: str, now: int) -> bool:

@@ -361,6 +361,35 @@ def test_bad_bbox_exits_1(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-corpus", "--n", "-5"],
+        ["gen-corpus", "--n", "0"],
+        ["attack-matrix", "--trials", "0"],
+        ["bench", "latency", "--n-drops", "0"],
+        ["bench", "latency", "--iters", "0"],
+        ["experiment", "reassoc", "--sessions", "0"],
+        ["experiment", "reassoc", "--drops-per-cell", "0"],
+        ["experiment", "reassoc", "--epoch-every", "0"],
+        ["experiment", "audit-replay", "--n", "0"],
+        ["experiment", "malicious-server", "--trials", "0"],
+        ["experiment", "atomicity", "--trials", "-1"],
+        ["experiment", "search-quality", "--n-drops", "0"],
+        ["experiment", "search-quality", "--n-queries", "0"],
+    ],
+)
+def test_non_positive_count_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "corpus.tsv"
+    if argv[0] == "gen-corpus":
+        argv = [*argv, "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_attack_matrix_command(capsys):
     code, out = _run(capsys, "attack-matrix", "--trials", "2", "--seed", "0")
     assert code == 0

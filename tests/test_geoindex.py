@@ -3,12 +3,14 @@
 import hashlib
 import hmac
 import math
+import random
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sbpp import geoindex, merkle
+from sbpp.canon import strictly_sorted
 from sbpp.geoindex import (
     COVER_BUDGET,
     GEOHASH_ALPHABET,
@@ -34,7 +36,9 @@ from sbpp.geoindex import (
     precision_for_radius,
     save_corpus,
 )
-from sbpp.merkle import MerkleTree
+from sbpp.harness.attacks import T0, build_variant, derive_key, protocol_pair, seeded_env
+from sbpp.merkle import Cell, MerkleTree
+from sbpp.session import MODE_FULL
 
 TOKYO = (35.6, 35.8, 139.6, 139.9)
 
@@ -171,8 +175,38 @@ def test_cells_are_kept_and_their_roots_computed_once(monkeypatch):
     assert [cell.root for cell in again] and len(built) == len(cells)  # nor rehashed
     hit = sorted(tag for tag in set(tags) if tag in index.entries)
     for tag, cell in zip(hit, cells, strict=True):
-        assert list(cell.ids) == sorted(index.entries[tag])
-        assert cell.root == MerkleTree(sorted(index.entries[tag])).root
+        assert list(cell.ids) == sorted(index.entries[tag].ids)
+        assert cell.root == MerkleTree(sorted(index.entries[tag].ids)).root
+
+
+def test_cells_are_made_with_the_index_and_a_search_makes_none(monkeypatch):
+    # Ids shuffled against drop order: every cell still lists them sorted.
+    key = derive_key("search", 0)
+    drops = gen_uniform_corpus(400, seed=11, bbox=TOKYO)
+    order = random.Random(5).sample(range(len(drops)), len(drops))
+    drops = [Drop(f"d{i:06d}", d.lat, d.lon) for i, d in zip(order, drops)]
+    index = build_index(key, drops, [5])
+    assert all(strictly_sorted(cell.ids) for cell in index.entries.values())
+    _, tags = client_tokens(key, 35.70, 139.75, 1000.0)
+    cells = index.cells(tags)
+    assert len(cells) >= 2
+    assert all(any(cell is held for held in index.entries.values()) for cell in cells)
+
+    server, client = protocol_pair(seeded_env(0, drops), MODE_FULL)
+    rung = build_variant("V4b", 0, drops=drops)
+    made = []
+
+    def counting_cell(*args):
+        made.append(args)
+        return merkle.Cell(*args)
+
+    monkeypatch.setattr(geoindex, "Cell", counting_cell)
+    ses = client.open_session(server, T0)
+    client.search(server, ses, 35.70, 139.75, 1000.0, T0)
+    vses = rung.open_session(T0)
+    rung.search(vses, 35.70, 139.75, 1000.0, T0)
+    assert len(ses.cells) >= 2 and len(vses.cells) >= 2
+    assert made == []
 
 
 def test_client_tokens_emit_the_cover_budget():
@@ -221,8 +255,10 @@ def test_match_order_is_utf8_byte_order(postings):
     # Full-Unicode ids, some under several tags: the union comes back
     # de-duplicated and in UTF-8 byte order.
     index = GeoIndex([5])
+    lists = {}
     for tag, drop_id in postings:
-        index.entries.setdefault(bytes([tag]), []).append(drop_id)
+        lists.setdefault(bytes([tag]), []).append(drop_id)
+    index.entries = {tag: Cell(ids) for tag, ids in lists.items()}  # unsorted, with repeats
     ids = {drop_id for _, drop_id in postings}
     got = index.match([bytes([t]) for t in range(4)])
     # surrogatepass: a lone surrogate encodes in its code point's place
@@ -430,12 +466,12 @@ def test_no_fit_raises_exactly_when_no_indexed_precision_fits(lat, lon, radius, 
 
 def _reference_entries(key, drops, precisions, tag):
     """The index built the direct way: encode and tag every drop at every
-    precision, appending ids in drop order."""
+    precision, then sort each tag's ids."""
     entries = {}
     for drop in drops:
         for p in sorted(set(precisions)):
             entries.setdefault(tag(key, p, geohash_encode(drop.lat, drop.lon, p)), []).append(drop.id)
-    return entries
+    return {t: tuple(sorted(ids)) for t, ids in entries.items()}
 
 
 @st.composite
@@ -461,7 +497,7 @@ _INDEX_POINTS = st.one_of(
 @st.composite
 def _index_drops(draw):
     """Drops at _INDEX_POINTS, with ids in an order unrelated to drop order,
-    so an id list that came out in id order, not drop order, fails."""
+    so an id list that came out in drop order, not id order, fails."""
     points = draw(st.lists(_INDEX_POINTS, max_size=40))
     order = draw(st.permutations(range(len(points))))
     return [Drop(f"d{i:03d}", lat, lon) for i, (lat, lon) in zip(order, points)]
@@ -478,7 +514,7 @@ def test_build_index_equals_the_per_drop_reference(drops, precisions, tag):
     key = b"\x09" * 32
     index = build_index(key, drops, sorted(precisions), tag=tag)
     assert index.precisions == sorted(precisions)
-    assert index.entries == _reference_entries(key, drops, precisions, tag)
+    assert {t: cell.ids for t, cell in index.entries.items()} == _reference_entries(key, drops, precisions, tag)
 
 
 def test_build_index_rejects_out_of_range_points():
@@ -506,7 +542,7 @@ def test_build_index_frozen_digest():
     # as the per-drop build wrote it.
     index = build_index(bytes(range(32)), gen_uniform_corpus(2000, 11), [4, 5, 6, 7])
     dump = b"".join(
-        tag.hex().encode() + b"\t" + ",".join(ids).encode() + b"\n" for tag, ids in sorted(index.entries.items())
+        tag.hex().encode() + b"\t" + ",".join(cell.ids).encode() + b"\n" for tag, cell in sorted(index.entries.items())
     )
     assert len(index.entries) == 2853
     assert hashlib.sha256(dump).hexdigest() == "f50f37cc91754a6b2d6377f1ab3ca288d9706f9d7a9528fd6c0a980b68b946e4"

@@ -79,6 +79,12 @@ def test_matrix_matches_expected_at_low_trials():
     assert not any(r.skipped for r in matrix.results.values())
 
 
+def test_matrix_refuses_zero_trials():
+    # zero trials would count every attack as blocked and match nothing real
+    with pytest.raises(ValueError, match="trials"):
+        run_attack_matrix(trials=0)
+
+
 def test_matrix_stable_across_seeds():
     for seed in (1, 2):
         assert run_attack_matrix(trials=5, seed=seed).matches_expected(), seed
