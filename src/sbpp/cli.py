@@ -75,8 +75,12 @@ def _parse_bbox(text: str) -> tuple[float, float, float, float]:
     if len(parts) != 4:
         raise ValueError("bbox needs four comma-separated numbers")
     lat_min, lon_min, lat_max, lon_max = parts
-    if lat_min >= lat_max or lon_min >= lon_max:
-        raise ValueError("bbox must be lat_min,lon_min,lat_max,lon_max")
+    # every comparison is false for NaN, so a NaN corner fails the test
+    if not (-90 <= lat_min < lat_max <= 90 and -180 <= lon_min < lon_max <= 180):
+        raise ValueError(
+            "bbox must be lat_min,lon_min,lat_max,lon_max with -90 <= lat_min < lat_max <= 90"
+            " and -180 <= lon_min < lon_max <= 180"
+        )
     return (lat_min, lat_max, lon_min, lon_max)
 
 
@@ -248,7 +252,7 @@ def _emit_report(report, out_dir: str | None) -> None:
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.which == "merkle":
         sizes = tuple(int(s) for s in args.sizes.split(",")) if args.sizes else None
-        result = merkle_bench(sizes) if sizes else merkle_bench()
+        result = merkle_bench(sizes, seed=args.seed) if sizes else merkle_bench(seed=args.seed)
     else:
         result = protocol_latency_bench(
             n_drops=args.n_drops, iters=args.iters, seed=args.seed

@@ -177,7 +177,7 @@ def attack_a4a(variant) -> bool:
 def attack_a4b(variant) -> bool:
     """Defeat the offline audit: blocked only if honest records attest AND
     both forgery routes (record splicing, membership fabrication) fail."""
-    if not variant.has_proximity_proof:
+    if not variant.traits.has_proof:
         return False  # nothing in the trail proves proximity
     s1, s2 = _searched_sessions(variant, 2)
     drop_id = s1.result_ids()[0]

@@ -52,7 +52,7 @@ from typing import Any, Callable, NamedTuple
 from . import nizk
 from .canon import FieldElement, cd_core, cd_full, lp_encode, lp_decode, EncodingError
 from .geoindex import DEFAULT_PRECISIONS, Drop, GeoIndex, build_index, client_tokens
-from .merkle import Cell, MerklePath, MerkleError, build_tree, verify_membership
+from .merkle import Cell, MerklePath, MerkleError, ResultTree, build_tree, verify_membership
 from .receipt import Receipt, ReceiptError, SigningKey, sign_receipt, verify_receipt
 from .session import (
     DEFAULT_EPOCH,
@@ -355,6 +355,18 @@ class ClientSession:
         return [c.id for c in self.candidates]
 
 
+def checked_tree(ses: ClientSession, drop_id: str) -> ResultTree:
+    """The full-mode root and path rebuilt through the target's own cell;
+    ProtocolError unless that root is the receipt's."""
+    try:
+        tree = build_tree(ses.cells, drop_id)
+    except MerkleError as exc:
+        raise ProtocolError(f"the listed cells do not commit to {drop_id!r}") from exc
+    if ses.receipt is None or tree.root != ses.receipt.root:
+        raise ProtocolError("recomputed root differs from the receipt's")
+    return tree
+
+
 class SbppClient:
     """Client half: token derivation, root recomputation and check, proving."""
 
@@ -388,12 +400,7 @@ class SbppClient:
         target = ses.candidate(drop_id)
         root = path = None
         if ses.mode == MODE_FULL:
-            try:
-                root, path = build_tree(ses.cells, drop_id)
-            except MerkleError as exc:
-                raise ProtocolError(f"the listed cells do not commit to {drop_id!r}") from exc
-            if ses.receipt is None or root != ses.receipt.root:
-                raise ProtocolError("recomputed root differs from the receipt's")
+            root, path = checked_tree(ses, drop_id)
         cd = challenge_digest(ses.mode, drop_id, ses.pv, ses.epoch, ses.N, root)
         pub = nizk.make_public_inputs(target.lat, target.lon, ses.radius_m, cd)
         proof = nizk.prove(self.proving_key, witness, pub)

@@ -14,15 +14,18 @@ Nine rungs share one engine, so attack scripts run unchanged against each:
   V8  proof digest commits to the hash of an opaque signed token (which
       carries the nonce, and the root unless built "lite")
 
-Each rung is one row of RUNGS.  The row says what the search side issues
-(capabilities, permits, a MAC, a token or the protocol's signed receipt),
-what the client attaches to a request, and which stages verify and audit
-it.  Verify and audit run the row's stage tuple in order and stop at the
-first reason, so each failure maps to one reason on every rung.  V4a and
-V4b are rows like the others: their stage tuples are the protocol's own
-VERIFY_STAGES and AUDIT_STAGES objects, and the ladder-only stages here
-(nonce echo, evidence, context digest, token hash/root) sit beside the
-shared session, membership, statement, proof and consume stages.
+Each rung is one row of RUNGS: its verify and audit stage tuples, plus the
+two facts no stage states, plaintext search and what the session binds
+(V1/V2 and V4a/V4b share their stages).  The engine derives from the verify
+stages what the search side issues (capabilities, permits, a MAC, a token
+or the protocol's signed receipt) and what the client attaches (nonce echo,
+result list, proof digest), so a row cannot disagree with itself.  Verify
+and audit run the row's stage tuple in order and stop at the first reason,
+so each failure maps to one reason on every rung.  V4a and V4b are rows
+like the others: their stage tuples are the protocol's own VERIFY_STAGES
+and AUDIT_STAGES objects, and the ladder-only stages here (nonce echo,
+evidence, context digest, token hash/root) sit beside the shared session,
+membership, statement, proof and consume stages.
 
 An audit is the verify stages run without server state: the audit record
 is the request itself, stamped with the token and receipt the session was
@@ -66,6 +69,8 @@ from .protocol import (
     VerifyOutcome,
     candidates_for,
     challenge_digest,
+    checked_tree,
+    check_digest,
     check_membership,
     check_proof,
     check_session,
@@ -266,7 +271,7 @@ def audit_token_hash(variant: GenericVariant, attempt: Attempt) -> str | None:
 
 
 def audit_token_sig(variant: GenericVariant, attempt: Attempt) -> str | None:
-    domain = DOMAIN_TOKEN_FULL if variant.traits.token_includes_root else DOMAIN_TOKEN_LITE
+    domain = DOMAIN_TOKEN_FULL if check_token_root in variant.traits.verify else DOMAIN_TOKEN_LITE
     if _verify_blob(variant.public_key_bytes, attempt.claim.token, domain) is None:
         return R_TOKEN_SIG
     return None
@@ -289,10 +294,6 @@ class VariantTraits:
     audit: tuple[Stage, ...]
     plaintext_search: bool = False
     mode: str = MODE_CORE  # what the session binds: the id set, or (full) its root
-    nonce_echo: bool = False
-    digest_kind: str | None = "context"  # context | token | session | None (no proof)
-    evidence: str | None = None  # capability | permit | mac | token | receipt
-    token_includes_root: bool = True
 
     @property
     def session_aware(self) -> bool:
@@ -300,21 +301,19 @@ class VariantTraits:
 
     @property
     def has_proof(self) -> bool:
-        return self.digest_kind is not None
+        return check_proof in self.verify
 
     @property
     def carries_path(self) -> bool:
         """Requests carry a Merkle path: to the session root, or the token's."""
-        return self.mode == MODE_FULL or (self.evidence == "token" and self.token_includes_root)
+        return self.mode == MODE_FULL or check_token_root in self.verify
 
 
 _PROVE = (check_statement, check_proof)  # offline only the proof: an auditor has no drop table
 _CONTEXT_VERIFY = (check_context_digest, *_PROVE)
 _CONTEXT_AUDIT = (check_context_digest, check_proof)
 # The protocol's own stages and signed receipt; V4b binds the session to a Merkle root.
-_PROTOCOL = VariantTraits(
-    "V4a", VERIFY_STAGES, AUDIT_STAGES, digest_kind="session", evidence="receipt"
-)
+_PROTOCOL = VariantTraits("V4a", VERIFY_STAGES, AUDIT_STAGES)
 
 RUNGS: dict[str, VariantTraits] = {
     "V1": VariantTraits("V1", _CONTEXT_VERIFY, _CONTEXT_AUDIT, plaintext_search=True),
@@ -323,7 +322,6 @@ RUNGS: dict[str, VariantTraits] = {
         "V3",
         (check_session, check_echo, *_CONTEXT_VERIFY, consume_session),
         _CONTEXT_AUDIT,
-        nonce_echo=True,
     ),
     "V4a": _PROTOCOL,
     "V4b": replace(_PROTOCOL, kind="V4b", mode=MODE_FULL),
@@ -331,27 +329,21 @@ RUNGS: dict[str, VariantTraits] = {
         "V5",
         (check_session, check_capability, *_CONTEXT_VERIFY, consume_session),
         (check_capability, *_CONTEXT_AUDIT),
-        evidence="capability",
     ),
     "V6": VariantTraits(
         "V6",
         (check_session, check_permit, consume_session),
         (check_permit,),  # nothing else to attest: no proof exists
-        digest_kind=None,
-        evidence="permit",
     ),
     "V7": VariantTraits(
         "V7",
         (check_session, check_mac, *_CONTEXT_VERIFY, consume_session),
         (check_mac, *_CONTEXT_AUDIT),
-        evidence="mac",
     ),
     "V8": VariantTraits(
         "V8",
         (check_session, check_token_hash, check_token_root, *_PROVE, consume_session),
         (audit_token_hash, audit_token_sig, audit_token_root, check_proof),
-        digest_kind="token",
-        evidence="token",
     ),
 }
 
@@ -361,7 +353,6 @@ _V8_LITE = replace(
     RUNGS["V8"],
     verify=(check_session, check_token_hash, check_membership, *_PROVE, consume_session),
     audit=(audit_token_hash, audit_token_sig, check_proof),
-    token_includes_root=False,
 )
 
 
@@ -376,7 +367,6 @@ class GenericVariant:
         self.traits = traits
         self.kind = traits.kind
         self.env = env
-        self.has_proximity_proof = traits.has_proof
         self.drops = {d.id: d for d in env.drops}
         if len(self.drops) != len(env.drops):
             raise VariantError("duplicate drop ids in corpus")
@@ -409,7 +399,8 @@ class GenericVariant:
         self, vses: VariantSession, lat: float, lon: float, radius_m: float, now: int
     ) -> VariantSession:
         row, key, S = self.traits, self.env.signing_key, vses.S
-        if row.evidence == "receipt":
+        stages = row.verify
+        if check_digest in stages:
             self.sessions.validate(S, now)  # the protocol refuses a dead session outright
         _, tags = client_tokens(
             self.env.search_key, lat, lon, radius_m, self.env.precisions, tag=self._tag
@@ -422,22 +413,22 @@ class GenericVariant:
         cells = self.index.cells(tags) if row.carries_path else []
         result = cells if row.mode == MODE_FULL else ids
         record = self.sessions.bind_results(S, result, row.mode, now) if row.session_aware else None
-        if row.evidence == "capability":
+        if check_capability in stages:
             for i in ids:
                 vses.capabilities[i] = _sign_blob(key, [DOMAIN_CAPABILITY, S, i, pv, epoch])
-        elif row.evidence == "permit":
+        if check_permit in stages:
             for i in ids:
                 vses.permits[i] = _sign_blob(key, [DOMAIN_PERMIT, S, i, pv, epoch])
-        elif row.evidence == "mac":
+        if check_mac in stages:
             vses.result_mac = _mac_tag(self.env.mac_key, S, pv, epoch, tuple(ids))
-        elif row.evidence == "token":
-            if row.token_includes_root:
+        if check_token_hash in stages:
+            if check_token_root in stages:
                 root = build_tree(cells).root
                 token = _sign_blob(key, [DOMAIN_TOKEN_FULL, S, vses.N, root, pv, epoch])
             else:
                 token = _sign_blob(key, [DOMAIN_TOKEN_LITE, S, vses.N, pv, epoch])
             self.token_by_session[S] = vses.token = token
-        elif row.evidence == "receipt":
+        if check_digest in stages:
             vses.receipt = sign_session(key, record)
         vses.candidates, vses.cells = candidates_for(self.drops, ids), tuple(cells)
         return vses
@@ -463,16 +454,20 @@ class GenericVariant:
         witness: nizk.Witness, path_leaf: str | None,
     ) -> VariantRequest:
         row = self.traits
+        stages = row.verify
         root = path = None
         if row.carries_path and path_leaf is not None:
-            root, path = build_tree(vses.cells, path_leaf)
+            if check_digest in stages:  # the protocol client's receipt check
+                root, path = checked_tree(vses, path_leaf)
+            else:
+                root, path = build_tree(vses.cells, path_leaf)
         pub = proof = None
-        if row.has_proof:
-            if row.digest_kind == "token":
+        if check_proof in stages:
+            if check_token_hash in stages:
                 if vses.token is None:
                     raise VariantError("no token issued for this session")
                 cd = digest([vses.token])
-            elif row.digest_kind == "session":
+            elif check_digest in stages:
                 cd = challenge_digest(row.mode, drop_id, vses.pv, vses.epoch, vses.N, root)
             else:
                 cd = context_digest(drop_id, vses.pv, vses.epoch)
@@ -486,10 +481,10 @@ class GenericVariant:
             pv=vses.pv,
             epoch=vses.epoch,
             merkle_path=path,
-            nonce_echo=vses.N if row.nonce_echo else None,
+            nonce_echo=vses.N if check_echo in stages else None,
             capability=vses.capabilities.get(drop_id),
             permit=vses.permits.get(drop_id),
-            result_ids=tuple(vses.result_ids()) if row.evidence == "mac" else None,
+            result_ids=tuple(vses.result_ids()) if check_mac in stages else None,
             result_mac=vses.result_mac,
         )
 
@@ -527,7 +522,7 @@ class GenericVariant:
             request,
             S=target.S,
             merkle_path=self._path_in(target, request.drop_id, request.merkle_path),
-            nonce_echo=target.N if self.traits.nonce_echo else None,
+            nonce_echo=target.N if check_echo in self.traits.verify else None,
         )
 
     def retarget_request(

@@ -429,3 +429,26 @@ def test_experiment_command_writes_csv(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "audit_replay.csv").exists()
     assert "full_honest_pass" in out
+
+
+@pytest.mark.parametrize("bbox", ["95,0,100,10", "nan,0,1,1", "10,-200,20,-190"])
+def test_bbox_off_the_globe_exits_1_and_writes_nothing(tmp_path, capsys, bbox):
+    out = tmp_path / "corpus.tsv"
+    assert main(["gen-corpus", "--n", "3", "--bbox", bbox, "--out", str(out)]) == 1
+    assert "bbox must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sizes", [[], ["--sizes", "100"]])
+def test_bench_merkle_passes_the_seed(tmp_path, capsys, monkeypatch, sizes):
+    from sbpp import cli
+
+    real, seen = cli.merkle_bench, []
+
+    def spy(*args, **kwargs):  # records the seed, then runs one small size
+        seen.append(kwargs.get("seed"))
+        return real((100,), prove_samples=5, seed=kwargs.get("seed", 0))
+
+    monkeypatch.setattr(cli, "merkle_bench", spy)
+    code, _ = _run(capsys, "bench", "merkle", *sizes, "--seed", "5", "--out-dir", str(tmp_path))
+    assert code == 0 and seen == [5]

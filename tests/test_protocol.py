@@ -30,6 +30,7 @@ from sbpp.protocol import (
 )
 from sbpp.receipt import server_keygen
 from sbpp.session import MODE_CORE, MODE_FULL
+from sbpp.variants import VariantEnv, make_variant
 
 T0 = 1_700_000_000
 QLAT, QLON = 35.70, 139.75
@@ -119,12 +120,32 @@ def _flip(raw: bytes) -> bytes:
     return bytes([raw[0] ^ 1]) + raw[1:]
 
 
+TAMPERS = ["receipt-root", "no-receipt", "other-cell-root", "own-cell-ids", "target-unlisted"]
+
+
+def _v4b_searched(drops: list[Drop]):
+    """The ladder's V4b rung over the keys of ``_pair``, searched at the query."""
+    pk, vk = nizk.setup(b"nizk\x00")
+    env = VariantEnv(
+        drops=drops, search_key=b"\x11" * 32, signing_key=server_keygen(b"sign\x00"),
+        proving_key=pk, verifying_key=vk, mac_key=bytes(32), nonce_rng=random.Random(0),
+    )
+    variant = make_variant("V4b", env)
+    ses = variant.open_session(T0)
+    return variant, variant.search(ses, QLAT, QLON, RADIUS, T0)
+
+
 @pytest.mark.parametrize(
-    "tamper", ["receipt-root", "no-receipt", "other-cell-root", "own-cell-ids", "target-unlisted"]
+    "tamper, subject",
+    [pytest.param(t, "client", id=t) for t in TAMPERS]
+    + [pytest.param(t, "V4b", id=f"V4b-{t}") for t in TAMPERS],
 )
-def test_client_refuses_a_root_that_differs_from_the_receipt(tamper):
-    server, client = _pair(MODE_FULL, drops=TWO_CELLS)
-    ses = _searched(server, client)
+def test_client_refuses_a_root_that_differs_from_the_receipt(tamper, subject):
+    if subject == "client":
+        server, client = _pair(MODE_FULL, drops=TWO_CELLS)
+        ses = _searched(server, client)
+    else:  # the ladder's full-protocol rung runs the same client check
+        client, ses = _v4b_searched(TWO_CELLS)
     cells = list(ses.cells)
     own = next(i for i, c in enumerate(cells) if "d00" in c.ids)
     root, ids = cells[own].root, cells[own].ids

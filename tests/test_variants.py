@@ -504,3 +504,32 @@ def test_missing_public_inputs_answer_a_reason(kind, token_includes_root):
     rec = dataclasses.replace(variant.audit_record(vses, request), pub=None)
     assert variant.audit(rec).fail_reason == expected
     assert variant.verify(dataclasses.replace(request, pub=None), T0 + 1).fail_reason == expected
+
+
+def test_a_row_is_its_stage_tuples():
+    # what the search side issues and the client attaches follows from the
+    # verify stages: a hand-made row that checks a nonce echo and a MAC gets
+    # both, with nothing else stated
+    row = variants.VariantTraits(
+        "X",
+        (
+            protocol.check_session,
+            variants.check_echo,
+            variants.check_mac,
+            variants.check_context_digest,
+            protocol.check_statement,
+            protocol.check_proof,
+            protocol.consume_session,
+        ),
+        (variants.check_mac, variants.check_context_digest, protocol.check_proof),
+    )
+    variant = GenericVariant(row, _env())
+    vses, request = _flow(variant)
+    outcome = variant.verify(request, T0 + 1)
+    assert outcome.accepted, outcome.fail_reason
+    assert request.nonce_echo == vses.N
+    assert request.result_mac == vses.result_mac is not None
+    assert request.result_ids == tuple(vses.result_ids())
+    assert variant.audit(variant.audit_record(vses, request)).accepted
+    fields = [f.name for f in dataclasses.fields(variants.VariantTraits)]
+    assert fields == ["kind", "verify", "audit", "plaintext_search", "mode"]
