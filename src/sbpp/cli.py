@@ -15,7 +15,6 @@ radius that none of them covers in geoindex.COVER_BUDGET cells is a usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -41,6 +40,7 @@ from .harness.experiments import (
     reassociation_experiment,
     search_quality_experiment,
 )
+from .harness.report import write_csv
 from .protocol import AuditRecord, AuditRecordError, audit
 from .session import DEFAULT_EPOCH, DEFAULT_PV, DEFAULT_TTL_S, MODE_CORE, MODE_FULL
 
@@ -220,22 +220,13 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return EXIT_OK if outcome.accepted else EXIT_REJECTED
 
 
-def _write_matrix_csv(matrix, outdir: str) -> Path:
-    path = Path(outdir)
-    path.mkdir(parents=True, exist_ok=True)
-    target = path / "attack_matrix.csv"
-    with target.open("w", newline="") as fh:
-        csv.writer(fh).writerows(matrix.csv_rows())
-    return target
-
-
 def _cmd_attack_matrix(args: argparse.Namespace) -> int:
     matrix = run_attack_matrix(
         trials=args.trials, seed=args.seed, token_includes_root=not args.impoverished_token
     )
     print(matrix.render())
     if args.out_dir:
-        print(f"csv: {_write_matrix_csv(matrix, args.out_dir)}")
+        print(f"csv: {write_csv(args.out_dir, 'attack_matrix', matrix.csv_rows())}")
     # An impoverished token opens A4b on V8 by design, so only the full
     # ladder is held to the expected matrix.
     if args.impoverished_token or matrix.matches_expected():

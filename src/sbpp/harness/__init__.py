@@ -1,59 +1,1 @@
 """Adversary scripts, experiments, and benchmarks for the protocol ladder."""
-
-from .attacks import (
-    ATTACK_FUNCS,
-    ATTACK_KINDS,
-    AttackResult,
-    EXPECTED_MATRIX,
-    EnvInsufficientError,
-    MatrixResult,
-    build_variant,
-    protocol_pair,
-    run_attack_matrix,
-    seeded_env,
-)
-from .experiments import (
-    AtomicityResult,
-    AuditReplayResult,
-    LatencyBenchResult,
-    MaliciousServerResult,
-    MerkleBenchResult,
-    ReassociationResult,
-    SearchQualityResult,
-    atomicity_and_isolation_suite,
-    audit_replay_experiment,
-    malicious_server_suite,
-    merkle_bench,
-    protocol_latency_bench,
-    reassociation_experiment,
-    search_quality_experiment,
-)
-from .report import ExperimentReport
-
-__all__ = [
-    "ATTACK_FUNCS",
-    "ATTACK_KINDS",
-    "AttackResult",
-    "AtomicityResult",
-    "AuditReplayResult",
-    "EXPECTED_MATRIX",
-    "EnvInsufficientError",
-    "ExperimentReport",
-    "LatencyBenchResult",
-    "MaliciousServerResult",
-    "MatrixResult",
-    "MerkleBenchResult",
-    "ReassociationResult",
-    "SearchQualityResult",
-    "atomicity_and_isolation_suite",
-    "audit_replay_experiment",
-    "build_variant",
-    "malicious_server_suite",
-    "merkle_bench",
-    "protocol_latency_bench",
-    "protocol_pair",
-    "reassociation_experiment",
-    "run_attack_matrix",
-    "search_quality_experiment",
-    "seeded_env",
-]

@@ -37,15 +37,18 @@ class ExperimentReport:
         return "\n".join(lines)
 
     def write_csv(self, outdir: str | Path) -> Path:
-        outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        path = outdir / f"{self.name}.csv"
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["metric", "value"])
-            for metric, value in self.rows:
-                writer.writerow([metric, _fmt(value)])
-        return path
+        rows = [[metric, _fmt(value)] for metric, value in self.rows]
+        return write_csv(outdir, self.name, [["metric", "value"], *rows])
+
+
+def write_csv(outdir: str | Path, name: str, rows: list[list[str]]) -> Path:
+    """Write ``rows`` (header first) to ``outdir/name.csv``; the path written."""
+    path = Path(outdir)
+    path.mkdir(parents=True, exist_ok=True)
+    target = path / f"{name}.csv"
+    with target.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return target
 
 
 def render_grid(

@@ -1,10 +1,11 @@
 """The search-bound unlock protocol (core and full modes).
 
-Flow: the server issues a session (id, 256-bit nonce, expiry); the client
+Flow: the server issues a session and states its whole context (id, 256-bit
+nonce, expiry, mode, policy version, epoch, unlock radius and the index's
+precisions), so the session, not each drop, carries the policy; the client
 searches with encrypted cell tokens; the server binds the session to the
 matched result set and hands back the matched drops themselves, in id order,
-with a signed receipt; the session, not each drop, carries the policy
-version, epoch and unlock radius.  In core mode the session keeps the id set
+with a signed receipt.  In core mode the session keeps the id set
 itself.  In full mode it keeps the two-level Merkle root of sbpp.merkle: the
 top tree over the hit cells' roots, in tag order, built from roots the index
 keeps per cell before the session lock is taken.  The response then also
@@ -44,6 +45,7 @@ stage objects.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import attrgetter
 import random
@@ -87,15 +89,6 @@ class ProtocolError(ValueError):
 
 class AuditRecordError(ValueError):
     """Malformed audit record frame (parse-level, not a cryptographic verdict)."""
-
-
-@dataclass(frozen=True)
-class IssuedSession:
-    S: str
-    N: bytes
-    t_exp: int
-    pv: str
-    epoch: str
 
 
 @dataclass(frozen=True)
@@ -157,9 +150,10 @@ class SbppServer:
     def public_key_bytes(self) -> bytes:
         return self.signing_key.public_bytes
 
-    def init_session(self, now: int) -> IssuedSession:
+    def init_session(self, now: int) -> ClientSession:
+        """Issue a session; the client's view states its whole context."""
         record = self.sessions.issue(now, mode=self.mode)
-        return IssuedSession(record.S, record.N, record.t_exp, record.pv, record.epoch)
+        return ClientSession.issued(record, self.unlock_radius_m, self.index.precisions)
 
     def _match(self, tags: list[bytes]) -> tuple[list[str], list[Cell]]:
         """The matched ids and, in full mode, the hit cells that commit to them."""
@@ -181,8 +175,7 @@ class SbppServer:
         )
 
     def verify(self, request: UnlockRequest, now: int) -> VerifyOutcome:
-        reason = first_reason(VERIFY_STAGES, self, Attempt(request, now))
-        return VerifyOutcome(reason is None, reason)
+        return run_stages(VERIFY_STAGES, self, Attempt(request, now))
 
 
 def candidates_for(drops: dict[str, Drop], ids: list[str]) -> tuple[Drop, ...]:
@@ -230,13 +223,13 @@ class Attempt:
     record: SessionRecord | Receipt | None = None
 
 
-def first_reason(stages: tuple[Stage, ...], subject: Any, item: Any) -> str | None:
-    """Run the stages in order; the first reason stops the run."""
+def run_stages(stages: tuple[Stage, ...], subject: Any, attempt: Attempt) -> VerifyOutcome:
+    """Run the stages in order; the first reason stops the run and rejects."""
     for stage in stages:
-        reason = stage(subject, item)
+        reason = stage(subject, attempt)
         if reason is not None:
-            return reason
-    return None
+            return VerifyOutcome(False, reason)
+    return VerifyOutcome(True)
 
 
 def check_session(verifier: Any, attempt: Attempt) -> str | None:
@@ -344,6 +337,16 @@ class ClientSession:
     cells: tuple[Cell, ...] = ()  # full mode: the hit cells as the server listed them
     receipt: Receipt | None = None
 
+    @classmethod
+    def issued(
+        cls, record: SessionRecord, radius_m: float, precisions: Iterable[int]
+    ) -> ClientSession:
+        """The view of a freshly issued session record."""
+        return cls(
+            record.S, record.N, record.t_exp, record.mode, record.pv, record.epoch,
+            radius_m, tuple(precisions),
+        )
+
     def candidate(self, drop_id: str) -> Drop:
         """The listed drop, found by bisection: candidates are in id order."""
         i = bisect_left(self.candidates, drop_id, key=attrgetter("id"))
@@ -375,11 +378,7 @@ class SbppClient:
         self.proving_key = proving_key
 
     def open_session(self, server: SbppServer, now: int) -> ClientSession:
-        issued = server.init_session(now)
-        return ClientSession(
-            issued.S, issued.N, issued.t_exp, server.mode, issued.pv, issued.epoch,
-            server.unlock_radius_m, tuple(server.index.precisions),
-        )
+        return server.init_session(now)
 
     def search(
         self, server: SbppServer, ses: ClientSession, lat: float, lon: float, radius_m: float, now: int
@@ -475,7 +474,6 @@ def audit(server_public_key: bytes, nizk_vk: bytes, record: AuditRecord) -> Veri
     """Replay the protocol's bindings offline, with zero session state:
     AUDIT_STAGES in order (receipt signature, digest, membership, proof),
     with the record's receipt as the session context."""
-    reason = first_reason(
+    return run_stages(
         AUDIT_STAGES, AuditKeys(server_public_key, nizk_vk), Attempt(record, None, record.receipt)
     )
-    return VerifyOutcome(reason is None, reason)

@@ -113,11 +113,11 @@ class SessionStore:
     pv: str = DEFAULT_PV
     epoch: str = DEFAULT_EPOCH
     nonce_rng: random.Random | None = None
-    _records: dict[str, SessionRecord] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock)
-    issued_count: int = 0
-    consumed_count: int = 0
-    purged_expired_count: int = 0
+    _records: dict[str, SessionRecord] = field(default_factory=dict, init=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False)
+    issued_count: int = field(default=0, init=False)
+    consumed_count: int = field(default=0, init=False)
+    purged_expired_count: int = field(default=0, init=False)
 
     def _random_bytes(self, n: int) -> bytes:
         if self.nonce_rng is not None:

@@ -76,7 +76,7 @@ from .protocol import (
     check_session,
     check_statement,
     consume_session,
-    first_reason,
+    run_stages,
     sign_session,
 )
 from .receipt import Receipt, SigningKey
@@ -390,10 +390,7 @@ class GenericVariant:
 
     def open_session(self, now: int) -> VariantSession:
         record = self.sessions.issue(now, mode=self.traits.mode)
-        return VariantSession(
-            record.S, record.N, record.t_exp, record.mode, record.pv, record.epoch,
-            self.unlock_radius_m, self.env.precisions,
-        )
+        return VariantSession.issued(record, self.unlock_radius_m, self.index.precisions)
 
     def search(
         self, vses: VariantSession, lat: float, lon: float, radius_m: float, now: int
@@ -461,6 +458,8 @@ class GenericVariant:
                 root, path = checked_tree(vses, path_leaf)
             else:
                 root, path = build_tree(vses.cells, path_leaf)
+        elif row.mode == MODE_FULL:
+            raise VariantError("no listed id to take a membership path from")
         pub = proof = None
         if check_proof in stages:
             if check_token_hash in stages:
@@ -489,8 +488,7 @@ class GenericVariant:
         )
 
     def verify(self, request: VariantRequest, now: int) -> VerifyOutcome:
-        reason = first_reason(self.traits.verify, self, Attempt(request, now))
-        return VerifyOutcome(reason is None, reason)
+        return run_stages(self.traits.verify, self, Attempt(request, now))
 
     # -- offline audit
 
@@ -501,8 +499,7 @@ class GenericVariant:
     def audit(self, rec: VariantRequest) -> VerifyOutcome:
         """The row's audit stages, with the record as the claim and its
         receipt (if the rung issues one) as the session context."""
-        reason = first_reason(self.traits.audit, self, Attempt(rec, None, rec.receipt))
-        return VerifyOutcome(reason is None, reason)
+        return run_stages(self.traits.audit, self, Attempt(rec, None, rec.receipt))
 
     # -- adversary adapters
 

@@ -1,5 +1,6 @@
 """CLI exit-code discipline and file formats: 0 ok, 1 usage, 2 rejection."""
 
+import csv
 import hashlib
 import json
 
@@ -395,6 +396,16 @@ def test_attack_matrix_command(capsys):
     assert code == 0
     assert "matches the expected matrix" in out
     assert "V4b" in out and "A4b" in out
+
+
+def test_attack_matrix_writes_csv(tmp_path, capsys):
+    code, out = _run(capsys, "attack-matrix", "--trials", "2", "--out-dir", str(tmp_path))
+    assert code == 0
+    with (tmp_path / "attack_matrix.csv").open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["attack", "variant", "trials", "blocked_count", "skipped"]
+    assert len(rows) == len(attacks.ATTACK_KINDS) * 9 == 54
+    assert f"csv: {tmp_path / 'attack_matrix.csv'}" in out
 
 
 def test_attack_matrix_mismatch_exits_1(capsys, monkeypatch):

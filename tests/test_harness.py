@@ -5,8 +5,14 @@ test_acceptance; these tests pin the same behaviors fast enough to run
 on every edit.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import sbpp
 from sbpp.harness.attacks import (
     ATTACK_FUNCS,
     EXPECTED_MATRIX,
@@ -219,3 +225,12 @@ def test_search_quality_reduced():
     assert 0 < result.precision_mean < 0.5
     assert result.jaccard_near_mean > result.jaccard_far_mean
     assert result.runtime_s < 10
+
+
+def test_importing_the_attack_harness_leaves_the_experiments_unloaded():
+    # The harness package re-exports nothing, so the matrix loads no runner.
+    src = str(Path(sbpp.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, sbpp.harness.attacks; sys.exit('sbpp.harness.experiments' in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -20,17 +20,22 @@ from sbpp.protocol import (
     R_PROOF_INVALID,
     R_RECEIPT_SIG,
     R_SESSION_INVALID,
+    Attempt,
     AuditRecord,
     AuditRecordError,
+    ClientSession,
     ProtocolError,
     SbppClient,
     SbppServer,
+    VerifyOutcome,
     audit,
     emit_audit_record,
+    run_stages,
 )
+from sbpp.harness.attacks import seeded_env
 from sbpp.receipt import server_keygen
 from sbpp.session import MODE_CORE, MODE_FULL
-from sbpp.variants import VariantEnv, make_variant
+from sbpp.variants import VARIANT_KINDS, VariantEnv, make_variant
 
 T0 = 1_700_000_000
 QLAT, QLON = 35.70, 139.75
@@ -482,3 +487,54 @@ def test_server_rejects_duplicate_drop_ids():
             signing_key=server_keygen(b"k"),
             nizk_vk=nizk.setup(b"n")[1],
         )
+
+
+def test_run_stages_stops_at_the_first_reason():
+    called = []
+
+    def stage(name, reason=None):
+        def run(subject, attempt):
+            called.append(name)
+            return reason
+
+        return run
+
+    attempt = Attempt(claim=None, now=T0)
+    stages = (stage("a"), stage("b", "first"), stage("c", "second"))
+    assert run_stages(stages, None, attempt) == VerifyOutcome(False, "first")
+    assert called == ["a", "b"]
+    called.clear()
+    assert run_stages((stage("a"), stage("b")), None, attempt) == VerifyOutcome(True, None)
+    assert called == ["a", "b"]
+
+
+# A deployment whose every session field differs from the defaults.
+CONTEXT = dict(precisions=[6, 5], ttl_s=120, pv="7", epoch="ep9", unlock_radius_m=750.0)
+
+
+def _states_context(ses: ClientSession, mode: str, store: session.SessionStore) -> None:
+    record = store.validate(ses.S, T0)
+    assert (ses.N, ses.t_exp) == (record.N, T0 + 120)
+    assert (ses.mode, ses.pv, ses.epoch, ses.radius_m, ses.precisions) == (
+        mode, "7", "ep9", 750.0, (5, 6)
+    )
+
+
+@pytest.mark.parametrize("mode", [MODE_CORE, MODE_FULL])
+def test_issued_session_states_the_whole_context(mode):
+    pk, vk = nizk.setup(b"nizk\x00")
+    server = SbppServer(
+        drops=DROPS, search_key=b"\x11" * 32, signing_key=server_keygen(b"sign\x00"),
+        nizk_vk=vk, mode=mode, nonce_rng=random.Random(0), **CONTEXT,
+    )
+    client = SbppClient(b"\x11" * 32, pk)
+    for ses in (server.init_session(T0), client.open_session(server, T0)):
+        assert type(ses) is ClientSession
+        _states_context(ses, mode, server.sessions)
+
+
+@pytest.mark.parametrize("kind", [*VARIANT_KINDS, "V8-lite"])
+def test_every_rung_issues_a_session_stating_the_whole_context(kind):
+    env = seeded_env(0, **{**CONTEXT, "precisions": (6, 5)})
+    variant = make_variant(kind.removesuffix("-lite"), env, token_includes_root=kind != "V8-lite")
+    _states_context(variant.open_session(T0), variant.traits.mode, variant.sessions)

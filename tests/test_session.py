@@ -1,5 +1,6 @@
 """Session table: issue, expiry, one-time consumption, lifecycle accounting."""
 
+import dataclasses
 import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -33,6 +34,19 @@ def _store(seed: int = 0, ttl_s: int = 300) -> SessionStore:
 def _cells(ids: list[str]) -> list[Cell]:
     """A full-mode result: one cell holding ``ids``."""
     return [Cell(ids)]
+
+
+@pytest.mark.parametrize(
+    "name", ["_records", "_lock", "issued_count", "consumed_count", "purged_expired_count"]
+)
+def test_store_internals_are_not_constructor_options(name):
+    with pytest.raises(TypeError):
+        SessionStore(**{name: 5})
+
+
+def test_store_options_are_its_policy_and_rng():
+    options = [f.name for f in dataclasses.fields(SessionStore) if f.init]
+    assert options == ["ttl_s", "pv", "epoch", "nonce_rng"]
 
 
 def test_issue_shapes_and_uniqueness():

@@ -129,6 +129,16 @@ def test_path_carrying_rungs_commit_to_their_cells(kind, monkeypatch):
     assert len(roots) == 2
 
 
+def test_v4b_nonmember_unlock_after_an_empty_search_is_a_variant_error():
+    # A full-mode row with nothing listed has no id to take a membership path from.
+    variant = make_variant("V4b", _env())
+    vses = variant.open_session(T0)
+    variant.search(vses, 35.01, 139.01, RADIUS, T0)
+    assert vses.candidates == ()
+    with pytest.raises(VariantError):
+        variant.build_nonmember_unlock(vses, DROPS[0], nizk.Witness(DROPS[0].lat, DROPS[0].lon))
+
+
 @pytest.mark.parametrize("kind", ["V4b", "V8"])
 def test_empty_search_clears_the_listed_cells(kind):
     variant = make_variant(kind, _env())
