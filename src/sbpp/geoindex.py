@@ -361,13 +361,16 @@ class GeoIndex:
         self.precisions = sorted(set(precisions))
         self.entries: dict[bytes, Cell] = {}
 
-    def match(self, tags: list[bytes]) -> list[str]:
+    def match(self, tags: list[bytes], cells: list[Cell] | None = None) -> list[str]:
         """Union of ids under the queried tags, de-duplicated and sorted in
         UTF-8 byte order (which is code point order, so no key is needed).
         A query's cells are of one precision, so they are disjoint and the
         union is a merge of their sorted lists; tags of several precisions
-        may overlap and are de-duplicated."""
-        ids = sorted(chain.from_iterable(cell.ids for cell in self.cells(tags)))
+        may overlap and are de-duplicated.  A caller that has already
+        fetched ``self.cells(tags)`` passes them as ``cells``."""
+        if cells is None:
+            cells = self.cells(tags)
+        ids = sorted(chain.from_iterable(cell.ids for cell in cells))
         return ids if strictly_sorted(ids) else sorted(set(ids))
 
     def cells(self, tags: list[bytes]) -> list[Cell]:

@@ -19,6 +19,14 @@ showed, or that misstates the client's own cell, but not one that commits a
 different cell differently and consistently.  The audit of the client's own
 unlock is unaffected: its path runs through the cell the client rebuilt.
 
+A client keeps the cell trees it has rebuilt in a `TreeMemo` of at most
+MEMO_MAX_IDS ids, least recently used out first.  Its key is the cell's ids
+themselves, never a `Cell` object or a root the server supplied, so a kept
+tree is exactly the tree a rebuild gives, and the top tree, the path and
+the receipt check still run on every unlock.  A repeat unlock in a cell the
+client has checked hashes no id; a first one costs the rebuild it always
+did.  A kept id costs ~85 bytes (tracemalloc), so a full memo holds ~5.5 MB.
+
 Leaves and interior nodes use distinct hash domains, which kills
 second-preimage tricks that reinterpret an interior node as a leaf, and lets
 `verify_membership` check a path through a tree of any shape, so a two-level
@@ -42,7 +50,9 @@ as hashing `lp_encode([DOMAIN_LEAF, id])` and
 hashes through them.  `MerkleTree` hashes the same bytes a whole level at a
 time: each level is one chain of `map`/`zip` over C functions (encode,
 length prefix, join with the head, SHA-256, digest), so building a tree
-makes no Python-level call per node.  A member's position is found by
+makes no Python-level call per node.  A tree keeps the levels above its
+leaves, about one 32-byte hash per id; a path's leaf sibling is one
+`leaf_hash` of the neighbouring id.  A member's position is found by
 bisecting the sorted ids, so the tree keeps no id -> position map.
 """
 
@@ -52,7 +62,8 @@ import hashlib
 import math
 import struct
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections import OrderedDict
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
@@ -161,8 +172,9 @@ class MerklePath:
 
 
 class MerkleTree:
-    """Tree over sorted unique ids; keeps all levels (padded, see `_levels`)
-    for path extraction."""
+    """Tree over sorted unique ids; keeps its root, its depth and the levels
+    above the leaves (padded, see `_levels`) for path extraction.  The leaf
+    level is not kept: a path's first sibling is hashed again from its id."""
 
     def __init__(self, ids: list[str]):
         if not ids:
@@ -170,21 +182,20 @@ class MerkleTree:
         if not strictly_sorted(ids):
             raise MerkleError("result set ids must be unique and sorted")
         self.ids = list(ids)
-        self._levels = _levels(_leaf_level(self.ids))
-
-    @property
-    def root(self) -> bytes:
-        return self._levels[-1][0]
-
-    @property
-    def depth(self) -> int:
-        return len(self._levels) - 1
+        levels = _levels(_leaf_level(self.ids))
+        self.root = levels[-1][0]
+        self._above = levels[1:]
+        self.depth = len(self._above)
 
     def prove_membership(self, drop_id: str) -> MerklePath:
         index = bisect_left(self.ids, drop_id)
         if index == len(self.ids) or self.ids[index] != drop_id:
             raise NotAMemberError(f"{drop_id!r} is not in the committed set")
-        return MerklePath(_steps(self._levels, index))
+        if not self.depth:
+            return MerklePath(())
+        sibling = self.ids[min(index ^ 1, len(self.ids) - 1)]  # odd tail: itself
+        first = PathStep(SIDE_LEFT if index % 2 else SIDE_RIGHT, leaf_hash(sibling))
+        return MerklePath((first, *_steps(self._above, index // 2)))
 
 
 def _steps(levels: list[list[bytes]], index: int) -> tuple[PathStep, ...]:
@@ -216,28 +227,70 @@ class Cell:
         return self._root
 
 
+MEMO_MAX_IDS = 1 << 16  # ids a TreeMemo keeps trees for: ~5 paper-scale precision-5 cells
+
+
+class TreeMemo:
+    """The flat cell trees one party has built, kept by content.
+
+    Called with a cell's ids, it returns the `MerkleTree` over them: a kept
+    tree when those exact ids were built before, else a fresh one.  The key
+    is the ids themselves, so a kept tree is exactly the tree a rebuild
+    gives; nothing else a server says about a cell (its object, its root)
+    can put a tree in or pick one out.  It keeps trees while their ids
+    number at most ``max_ids`` and evicts the least recently used first; a
+    tree over more ids than that is returned but not kept."""
+
+    def __init__(self, max_ids: int = MEMO_MAX_IDS):
+        self.max_ids = max_ids
+        self.kept = 0  # ids of the kept trees
+        self.hits = self.misses = 0
+        self._trees: OrderedDict[tuple[str, ...], MerkleTree] = OrderedDict()
+
+    def __call__(self, ids: Sequence[str]) -> MerkleTree:
+        key = tuple(ids)
+        tree = self._trees.get(key)
+        if tree is not None:
+            self.hits += 1
+            self._trees.move_to_end(key)
+            return tree
+        self.misses += 1
+        tree = MerkleTree(key)
+        if len(key) <= self.max_ids:
+            self._trees[key] = tree
+            self.kept += len(key)
+            while self.kept > self.max_ids:
+                self.kept -= len(self._trees.popitem(last=False)[0])
+        return tree
+
+
 class ResultTree(NamedTuple):
     root: bytes
     path: MerklePath | None  # the member's, when `build_tree` was given one
 
 
-def build_tree(cells: Sequence[Cell], member: str | None = None) -> ResultTree:
+def build_tree(
+    cells: Sequence[Cell],
+    member: str | None = None,
+    subtree: Callable[[Sequence[str]], MerkleTree] = MerkleTree,
+) -> ResultTree:
     """The commitment to a result set given as its cells in tag order: the
     root of the top tree over the cells' roots.  Once the roots are known it
     hashes no id, so it costs at most 15 node hashes for 16 cells; for one
     cell it is that cell's root.
 
-    With ``member``, the first cell that lists it is rebuilt from its ids,
-    its rebuilt root takes that cell's place, and ``path`` runs from the
-    member through that subtree and on through the top tree.  The root then
-    equals the committed one only if that cell's ids are the committed ones
-    and the other cells' roots are as given."""
+    With ``member``, the first cell that lists it is rebuilt from its ids by
+    ``subtree`` (a fresh `MerkleTree`, or a client's `TreeMemo`), its
+    rebuilt root takes that cell's place, and ``path`` runs from the member
+    through that subtree and on through the top tree.  The root then equals
+    the committed one only if that cell's ids are the committed ones and
+    the other cells' roots are as given."""
     if not cells:
         raise MerkleError("cannot commit to an empty result set")
     position, own = -1, None
     if member is not None:
         position = _cell_of(cells, member)
-        own = MerkleTree(cells[position].ids)
+        own = subtree(cells[position].ids)
     roots = [own.root if i == position else cell.root for i, cell in enumerate(cells)]
     if any(len(root) != 32 for root in roots):
         raise MerkleError("cell roots must be 32 bytes")

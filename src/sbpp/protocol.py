@@ -21,7 +21,13 @@ root differs from the receipt's.  So it catches a receipt that disagrees
 with the cells shown, or a misstated own cell, but takes the other cells'
 roots on trust: a server that commits another cell differently and
 consistently goes unnoticed, though the audit of the client's own unlock,
-whose path runs through the cell it rebuilt, is unaffected.
+whose path runs through the cell it rebuilt, is unaffected.  The client
+keeps the own-cell trees it has rebuilt in a `TreeMemo` (sbpp.merkle),
+keyed by the cell's ids and bounded by MEMO_MAX_IDS ids, so a repeat unlock
+in a cell it has checked rebuilds nothing; the top tree and the receipt
+compare still run on every unlock, and a first unlock in a cell costs the
+rebuild it always did.  Server binding and the comparison ladder keep
+rebuilding.
 
 Verification is a fixed tuple of stages, VERIFY_STAGES, and every rejection
 carries exactly one reason, so a failure localizes to the first broken link:
@@ -54,7 +60,9 @@ from typing import Any, Callable, NamedTuple
 from . import nizk
 from .canon import FieldElement, cd_core, cd_full, lp_encode, lp_decode, EncodingError
 from .geoindex import DEFAULT_PRECISIONS, Drop, GeoIndex, build_index, client_tokens
-from .merkle import Cell, MerklePath, MerkleError, ResultTree, build_tree, verify_membership
+from .merkle import (
+    Cell, MerklePath, MerkleError, MerkleTree, ResultTree, TreeMemo, build_tree, verify_membership,
+)
 from .receipt import Receipt, ReceiptError, SigningKey, sign_receipt, verify_receipt
 from .session import (
     DEFAULT_EPOCH,
@@ -157,8 +165,8 @@ class SbppServer:
 
     def _match(self, tags: list[bytes]) -> tuple[list[str], list[Cell]]:
         """The matched ids and, in full mode, the hit cells that commit to them."""
-        ids = self.index.match(tags)
-        return ids, self.index.cells(tags) if ids and self.mode == MODE_FULL else []
+        cells = self.index.cells(tags)
+        return self.index.match(tags, cells), cells if self.mode == MODE_FULL else []
 
     def search(self, S: str, tags: list[bytes], now: int) -> SearchResponse:
         """Match, bind, and attest in one step.  Empty matches leave the
@@ -358,11 +366,14 @@ class ClientSession:
         return [c.id for c in self.candidates]
 
 
-def checked_tree(ses: ClientSession, drop_id: str) -> ResultTree:
-    """The full-mode root and path rebuilt through the target's own cell;
-    ProtocolError unless that root is the receipt's."""
+def checked_tree(
+    ses: ClientSession, drop_id: str, subtree: Callable[..., MerkleTree] = MerkleTree
+) -> ResultTree:
+    """The full-mode root and path rebuilt through the target's own cell,
+    whose tree ``subtree`` gives; ProtocolError unless that root is the
+    receipt's."""
     try:
-        tree = build_tree(ses.cells, drop_id)
+        tree = build_tree(ses.cells, drop_id, subtree)
     except MerkleError as exc:
         raise ProtocolError(f"the listed cells do not commit to {drop_id!r}") from exc
     if ses.receipt is None or tree.root != ses.receipt.root:
@@ -371,11 +382,13 @@ def checked_tree(ses: ClientSession, drop_id: str) -> ResultTree:
 
 
 class SbppClient:
-    """Client half: token derivation, root recomputation and check, proving."""
+    """Client half: token derivation, root recomputation and check, proving.
+    ``trees`` keeps the own-cell trees it has rebuilt, by their ids."""
 
     def __init__(self, search_key: bytes, proving_key: bytes):
         self.search_key = search_key
         self.proving_key = proving_key
+        self.trees = TreeMemo()
 
     def open_session(self, server: SbppServer, now: int) -> ClientSession:
         return server.init_session(now)
@@ -394,12 +407,13 @@ class SbppClient:
         self, ses: ClientSession, drop_id: str, witness: nizk.Witness
     ) -> UnlockRequest:
         """Steps the client runs before submitting: in full mode recompute
-        the root through the target's own cell and check it against the
-        receipt's, then derive the digest and prove."""
+        the root through the target's own cell (its tree taken from
+        ``trees`` when built before) and check it against the receipt's,
+        then derive the digest and prove."""
         target = ses.candidate(drop_id)
         root = path = None
         if ses.mode == MODE_FULL:
-            root, path = checked_tree(ses, drop_id)
+            root, path = checked_tree(ses, drop_id, self.trees)
         cd = challenge_digest(ses.mode, drop_id, ses.pv, ses.epoch, ses.N, root)
         pub = nizk.make_public_inputs(target.lat, target.lon, ses.radius_m, cd)
         proof = nizk.prove(self.proving_key, witness, pub)

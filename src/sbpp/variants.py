@@ -402,12 +402,14 @@ class GenericVariant:
         _, tags = client_tokens(
             self.env.search_key, lat, lon, radius_m, self.env.precisions, tag=self._tag
         )
-        ids = self.index.match(tags)
+        cells = self.index.cells(tags)
+        ids = self.index.match(tags, cells)
         pv, epoch = vses.pv, vses.epoch
         if not ids:
             vses.candidates, vses.cells = (), ()
             return vses
-        cells = self.index.cells(tags) if row.carries_path else []
+        if not row.carries_path:
+            cells = []
         result = cells if row.mode == MODE_FULL else ids
         record = self.sessions.bind_results(S, result, row.mode, now) if row.session_aware else None
         if check_capability in stages:

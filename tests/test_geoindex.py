@@ -240,6 +240,14 @@ def test_index_match_is_sorted_union():
     assert index.match([b"\x00" * 32]) == []
 
 
+def test_match_merges_the_cells_its_caller_already_fetched():
+    key = b"\x03" * 32
+    index = build_index(key, gen_uniform_corpus(400, seed=11, bbox=TOKYO), [5, 6])
+    for lat, lon in ((35.70, 139.75), (35.66, 139.70)):
+        _, tags = client_tokens(key, lat, lon, 1000.0, [5, 6])
+        assert index.match(tags, index.cells(tags)) == index.match(tags)
+
+
 # Characters around the places where UTF-8, UTF-16 and code point orders
 # could disagree, mixed with the whole Unicode range.
 _CHARS = st.one_of(

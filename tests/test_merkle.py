@@ -20,6 +20,7 @@ from sbpp.merkle import (
     MerkleTree,
     NotAMemberError,
     PathStep,
+    TreeMemo,
     _leaf_level,
     _node_level,
     build_tree,
@@ -366,3 +367,56 @@ def test_result_commitment_equals_the_top_tree_over_flat_cell_roots(searched):
             with pytest.raises(NotAMemberError):
                 build_tree(cells, drop.id)
             assert not any(verify_membership(root, drop.id, p) for p in paths)
+
+
+# ---------------------------------------------------------------------------
+# the client's memo of cell trees
+
+
+@st.composite
+def _memo_runs(draw):
+    """A bound, a pool of cells (one larger than the whole bound) and a
+    sequence of (cells, member) calls drawn from it, so cells recur."""
+    bound = draw(st.integers(1, 8))
+    names = st.text(alphabet="abcdef", min_size=1, max_size=2)
+    cell = st.sets(names, min_size=1, max_size=bound + 2).map(_utf8_order)
+    pool = draw(st.lists(cell, min_size=1, max_size=5)) + [_ids(bound + 1)]
+    picks = st.lists(st.sampled_from(range(len(pool))), min_size=1, max_size=3, unique=True)
+    calls = []
+    for chosen in draw(st.lists(picks, min_size=1, max_size=25)):
+        ids = [pool[c] for c in chosen]
+        calls.append((ids, draw(st.sampled_from([i for c in ids for i in c]))))
+    return bound, calls
+
+
+@given(_memo_runs())
+@settings(max_examples=150, deadline=None)
+def test_memoized_build_tree_equals_the_uncached_one(run):
+    bound, calls = run
+    memo = TreeMemo(bound)
+    for ids, member in calls:
+        kept, misses = memo.kept, memo.misses
+        cells = [Cell(list(c)) for c in ids]
+        assert build_tree(cells, member, memo) == build_tree(cells, member)
+        assert memo.kept <= bound
+        own = next(c for c in ids if member in c)
+        if len(own) > bound:  # used, never kept
+            assert memo.misses == misses + 1 and memo.kept == kept
+    assert memo.hits + memo.misses == len(calls)
+
+
+def test_memo_evicts_the_least_recently_used_tree():
+    memo = TreeMemo(4)
+    a, b, c = ["a0", "a1"], ["b0", "b1"], ["c0", "c1"]
+    assert memo(a).root == MerkleTree(a).root
+    memo(b)
+    assert memo(a) is memo(a)  # a hit, and now the most recently used
+    memo(c)  # 6 ids: b, the least recently used, goes
+    assert (memo.kept, memo.misses) == (4, 3)
+    memo(a), memo(c)
+    assert memo.misses == 3
+    memo(b)
+    assert memo.misses == 4
+    big = _ids(5)
+    assert memo(big).root == MerkleTree(big).root and memo.kept == 4
+    assert memo(big) is not memo(big)  # larger than the bound: rebuilt every time

@@ -169,6 +169,77 @@ def test_client_refuses_a_root_that_differs_from_the_receipt(tamper, subject):
         client.build_unlock(ses, "d00", nizk.Witness(QLAT, QLON))
 
 
+def _warm_pair() -> tuple[SbppServer, SbppClient]:
+    """A two-cell pair whose client has already unlocked d00 honestly, so
+    its memo keeps the tree of d00's cell."""
+    server, client = _pair(MODE_FULL, drops=TWO_CELLS)
+    request = client.build_unlock(_searched(server, client), "d00", nizk.Witness(QLAT, QLON))
+    assert server.verify(request, T0 + 1).accepted and client.trees.misses == 1
+    return server, client
+
+
+def _own_cell(cells: list[Cell]) -> int:
+    return next(i for i, c in enumerate(cells) if "d00" in c.ids)
+
+
+@pytest.mark.parametrize("tamper", TAMPERS)
+def test_client_with_a_warm_memo_refuses_a_root_that_differs_from_the_receipt(tamper):
+    server, client = _warm_pair()
+    ses = _searched(server, client)
+    cells = list(ses.cells)
+    own = _own_cell(cells)
+    root, ids = cells[own].root, cells[own].ids
+    if tamper == "receipt-root":
+        ses.receipt = dataclasses.replace(ses.receipt, root=_flip(ses.receipt.root))
+    elif tamper == "no-receipt":
+        ses.receipt = None
+    elif tamper == "other-cell-root":
+        cells[1 - own] = Cell(cells[1 - own].ids, _flip(cells[1 - own].root))
+    elif tamper == "own-cell-ids":
+        cells[own] = Cell([i for i in ids if i != "d01"], root)
+    else:
+        cells[own] = Cell([i for i in ids if i != "d00"], root)
+    ses.cells = tuple(cells)
+    with pytest.raises(ProtocolError):
+        client.build_unlock(ses, "d00", nizk.Witness(QLAT, QLON))
+    # the honest own cell comes from the memo; altered ids never match it
+    assert client.trees.hits == (tamper in ("receipt-root", "no-receipt", "other-cell-root"))
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("receipt", ["honest", "follows-misstated-root"])
+def test_client_ignores_a_misstated_root_of_its_own_cell(warm, receipt):
+    # Honest own-cell ids under a wrong root: the client rebuilds that root
+    # (or takes its tree from the memo) and accepts exactly when the
+    # receipt's root is the rebuilt one.
+    server, client = _warm_pair() if warm else _pair(MODE_FULL, drops=TWO_CELLS)
+    ses = _searched(server, client)
+    cells = list(ses.cells)
+    own = _own_cell(cells)
+    cells[own] = Cell(cells[own].ids, _flip(cells[own].root))
+    ses.cells = tuple(cells)
+    if receipt == "honest":
+        request = client.build_unlock(ses, "d00", nizk.Witness(QLAT, QLON))
+        assert server.verify(request, T0 + 1).accepted
+    else:
+        ses.receipt = dataclasses.replace(ses.receipt, root=build_tree(cells).root)
+        with pytest.raises(ProtocolError):
+            client.build_unlock(ses, "d00", nizk.Witness(QLAT, QLON))
+    assert client.trees.hits == warm
+
+
+def test_a_fresh_client_first_unlock_misses_after_the_server_computed_every_root():
+    # Server and client share Cell objects in-process: the roots the server
+    # keeps on them must not fill any client's memo.
+    server, client = _pair(MODE_FULL, drops=TWO_CELLS)
+    assert all(len(cell.root) == 32 for cell in server.index.entries.values())
+    for fresh in (client, SbppClient(client.search_key, client.proving_key)):
+        ses = _searched(server, fresh)
+        assert fresh.trees.kept == 0
+        fresh.build_unlock(ses, "d00", nizk.Witness(QLAT, QLON))
+        assert (fresh.trees.hits, fresh.trees.misses, fresh.trees.kept) == (0, 1, 4)
+
+
 @pytest.mark.parametrize("mode", [MODE_CORE, MODE_FULL])
 def test_end_to_end_accept(mode):
     server, client = _pair(mode)
