@@ -19,13 +19,11 @@ showed, or that misstates the client's own cell, but not one that commits a
 different cell differently and consistently.  The audit of the client's own
 unlock is unaffected: its path runs through the cell the client rebuilt.
 
-A client keeps the cell trees it has rebuilt in a `TreeMemo` of at most
-MEMO_MAX_IDS ids, least recently used out first.  Its key is the cell's ids
-themselves, never a `Cell` object or a root the server supplied, so a kept
-tree is exactly the tree a rebuild gives, and the top tree, the path and
-the receipt check still run on every unlock.  A repeat unlock in a cell the
-client has checked hashes no id; a first one costs the rebuild it always
-did.  A kept id costs ~85 bytes (tracemalloc), so a full memo holds ~5.5 MB.
+A client keeps the cell trees it has rebuilt in a `TreeMemo`, keyed by the
+cells' ids and bounded by the bytes it keeps, so a repeat unlock in a cell
+it has checked rebuilds no cell and hashes one id, the path's leaf sibling;
+a first one costs the rebuild it always did.  The top tree, the path and
+the receipt check still run on every unlock.
 
 Leaves and interior nodes use distinct hash domains, which kills
 second-preimage tricks that reinterpret an interior node as a leaf, and lets
@@ -61,6 +59,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+import sys
 from bisect import bisect_left
 from collections import OrderedDict
 from collections.abc import Callable, Sequence
@@ -176,12 +175,12 @@ class MerkleTree:
     above the leaves (padded, see `_levels`) for path extraction.  The leaf
     level is not kept: a path's first sibling is hashed again from its id."""
 
-    def __init__(self, ids: list[str]):
+    def __init__(self, ids: Sequence[str]):
         if not ids:
             raise MerkleError("cannot commit to an empty result set")
         if not strictly_sorted(ids):
             raise MerkleError("result set ids must be unique and sorted")
-        self.ids = list(ids)
+        self.ids = ids if isinstance(ids, tuple) else list(ids)  # a tuple cannot change
         levels = _levels(_leaf_level(self.ids))
         self.root = levels[-1][0]
         self._above = levels[1:]
@@ -227,7 +226,18 @@ class Cell:
         return self._root
 
 
-MEMO_MAX_IDS = 1 << 16  # ids a TreeMemo keeps trees for: ~5 paper-scale precision-5 cells
+MEMO_MAX_BYTES = 8 << 20  # what a TreeMemo may keep: ~45,000 short ids
+_TREE_BYTES = 1024  # a kept tree's objects and memo entry
+_ID_BYTES = 176  # per id: its string's header, its slot in the key, its share of the hashes
+
+
+def kept_bytes(ids: tuple[str, ...]) -> int:
+    """What a `TreeMemo` charges for keeping the tree over ``ids``: a fixed
+    cost per tree and per id, plus the ids' characters at the widest width
+    any of them is stored in (the size of their join).  It is an upper
+    estimate of tracemalloc on CPython 3.11: a 274-id cell of 7-character
+    ids measures 39.4 kB and is charged 51.2 kB."""
+    return _TREE_BYTES + _ID_BYTES * len(ids) + sys.getsizeof("".join(ids))
 
 
 class TreeMemo:
@@ -235,32 +245,32 @@ class TreeMemo:
 
     Called with a cell's ids, it returns the `MerkleTree` over them: a kept
     tree when those exact ids were built before, else a fresh one.  The key
-    is the ids themselves, so a kept tree is exactly the tree a rebuild
-    gives; nothing else a server says about a cell (its object, its root)
-    can put a tree in or pick one out.  It keeps trees while their ids
-    number at most ``max_ids`` and evicts the least recently used first; a
-    tree over more ids than that is returned but not kept."""
+    is the ids themselves (the tree keeps that same tuple), so a kept tree
+    is exactly the tree a rebuild gives; nothing else a server says about a
+    cell (its object, its root) can put a tree in or pick one out.  It keeps
+    trees while their `kept_bytes` add up to at most MEMO_MAX_BYTES and
+    evicts the least recently used first; a tree charged more than that is
+    returned but not kept."""
 
-    def __init__(self, max_ids: int = MEMO_MAX_IDS):
-        self.max_ids = max_ids
-        self.kept = 0  # ids of the kept trees
+    def __init__(self):
+        self.kept = 0  # bytes charged for the kept trees
         self.hits = self.misses = 0
-        self._trees: OrderedDict[tuple[str, ...], MerkleTree] = OrderedDict()
+        self._trees: OrderedDict[tuple[str, ...], tuple[MerkleTree, int]] = OrderedDict()
 
     def __call__(self, ids: Sequence[str]) -> MerkleTree:
         key = tuple(ids)
-        tree = self._trees.get(key)
-        if tree is not None:
+        entry = self._trees.get(key)
+        if entry is not None:
             self.hits += 1
             self._trees.move_to_end(key)
-            return tree
+            return entry[0]
         self.misses += 1
-        tree = MerkleTree(key)
-        if len(key) <= self.max_ids:
-            self._trees[key] = tree
-            self.kept += len(key)
-            while self.kept > self.max_ids:
-                self.kept -= len(self._trees.popitem(last=False)[0])
+        tree, cost = MerkleTree(key), kept_bytes(key)
+        if cost <= MEMO_MAX_BYTES:
+            self._trees[key] = tree, cost
+            self.kept += cost
+            while self.kept > MEMO_MAX_BYTES:
+                self.kept -= self._trees.popitem(last=False)[1][1]
         return tree
 
 

@@ -22,12 +22,9 @@ with the cells shown, or a misstated own cell, but takes the other cells'
 roots on trust: a server that commits another cell differently and
 consistently goes unnoticed, though the audit of the client's own unlock,
 whose path runs through the cell it rebuilt, is unaffected.  The client
-keeps the own-cell trees it has rebuilt in a `TreeMemo` (sbpp.merkle),
-keyed by the cell's ids and bounded by MEMO_MAX_IDS ids, so a repeat unlock
-in a cell it has checked rebuilds nothing; the top tree and the receipt
-compare still run on every unlock, and a first unlock in a cell costs the
-rebuild it always did.  Server binding and the comparison ladder keep
-rebuilding.
+takes its own cell's tree from a `TreeMemo` (sbpp.merkle), so a repeat
+unlock in a cell it has checked rebuilds no cell; server binding and the
+comparison ladder keep rebuilding.
 
 Verification is a fixed tuple of stages, VERIFY_STAGES, and every rejection
 carries exactly one reason, so a failure localizes to the first broken link:

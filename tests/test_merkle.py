@@ -2,11 +2,13 @@
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sbpp import merkle
 from sbpp.canon import lp_encode
 from sbpp.geoindex import Drop, GeoindexError, build_index, client_tokens, cover_cells, geohash_encode, make_token
 from sbpp.merkle import (
@@ -25,6 +27,7 @@ from sbpp.merkle import (
     _node_level,
     build_tree,
     expected_depth,
+    kept_bytes,
     leaf_hash,
     node_hash,
     verify_membership,
@@ -375,12 +378,15 @@ def test_result_commitment_equals_the_top_tree_over_flat_cell_roots(searched):
 
 @st.composite
 def _memo_runs(draw):
-    """A bound, a pool of cells (one larger than the whole bound) and a
-    sequence of (cells, member) calls drawn from it, so cells recur."""
-    bound = draw(st.integers(1, 8))
-    names = st.text(alphabet="abcdef", min_size=1, max_size=2)
-    cell = st.sets(names, min_size=1, max_size=bound + 2).map(_utf8_order)
-    pool = draw(st.lists(cell, min_size=1, max_size=5)) + [_ids(bound + 1)]
+    """A byte bound, a pool of cells (one of two long ids charged more than
+    the whole bound) and a sequence of (cells, member) calls drawn from it,
+    so cells recur."""
+    names = st.text(alphabet="abcd\u00e9\U0001f600", min_size=1, max_size=3)
+    cell = st.sets(names, min_size=1, max_size=10).map(lambda c: tuple(_utf8_order(c)))
+    pool = draw(st.lists(cell, min_size=1, max_size=5, unique=True))
+    charges = sorted(map(kept_bytes, pool))
+    bound = draw(st.integers(charges[0], charges[0] + charges[-1]))
+    pool.append(("f" * bound, "g"))
     picks = st.lists(st.sampled_from(range(len(pool))), min_size=1, max_size=3, unique=True)
     calls = []
     for chosen in draw(st.lists(picks, min_size=1, max_size=25)):
@@ -393,30 +399,69 @@ def _memo_runs(draw):
 @settings(max_examples=150, deadline=None)
 def test_memoized_build_tree_equals_the_uncached_one(run):
     bound, calls = run
-    memo = TreeMemo(bound)
-    for ids, member in calls:
-        kept, misses = memo.kept, memo.misses
-        cells = [Cell(list(c)) for c in ids]
-        assert build_tree(cells, member, memo) == build_tree(cells, member)
-        assert memo.kept <= bound
-        own = next(c for c in ids if member in c)
-        if len(own) > bound:  # used, never kept
-            assert memo.misses == misses + 1 and memo.kept == kept
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(merkle, "MEMO_MAX_BYTES", bound)
+        memo = TreeMemo()
+        for ids, member in calls:
+            kept, misses = memo.kept, memo.misses
+            cells = [Cell(list(c)) for c in ids]
+            assert build_tree(cells, member, memo) == build_tree(cells, member)
+            assert memo.kept <= bound
+            own = next(c for c in ids if member in c)
+            if kept_bytes(own) > bound:  # used, never kept
+                assert memo.misses == misses + 1 and memo.kept == kept
     assert memo.hits + memo.misses == len(calls)
 
 
-def test_memo_evicts_the_least_recently_used_tree():
-    memo = TreeMemo(4)
-    a, b, c = ["a0", "a1"], ["b0", "b1"], ["c0", "c1"]
-    assert memo(a).root == MerkleTree(a).root
+def test_memo_evicts_the_least_recently_used_tree(monkeypatch):
+    a, b, c = ("a0", "a1"), ("b0", "b1"), ("c0", "c1")
+    monkeypatch.setattr(merkle, "MEMO_MAX_BYTES", 2 * kept_bytes(a))
+    memo = TreeMemo()
+    assert memo(list(a)).root == MerkleTree(a).root
     memo(b)
     assert memo(a) is memo(a)  # a hit, and now the most recently used
-    memo(c)  # 6 ids: b, the least recently used, goes
-    assert (memo.kept, memo.misses) == (4, 3)
+    memo(c)  # three trees do not fit: b, the least recently used, goes
+    assert (memo.kept, memo.misses) == (2 * kept_bytes(a), 3)
     memo(a), memo(c)
     assert memo.misses == 3
     memo(b)
     assert memo.misses == 4
-    big = _ids(5)
-    assert memo(big).root == MerkleTree(big).root and memo.kept == 4
-    assert memo(big) is not memo(big)  # larger than the bound: rebuilt every time
+    big = tuple(_ids(12))
+    assert kept_bytes(big) > merkle.MEMO_MAX_BYTES
+    assert memo(big).root == MerkleTree(big).root and memo.kept == 2 * kept_bytes(a)
+    assert memo(big) is not memo(big)  # charged more than the bound: rebuilt every time
+
+
+def test_memo_bounds_the_bytes_of_its_ids_not_their_count(monkeypatch):
+    # Four two-id cells fill the bound; one more two-id cell of 1 kB ids
+    # pushes out three of them, where a bound on ids would push out one.
+    shorts = [(f"{c}0", f"{c}1") for c in "abcd"]
+    monkeypatch.setattr(merkle, "MEMO_MAX_BYTES", 4 * kept_bytes(shorts[0]))
+    memo = TreeMemo()
+    for ids in shorts:
+        memo(ids)
+    long = ("x" * 1000 + "0", "x" * 1000 + "1")
+    memo(long)
+    assert memo.kept == kept_bytes(shorts[3]) + kept_bytes(long) and memo.misses == 5
+    memo(shorts[3]), memo(long)
+    assert memo.misses == 5
+    memo(shorts[0])
+    assert memo.misses == 6
+    huge = ("y" * merkle.MEMO_MAX_BYTES,)  # one id, longer than the whole bound
+    memo(huge)
+    assert memo(huge) is not memo(huge) and memo.kept <= merkle.MEMO_MAX_BYTES
+
+
+@pytest.mark.parametrize("n", [1, 7, 274])
+@pytest.mark.parametrize("head", ["d", "\u00e9", "\U0001f600", "d" * 500])
+def test_kept_bytes_covers_what_a_kept_tree_holds(n, head):
+    TreeMemo()(("w0", "w1", "w2"))  # first-use allocations are not the tree's
+    tracemalloc.start()
+    try:
+        memo = TreeMemo()
+        before = tracemalloc.get_traced_memory()[0]
+        memo(tuple(f"{head}{i:06d}" for i in range(n)))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert 0 < held <= memo.kept

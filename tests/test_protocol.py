@@ -128,6 +128,28 @@ def _flip(raw: bytes) -> bytes:
 TAMPERS = ["receipt-root", "no-receipt", "other-cell-root", "own-cell-ids", "target-unlisted"]
 
 
+def _own_cell(cells: list[Cell]) -> int:
+    return next(i for i, c in enumerate(cells) if "d00" in c.ids)
+
+
+def _tamper(ses: ClientSession, tamper: str) -> None:
+    """Apply one of TAMPERS to a searched session whose result lists d00."""
+    cells = list(ses.cells)
+    own = _own_cell(cells)
+    root, ids = cells[own].root, cells[own].ids
+    if tamper == "receipt-root":
+        ses.receipt = dataclasses.replace(ses.receipt, root=_flip(ses.receipt.root))
+    elif tamper == "no-receipt":
+        ses.receipt = None
+    elif tamper == "other-cell-root":
+        cells[1 - own] = Cell(cells[1 - own].ids, _flip(cells[1 - own].root))
+    elif tamper == "own-cell-ids":
+        cells[own] = Cell([i for i in ids if i != "d01"], root)
+    else:
+        cells[own] = Cell([i for i in ids if i != "d00"], root)
+    ses.cells = tuple(cells)
+
+
 def _v4b_searched(drops: list[Drop]):
     """The ladder's V4b rung over the keys of ``_pair``, searched at the query."""
     pk, vk = nizk.setup(b"nizk\x00")
@@ -151,20 +173,7 @@ def test_client_refuses_a_root_that_differs_from_the_receipt(tamper, subject):
         ses = _searched(server, client)
     else:  # the ladder's full-protocol rung runs the same client check
         client, ses = _v4b_searched(TWO_CELLS)
-    cells = list(ses.cells)
-    own = next(i for i, c in enumerate(cells) if "d00" in c.ids)
-    root, ids = cells[own].root, cells[own].ids
-    if tamper == "receipt-root":
-        ses.receipt = dataclasses.replace(ses.receipt, root=_flip(ses.receipt.root))
-    elif tamper == "no-receipt":
-        ses.receipt = None
-    elif tamper == "other-cell-root":
-        cells[1 - own] = Cell(cells[1 - own].ids, _flip(cells[1 - own].root))
-    elif tamper == "own-cell-ids":
-        cells[own] = Cell([i for i in ids if i != "d01"], root)
-    else:
-        cells[own] = Cell([i for i in ids if i != "d00"], root)
-    ses.cells = tuple(cells)
+    _tamper(ses, tamper)
     with pytest.raises(ProtocolError):
         client.build_unlock(ses, "d00", nizk.Witness(QLAT, QLON))
 
@@ -178,28 +187,11 @@ def _warm_pair() -> tuple[SbppServer, SbppClient]:
     return server, client
 
 
-def _own_cell(cells: list[Cell]) -> int:
-    return next(i for i, c in enumerate(cells) if "d00" in c.ids)
-
-
 @pytest.mark.parametrize("tamper", TAMPERS)
 def test_client_with_a_warm_memo_refuses_a_root_that_differs_from_the_receipt(tamper):
     server, client = _warm_pair()
     ses = _searched(server, client)
-    cells = list(ses.cells)
-    own = _own_cell(cells)
-    root, ids = cells[own].root, cells[own].ids
-    if tamper == "receipt-root":
-        ses.receipt = dataclasses.replace(ses.receipt, root=_flip(ses.receipt.root))
-    elif tamper == "no-receipt":
-        ses.receipt = None
-    elif tamper == "other-cell-root":
-        cells[1 - own] = Cell(cells[1 - own].ids, _flip(cells[1 - own].root))
-    elif tamper == "own-cell-ids":
-        cells[own] = Cell([i for i in ids if i != "d01"], root)
-    else:
-        cells[own] = Cell([i for i in ids if i != "d00"], root)
-    ses.cells = tuple(cells)
+    _tamper(ses, tamper)
     with pytest.raises(ProtocolError):
         client.build_unlock(ses, "d00", nizk.Witness(QLAT, QLON))
     # the honest own cell comes from the memo; altered ids never match it
@@ -237,7 +229,9 @@ def test_a_fresh_client_first_unlock_misses_after_the_server_computed_every_root
         ses = _searched(server, fresh)
         assert fresh.trees.kept == 0
         fresh.build_unlock(ses, "d00", nizk.Witness(QLAT, QLON))
-        assert (fresh.trees.hits, fresh.trees.misses, fresh.trees.kept) == (0, 1, 4)
+        own = ses.cells[_own_cell(ses.cells)].ids
+        assert (fresh.trees.hits, fresh.trees.misses) == (0, 1)
+        assert fresh.trees.kept == merkle.kept_bytes(own) and len(own) == 4
 
 
 @pytest.mark.parametrize("mode", [MODE_CORE, MODE_FULL])
