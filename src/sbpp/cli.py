@@ -19,6 +19,7 @@ import hashlib
 import json
 import sys
 from dataclasses import asdict
+from operator import attrgetter
 from pathlib import Path
 
 from . import nizk
@@ -155,10 +156,11 @@ def _demo_search(args: argparse.Namespace, lat: float, lon: float):
 def _cmd_search(args: argparse.Namespace) -> int:
     server, _, ses = _demo_search(args, args.lat, args.lon)
     stamps = {"radius_m": ses.radius_m, "pv": ses.pv, "epoch": ses.epoch}
+    listed = sorted(ses.candidates, key=attrgetter("id"))  # the server lists them cell by cell
     out = {
         "session": {"S": ses.S, "N": ses.N.hex(), "t_exp": ses.t_exp},
         "mode": server.mode,
-        "candidates": [{**asdict(d), **stamps} for d in ses.candidates],
+        "candidates": [{**asdict(d), **stamps} for d in listed],
         "receipt_hex": ses.receipt.serialize().hex() if ses.receipt else None,
     }
     print(json.dumps(out, indent=1))

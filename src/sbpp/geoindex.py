@@ -29,14 +29,15 @@ not reveal the radius; the number of tags that hit the index (the non-empty
 cover cells) does.
 
 The index is a map from tag to `Cell` (see sbpp.merkle), one per (precision,
-cell), made by the build with its ids sorted: pass 1 visits the drops in id
-order, so each cell's ids come out sorted without sorting any cell.  A query
-gets the cells it hit, in tag order, as the index holds them, and a match
-merges their sorted lists instead of sorting a union.  A cell's Merkle root
-is computed on its first use in a commitment and kept, so a build hashes no
-id and a search hashes only cells never committed before.  Each id is held
-once, in its cell's tuple: a 110,776-drop index at precisions 4-7 holds
-4.45 MB with every cell's root computed (tracemalloc).
+cell), made by the build with its ids sorted and its drops beside them in
+the same order: pass 1 visits the drops in id order, so each cell's ids come
+out sorted without sorting any cell.  A query gets the cells it hit, in tag
+order, as the index holds them, and those cells are its result: `drops_of`
+lists their drops cell after cell, with no union and no lookup per id.
+`GeoIndex.match`, the sorted union of their ids, is the reference the tests
+check that against.  A cell's Merkle root is computed on its first use in a
+commitment and kept, so a build hashes no id and a search hashes only cells
+never committed before.
 
 Tags are HMAC-SHA-256 (RFC 2104).  `hmac_tagger` hashes the key's inner and
 outer pads once and derives each tag from copies of those two states, which
@@ -49,7 +50,8 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from collections.abc import Callable, Iterable
+from collections import defaultdict
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -379,34 +381,49 @@ class GeoIndex:
         return [self.entries[tag] for tag in sorted(set(tags)) if tag in self.entries]
 
 
+def drops_of(cells: Sequence[Cell]) -> tuple[Drop, ...]:
+    """The drops the cells list, cell after cell, each cell's in id order.
+    A query's cells are of one precision, so they are disjoint; cells of
+    several precisions may overlap, and only then is a drop listed again
+    dropped."""
+    drops = tuple(chain.from_iterable(cell.drops for cell in cells))
+    if len({cell.precision for cell in cells}) > 1:
+        drops = tuple({drop.id: drop for drop in drops}.values())
+    return drops
+
+
 def build_index(key: bytes, drops: list[Drop], precisions: list[int], tag=make_token) -> GeoIndex:
     """The index of ``drops`` at each of ``precisions``, in two passes.
 
     Pass 1 visits the drops in id order, computes each drop's (x, y) cell
-    once, at the finest precision, and files its id under that cell and each
-    coarser precision's (x >> dx, y >> dy): bisection is a prefix, so the
-    shift is the coarser cell.  Pass 2 derives one tag per distinct
-    (precision, cell) and files the cell's ids, sorted by the visit order,
-    as one `Cell`.
+    once, at the finest precision, and files the drop under that cell and
+    each coarser precision's (x >> dx, y >> dy): bisection is a prefix, so
+    the shift is the coarser cell.  Pass 2 derives one tag per distinct
+    (precision, cell) and files the cell's drops, sorted by the visit
+    order, and their ids as one `Cell`.  Pass 1 files each id beside its
+    drop, while the drop is fresh in the cache: reading the ids in pass 2
+    would revisit every drop out of memory order.
     """
     index = GeoIndex(precisions)
     lon_bits, lat_bits = _grid_bits(index.precisions[-1])
-    levels = []  # (precision, lon shift, lat shift, {(x, y): ids})
+    levels = []  # (precision, lon shift, lat shift, {(x, y): (ids, drops)})
     for p in index.precisions:
         px, py = _grid_bits(p)
-        levels.append((p, lon_bits - px, lat_bits - py, {}))
+        levels.append((p, lon_bits - px, lat_bits - py, defaultdict(lambda: ([], []))))
     for drop in sorted(drops, key=attrgetter("id")):
         _check_point(drop.lat, drop.lon)
         x = _axis_cell(drop.lon, -180.0, 360.0, lon_bits)
         y = _axis_cell(drop.lat, -90.0, 180.0, lat_bits)
         for _, dx, dy, cells in levels:
-            cells.setdefault((x >> dx, y >> dy), []).append(drop.id)
+            ids, members = cells[x >> dx, y >> dy]
+            ids.append(drop.id)
+            members.append(drop)
     tag_of = _keyed(tag, key)
     for p, _, _, cells in levels:
-        for (x, y), ids in cells.items():
-            index.entries[tag_of(p, _cell_string(x, y, p))] = Cell(tuple(ids))
+        for (x, y), (ids, members) in cells.items():
+            cell = Cell(tuple(ids), drops=tuple(members), precision=p)
+            index.entries[tag_of(p, _cell_string(x, y, p))] = cell
     return index
-
 
 # ---------------------------------------------------------------------------
 # corpus files: one drop per line, `id<TAB>lat<TAB>lon`, '#' comments
@@ -437,7 +454,38 @@ def load_corpus(path: str) -> list[Drop]:
     return drops
 
 
+def _unsaveable(drop: Drop, seen: set[str]) -> str | None:
+    """Why ``load_corpus`` would not read ``drop`` back as it is, or None."""
+    drop_id = drop.id
+    if not drop_id:
+        return "is empty"
+    if drop_id in seen:
+        return "is a duplicate"
+    if "\t" in drop_id or "\n" in drop_id or "\r" in drop_id:
+        return "holds a TAB, CR or LF"
+    if drop_id.startswith("#"):
+        return "starts with '#', which marks a comment"
+    if drop_id != drop_id.lstrip():
+        return "starts with whitespace, which the loader strips"
+    try:
+        drop_id.encode("utf-8")
+    except UnicodeEncodeError:
+        return "does not encode to UTF-8"
+    if not (-90.0 <= drop.lat <= 90.0 and -180.0 <= drop.lon <= 180.0):
+        return "has a coordinate out of range"
+    return None
+
+
 def save_corpus(path: str, drops: list[Drop]) -> None:
+    """Write ``drops`` in the format ``load_corpus`` reads.  A drop it would
+    not read back as it is raises CorpusError naming the drop's id, before
+    anything is written."""
+    seen: set[str] = set()
+    for drop in drops:
+        problem = _unsaveable(drop, seen)
+        if problem is not None:
+            raise CorpusError(f"drop id {drop.id!r} {problem}")
+        seen.add(drop.id)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# id\tlat\tlon\n")
         for drop in drops:

@@ -27,6 +27,7 @@ from ..geoindex import (
     TOKYO_BBOX,
     build_index,
     client_tokens,
+    drops_of,
     gen_clustered_corpus,
     gen_uniform_corpus,
     geohash_encode,
@@ -49,7 +50,6 @@ from ..protocol import (
     SbppServer,
     UnlockRequest,
     audit,
-    candidates_for,
     emit_audit_record,
 )
 from ..receipt import verify_receipt
@@ -473,51 +473,52 @@ def _keep(cells: list[Cell], kept: list[str]) -> list[Cell]:
     keep = set(kept)
     out = []
     for cell in cells:
-        ids = [i for i in cell.ids if i in keep]
-        if ids:
-            out.append(Cell(ids))
+        drops = tuple(d for d in cell.drops if d.id in keep)
+        if drops:
+            out.append(Cell(tuple(d.id for d in drops), drops=drops))
     return out
 
 
 class _OmittingServer(SbppServer):
-    """Matches honestly, then silently drops the last candidate."""
+    """Matches honestly, then silently drops the last match in id order."""
 
-    def _match(self, tags):
-        ids, cells = super()._match(tags)
-        ids = ids[:-1] if len(ids) > 1 else ids
-        return ids, _keep(cells, ids)
+    def _hits(self, tags):
+        cells = super()._hits(tags)
+        ids = self.index.match(tags, cells)
+        return _keep(cells, ids[:-1] if len(ids) > 1 else ids)
 
 
 class _BiasedServer(SbppServer):
-    """Consistently returns (and signs) a biased subset of the matches."""
+    """Consistently returns (and signs) a biased subset of the matches:
+    every other one in id order."""
 
-    def _match(self, tags):
-        ids, cells = super()._match(tags)
-        ids = ids[::2] if len(ids) > 1 else ids
-        return ids, _keep(cells, ids)
+    def _hits(self, tags):
+        cells = super()._hits(tags)
+        ids = self.index.match(tags, cells)
+        return _keep(cells, ids[::2] if len(ids) > 1 else ids)
 
 
 class _MisreportingServer(_OmittingServer):
-    """Binds and signs the root of the matches without the last candidate,
-    but shows the client every match and honest cells: its receipt disagrees
+    """Binds and signs the root of the matches without the last one, but
+    shows the client every match and honest cells: its receipt disagrees
     with the cell roots it showed."""
 
     def search(self, S, tags, now):
         response = super().search(S, tags, now)
-        ids, cells = SbppServer._match(self, tags)
-        return replace(response, candidates=candidates_for(self.drops, ids), cells=tuple(cells))
+        cells = SbppServer._hits(self, tags)
+        return replace(response, candidates=drops_of(cells), cells=tuple(cells))
 
 
 class _RecommittingServer(SbppServer):
     """Shows every match, but commits (and shows) the last hit cell's root as
     if that cell lacked its last id: consistent, and wrong in one cell."""
 
-    def _match(self, tags):
-        ids, cells = super()._match(tags)
+    def _hits(self, tags):
+        cells = super()._hits(tags)
         last = cells[-1]
         if len(last.ids) > 1:
-            cells[-1] = Cell(last.ids, MerkleTree(last.ids[:-1]).root)
-        return ids, cells
+            cells[-1] = Cell(last.ids, MerkleTree(last.ids[:-1]).root, last.drops)
+        return cells
 
 
 class _PredictableNonceStore(SessionStore):
@@ -645,7 +646,8 @@ def malicious_server_suite(seed: int = 0, trials: int = 100) -> MaliciousServerR
         """True iff the client builds a request and its unlock and audit pass."""
         ses = client.open_session(server, T0)
         client.search(server, ses, QUERY_LAT, QUERY_LON, RADIUS_M, T0)
-        target = ses.candidates[picker.randrange(len(ses.candidates))]
+        ids = ses.result_ids()
+        target = ses.candidate(ids[picker.randrange(len(ids))])
         try:
             request = client.build_unlock(ses, target.id, nizk.Witness(target.lat, target.lon))
         except ProtocolError:

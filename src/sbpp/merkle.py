@@ -65,7 +65,7 @@ from collections import OrderedDict
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import repeat
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from .canon import lp_encode, strictly_sorted
 
@@ -211,19 +211,40 @@ class Cell:
     """One cell of a result set: its drop ids, sorted and unique, and the
     root of the flat tree over them.  The root is taken as given (a client
     gets it from the server) or computed from the ids on first use and kept.
-    A kept root is a 65-byte bytes object on top of the cell itself."""
+    A kept root is a 65-byte bytes object on top of the cell itself.
 
-    __slots__ = ("ids", "_root")
+    A cell the index made also lists its drops, in the order of its ids, and
+    the precision it was filed at; a cell made from ids alone lists no drop.
+    Whether its ids are unique and sorted is checked on first use and kept,
+    as the root is."""
 
-    def __init__(self, ids: Sequence[str], root: bytes | None = None):
+    __slots__ = ("ids", "drops", "precision", "_root", "_ordered")
+
+    def __init__(
+        self,
+        ids: Sequence[str],
+        root: bytes | None = None,
+        drops: Sequence[Any] = (),
+        precision: int | None = None,
+    ):
         self.ids = ids
+        self.drops = drops
+        self.precision = precision
         self._root = root
+        self._ordered = None
 
     @property
     def root(self) -> bytes:
         if self._root is None:  # two racing first uses keep the same root
             self._root = MerkleTree(self.ids).root
         return self._root
+
+    @property
+    def ordered(self) -> bool:
+        """The ids are unique and sorted (`strictly_sorted`)."""
+        if self._ordered is None:
+            self._ordered = strictly_sorted(self.ids)
+        return self._ordered
 
 
 MEMO_MAX_BYTES = 8 << 20  # what a TreeMemo may keep: ~45,000 short ids
@@ -299,7 +320,10 @@ def build_tree(
         raise MerkleError("cannot commit to an empty result set")
     position, own = -1, None
     if member is not None:
-        position = _cell_of(cells, member)
+        found = locate(cells, member)
+        if found is None:
+            raise NotAMemberError(f"{member!r} is not in the committed set")
+        position = found[0]
         own = subtree(cells[position].ids)
     roots = [own.root if i == position else cell.root for i, cell in enumerate(cells)]
     if any(len(root) != 32 for root in roots):
@@ -311,13 +335,15 @@ def build_tree(
     return ResultTree(top[-1][0], MerklePath(steps))
 
 
-def _cell_of(cells: Sequence[Cell], drop_id: str) -> int:
-    """Position of the first cell that lists ``drop_id``."""
+def locate(cells: Sequence[Cell], drop_id: str) -> tuple[int, int] | None:
+    """(position of the first cell that lists ``drop_id``, its position in
+    that cell's ids), found by bisecting each cell; None if no cell does."""
     for position, cell in enumerate(cells):
-        i = bisect_left(cell.ids, drop_id)
-        if i < len(cell.ids) and cell.ids[i] == drop_id:
-            return position
-    raise NotAMemberError(f"{drop_id!r} is not in the committed set")
+        ids = cell.ids
+        i = bisect_left(ids, drop_id)
+        if i < len(ids) and ids[i] == drop_id:
+            return position, i
+    return None
 
 
 def verify_membership(root: bytes, drop_id: str, path: MerklePath) -> bool:

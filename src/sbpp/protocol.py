@@ -4,12 +4,15 @@ Flow: the server issues a session and states its whole context (id, 256-bit
 nonce, expiry, mode, policy version, epoch, unlock radius and the index's
 precisions), so the session, not each drop, carries the policy; the client
 searches with encrypted cell tokens; the server binds the session to the
-matched result set and hands back the matched drops themselves, in id order,
-with a signed receipt.  In core mode the session keeps the id set
-itself.  In full mode it keeps the two-level Merkle root of sbpp.merkle: the
-top tree over the hit cells' roots, in tag order, built from roots the index
-keeps per cell before the session lock is taken.  The response then also
-lists the hit cells, each as its root and sorted ids.
+hit cells and hands them back, in tag order, with their drops and a signed
+receipt.  The hit cells are the result set: the candidates are their drops,
+cell after cell and in id order inside each cell (sbpp.geoindex.drops_of),
+so a search makes no union and looks up no id; a list in id order is built
+only where a caller wants one (`ClientSession.result_ids`).  In core mode
+the session keeps the hit cells themselves.  In full mode it keeps the
+two-level Merkle root of sbpp.merkle: the top tree over the hit cells'
+roots, in tag order, built from roots the index keeps per cell before the
+session lock is taken.
 
 The client proves proximity to one returned drop, committing a challenge
 digest over (drop, policy, epoch, nonce[, root]) inside the proof's public
@@ -47,7 +50,6 @@ stage objects.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import attrgetter
@@ -56,9 +58,10 @@ from typing import Any, Callable, NamedTuple
 
 from . import nizk
 from .canon import FieldElement, cd_core, cd_full, lp_encode, lp_decode, EncodingError
-from .geoindex import DEFAULT_PRECISIONS, Drop, GeoIndex, build_index, client_tokens
+from .geoindex import DEFAULT_PRECISIONS, Drop, GeoIndex, build_index, client_tokens, drops_of
 from .merkle import (
-    Cell, MerklePath, MerkleError, MerkleTree, ResultTree, TreeMemo, build_tree, verify_membership,
+    Cell, MerklePath, MerkleError, MerkleTree, ResultTree, TreeMemo, build_tree, locate,
+    verify_membership,
 )
 from .receipt import Receipt, ReceiptError, SigningKey, sign_receipt, verify_receipt
 from .session import (
@@ -98,8 +101,8 @@ class AuditRecordError(ValueError):
 
 @dataclass(frozen=True)
 class SearchResponse:
-    candidates: tuple[Drop, ...]
-    cells: tuple[Cell, ...]  # full mode: the hit cells in tag order; core: none
+    candidates: tuple[Drop, ...]  # the cells' drops, cell after cell
+    cells: tuple[Cell, ...]  # the hit cells in tag order
     receipt: Receipt | None
 
 
@@ -160,31 +163,25 @@ class SbppServer:
         record = self.sessions.issue(now, mode=self.mode)
         return ClientSession.issued(record, self.unlock_radius_m, self.index.precisions)
 
-    def _match(self, tags: list[bytes]) -> tuple[list[str], list[Cell]]:
-        """The matched ids and, in full mode, the hit cells that commit to them."""
-        cells = self.index.cells(tags)
-        return self.index.match(tags, cells), cells if self.mode == MODE_FULL else []
+    def _hits(self, tags: list[bytes]) -> list[Cell]:
+        """The index cells under the tags, in tag order (the adversarial
+        servers of sbpp.harness.experiments change them here)."""
+        return self.index.cells(tags)
 
     def search(self, S: str, tags: list[bytes], now: int) -> SearchResponse:
         """Match, bind, and attest in one step.  Empty matches leave the
         session unbound and searchable until it expires."""
         self.sessions.validate(S, now)
-        ids, cells = self._match(tags)
-        if not ids:
+        cells = self._hits(tags)
+        if not cells:
             return SearchResponse(candidates=(), cells=(), receipt=None)
-        record = self.sessions.bind_results(
-            S, cells if self.mode == MODE_FULL else ids, self.mode, now
-        )
+        record = self.sessions.bind_results(S, cells, self.mode, now)
         return SearchResponse(
-            candidates_for(self.drops, ids), tuple(cells), sign_session(self.signing_key, record)
+            drops_of(cells), tuple(cells), sign_session(self.signing_key, record)
         )
 
     def verify(self, request: UnlockRequest, now: int) -> VerifyOutcome:
         return run_stages(VERIFY_STAGES, self, Attempt(request, now))
-
-
-def candidates_for(drops: dict[str, Drop], ids: list[str]) -> tuple[Drop, ...]:
-    return tuple(map(drops.__getitem__, ids))
 
 
 def sign_session(key: SigningKey, s: SessionRecord) -> Receipt:
@@ -273,8 +270,8 @@ def check_digest(verifier: Any, attempt: Attempt) -> str | None:
 
 
 def check_membership(verifier: Any, attempt: Attempt) -> str | None:
-    """The bound id set where the context holds one (a core session), else a
-    Merkle path to the bound root.  A receipt holds no id set, and a core
+    """The bound cells where the context holds them (a core session), else a
+    Merkle path to the bound root.  A receipt holds no cells, and a core
     receipt's zero root admits no path, so core audit records stop here."""
     record, claim = attempt.record, attempt.claim
     if record.result_set is not None:
@@ -338,8 +335,8 @@ class ClientSession:
     epoch: str
     radius_m: float
     precisions: tuple[int, ...]  # the index's, which the client's cover chooses among
-    candidates: tuple[Drop, ...] = ()
-    cells: tuple[Cell, ...] = ()  # full mode: the hit cells as the server listed them
+    candidates: tuple[Drop, ...] = ()  # as the server listed them: cell after cell
+    cells: tuple[Cell, ...] = ()  # the hit cells as the server listed them
     receipt: Receipt | None = None
 
     @classmethod
@@ -353,14 +350,19 @@ class ClientSession:
         )
 
     def candidate(self, drop_id: str) -> Drop:
-        """The listed drop, found by bisection: candidates are in id order."""
-        i = bisect_left(self.candidates, drop_id, key=attrgetter("id"))
-        if i < len(self.candidates) and self.candidates[i].id == drop_id:
-            return self.candidates[i]
+        """The listed drop, found through its cell: the first listed cell
+        whose sorted ids hold it, at the same position in its drops."""
+        found = locate(self.cells, drop_id)
+        if found is not None:
+            drops = self.cells[found[0]].drops
+            if found[1] < len(drops) and drops[found[1]].id == drop_id:
+                return drops[found[1]]
         raise ProtocolError(f"{drop_id!r} is not in this session's result list")
 
     def result_ids(self) -> list[str]:
-        return [c.id for c in self.candidates]
+        """The listed ids in id order, sorted here: the server lists its
+        candidates cell after cell."""
+        return sorted(map(attrgetter("id"), self.candidates))
 
 
 def checked_tree(

@@ -70,7 +70,7 @@ class Receipt:
     pv: str
     epoch: str
     sig: bytes
-    result_set = None  # not a field: a receipt binds a root, never an id set
+    result_set = None  # not a field: a receipt binds a root, never the cells
 
     def body_bytes(self) -> bytes:
         return receipt_body(self.S, self.N, self.t_exp, self.root, self.mode, self.pv, self.epoch)

@@ -6,14 +6,14 @@ unlock.  Consumption is a compare-and-swap under a lock, so two concurrent
 unlock attempts against the same session can never both win; expiry is
 exclusive at t_exp (a request arriving exactly at t_exp is already late).
 
-Two storage modes: "core" keeps the bound result-set ids (stateful
-membership checks), "full" keeps only the 32-byte Merkle root, so per-session
-state is constant-size no matter how large the result set was.  A full-mode
-bind is given the hit cells and builds their root (sbpp.merkle.build_tree)
-before it takes the store's lock, so nothing is hashed under it.  Core ids are kept as the sorted tuple the
-search produced and looked up by bisection: a tuple of str costs one pointer
-per id and is not tracked by the garbage collector, where a frozenset costs
-several times that and is.
+A bind is given the hit cells, in tag order, in both storage modes.  "core"
+keeps the cells themselves (stateful membership checks): at most 16
+references to the index's immutable cells, so a record costs the same
+whatever the result size, and membership bisects each cell's sorted ids.
+"full" keeps only the 32-byte Merkle root over them (sbpp.merkle.build_tree),
+built before the bind takes the store's lock, so nothing is hashed under it.
+A core bind checks that each cell's ids are unique and sorted; the cell keeps
+the answer, as it keeps its root, so each cell is checked once.
 
 The store retains terminal records and counts purges, so issued sessions can
 always be reconciled exactly as consumed + expired + pending.
@@ -24,12 +24,11 @@ from __future__ import annotations
 import random
 import secrets
 import threading
-from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .canon import lp_encode, strictly_sorted
-from .merkle import Cell, build_tree
+from .canon import lp_encode
+from .merkle import Cell, build_tree, locate
 
 DEFAULT_TTL_S = 300
 DEFAULT_PV = "1"  # policy version
@@ -60,10 +59,9 @@ class AlreadyBoundError(SessionError):
     pass
 
 
-def in_result_set(result_set: tuple[str, ...], drop_id: str) -> bool:
-    """Membership in a core session's sorted, unique id tuple."""
-    i = bisect_left(result_set, drop_id)
-    return i < len(result_set) and result_set[i] == drop_id
+def in_result_set(cells: Sequence[Cell], drop_id: str) -> bool:
+    """Membership in a core session's cells, each sorted and unique."""
+    return locate(cells, drop_id) is not None
 
 
 @dataclass
@@ -75,7 +73,7 @@ class SessionRecord:
     mode: str
     pv: str
     epoch: str
-    result_set: tuple[str, ...] | None = None  # core mode: sorted unique ids
+    result_set: tuple[Cell, ...] | None = None  # core mode: the hit cells
     root: bytes | None = None
     consumed: bool = False
 
@@ -161,18 +159,15 @@ class SessionStore:
         with self._lock:
             return self._live(S, now)
 
-    def bind_results(
-        self, S: str, result: Sequence[Cell] | Sequence[str], mode: str, now: int
-    ) -> SessionRecord:
-        """Bind the search result; a session binds at most once.  In full
-        mode ``result`` is the hit cells in tag order and the record keeps
-        their root, built before the lock is taken; in core mode it is the
-        sorted unique ids, kept as a tuple."""
-        if not result:
+    def bind_results(self, S: str, cells: Sequence[Cell], mode: str, now: int) -> SessionRecord:
+        """Bind the search result, its hit cells in tag order; a session
+        binds at most once.  In full mode the record keeps their root, built
+        before the lock is taken; in core mode it keeps the cells."""
+        if not cells or not all(cell.ids for cell in cells):
             raise SessionError("cannot bind an empty result set")
         if mode == MODE_FULL:
-            root = build_tree(result).root
-        elif not strictly_sorted(result):
+            root = build_tree(cells).root
+        elif not all(cell.ordered for cell in cells):
             raise SessionError("result set ids must be unique and sorted")
         with self._lock:
             record = self._live(S, now)
@@ -183,7 +178,7 @@ class SessionStore:
             if mode == MODE_FULL:
                 record.root = root
             else:
-                record.result_set = tuple(result)
+                record.result_set = tuple(cells)
                 record.root = ZERO_ROOT
             return record
 

@@ -52,7 +52,9 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
 from . import nizk
 from .canon import FieldElement, digest, lp_decode, lp_encode
-from .geoindex import DEFAULT_PRECISIONS, Drop, build_index, client_tokens, make_token, plain_tag
+from .geoindex import (
+    DEFAULT_PRECISIONS, Drop, build_index, client_tokens, drops_of, make_token, plain_tag,
+)
 from .merkle import MerklePath, build_tree, verify_membership
 from .protocol import (
     AUDIT_STAGES,
@@ -67,7 +69,6 @@ from .protocol import (
     Stage,
     UnlockRequest,
     VerifyOutcome,
-    candidates_for,
     challenge_digest,
     checked_tree,
     check_digest,
@@ -293,7 +294,7 @@ class VariantTraits:
     verify: tuple[Stage, ...]
     audit: tuple[Stage, ...]
     plaintext_search: bool = False
-    mode: str = MODE_CORE  # what the session binds: the id set, or (full) its root
+    mode: str = MODE_CORE  # what the session keeps: the hit cells, or (full) their root
 
     @property
     def session_aware(self) -> bool:
@@ -348,7 +349,7 @@ RUNGS: dict[str, VariantTraits] = {
 }
 
 # V8 with a token that omits the root: membership falls back to the
-# session's own id set, and the offline trail has nothing to check it on.
+# session's own cells, and the offline trail has nothing to check it on.
 _V8_LITE = replace(
     RUNGS["V8"],
     verify=(check_session, check_token_hash, check_membership, *_PROVE, consume_session),
@@ -403,15 +404,12 @@ class GenericVariant:
             self.env.search_key, lat, lon, radius_m, self.env.precisions, tag=self._tag
         )
         cells = self.index.cells(tags)
-        ids = self.index.match(tags, cells)
+        ids = self.index.match(tags, cells)  # what capabilities, permits and the MAC cover
         pv, epoch = vses.pv, vses.epoch
         if not ids:
             vses.candidates, vses.cells = (), ()
             return vses
-        if not row.carries_path:
-            cells = []
-        result = cells if row.mode == MODE_FULL else ids
-        record = self.sessions.bind_results(S, result, row.mode, now) if row.session_aware else None
+        record = self.sessions.bind_results(S, cells, row.mode, now) if row.session_aware else None
         if check_capability in stages:
             for i in ids:
                 vses.capabilities[i] = _sign_blob(key, [DOMAIN_CAPABILITY, S, i, pv, epoch])
@@ -429,7 +427,7 @@ class GenericVariant:
             self.token_by_session[S] = vses.token = token
         if check_digest in stages:
             vses.receipt = sign_session(key, record)
-        vses.candidates, vses.cells = candidates_for(self.drops, ids), tuple(cells)
+        vses.candidates, vses.cells = drops_of(cells), tuple(cells)
         return vses
 
     def build_unlock(

@@ -570,6 +570,50 @@ def test_corpus_round_trip(tmp_path):
     assert load_corpus(str(path)) == back
 
 
+def test_generated_corpora_and_unusual_valid_ids_round_trip(tmp_path):
+    path = tmp_path / "corpus.tsv"
+    odd = [Drop(i, 35.7, 139.75) for i in ("a ", "x#", "a b", "é", "\U00010000", "a\x85", "-")]
+    for drops in (gen_clustered_corpus(500, seed=3), odd):
+        save_corpus(str(path), drops)
+        back = load_corpus(str(path))
+        assert [d.id for d in back] == [d.id for d in drops]
+        for got, want in zip(back, drops):
+            assert got.lat == pytest.approx(want.lat, abs=5e-8)
+            assert got.lon == pytest.approx(want.lon, abs=5e-8)
+
+
+# Each id the loader would change (" a" comes back as "a", "#b" as a
+# comment) or refuse (the rest make the file unloadable).
+@pytest.mark.parametrize(
+    "drop_id, why",
+    [
+        (" a", "whitespace"),
+        ("#b", "comment"),
+        ("", "empty"),
+        ("a\tb", "TAB"),
+        ("a\nb", "LF"),
+        ("a\rb", "CR"),
+        ("\ud800", "UTF-8"),
+        ("ok", "duplicate"),
+    ],
+)
+def test_save_corpus_refuses_an_id_it_cannot_write_back(tmp_path, drop_id, why):
+    path = tmp_path / "corpus.tsv"
+    drops = [Drop("ok", 35.7, 139.75), Drop(drop_id, 35.71, 139.76)]
+    with pytest.raises(CorpusError, match=why) as raised:
+        save_corpus(str(path), drops)
+    assert repr(drop_id) in str(raised.value)
+    assert not path.exists()  # refused before anything is written
+
+
+def test_save_corpus_refuses_a_coordinate_the_loader_refuses(tmp_path):
+    path = tmp_path / "corpus.tsv"
+    for lat, lon in ((math.nan, 0.0), (90.5, 0.0), (0.0, -181.0)):
+        with pytest.raises(CorpusError, match="'d1'"):
+            save_corpus(str(path), [Drop("d1", lat, lon)])
+    assert not path.exists()
+
+
 def test_corpus_skips_comments_and_blanks(tmp_path):
     path = tmp_path / "c.tsv"
     path.write_text("# header\nd1\t35.7\t139.75\n\nd2\t35.71\t139.76\n")

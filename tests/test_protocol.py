@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sbpp import merkle, nizk, session
 from sbpp.canon import cd_core, cd_full, lp_decode, lp_encode
-from sbpp.geoindex import Drop
+from sbpp.geoindex import PAD_LABEL, Drop, geohash_encode, make_token
 from sbpp.merkle import Cell, MerklePath, PathStep, build_tree
 from sbpp.protocol import (
     R_CONSUMED,
@@ -38,6 +38,7 @@ from sbpp.session import MODE_CORE, MODE_FULL
 from sbpp.variants import VARIANT_KINDS, VariantEnv, make_variant
 
 T0 = 1_700_000_000
+KEY = b"\x11" * 32
 QLAT, QLON = 35.70, 139.75
 RADIUS = 1000.0
 
@@ -78,9 +79,19 @@ def test_candidate_finds_each_listed_drop_and_refuses_others():
     for missing in ("", "a", "d005", "d03\x00", "zz"):  # before, between and after the listed ids
         with pytest.raises(ProtocolError):
             ses.candidate(missing)
-    ses.candidates = ()
+    ses.cells = ()  # a drop is found through its cell
     with pytest.raises(ProtocolError):
         ses.candidate("d00")
+
+
+def test_candidate_is_the_drop_its_cell_lists_at_that_id():
+    ses = _searched(*_pair(MODE_CORE))
+    (cell,) = ses.cells
+    assert [d.id for d in cell.drops] == ["d00", "d01", "d02", "d03"]
+    for listed in (cell.drops[::-1], ()):  # drops out of step with the ids, or none
+        ses.cells = (Cell(cell.ids, None, listed),)
+        with pytest.raises(ProtocolError):
+            ses.candidate("d00")
 
 
 def test_full_search_commits_to_the_cells_it_lists():
@@ -117,7 +128,7 @@ def test_core_search_computes_no_cell_root(monkeypatch):
     monkeypatch.setattr(merkle, "MerkleTree", no_tree)
     server, client = _pair(MODE_CORE, drops=TWO_CELLS)
     ses = _searched(server, client)
-    assert len(ses.candidates) == 6 and ses.cells == ()
+    assert len(ses.candidates) == 6 and len(ses.cells) == 2
     assert client.build_unlock(ses, "d00", nizk.Witness(QLAT, QLON)).merkle_path is None
 
 
@@ -136,17 +147,16 @@ def _tamper(ses: ClientSession, tamper: str) -> None:
     """Apply one of TAMPERS to a searched session whose result lists d00."""
     cells = list(ses.cells)
     own = _own_cell(cells)
-    root, ids = cells[own].root, cells[own].ids
+    root, drops = cells[own].root, cells[own].drops
     if tamper == "receipt-root":
         ses.receipt = dataclasses.replace(ses.receipt, root=_flip(ses.receipt.root))
     elif tamper == "no-receipt":
         ses.receipt = None
     elif tamper == "other-cell-root":
         cells[1 - own] = Cell(cells[1 - own].ids, _flip(cells[1 - own].root))
-    elif tamper == "own-cell-ids":
-        cells[own] = Cell([i for i in ids if i != "d01"], root)
-    else:
-        cells[own] = Cell([i for i in ids if i != "d00"], root)
+    else:  # own-cell-ids drops d01, target-unlisted d00
+        kept = [d for d in drops if d.id != ("d01" if tamper == "own-cell-ids" else "d00")]
+        cells[own] = Cell([d.id for d in kept], root, kept)
     ses.cells = tuple(cells)
 
 
@@ -208,7 +218,7 @@ def test_client_ignores_a_misstated_root_of_its_own_cell(warm, receipt):
     ses = _searched(server, client)
     cells = list(ses.cells)
     own = _own_cell(cells)
-    cells[own] = Cell(cells[own].ids, _flip(cells[own].root))
+    cells[own] = Cell(cells[own].ids, _flip(cells[own].root), cells[own].drops)
     ses.cells = tuple(cells)
     if receipt == "honest":
         request = client.build_unlock(ses, "d00", nizk.Witness(QLAT, QLON))
@@ -243,6 +253,69 @@ def test_end_to_end_accept(mode):
     request = client.build_unlock(ses, "d01", nizk.Witness(35.7004, 139.7500))
     outcome = server.verify(request, T0 + 1)
     assert outcome.accepted and outcome.fail_reason is None
+
+
+# Ids whose code point, UTF-16 and UTF-8 orders could disagree; no lone
+# surrogate, which no id can be hashed or digested with.
+_ID_CHARS = st.one_of(
+    st.sampled_from(["d", "\x7f", "\x80", "\u07ff", "\u0800", "\ue000", "\uffff", "\U00010000"]),
+    st.characters(blacklist_categories=("Cs",)),
+)
+_NEAR = st.tuples(st.floats(35.69, 35.71), st.floats(139.74, 139.76))  # drops sharing cells
+_TAGS = ("one-precision", "mixed-precisions", "with-pads", "with-unknown")
+
+
+@st.composite
+def _hit_index(draw):
+    """(drops, precisions, tags): drops around the query, an index of one to
+    four precisions, and a tag list of one of the _TAGS kinds, shuffled."""
+    points = draw(st.lists(_NEAR, min_size=1, max_size=30))
+    ids = draw(st.lists(st.text(_ID_CHARS, min_size=1, max_size=3), min_size=len(points),
+                        max_size=len(points), unique=True))
+    drops = [Drop(i, lat, lon) for i, (lat, lon) in zip(ids, points)]
+    precisions = sorted(draw(st.sets(st.integers(4, 8), min_size=1, max_size=4)))
+    kind = draw(st.sampled_from(_TAGS))
+    chosen = precisions if kind == "mixed-precisions" else [draw(st.sampled_from(precisions))]
+    tags = []
+    for lat, lon in draw(st.lists(st.sampled_from(points), min_size=1, max_size=6)):
+        p = draw(st.sampled_from(chosen))
+        tags.append(make_token(KEY, p, geohash_encode(lat, lon, p)))
+    if kind == "with-pads":
+        tags += [make_token(KEY, PAD_LABEL, f"x:{i}") for i in range(draw(st.integers(1, 10)))]
+    elif kind == "with-unknown":
+        tags += draw(st.lists(st.binary(min_size=32, max_size=32), min_size=1, max_size=4))
+    return drops, precisions, draw(st.permutations(tags))
+
+
+_SIGNING_KEY = server_keygen(b"sign\x00")
+_VK = nizk.setup(b"nizk\x00")[1]
+
+
+@given(_hit_index(), st.text(_ID_CHARS, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_search_lists_the_matched_drops_once_and_binds_their_cells(case, outsider):
+    drops, precisions, tags = case
+    for mode in (MODE_CORE, MODE_FULL):
+        server = SbppServer(drops, KEY, _SIGNING_KEY, _VK, mode=mode, precisions=precisions)
+        matched = server.index.match(tags)  # the reference: a sorted union
+        ses = server.init_session(T0)
+        response = server.search(ses.S, tags, T0)
+        ses.candidates, ses.cells, ses.receipt = response.candidates, response.cells, response.receipt
+        listed = [d.id for d in response.candidates]
+        assert len(listed) == len(set(listed)) and set(listed) == set(matched)
+        assert ses.result_ids() == matched
+        assert all(ses.candidate(i) is server.drops[i] for i in matched)
+        if len({c.precision for c in response.cells}) == 1:  # one precision: no de-duplication
+            assert response.candidates == tuple(d for c in response.cells for d in c.drops)
+        if not matched:
+            assert response.receipt is None
+            continue
+        record = server.sessions.validate(ses.S, T0)
+        if mode == MODE_CORE:
+            for drop_id in [*server.drops, outsider]:
+                assert session.in_result_set(record.result_set, drop_id) == (drop_id in matched)
+        else:
+            assert record.result_set is None and record.root == build_tree(response.cells).root
 
 
 def test_search_without_matches_leaves_session_unbound():

@@ -1,7 +1,7 @@
 """Signed search receipts: the offline-audit trust anchor."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sbpp.canon import lp_decode, lp_encode
@@ -110,6 +110,35 @@ def test_parse_accepts_negative_expiry_in_canonical_form():
 def test_parse_raises_or_round_trips(texts, t_exp):
     S, mode, pv, epoch = texts
     raw = _frame(S=S, mode=mode, pv=pv, epoch=epoch, t_exp=t_exp.encode())
+    try:
+        receipt = Receipt.parse(raw)
+    except ReceiptError:
+        return
+    assert receipt.serialize() == raw
+
+
+_HONEST = _receipt()[1].serialize()
+
+
+def _flip(raw: bytes, bit: int) -> bytes:
+    return raw[: bit // 8] + bytes([raw[bit // 8] ^ (1 << bit % 8)]) + raw[bit // 8 + 1 :]
+
+
+@given(
+    st.one_of(
+        st.binary(max_size=300),
+        st.integers(0, 8 * len(_HONEST) - 1).map(lambda bit: _flip(_HONEST, bit)),
+        st.integers(0, 2 * len(_HONEST)).map(lambda n: (_HONEST * 2)[:n]),
+        st.tuples(st.integers(0, len(_HONEST)), st.binary(min_size=1, max_size=8)).map(
+            lambda at: _HONEST[: at[0]] + at[1] + _HONEST[at[0] :]
+        ),
+    )
+)
+@example(_HONEST)
+@settings(max_examples=300, deadline=None)
+def test_parse_of_any_bytes_raises_or_round_trips(raw):
+    # Arbitrary bytes, bit flips, truncations and insertions of an honest
+    # receipt's bytes.
     try:
         receipt = Receipt.parse(raw)
     except ReceiptError:

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
 
-from sbpp.canon import lp_decode
+from sbpp import merkle
+from sbpp.canon import lp_decode, strictly_sorted
 from sbpp.merkle import Cell, MerkleTree
 from sbpp.session import (
     MODE_CORE,
@@ -32,7 +33,7 @@ def _store(seed: int = 0, ttl_s: int = 300) -> SessionStore:
 
 
 def _cells(ids: list[str]) -> list[Cell]:
-    """A full-mode result: one cell holding ``ids``."""
+    """A result: one cell holding ``ids``."""
     return [Cell(ids)]
 
 
@@ -123,8 +124,9 @@ def test_parallel_double_consume_single_winner():
 def test_bind_results_core_vs_full():
     store = _store()
     core = store.issue(T0, mode=MODE_CORE)
-    store.bind_results(core.S, ["a", "b"], MODE_CORE, T0 + 1)
-    assert core.result_set == ("a", "b")
+    cells = _cells(["a", "b"])
+    store.bind_results(core.S, cells, MODE_CORE, T0 + 1)
+    assert core.result_set == tuple(cells)  # the cells themselves, not a copy of their ids
     assert core.root == bytes(32)
 
     full = store.issue(T0, mode=MODE_FULL)
@@ -138,18 +140,40 @@ def test_core_bind_rejects_ids_not_unique_and_sorted(ids):
     store = _store()
     record = store.issue(T0, mode=MODE_CORE)
     with pytest.raises(SessionError):
-        store.bind_results(record.S, ids, MODE_CORE, T0 + 1)
+        store.bind_results(record.S, _cells(ids), MODE_CORE, T0 + 1)
     assert not record.bound and record.result_set is None
-    store.bind_results(record.S, sorted(set(ids)), MODE_CORE, T0 + 1)
-    assert record.result_set == tuple(sorted(set(ids)))
+    cells = _cells(sorted(set(ids)))
+    store.bind_results(record.S, cells, MODE_CORE, T0 + 1)
+    assert record.result_set == tuple(cells)
+
+
+def test_core_bind_checks_each_cell_once(monkeypatch):
+    checked = []
+
+    def counting(ids):
+        checked.append(tuple(ids))
+        return strictly_sorted(ids)
+
+    monkeypatch.setattr(merkle, "strictly_sorted", counting)
+    store = _store()
+    good, bad = Cell(("a", "b")), Cell(("b", "a"))
+    for _ in range(3):
+        store.bind_results(store.issue(T0, mode=MODE_CORE).S, [good], MODE_CORE, T0 + 1)
+        with pytest.raises(SessionError):
+            store.bind_results(store.issue(T0, mode=MODE_CORE).S, [good, bad], MODE_CORE, T0 + 1)
+    assert checked == [("a", "b"), ("b", "a")]
 
 
 @given(st.sets(st.text(max_size=3), max_size=40), st.text(max_size=3), st.data())
 @settings(max_examples=200, deadline=None)
 def test_in_result_set_is_set_membership(ids, outsider, data):
-    bound = tuple(sorted(ids, key=lambda s: s.encode("utf-8")))
+    # The ids cut into cells, each sorted, listed in any order.
+    bound = sorted(ids, key=lambda s: s.encode("utf-8"))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(bound)), max_size=4)))
+    spans = zip([0, *cuts], [*cuts, len(bound)])
+    cells = data.draw(st.permutations([Cell(tuple(bound[a:b])) for a, b in spans if a < b]))
     drop_id = data.draw(st.sampled_from(bound)) if bound and data.draw(st.booleans()) else outsider
-    assert in_result_set(bound, drop_id) == (drop_id in ids)
+    assert in_result_set(cells, drop_id) == (drop_id in ids)
 
 
 def test_bind_is_once_and_mode_checked():
@@ -160,7 +184,7 @@ def test_bind_is_once_and_mode_checked():
         store.bind_results(record.S, _cells(["b"]), MODE_FULL, T0 + 2)
     other = store.issue(T0, mode=MODE_FULL)
     with pytest.raises(SessionError):
-        store.bind_results(other.S, ["a"], MODE_CORE, T0 + 1)
+        store.bind_results(other.S, _cells(["a"]), MODE_CORE, T0 + 1)
     with pytest.raises(SessionError):
         store.bind_results(other.S, [], MODE_FULL, T0 + 1)
 
@@ -251,7 +275,7 @@ class SessionLifecycle(RuleBasedStateMachine):
     def bind(self, S, mode, ids):
         try:
             ids = sorted(ids)
-            self.store.bind_results(S, _cells(ids) if mode == MODE_FULL else ids, mode, self.now)
+            self.store.bind_results(S, _cells(ids), mode, self.now)
         except SessionError:
             pass  # unknown, expired, consumed, already bound or wrong mode
 
