@@ -156,7 +156,7 @@ def _demo_search(args: argparse.Namespace, lat: float, lon: float):
 def _cmd_search(args: argparse.Namespace) -> int:
     server, _, ses = _demo_search(args, args.lat, args.lon)
     stamps = {"radius_m": ses.radius_m, "pv": ses.pv, "epoch": ses.epoch}
-    listed = sorted(ses.candidates, key=attrgetter("id"))  # the server lists them cell by cell
+    listed = sorted(ses.candidates, key=attrgetter("id"))  # listed cell by cell
     out = {
         "session": {"S": ses.S, "N": ses.N.hex(), "t_exp": ses.t_exp},
         "mode": server.mode,

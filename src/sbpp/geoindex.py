@@ -32,12 +32,14 @@ The index is a map from tag to `Cell` (see sbpp.merkle), one per (precision,
 cell), made by the build with its ids sorted and its drops beside them in
 the same order: pass 1 visits the drops in id order, so each cell's ids come
 out sorted without sorting any cell.  A query gets the cells it hit, in tag
-order, as the index holds them, and those cells are its result: `drops_of`
-lists their drops cell after cell, with no union and no lookup per id.
-`GeoIndex.match`, the sorted union of their ids, is the reference the tests
-check that against.  A cell's Merkle root is computed on its first use in a
-commitment and kept, so a build hashes no id and a search hashes only cells
-never committed before.
+order, as the index holds them, and those cells are its result: the server
+answers with them, and the client lists their drops cell after cell
+(`drops_of`), with no union and no lookup per id.  `GeoIndex.match`, the
+sorted union of their ids, is the reference the tests check that against.
+A cell's Merkle root is computed on its first use in a commitment and kept,
+so a build hashes no id and a search hashes only cells never committed
+before.  An id must encode to UTF-8, for its leaf hash and its digest; the
+build checks every id in one pass and names one that does not.
 
 Tags are HMAC-SHA-256 (RFC 2104).  `hmac_tagger` hashes the key's inner and
 outer pads once and derives each tag from copies of those two states, which
@@ -363,16 +365,15 @@ class GeoIndex:
         self.precisions = sorted(set(precisions))
         self.entries: dict[bytes, Cell] = {}
 
-    def match(self, tags: list[bytes], cells: list[Cell] | None = None) -> list[str]:
+    def match(self, tags: list[bytes]) -> list[str]:
         """Union of ids under the queried tags, de-duplicated and sorted in
         UTF-8 byte order (which is code point order, so no key is needed).
-        A query's cells are of one precision, so they are disjoint and the
-        union is a merge of their sorted lists; tags of several precisions
-        may overlap and are de-duplicated.  A caller that has already
-        fetched ``self.cells(tags)`` passes them as ``cells``."""
-        if cells is None:
-            cells = self.cells(tags)
-        ids = sorted(chain.from_iterable(cell.ids for cell in cells))
+        No search path calls it: it is the reference the tests check a
+        search's cells against, and the experiments' measure of recall and
+        match latency.  A query's cells are of one precision, so they are
+        disjoint and the union is a merge of their sorted lists; tags of
+        several precisions may overlap and are de-duplicated."""
+        ids = sorted(chain.from_iterable(cell.ids for cell in self.cells(tags)))
         return ids if strictly_sorted(ids) else sorted(set(ids))
 
     def cells(self, tags: list[bytes]) -> list[Cell]:
@@ -382,7 +383,8 @@ class GeoIndex:
 
 
 def drops_of(cells: Sequence[Cell]) -> tuple[Drop, ...]:
-    """The drops the cells list, cell after cell, each cell's in id order.
+    """The drops the cells list, cell after cell, each cell's in id order:
+    a client's candidates, listed from the cells a search answered with.
     A query's cells are of one precision, so they are disjoint; cells of
     several precisions may overlap, and only then is a drop listed again
     dropped."""
@@ -390,6 +392,15 @@ def drops_of(cells: Sequence[Cell]) -> tuple[Drop, ...]:
     if len({cell.precision for cell in cells}) > 1:
         drops = tuple({drop.id: drop for drop in drops}.values())
     return drops
+
+
+def _utf8(text: str) -> bool:
+    """``text`` encodes to UTF-8: it holds no lone surrogate."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def build_index(key: bytes, drops: list[Drop], precisions: list[int], tag=make_token) -> GeoIndex:
@@ -403,6 +414,11 @@ def build_index(key: bytes, drops: list[Drop], precisions: list[int], tag=make_t
     order, and their ids as one `Cell`.  Pass 1 files each id beside its
     drop, while the drop is fresh in the cache: reading the ids in pass 2
     would revisit every drop out of memory order.
+
+    An id that does not encode to UTF-8 (a lone surrogate) could be neither
+    hashed into a leaf nor digested into a proof, so it is a GeoindexError
+    here, naming the id, rather than a failure of every search that hits
+    its cell.
     """
     index = GeoIndex(precisions)
     lon_bits, lat_bits = _grid_bits(index.precisions[-1])
@@ -418,6 +434,10 @@ def build_index(key: bytes, drops: list[Drop], precisions: list[int], tag=make_t
             ids, members = cells[x >> dx, y >> dy]
             ids.append(drop.id)
             members.append(drop)
+    # a level files each id once: one encode of their join checks them all
+    if not _utf8("".join(["".join(ids) for ids, _ in levels[0][3].values()])):
+        bad = next(drop.id for drop in drops if not _utf8(drop.id))
+        raise GeoindexError(f"drop id {bad!r} does not encode to UTF-8")
     tag_of = _keyed(tag, key)
     for p, _, _, cells in levels:
         for (x, y), (ids, members) in cells.items():
@@ -426,66 +446,61 @@ def build_index(key: bytes, drops: list[Drop], precisions: list[int], tag=make_t
     return index
 
 # ---------------------------------------------------------------------------
-# corpus files: one drop per line, `id<TAB>lat<TAB>lon`, '#' comments
+# corpus files: one drop per line, `id<TAB>lat<TAB>lon`, '#' comments at column 0
+
+
+def _on_earth(lat: float, lon: float) -> bool:
+    """The coordinates a corpus file holds (NaN is not one)."""
+    return -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0
 
 
 def load_corpus(path: str) -> list[Drop]:
-    drops: list[Drop] = []
-    seen: set[str] = set()
+    """The drops of a corpus file, ids exactly as `save_corpus` wrote them:
+    only the line terminator is stripped.  Blank and whitespace-only lines
+    and lines with '#' at column 0 are skipped."""
+    drops: dict[str, Drop] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
+            line = line.removesuffix("\n")
+            if not line.strip() or line.startswith("#"):
                 continue
             parts = line.split("\t")
             if len(parts) != 3:
                 raise CorpusError(f"line {lineno}: expected id<TAB>lat<TAB>lon")
             drop_id, lat_s, lon_s = parts
-            if drop_id in seen:
+            if not drop_id:
+                raise CorpusError(f"line {lineno}: empty drop id")
+            if drop_id in drops:
                 raise CorpusError(f"line {lineno}: duplicate drop id {drop_id!r}")
             try:
                 lat, lon = float(lat_s), float(lon_s)
             except ValueError as exc:
                 raise CorpusError(f"line {lineno}: bad coordinate") from exc
-            if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+            if not _on_earth(lat, lon):
                 raise CorpusError(f"line {lineno}: coordinate out of range")
-            seen.add(drop_id)
-            drops.append(Drop(drop_id, lat, lon))
-    return drops
-
-
-def _unsaveable(drop: Drop, seen: set[str]) -> str | None:
-    """Why ``load_corpus`` would not read ``drop`` back as it is, or None."""
-    drop_id = drop.id
-    if not drop_id:
-        return "is empty"
-    if drop_id in seen:
-        return "is a duplicate"
-    if "\t" in drop_id or "\n" in drop_id or "\r" in drop_id:
-        return "holds a TAB, CR or LF"
-    if drop_id.startswith("#"):
-        return "starts with '#', which marks a comment"
-    if drop_id != drop_id.lstrip():
-        return "starts with whitespace, which the loader strips"
-    try:
-        drop_id.encode("utf-8")
-    except UnicodeEncodeError:
-        return "does not encode to UTF-8"
-    if not (-90.0 <= drop.lat <= 90.0 and -180.0 <= drop.lon <= 180.0):
-        return "has a coordinate out of range"
-    return None
+            drops[drop_id] = Drop(drop_id, lat, lon)
+    return list(drops.values())
 
 
 def save_corpus(path: str, drops: list[Drop]) -> None:
     """Write ``drops`` in the format ``load_corpus`` reads.  A drop it would
-    not read back as it is raises CorpusError naming the drop's id, before
-    anything is written."""
+    not read back as it is raises CorpusError naming the drop's id and why,
+    before anything is written."""
     seen: set[str] = set()
     for drop in drops:
-        problem = _unsaveable(drop, seen)
-        if problem is not None:
-            raise CorpusError(f"drop id {drop.id!r} {problem}")
-        seen.add(drop.id)
+        i = drop.id
+        problems = {
+            "is empty": not i,
+            "is a duplicate": i in seen,
+            "holds a TAB, CR or LF": "\t" in i or "\n" in i or "\r" in i,
+            "starts with '#', which marks a comment": i.startswith("#"),
+            "does not encode to UTF-8": not _utf8(i),
+            "has a coordinate out of range": not _on_earth(drop.lat, drop.lon),
+        }
+        for why, bad in problems.items():
+            if bad:
+                raise CorpusError(f"drop id {i!r} {why}")
+        seen.add(i)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# id\tlat\tlon\n")
         for drop in drops:

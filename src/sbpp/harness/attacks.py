@@ -29,8 +29,6 @@ from ..receipt import server_keygen
 from ..variants import VARIANT_KINDS, VariantEnv, make_variant
 from .report import render_grid
 
-ATTACK_KINDS = ("A1", "A2", "A3", "A4a", "A4b", "A5")
-
 # Fixed desk-scale geometry: a candidate cluster near the query point and a
 # lone drop ~12 km east, so it never lands in the 1 km query's cover.
 QUERY_LAT, QUERY_LON = 35.70, 139.75
@@ -210,6 +208,7 @@ ATTACK_FUNCS = {
     "A4b": attack_a4b,
     "A5": attack_a5,
 }
+ATTACK_KINDS = tuple(ATTACK_FUNCS)
 
 # True = the variant blocks the attack.
 EXPECTED_MATRIX: dict[str, dict[str, bool]] = {

@@ -27,7 +27,6 @@ from ..geoindex import (
     TOKYO_BBOX,
     build_index,
     client_tokens,
-    drops_of,
     gen_clustered_corpus,
     gen_uniform_corpus,
     geohash_encode,
@@ -484,7 +483,7 @@ class _OmittingServer(SbppServer):
 
     def _hits(self, tags):
         cells = super()._hits(tags)
-        ids = self.index.match(tags, cells)
+        ids = self.index.match(tags)
         return _keep(cells, ids[:-1] if len(ids) > 1 else ids)
 
 
@@ -494,19 +493,18 @@ class _BiasedServer(SbppServer):
 
     def _hits(self, tags):
         cells = super()._hits(tags)
-        ids = self.index.match(tags, cells)
+        ids = self.index.match(tags)
         return _keep(cells, ids[::2] if len(ids) > 1 else ids)
 
 
 class _MisreportingServer(_OmittingServer):
     """Binds and signs the root of the matches without the last one, but
-    shows the client every match and honest cells: its receipt disagrees
-    with the cell roots it showed."""
+    shows the client the honest cells, so every match: its receipt
+    disagrees with the cell roots it showed."""
 
     def search(self, S, tags, now):
         response = super().search(S, tags, now)
-        cells = SbppServer._hits(self, tags)
-        return replace(response, candidates=drops_of(cells), cells=tuple(cells))
+        return replace(response, cells=tuple(SbppServer._hits(self, tags)))
 
 
 class _RecommittingServer(SbppServer):

@@ -4,15 +4,15 @@ Flow: the server issues a session and states its whole context (id, 256-bit
 nonce, expiry, mode, policy version, epoch, unlock radius and the index's
 precisions), so the session, not each drop, carries the policy; the client
 searches with encrypted cell tokens; the server binds the session to the
-hit cells and hands them back, in tag order, with their drops and a signed
-receipt.  The hit cells are the result set: the candidates are their drops,
-cell after cell and in id order inside each cell (sbpp.geoindex.drops_of),
-so a search makes no union and looks up no id; a list in id order is built
-only where a caller wants one (`ClientSession.result_ids`).  In core mode
-the session keeps the hit cells themselves.  In full mode it keeps the
-two-level Merkle root of sbpp.merkle: the top tree over the hit cells'
-roots, in tag order, built from roots the index keeps per cell before the
-session lock is taken.
+hit cells and answers with them, in tag order, and a signed receipt.  The
+hit cells are the result set, so the server makes no union, looks up no id
+and lists no drop: the client lists the candidates itself, the cells' drops
+cell after cell and in id order inside each cell (sbpp.geoindex.drops_of).
+A list in id order is built only where a caller wants one
+(`ClientSession.result_ids`).  In core mode the session keeps the hit cells
+themselves.  In full mode it keeps the two-level Merkle root of
+sbpp.merkle: the top tree over the hit cells' roots, in tag order, built
+from roots the index keeps per cell before the session lock is taken.
 
 The client proves proximity to one returned drop, committing a challenge
 digest over (drop, policy, epoch, nonce[, root]) inside the proof's public
@@ -101,7 +101,6 @@ class AuditRecordError(ValueError):
 
 @dataclass(frozen=True)
 class SearchResponse:
-    candidates: tuple[Drop, ...]  # the cells' drops, cell after cell
     cells: tuple[Cell, ...]  # the hit cells in tag order
     receipt: Receipt | None
 
@@ -169,16 +168,15 @@ class SbppServer:
         return self.index.cells(tags)
 
     def search(self, S: str, tags: list[bytes], now: int) -> SearchResponse:
-        """Match, bind, and attest in one step.  Empty matches leave the
-        session unbound and searchable until it expires."""
+        """Match, bind, and attest in one step: the hit cells and the
+        receipt are the whole answer.  Empty matches leave the session
+        unbound and searchable until it expires."""
         self.sessions.validate(S, now)
         cells = self._hits(tags)
         if not cells:
-            return SearchResponse(candidates=(), cells=(), receipt=None)
+            return SearchResponse(cells=(), receipt=None)
         record = self.sessions.bind_results(S, cells, self.mode, now)
-        return SearchResponse(
-            drops_of(cells), tuple(cells), sign_session(self.signing_key, record)
-        )
+        return SearchResponse(tuple(cells), sign_session(self.signing_key, record))
 
     def verify(self, request: UnlockRequest, now: int) -> VerifyOutcome:
         return run_stages(VERIFY_STAGES, self, Attempt(request, now))
@@ -335,7 +333,7 @@ class ClientSession:
     epoch: str
     radius_m: float
     precisions: tuple[int, ...]  # the index's, which the client's cover chooses among
-    candidates: tuple[Drop, ...] = ()  # as the server listed them: cell after cell
+    candidates: tuple[Drop, ...] = ()  # the cells' drops, cell after cell
     cells: tuple[Cell, ...] = ()  # the hit cells as the server listed them
     receipt: Receipt | None = None
 
@@ -360,8 +358,8 @@ class ClientSession:
         raise ProtocolError(f"{drop_id!r} is not in this session's result list")
 
     def result_ids(self) -> list[str]:
-        """The listed ids in id order, sorted here: the server lists its
-        candidates cell after cell."""
+        """The listed ids in id order, sorted here: the candidates come
+        cell after cell."""
         return sorted(map(attrgetter("id"), self.candidates))
 
 
@@ -395,9 +393,11 @@ class SbppClient:
     def search(
         self, server: SbppServer, ses: ClientSession, lat: float, lon: float, radius_m: float, now: int
     ) -> ClientSession:
+        """Send the query's tags and keep the answer: the hit cells, the
+        receipt, and the candidates listed from the cells."""
         _, tags = client_tokens(self.search_key, lat, lon, radius_m, ses.precisions)
         response = server.search(ses.S, tags, now)
-        ses.candidates = response.candidates
+        ses.candidates = drops_of(response.cells)
         ses.cells = response.cells
         ses.receipt = response.receipt
         return ses

@@ -55,7 +55,7 @@ from .canon import FieldElement, digest, lp_decode, lp_encode
 from .geoindex import (
     DEFAULT_PRECISIONS, Drop, build_index, client_tokens, drops_of, make_token, plain_tag,
 )
-from .merkle import MerklePath, build_tree, verify_membership
+from .merkle import MerklePath, build_tree, locate, verify_membership
 from .protocol import (
     AUDIT_STAGES,
     DEFAULT_UNLOCK_RADIUS_M,
@@ -82,8 +82,6 @@ from .protocol import (
 )
 from .receipt import Receipt, SigningKey
 from .session import DEFAULT_EPOCH, DEFAULT_PV, DEFAULT_TTL_S, MODE_CORE, MODE_FULL, SessionStore
-
-VARIANT_KINDS = ("V1", "V2", "V3", "V4a", "V4b", "V5", "V6", "V7", "V8")
 
 # Additional rejection reasons used by the comparison rungs.
 R_NONCE_ECHO = "nonce-echo-mismatch"
@@ -347,6 +345,7 @@ RUNGS: dict[str, VariantTraits] = {
         (audit_token_hash, audit_token_sig, audit_token_root, check_proof),
     ),
 }
+VARIANT_KINDS = tuple(RUNGS)
 
 # V8 with a token that omits the root: membership falls back to the
 # session's own cells, and the offline trail has nothing to check it on.
@@ -404,20 +403,20 @@ class GenericVariant:
             self.env.search_key, lat, lon, radius_m, self.env.precisions, tag=self._tag
         )
         cells = self.index.cells(tags)
-        ids = self.index.match(tags, cells)  # what capabilities, permits and the MAC cover
         pv, epoch = vses.pv, vses.epoch
-        if not ids:
+        if not cells:
             vses.candidates, vses.cells = (), ()
             return vses
         record = self.sessions.bind_results(S, cells, row.mode, now) if row.session_aware else None
+        vses.candidates, vses.cells = drops_of(cells), tuple(cells)
         if check_capability in stages:
-            for i in ids:
+            for i in vses.result_ids():
                 vses.capabilities[i] = _sign_blob(key, [DOMAIN_CAPABILITY, S, i, pv, epoch])
         if check_permit in stages:
-            for i in ids:
+            for i in vses.result_ids():
                 vses.permits[i] = _sign_blob(key, [DOMAIN_PERMIT, S, i, pv, epoch])
         if check_mac in stages:
-            vses.result_mac = _mac_tag(self.env.mac_key, S, pv, epoch, tuple(ids))
+            vses.result_mac = _mac_tag(self.env.mac_key, S, pv, epoch, tuple(vses.result_ids()))
         if check_token_hash in stages:
             if check_token_root in stages:
                 root = build_tree(cells).root
@@ -427,7 +426,6 @@ class GenericVariant:
             self.token_by_session[S] = vses.token = token
         if check_digest in stages:
             vses.receipt = sign_session(key, record)
-        vses.candidates, vses.cells = drops_of(cells), tuple(cells)
         return vses
 
     def build_unlock(
@@ -508,7 +506,7 @@ class GenericVariant:
     ) -> MerklePath | None:
         """A fresh path to ``drop_id`` in this session's list, where the rung
         carries paths and the drop is listed; otherwise ``fallback``."""
-        if self.traits.carries_path and drop_id in vses.result_ids():
+        if self.traits.carries_path and locate(vses.cells, drop_id) is not None:
             return build_tree(vses.cells, drop_id).path
         return fallback
 

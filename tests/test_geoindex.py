@@ -4,6 +4,7 @@ import hashlib
 import hmac
 import math
 import random
+import re
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -38,7 +39,8 @@ from sbpp.geoindex import (
 )
 from sbpp.harness.attacks import T0, build_variant, derive_key, protocol_pair, seeded_env
 from sbpp.merkle import Cell, MerkleTree
-from sbpp.session import MODE_FULL
+from sbpp.session import MODE_CORE, MODE_FULL
+from sbpp.variants import make_variant
 
 TOKYO = (35.6, 35.8, 139.6, 139.9)
 
@@ -238,14 +240,6 @@ def test_index_match_is_sorted_union():
     _, tags = client_tokens(key, 35.70, 139.75, 1000.0)
     assert index.match(tags) == ["a", "b"]
     assert index.match([b"\x00" * 32]) == []
-
-
-def test_match_merges_the_cells_its_caller_already_fetched():
-    key = b"\x03" * 32
-    index = build_index(key, gen_uniform_corpus(400, seed=11, bbox=TOKYO), [5, 6])
-    for lat, lon in ((35.70, 139.75), (35.66, 139.70)):
-        _, tags = client_tokens(key, lat, lon, 1000.0, [5, 6])
-        assert index.match(tags, index.cells(tags)) == index.match(tags)
 
 
 # Characters around the places where UTF-8, UTF-16 and code point orders
@@ -572,7 +566,7 @@ def test_corpus_round_trip(tmp_path):
 
 def test_generated_corpora_and_unusual_valid_ids_round_trip(tmp_path):
     path = tmp_path / "corpus.tsv"
-    odd = [Drop(i, 35.7, 139.75) for i in ("a ", "x#", "a b", "é", "\U00010000", "a\x85", "-")]
+    odd = [Drop(i, 35.7, 139.75) for i in (" a", "a ", "x#", "a b", "é", "\U00010000", "a\x85", "-")]
     for drops in (gen_clustered_corpus(500, seed=3), odd):
         save_corpus(str(path), drops)
         back = load_corpus(str(path))
@@ -582,12 +576,11 @@ def test_generated_corpora_and_unusual_valid_ids_round_trip(tmp_path):
             assert got.lon == pytest.approx(want.lon, abs=5e-8)
 
 
-# Each id the loader would change (" a" comes back as "a", "#b" as a
-# comment) or refuse (the rest make the file unloadable).
+# Each id the loader would change ("#b" comes back as a comment) or refuse
+# (the rest make the file unloadable).
 @pytest.mark.parametrize(
     "drop_id, why",
     [
-        (" a", "whitespace"),
         ("#b", "comment"),
         ("", "empty"),
         ("a\tb", "TAB"),
@@ -618,6 +611,33 @@ def test_corpus_skips_comments_and_blanks(tmp_path):
     path = tmp_path / "c.tsv"
     path.write_text("# header\nd1\t35.7\t139.75\n\nd2\t35.71\t139.76\n")
     assert [d.id for d in load_corpus(str(path))] == ["d1", "d2"]
+
+
+def test_corpus_ids_keep_their_whitespace_and_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "c.tsv"
+    path.write_text("# header\n \t \n a \t35.7\t139.75\n\t\n\x0bb\t35.71\t139.76")
+    assert [d.id for d in load_corpus(str(path))] == [" a ", "\x0bb"]
+
+
+def test_corpus_rejects_an_empty_id_with_its_line_number(tmp_path):
+    path = tmp_path / "c.tsv"
+    path.write_text("# header\nd1\t35.7\t139.75\n\t35.71\t139.76\n")
+    with pytest.raises(CorpusError, match="^line 3: empty drop id$"):
+        load_corpus(str(path))
+
+
+@pytest.mark.parametrize("mode", [MODE_CORE, MODE_FULL])
+def test_an_id_that_is_not_utf8_fails_at_index_build(mode):
+    # a lone surrogate can be neither leaf-hashed nor digested: the build
+    # names it instead of every search of its cell (full) or its unlock
+    # (core) failing later
+    drops = [Drop("ok", 35.7, 139.75), Drop("\ud800", 35.7, 139.75), Drop("z", 35.7, 139.75)]
+    env = seeded_env(0, drops)
+    with pytest.raises(GeoindexError, match=re.escape(repr("\ud800"))):
+        protocol_pair(env, mode)
+    for kind in ("V1", "V4a", "V4b"):
+        with pytest.raises(GeoindexError, match=re.escape(repr("\ud800"))):
+            make_variant(kind, env)
 
 
 def test_corpus_rejects_malformed_rows(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sbpp import merkle, nizk, session
 from sbpp.canon import cd_core, cd_full, lp_decode, lp_encode
-from sbpp.geoindex import PAD_LABEL, Drop, geohash_encode, make_token
+from sbpp.geoindex import PAD_LABEL, Drop, client_tokens, drops_of, geohash_encode, make_token
 from sbpp.merkle import Cell, MerklePath, PathStep, build_tree
 from sbpp.protocol import (
     R_CONSUMED,
@@ -300,13 +300,14 @@ def test_search_lists_the_matched_drops_once_and_binds_their_cells(case, outside
         matched = server.index.match(tags)  # the reference: a sorted union
         ses = server.init_session(T0)
         response = server.search(ses.S, tags, T0)
-        ses.candidates, ses.cells, ses.receipt = response.candidates, response.cells, response.receipt
-        listed = [d.id for d in response.candidates]
+        candidates = drops_of(response.cells)  # the client's listing
+        ses.candidates, ses.cells, ses.receipt = candidates, response.cells, response.receipt
+        listed = [d.id for d in candidates]
         assert len(listed) == len(set(listed)) and set(listed) == set(matched)
         assert ses.result_ids() == matched
         assert all(ses.candidate(i) is server.drops[i] for i in matched)
         if len({c.precision for c in response.cells}) == 1:  # one precision: no de-duplication
-            assert response.candidates == tuple(d for c in response.cells for d in c.drops)
+            assert candidates == tuple(d for c in response.cells for d in c.drops)
         if not matched:
             assert response.receipt is None
             continue
@@ -316,6 +317,23 @@ def test_search_lists_the_matched_drops_once_and_binds_their_cells(case, outside
                 assert session.in_result_set(record.result_set, drop_id) == (drop_id in matched)
         else:
             assert record.result_set is None and record.root == build_tree(response.cells).root
+
+
+@pytest.mark.parametrize("mode", [MODE_CORE, MODE_FULL])
+def test_search_answers_with_cells_and_a_receipt_and_reads_no_drop(mode, monkeypatch):
+    server, _ = _pair(mode, drops=TWO_CELLS)
+    tags = client_tokens(KEY, QLAT, QLON, RADIUS, server.index.precisions)[1]
+    ses = server.init_session(T0)
+
+    def unread(cell):
+        raise AssertionError("the server read a cell's drops")
+
+    monkeypatch.setattr(Cell, "drops", property(unread))
+    response = server.search(ses.S, tags, T0)
+    monkeypatch.undo()
+    assert [f.name for f in dataclasses.fields(response)] == ["cells", "receipt"]
+    assert len(response.cells) == 2 and response.receipt.S == ses.S
+    assert sorted(d.id for d in drops_of(response.cells)) == server.index.match(tags)
 
 
 def test_search_without_matches_leaves_session_unbound():

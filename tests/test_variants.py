@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from sbpp import merkle, nizk, session, variants
 from sbpp.canon import digest, lp_encode
-from sbpp.geoindex import Drop
+from sbpp.geoindex import Drop, GeoIndex
 from sbpp import protocol
 from sbpp.protocol import (
     R_CONSUMED,
@@ -490,6 +490,33 @@ def test_audit_record_is_the_stamped_request(kind, token_includes_root):
     vses, request = _flow(variant)
     stamped = dataclasses.replace(request, token=vses.token, receipt=vses.receipt)
     assert variant.audit_record(vses, request) == stamped
+
+
+@pytest.mark.parametrize("kind, token_includes_root", ALL_ROWS)
+def test_search_asks_the_index_for_its_hit_cells_only(kind, token_includes_root, monkeypatch):
+    # the hit cells are the whole answer: grants and the MAC cover the ids
+    # the cells list, in id order, with no second answer from the index.
+    # Two drops just west of cell xn77h put the result in two cells, listed
+    # out of id order whichever cell comes first.
+    west = [Drop("a0", 35.7000, 139.7440), Drop("z0", 35.7004, 139.7450)]
+    env = dataclasses.replace(_env(), drops=[*DROPS, *west])
+    variant = make_variant(kind, env, token_includes_root=token_includes_root)
+
+    def second_answer(*args):
+        raise AssertionError("search asked GeoIndex.match")
+
+    monkeypatch.setattr(GeoIndex, "match", second_answer)
+    vses, request = _flow(variant)
+    listed = ["a0", "d00", "d01", "d02", "z0"]
+    assert len(vses.cells) == 2 and [d.id for d in vses.candidates] != listed
+    assert vses.result_ids() == listed
+    assert list(vses.capabilities) == (listed if kind == "V5" else [])
+    assert list(vses.permits) == (listed if kind == "V6" else [])
+    assert request.result_ids == (tuple(listed) if kind == "V7" else None)
+    assert variant.verify(request, T0 + 1).accepted
+    empty = variant.open_session(T0)
+    variant.search(empty, QLAT - 1.0, QLON, RADIUS, T0)  # no drop within 100 km
+    assert empty.candidates == () and empty.cells == () and empty.receipt is None
 
 
 def test_request_must_name_its_context():
