@@ -11,6 +11,20 @@ Challenge digests are SHA-256 outputs interpreted as big-endian integers and
 reduced into the scalar field used by the proof backend, so they can ride in
 a public-input slot.  Strings are encoded as UTF-8 without unicode
 normalization: two ids that differ in codepoints are different ids.
+
+Encode once, check once.  A value that is hashed, signed or MAC'd more than
+once per unlock (a receipt's body, the proof's public inputs) carries the
+canonical bytes it was first encoded to or parsed from, and every later use
+reads those bytes instead of framing the value again.  The rule that keeps
+this sound: carried bytes are set only by the function that encoded them
+from the value's own fields, or by a parse that accepts only canonical
+input, so they are always what encoding the fields would give.  They live
+in a non-init field with ``compare=False, repr=False``: equality ignores
+them, and ``dataclasses.replace`` builds a value without them, so a changed
+field is never paired with the old field's bytes.  In the same spirit a
+value is range-checked once, where it crosses a trust boundary:
+`decode_elements` checks a whole run of field elements together and builds
+them without running each element's own check again.
 """
 
 from __future__ import annotations
@@ -28,6 +42,8 @@ Q = 2188824287183927522224640574525727508854836440041603434369820418657580849561
 DOMAIN_DIGEST = "SBPP-v1"
 
 _LEN = struct.Struct(">I")
+_pack_len = _LEN.pack
+_unpack_len = _LEN.unpack_from
 _MAX_FIELD = 2**32 - 1
 
 
@@ -55,10 +71,26 @@ class FieldElement:
     def from_bytes(cls, raw: bytes) -> "FieldElement":
         if len(raw) != 32:
             raise EncodingError("field element must be exactly 32 bytes")
-        value = int.from_bytes(raw, "big")
-        if value >= Q:
-            raise EncodingError("field element encoding not reduced")
-        return cls(value)
+        return decode_elements(raw)[0]
+
+
+def _element(value: int) -> FieldElement:
+    """A FieldElement whose value the caller has put in [0, Q) itself, built
+    without running `FieldElement.__post_init__` again."""
+    element = object.__new__(FieldElement)
+    object.__setattr__(element, "value", value)
+    return element
+
+
+def decode_elements(raw: bytes) -> tuple[FieldElement, ...]:
+    """The 32-byte big-endian field elements ``raw`` is a run of, each
+    checked reduced (< Q) in one pass over the values, then built once."""
+    if len(raw) % 32:
+        raise EncodingError("field elements must be 32 bytes each")
+    values = [int.from_bytes(raw[i : i + 32], "big") for i in range(0, len(raw), 32)]
+    if values and max(values) >= Q:
+        raise EncodingError("field element encoding not reduced")
+    return tuple(map(_element, values))
 
 
 def strictly_sorted(ids: list[str] | tuple[str, ...]) -> bool:
@@ -77,38 +109,45 @@ def _as_bytes(field: bytes | str) -> bytes:
 
 
 def lp_encode(fields: list[bytes | str] | tuple[bytes | str, ...]) -> bytes:
-    """Length-prefix every field (4-byte big-endian) and concatenate."""
-    out = bytearray()
+    """Length-prefix every field (4-byte big-endian) and concatenate, in one
+    join of the prefixes and fields."""
+    parts = []
     for field in fields:
-        raw = _as_bytes(field)
+        raw = field if type(field) is bytes else _as_bytes(field)
         if len(raw) > _MAX_FIELD:
             raise EncodingError("field exceeds 2^32-1 bytes")
-        out += _LEN.pack(len(raw))
-        out += raw
-    return bytes(out)
+        parts.append(_pack_len(len(raw)))
+        parts.append(raw)
+    return b"".join(parts)
 
 
 def lp_decode(data: bytes) -> list[bytes]:
-    """Inverse of lp_encode.  Rejects trailing garbage and truncated frames."""
+    """Inverse of lp_encode.  Rejects trailing garbage and truncated frames.
+
+    Any bytes-like input gives the same `bytes` fields: one that is not
+    `bytes` is copied once, and every field is a slice of the bytes."""
+    if type(data) is not bytes:
+        data = bytes(memoryview(data))
     fields: list[bytes] = []
-    view = memoryview(data)
+    end = len(data)
     pos = 0
-    while pos < len(view):
-        if pos + 4 > len(view):
+    while pos < end:
+        if pos + 4 > end:
             raise EncodingError("truncated length prefix")
-        (length,) = _LEN.unpack_from(view, pos)
+        (length,) = _unpack_len(data, pos)
         pos += 4
-        if pos + length > len(view):
+        stop = pos + length
+        if stop > end:
             raise EncodingError("truncated field body")
-        fields.append(bytes(view[pos : pos + length]))
-        pos += length
+        fields.append(data[pos:stop])
+        pos = stop
     return fields
 
 
 def digest(fields: list[bytes | str] | tuple[bytes | str, ...]) -> FieldElement:
     """SHA-256 over the canonical encoding, reduced into the scalar field."""
     h = hashlib.sha256(lp_encode(fields)).digest()
-    return FieldElement(int.from_bytes(h, "big") % Q)
+    return _element(int.from_bytes(h, "big") % Q)
 
 
 def cd_core(drop_id: str, pv: str, epoch: str, nonce: bytes) -> FieldElement:

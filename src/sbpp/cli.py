@@ -42,7 +42,7 @@ from .harness.experiments import (
     search_quality_experiment,
 )
 from .harness.report import write_csv
-from .protocol import AuditRecord, AuditRecordError, audit
+from .protocol import AuditRecord, AuditRecordError, ProtocolError, audit
 from .session import DEFAULT_EPOCH, DEFAULT_PV, DEFAULT_TTL_S, MODE_CORE, MODE_FULL
 
 EXIT_OK = 0
@@ -171,7 +171,9 @@ def _cmd_unlock(args: argparse.Namespace) -> int:
     query_lat = args.qlat if args.qlat is not None else args.lat
     query_lon = args.qlon if args.qlon is not None else args.lon
     server, client, ses = _demo_search(args, query_lat, query_lon)
-    if args.drop not in ses.result_ids():
+    try:
+        ses.candidate(args.drop)
+    except ProtocolError:  # only a refusal lists the ids, sorted
         print(
             json.dumps(
                 {

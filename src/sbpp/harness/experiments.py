@@ -37,6 +37,7 @@ from ..merkle import (
     Cell,
     MerklePath,
     MerkleTree,
+    PathStep,
     build_tree,
     verify_membership,
 )
@@ -256,7 +257,7 @@ def _flip_byte(raw: bytes, index: int = 0) -> bytes:
 
 def _flip_first_sibling(path: MerklePath) -> MerklePath:
     first, *rest = path.steps
-    return MerklePath((replace(first, sibling=_flip_byte(first.sibling)), *rest))
+    return MerklePath((PathStep(first.side, _flip_byte(first.sibling)), *rest))
 
 
 def _fault_reasons(injections: dict, audit_one, n: int) -> dict[str, Counter]:

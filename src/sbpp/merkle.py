@@ -44,14 +44,22 @@ byte-identical to what `lp_encode` emits, so roots and paths are the same
 as hashing `lp_encode([DOMAIN_LEAF, id])` and
 `lp_encode([DOMAIN_NODE, left, right])` directly.
 
-`leaf_hash` and `node_hash` are the definitions, and `verify_membership`
-hashes through them.  `MerkleTree` hashes the same bytes a whole level at a
-time: each level is one chain of `map`/`zip` over C functions (encode,
-length prefix, join with the head, SHA-256, digest), so building a tree
-makes no Python-level call per node.  A tree keeps the levels above its
+`leaf_hash` and `node_hash` are the definitions.  `verify_membership`
+checks each step once (side, 32-byte sibling) and hashes `node_hash`'s frame
+itself, since its running node is always a 32-byte digest; a test pins it to
+a fold over the two definitions.  `MerkleTree` hashes the same bytes a whole
+level at a time: each level is one chain of `map`/`zip` over C functions
+(encode, length prefix, join with the head, SHA-256, digest), so building a
+tree makes no Python-level call per node.  A tree keeps the levels above its
 leaves, about one 32-byte hash per id; a path's leaf sibling is one
 `leaf_hash` of the neighbouring id.  A member's position is found by
 bisecting the sorted ids, so the tree keeps no id -> position map.
+
+A path carries no bytes of its own, unlike a receipt or public inputs (the
+carried-bytes rule of sbpp.canon): its frame is a count byte and 33 bytes a
+step, cheap to write again, and a path a tamper test builds from steps
+never has old bytes to go stale.  `MerklePath.parse` checks every side byte
+in one pass before it builds a step, and a step is a `PathStep` named tuple.
 """
 
 from __future__ import annotations
@@ -75,12 +83,14 @@ DOMAIN_NODE = "SBPP-NODE"
 SIDE_LEFT = 0  # sibling is the left child
 SIDE_RIGHT = 1  # sibling is the right child
 
+_SIDES = bytes([SIDE_LEFT, SIDE_RIGHT])
 _CHILD_LEN = (32).to_bytes(4, "big")
 _LEAF_HEAD = lp_encode([DOMAIN_LEAF])
 _NODE_HEAD = lp_encode([DOMAIN_NODE]) + _CHILD_LEN
 
 _pack_len = struct.Struct(">I").pack
-_digest = type(hashlib.sha256()).digest
+_sha256 = hashlib.sha256
+_digest = type(_sha256()).digest
 
 
 class MerkleError(ValueError):
@@ -129,8 +139,7 @@ def _levels(level: list[bytes]) -> list[list[bytes]]:
     return levels
 
 
-@dataclass(frozen=True)
-class PathStep:
+class PathStep(NamedTuple):
     side: int  # SIDE_LEFT or SIDE_RIGHT, position of the sibling
     sibling: bytes
 
@@ -154,20 +163,18 @@ class MerklePath:
 
     @classmethod
     def parse(cls, raw: bytes) -> "MerklePath":
+        """The path a frame of `serialize` holds; every side byte is checked
+        in one pass before any step is built."""
         if len(raw) < 1:
             raise MerkleError("empty path frame")
-        count = raw[0]
-        if len(raw) != 1 + count * 33:
+        raw = bytes(raw)
+        if len(raw) != 1 + raw[0] * 33:
             raise MerkleError("path frame length mismatch")
-        steps = []
-        pos = 1
-        for _ in range(count):
-            side = raw[pos]
-            if side not in (SIDE_LEFT, SIDE_RIGHT):
-                raise MerkleError("invalid path step side")
-            steps.append(PathStep(side, raw[pos + 1 : pos + 33]))
-            pos += 33
-        return cls(tuple(steps))
+        sides = raw[1::33]
+        if sides.translate(None, _SIDES):
+            raise MerkleError("invalid path step side")
+        siblings = [raw[pos : pos + 32] for pos in range(2, len(raw), 33)]
+        return cls(tuple(map(PathStep, sides, siblings)))
 
 
 class MerkleTree:
@@ -347,17 +354,23 @@ def locate(cells: Sequence[Cell], drop_id: str) -> tuple[int, int] | None:
 
 
 def verify_membership(root: bytes, drop_id: str, path: MerklePath) -> bool:
-    """Recompute the root from the leaf and path; True iff it matches."""
+    """Recompute the root from the leaf and path; True iff it matches.
+
+    Each step is checked once (its side, and a 32-byte sibling), and its
+    node is hashed from `node_hash`'s frame directly: the running node is a
+    digest, so it needs no length check either."""
     if len(root) != 32:
         return False
     node = leaf_hash(drop_id)
-    for step in path.steps:
-        if step.side not in (SIDE_LEFT, SIDE_RIGHT) or len(step.sibling) != 32:
+    for side, sibling in path.steps:
+        if len(sibling) != 32:
             return False
-        if step.side == SIDE_LEFT:
-            node = node_hash(step.sibling, node)
+        if side == SIDE_LEFT:
+            node = _digest(_sha256(b"".join((_NODE_HEAD, sibling, _CHILD_LEN, node))))
+        elif side == SIDE_RIGHT:
+            node = _digest(_sha256(b"".join((_NODE_HEAD, node, _CHILD_LEN, sibling))))
         else:
-            node = node_hash(node, step.sibling)
+            return False
     return node == root
 
 

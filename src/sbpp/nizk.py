@@ -16,6 +16,15 @@ The public-input layout is eight field elements: scaled latitude, scaled
 longitude, radius in meters, four zeroed reserved slots, and the challenge
 digest in pub[7].  Swapping in a real backend means replacing setup/prove/
 verify and keeping the layout.
+
+Public inputs are encoded once (sbpp.canon's carried-bytes rule).  A
+`PublicInputs` keeps the 256-byte form that `to_bytes` first encoded from its
+elements, or that `from_bytes` parsed, so proving, the server's verify, the
+audit record and the offline audit all read the same bytes.  `from_bytes`
+accepts only reduced elements, so its bytes are exactly what `to_bytes`
+would give; `dataclasses.replace` drops the bytes with the old elements.
+The proof tag is one `hmac.digest` over a head fixed at import (the
+`lp_encode` framing of the domain and a 256-byte field) and those bytes.
 """
 
 from __future__ import annotations
@@ -23,9 +32,9 @@ from __future__ import annotations
 import hashlib
 import hmac
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .canon import EncodingError, FieldElement, lp_encode
+from .canon import EncodingError, FieldElement, decode_elements, lp_encode
 
 BACKEND_ID = "sim-hmac-v1"
 DOMAIN_PROOF = "SBPP-PROOF"
@@ -35,6 +44,10 @@ EARTH_RADIUS_M = 6_371_000.0
 _COORD_SCALE = 10**7
 
 PUB_LEN = 8
+_PUB_BYTES = 32 * PUB_LEN
+
+# lp_encode([DOMAIN_PROOF, pub_bytes]) is this head followed by pub_bytes.
+_PROOF_HEAD = lp_encode([DOMAIN_PROOF, bytes(_PUB_BYTES)])[:-_PUB_BYTES]
 
 
 class NizkError(ValueError):
@@ -54,6 +67,8 @@ class Witness:
 @dataclass(frozen=True)
 class PublicInputs:
     elements: tuple[FieldElement, ...]
+    # the canonical form, set only by to_bytes and from_bytes (module docstring)
+    _bytes: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.elements) != PUB_LEN:
@@ -63,17 +78,25 @@ class PublicInputs:
         return self.elements[i]
 
     def to_bytes(self) -> bytes:
-        """Canonical 256-byte form: eight 32-byte big-endian elements."""
-        return b"".join(e.to_bytes() for e in self.elements)
+        """Canonical 256-byte form: eight 32-byte big-endian elements,
+        encoded on first use and kept."""
+        raw = self._bytes
+        if raw is None:
+            raw = b"".join(e.to_bytes() for e in self.elements)
+            object.__setattr__(self, "_bytes", raw)
+        return raw
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "PublicInputs":
-        if len(raw) != 32 * PUB_LEN:
+        if len(raw) != _PUB_BYTES:
             raise NizkError("public inputs must be exactly 256 bytes")
+        raw = bytes(raw)
         try:
-            return cls(tuple(FieldElement.from_bytes(raw[i * 32 : (i + 1) * 32]) for i in range(PUB_LEN)))
+            pub = cls(decode_elements(raw))
         except EncodingError as exc:
             raise NizkError(f"public input element: {exc}") from exc
+        object.__setattr__(pub, "_bytes", raw)
+        return pub
 
 
 @dataclass(frozen=True)
@@ -149,7 +172,8 @@ def setup(seed: bytes) -> tuple[bytes, bytes]:
 
 
 def _tag(key: bytes, pub: PublicInputs) -> bytes:
-    return hmac.new(key, lp_encode([DOMAIN_PROOF, pub.to_bytes()]), hashlib.sha256).digest()
+    """HMAC-SHA256 under ``key`` of lp_encode([DOMAIN_PROOF, pub.to_bytes()])."""
+    return hmac.digest(key, _PROOF_HEAD + pub.to_bytes(), "sha256")
 
 
 def prove(proving_key: bytes, witness: Witness, pub: PublicInputs) -> Proof:

@@ -428,6 +428,11 @@ _EMPTY_PATH = MerklePath(())
 
 @dataclass(frozen=True)
 class AuditRecord:
+    """What a third party re-checks an unlock from.  Its frame is built from
+    the bytes its receipt and public inputs carry (the signed body, the
+    256-byte form), and a parse hands each part the bytes it was read from,
+    so the audit checks the signature and proof over those same bytes."""
+
     receipt: Receipt
     drop_id: str
     merkle_path: MerklePath

@@ -10,6 +10,16 @@ attest the session but deliberately cannot attest result-set membership.
 Signatures are Ed25519 (deterministic, so identical bindings re-sign to
 identical bytes).  Key generation is derived from a caller seed to keep
 experiment runs reproducible.
+
+A receipt's body is encoded once (sbpp.canon's carried-bytes rule).  A
+`Receipt` keeps the body `sign_receipt` signed, or the one `Receipt.parse`
+read, and `body_bytes`, `serialize` and `verify_receipt` reuse it; a receipt
+built any other way encodes its body on first use and keeps it.  The parse
+accepts only the canonical body (domain tag, 32-byte nonce and root, UTF-8
+text, the expiry as `str(int)` writes it), so the bytes it keeps are the
+ones `receipt_body` gives for the parsed fields.  The body is a non-init
+field that equality ignores, so `dataclasses.replace` makes a receipt with
+no body, and a changed field is never checked against the old body.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ DOMAIN_RECEIPT = "SBPP-RECEIPT"
 DOMAIN_KEYGEN = "SBPP-SRVKEY"
 
 _BODY_FIELDS = 8  # domain, S, N, t_exp, root, mode, pv, epoch
+_DOMAIN = DOMAIN_RECEIPT.encode("ascii")
 
 
 class ReceiptError(ValueError):
@@ -70,10 +81,17 @@ class Receipt:
     pv: str
     epoch: str
     sig: bytes
+    # the signed body, set only by sign_receipt, parse and body_bytes (module docstring)
+    _body: bytes | None = field(default=None, init=False, compare=False, repr=False)
     result_set = None  # not a field: a receipt binds a root, never the cells
 
     def body_bytes(self) -> bytes:
-        return receipt_body(self.S, self.N, self.t_exp, self.root, self.mode, self.pv, self.epoch)
+        """The canonical body: the carried one, else encoded now and kept."""
+        body = self._body
+        if body is None:
+            body = receipt_body(self.S, self.N, self.t_exp, self.root, self.mode, self.pv, self.epoch)
+            object.__setattr__(self, "_body", body)
+        return body
 
     def serialize(self) -> bytes:
         """Canonical body followed by the length-prefixed signature."""
@@ -88,7 +106,7 @@ class Receipt:
         if len(fields) != _BODY_FIELDS + 1:
             raise ReceiptError("receipt frame has wrong field count")
         domain, S, N, t_exp_raw, root, mode, pv, epoch, sig = fields
-        if domain != DOMAIN_RECEIPT.encode("ascii"):
+        if domain != _DOMAIN:
             raise ReceiptError("receipt domain tag mismatch")
         if len(N) != 32 or len(root) != 32:
             raise ReceiptError("receipt nonce/root must be 32 bytes")
@@ -102,7 +120,7 @@ class Receipt:
             # receipt_body writes re-serializes to the signed bytes.
             raise ReceiptError("receipt expiry is not in canonical form")
         try:
-            return cls(
+            receipt = cls(
                 S=S.decode("utf-8"),
                 N=N,
                 t_exp=t_exp,
@@ -114,6 +132,10 @@ class Receipt:
             )
         except UnicodeDecodeError as exc:
             raise ReceiptError("receipt text field is not UTF-8") from exc
+        # every field re-encodes to the bytes it was read from, so the frame
+        # before the signature is receipt_body of the parsed fields
+        object.__setattr__(receipt, "_body", bytes(raw[: len(raw) - 4 - len(sig)]))
+        return receipt
 
 
 def receipt_body(S: str, N: bytes, t_exp: int, root: bytes, mode: str, pv: str, epoch: str) -> bytes:
@@ -129,7 +151,9 @@ def sign_receipt(
 ) -> Receipt:
     body = receipt_body(S, N, t_exp, root, mode, pv, epoch)
     sig = key.signer().sign(body)
-    return Receipt(S=S, N=N, t_exp=t_exp, root=root, mode=mode, pv=pv, epoch=epoch, sig=sig)
+    receipt = Receipt(S=S, N=N, t_exp=t_exp, root=root, mode=mode, pv=pv, epoch=epoch, sig=sig)
+    object.__setattr__(receipt, "_body", body)
+    return receipt
 
 
 def verify_receipt(public_bytes: bytes, receipt: Receipt) -> bool:

@@ -46,6 +46,7 @@ import hmac
 import random
 from dataclasses import dataclass, field, replace
 from functools import partial
+from operator import attrgetter
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
@@ -440,8 +441,7 @@ class GenericVariant:
         """Attempt an unlock for a drop the search never returned.  The
         adversary follows the client procedure as far as it can, with a
         membership path stolen from the first returned id."""
-        ids = vses.result_ids()
-        leaf = ids[0] if ids else None
+        leaf = min(map(attrgetter("id"), vses.candidates), default=None)
         return self._request(vses, drop.id, drop.lat, drop.lon, witness, path_leaf=leaf)
 
     def _request(

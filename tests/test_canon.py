@@ -18,6 +18,7 @@ from sbpp.canon import (
     Q,
     cd_core,
     cd_full,
+    decode_elements,
     digest,
     lp_decode,
     lp_encode,
@@ -165,9 +166,34 @@ def test_field_element_from_bytes_raises_or_round_trips(raw):
     assert fe.to_bytes() == raw
 
 
+@given(
+    st.lists(st.one_of(st.integers(0, 2**256 - 1), st.sampled_from([0, Q - 1, Q])), max_size=9),
+    st.integers(0, 31),
+)
+@settings(max_examples=300, deadline=None)
+def test_decode_elements_equals_the_checked_constructor(values, cut):
+    raw = b"".join(v.to_bytes(32, "big") for v in values)
+    try:
+        expected = tuple(map(FieldElement, values))
+    except EncodingError:
+        with pytest.raises(EncodingError, match="not reduced"):
+            decode_elements(raw)
+    else:
+        assert decode_elements(raw) == expected
+    if raw and cut:
+        with pytest.raises(EncodingError):
+            decode_elements(raw[:-cut])
+
+
 def test_lp_rejects_unsupported_field_type():
     with pytest.raises(EncodingError):
         lp_encode([b"", 7])  # type: ignore[list-item]
+
+
+@pytest.mark.parametrize("field", [bytearray(b"A"), memoryview(b"A"), None])
+def test_lp_encode_takes_only_bytes_and_str_fields(field):
+    with pytest.raises(EncodingError):
+        lp_encode([b"", field])  # type: ignore[list-item]
 
 
 def test_cd_validates_nonce_and_root_sizes():
@@ -181,6 +207,33 @@ def test_cd_validates_nonce_and_root_sizes():
 @settings(max_examples=200)
 def test_lp_round_trip(fields):
     assert lp_decode(lp_encode(fields)) == fields
+
+
+def _decoded(data) -> list[bytes] | str:
+    try:
+        return lp_decode(data)
+    except EncodingError as exc:
+        return f"EncodingError: {exc}"
+
+
+@given(
+    st.one_of(
+        st.binary(max_size=40),
+        st.lists(st.binary(max_size=12), max_size=5).map(lp_encode),
+        st.tuples(st.lists(st.binary(max_size=12), min_size=1, max_size=5), st.integers(1, 4)).map(
+            lambda fn: lp_encode(fn[0])[: -fn[1]]
+        ),
+    )
+)
+@settings(max_examples=300)
+def test_lp_decode_is_the_same_for_any_bytes_like_input(data):
+    # fields and errors alike, and every field comes back as bytes
+    expected = _decoded(data)
+    for wrapped in (bytearray(data), memoryview(data)):
+        got = _decoded(wrapped)
+        assert got == expected
+        if isinstance(got, list):
+            assert all(type(field) is bytes for field in got)
 
 
 @given(

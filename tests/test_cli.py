@@ -10,6 +10,7 @@ from sbpp.cli import main
 from sbpp.geoindex import geohash_encode, geohash_neighbors, haversine_m, load_corpus, make_token
 from sbpp.harness import attacks
 from sbpp.merkle import MerkleTree, node_hash
+from sbpp.protocol import ClientSession
 from sbpp.receipt import Receipt
 
 
@@ -271,6 +272,25 @@ def test_unlock_and_audit_accept(demo, capsys):
     assert json.loads(out)["accepted"] is True
 
 
+def test_accepted_unlock_never_sorts_the_returned_ids(demo, capsys, monkeypatch):
+    # membership is one cell lookup; only the refusal lists the ids, sorted
+    cand = _first_candidate(demo, capsys)
+
+    def refuse(self):
+        raise AssertionError("an accepted unlock sorted the returned ids")
+
+    monkeypatch.setattr(ClientSession, "result_ids", refuse)
+    code, out = _run(
+        capsys, "unlock", "--drop", cand["id"],
+        "--lat", str(cand["lat"]), "--lon", str(cand["lon"]),
+        "--qlat", "35.70", "--qlon", "139.75",
+        "--index", str(demo["index"]), "--seed", "7",
+        "--emit-record", str(demo["tmp"] / "rec.bin"),
+    )
+    assert code == 0
+    assert json.loads(out)["accepted"] is True
+
+
 def test_unlock_rejects_remote_witness(demo, capsys):
     cand = _first_candidate(demo, capsys)
     code, out = _run(
@@ -291,6 +311,24 @@ def test_unlock_rejects_unreturned_drop(demo, capsys):
     )
     assert code == 2
     assert json.loads(out)["fail_reason"] == "drop-not-returned-by-search"
+
+
+def test_unlock_refusal_lists_the_returned_ids_in_id_order(demo, capsys):
+    _, out = _run(
+        capsys, "search", "--lat", "35.70", "--lon", "139.75",
+        "--index", str(demo["index"]), "--seed", "7",
+    )
+    listed = [c["id"] for c in json.loads(out)["candidates"]]
+    code, out = _run(
+        capsys, "unlock", "--drop", "d-nonexistent",
+        "--lat", "35.70", "--lon", "139.75",
+        "--index", str(demo["index"]), "--seed", "7",
+    )
+    assert code == 2
+    assert out == json.dumps(
+        {"accepted": False, "fail_reason": "drop-not-returned-by-search", "candidates": listed}
+    ) + "\n"
+    assert listed == sorted(listed)
 
 
 def test_audit_wrong_key_is_a_crypto_rejection(demo, capsys):

@@ -276,8 +276,49 @@ def test_path_parse_raises_or_round_trips(steps, count, tail):
     try:
         path = MerklePath.parse(raw)
     except MerkleError:
+        assert count is not None or tail or any(side > 1 for side, _ in steps) or any(
+            len(sibling) != 32 for _, sibling in steps
+        )
         return
     assert path.serialize() == raw
+    assert path.steps == tuple(PathStep(side, sibling) for side, sibling in steps)
+
+
+def _reference_verify(root: bytes, drop_id: str, path: MerklePath) -> bool:
+    """The membership check as a plain fold over `leaf_hash` and `node_hash`."""
+    if len(root) != 32:
+        return False
+    node = leaf_hash(drop_id)
+    for step in path.steps:
+        if step.side not in (SIDE_LEFT, SIDE_RIGHT) or len(step.sibling) != 32:
+            return False
+        if step.side == SIDE_LEFT:
+            node = node_hash(step.sibling, node)
+        else:
+            node = node_hash(node, step.sibling)
+    return node == root
+
+
+@given(st.lists(st.text(max_size=3), min_size=1, max_size=40), st.data())
+@settings(max_examples=300, deadline=None)
+def test_verify_membership_equals_the_reference_fold(ids, data):
+    # honest paths, and paths with a step's side or sibling length broken,
+    # against the honest root or a wrong one
+    ids = _utf8_order(ids)
+    tree = MerkleTree(ids)
+    member = data.draw(st.sampled_from(ids))
+    honest = tree.prove_membership(member)
+    steps = list(honest.steps)
+    if steps and data.draw(st.booleans()):
+        at = data.draw(st.integers(0, len(steps) - 1))
+        side = data.draw(st.one_of(st.sampled_from([SIDE_LEFT, SIDE_RIGHT]), st.integers(0, 255)))
+        sibling = data.draw(st.one_of(st.just(steps[at].sibling), st.binary(max_size=40)))
+        steps[at] = PathStep(side, sibling)
+    path = MerklePath(tuple(steps))
+    root = data.draw(st.sampled_from([tree.root, leaf_hash(member), tree.root[:31]]))
+    for drop_id in (member, "zz-outsider"):
+        assert verify_membership(root, drop_id, path) == _reference_verify(root, drop_id, path)
+    assert verify_membership(tree.root, member, honest)
 
 
 # ---------------------------------------------------------------------------

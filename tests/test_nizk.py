@@ -6,20 +6,25 @@ cover exactly the properties the protocol relies on: statement soundness,
 public-input binding, and unforgeability without the verifying key.
 """
 
+import dataclasses
+import hashlib
+import hmac
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sbpp.canon import FieldElement, cd_core, lp_encode
+from sbpp.canon import FieldElement, Q, cd_core, lp_encode
 from sbpp.nizk import (
     BACKEND_ID,
+    DOMAIN_PROOF,
     NizkError,
     Proof,
     PublicInputs,
     StatementFalseError,
     Witness,
+    _tag,
     decode_target,
     distance_m,
     make_public_inputs,
@@ -106,6 +111,7 @@ def test_public_inputs_from_bytes_raises_or_round_trips(raw):
     except NizkError:
         return
     assert pub.to_bytes() == raw
+    assert _encoded(pub.elements) == raw  # the kept bytes are the elements' encoding
 
 
 def test_prove_verify_round_trip():
@@ -225,3 +231,67 @@ def test_prove_verify_property(lat, lon, radius):
     pub = make_public_inputs(lat, lon, radius, CD)
     proof = prove(pk, Witness(lat, lon), pub)
     assert verify(vk, pub, proof)
+
+
+# ---------------------------------------------------------------------------
+# the carried public-input bytes and the proof tag
+
+
+def _encoded(elements) -> bytes:
+    """The public-input encoding, element by element."""
+    return b"".join(e.value.to_bytes(32, "big") for e in elements)
+
+
+_ELEMENT = st.one_of(st.integers(0, Q - 1), st.sampled_from([0, 1, Q - 1]))
+
+
+@given(
+    st.floats(min_value=-89.0, max_value=89.0),
+    st.floats(min_value=-179.0, max_value=179.0),
+    st.floats(min_value=1.0, max_value=50_000.0),
+    st.integers(0, 7),
+    _ELEMENT,
+)
+@settings(max_examples=200, deadline=None)
+def test_carried_bytes_are_the_encoding_of_the_elements(lat, lon, radius, slot, value):
+    # made, parsed and replaced public inputs all prove over their own elements
+    pk, vk = _keys()
+    made = make_public_inputs(lat, lon, radius, CD)
+    proof = prove(pk, Witness(lat, lon), made)
+    parsed = PublicInputs.from_bytes(made.to_bytes())
+    for pub in (made, parsed, dataclasses.replace(parsed)):
+        assert pub.to_bytes() == _encoded(made.elements)
+        assert pub == made
+        assert verify(vk, pub, proof)
+    for source in (made, parsed):
+        elements = list(source.elements)
+        elements[slot] = FieldElement(value)
+        edited = dataclasses.replace(source, elements=tuple(elements))
+        assert edited.to_bytes() == _encoded(elements)
+        assert verify(vk, edited, proof) == (elements[slot] == made[slot])
+
+
+def test_carried_bytes_are_not_a_field():
+    pub = make_public_inputs(35.7, 139.75, 1000.0, CD)
+    pub.to_bytes()
+    assert [f.name for f in dataclasses.fields(pub) if f.init] == ["elements"]
+    assert "_bytes" not in repr(pub)
+    with pytest.raises(ValueError):
+        dataclasses.replace(pub, _bytes=bytes(256))
+
+
+@pytest.mark.parametrize("value", [Q, 2**256 - 1], ids=["Q", "2^256-1"])
+@pytest.mark.parametrize("slot", [0, 3, 7])
+def test_from_bytes_rejects_an_unreduced_element_in_any_slot(slot, value):
+    raw = bytearray(make_public_inputs(35.7, 139.75, 1000.0, CD).to_bytes())
+    raw[32 * slot : 32 * slot + 32] = value.to_bytes(32, "big")
+    with pytest.raises(NizkError, match="not reduced"):
+        PublicInputs.from_bytes(bytes(raw))
+
+
+@given(st.binary(min_size=32, max_size=32), st.lists(_ELEMENT, min_size=8, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_tag_is_the_hmac_of_the_framed_public_inputs(key, values):
+    pub = PublicInputs(tuple(map(FieldElement, values)))
+    framed = lp_encode([DOMAIN_PROOF, pub.to_bytes()])
+    assert _tag(key, pub) == hmac.new(key, framed, hashlib.sha256).digest()

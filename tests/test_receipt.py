@@ -1,5 +1,7 @@
 """Signed search receipts: the offline-audit trust anchor."""
 
+import dataclasses
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -144,6 +146,7 @@ def test_parse_of_any_bytes_raises_or_round_trips(raw):
     except ReceiptError:
         return
     assert receipt.serialize() == raw
+    assert receipt.body_bytes() == receipt_body(*_fields(receipt))  # the kept body is canonical
 
 
 def test_any_field_tamper_breaks_signature():
@@ -184,3 +187,52 @@ def test_signature_is_deterministic():
     _, a = _receipt()
     _, b = _receipt()
     assert a.sig == b.sig
+
+
+# ---------------------------------------------------------------------------
+# the carried body
+
+
+_KEY = server_keygen(b"carried-body")
+_NAMES = ("S", "N", "t_exp", "root", "mode", "pv", "epoch")
+
+
+def _fields(receipt: Receipt) -> tuple:
+    return tuple(getattr(receipt, name) for name in _NAMES)
+
+
+_FIELDS = st.fixed_dictionaries(
+    {
+        "S": st.text(max_size=8),
+        "N": st.binary(min_size=32, max_size=32),
+        "t_exp": st.integers(-(2**70), 2**70),
+        "root": st.binary(min_size=32, max_size=32),
+        "mode": st.text(max_size=5),
+        "pv": st.text(max_size=5),
+        "epoch": st.text(max_size=5),
+    }
+)
+
+
+@given(_FIELDS, st.sampled_from(_NAMES), _FIELDS)
+@settings(max_examples=200, deadline=None)
+def test_carried_body_is_the_encoding_of_the_fields(fields, changed, other):
+    # signed, parsed and replaced receipts all check the body of their own fields
+    signed = sign_receipt(_KEY, **fields)
+    parsed = Receipt.parse(signed.serialize())
+    for receipt in (signed, parsed, dataclasses.replace(parsed)):
+        assert receipt.body_bytes() == receipt_body(**fields)
+        assert receipt == signed
+        assert verify_receipt(_KEY.public_bytes, receipt)
+    for source in (signed, parsed):
+        edited = dataclasses.replace(source, **{changed: other[changed]})
+        assert edited.body_bytes() == receipt_body(*_fields(edited))
+        assert verify_receipt(_KEY.public_bytes, edited) == (other[changed] == fields[changed])
+
+
+def test_carried_body_is_not_a_field():
+    _, receipt = _receipt()
+    assert [f.name for f in dataclasses.fields(receipt) if f.init] == [*_NAMES, "sig"]
+    assert "_body" not in repr(receipt)
+    with pytest.raises(ValueError):
+        dataclasses.replace(receipt, _body=b"")
