@@ -45,6 +45,17 @@ Tags are HMAC-SHA-256 (RFC 2104).  `hmac_tagger` hashes the key's inner and
 outer pads once and derives each tag from copies of those two states, which
 gives `hmac.digest`'s bytes without setting the key up again per tag; a query
 and a build each key one tagger.
+
+A query's dummy tags cost one keyed tag, not one each.  The tag of
+(PAD_LABEL, first cover cell) seeds a SHAKE-256 stream, and the dummy in slot
+i, for each i from the cover's size to COVER_BUDGET - 1, is the stream's bytes
+[32i, 32i + 32).  A dummy is XOF output over a PRF output under the search
+key, so without the key the server can no more tell it from a real tag, or
+predict it, than it could an HMAC of its own.  Two queries share the dummy in
+slot i exactly when they share their first cell and both pad slot i, the
+rule a keyed tag of "{first cell}:{i}" per slot gives, so the dummies link
+two queries only where their first cells already do.  A query of
+n < COVER_BUDGET cells makes n + 1 keyed tags.
 """
 
 from __future__ import annotations
@@ -66,7 +77,7 @@ GEOHASH_ALPHABET = "0123456789bcdefghjkmnpqrstuvwxyz"
 _CHAR_INDEX = {c: i for i, c in enumerate(GEOHASH_ALPHABET)}
 
 TOKEN_LABEL = "gridse:index"
-PAD_LABEL = "pad"  # in the precision slot of a dummy tag, which no index entry uses
+PAD_LABEL = "pad"  # in the precision slot of the tag seeding a query's dummies; no index entry uses it
 COVER_BUDGET = 16  # tags per query: the cover's cells, then dummies
 DEFAULT_PRECISIONS = (5,)  # of an index built without a choice
 MIN_PRECISION = 1
@@ -328,8 +339,12 @@ def client_tokens(
     tag=make_token,
 ) -> tuple[int, list[bytes]]:
     """Token set for a proximity query: the cover at the finest of the
-    index's ``precisions`` that fits in COVER_BUDGET cells, padded with
-    dummy tags to exactly COVER_BUDGET and sorted.
+    index's ``precisions`` that fits in COVER_BUDGET cells, one ``tag`` per
+    cell, padded with 32-byte dummy tags to exactly COVER_BUDGET and sorted.
+
+    The dummies are slots n to COVER_BUDGET - 1 of one SHAKE-256 stream
+    seeded with ``tag(key, PAD_LABEL, <first cell>)`` (module docstring), so
+    a cover of n < COVER_BUDGET cells calls ``tag`` n + 1 times.
 
     Returns (precision, tags).  Deterministic, so identical queries emit
     byte-identical tag lists regardless of which protocol variant sends them.
@@ -347,7 +362,9 @@ def client_tokens(
         )
     tag_of = _keyed(tag, key)
     tags = [tag_of(precision, c) for c in cells]
-    tags += [tag_of(PAD_LABEL, f"{cells[0]}:{i}") for i in range(len(cells), COVER_BUDGET)]
+    if len(tags) < COVER_BUDGET:
+        pad = hashlib.shake_256(tag_of(PAD_LABEL, cells[0])).digest(32 * COVER_BUDGET)
+        tags += [pad[32 * i : 32 * i + 32] for i in range(len(cells), COVER_BUDGET)]
     tags.sort()
     return precision, tags
 

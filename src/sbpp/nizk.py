@@ -34,7 +34,7 @@ import hmac
 import math
 from dataclasses import dataclass, field
 
-from .canon import EncodingError, FieldElement, decode_elements, lp_encode
+from .canon import Q, EncodingError, FieldElement, _element, decode_elements, lp_encode
 
 BACKEND_ID = "sim-hmac-v1"
 DOMAIN_PROOF = "SBPP-PROOF"
@@ -48,6 +48,7 @@ _PUB_BYTES = 32 * PUB_LEN
 
 # lp_encode([DOMAIN_PROOF, pub_bytes]) is this head followed by pub_bytes.
 _PROOF_HEAD = lp_encode([DOMAIN_PROOF, bytes(_PUB_BYTES)])[:-_PUB_BYTES]
+_ZERO = _element(0)  # the four reserved slots
 
 
 class NizkError(ValueError):
@@ -121,25 +122,35 @@ class Proof:
         return cls(backend_id, raw[4 + length :])
 
 
+def radius_value(radius_m: float) -> int:
+    """The statement's radius element: ``radius_m`` rounded to whole meters,
+    which must be finite and land in [1, Q); NizkError otherwise."""
+    try:
+        radius = round(radius_m)
+    except (OverflowError, ValueError) as exc:  # inf, nan
+        raise NizkError(f"radius {radius_m!r} is not finite") from exc
+    if not 1 <= radius < Q:
+        raise NizkError(f"radius {radius_m!r} does not round to a whole meter in [1, Q)")
+    return radius
+
+
 def make_public_inputs(
     target_lat: float, target_lon: float, radius_m: float, cd: FieldElement
 ) -> PublicInputs:
     """Statement encoding: offset-scaled integer coordinates keep the values
-    non-negative so they embed directly as field elements."""
+    non-negative so they embed directly as field elements.  Every value is
+    range-checked here, so the elements are built without checking again."""
     if not -90.0 <= target_lat <= 90.0 or not -180.0 <= target_lon <= 180.0:
         raise NizkError("target coordinates out of range")
-    if radius_m <= 0:
-        raise NizkError("radius must be positive")
-    zero = FieldElement(0)
     return PublicInputs(
         (
-            FieldElement(round((target_lat + 90.0) * _COORD_SCALE)),
-            FieldElement(round((target_lon + 180.0) * _COORD_SCALE)),
-            FieldElement(round(radius_m)),
-            zero,
-            zero,
-            zero,
-            zero,
+            _element(round((target_lat + 90.0) * _COORD_SCALE)),
+            _element(round((target_lon + 180.0) * _COORD_SCALE)),
+            _element(radius_value(radius_m)),
+            _ZERO,
+            _ZERO,
+            _ZERO,
+            _ZERO,
             cd,
         )
     )

@@ -143,6 +143,10 @@ class SbppServer:
     ):
         if mode not in (MODE_CORE, MODE_FULL):
             raise ProtocolError(f"unknown protocol mode {mode!r}")
+        try:  # a radius no statement can hold would fail every unlock
+            nizk.radius_value(unlock_radius_m)
+        except nizk.NizkError as exc:
+            raise ProtocolError(f"unlock radius: {exc}") from exc
         self.mode = mode
         self.drops = {d.id: d for d in drops}
         if len(self.drops) != len(drops):

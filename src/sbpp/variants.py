@@ -371,6 +371,10 @@ class GenericVariant:
         self.drops = {d.id: d for d in env.drops}
         if len(self.drops) != len(env.drops):
             raise VariantError("duplicate drop ids in corpus")
+        try:  # a radius no statement can hold would fail every unlock
+            nizk.radius_value(env.unlock_radius_m)
+        except nizk.NizkError as exc:
+            raise VariantError(f"unlock radius: {exc}") from exc
         self.unlock_radius_m = env.unlock_radius_m
         self.nizk_vk = env.verifying_key
         self.sessions = SessionStore(

@@ -463,6 +463,74 @@ def test_no_fit_raises_exactly_when_no_indexed_precision_fits(lat, lon, radius, 
 
 
 # ---------------------------------------------------------------------------
+# the tag list: the cover's tags and the dummies of one keyed SHAKE-256 stream
+
+
+# (lat, lon, radius, index precisions, cover cells, SHA-256 of the joined tags)
+_TOKEN_VECTORS = [
+    (35.68, 139.70, 50.0, [5], 1, "8ffdd267041fe152d0981f5c0c6f89c63f7c6d65afec402893dc1e40414a39c6"),
+    (35.68, 139.70, 300.0, [5], 2, "0d73364aaed6f5d23d8672b149ac845feb64531cdeecb292bc27dd86e50267ef"),
+    (35.73, 139.70, 300.0, [5], 4, "11b85f82cfbdf75cb386eb1c25205267ac36f3c8364e52e0dbb85caed8663955"),
+    (35.68, 139.72, 50.0, [4, 5, 6, 7], 2, "6c2703591929518e5f316dffb75a6891879603e90823cd3bd1d97bdd2cefecb3"),
+]
+
+
+@pytest.mark.parametrize("lat, lon, radius, precisions, n_cells, expected", _TOKEN_VECTORS)
+def test_client_tokens_frozen_vectors(lat, lon, radius, precisions, n_cells, expected):
+    # the real tags are the cover's HMACs, as they always were; only the
+    # dummies come from the SHAKE-256 stream
+    key = bytes(range(32))
+    precision, tags = client_tokens(key, lat, lon, radius, precisions)
+    cells = cover_cells(lat, lon, radius, precision)
+    assert len(cells) == n_cells
+    assert {make_token(key, precision, c) for c in cells} <= set(tags)
+    assert hashlib.sha256(b"".join(tags)).hexdigest() == expected
+
+
+def _dummies(key, precision, cells):
+    """The dummy tags the module docstring states: slots len(cells) to
+    COVER_BUDGET - 1 of SHAKE-256 over the pad tag of the first cell."""
+    stream = hashlib.shake_256(make_token(key, PAD_LABEL, cells[0])).digest(32 * COVER_BUDGET)
+    return [stream[32 * i : 32 * i + 32] for i in range(len(cells), COVER_BUDGET)]
+
+
+@given(
+    st.floats(-89.0, 89.0),
+    _NEAR_ANTIMERIDIAN,
+    st.floats(10.0, 20_000.0),
+    st.sets(st.integers(1, 9), min_size=1, max_size=4),
+    st.lists(st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 2 * math.pi)), max_size=30),
+)
+@example(35.7, 139.75, 1000.0, {5}, [(0.1, 0.0)])
+@example(35.644, 139.867, 1000.0, {4, 5, 6, 7}, [(0.5, 1.0)])  # 16 cells: no dummy
+@settings(max_examples=300, deadline=None)
+def test_client_tokens_pad_from_one_keyed_tag(lat, lon, radius, precisions, offsets):
+    key = b"\x0a" * 32
+    calls = []
+
+    def counting(k, precision, cell):
+        calls.append((precision, cell))
+        return make_token(k, precision, cell)
+
+    try:
+        precision, tags = client_tokens(key, lat, lon, radius, precisions, tag=counting)
+    except GeoindexError:
+        assume(False)  # no indexed precision fits: covered by the exactness property
+    cells = cover_cells(lat, lon, radius, precision)
+    real = [make_token(key, precision, c) for c in cells]
+    dummies = _dummies(key, precision, cells)
+    assert tags == sorted(real + dummies)
+    assert len(set(tags)) == COVER_BUDGET and all(len(t) == 32 for t in tags)
+    assert len(calls) == (len(cells) + 1 if len(cells) < COVER_BUDGET else COVER_BUDGET)
+    assert client_tokens(key, lat, lon, radius, precisions) == (precision, tags)
+    # drops in and around the cap: the dummies hit no index entry
+    drops = [Drop(f"d{i}", *_destination(lat, lon, f * radius, b)) for i, (f, b) in enumerate(offsets)]
+    index = build_index(key, drops, sorted(precisions))
+    assert not any(t in index.entries for t in dummies)
+    assert index.cells(tags) == index.cells(real)
+
+
+# ---------------------------------------------------------------------------
 # the two-pass index build against a per-drop, per-precision reference
 
 

@@ -9,6 +9,7 @@ public-input binding, and unforgeability without the verifying key.
 import dataclasses
 import hashlib
 import hmac
+import math
 import random
 
 import pytest
@@ -29,6 +30,7 @@ from sbpp.nizk import (
     distance_m,
     make_public_inputs,
     prove,
+    radius_value,
     setup,
     verify,
 )
@@ -77,6 +79,40 @@ def test_public_inputs_validation():
         make_public_inputs(0.0, 181.0, 1000.0, CD)
     with pytest.raises(NizkError):
         make_public_inputs(0.0, 0.0, 0.0, CD)
+
+
+_BAD_RADII = [math.inf, -math.inf, math.nan, 1e80, Q, 0.4, 0.5, 0.0, -1.0]
+
+
+@pytest.mark.parametrize("radius", _BAD_RADII)
+def test_public_inputs_refuse_a_radius_no_statement_holds(radius):
+    # not finite, or rounding outside [1, Q): a NizkError, never another
+    # error type and never a radius-0 statement
+    with pytest.raises(NizkError, match="^radius "):
+        make_public_inputs(35.7, 139.75, radius, CD)
+    with pytest.raises(NizkError, match="^radius "):
+        radius_value(radius)
+
+
+@given(
+    st.floats(min_value=-90.0, max_value=90.0),
+    st.floats(min_value=-180.0, max_value=180.0),
+    st.one_of(st.floats(min_value=0.5, max_value=1e12, exclude_min=True), st.integers(1, Q - 1)),
+)
+@example(90.0, 180.0, 0.51)
+@example(-90.0, -180.0, Q - 1)
+@settings(max_examples=200, deadline=None)
+def test_public_inputs_equal_the_checked_elements(lat, lon, radius):
+    # built unchecked, the elements are what the checked constructor makes
+    pub = make_public_inputs(lat, lon, radius, CD)
+    assert pub.elements == (
+        FieldElement(round((lat + 90.0) * 10**7)),
+        FieldElement(round((lon + 180.0) * 10**7)),
+        FieldElement(round(radius)),
+        *[FieldElement(0)] * 4,
+        CD,
+    )
+    assert PublicInputs.from_bytes(pub.to_bytes()) == pub
 
 
 def test_public_inputs_serialize_round_trip():

@@ -32,10 +32,10 @@ from sbpp.protocol import (
     emit_audit_record,
     run_stages,
 )
-from sbpp.harness.attacks import seeded_env
+from sbpp.harness.attacks import protocol_pair, seeded_env
 from sbpp.receipt import server_keygen
 from sbpp.session import MODE_CORE, MODE_FULL
-from sbpp.variants import VARIANT_KINDS, VariantEnv, make_variant
+from sbpp.variants import VARIANT_KINDS, VariantEnv, VariantError, make_variant
 
 T0 = 1_700_000_000
 KEY = b"\x11" * 32
@@ -648,6 +648,18 @@ def test_server_rejects_duplicate_drop_ids():
             signing_key=server_keygen(b"k"),
             nizk_vk=nizk.setup(b"n")[1],
         )
+
+
+@pytest.mark.parametrize("radius", [float("inf"), float("nan"), 1e80, 0.4])
+def test_server_and_rungs_refuse_an_unlock_radius_no_statement_holds(radius):
+    # refused at construction: such a radius would fail every unlock
+    env = dataclasses.replace(seeded_env(0), unlock_radius_m=radius)
+    for mode in (MODE_CORE, MODE_FULL):
+        with pytest.raises(ProtocolError, match="^unlock radius: radius "):
+            protocol_pair(env, mode)
+    for kind in VARIANT_KINDS:
+        with pytest.raises(VariantError, match="^unlock radius: radius "):
+            make_variant(kind, env)
 
 
 def test_run_stages_stops_at_the_first_reason():
