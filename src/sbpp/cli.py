@@ -67,6 +67,11 @@ def _count(text: str) -> int:
     return n
 
 
+def _counts(text: str) -> tuple[int, ...]:
+    """A comma-separated list of counts."""
+    return tuple(map(_count, text.split(",")))
+
+
 def _key_fingerprint(key: bytes) -> str:
     return hashlib.sha256(key).hexdigest()[:16]
 
@@ -238,44 +243,14 @@ def _cmd_attack_matrix(args: argparse.Namespace) -> int:
     return EXIT_USAGE
 
 
-def _emit_report(report, out_dir: str | None) -> None:
+def _cmd_study(args: argparse.Namespace) -> int:
+    _, studies = STUDIES[args.command]
+    _, runner, flags = studies[args.study]
+    kwargs = {kw: getattr(args, kw) for kw, _, _ in flags.values() if hasattr(args, kw)}
+    report = globals()[runner](seed=args.seed, **kwargs).to_report()  # patchable by name
     print(report.render())
-    if out_dir:
-        print(f"csv: {report.write_csv(out_dir)}")
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.which == "merkle":
-        sizes = tuple(int(s) for s in args.sizes.split(",")) if args.sizes else None
-        result = merkle_bench(sizes, seed=args.seed) if sizes else merkle_bench(seed=args.seed)
-    else:
-        result = protocol_latency_bench(
-            n_drops=args.n_drops, iters=args.iters, seed=args.seed
-        )
-    _emit_report(result.to_report(), args.out_dir)
-    return EXIT_OK
-
-
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    which = args.which
-    if which == "reassoc":
-        result = reassociation_experiment(
-            n_sessions=args.sessions,
-            epoch_every=args.epoch_every,
-            n_drops=args.drops_per_cell,
-            seed=args.seed,
-        )
-    elif which == "audit-replay":
-        result = audit_replay_experiment(n=args.n, seed=args.seed)
-    elif which == "atomicity":
-        result = atomicity_and_isolation_suite(seed=args.seed, trials=args.trials)
-    elif which == "malicious-server":
-        result = malicious_server_suite(seed=args.seed, trials=args.trials)
-    else:  # search-quality
-        result = search_quality_experiment(
-            n_drops=args.n_drops, n_queries=args.n_queries, seed=args.seed
-        )
-    _emit_report(result.to_report(), args.out_dir)
+    if args.out_dir:
+        print(f"csv: {report.write_csv(args.out_dir)}")
     return EXIT_OK
 
 
@@ -293,6 +268,35 @@ def _add_demo_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--now", type=int, default=1_700_000_000, help="wall-clock seconds for the demo")
 
 
+# command -> (help, study -> (help, runner, {flag: (runner keyword, type, default)})).
+# The runner is a name in this module, called with seed= and its flags' keywords;
+# a SUPPRESS default leaves the keyword to the runner's own default.
+STUDIES = {
+    "bench": ("performance benchmarks", {
+        "merkle": ("commitment scaling, path lengths, compact state size", "merkle_bench",
+                   {"--sizes": ("sizes", _counts, argparse.SUPPRESS)}),
+        "latency": ("plaintext vs encrypted vs protocol path", "protocol_latency_bench",
+                    {"--n-drops": ("n_drops", _count, 1000), "--iters": ("iters", _count, 1000)}),
+    }),
+    "experiment": ("evaluation experiments", {
+        "reassoc": ("cross-session re-association rates", "reassociation_experiment",
+                    {"--sessions": ("n_sessions", _count, 1000),
+                     "--epoch-every": ("epoch_every", _count, 25),
+                     "--drops-per-cell": ("n_drops", _count, 20)}),
+        "audit-replay": ("offline audit after state purge + fault localization",
+                         "audit_replay_experiment", {"--n": ("n", _count, 100)}),
+        "atomicity": ("double-submit races, lifecycle conservation, isolation",
+                      "atomicity_and_isolation_suite", {"--trials": ("trials", _count, 100)}),
+        "malicious-server": ("omission, bias, predictable nonces, forgery, cell-root checks",
+                             "malicious_server_suite", {"--trials": ("trials", _count, 100)}),
+        "search-quality": ("recall, result size, token leakage per corpus, precisions and radius",
+                           "search_quality_experiment",
+                           {"--n-drops": ("n_drops", _count, 1000),
+                            "--n-queries": ("n_queries", _count, 200)}),
+    }),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sbpp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -305,7 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_gen_corpus)
 
-    p = sub.add_parser("index", help="build an encrypted-tag index file from a corpus")
+    p = sub.add_parser(
+        "index", help="write an index file: the drops in plaintext, precisions, key fingerprint"
+    )
     p.add_argument("--corpus", required=True)
     p.add_argument("--key-hex")
     p.add_argument("--seed", type=int, default=0)
@@ -351,30 +357,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir")
     p.set_defaults(fn=_cmd_attack_matrix)
 
-    p = sub.add_parser("bench", help="performance benchmarks")
-    p.add_argument("which", choices=["merkle", "latency"])
-    p.add_argument("--sizes", help="merkle: comma-separated tree sizes")
-    p.add_argument("--n-drops", type=_count, default=1000)
-    p.add_argument("--iters", type=_count, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir")
-    p.set_defaults(fn=_cmd_bench)
-
-    p = sub.add_parser("experiment", help="evaluation experiments")
-    p.add_argument(
-        "which",
-        choices=["reassoc", "audit-replay", "atomicity", "malicious-server", "search-quality"],
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sessions", type=_count, default=1000)
-    p.add_argument("--epoch-every", type=_count, default=25)
-    p.add_argument("--drops-per-cell", type=_count, default=20)
-    p.add_argument("--n", type=_count, default=100)
-    p.add_argument("--trials", type=_count, default=100)
-    p.add_argument("--n-drops", type=_count, default=1000)
-    p.add_argument("--n-queries", type=_count, default=200)
-    p.add_argument("--out-dir")
-    p.set_defaults(fn=_cmd_experiment)
+    for command, (command_help, studies) in STUDIES.items():
+        study_parsers = sub.add_parser(command, help=command_help).add_subparsers(
+            dest="study", required=True
+        )
+        for study, (study_help, _, flags) in studies.items():
+            # no abbreviations, or audit-replay's --n would pass as latency's --n-drops
+            p = study_parsers.add_parser(study, help=study_help, allow_abbrev=False)
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--out-dir")
+            for flag, (keyword, type_, default) in flags.items():
+                p.add_argument(flag, dest=keyword, type=type_, default=default)
+            p.set_defaults(fn=_cmd_study)
 
     return parser
 

@@ -402,8 +402,8 @@ class GenericVariant:
     ) -> VariantSession:
         row, key, S = self.traits, self.env.signing_key, vses.S
         stages = row.verify
-        if check_digest in stages:
-            self.sessions.validate(S, now)  # the protocol refuses a dead session outright
+        if row.session_aware:
+            self.sessions.validate(S, now)  # a dead session is refused, even for an empty search
         _, tags = client_tokens(
             self.env.search_key, lat, lon, radius_m, self.env.precisions, tag=self._tag
         )

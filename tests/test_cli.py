@@ -3,9 +3,12 @@
 import csv
 import hashlib
 import json
+import re
+from types import SimpleNamespace
 
 import pytest
 
+from sbpp import cli
 from sbpp.cli import main
 from sbpp.geoindex import geohash_encode, geohash_neighbors, haversine_m, load_corpus, make_token
 from sbpp.harness import attacks
@@ -416,6 +419,8 @@ def test_bad_bbox_exits_1(tmp_path, capsys):
         ["experiment", "atomicity", "--trials", "-1"],
         ["experiment", "search-quality", "--n-drops", "0"],
         ["experiment", "search-quality", "--n-queries", "0"],
+        ["bench", "merkle", "--sizes", "0"],
+        ["bench", "merkle", "--sizes", "100,-5"],
     ],
 )
 def test_non_positive_count_is_a_usage_error(tmp_path, capsys, argv):
@@ -490,8 +495,6 @@ def test_bbox_off_the_globe_exits_1_and_writes_nothing(tmp_path, capsys, bbox):
 
 @pytest.mark.parametrize("sizes", [[], ["--sizes", "100"]])
 def test_bench_merkle_passes_the_seed(tmp_path, capsys, monkeypatch, sizes):
-    from sbpp import cli
-
     real, seen = cli.merkle_bench, []
 
     def spy(*args, **kwargs):  # records the seed, then runs one small size
@@ -501,3 +504,92 @@ def test_bench_merkle_passes_the_seed(tmp_path, capsys, monkeypatch, sizes):
     monkeypatch.setattr(cli, "merkle_bench", spy)
     code, _ = _run(capsys, "bench", "merkle", *sizes, "--seed", "5", "--out-dir", str(tmp_path))
     assert code == 0 and seen == [5]
+
+
+# (command, study) -> (runner, {own flag: runner keyword}, the keywords a bare run passes)
+STUDIES = {
+    ("bench", "merkle"): ("merkle_bench", {"--sizes": "sizes"}, {"seed": 0}),
+    ("bench", "latency"): (
+        "protocol_latency_bench",
+        {"--n-drops": "n_drops", "--iters": "iters"},
+        {"seed": 0, "n_drops": 1000, "iters": 1000},
+    ),
+    ("experiment", "reassoc"): (
+        "reassociation_experiment",
+        {"--sessions": "n_sessions", "--epoch-every": "epoch_every", "--drops-per-cell": "n_drops"},
+        {"seed": 0, "n_sessions": 1000, "epoch_every": 25, "n_drops": 20},
+    ),
+    ("experiment", "audit-replay"): ("audit_replay_experiment", {"--n": "n"}, {"seed": 0, "n": 100}),
+    # the CLI keeps 100 trials, not the suite's own default of 1000
+    ("experiment", "atomicity"): (
+        "atomicity_and_isolation_suite", {"--trials": "trials"}, {"seed": 0, "trials": 100},
+    ),
+    ("experiment", "malicious-server"): (
+        "malicious_server_suite", {"--trials": "trials"}, {"seed": 0, "trials": 100},
+    ),
+    ("experiment", "search-quality"): (
+        "search_quality_experiment",
+        {"--n-drops": "n_drops", "--n-queries": "n_queries"},
+        {"seed": 0, "n_drops": 1000, "n_queries": 200},
+    ),
+}
+_STUDY_FLAGS = sorted({flag for _, flags, _ in STUDIES.values() for flag in flags})
+
+
+def test_the_study_table_declares_exactly_the_pinned_studies():
+    assert {(c, s) for c, (_, studies) in cli.STUDIES.items() for s in studies} == set(STUDIES)
+
+
+def _spy(monkeypatch, runner: str) -> list[dict]:
+    calls = []
+
+    def run(**kwargs):
+        calls.append(kwargs)
+        return SimpleNamespace(to_report=lambda: SimpleNamespace(render=lambda: "report"))
+
+    monkeypatch.setattr(cli, runner, run)
+    return calls
+
+
+@pytest.mark.parametrize("study", STUDIES, ids="-".join)
+def test_study_defaults_and_flags_reach_its_runner(capsys, monkeypatch, study):
+    runner, flags, defaults = STUDIES[study]
+    calls = _spy(monkeypatch, runner)
+    assert _run(capsys, *study) == (0, "report\n")
+    argv, given = [*study, "--seed", "4"], {"seed": 4}
+    for flag, keyword in flags.items():
+        argv += [flag, "3"]
+        given[keyword] = (3,) if flag == "--sizes" else 3  # --sizes is a list of counts
+    assert _run(capsys, *argv) == (0, "report\n")
+    assert calls == [defaults, given]
+
+
+@pytest.mark.parametrize(
+    "study, flag",
+    [(study, flag) for study, (_, flags, _) in STUDIES.items() for flag in _STUDY_FLAGS
+     if flag not in flags],
+    ids=lambda v: "-".join(v) if isinstance(v, tuple) else v,
+)
+def test_study_refuses_the_flags_of_other_studies(capsys, monkeypatch, study, flag):
+    calls = _spy(monkeypatch, STUDIES[study][0])
+    with pytest.raises(SystemExit) as exc:
+        main([*study, flag, "3"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().out == ""
+    assert calls == []
+
+
+@pytest.mark.parametrize("study", STUDIES, ids="-".join)
+def test_study_help_lists_exactly_its_own_flags(capsys, study):
+    with pytest.raises(SystemExit) as exc:
+        main([*study, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == {"--help", "--seed", "--out-dir", *STUDIES[study][1]}
+
+
+def test_study_flags_go_after_the_study_name(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--seed", "1", "reassoc"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().out == ""

@@ -227,10 +227,23 @@ def test_search_quality_reduced():
     assert result.runtime_s < 10
 
 
-def test_importing_the_attack_harness_leaves_the_experiments_unloaded():
-    # The harness package re-exports nothing, so the matrix loads no runner.
+def _fresh_python(code: str) -> None:
+    """Run code in a new interpreter that imports this checkout's sbpp."""
     src = str(Path(sbpp.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    code = "import sys, sbpp.harness.attacks; sys.exit('sbpp.harness.experiments' in sys.modules)"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, check=True)
+
+
+def test_importing_the_attack_harness_leaves_the_experiments_unloaded():
+    # The harness package re-exports nothing, so the matrix loads no runner.
+    _fresh_python(
+        "import sys, sbpp.harness.attacks; sys.exit('sbpp.harness.experiments' in sys.modules)"
+    )
+
+
+def test_importing_one_module_leaves_the_rest_of_the_package_unloaded():
+    # The package root re-exports nothing, so canon loads no protocol and no Ed25519.
+    _fresh_python(
+        "import sys, sbpp.canon; "
+        "sys.exit(sorted({'sbpp.protocol', 'sbpp.receipt', 'cryptography'} & set(sys.modules)) or None)"
+    )

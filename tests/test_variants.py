@@ -149,6 +149,35 @@ def test_empty_search_clears_the_listed_cells(kind):
     assert vses.candidates == () and vses.cells == ()
 
 
+def _dead_session(kind: str, how: str):
+    """A variant and a session it must refuse to search: expired at the
+    returned time, consumed by an accepted unlock, or issued by another server."""
+    variant = make_variant(kind, _env())
+    if how == "expired":
+        return variant, variant.open_session(T0), T0 + variant.env.ttl_s
+    if how == "consumed":
+        vses, request = _flow(variant)
+        assert variant.verify(request, T0 + 1).accepted
+        return variant, vses, T0 + 2
+    return make_variant(kind, _env()), variant.open_session(T0), T0  # unknown
+
+
+@pytest.mark.parametrize("kind", ["V3", "V4a", "V4b", "V5", "V6", "V7", "V8"])
+@pytest.mark.parametrize(
+    "how, error",
+    [
+        ("expired", session.ExpiredSessionError),
+        ("consumed", session.ConsumedSessionError),
+        ("unknown", session.UnknownSessionError),
+    ],
+)
+@pytest.mark.parametrize("qlat", [QLAT, QLAT - 1.0], ids=["hit", "empty"])  # empty: no drop within 100 km
+def test_session_aware_rungs_refuse_to_search_a_dead_session(kind, how, error, qlat):
+    variant, vses, now = _dead_session(kind, how)
+    with pytest.raises(error):
+        variant.search(vses, qlat, QLON, RADIUS, now)
+
+
 _DOMAINS = st.one_of(
     st.sampled_from([DOMAIN_CAPABILITY, DOMAIN_PERMIT, DOMAIN_TOKEN_FULL, DOMAIN_TOKEN_LITE]),
     st.text(max_size=12),
