@@ -25,6 +25,15 @@ field is never paired with the old field's bytes.  In the same spirit a
 value is range-checked once, where it crosses a trust boundary:
 `decode_elements` checks a whole run of field elements together and builds
 them without running each element's own check again.
+
+Build once.  A frozen value normally goes through its dataclass
+`__init__`, which sets one field at a time and runs any `__post_init__`
+check.  `assemble` fills a value's fields in one step and runs neither.
+The construction rule: a value may skip `__init__` only where a parse has
+checked every field it sets (the frame, each length, each range, each text
+decode), or where an encoder built it from values that were checked when
+they were made.  Everywhere else, and in `dataclasses.replace`, values go
+through `__init__`.
 """
 
 from __future__ import annotations
@@ -74,23 +83,44 @@ class FieldElement:
         return decode_elements(raw)[0]
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
+def assemble(cls, **fields):
+    """A ``cls`` value with exactly ``fields`` set, in one step, without
+    running ``cls.__init__`` or its checks (the construction rule above)."""
+    value = _new(cls)
+    _set(value, "__dict__", fields)
+    return value
+
+
 def _element(value: int) -> FieldElement:
     """A FieldElement whose value the caller has put in [0, Q) itself, built
     without running `FieldElement.__post_init__` again."""
-    element = object.__new__(FieldElement)
-    object.__setattr__(element, "value", value)
+    element = _new(FieldElement)
+    _set(element, "value", value)
     return element
+
+
+ZERO = _element(0)
+_ZERO_SLOT = bytes(32)
+_Q_SLOT = Q.to_bytes(32, "big")
 
 
 def decode_elements(raw: bytes) -> tuple[FieldElement, ...]:
     """The 32-byte big-endian field elements ``raw`` is a run of, each
-    checked reduced (< Q) in one pass over the values, then built once."""
+    checked reduced (< Q) in one pass, then built once.
+
+    The check compares the 32-byte slots with Q's own 32 bytes: slots of
+    one length in big-endian order compare as bytes exactly as their values
+    do.  Only nonzero slots are decoded; every zero slot is `ZERO`."""
     if len(raw) % 32:
         raise EncodingError("field elements must be 32 bytes each")
-    values = [int.from_bytes(raw[i : i + 32], "big") for i in range(0, len(raw), 32)]
-    if values and max(values) >= Q:
+    slots = struct.unpack("32s" * (len(raw) // 32), raw)
+    if slots and max(slots) >= _Q_SLOT:
         raise EncodingError("field element encoding not reduced")
-    return tuple(map(_element, values))
+    return tuple([ZERO if s == _ZERO_SLOT else _element(int.from_bytes(s, "big")) for s in slots])
 
 
 def strictly_sorted(ids: list[str] | tuple[str, ...]) -> bool:
@@ -100,7 +130,7 @@ def strictly_sorted(ids: list[str] | tuple[str, ...]) -> bool:
     return all(map(operator.lt, ids, ids[1:]))
 
 
-def _as_bytes(field: bytes | str) -> bytes:
+def as_bytes(field: bytes | str) -> bytes:
     if isinstance(field, bytes):
         return field
     if isinstance(field, str):
@@ -113,12 +143,20 @@ def lp_encode(fields: list[bytes | str] | tuple[bytes | str, ...]) -> bytes:
     join of the prefixes and fields."""
     parts = []
     for field in fields:
-        raw = field if type(field) is bytes else _as_bytes(field)
+        raw = field if type(field) is bytes else as_bytes(field)
         if len(raw) > _MAX_FIELD:
             raise EncodingError("field exceeds 2^32-1 bytes")
         parts.append(_pack_len(len(raw)))
         parts.append(raw)
     return b"".join(parts)
+
+
+def lp_head(length: int) -> bytes:
+    """The length prefix `lp_encode` writes before a field of ``length``
+    bytes, for a frame joined from parts."""
+    if length > _MAX_FIELD:
+        raise EncodingError("field exceeds 2^32-1 bytes")
+    return _pack_len(length)
 
 
 def lp_decode(data: bytes) -> list[bytes]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import sys
 from dataclasses import asdict
@@ -31,6 +32,7 @@ from .geoindex import (
     load_corpus,
     save_corpus,
 )
+from .harness import experiments
 from .harness.attacks import derive_key, protocol_pair, run_attack_matrix, seeded_env
 from .harness.experiments import (
     atomicity_and_isolation_suite,
@@ -57,6 +59,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+    def parse_known_args(self, args=None, namespace=None):
+        """Refuse an argument this parser does not know here, so the usage
+        line printed is this (sub)command's own, not the root's."""
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def _count(text: str) -> int:
@@ -246,7 +256,7 @@ def _cmd_attack_matrix(args: argparse.Namespace) -> int:
 def _cmd_study(args: argparse.Namespace) -> int:
     _, studies = STUDIES[args.command]
     _, runner, flags = studies[args.study]
-    kwargs = {kw: getattr(args, kw) for kw, _, _ in flags.values() if hasattr(args, kw)}
+    kwargs = {kw: getattr(args, kw) for kw, _, _, _ in flags.values() if hasattr(args, kw)}
     report = globals()[runner](seed=args.seed, **kwargs).to_report()  # patchable by name
     print(report.render())
     if args.out_dir:
@@ -268,33 +278,46 @@ def _add_demo_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--now", type=int, default=1_700_000_000, help="wall-clock seconds for the demo")
 
 
-# command -> (help, study -> (help, runner, {flag: (runner keyword, type, default)})).
+# command -> (help, study -> (help, runner, {flag: (runner keyword, type, default, help)})).
 # The runner is a name in this module, called with seed= and its flags' keywords;
 # a SUPPRESS default leaves the keyword to the runner's own default.
 STUDIES = {
     "bench": ("performance benchmarks", {
         "merkle": ("commitment scaling, path lengths, compact state size", "merkle_bench",
-                   {"--sizes": ("sizes", _counts, argparse.SUPPRESS)}),
+                   {"--sizes": ("sizes", _counts, argparse.SUPPRESS,
+                                "comma-separated result-set sizes to commit to")}),
         "latency": ("plaintext vs encrypted vs protocol path", "protocol_latency_bench",
-                    {"--n-drops": ("n_drops", _count, 1000), "--iters": ("iters", _count, 1000)}),
+                    {"--n-drops": ("n_drops", _count, 1000, "drops in the corpus"),
+                     "--iters": ("iters", _count, 1000, "timed queries per path")}),
     }),
     "experiment": ("evaluation experiments", {
         "reassoc": ("cross-session re-association rates", "reassociation_experiment",
-                    {"--sessions": ("n_sessions", _count, 1000),
-                     "--epoch-every": ("epoch_every", _count, 25),
-                     "--drops-per-cell": ("n_drops", _count, 20)}),
+                    {"--sessions": ("n_sessions", _count, 1000, "sessions, one unlock each"),
+                     "--epoch-every": ("epoch_every", _count, 25, "sessions per epoch"),
+                     "--drops-per-cell": ("n_drops", _count, 20, "co-located drops")}),
         "audit-replay": ("offline audit after state purge + fault localization",
-                         "audit_replay_experiment", {"--n": ("n", _count, 100)}),
+                         "audit_replay_experiment",
+                         {"--n": ("n", _count, 100, "audit records per row")}),
         "atomicity": ("double-submit races, lifecycle conservation, isolation",
-                      "atomicity_and_isolation_suite", {"--trials": ("trials", _count, 100)}),
+                      "atomicity_and_isolation_suite",
+                      {"--trials": ("trials", _count, 100, "trials per check")}),
         "malicious-server": ("omission, bias, predictable nonces, forgery, cell-root checks",
-                             "malicious_server_suite", {"--trials": ("trials", _count, 100)}),
+                             "malicious_server_suite",
+                             {"--trials": ("trials", _count, 100, "trials per attack")}),
         "search-quality": ("recall, result size, token leakage per corpus, precisions and radius",
                            "search_quality_experiment",
-                           {"--n-drops": ("n_drops", _count, 1000),
-                            "--n-queries": ("n_queries", _count, 200)}),
+                           {"--n-drops": ("n_drops", _count, 1000, "drops per corpus"),
+                            "--n-queries": ("n_queries", _count, 200, "queries per row")}),
     }),
 }
+
+
+def _default_text(runner: str, keyword: str, default: object) -> str:
+    """A flag's default as its help shows it: the runner's own where the
+    flag leaves it to the runner, a list of counts comma-separated."""
+    if default is argparse.SUPPRESS:
+        default = inspect.signature(getattr(experiments, runner)).parameters[keyword].default
+    return ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,13 +384,16 @@ def build_parser() -> argparse.ArgumentParser:
         study_parsers = sub.add_parser(command, help=command_help).add_subparsers(
             dest="study", required=True
         )
-        for study, (study_help, _, flags) in studies.items():
+        for study, (study_help, runner, flags) in studies.items():
             # no abbreviations, or audit-replay's --n would pass as latency's --n-drops
             p = study_parsers.add_parser(study, help=study_help, allow_abbrev=False)
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--out-dir")
-            for flag, (keyword, type_, default) in flags.items():
-                p.add_argument(flag, dest=keyword, type=type_, default=default)
+            p.add_argument("--seed", type=int, default=0, help="seed of every input (default: 0)")
+            p.add_argument("--out-dir", help="also write the report as CSV into this directory")
+            for flag, (keyword, type_, default, flag_help) in flags.items():
+                p.add_argument(
+                    flag, dest=keyword, type=type_, default=default,
+                    help=f"{flag_help} (default: {_default_text(runner, keyword, default)})",
+                )
             p.set_defaults(fn=_cmd_study)
 
     return parser

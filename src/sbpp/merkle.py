@@ -60,6 +60,8 @@ carried-bytes rule of sbpp.canon): its frame is a count byte and 33 bytes a
 step, cheap to write again, and a path a tamper test builds from steps
 never has old bytes to go stale.  `MerklePath.parse` checks every side byte
 in one pass before it builds a step, and a step is a `PathStep` named tuple.
+The one-byte frame of an empty path (a one-leaf tree's) parses to the one
+shared `EMPTY_PATH`.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Any, NamedTuple
 
-from .canon import lp_encode, strictly_sorted
+from .canon import assemble, lp_encode, strictly_sorted
 
 DOMAIN_LEAF = "SBPP-LEAF"
 DOMAIN_NODE = "SBPP-NODE"
@@ -167,14 +169,22 @@ class MerklePath:
         in one pass before any step is built."""
         if len(raw) < 1:
             raise MerkleError("empty path frame")
+        if raw == _EMPTY_FRAME:
+            return EMPTY_PATH
         raw = bytes(raw)
         if len(raw) != 1 + raw[0] * 33:
             raise MerkleError("path frame length mismatch")
         sides = raw[1::33]
         if sides.translate(None, _SIDES):
             raise MerkleError("invalid path step side")
-        siblings = [raw[pos : pos + 32] for pos in range(2, len(raw), 33)]
-        return cls(tuple(map(PathStep, sides, siblings)))
+        siblings = struct.unpack("x" + "x32s" * raw[0], raw)
+        # PathStep's own __new__ is a Python function; tuple.__new__ builds the same step in C
+        steps = map(tuple.__new__, repeat(PathStep), zip(sides, siblings))
+        return assemble(cls, steps=tuple(steps))
+
+
+EMPTY_PATH = MerklePath(())  # a one-leaf tree's path, and every parse of its frame
+_EMPTY_FRAME = EMPTY_PATH.serialize()
 
 
 class MerkleTree:
@@ -198,7 +208,7 @@ class MerkleTree:
         if index == len(self.ids) or self.ids[index] != drop_id:
             raise NotAMemberError(f"{drop_id!r} is not in the committed set")
         if not self.depth:
-            return MerklePath(())
+            return EMPTY_PATH
         sibling = self.ids[min(index ^ 1, len(self.ids) - 1)]  # odd tail: itself
         first = PathStep(SIDE_LEFT if index % 2 else SIDE_RIGHT, leaf_hash(sibling))
         return MerklePath((first, *_steps(self._above, index // 2)))

@@ -23,6 +23,8 @@ elements, or that `from_bytes` parsed, so proving, the server's verify, the
 audit record and the offline audit all read the same bytes.  `from_bytes`
 accepts only reduced elements, so its bytes are exactly what `to_bytes`
 would give; `dataclasses.replace` drops the bytes with the old elements.
+Having checked the whole frame, `from_bytes` and `Proof.parse` assemble
+their values without `__init__` (sbpp.canon's construction rule).
 The proof tag is one `hmac.digest` over a head fixed at import (the
 `lp_encode` framing of the domain and a 256-byte field) and those bytes.
 """
@@ -34,7 +36,9 @@ import hmac
 import math
 from dataclasses import dataclass, field
 
-from .canon import Q, EncodingError, FieldElement, _element, decode_elements, lp_encode
+from .canon import (
+    Q, ZERO, EncodingError, FieldElement, _element, assemble, decode_elements, lp_encode,
+)
 
 BACKEND_ID = "sim-hmac-v1"
 DOMAIN_PROOF = "SBPP-PROOF"
@@ -48,7 +52,8 @@ _PUB_BYTES = 32 * PUB_LEN
 
 # lp_encode([DOMAIN_PROOF, pub_bytes]) is this head followed by pub_bytes.
 _PROOF_HEAD = lp_encode([DOMAIN_PROOF, bytes(_PUB_BYTES)])[:-_PUB_BYTES]
-_ZERO = _element(0)  # the four reserved slots
+# a serialized proof of this backend starts with this frame of its id
+_BACKEND_HEAD = lp_encode([BACKEND_ID])
 
 
 class NizkError(ValueError):
@@ -93,11 +98,10 @@ class PublicInputs:
             raise NizkError("public inputs must be exactly 256 bytes")
         raw = bytes(raw)
         try:
-            pub = cls(decode_elements(raw))
+            elements = decode_elements(raw)
         except EncodingError as exc:
             raise NizkError(f"public input element: {exc}") from exc
-        object.__setattr__(pub, "_bytes", raw)
-        return pub
+        return assemble(cls, elements=elements, _bytes=raw)  # 256 bytes: eight elements
 
 
 @dataclass(frozen=True)
@@ -105,11 +109,18 @@ class Proof:
     backend_id: str
     body: bytes
 
+    def head(self) -> bytes:
+        """The frame of the backend id that `serialize` puts before the body."""
+        backend_id = self.backend_id
+        return _BACKEND_HEAD if backend_id == BACKEND_ID else lp_encode([backend_id])
+
     def serialize(self) -> bytes:
-        return lp_encode([self.backend_id]) + self.body
+        return self.head() + self.body
 
     @classmethod
     def parse(cls, raw: bytes) -> "Proof":
+        if raw[: len(_BACKEND_HEAD)] == _BACKEND_HEAD:  # this backend's proof
+            return assemble(cls, backend_id=BACKEND_ID, body=raw[len(_BACKEND_HEAD) :])
         if len(raw) < 4:
             raise NizkError("truncated proof frame")
         length = int.from_bytes(raw[:4], "big")
@@ -119,7 +130,7 @@ class Proof:
             backend_id = raw[4 : 4 + length].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise NizkError("proof backend id is not UTF-8") from exc
-        return cls(backend_id, raw[4 + length :])
+        return assemble(cls, backend_id=backend_id, body=raw[4 + length :])
 
 
 def radius_value(radius_m: float) -> int:
@@ -147,10 +158,10 @@ def make_public_inputs(
             _element(round((target_lat + 90.0) * _COORD_SCALE)),
             _element(round((target_lon + 180.0) * _COORD_SCALE)),
             _element(radius_value(radius_m)),
-            _ZERO,
-            _ZERO,
-            _ZERO,
-            _ZERO,
+            ZERO,
+            ZERO,
+            ZERO,
+            ZERO,
             cd,
         )
     )

@@ -57,11 +57,13 @@ import random
 from typing import Any, Callable, NamedTuple
 
 from . import nizk
-from .canon import FieldElement, cd_core, cd_full, lp_encode, lp_decode, EncodingError
+from .canon import (
+    EncodingError, FieldElement, as_bytes, assemble, cd_core, cd_full, lp_decode, lp_head,
+)
 from .geoindex import DEFAULT_PRECISIONS, Drop, GeoIndex, build_index, client_tokens, drops_of
 from .merkle import (
-    Cell, MerklePath, MerkleError, MerkleTree, ResultTree, TreeMemo, build_tree, locate,
-    verify_membership,
+    EMPTY_PATH, Cell, MerklePath, MerkleError, MerkleTree, ResultTree, TreeMemo, build_tree,
+    locate, verify_membership,
 )
 from .receipt import Receipt, ReceiptError, SigningKey, sign_receipt, verify_receipt
 from .session import (
@@ -427,15 +429,14 @@ class SbppClient:
 # audit records
 
 
-_EMPTY_PATH = MerklePath(())
-
-
 @dataclass(frozen=True)
 class AuditRecord:
     """What a third party re-checks an unlock from.  Its frame is built from
     the bytes its receipt and public inputs carry (the signed body, the
     256-byte form), and a parse hands each part the bytes it was read from,
-    so the audit checks the signature and proof over those same bytes."""
+    so the audit checks the signature and proof over those same bytes.
+    Each part's parse checks all of that part, so the parse and
+    `emit_audit_record` assemble the record without `__init__`."""
 
     receipt: Receipt
     drop_id: str
@@ -444,14 +445,21 @@ class AuditRecord:
     proof: nizk.Proof
 
     def serialize(self) -> bytes:
-        return lp_encode(
-            [
-                self.receipt.serialize(),
-                self.drop_id,
-                self.merkle_path.serialize(),
-                self.pub.to_bytes(),
-                self.proof.serialize(),
-            ]
+        """lp_encode of the five parts' frames, joined once from their pieces."""
+        receipt, proof = self.receipt, self.proof
+        body, sig = receipt.body_bytes(), receipt.sig
+        drop = as_bytes(self.drop_id)
+        path = self.merkle_path.serialize()
+        pub = self.pub.to_bytes()
+        head = proof.head()
+        return b"".join(
+            (
+                lp_head(len(body) + 4 + len(sig)), body, lp_head(len(sig)), sig,
+                lp_head(len(drop)), drop,
+                lp_head(len(path)), path,
+                lp_head(len(pub)), pub,
+                lp_head(len(head) + len(proof.body)), head, proof.body,
+            )
         )
 
     @classmethod
@@ -462,8 +470,9 @@ class AuditRecord:
             raise AuditRecordError(f"malformed record frame: {exc}") from exc
         if len(fields) != 5:
             raise AuditRecordError("audit record must have 5 fields")
-        try:
-            return cls(
+        try:  # each part's parse checks all of it
+            return assemble(
+                cls,
                 receipt=Receipt.parse(fields[0]),
                 drop_id=fields[1].decode("utf-8"),
                 merkle_path=MerklePath.parse(fields[2]),
@@ -478,10 +487,11 @@ def emit_audit_record(ses: ClientSession, request: UnlockRequest) -> AuditRecord
     """Persist everything a third party needs to re-check this unlock."""
     if ses.receipt is None:
         raise ProtocolError("session has no receipt to audit against")
-    return AuditRecord(
+    return assemble(  # from the parts the client built and checked
+        AuditRecord,
         receipt=ses.receipt,
         drop_id=request.drop_id,
-        merkle_path=request.merkle_path if request.merkle_path is not None else _EMPTY_PATH,
+        merkle_path=request.merkle_path if request.merkle_path is not None else EMPTY_PATH,
         pub=request.pub,
         proof=request.proof,
     )

@@ -19,7 +19,10 @@ accepts only the canonical body (domain tag, 32-byte nonce and root, UTF-8
 text, the expiry as `str(int)` writes it), so the bytes it keeps are the
 ones `receipt_body` gives for the parsed fields.  The body is a non-init
 field that equality ignores, so `dataclasses.replace` makes a receipt with
-no body, and a changed field is never checked against the old body.
+no body, and a changed field is never checked against the old body.  Once
+every field is checked, the parse assembles the receipt in one step, as
+`sign_receipt` does from the fields it signed (sbpp.canon's construction
+rule).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
-from .canon import lp_encode, lp_decode, EncodingError
+from .canon import EncodingError, assemble, lp_decode, lp_encode, lp_head
 
 DOMAIN_RECEIPT = "SBPP-RECEIPT"
 DOMAIN_KEYGEN = "SBPP-SRVKEY"
@@ -95,10 +98,13 @@ class Receipt:
 
     def serialize(self) -> bytes:
         """Canonical body followed by the length-prefixed signature."""
-        return self.body_bytes() + lp_encode([self.sig])
+        sig = self.sig
+        return b"".join((self.body_bytes(), lp_head(len(sig)), sig))
 
     @classmethod
     def parse(cls, raw: bytes) -> "Receipt":
+        """The receipt a `serialize` frame holds; every field is checked
+        once, then the value is assembled with the body it was read from."""
         try:
             fields = lp_decode(raw)
         except EncodingError as exc:
@@ -111,31 +117,23 @@ class Receipt:
         if len(N) != 32 or len(root) != 32:
             raise ReceiptError("receipt nonce/root must be 32 bytes")
         try:
-            t_exp_text = t_exp_raw.decode("ascii")
-            t_exp = int(t_exp_text)
-        except (UnicodeDecodeError, ValueError) as exc:
+            t_exp = int(t_exp_raw)  # int() of bytes reads ASCII only
+        except ValueError as exc:
             raise ReceiptError("receipt expiry is not a decimal string") from exc
-        if str(t_exp) != t_exp_text:
+        if str(t_exp).encode("ascii") != t_exp_raw:
             # int() also takes "+10", "010", "1_0" and " 10"; only the form
             # receipt_body writes re-serializes to the signed bytes.
             raise ReceiptError("receipt expiry is not in canonical form")
         try:
-            receipt = cls(
-                S=S.decode("utf-8"),
-                N=N,
-                t_exp=t_exp,
-                root=root,
-                mode=mode.decode("utf-8"),
-                pv=pv.decode("utf-8"),
-                epoch=epoch.decode("utf-8"),
-                sig=sig,
-            )
+            S, mode, pv, epoch = S.decode(), mode.decode(), pv.decode(), epoch.decode()
         except UnicodeDecodeError as exc:
             raise ReceiptError("receipt text field is not UTF-8") from exc
         # every field re-encodes to the bytes it was read from, so the frame
         # before the signature is receipt_body of the parsed fields
-        object.__setattr__(receipt, "_body", bytes(raw[: len(raw) - 4 - len(sig)]))
-        return receipt
+        return assemble(
+            cls, S=S, N=N, t_exp=t_exp, root=root, mode=mode, pv=pv, epoch=epoch, sig=sig,
+            _body=bytes(raw[: len(raw) - 4 - len(sig)]),
+        )
 
 
 def receipt_body(S: str, N: bytes, t_exp: int, root: bytes, mode: str, pv: str, epoch: str) -> bytes:
@@ -151,9 +149,9 @@ def sign_receipt(
 ) -> Receipt:
     body = receipt_body(S, N, t_exp, root, mode, pv, epoch)
     sig = key.signer().sign(body)
-    receipt = Receipt(S=S, N=N, t_exp=t_exp, root=root, mode=mode, pv=pv, epoch=epoch, sig=sig)
-    object.__setattr__(receipt, "_body", body)
-    return receipt
+    return assemble(
+        Receipt, S=S, N=N, t_exp=t_exp, root=root, mode=mode, pv=pv, epoch=epoch, sig=sig, _body=body
+    )
 
 
 def verify_receipt(public_bytes: bytes, receipt: Receipt) -> bool:

@@ -52,7 +52,7 @@ from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
 from . import nizk
-from .canon import FieldElement, digest, lp_decode, lp_encode
+from .canon import EncodingError, FieldElement, digest, lp_decode, lp_encode
 from .geoindex import (
     DEFAULT_PRECISIONS, Drop, build_index, client_tokens, drops_of, make_token, plain_tag,
 )
@@ -236,10 +236,17 @@ def check_context_digest(variant: GenericVariant, attempt: Attempt) -> str | Non
     return None
 
 
-def _token_member(token: bytes, claim: VariantRequest) -> str | None:
-    """Membership against the root inside ``token``."""
-    root, path = lp_decode(token)[3], claim.merkle_path
-    if path is None or not verify_membership(root, claim.drop_id, path):
+def _token_member(token: bytes | None, claim: VariantRequest) -> str | None:
+    """Membership against the root inside ``token``; a missing token, or one
+    that does not frame a root, admits no path."""
+    if token is None:
+        return R_MERKLE_INVALID
+    try:
+        fields = lp_decode(token)
+    except EncodingError:
+        return R_MERKLE_INVALID
+    path = claim.merkle_path
+    if len(fields) < 4 or path is None or not verify_membership(fields[3], claim.drop_id, path):
         return R_MERKLE_INVALID
     return None
 
@@ -254,7 +261,7 @@ def check_token_hash(variant: GenericVariant, attempt: Attempt) -> str | None:
 
 def check_token_root(variant: GenericVariant, attempt: Attempt) -> str | None:
     """Membership against the root inside this session's token."""
-    return _token_member(variant.token_by_session[attempt.claim.S], attempt.claim)
+    return _token_member(variant.token_by_session.get(attempt.claim.S), attempt.claim)
 
 
 # V8 audits read the record's token; online, the token the server holds for

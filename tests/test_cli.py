@@ -575,8 +575,24 @@ def test_study_refuses_the_flags_of_other_studies(capsys, monkeypatch, study, fl
     with pytest.raises(SystemExit) as exc:
         main([*study, flag, "3"])
     assert exc.value.code == 1
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert out == ""
+    # the study's own usage line, not the root parser's
+    assert err.startswith(f"usage: sbpp {' '.join(study)} [-h] [--seed SEED]")
+    assert f"error: unrecognized arguments: {flag} 3" in err
     assert calls == []
+
+
+# what each study's --help shows as its flags' defaults, --seed first
+_SHOWN_DEFAULTS = {
+    ("bench", "merkle"): ["0", "100,1000,5000,10000,20000,50000"],
+    ("bench", "latency"): ["0", "1000", "1000"],
+    ("experiment", "reassoc"): ["0", "1000", "25", "20"],
+    ("experiment", "audit-replay"): ["0", "100"],
+    ("experiment", "atomicity"): ["0", "100"],
+    ("experiment", "malicious-server"): ["0", "100"],
+    ("experiment", "search-quality"): ["0", "1000", "200"],
+}
 
 
 @pytest.mark.parametrize("study", STUDIES, ids="-".join)
@@ -584,8 +600,11 @@ def test_study_help_lists_exactly_its_own_flags(capsys, study):
     with pytest.raises(SystemExit) as exc:
         main([*study, "--help"])
     assert exc.value.code == 0
-    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    out = capsys.readouterr().out
+    listed = set(re.findall(r"--[a-z][a-z-]*", out))
     assert listed == {"--help", "--seed", "--out-dir", *STUDIES[study][1]}
+    # every flag but --help and --out-dir has help text ending in its default
+    assert re.findall(r"\(default: ([^)]*)\)", " ".join(out.split())) == _SHOWN_DEFAULTS[study]
 
 
 def test_study_flags_go_after_the_study_name(capsys):

@@ -322,6 +322,29 @@ def test_v8_membership_checked_against_token_root():
     assert variant.verify(pathless, T0 + 1).fail_reason == R_MERKLE_INVALID
 
 
+@pytest.mark.parametrize(
+    "token",
+    [None, b"", b"\x00\x00", b"\x00\x00\x00\x09abc", lp_encode([DOMAIN_TOKEN_FULL, "S", b"n"])],
+    ids=["missing", "empty", "truncated-prefix", "truncated-body", "three-fields"],
+)
+def test_v8_token_root_stages_answer_a_bad_token_with_merkle_invalid(token):
+    # called directly: in the rung's stage order the token hash check runs
+    # first and would answer token-hash-mismatch for each of these tokens
+    variant = make_variant("V8", _env())
+    vses, request = _flow(variant)
+    rec = dataclasses.replace(variant.audit_record(vses, request), token=token)
+    assert audit_token_root(variant, protocol.Attempt(rec, None)) == R_MERKLE_INVALID
+    if token is None:
+        variant.token_by_session.pop(request.S)
+    else:
+        variant.token_by_session[request.S] = token
+    attempt = protocol.Attempt(request, T0 + 1)
+    assert variants.check_token_root(variant, attempt) == R_MERKLE_INVALID
+    # the honest token still admits the honest path
+    honest = protocol.Attempt(dataclasses.replace(rec, token=vses.token), None)
+    assert audit_token_root(variant, honest) is None
+
+
 def test_v8_lite_token_omits_the_root():
     variant = make_variant("V8", _env(), token_includes_root=False)
     vses, request = _flow(variant)
