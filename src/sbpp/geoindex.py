@@ -16,8 +16,15 @@ The index is built in two passes.  The first computes each drop's cell once,
 at the finest indexed precision, and takes every coarser precision's cell by
 shifting: bisection is a prefix, so fewer bits are the top bits of more, and
 the coarser cell is (x >> dx, y >> dy) for the difference dx, dy in lon and
-lat bits.  The second derives one tag per distinct (precision, cell), so the
-HMACs a build makes scale with the cells the corpus occupies, not its drops.
+lat bits.  A drop costs no function call when it is in range and its
+quotient cell is bracketed by that cell's exact edges, the rule that defines
+the cell; `_check_point` runs only to raise, and `_axis_cell`, the one
+definition, only to repair a quotient (see `build_index`).  The second
+derives one tag per distinct (precision, cell), so the HMACs a build makes
+scale with the cells the corpus occupies, not its drops.
+
+A cell's string is read from a table of the 1,024 character pairs, each 5
+lon and 5 lat bits, with no loop per character (`_cell_string`).
 
 The cover is recall-first: for each indexed precision, finest first, take the
 cells that meet the bounding box of the spherical cap of the radius, and keep
@@ -115,14 +122,19 @@ def _spread(v: int) -> int:
     return sum(((v >> i) & 1) << (2 * i) for i in range(v.bit_length()))
 
 
-# Two characters carry 5 lon bits and 5 lat bits (lon first): _PAIRS holds
-# them at 2 * (x << 5 | y).  An odd last character carries 3 lon bits and 2
-# lat bits: _TAILS[x << 2 | y].  One string each keeps the tables at 2 KB.
-_PAIRS = "".join(
+# Two characters carry 5 lon bits and 5 lat bits, lon first: _PAIRS[x << 5 | y]
+# for the 5-bit slices x and y.
+_PAIRS = tuple(
     GEOHASH_ALPHABET[v >> 5] + GEOHASH_ALPHABET[v & 31]
     for v in (_spread(x) << 1 | _spread(y) for x in range(32) for y in range(32))
 )
-_TAILS = "".join(GEOHASH_ALPHABET[_spread(x) | _spread(y) << 1] for x in range(8) for y in range(4))
+# (lon, lat) shifts per precision that pad a cell's bits to 15 each (three
+# pairs) up to precision 6, and to 30 each (six pairs) up to 12.
+_PADS = (None,) + tuple(
+    (bits - (5 * p + 1) // 2, bits - 5 * p // 2)
+    for p in range(1, MAX_GEOHASH_PRECISION + 1)
+    for bits in [15 if p <= 6 else 30]
+)
 
 
 def _grid_bits(precision: int) -> tuple[int, int]:
@@ -155,17 +167,20 @@ def _check_point(lat: float, lon: float) -> None:
 
 
 def _cell_string(x: int, y: int, precision: int) -> str:
-    """The geohash of cell (x, y) at the given precision."""
-    sx, sy = _grid_bits(precision)
-    chars = []
-    for _ in range(precision // 2):
-        sx -= 5
-        sy -= 5
-        i = ((x >> sx) & 31) << 6 | ((y >> sy) & 31) << 1
-        chars.append(_PAIRS[i : i + 2])
-    if precision & 1:
-        chars.append(_TAILS[(x & 7) << 2 | (y & 3)])
-    return "".join(chars)
+    """The geohash of cell (x, y) at the given precision, which must be in
+    range: the first ``precision`` characters of the string of its
+    south-west descendant whose bits fill three pairs (precision 6), or six
+    (precision 12)."""
+    lon_pad, lat_pad = _PADS[precision]
+    x <<= lon_pad
+    y <<= lat_pad
+    s = f"{_PAIRS[x >> 5 & 992 | y >> 10 & 31]}{_PAIRS[x & 992 | y >> 5 & 31]}{_PAIRS[x << 5 & 992 | y & 31]}"
+    if precision > 6:
+        s = (
+            f"{_PAIRS[x >> 20 & 992 | y >> 25]}{_PAIRS[x >> 15 & 992 | y >> 20 & 31]}"
+            f"{_PAIRS[x >> 10 & 992 | y >> 15 & 31]}{s}"
+        )
+    return s[:precision]
 
 
 def geohash_encode(lat: float, lon: float, precision: int) -> str:
@@ -426,11 +441,17 @@ def build_index(key: bytes, drops: list[Drop], precisions: list[int], tag=make_t
     Pass 1 visits the drops in id order, computes each drop's (x, y) cell
     once, at the finest precision, and files the drop under that cell and
     each coarser precision's (x >> dx, y >> dy): bisection is a prefix, so
-    the shift is the coarser cell.  Pass 2 derives one tag per distinct
-    (precision, cell) and files the cell's drops, sorted by the visit
-    order, and their ids as one `Cell`.  Pass 1 files each id beside its
-    drop, while the drop is fresh in the cache: reading the ids in pass 2
-    would revisit every drop out of memory order.
+    the shift is the coarser cell.  A drop costs no function call: a chained
+    comparison checks its range, and `_check_point` runs only when that
+    fails, so the first bad drop in id order raises, latitude before
+    longitude.  Along each axis the quotient k = int((v - lo) / step) is the
+    cell when k < n and lo + k * step <= v < lo + (k + 1) * step, the exact
+    edges that define it; otherwise `_axis_cell` repairs it (at the top edge,
+    and where the division rounds across an edge).  Pass 2 derives one tag
+    per distinct (precision, cell) and files the cell's drops, sorted by the
+    visit order, and their ids as one `Cell`.  Pass 1 files each id beside
+    its drop, while the drop is fresh in the cache: reading the ids in pass
+    2 would revisit every drop out of memory order.
 
     An id that does not encode to UTF-8 (a lone surrogate) could be neither
     hashed into a leaf nor digested into a proof, so it is a GeoindexError
@@ -443,10 +464,18 @@ def build_index(key: bytes, drops: list[Drop], precisions: list[int], tag=make_t
     for p in index.precisions:
         px, py = _grid_bits(p)
         levels.append((p, lon_bits - px, lat_bits - py, defaultdict(lambda: ([], []))))
+    nx, ny = 1 << lon_bits, 1 << lat_bits
+    dlon, dlat = 360.0 / nx, 180.0 / ny
     for drop in sorted(drops, key=attrgetter("id")):
-        _check_point(drop.lat, drop.lon)
-        x = _axis_cell(drop.lon, -180.0, 360.0, lon_bits)
-        y = _axis_cell(drop.lat, -90.0, 180.0, lat_bits)
+        lat, lon = drop.lat, drop.lon
+        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+            _check_point(lat, lon)
+        x = int((lon + 180.0) / dlon)
+        if not (x < nx and -180.0 + x * dlon <= lon < -180.0 + (x + 1) * dlon):
+            x = _axis_cell(lon, -180.0, 360.0, lon_bits)
+        y = int((lat + 90.0) / dlat)
+        if not (y < ny and -90.0 + y * dlat <= lat < -90.0 + (y + 1) * dlat):
+            y = _axis_cell(lat, -90.0, 180.0, lat_bits)
         for _, dx, dy, cells in levels:
             ids, members = cells[x >> dx, y >> dy]
             ids.append(drop.id)

@@ -350,6 +350,52 @@ def test_integer_encoder_matches_bisection_on_cell_edges(precision, data):
                 assert geohash_encode(p_lat, p_lon, precision) == _bisect_geohash(p_lat, p_lon, precision)
 
 
+def _bitwise_cell_string(x: int, y: int, precision: int) -> str:
+    """Cell (x, y) as bisection spells it: deal out one bit at a time, lon
+    first, each axis from its top bit, and read five bits to a character."""
+    lon_bits, lat_bits = (5 * precision + 1) // 2, 5 * precision // 2
+    bits = []
+    for i in range(5 * precision):
+        if i % 2 == 0:
+            lon_bits -= 1
+            bits.append(x >> lon_bits & 1)
+        else:
+            lat_bits -= 1
+            bits.append(y >> lat_bits & 1)
+    return "".join(
+        GEOHASH_ALPHABET[int("".join(map(str, bits[i : i + 5])), 2)] for i in range(0, len(bits), 5)
+    )
+
+
+@st.composite
+def _grid_cell(draw):
+    """(x, y, precision) for a precision in 1..12, often a corner or edge cell."""
+    precision = draw(st.integers(1, 12))
+    nx, ny = 1 << (5 * precision + 1) // 2, 1 << 5 * precision // 2
+    x = draw(st.one_of(st.integers(0, nx - 1), st.sampled_from([0, 1, nx // 2 - 1, nx // 2, nx - 2, nx - 1])))
+    y = draw(st.one_of(st.integers(0, ny - 1), st.sampled_from([0, 1, ny // 2 - 1, ny // 2, ny - 2, ny - 1])))
+    return x, y, precision
+
+
+@given(_grid_cell())
+@example((0, 0, 1))
+@example((7, 3, 1))
+@example((0, (1 << 30) - 1, 12))
+@example(((1 << 30) - 1, 0, 12))
+@example(((1 << 30) - 1, (1 << 30) - 1, 12))
+@example(((1 << 18) - 1, (1 << 17) - 1, 7))
+@settings(max_examples=500, deadline=None)
+def test_cell_string_matches_bitwise_bisection(cell):
+    x, y, precision = cell
+    text = geoindex._cell_string(x, y, precision)
+    assert text == _bitwise_cell_string(x, y, precision)
+    # and the cell's centre, an exact float, encodes to it by bisection
+    lon_bits, lat_bits = (5 * precision + 1) // 2, 5 * precision // 2
+    lat = -90.0 + (y + 0.5) * 180.0 / (1 << lat_bits)
+    lon = -180.0 + (x + 0.5) * 360.0 / (1 << lon_bits)
+    assert text == _bisect_geohash(lat, lon, precision)
+
+
 def _destination(lat: float, lon: float, dist_m: float, bearing: float) -> tuple[float, float]:
     """The point dist_m along a great circle from (lat, lon), lon in [-180, 180)."""
     phi, delta = math.radians(lat), dist_m / 6_371_000.0
@@ -599,6 +645,46 @@ def test_build_index_rejects_out_of_range_points():
     ):
         with pytest.raises(GeoindexError, match=f"^{message}$"):
             build_index(key, [ok, drop], [4, 5, 6, 7])
+
+
+def test_build_index_names_the_first_bad_drop_in_id_order_latitude_first():
+    key = b"\x09" * 32
+    bad = [
+        Drop("d4", 35.7, math.nan),  # longitude only
+        Drop("d2", math.nan, 139.75),  # latitude only
+        Drop("d1", 91.0, 181.0),  # both: latitude is checked first
+        Drop("d3", -math.inf, -181.0),
+        Drop("d0", 35.7, 139.75),  # fine
+    ]
+    for first, message in (("d1", "latitude"), ("d2", "latitude"), ("d3", "latitude"), ("d4", "longitude")):
+        drops = [d for d in bad if d.id == "d0" or d.id >= first]
+        with pytest.raises(GeoindexError, match=f"^{message} out of range$"):
+            build_index(key, drops, [5])
+        # the first bad drop in id order decides, whatever the list order
+        with pytest.raises(GeoindexError, match=f"^{message} out of range$"):
+            build_index(key, drops[::-1], [4, 5, 6, 7])
+
+
+@given(_cell_edge_point(), st.sets(st.integers(1, 9), min_size=1, max_size=3))
+@example((90.0, 180.0), {9})
+@example((-90.0, -180.0), {9})
+@example((math.nextafter(90.0, 0.0), math.nextafter(180.0, 0.0)), {1, 9})
+@example((math.nextafter(-90.0, 0.0), math.nextafter(-180.0, 0.0)), {1, 9})
+@example((90.0, -180.0), {5})
+@example((-90.0, 180.0), {5})
+@example((0.0, -0.0), {9})
+@settings(max_examples=300, deadline=None)
+def test_build_files_each_drop_under_the_axis_cell(point, precisions):
+    # the build's inline cell is _axis_cell's at every level, on and beside edges
+    lat, lon = point
+    index = build_index(b"", [Drop("d", lat, lon)], sorted(precisions), tag=plain_tag)
+    expected = set()
+    for p in precisions:
+        lon_bits, lat_bits = (5 * p + 1) // 2, 5 * p // 2
+        x = geoindex._axis_cell(lon, -180.0, 360.0, lon_bits)
+        y = geoindex._axis_cell(lat, -90.0, 180.0, lat_bits)
+        expected.add(f"{p}:{geoindex._cell_string(x, y, p)}".encode())
+    assert set(index.entries) == expected
 
 
 def test_build_index_of_no_drops_is_empty():
