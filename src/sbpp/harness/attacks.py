@@ -24,9 +24,9 @@ from dataclasses import dataclass, replace
 
 from .. import nizk
 from ..geoindex import Drop
-from ..protocol import SbppClient, SbppServer
 from ..receipt import server_keygen
 from ..variants import VARIANT_KINDS, VariantEnv, make_variant
+from ..variants import protocol_pair  # noqa: F401 - the CLI and experiments take it from here
 from .report import render_grid
 
 # Fixed desk-scale geometry: a candidate cluster near the query point and a
@@ -94,27 +94,6 @@ def seeded_env(seed: int, drops: list[Drop] | None = None, **fields) -> VariantE
         nonce_rng=random.Random(seed),
     )
     return replace(env, **fields) if fields else env
-
-
-def protocol_pair(
-    env: VariantEnv, mode: str, server_cls: type[SbppServer] = SbppServer
-) -> tuple[SbppServer, SbppClient]:
-    """The protocol's server and client over one environment.  The server
-    draws its nonces from ``env.nonce_rng``, so give each server its own."""
-    server = server_cls(
-        drops=env.drops,
-        search_key=env.search_key,
-        signing_key=env.signing_key,
-        nizk_vk=env.verifying_key,
-        mode=mode,
-        precisions=list(env.precisions),
-        ttl_s=env.ttl_s,
-        pv=env.pv,
-        epoch=env.epoch,
-        unlock_radius_m=env.unlock_radius_m,
-        nonce_rng=env.nonce_rng,
-    )
-    return server, SbppClient(env.search_key, env.proving_key)
 
 
 def build_variant(

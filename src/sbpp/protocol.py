@@ -26,8 +26,8 @@ roots on trust: a server that commits another cell differently and
 consistently goes unnoticed, though the audit of the client's own unlock,
 whose path runs through the cell it rebuilt, is unaffected.  The client
 takes its own cell's tree from a `TreeMemo` (sbpp.merkle), so a repeat
-unlock in a cell it has checked rebuilds no cell; server binding and the
-comparison ladder keep rebuilding.
+unlock in a cell it has checked rebuilds no cell; server binding, the
+ladder's V8 rung and its adversary adapters keep rebuilding.
 
 Verification is a fixed tuple of stages, VERIFY_STAGES, and every rejection
 carries exactly one reason, so a failure localizes to the first broken link:
@@ -43,9 +43,13 @@ server forgets everything:
     receipt signature -> digest -> membership -> proof
 
 Only the receipt check is offline-only; the statement check stays online,
-since it needs the server's drop table.  Each stage is written once.  The
-V4a/V4b rungs of the comparison ladder in sbpp.variants run these same
-stage objects.
+since it needs the server's drop table.  Each stage is written once.
+
+The comparison ladder in sbpp.variants runs this server and client: every
+rung takes its drop table, index, sessions and hit cells from an
+`SbppServer` (`bind`, or `_hits` alone for the rungs with no session), and
+its V4a/V4b rows search, unlock, verify and audit through the pair and
+these same stage objects.
 """
 
 from __future__ import annotations
@@ -60,10 +64,11 @@ from . import nizk
 from .canon import (
     EncodingError, FieldElement, as_bytes, assemble, cd_core, cd_full, lp_decode, lp_head,
 )
-from .geoindex import DEFAULT_PRECISIONS, Drop, GeoIndex, build_index, client_tokens, drops_of
+from .geoindex import (
+    DEFAULT_PRECISIONS, Drop, GeoIndex, build_index, client_tokens, drops_of, make_token,
+)
 from .merkle import (
-    EMPTY_PATH, Cell, MerklePath, MerkleError, MerkleTree, ResultTree, TreeMemo, build_tree,
-    locate, verify_membership,
+    EMPTY_PATH, Cell, MerklePath, MerkleError, TreeMemo, build_tree, locate, verify_membership,
 )
 from .receipt import Receipt, ReceiptError, SigningKey, sign_receipt, verify_receipt
 from .session import (
@@ -129,6 +134,8 @@ class VerifyOutcome:
 class SbppServer:
     """Server half: index, session table, receipt signer, proof verifier."""
 
+    _tag = staticmethod(make_token)  # the index's cell tags (the ladder's V1 server overrides it)
+
     def __init__(
         self,
         drops: list[Drop],
@@ -153,7 +160,9 @@ class SbppServer:
         self.drops = {d.id: d for d in drops}
         if len(self.drops) != len(drops):
             raise ProtocolError("duplicate drop ids in corpus")
-        self.index: GeoIndex = build_index(search_key, drops, precisions or list(DEFAULT_PRECISIONS))
+        if precisions is None:  # an empty list is the index's to refuse, not a default
+            precisions = list(DEFAULT_PRECISIONS)
+        self.index: GeoIndex = build_index(search_key, drops, precisions, tag=self._tag)
         self.signing_key = signing_key
         self.nizk_vk = nizk_vk
         self.unlock_radius_m = unlock_radius_m
@@ -169,28 +178,31 @@ class SbppServer:
         return ClientSession.issued(record, self.unlock_radius_m, self.index.precisions)
 
     def _hits(self, tags: list[bytes]) -> list[Cell]:
-        """The index cells under the tags, in tag order (the adversarial
-        servers of sbpp.harness.experiments change them here)."""
+        """The index cells under the tags, in tag order: every search's and
+        every ladder rung's (the adversarial servers of
+        sbpp.harness.experiments change them here)."""
         return self.index.cells(tags)
 
-    def search(self, S: str, tags: list[bytes], now: int) -> SearchResponse:
-        """Match, bind, and attest in one step: the hit cells and the
-        receipt are the whole answer.  Empty matches leave the session
-        unbound and searchable until it expires."""
+    def bind(self, S: str, tags: list[bytes], now: int) -> tuple[list[Cell], SessionRecord | None]:
+        """The hit cells and the session bound to them.  Empty matches bind
+        nothing (None) and leave the session searchable until it expires."""
         self.sessions.validate(S, now)
         cells = self._hits(tags)
         if not cells:
+            return cells, None
+        return cells, self.sessions.bind_results(S, cells, self.mode, now)
+
+    def search(self, S: str, tags: list[bytes], now: int) -> SearchResponse:
+        """Bind, then attest: the hit cells and the receipt over the bound
+        session are the whole answer."""
+        cells, s = self.bind(S, tags, now)
+        if s is None:
             return SearchResponse(cells=(), receipt=None)
-        record = self.sessions.bind_results(S, cells, self.mode, now)
-        return SearchResponse(tuple(cells), sign_session(self.signing_key, record))
+        receipt = sign_receipt(self.signing_key, s.S, s.N, s.t_exp, s.root, s.mode, s.pv, s.epoch)
+        return SearchResponse(tuple(cells), receipt)
 
     def verify(self, request: UnlockRequest, now: int) -> VerifyOutcome:
         return run_stages(VERIFY_STAGES, self, Attempt(request, now))
-
-
-def sign_session(key: SigningKey, s: SessionRecord) -> Receipt:
-    """The receipt over a bound session: its nonce, expiry and root."""
-    return sign_receipt(key, s.S, s.N, s.t_exp, s.root, s.mode, s.pv, s.epoch)
 
 
 def challenge_digest(
@@ -369,21 +381,6 @@ class ClientSession:
         return sorted(map(attrgetter("id"), self.candidates))
 
 
-def checked_tree(
-    ses: ClientSession, drop_id: str, subtree: Callable[..., MerkleTree] = MerkleTree
-) -> ResultTree:
-    """The full-mode root and path rebuilt through the target's own cell,
-    whose tree ``subtree`` gives; ProtocolError unless that root is the
-    receipt's."""
-    try:
-        tree = build_tree(ses.cells, drop_id, subtree)
-    except MerkleError as exc:
-        raise ProtocolError(f"the listed cells do not commit to {drop_id!r}") from exc
-    if ses.receipt is None or tree.root != ses.receipt.root:
-        raise ProtocolError("recomputed root differs from the receipt's")
-    return tree
-
-
 class SbppClient:
     """Client half: token derivation, root recomputation and check, proving.
     ``trees`` keeps the own-cell trees it has rebuilt, by their ids."""
@@ -411,18 +408,28 @@ class SbppClient:
     def build_unlock(
         self, ses: ClientSession, drop_id: str, witness: nizk.Witness
     ) -> UnlockRequest:
-        """Steps the client runs before submitting: in full mode recompute
-        the root through the target's own cell (its tree taken from
-        ``trees`` when built before) and check it against the receipt's,
-        then derive the digest and prove."""
-        target = ses.candidate(drop_id)
+        """The request for a listed drop, its own id as the path's leaf."""
+        return self.request(ses, ses.candidate(drop_id), witness, drop_id)
+
+    def request(
+        self, ses: ClientSession, drop: Drop, witness: nizk.Witness, leaf: str | None
+    ) -> UnlockRequest:
+        """Steps the client runs before submitting: in full mode rebuild the
+        root through the cell of ``leaf`` (its tree taken from ``trees``
+        when built before) and refuse unless it is the receipt's, then
+        derive the digest for ``drop`` and prove."""
         root = path = None
         if ses.mode == MODE_FULL:
-            root, path = checked_tree(ses, drop_id, self.trees)
-        cd = challenge_digest(ses.mode, drop_id, ses.pv, ses.epoch, ses.N, root)
-        pub = nizk.make_public_inputs(target.lat, target.lon, ses.radius_m, cd)
+            try:
+                root, path = build_tree(ses.cells, leaf, self.trees)
+            except MerkleError as exc:
+                raise ProtocolError(f"the listed cells do not commit to {leaf!r}") from exc
+            if ses.receipt is None or root != ses.receipt.root:
+                raise ProtocolError("recomputed root differs from the receipt's")
+        cd = challenge_digest(ses.mode, drop.id, ses.pv, ses.epoch, ses.N, root)
+        pub = nizk.make_public_inputs(drop.lat, drop.lon, ses.radius_m, cd)
         proof = nizk.prove(self.proving_key, witness, pub)
-        return UnlockRequest(S=ses.S, drop_id=drop_id, pub=pub, proof=proof, merkle_path=path)
+        return UnlockRequest(S=ses.S, drop_id=drop.id, pub=pub, proof=proof, merkle_path=path)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,12 @@ so each failure maps to one reason on every rung.  V4a and V4b are rows
 like the others: their stage tuples are the protocol's own VERIFY_STAGES
 and AUDIT_STAGES objects, and the ladder-only stages here (nonce echo,
 evidence, context digest, token hash/root) sit beside the shared session,
-membership, statement, proof and consume stages.
+membership, statement, proof and consume stages.  Every rung runs on the
+protocol's own server and client (`protocol_pair`), so the matrix attacks
+the shipped code: the server holds the drops, index and sessions and gives
+the hit cells (`bind`, or `_hits` alone on V1/V2; V1's index tags are
+plaintext), V4a/V4b search and unlock through the pair itself, and the
+other rows add their own evidence here.
 
 An audit is the verify stages run without server state: the audit record
 is the request itself, stamped with the token and receipt the session was
@@ -53,9 +58,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
 from . import nizk
 from .canon import EncodingError, FieldElement, digest, lp_decode, lp_encode
-from .geoindex import (
-    DEFAULT_PRECISIONS, Drop, build_index, client_tokens, drops_of, make_token, plain_tag,
-)
+from .geoindex import DEFAULT_PRECISIONS, Drop, client_tokens, drops_of, plain_tag
 from .merkle import MerklePath, build_tree, locate, verify_membership
 from .protocol import (
     AUDIT_STAGES,
@@ -63,15 +66,16 @@ from .protocol import (
     VERIFY_STAGES,
     Attempt,
     ClientSession,
+    ProtocolError,
     R_MERKLE_INVALID,
     R_NONCE_DIGEST,
     R_NOT_IN_RESULT_SET,
     R_SESSION_INVALID,
+    SbppClient,
+    SbppServer,
     Stage,
     UnlockRequest,
     VerifyOutcome,
-    challenge_digest,
-    checked_tree,
     check_digest,
     check_membership,
     check_proof,
@@ -79,10 +83,9 @@ from .protocol import (
     check_statement,
     consume_session,
     run_stages,
-    sign_session,
 )
 from .receipt import Receipt, SigningKey
-from .session import DEFAULT_EPOCH, DEFAULT_PV, DEFAULT_TTL_S, MODE_CORE, MODE_FULL, SessionStore
+from .session import DEFAULT_EPOCH, DEFAULT_PV, DEFAULT_TTL_S, MODE_CORE, MODE_FULL
 
 # Additional rejection reasons used by the comparison rungs.
 R_NONCE_ECHO = "nonce-echo-mismatch"
@@ -97,8 +100,7 @@ DOMAIN_TOKEN_FULL = "V8-TOKEN-FULL"
 DOMAIN_TOKEN_LITE = "V8-TOKEN-LITE"
 
 
-class VariantError(ValueError):
-    pass
+VariantError = ProtocolError  # one implementation, one error type
 
 
 def context_digest(drop_id: str, pv: str, epoch: str) -> FieldElement:
@@ -122,6 +124,31 @@ class VariantEnv:
     epoch: str = DEFAULT_EPOCH
     unlock_radius_m: float = DEFAULT_UNLOCK_RADIUS_M
     nonce_rng: random.Random | None = None
+
+
+def protocol_pair(
+    env: VariantEnv, mode: str, server_cls: type[SbppServer] = SbppServer
+) -> tuple[SbppServer, SbppClient]:
+    """The protocol's server and client over one environment.  The server
+    draws its nonces from ``env.nonce_rng``, so give each server its own."""
+    server = server_cls(
+        drops=env.drops,
+        search_key=env.search_key,
+        signing_key=env.signing_key,
+        nizk_vk=env.verifying_key,
+        mode=mode,
+        precisions=list(env.precisions),
+        ttl_s=env.ttl_s,
+        pv=env.pv,
+        epoch=env.epoch,
+        unlock_radius_m=env.unlock_radius_m,
+        nonce_rng=env.nonce_rng,
+    )
+    return server, SbppClient(env.search_key, env.proving_key)
+
+
+class _PlaintextServer(SbppServer):
+    _tag = staticmethod(plain_tag)  # V1: the index's tags are the cells themselves
 
 
 @dataclass
@@ -369,31 +396,19 @@ _V8_LITE = replace(
 
 
 class GenericVariant:
-    """Any rung: search side, client side and verifier, driven by its row."""
+    """Any rung: the protocol's server and client, driven by its row."""
 
     def __init__(self, traits: VariantTraits, env: VariantEnv):
         self.traits = traits
         self.kind = traits.kind
         self.env = env
-        self.drops = {d.id: d for d in env.drops}
-        if len(self.drops) != len(env.drops):
-            raise VariantError("duplicate drop ids in corpus")
-        try:  # a radius no statement can hold would fail every unlock
-            nizk.radius_value(env.unlock_radius_m)
-        except nizk.NizkError as exc:
-            raise VariantError(f"unlock radius: {exc}") from exc
-        self.unlock_radius_m = env.unlock_radius_m
-        self.nizk_vk = env.verifying_key
-        self.sessions = SessionStore(
-            ttl_s=env.ttl_s, pv=env.pv, epoch=env.epoch, nonce_rng=env.nonce_rng
-        )
-        self._tag = plain_tag if traits.plaintext_search else make_token
-        self.index = build_index(env.search_key, env.drops, list(env.precisions), tag=self._tag)
+        server_cls = _PlaintextServer if traits.plaintext_search else SbppServer
+        self.server, self.client = protocol_pair(env, traits.mode, server_cls)
+        server = self.server  # its state, under the names the stages read
+        self.sessions, self.drops, self.nizk_vk = server.sessions, server.drops, server.nizk_vk
+        self.unlock_radius_m = server.unlock_radius_m
+        self.public_key_bytes = server.public_key_bytes
         self.token_by_session: dict[str, bytes] = {}
-
-    @property
-    def public_key_bytes(self) -> bytes:
-        return self.env.signing_key.public_bytes
 
     def set_epoch(self, epoch: str) -> None:
         self.sessions.epoch = epoch
@@ -401,26 +416,23 @@ class GenericVariant:
     # -- client/server flow
 
     def open_session(self, now: int) -> VariantSession:
-        record = self.sessions.issue(now, mode=self.traits.mode)
-        return VariantSession.issued(record, self.unlock_radius_m, self.index.precisions)
+        return VariantSession(**vars(self.server.init_session(now)))
 
     def search(
         self, vses: VariantSession, lat: float, lon: float, radius_m: float, now: int
     ) -> VariantSession:
-        row, key, S = self.traits, self.env.signing_key, vses.S
+        row, server, key, S = self.traits, self.server, self.env.signing_key, vses.S
         stages = row.verify
-        if row.session_aware:
-            self.sessions.validate(S, now)  # a dead session is refused, even for an empty search
+        if check_digest in stages:  # the protocol's own search and receipt
+            return self.client.search(server, vses, lat, lon, radius_m, now)
         _, tags = client_tokens(
-            self.env.search_key, lat, lon, radius_m, self.env.precisions, tag=self._tag
+            self.env.search_key, lat, lon, radius_m, vses.precisions, tag=server._tag
         )
-        cells = self.index.cells(tags)
-        pv, epoch = vses.pv, vses.epoch
-        if not cells:
-            vses.candidates, vses.cells = (), ()
-            return vses
-        record = self.sessions.bind_results(S, cells, row.mode, now) if row.session_aware else None
+        cells = server.bind(S, tags, now)[0] if row.session_aware else server._hits(tags)
         vses.candidates, vses.cells = drops_of(cells), tuple(cells)
+        if not cells:
+            return vses
+        pv, epoch = vses.pv, vses.epoch
         if check_capability in stages:
             for i in vses.result_ids():
                 vses.capabilities[i] = _sign_blob(key, [DOMAIN_CAPABILITY, S, i, pv, epoch])
@@ -436,15 +448,12 @@ class GenericVariant:
             else:
                 token = _sign_blob(key, [DOMAIN_TOKEN_LITE, S, vses.N, pv, epoch])
             self.token_by_session[S] = vses.token = token
-        if check_digest in stages:
-            vses.receipt = sign_session(key, record)
         return vses
 
     def build_unlock(
         self, vses: VariantSession, drop_id: str, witness: nizk.Witness
     ) -> VariantRequest:
-        target = vses.candidate(drop_id)
-        return self._request(vses, drop_id, target.lat, target.lon, witness, path_leaf=drop_id)
+        return self._request(vses, vses.candidate(drop_id), witness, leaf=drop_id)
 
     def build_nonmember_unlock(
         self, vses: VariantSession, drop: Drop, witness: nizk.Witness
@@ -453,45 +462,41 @@ class GenericVariant:
         adversary follows the client procedure as far as it can, with a
         membership path stolen from the first returned id."""
         leaf = min(map(attrgetter("id"), vses.candidates), default=None)
-        return self._request(vses, drop.id, drop.lat, drop.lon, witness, path_leaf=leaf)
+        return self._request(vses, drop, witness, leaf)
 
     def _request(
-        self, vses: VariantSession, drop_id: str, lat: float, lon: float,
-        witness: nizk.Witness, path_leaf: str | None,
+        self, vses: VariantSession, drop: Drop, witness: nizk.Witness, leaf: str | None
     ) -> VariantRequest:
         row = self.traits
         stages = row.verify
-        root = path = None
-        if row.carries_path and path_leaf is not None:
-            if check_digest in stages:  # the protocol client's receipt check
-                root, path = checked_tree(vses, path_leaf)
-            else:
-                root, path = build_tree(vses.cells, path_leaf)
-        elif row.mode == MODE_FULL:
+        if leaf is None and row.mode == MODE_FULL:
             raise VariantError("no listed id to take a membership path from")
-        pub = proof = None
+        if check_digest in stages:  # the protocol client's checked root, digest and proof
+            request = self.client.request(vses, drop, witness, leaf)
+            return VariantRequest(**vars(request), pv=vses.pv, epoch=vses.epoch)
+        path = pub = proof = None
+        if row.carries_path and leaf is not None:
+            path = build_tree(vses.cells, leaf).path
         if check_proof in stages:
             if check_token_hash in stages:
                 if vses.token is None:
                     raise VariantError("no token issued for this session")
                 cd = digest([vses.token])
-            elif check_digest in stages:
-                cd = challenge_digest(row.mode, drop_id, vses.pv, vses.epoch, vses.N, root)
             else:
-                cd = context_digest(drop_id, vses.pv, vses.epoch)
-            pub = nizk.make_public_inputs(lat, lon, self.unlock_radius_m, cd)
-            proof = nizk.prove(self.env.proving_key, witness, pub)
+                cd = context_digest(drop.id, vses.pv, vses.epoch)
+            pub = nizk.make_public_inputs(drop.lat, drop.lon, vses.radius_m, cd)
+            proof = nizk.prove(self.client.proving_key, witness, pub)
         return VariantRequest(
             S=vses.S,
-            drop_id=drop_id,
+            drop_id=drop.id,
             pub=pub,
             proof=proof,
             pv=vses.pv,
             epoch=vses.epoch,
             merkle_path=path,
             nonce_echo=vses.N if check_echo in stages else None,
-            capability=vses.capabilities.get(drop_id),
-            permit=vses.permits.get(drop_id),
+            capability=vses.capabilities.get(drop.id),
+            permit=vses.permits.get(drop.id),
             result_ids=tuple(vses.result_ids()) if check_mac in stages else None,
             result_mac=vses.result_mac,
         )

@@ -245,6 +245,19 @@ def test_malformed_index_file_is_a_usage_error(demo, capsys, edit):
     assert out == ""
 
 
+def test_an_index_file_with_no_precision_is_a_usage_error(demo, capsys):
+    # refused by the index, not served at the default precision
+    bad = demo["tmp"] / "bad.json"
+    bad.write_text(json.dumps({**json.loads(demo["index"].read_text()), "precisions": []}))
+    code = main(
+        ["search", "--lat", "35.70", "--lon", "139.75", "--index", str(bad), "--seed", "7"]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "at least one precision" in captured.err
+
+
 def _first_candidate(demo, capsys) -> dict:
     _, out = _run(
         capsys, "search", "--lat", "35.70", "--lon", "139.75",

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sbpp import merkle, nizk, session
 from sbpp.canon import cd_core, cd_full, lp_decode, lp_encode
-from sbpp.geoindex import PAD_LABEL, Drop, client_tokens, drops_of, geohash_encode, make_token
+from sbpp.geoindex import PAD_LABEL, Drop, GeoindexError, client_tokens, drops_of, geohash_encode, make_token
 from sbpp.merkle import Cell, MerklePath, PathStep, build_tree
 from sbpp.protocol import (
     R_CONSUMED,
@@ -659,6 +659,19 @@ def test_server_and_rungs_refuse_an_unlock_radius_no_statement_holds(radius):
             protocol_pair(env, mode)
     for kind in VARIANT_KINDS:
         with pytest.raises(VariantError, match="^unlock radius: radius "):
+            make_variant(kind, env)
+
+
+def test_server_and_rungs_refuse_an_empty_precision_list():
+    # no precision is an index error, not a silent precision 5
+    with pytest.raises(GeoindexError, match="at least one precision"):
+        SbppServer(DROPS, KEY, server_keygen(b"k"), nizk.setup(b"n")[1], precisions=[])
+    env = dataclasses.replace(seeded_env(0), precisions=())
+    for mode in (MODE_CORE, MODE_FULL):
+        with pytest.raises(GeoindexError, match="at least one precision"):
+            protocol_pair(env, mode)
+    for kind in VARIANT_KINDS:
+        with pytest.raises(GeoindexError, match="at least one precision"):
             make_variant(kind, env)
 
 

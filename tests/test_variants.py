@@ -26,6 +26,7 @@ from sbpp.protocol import (
     R_RECEIPT_SIG,
     R_SESSION_INVALID,
 )
+from sbpp.harness.attacks import protocol_pair
 from sbpp.receipt import server_keygen
 from sbpp.variants import (
     DOMAIN_CAPABILITY,
@@ -622,3 +623,50 @@ def test_a_row_is_its_stage_tuples():
     assert variant.audit(variant.audit_record(vses, request)).accepted
     fields = [f.name for f in dataclasses.fields(variants.VariantTraits)]
     assert fields == ["kind", "verify", "audit", "plaintext_search", "mode"]
+
+
+# ---------------------------------------------------------------------------
+# the ladder runs the shipped server and client
+
+
+@pytest.mark.parametrize("kind", VARIANT_KINDS)
+def test_every_rung_keeps_its_sessions_in_the_protocol_server(kind):
+    variant = make_variant(kind, _env())
+    assert variant.sessions is variant.server.sessions
+    assert isinstance(variant.server, protocol.SbppServer)
+    assert isinstance(variant.client, protocol.SbppClient)
+
+
+@pytest.mark.parametrize("kind", VARIANT_KINDS)
+def test_a_fault_in_the_servers_hits_reaches_every_rung(kind, monkeypatch):
+    variant = make_variant(kind, _env())
+    vses = variant.open_session(T0)
+    variant.search(vses, QLAT, QLON, RADIUS, T0)
+    assert vses.cells
+    monkeypatch.setattr(protocol.SbppServer, "_hits", lambda self, tags: [])
+    vses = variant.open_session(T0)
+    variant.search(vses, QLAT, QLON, RADIUS, T0)
+    assert vses.candidates == vses.cells == ()
+
+
+def test_a_v4b_rung_takes_a_cell_it_has_checked_from_its_memo():
+    variant = make_variant("V4b", _env())
+    trees = variant.client.trees
+    _flow(variant)
+    assert (trees.hits, trees.misses) == (0, 1)
+    _, request = _flow(variant)
+    assert (trees.hits, trees.misses) == (1, 1)
+    assert variant.verify(request, T0 + 1).accepted
+
+
+@pytest.mark.parametrize("kind", ["V4a", "V4b"])
+def test_an_empty_re_search_leaves_a_protocol_rung_no_receipt(kind):
+    # as the protocol client leaves its own session
+    variant = make_variant(kind, _env())
+    server, client = protocol_pair(_env(), variant.traits.mode)
+    vses, ses = variant.open_session(T0), client.open_session(server, T0)
+    for lat, lon in ((QLAT, QLON), (35.01, 139.01)):
+        variant.search(vses, lat, lon, RADIUS, T0)
+        client.search(server, ses, lat, lon, RADIUS, T0)
+        assert vses.receipt == ses.receipt and vses.candidates == ses.candidates
+    assert vses.receipt is None and vses.candidates == ()
