@@ -27,6 +27,7 @@ from . import nizk
 from .geoindex import (
     Drop,
     GeoIndex,
+    check_corpus,
     gen_clustered_corpus,
     gen_uniform_corpus,
     load_corpus,
@@ -101,7 +102,7 @@ def _parse_bbox(text: str) -> tuple[float, float, float, float]:
 
 
 def _search_key(args: argparse.Namespace) -> bytes:
-    if getattr(args, "key_hex", None):
+    if getattr(args, "key_hex", None) is not None:  # an empty key is refused, not defaulted
         key = bytes.fromhex(args.key_hex)
         if len(key) != 32:
             raise ValueError("--key-hex must decode to 32 bytes")
@@ -110,7 +111,8 @@ def _search_key(args: argparse.Namespace) -> bytes:
 
 
 def _load_index_file(path: str, key: bytes) -> tuple[list[Drop], tuple[int, ...]]:
-    """The drops and the precisions an index file declares; ValueError on any other shape."""
+    """The drops and the precisions an index file declares; ValueError on any
+    other shape or on a drop its corpus file could not hold (`check_corpus`)."""
     with open(path, encoding="utf-8") as fh:
         blob = json.load(fh)
     if not isinstance(blob, dict) or blob.get("format") != INDEX_FORMAT:
@@ -119,6 +121,7 @@ def _load_index_file(path: str, key: bytes) -> tuple[list[Drop], tuple[int, ...]
         if blob["key_fingerprint"] != _key_fingerprint(key):
             raise ValueError("search key does not match the key this index was built with")
         drops = [Drop(i, float(lat), float(lon)) for i, (lat, lon) in sorted(blob["drops"].items())]
+        check_corpus(drops)
         return drops, tuple(int(p) for p in blob["precisions"])
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed {INDEX_FORMAT} file: {exc!r}") from exc

@@ -41,8 +41,8 @@ the same order: pass 1 visits the drops in id order, so each cell's ids come
 out sorted without sorting any cell.  A query gets the cells it hit, in tag
 order, as the index holds them, and those cells are its result: the server
 answers with them, and the client lists their drops cell after cell
-(`drops_of`), with no union and no lookup per id.  `GeoIndex.match`, the
-sorted union of their ids, is the reference the tests check that against.
+(`drops_of`), as the studies do.  `GeoIndex.match`, the sorted union of
+their ids, is the tests' reference and `protocol_latency_bench`'s timed match.
 A cell's Merkle root is computed on its first use in a commitment and kept,
 so a build hashes no id and a search hashes only cells never committed
 before.  An id must encode to UTF-8, for its leaf hash and its digest; the
@@ -400,11 +400,11 @@ class GeoIndex:
     def match(self, tags: list[bytes]) -> list[str]:
         """Union of ids under the queried tags, de-duplicated and sorted in
         UTF-8 byte order (which is code point order, so no key is needed).
-        No search path calls it: it is the reference the tests check a
-        search's cells against, and the experiments' measure of recall and
-        match latency.  A query's cells are of one precision, so they are
-        disjoint and the union is a merge of their sorted lists; tags of
-        several precisions may overlap and are de-duplicated."""
+        No search or study calls it: it is the tests' reference and the match
+        `protocol_latency_bench` times (criterion 8).  A query's cells are of
+        one precision, so they are disjoint and the union is a merge of their
+        sorted lists; tags of several precisions may overlap and are
+        de-duplicated."""
         ids = sorted(chain.from_iterable(cell.ids for cell in self.cells(tags)))
         return ids if strictly_sorted(ids) else sorted(set(ids))
 
@@ -528,10 +528,9 @@ def load_corpus(path: str) -> list[Drop]:
     return list(drops.values())
 
 
-def save_corpus(path: str, drops: list[Drop]) -> None:
-    """Write ``drops`` in the format ``load_corpus`` reads.  A drop it would
-    not read back as it is raises CorpusError naming the drop's id and why,
-    before anything is written."""
+def check_corpus(drops: Iterable[Drop]) -> None:
+    """CorpusError, naming the id and why, at the first drop a corpus file
+    cannot hold as it is (`load_corpus` would refuse or change it)."""
     seen: set[str] = set()
     for drop in drops:
         i = drop.id
@@ -547,6 +546,11 @@ def save_corpus(path: str, drops: list[Drop]) -> None:
             if bad:
                 raise CorpusError(f"drop id {i!r} {why}")
         seen.add(i)
+
+
+def save_corpus(path: str, drops: list[Drop]) -> None:
+    """Write ``drops``, once `check_corpus` passes, as ``load_corpus`` reads."""
+    check_corpus(drops)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# id\tlat\tlon\n")
         for drop in drops:

@@ -27,6 +27,7 @@ from ..geoindex import (
     TOKYO_BBOX,
     build_index,
     client_tokens,
+    drops_of,
     gen_clustered_corpus,
     gen_uniform_corpus,
     geohash_encode,
@@ -61,6 +62,7 @@ from .attacks import (
     T0,
     TTL_S,
     WITNESS_NEAR_QUERY,
+    _searched_sessions,
     build_variant,
     derive_key,
     protocol_pair,
@@ -201,7 +203,6 @@ def merkle_bench(
         record = SessionRecord(
             S="00" * 16,
             N=bytes(32),
-            t_issue=T0,
             t_exp=T0 + TTL_S,
             mode=MODE_FULL,
             pv=DEFAULT_PV,
@@ -268,38 +269,38 @@ def _fault_reasons(injections: dict, audit_one, n: int) -> dict[str, Counter]:
     }
 
 
+def _honest_trail(server: SbppServer, client: SbppClient, n: int) -> list[AuditRecord]:
+    """The records of ``n`` honest unlocks, each verified by the server and
+    re-parsed from its serialized bytes."""
+    records = []
+    for _ in range(n):
+        ses, request = _honest_flow(server, client, T0)
+        outcome = server.verify(request, T0 + 5)
+        if not outcome.accepted:
+            raise AssertionError(f"honest {server.mode} unlock rejected: {outcome.fail_reason}")
+        records.append(AuditRecord.parse(emit_audit_record(ses, request).serialize()))
+    return records
+
+
 def audit_replay_experiment(n: int = 100, seed: int = 0) -> AuditReplayResult:
     """Honest full-mode records all replay after the server purges state;
     core-mode records never do; three tampering classes localize to three
     distinct reasons under the full protocol and collapse to one
     undifferentiated reason under the opaque-token rung."""
-    # honest full-mode trail, re-parsed from serialized bytes
     server, client = protocol_pair(seeded_env(seed), MODE_FULL)
-    records: list[AuditRecord] = []
-    for _ in range(n):
-        ses, request = _honest_flow(server, client, T0)
-        outcome = server.verify(request, T0 + 5)
-        if not outcome.accepted:
-            raise AssertionError(f"honest unlock rejected: {outcome.fail_reason}")
-        rec = emit_audit_record(ses, request)
-        records.append(AuditRecord.parse(rec.serialize()))
+    records = _honest_trail(server, client, n)
     server.sessions.purge_all()  # the server forgets everything
     pub_key, vk = server.public_key_bytes, server.nizk_vk
     full_pass = sum(int(audit(pub_key, vk, rec).accepted) for rec in records)
 
     # core-mode trail: receipts carry no root, so replay cannot attest
     core_server, core_client = protocol_pair(seeded_env(seed + 1), MODE_CORE)
-    core_reasons: Counter = Counter()
-    core_pass = 0
-    for _ in range(n):
-        ses, request = _honest_flow(core_server, core_client, T0)
-        if not core_server.verify(request, T0 + 5).accepted:
-            raise AssertionError("honest core unlock rejected")
-        rec = AuditRecord.parse(emit_audit_record(ses, request).serialize())
-        outcome = audit(core_server.public_key_bytes, core_server.nizk_vk, rec)
-        core_pass += int(outcome.accepted)
-        if not outcome.accepted:
-            core_reasons[outcome.fail_reason] += 1
+    core_outcomes = [
+        audit(core_server.public_key_bytes, core_server.nizk_vk, rec)
+        for rec in _honest_trail(core_server, core_client, n)
+    ]
+    core_pass = sum(int(outcome.accepted) for outcome in core_outcomes)
+    core_reasons = Counter(o.fail_reason for o in core_outcomes if not o.accepted)
 
     # fault localization on the full-mode records
     injections = {
@@ -315,12 +316,10 @@ def audit_replay_experiment(n: int = 100, seed: int = 0) -> AuditReplayResult:
 
     # the same three tampering classes against the opaque-token rung
     v8 = build_variant("V8", seed + 2)
-    v8_records = []
-    for _ in range(n):
-        ses = v8.open_session(T0)
-        v8.search(ses, QUERY_LAT, QUERY_LON, RADIUS_M, T0)
-        request = v8.build_unlock(ses, ses.result_ids()[0], WITNESS_NEAR_QUERY)
-        v8_records.append(v8.audit_record(ses, request))
+    v8_records = [
+        v8.audit_record(ses, v8.build_unlock(ses, ses.result_ids()[0], WITNESS_NEAR_QUERY))
+        for ses in _searched_sessions(v8, n)
+    ]
 
     def _tamper_token_field(token: bytes, field_index: int) -> bytes:
         fields = lp_decode(token)
@@ -468,37 +467,23 @@ def atomicity_and_isolation_suite(
 # malicious-server behaviors
 
 
-def _keep(cells: list[Cell], kept: list[str]) -> list[Cell]:
-    """The cells re-committed to the ``kept`` ids alone, empty ones dropped."""
-    keep = set(kept)
-    out = []
-    for cell in cells:
-        drops = tuple(d for d in cell.drops if d.id in keep)
-        if drops:
-            out.append(Cell(tuple(d.id for d in drops), drops=drops))
-    return out
+class _SubsetServer(SbppServer):
+    """Matches honestly, then binds, signs and shows the cells re-committed
+    to a subset of the matches: ``kept`` slices the listed ids in id order
+    (a lone match stays).  By default the last match silently goes;
+    ``slice(None, None, 2)`` keeps every other one, a consistent bias."""
 
-
-class _OmittingServer(SbppServer):
-    """Matches honestly, then silently drops the last match in id order."""
+    kept = slice(None, -1)
 
     def _hits(self, tags):
         cells = super()._hits(tags)
-        ids = self.index.match(tags)
-        return _keep(cells, ids[:-1] if len(ids) > 1 else ids)
+        ids = sorted(drop.id for drop in drops_of(cells))
+        keep = set(ids[self.kept] if len(ids) > 1 else ids)
+        subsets = [tuple(d for d in cell.drops if d.id in keep) for cell in cells]
+        return [Cell(tuple(d.id for d in drops), drops=drops) for drops in subsets if drops]
 
 
-class _BiasedServer(SbppServer):
-    """Consistently returns (and signs) a biased subset of the matches:
-    every other one in id order."""
-
-    def _hits(self, tags):
-        cells = super()._hits(tags)
-        ids = self.index.match(tags)
-        return _keep(cells, ids[::2] if len(ids) > 1 else ids)
-
-
-class _MisreportingServer(_OmittingServer):
+class _MisreportingServer(_SubsetServer):
     """Binds and signs the root of the matches without the last one, but
     shows the client the honest cells, so every match: its receipt
     disagrees with the cell roots it showed."""
@@ -567,7 +552,7 @@ def malicious_server_suite(seed: int = 0, trials: int = 100) -> MaliciousServerR
 
     # candidate omission: detectable against an honest reference root
     omitting, client = protocol_pair(
-        replace(env, nonce_rng=random.Random(seed + 1)), MODE_FULL, _OmittingServer
+        replace(env, nonce_rng=random.Random(seed + 1)), MODE_FULL, _SubsetServer
     )
     reference_root = build_tree(
         build_index(env.search_key, env.drops, list(env.precisions)).cells(
@@ -582,8 +567,9 @@ def malicious_server_suite(seed: int = 0, trials: int = 100) -> MaliciousServerR
 
     # biased root signing: internally consistent, so the audit passes
     biased, _ = protocol_pair(
-        replace(env, nonce_rng=random.Random(seed + 2)), MODE_FULL, _BiasedServer
+        replace(env, nonce_rng=random.Random(seed + 2)), MODE_FULL, _SubsetServer
     )
+    biased.kept = slice(None, None, 2)
     biased_passes = 0
     for _ in range(trials):
         ses = client.open_session(biased, T0)
@@ -953,7 +939,7 @@ def search_quality_experiment(
                 hits: list[int] = []
                 for (lat, lon), truth in zip(queries, truths[r]):
                     query_tags = tags(lat, lon, r)
-                    got = set(index.match(query_tags))
+                    got = {drop.id for drop in drops_of(index.cells(query_tags))}
                     sizes.append(len(got))
                     hits.append(sum(t in index.entries for t in query_tags))
                     if truth:

@@ -57,10 +57,12 @@ def render_grid(
     row_headers: list[str],
     cell: "callable",
 ) -> str:
-    """Aligned grid; `cell(row, col)` supplies each entry as a string."""
-    col_w = max(4, max(len(h) for h in col_headers) + 1)
+    """Aligned grid; `cell(row, col)` supplies each entry as a string.  Each
+    column is wider than every header and entry, so entries never touch."""
+    rows = [[cell(r, c) for c in col_headers] for r in row_headers]
+    col_w = 1 + max(3, *map(len, col_headers), *(len(x) for row in rows for x in row))
     row_w = max(len(h) for h in row_headers) + 1
     lines = [title, " " * row_w + "".join(h.rjust(col_w) for h in col_headers)]
-    for r in row_headers:
-        lines.append(r.ljust(row_w) + "".join(cell(r, c).rjust(col_w) for c in col_headers))
+    for r, entries in zip(row_headers, rows):
+        lines.append(r.ljust(row_w) + "".join(x.rjust(col_w) for x in entries))
     return "\n".join(lines)

@@ -9,7 +9,8 @@ attest the session but deliberately cannot attest result-set membership.
 
 Signatures are Ed25519 (deterministic, so identical bindings re-sign to
 identical bytes).  Key generation is derived from a caller seed to keep
-experiment runs reproducible.
+experiment runs reproducible.  `verify_signature` is the package's one
+Ed25519 check; no other module imports `cryptography`.
 
 A receipt's body is encoded once (sbpp.canon's carried-bytes rule).  A
 `Receipt` keeps the body `sign_receipt` signed, or the one `Receipt.parse`
@@ -154,14 +155,16 @@ def sign_receipt(
     )
 
 
+def verify_signature(public_bytes: bytes, sig: bytes, body: bytes) -> bool:
+    """True iff ``sig`` signs ``body`` under ``public_bytes``; a malformed key
+    or signature is False.  Receipts and the ladder's signed blobs use it."""
+    try:
+        Ed25519PublicKey.from_public_bytes(public_bytes).verify(sig, body)
+    except (InvalidSignature, ValueError):
+        return False
+    return True
+
+
 def verify_receipt(public_bytes: bytes, receipt: Receipt) -> bool:
     """True iff the signature covers this receipt's canonical body."""
-    try:
-        Ed25519PublicKey.from_public_bytes(public_bytes).verify(
-            receipt.sig, receipt.body_bytes()
-        )
-        return True
-    except InvalidSignature:
-        return False
-    except ValueError:
-        return False
+    return verify_signature(public_bytes, receipt.sig, receipt.body_bytes())

@@ -3,8 +3,9 @@
 A session is issued with a fresh 256-bit nonce and a hard expiry, bound at
 most once to a search result set, and consumed at most once by a successful
 unlock.  Consumption is a compare-and-swap under a lock, so two concurrent
-unlock attempts against the same session can never both win; expiry is
-exclusive at t_exp (a request arriving exactly at t_exp is already late).
+unlock attempts against the same session can never both win.  Expiry is
+exclusive at t_exp (a request arriving exactly at t_exp is already late);
+every check asks `SessionRecord.expired`, the rule's one home.
 
 A bind is given the hit cells, in tag order, in both storage modes.  "core"
 keeps the cells themselves (stateful membership checks): at most 16
@@ -68,7 +69,6 @@ def in_result_set(cells: Sequence[Cell], drop_id: str) -> bool:
 class SessionRecord:
     S: str
     N: bytes
-    t_issue: int
     t_exp: int
     mode: str
     pv: str
@@ -81,6 +81,10 @@ class SessionRecord:
     def bound(self) -> bool:
         """Bound to a result set: every bind sets the root (ZERO_ROOT in core mode)."""
         return self.root is not None
+
+    def expired(self, now: int) -> bool:
+        """Past its expiry at ``now``; expiry is exclusive at t_exp."""
+        return now >= self.t_exp
 
     def compact_bytes(self) -> bytes:
         """Serialized fixed-width form of a full-mode record; size is
@@ -133,7 +137,6 @@ class SessionStore:
             record = SessionRecord(
                 S=S,
                 N=self._random_bytes(32),
-                t_issue=now,
                 t_exp=now + self.ttl_s,
                 mode=mode,
                 pv=self.pv,
@@ -150,7 +153,7 @@ class SessionStore:
             raise UnknownSessionError("no such session")
         if record.consumed:
             raise ConsumedSessionError("session already consumed")
-        if now >= record.t_exp:
+        if record.expired(now):
             raise ExpiredSessionError("session expired")
         return record
 
@@ -186,8 +189,9 @@ class SessionStore:
         """Atomically mark the session used.  True exactly once per session;
         False on replay, expiry, or unknown id."""
         with self._lock:
-            record = self._records.get(S)
-            if record is None or record.consumed or now >= record.t_exp:
+            try:
+                record = self._live(S, now)
+            except SessionError:
                 return False
             record.consumed = True
             self.consumed_count += 1
@@ -196,7 +200,7 @@ class SessionStore:
     def purge_expired(self, now: int) -> int:
         """Drop expired unconsumed records; returns how many went."""
         with self._lock:
-            dead = [s for s, r in self._records.items() if not r.consumed and now >= r.t_exp]
+            dead = [s for s, r in self._records.items() if not r.consumed and r.expired(now)]
             for s in dead:
                 del self._records[s]
             self.purged_expired_count += len(dead)
@@ -215,15 +219,13 @@ class SessionStore:
     def stats(self, now: int) -> dict[str, int]:
         """Exact lifecycle accounting; issued == consumed + expired + pending."""
         with self._lock:
-            expired_live = sum(
-                1 for r in self._records.values() if not r.consumed and now >= r.t_exp
-            )
-            pending = sum(1 for r in self._records.values() if not r.consumed and now < r.t_exp)
+            unconsumed = [r.expired(now) for r in self._records.values() if not r.consumed]
+        expired_live = sum(unconsumed)
         return {
             "issued": self.issued_count,
             "consumed": self.consumed_count,
             "expired": expired_live + self.purged_expired_count,
-            "pending": pending,
+            "pending": len(unconsumed) - expired_live,
         }
 
     def __len__(self) -> int:

@@ -53,9 +53,6 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from operator import attrgetter
 
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
-
 from . import nizk
 from .canon import EncodingError, FieldElement, digest, lp_decode, lp_encode
 from .geoindex import DEFAULT_PRECISIONS, Drop, client_tokens, drops_of, plain_tag
@@ -84,7 +81,7 @@ from .protocol import (
     consume_session,
     run_stages,
 )
-from .receipt import Receipt, SigningKey
+from .receipt import Receipt, SigningKey, verify_signature
 from .session import DEFAULT_EPOCH, DEFAULT_PV, DEFAULT_TTL_S, MODE_CORE, MODE_FULL
 
 # Additional rejection reasons used by the comparison rungs.
@@ -188,19 +185,17 @@ def _sign_blob(key: SigningKey, fields: list[bytes | str]) -> bytes:
 
 
 def _verify_blob(public_bytes: bytes, blob: bytes, domain: str) -> list[bytes] | None:
-    """Parsed fields (sans signature) if the blob is well-formed and signed."""
+    """Parsed fields (sans signature) if the blob is well-formed and its own
+    bytes before the signature frame are signed (sbpp.canon's encode once)."""
     try:
         fields = lp_decode(blob)
     except ValueError:
         return None
     if len(fields) < 2 or fields[0] != domain.encode("utf-8"):
         return None
-    body = lp_encode(fields[:-1])
-    try:
-        Ed25519PublicKey.from_public_bytes(public_bytes).verify(fields[-1], body)
-    except (InvalidSignature, ValueError):
-        return None
-    return fields[:-1]
+    sig = fields.pop()
+    body = blob[: len(blob) - 4 - len(sig)]
+    return fields if verify_signature(public_bytes, sig, body) else None
 
 
 def _mac_tag(mac_key: bytes, S: str, pv: str, epoch: str, ids: tuple[str, ...]) -> bytes:
@@ -430,6 +425,8 @@ class GenericVariant:
         )
         cells = server.bind(S, tags, now)[0] if row.session_aware else server._hits(tags)
         vses.candidates, vses.cells = drops_of(cells), tuple(cells)
+        # this search's evidence replaces the last one's, as the protocol's receipt does
+        vses.capabilities, vses.permits, vses.result_mac, vses.token = {}, {}, None, None
         if not cells:
             return vses
         pv, epoch = vses.pv, vses.epoch

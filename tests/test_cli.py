@@ -214,6 +214,18 @@ def _first_drop_as(value):
     return edit
 
 
+def _with_drop(drop_id):
+    """The index with one more drop, by the query point, whose id a corpus
+    file could not hold."""
+    def edit(blob):
+        blob["drops"][drop_id] = [35.7001, 139.7501]
+        return blob
+    return edit
+
+
+UNWRITABLE_IDS = {"tab": "a\tb", "lf": "a\nb", "cr": "a\rb", "empty": "", "comment": "#b"}
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -227,11 +239,13 @@ def _first_drop_as(value):
         lambda blob: {**blob, "drops": [["d0", 35.7, 139.75]]},
         lambda blob: {**blob, "precisions": 5},
         lambda blob: {**blob, "precisions": [[5]]},
+        *map(_with_drop, UNWRITABLE_IDS.values()),
     ],
     ids=[
         "no-precisions", "no-drops", "no-key-fingerprint", "json-array",
         "drop-is-a-number", "drop-is-a-string", "drop-is-short", "drops-is-a-list",
         "precisions-is-a-number", "precision-is-a-list",
+        *(f"id-{name}" for name in UNWRITABLE_IDS),
     ],
 )
 def test_malformed_index_file_is_a_usage_error(demo, capsys, edit):
@@ -243,6 +257,22 @@ def test_malformed_index_file_is_a_usage_error(demo, capsys, edit):
     )
     assert code == 1
     assert out == ""
+
+
+@pytest.mark.parametrize("command", ["search", "unlock"])
+@pytest.mark.parametrize("drop_id", UNWRITABLE_IDS.values(), ids=UNWRITABLE_IDS)
+def test_an_index_file_drop_a_corpus_cannot_hold_is_named(demo, capsys, command, drop_id):
+    # the index is a corpus file's: an id the file format cannot hold is
+    # never searched, listed or unlocked
+    bad = demo["tmp"] / "bad.json"
+    bad.write_text(json.dumps(_with_drop(drop_id)(json.loads(demo["index"].read_text()))))
+    argv = [command, "--lat", "35.7001", "--lon", "139.7501", "--index", str(bad), "--seed", "7"]
+    if command == "unlock":
+        argv += ["--drop", drop_id]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert f"drop id {drop_id!r} " in captured.err
 
 
 def test_an_index_file_with_no_precision_is_a_usage_error(demo, capsys):
@@ -401,6 +431,19 @@ def test_key_mismatch_is_a_usage_error(demo, capsys):
         "--index", str(demo["index"]), "--key-hex", "22" * 32,
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "key_hex", ["22" * 31, "22" * 33, ""], ids=["31-bytes", "33-bytes", "empty"]
+)
+def test_a_search_key_that_is_not_32_bytes_is_a_usage_error(demo, capsys, key_hex):
+    code = main(
+        ["search", "--lat", "35.70", "--lon", "139.75", "--index", str(demo["index"]),
+         "--key-hex", key_hex]
+    )
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert "--key-hex must decode to 32 bytes" in captured.err
 
 
 def test_unknown_subcommand_exits_1(capsys):

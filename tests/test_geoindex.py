@@ -117,6 +117,12 @@ def test_precision_for_radius_table():
         assert precision_for_radius(radius) == want, radius
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+def test_client_tokens_refuse_a_radius_that_is_not_positive(radius):
+    with pytest.raises(GeoindexError, match="^radius must be positive$"):
+        client_tokens(bytes(32), 35.7, 139.75, radius)
+
+
 def test_precision_for_radius_monotone():
     last = 10
     for radius in (1, 10, 100, 1000, 10000, 100000, 1e6):
@@ -771,6 +777,23 @@ def test_corpus_ids_keep_their_whitespace_and_blank_lines_are_skipped(tmp_path):
     path = tmp_path / "c.tsv"
     path.write_text("# header\n \t \n a \t35.7\t139.75\n\t\n\x0bb\t35.71\t139.76")
     assert [d.id for d in load_corpus(str(path))] == [" a ", "\x0bb"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("d1\t35.7\t139.75\nd1\t35.71\t139.76\n", "line 2: duplicate drop id 'd1'"),
+        ("# header\nd1\t91.0\t139.75\n", "line 2: coordinate out of range"),
+        ("d1\t35.7\t-180.5\n", "line 1: coordinate out of range"),
+        ("d1\tnan\t139.75\n", "line 1: coordinate out of range"),
+    ],
+    ids=["duplicate", "latitude", "longitude", "nan"],
+)
+def test_corpus_names_the_line_of_a_duplicate_or_off_globe_drop(tmp_path, text, message):
+    path = tmp_path / "c.tsv"
+    path.write_text(text)
+    with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
+        load_corpus(str(path))
 
 
 def test_corpus_rejects_an_empty_id_with_its_line_number(tmp_path):

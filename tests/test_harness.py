@@ -13,10 +13,13 @@ from pathlib import Path
 import pytest
 
 import sbpp
+from sbpp.geoindex import Drop
+from sbpp.harness import attacks
 from sbpp.harness.attacks import (
     ATTACK_FUNCS,
     EXPECTED_MATRIX,
     AttackResult,
+    MatrixResult,
     QUERY_LAT,
     QUERY_LON,
     RADIUS_M,
@@ -110,6 +113,27 @@ def test_attack_outcomes_are_all_or_nothing():
     matrix = run_attack_matrix(trials=10, seed=3)
     for result in matrix.results.values():
         assert result.blocked_count in (0, result.trials), result
+
+
+def test_matrix_renders_skipped_and_partial_cells(monkeypatch):
+    # One drop at the query: no result set holds two drops, so A3 has no
+    # sibling to retarget at on any rung, and the matrix says so.
+    monkeypatch.setattr(attacks, "attack_corpus", lambda: [Drop("d00", QUERY_LAT, QUERY_LON)])
+    matrix = run_attack_matrix(trials=2, seed=0)
+    assert {key for key, r in matrix.results.items() if r.skipped} == {
+        ("A3", kind) for kind in VARIANT_KINDS
+    }
+    assert not matrix.matches_expected()
+
+    def row(result: MatrixResult, attack: str) -> list[str]:
+        lines = result.render().splitlines()
+        return next(line for line in lines if line.startswith(f"{attack} ")).split()
+
+    assert row(matrix, "A3") == ["A3", *["skip"] * len(VARIANT_KINDS)]
+    assert matrix.render().endswith("-> DIFFERS FROM the expected matrix")
+    assert ["A3", "V4b", "2", "0", "True"] in matrix.csv_rows()
+    partial = MatrixResult(2, 0, {**matrix.results, ("A1", "V4b"): AttackResult("V4b", "A1", 2, 1)})
+    assert row(partial, "A1")[1 + VARIANT_KINDS.index("V4b")] == "1/2"
 
 
 def test_expected_matrix_shape():

@@ -199,6 +199,25 @@ def test_path_parse_rejects_malformed_frames():
         MerklePath.parse(bytes([1, 9]) + bytes(32))  # side 9 is not a side
 
 
+@pytest.mark.parametrize(
+    "steps, why",
+    [
+        ((PathStep(SIDE_LEFT, bytes(32)),) * 256, "too deep"),
+        ((PathStep(SIDE_LEFT, bytes(32)), PathStep(2, bytes(32))), "side"),
+        ((PathStep(SIDE_RIGHT, bytes(31)),), "32 bytes"),
+    ],
+    ids=["256-steps", "side-2", "31-byte-sibling"],
+)
+def test_path_serialize_refuses_a_path_its_frame_cannot_hold(steps, why):
+    with pytest.raises(MerkleError, match=why):
+        MerklePath(steps).serialize()
+
+
+def test_a_255_step_path_is_the_deepest_frame():
+    path = MerklePath((PathStep(SIDE_LEFT, bytes(32)),) * 255)
+    assert MerklePath.parse(path.serialize()) == path
+
+
 def test_root_changes_with_any_membership_change():
     base = MerkleTree(_ids(10))
     assert MerkleTree(_ids(11)).root != base.root

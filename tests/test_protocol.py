@@ -188,6 +188,21 @@ def test_client_refuses_a_root_that_differs_from_the_receipt(tamper, subject):
         client.build_unlock(ses, "d00", nizk.Witness(QLAT, QLON))
 
 
+@pytest.mark.parametrize("root", [b"\x01" * 31, b"\x01" * 33, b""], ids=["31", "33", "empty"])
+def test_client_turns_a_commitment_it_cannot_build_into_a_protocol_error(root):
+    # Another shown cell's root is no 32-byte hash, so no top tree exists:
+    # the client refuses with its own error, naming the drop, not merkle's.
+    server, client = _pair(MODE_FULL, drops=TWO_CELLS)
+    ses = _searched(server, client)
+    cells = list(ses.cells)
+    other = 1 - _own_cell(cells)
+    cells[other] = Cell(cells[other].ids, root)
+    ses.cells = tuple(cells)
+    with pytest.raises(ProtocolError, match="do not commit to 'd00'") as raised:
+        client.build_unlock(ses, "d00", nizk.Witness(QLAT, QLON))
+    assert isinstance(raised.value.__cause__, merkle.MerkleError)
+
+
 def _warm_pair() -> tuple[SbppServer, SbppClient]:
     """A two-cell pair whose client has already unlocked d00 honestly, so
     its memo keeps the tree of d00's cell."""

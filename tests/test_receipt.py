@@ -14,6 +14,7 @@ from sbpp.receipt import (
     server_keygen,
     sign_receipt,
     verify_receipt,
+    verify_signature,
 )
 
 T_EXP = 1_700_000_300
@@ -180,6 +181,20 @@ def test_corrupted_signature_rejects():
             receipt.mode, receipt.pv, receipt.epoch, bad_sig,
         ),
     )
+
+
+def test_verify_signature_answers_false_for_any_bad_part_and_never_raises():
+    public, receipt = _receipt()
+    body = receipt.body_bytes()
+    assert verify_signature(public, receipt.sig, body) is True
+    for key, sig, signed in (
+        (public, receipt.sig, body + b"\x00"),  # another body
+        (public, receipt.sig[:-1], body),  # a signature of the wrong length
+        (public[:-1], receipt.sig, body),  # a key of the wrong length
+        (_receipt(b"other")[0], receipt.sig, body),  # another server's key
+        (b"", b"", b""),
+    ):
+        assert verify_signature(key, sig, signed) is False
 
 
 def test_signature_is_deterministic():

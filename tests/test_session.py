@@ -86,6 +86,19 @@ def test_expiry_boundary_is_exclusive():
         store.validate(record.S, T0 + 300)
 
 
+@pytest.mark.parametrize("late", [False, True], ids=["before-t_exp", "at-t_exp"])
+def test_validate_consume_purge_and_stats_share_one_expiry_rule(late):
+    store = _store(ttl_s=300)
+    record, _ = store.issue(T0), store.issue(T0)
+    now = T0 + 300 if late else T0 + 299
+    assert record.expired(now) is late
+    stats = store.stats(now)
+    assert (stats["expired"], stats["pending"]) == ((2, 0) if late else (0, 2))
+    assert store.consume(record.S, now) is not late
+    assert store.purge_expired(now) == (2 if late else 0)
+    assert store.stats(now)["issued"] == 2
+
+
 def test_consume_exactly_once():
     store = _store()
     record = store.issue(T0)

@@ -46,6 +46,7 @@ from sbpp.variants import (
     audit_token_hash,
     audit_token_root,
     audit_token_sig,
+    check_mac,
     context_digest,
     make_variant,
     _sign_blob,
@@ -670,3 +671,43 @@ def test_an_empty_re_search_leaves_a_protocol_rung_no_receipt(kind):
         client.search(server, ses, lat, lon, RADIUS, T0)
         assert vses.receipt == ses.receipt and vses.candidates == ses.candidates
     assert vses.receipt is None and vses.candidates == ()
+
+
+@pytest.mark.parametrize("kind", VARIANT_KINDS)
+def test_a_re_search_replaces_the_last_searchs_evidence(kind):
+    # An empty re-search leaves the session no evidence of the first search,
+    # as the protocol client leaves it no receipt; the server's own record
+    # of the token it issued stays, as its bound session record does.
+    variant = make_variant(kind, _env())
+    vses = variant.open_session(T0)
+
+    def evidence():
+        return vses.capabilities, vses.permits, vses.result_mac, vses.token, vses.receipt
+
+    variant.search(vses, QLAT, QLON, RADIUS, T0)
+    assert vses.candidates
+    assert any(evidence()) == (kind not in ("V1", "V2", "V3"))
+    variant.search(vses, 35.01, 139.01, RADIUS, T0)
+    assert vses.candidates == vses.cells == ()
+    assert evidence() == ({}, {}, None, None, None)
+    assert (vses.S in variant.token_by_session) == (kind == "V8")
+
+
+@pytest.mark.parametrize("missing", ["result_mac", "result_ids"])
+def test_v7_refuses_a_request_without_its_mac_or_id_list(missing):
+    variant = make_variant("V7", _env())
+    _, request = _flow(variant)
+    bare = dataclasses.replace(request, **{missing: None})
+    assert check_mac(variant, protocol.Attempt(bare, T0 + 1)) == R_EVIDENCE_INVALID
+    assert variant.verify(bare, T0 + 1).fail_reason == R_EVIDENCE_INVALID
+    assert variant.verify(request, T0 + 1).accepted  # the refusals consumed nothing
+
+
+@pytest.mark.parametrize("token_includes_root", [True, False], ids=["full", "lite"])
+def test_v8_proves_nothing_for_a_session_it_issued_no_token(token_includes_root):
+    # never searched, so no token exists for a digest to commit to
+    variant = make_variant("V8", _env(), token_includes_root=token_includes_root)
+    vses = variant.open_session(T0)
+    far = DROPS[-1]
+    with pytest.raises(VariantError, match="no token issued for this session"):
+        variant.build_nonmember_unlock(vses, far, nizk.Witness(far.lat, far.lon))
