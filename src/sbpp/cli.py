@@ -10,6 +10,9 @@ All randomness flows through --seed; the search key may be supplied as
 seed (harness.attacks.seeded_env) so independent invocations agree on them.
 The index file fixes the geohash precisions that search and unlock use; a
 radius that none of them covers in geoindex.COVER_BUDGET cells is a usage error.
+Its numbers must be JSON numbers: a coordinate an int or a float, a precision
+an int.  A bool, a numeric string or a fractional precision is a usage error
+naming the drop or the precision list, never coerced.
 """
 
 from __future__ import annotations
@@ -112,7 +115,8 @@ def _search_key(args: argparse.Namespace) -> bytes:
 
 def _load_index_file(path: str, key: bytes) -> tuple[list[Drop], tuple[int, ...]]:
     """The drops and the precisions an index file declares; ValueError on any
-    other shape or on a drop its corpus file could not hold (`check_corpus`)."""
+    other shape, on a coordinate or precision that is not a JSON number of its
+    kind, or on a drop its corpus file could not hold (`check_corpus`)."""
     with open(path, encoding="utf-8") as fh:
         blob = json.load(fh)
     if not isinstance(blob, dict) or blob.get("format") != INDEX_FORMAT:
@@ -120,9 +124,16 @@ def _load_index_file(path: str, key: bytes) -> tuple[list[Drop], tuple[int, ...]
     try:
         if blob["key_fingerprint"] != _key_fingerprint(key):
             raise ValueError("search key does not match the key this index was built with")
-        drops = [Drop(i, float(lat), float(lon)) for i, (lat, lon) in sorted(blob["drops"].items())]
+        points = sorted(blob["drops"].items())
+        for i, point in points:  # a bool or a numeric string is not a coordinate
+            if len(point) != 2 or not all(type(v) in (int, float) for v in point):
+                raise ValueError(f"drop {i!r}: coordinates {point!r} must be two JSON numbers")
+        drops = [Drop(i, float(lat), float(lon)) for i, (lat, lon) in points]
         check_corpus(drops)
-        return drops, tuple(int(p) for p in blob["precisions"])
+        precisions = blob["precisions"]
+        if not all(type(p) is int for p in precisions):
+            raise ValueError(f"precisions {precisions!r} must be JSON integers")
+        return drops, tuple(precisions)
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed {INDEX_FORMAT} file: {exc!r}") from exc
 

@@ -45,8 +45,17 @@ answers with them, and the client lists their drops cell after cell
 their ids, is the tests' reference and `protocol_latency_bench`'s timed match.
 A cell's Merkle root is computed on its first use in a commitment and kept,
 so a build hashes no id and a search hashes only cells never committed
-before.  An id must encode to UTF-8, for its leaf hash and its digest; the
-build checks every id in one pass and names one that does not.
+before.
+
+A drop id is non-empty, holds no TAB, CR or LF, does not start with '#' and
+encodes to UTF-8: exactly what a corpus file line holds as an id and gives
+back unchanged, and what a leaf hash and a proof digest can take.  The rule
+has one home, the table `_ID_RULE` that `check_ids` runs, and every door a
+drop comes in by applies it: `build_index` (so every server, rung, study
+and CLI command), and `check_corpus`, which `save_corpus` and the CLI's
+index-file loader call.  `load_corpus` refuses a bad line by its number.
+There is no length cap: `canon.lp_encode` frames up to 2**32 - 1 bytes, the
+client's tree memo charges by bytes and a corpus file has no line limit.
 
 Tags are HMAC-SHA-256 (RFC 2104).  `hmac_tagger` hashes the key's inner and
 outer pads once and derives each tag from copies of those two states, which
@@ -70,6 +79,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import re
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
@@ -103,7 +113,8 @@ class GeoindexError(ValueError):
 
 
 class CorpusError(GeoindexError):
-    """Malformed corpus file (reported with a line number)."""
+    """A drop a corpus file cannot hold, named by its id, or a malformed
+    corpus file, named by its line."""
 
 
 @dataclass(frozen=True)
@@ -426,13 +437,33 @@ def drops_of(cells: Sequence[Cell]) -> tuple[Drop, ...]:
     return drops
 
 
-def _utf8(text: str) -> bool:
-    """``text`` encodes to UTF-8: it holds no lone surrogate."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
+# ---------------------------------------------------------------------------
+# the drop-id rule: one table, applied by every door a drop comes in by
+
+# (why, test), in the order a refused id is told why.  A test reads ids
+# joined between LFs and their number, so one C-level pass checks a whole
+# corpus, and the same test over "\n" + id + "\n" and 1 checks one id.  Only
+# the LF test counts: an LF inside an id is one LF more than the joins.  The
+# others may also fire on an id holding an LF, which that test refuses first.
+# The '#' and UTF-8 tests first ask what no valid corpus needs a full scan
+# for: whether the text holds a '#' at all, or anything beyond ASCII.
+_ID_RULE = (
+    ("holds a TAB, CR or LF", lambda text, n: "\t" in text or "\r" in text or text.count("\n") > n + 1),
+    ("is empty", lambda text, n: "\n\n" in text),
+    ("starts with '#', which marks a comment", lambda text, n: "#" in text and "\n#" in text),
+    ("does not encode to UTF-8", lambda text, n: not text.isascii() and bool(re.search("[\ud800-\udfff]", text))),
+)
+
+
+def check_ids(ids: Iterable[str]) -> None:
+    """CorpusError naming the first of ``ids``, in id order, that the drop-id
+    rule refuses, and why.  Each test runs once over all the ids joined
+    between LFs; only when one fails do the tests run id by id."""
+    framed = ["", *ids, ""]
+    text, n = "\n".join(framed), len(framed) - 2
+    if any(test(text, n) for _, test in _ID_RULE):
+        i, why = next((i, why) for i in sorted(framed[1:-1]) for why, test in _ID_RULE if test(f"\n{i}\n", 1))
+        raise CorpusError(f"drop id {i!r} {why}")
 
 
 def build_index(key: bytes, drops: list[Drop], precisions: list[int], tag=make_token) -> GeoIndex:
@@ -453,10 +484,10 @@ def build_index(key: bytes, drops: list[Drop], precisions: list[int], tag=make_t
     its drop, while the drop is fresh in the cache: reading the ids in pass
     2 would revisit every drop out of memory order.
 
-    An id that does not encode to UTF-8 (a lone surrogate) could be neither
-    hashed into a leaf nor digested into a proof, so it is a GeoindexError
-    here, naming the id, rather than a failure of every search that hits
-    its cell.
+    The ids are checked against the drop-id rule (`check_ids`) once pass 1
+    has filed them, so an id the rule refuses is a CorpusError naming it,
+    before any tag is made: no server, rung or study serves a drop its own
+    corpus file could not hold.
     """
     index = GeoIndex(precisions)
     lon_bits, lat_bits = _grid_bits(index.precisions[-1])
@@ -480,10 +511,8 @@ def build_index(key: bytes, drops: list[Drop], precisions: list[int], tag=make_t
             ids, members = cells[x >> dx, y >> dy]
             ids.append(drop.id)
             members.append(drop)
-    # a level files each id once: one encode of their join checks them all
-    if not _utf8("".join(["".join(ids) for ids, _ in levels[0][3].values()])):
-        bad = next(drop.id for drop in drops if not _utf8(drop.id))
-        raise GeoindexError(f"drop id {bad!r} does not encode to UTF-8")
+    # a level files each id once, so the rule's one pass over it reads them all
+    check_ids(chain.from_iterable([ids for ids, _ in levels[0][3].values()]))
     tag_of = _keyed(tag, key)
     for p, _, _, cells in levels:
         for (x, y), (ids, members) in cells.items():
@@ -528,24 +557,19 @@ def load_corpus(path: str) -> list[Drop]:
     return list(drops.values())
 
 
-def check_corpus(drops: Iterable[Drop]) -> None:
-    """CorpusError, naming the id and why, at the first drop a corpus file
-    cannot hold as it is (`load_corpus` would refuse or change it)."""
+def check_corpus(drops: Sequence[Drop]) -> None:
+    """CorpusError, naming the id and why, at a drop a corpus file cannot
+    hold as it is (`load_corpus` would refuse or change it): the first id in
+    id order that the drop-id rule refuses, else the first duplicate id or
+    off-globe coordinate in list order."""
+    check_ids(map(attrgetter("id"), drops))
     seen: set[str] = set()
     for drop in drops:
-        i = drop.id
-        problems = {
-            "is empty": not i,
-            "is a duplicate": i in seen,
-            "holds a TAB, CR or LF": "\t" in i or "\n" in i or "\r" in i,
-            "starts with '#', which marks a comment": i.startswith("#"),
-            "does not encode to UTF-8": not _utf8(i),
-            "has a coordinate out of range": not _on_earth(drop.lat, drop.lon),
-        }
-        for why, bad in problems.items():
-            if bad:
-                raise CorpusError(f"drop id {i!r} {why}")
-        seen.add(i)
+        if drop.id in seen:
+            raise CorpusError(f"drop id {drop.id!r} is a duplicate")
+        if not _on_earth(drop.lat, drop.lon):
+            raise CorpusError(f"drop id {drop.id!r} has a coordinate out of range")
+        seen.add(drop.id)
 
 
 def save_corpus(path: str, drops: list[Drop]) -> None:

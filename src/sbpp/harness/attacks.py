@@ -143,7 +143,11 @@ def attack_a3(variant) -> bool:
 
 
 def attack_a4a(variant) -> bool:
-    """Unlock a drop outside the returned result set, proving from afar."""
+    """Unlock a drop outside the returned result set, proving from afar.
+    The drop must be the rung's own: a drop it does not hold is refused by
+    its statement check whatever the rung, which says nothing of the rung."""
+    if OUT_DROP_ID not in variant.drops:
+        raise EnvInsufficientError("the corpus holds no outlier drop")
     (s,) = _searched_sessions(variant, 1)
     if OUT_DROP_ID in s.result_ids():
         raise EnvInsufficientError("outlier drop unexpectedly matched the search")

@@ -223,7 +223,13 @@ def _with_drop(drop_id):
     return edit
 
 
-UNWRITABLE_IDS = {"tab": "a\tb", "lf": "a\nb", "cr": "a\rb", "empty": "", "comment": "#b"}
+# Ids a corpus file cannot hold; a JSON escape carries the lone surrogate.
+UNWRITABLE_IDS = {"tab": "a\tb", "lf": "a\nb", "cr": "a\rb", "empty": "", "comment": "#b", "surrogate": "\ud800"}
+# JSON values the loader once coerced: true to 1.0, "35.7001" to a number,
+# 5.9 to precision 5, "5" to 5 and true to precision 1; and a point of three
+# numbers, once refused without naming its drop.
+NOT_COORDINATES = {"bool": [True, 139.75], "strings": ["35.7001", "139.7501"], "three": [35.7, 139.75, 0.0]}
+NOT_PRECISIONS = {"fraction": [5.9], "string": ["5"], "bool": [True]}
 
 
 @pytest.mark.parametrize(
@@ -240,12 +246,16 @@ UNWRITABLE_IDS = {"tab": "a\tb", "lf": "a\nb", "cr": "a\rb", "empty": "", "comme
         lambda blob: {**blob, "precisions": 5},
         lambda blob: {**blob, "precisions": [[5]]},
         *map(_with_drop, UNWRITABLE_IDS.values()),
+        *map(_first_drop_as, NOT_COORDINATES.values()),
+        *(lambda blob, p=p: {**blob, "precisions": p} for p in NOT_PRECISIONS.values()),
     ],
     ids=[
         "no-precisions", "no-drops", "no-key-fingerprint", "json-array",
         "drop-is-a-number", "drop-is-a-string", "drop-is-short", "drops-is-a-list",
         "precisions-is-a-number", "precision-is-a-list",
         *(f"id-{name}" for name in UNWRITABLE_IDS),
+        *(f"coordinate-{name}" for name in NOT_COORDINATES),
+        *(f"precision-{name}" for name in NOT_PRECISIONS),
     ],
 )
 def test_malformed_index_file_is_a_usage_error(demo, capsys, edit):
@@ -273,6 +283,26 @@ def test_an_index_file_drop_a_corpus_cannot_hold_is_named(demo, capsys, command,
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
     assert f"drop id {drop_id!r} " in captured.err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [*(("drop", v) for v in NOT_COORDINATES.values()), *(("precisions", v) for v in NOT_PRECISIONS.values())],
+    ids=[*(f"coordinate-{name}" for name in NOT_COORDINATES), *(f"precision-{name}" for name in NOT_PRECISIONS)],
+)
+def test_an_index_file_number_that_is_not_a_json_number_is_named(demo, capsys, field, value):
+    blob = json.loads(demo["index"].read_text())
+    if field == "precisions":
+        blob["precisions"], named = value, f"precisions {value!r} must be JSON integers"
+    else:
+        first = min(blob["drops"])
+        blob["drops"][first], named = value, f"drop {first!r}: coordinates {value!r} must be two JSON numbers"
+    bad = demo["tmp"] / "bad.json"
+    bad.write_text(json.dumps(blob))
+    code = main(["search", "--lat", "35.70", "--lon", "139.75", "--index", str(bad), "--seed", "7"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert named in captured.err
 
 
 def test_an_index_file_with_no_precision_is_a_usage_error(demo, capsys):

@@ -5,12 +5,13 @@ import hmac
 import math
 import random
 import re
+from functools import partial
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sbpp import geoindex, merkle
+from sbpp import geoindex, merkle, nizk
 from sbpp.canon import strictly_sorted
 from sbpp.geoindex import (
     COVER_BUDGET,
@@ -23,6 +24,7 @@ from sbpp.geoindex import (
     GeoindexError,
     build_index,
     cell_dimensions_m,
+    check_ids,
     client_tokens,
     cover_cells,
     gen_clustered_corpus,
@@ -39,8 +41,9 @@ from sbpp.geoindex import (
 )
 from sbpp.harness.attacks import T0, build_variant, derive_key, protocol_pair, seeded_env
 from sbpp.merkle import Cell, MerkleTree
+from sbpp.protocol import R_MERKLE_INVALID, AuditRecord, SbppServer, audit, emit_audit_record
 from sbpp.session import MODE_CORE, MODE_FULL
-from sbpp.variants import make_variant
+from sbpp.variants import VARIANT_KINDS, make_variant
 
 TOKYO = (35.6, 35.8, 139.6, 139.9)
 
@@ -815,6 +818,107 @@ def test_an_id_that_is_not_utf8_fails_at_index_build(mode):
     for kind in ("V1", "V4a", "V4b"):
         with pytest.raises(GeoindexError, match=re.escape(repr("\ud800"))):
             make_variant(kind, env)
+
+
+# The drop-id rule, restated char by char as the reference: (why, refused).
+_RULE_REFERENCE = (
+    ("TAB, CR or LF", lambda i: any(c in i for c in "\t\r\n")),
+    ("empty", lambda i: not i),
+    ("comment", lambda i: i.startswith("#")),
+    ("UTF-8", lambda i: any("\ud800" <= c <= "\udfff" for c in i)),
+)
+_EDGY_CHARS = st.sampled_from(["a", "b", "#", "\n", "\t", "\r", " ", "\x85", "\u2028", "\ud800", "\udfff", "é"])
+_ANY_ID = st.text(_EDGY_CHARS | st.characters(), max_size=4)
+# an id the rule accepts (other than "zz", the corpus's other id), and one
+# it refuses for each of its reasons
+_GOOD_ID = st.text(
+    st.sampled_from(["a", "#", " ", "\x0b", "\x85", "\u2028", "é"])
+    | st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+    min_size=1,
+    max_size=6,
+).filter(lambda i: not i.startswith("#") and i != "zz")
+_BAD_ID = st.one_of(
+    st.just(""),
+    st.text(max_size=3).map(lambda t: "#" + t),
+    st.tuples(st.text(max_size=3), st.sampled_from(["\t", "\n", "\r", "\ud800", "\udfff"]), st.text(max_size=3)).map(
+        "".join
+    ),
+)
+
+
+@given(st.lists(_ANY_ID, max_size=8))
+@example(["#"])
+@example(["a\n"])
+@example(["\n"])
+@example(["b", "\n", "a#"])
+@example(["a", "", "b"])
+@example(["\n", ""])
+@example([])
+@settings(max_examples=300, deadline=None)
+def test_one_pass_refuses_exactly_when_an_id_is_refused_and_names_the_first(ids):
+    refused = sorted(i for i in ids if any(bad(i) for _, bad in _RULE_REFERENCE))
+    if not refused:
+        check_ids(ids)
+        return
+    with pytest.raises(CorpusError) as raised:
+        check_ids(ids)
+    why = next(why for why, bad in _RULE_REFERENCE if bad(refused[0]))
+    assert str(raised.value).startswith(f"drop id {refused[0]!r} ") and why in str(raised.value)
+
+
+REFUSED_IDS = {"empty": "", "tab": "a\tb", "lf": "a\nb", "cr": "a\rb", "comment": "#b", "surrogate": "\ud800"}
+
+
+@pytest.mark.parametrize("drop_id", REFUSED_IDS.values(), ids=REFUSED_IDS)
+def test_every_door_refuses_an_id_the_rule_refuses_naming_it(tmp_path, drop_id):
+    drops = [Drop("ok", 35.7, 139.75), Drop(drop_id, 35.7001, 139.7501)]
+    env = seeded_env(0, drops)
+    server_keys = (env.search_key, env.signing_key, env.verifying_key)
+    doors = [
+        partial(build_index, env.search_key, drops, [5]),
+        *(partial(SbppServer, drops, *server_keys, mode=mode) for mode in (MODE_CORE, MODE_FULL)),
+        *(partial(make_variant, kind, env) for kind in VARIANT_KINDS),
+        partial(save_corpus, str(tmp_path / "c.tsv"), drops),
+    ]
+    for door in doors:
+        with pytest.raises(CorpusError, match=f"^drop id {re.escape(repr(drop_id))} "):
+            door()
+    assert not (tmp_path / "c.tsv").exists()
+
+
+@given(_BAD_ID)
+@settings(max_examples=100, deadline=None)
+def test_a_refused_id_is_named_where_drops_enter(tmp_path_factory, drop_id):
+    drops = [Drop("ok", 35.7, 139.75), Drop(drop_id, 35.7001, 139.7501)]
+    path = tmp_path_factory.getbasetemp() / "refused.tsv"
+    for door in (partial(build_index, b"\x09" * 32, drops, [5]), partial(save_corpus, str(path), drops)):
+        with pytest.raises(CorpusError, match=f"^drop id {re.escape(repr(drop_id))} "):
+            door()
+
+
+@given(_GOOD_ID)
+@example(" ")
+@example("a#")
+@example("\x85")
+@example("\U00010000")
+@settings(max_examples=50, deadline=None)
+def test_an_accepted_id_round_trips_its_file_and_serves_search_unlock_and_audit(tmp_path_factory, drop_id):
+    path = tmp_path_factory.getbasetemp() / "accepted.tsv"
+    save_corpus(str(path), [Drop(drop_id, 35.7, 139.75), Drop("zz", 35.7001, 139.7501)])
+    drops = load_corpus(str(path))
+    assert [d.id for d in drops] == [drop_id, "zz"]
+    for mode in (MODE_CORE, MODE_FULL):
+        server, client = protocol_pair(seeded_env(0, drops), mode)
+        ses = client.open_session(server, T0)
+        client.search(server, ses, 35.7, 139.75, 1000.0, T0)
+        assert drop_id in ses.result_ids()
+        request = client.build_unlock(ses, drop_id, nizk.Witness(35.7, 139.75))
+        assert server.verify(request, T0 + 1).accepted
+        record = AuditRecord.parse(emit_audit_record(ses, request).serialize())
+        # a core record carries no membership path, so only a full one attests
+        outcome = audit(server.public_key_bytes, server.nizk_vk, record)
+        want = (True, None) if mode == MODE_FULL else (False, R_MERKLE_INVALID)
+        assert (outcome.accepted, outcome.fail_reason) == want
 
 
 def test_corpus_rejects_malformed_rows(tmp_path):

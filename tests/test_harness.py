@@ -20,6 +20,8 @@ from sbpp.harness.attacks import (
     EXPECTED_MATRIX,
     AttackResult,
     MatrixResult,
+    OUT_DROP,
+    OUT_DROP_ID,
     QUERY_LAT,
     QUERY_LON,
     RADIUS_M,
@@ -117,8 +119,9 @@ def test_attack_outcomes_are_all_or_nothing():
 
 def test_matrix_renders_skipped_and_partial_cells(monkeypatch):
     # One drop at the query: no result set holds two drops, so A3 has no
-    # sibling to retarget at on any rung, and the matrix says so.
-    monkeypatch.setattr(attacks, "attack_corpus", lambda: [Drop("d00", QUERY_LAT, QUERY_LON)])
+    # sibling to retarget at on any rung, and the matrix says so.  The
+    # outlier drop stays, so that A4a has its drop to attack.
+    monkeypatch.setattr(attacks, "attack_corpus", lambda: [Drop("d00", QUERY_LAT, QUERY_LON), OUT_DROP])
     matrix = run_attack_matrix(trials=2, seed=0)
     assert {key for key, r in matrix.results.items() if r.skipped} == {
         ("A3", kind) for kind in VARIANT_KINDS
@@ -134,6 +137,19 @@ def test_matrix_renders_skipped_and_partial_cells(monkeypatch):
     assert ["A3", "V4b", "2", "0", "True"] in matrix.csv_rows()
     partial = MatrixResult(2, 0, {**matrix.results, ("A1", "V4b"): AttackResult("V4b", "A1", 2, 1)})
     assert row(partial, "A1")[1 + VARIANT_KINDS.index("V4b")] == "1/2"
+
+
+def test_a4a_skips_on_a_corpus_without_the_outlier_drop(monkeypatch):
+    # Without `zz-out` every rung's statement check refuses the unknown drop,
+    # which says nothing of the rung: the A4a cell is a skip, not a block.
+    cluster = [drop for drop in attacks.attack_corpus() if drop.id != OUT_DROP_ID]
+    assert len(cluster) == 6
+    monkeypatch.setattr(attacks, "attack_corpus", lambda: cluster)
+    matrix = run_attack_matrix(trials=2, seed=0)
+    assert {key for key, r in matrix.results.items() if r.skipped} == {("A4a", kind) for kind in VARIANT_KINDS}
+    row = next(line for line in matrix.render().splitlines() if line.startswith("A4a "))
+    assert row.split() == ["A4a", *["skip"] * len(VARIANT_KINDS)]
+    assert not matrix.matches_expected()
 
 
 def test_expected_matrix_shape():
