@@ -113,12 +113,26 @@ def _search_key(args: argparse.Namespace) -> bytes:
     return derive_key("search", args.seed)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict; ValueError naming the first key it repeats,
+    where `json.load` would keep the last value without a word."""
+    blob = dict(pairs)
+    if len(blob) < len(pairs):
+        seen: set[str] = set()
+        for k, _ in pairs:
+            if k in seen:
+                raise ValueError(f"index file names {k!r} twice")
+            seen.add(k)
+    return blob
+
+
 def _load_index_file(path: str, key: bytes) -> tuple[list[Drop], tuple[int, ...]]:
-    """The drops and the precisions an index file declares; ValueError on any
-    other shape, on a coordinate or precision that is not a JSON number of its
-    kind, or on a drop its corpus file could not hold (`check_corpus`)."""
+    """The drops and the precisions an index file declares; ValueError on a
+    repeated key (a drop id named twice), on any other shape, on a coordinate
+    or precision that is not a JSON number of its kind, or on a drop its
+    corpus file could not hold (`check_corpus`)."""
     with open(path, encoding="utf-8") as fh:
-        blob = json.load(fh)
+        blob = json.load(fh, object_pairs_hook=_unique_keys)
     if not isinstance(blob, dict) or blob.get("format") != INDEX_FORMAT:
         raise ValueError(f"not a {INDEX_FORMAT} file")
     try:

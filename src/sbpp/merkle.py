@@ -55,11 +55,31 @@ leaves, about one 32-byte hash per id; a path's leaf sibling is one
 `leaf_hash` of the neighbouring id.  A member's position is found by
 bisecting the sorted ids, so the tree keeps no id -> position map.
 
+A tree checks that its ids are unique and sorted as it hashes its leaves.
+A list of three or more ids that are all ASCII and all one width below 128
+characters, like the generated corpora's `d000123`, takes a one-buffer
+kernel, `_framed_leaf_level`.  Every leaf frame of such a list is one
+17-byte head (the domain tag's frame, then the id length, whose low byte
+is the width) followed by the id's bytes.  So `head + head.join(ids)` is
+encoded once and cut into the frames by one `struct.Struct` of n
+fixed-width fields, compiled for the call and then dropped: struct's own
+cache would keep up to 100 formats, and a 17,034-field one is 0.55 MB.
+The frames are compared for the order check.  Equal heads and equal
+lengths make frame order the order of the ids' bytes, which for ASCII is
+their code point order, the order `strictly_sorted` checks.  The frames
+are then hashed in the same `map` pipeline.  Any other list (mixed widths,
+a non-ASCII id, or fewer than three ids, where the per-id pipeline is as
+fast) is framed id by id after `strictly_sorted`.  Both paths hash the
+same bytes, so no root, path or refusal depends on which one ran.  The
+node levels keep their pipeline.
+
 A path carries no bytes of its own, unlike a receipt or public inputs (the
 carried-bytes rule of sbpp.canon): its frame is a count byte and 33 bytes a
 step, cheap to write again, and a path a tamper test builds from steps
-never has old bytes to go stale.  `MerklePath.parse` checks every side byte
-in one pass before it builds a step, and a step is a `PathStep` named tuple.
+never has old bytes to go stale.  `MerklePath.serialize` checks each step,
+its side and then its sibling, in one pass that collects the frame's parts,
+and joins them once.  `MerklePath.parse` checks every side byte in one pass
+before it builds a step, and a step is a `PathStep` named tuple.
 The one-byte frame of an empty path (a one-leaf tree's) parses to the one
 shared `EMPTY_PATH`.
 """
@@ -68,6 +88,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import struct
 import sys
 from bisect import bisect_left
@@ -86,13 +107,18 @@ SIDE_LEFT = 0  # sibling is the left child
 SIDE_RIGHT = 1  # sibling is the right child
 
 _SIDES = bytes([SIDE_LEFT, SIDE_RIGHT])
+_STEP_SIDES = (SIDE_LEFT, SIDE_RIGHT)
+_SIDE_BYTES = (b"\x00", b"\x01")  # a side's byte in a path frame
 _CHILD_LEN = (32).to_bytes(4, "big")
 _LEAF_HEAD = lp_encode([DOMAIN_LEAF])
+_LEAF_TEXT = _LEAF_HEAD.decode("ascii") + "\0\0\0"  # a leaf frame's head as text, less the id length's low byte
+_FRAMED_MIN_IDS = 3  # below this the per-id pipeline is as fast (BENCH_merkle.json)
 _NODE_HEAD = lp_encode([DOMAIN_NODE]) + _CHILD_LEN
 
 _pack_len = struct.Struct(">I").pack
 _sha256 = hashlib.sha256
 _digest = type(_sha256()).digest
+_UNSORTED = "result set ids must be unique and sorted"
 
 
 class MerkleError(ValueError):
@@ -119,6 +145,25 @@ def _leaf_level(ids: list[str]) -> list[bytes]:
     raws = list(map(str.encode, ids))
     frames = map(b"".join, zip(repeat(_LEAF_HEAD), map(_pack_len, map(len, raws)), raws))
     return list(map(_digest, map(hashlib.sha256, frames)))
+
+
+def _framed_leaf_level(ids: list[str] | tuple[str, ...]) -> list[bytes] | None:
+    """`_leaf_level(ids)` for ids that are all ASCII and all one width below
+    128, whose leaf frames share one head: the frames are cut from one
+    encoded buffer, and MerkleError if they are not strictly increasing,
+    which for them is the ids' order.  None for any other list."""
+    n = len(ids)
+    width = len(ids[0])
+    # the last id first: a sorted list of mixed widths mostly ends wider
+    if len(ids[-1]) == width and operator.countOf(map(len, ids), width) == n:
+        head = _LEAF_TEXT + chr(width)
+        text = head + head.join(ids)
+        if text.isascii():  # so is the head, which holds chr(width): width < 128
+            frames = struct.Struct(f"{len(head) + width}s" * n).unpack(text.encode())
+            if not all(map(operator.lt, frames, frames[1:])):
+                raise MerkleError(_UNSORTED)
+            return list(map(_digest, map(_sha256, frames)))
+    return None
 
 
 def _node_level(level: list[bytes]) -> list[bytes]:
@@ -151,17 +196,20 @@ class MerklePath:
     steps: tuple[PathStep, ...]
 
     def serialize(self) -> bytes:
+        """The count byte, then each step's side byte and sibling.  One pass
+        checks every step (its side, then its sibling) and collects the
+        parts, which are joined once."""
         if len(self.steps) > 255:
             raise MerkleError("path too deep to serialize")
-        out = bytearray([len(self.steps)])
-        for step in self.steps:
-            if step.side not in (SIDE_LEFT, SIDE_RIGHT):
+        parts = [len(self.steps).to_bytes(1, "big")]
+        for side, sibling in self.steps:
+            if side not in _STEP_SIDES:
                 raise MerkleError("invalid path step side")
-            if len(step.sibling) != 32:
+            if len(sibling) != 32:
                 raise MerkleError("sibling hash must be 32 bytes")
-            out.append(step.side)
-            out += step.sibling
-        return bytes(out)
+            parts.append(_SIDE_BYTES[side])
+            parts.append(sibling)
+        return b"".join(parts)
 
     @classmethod
     def parse(cls, raw: bytes) -> "MerklePath":
@@ -195,10 +243,13 @@ class MerkleTree:
     def __init__(self, ids: Sequence[str]):
         if not ids:
             raise MerkleError("cannot commit to an empty result set")
-        if not strictly_sorted(ids):
-            raise MerkleError("result set ids must be unique and sorted")
-        self.ids = ids if isinstance(ids, tuple) else list(ids)  # a tuple cannot change
-        levels = _levels(_leaf_level(self.ids))
+        self.ids = ids = ids if isinstance(ids, tuple) else list(ids)  # a tuple cannot change
+        leaves = _framed_leaf_level(ids) if len(ids) >= _FRAMED_MIN_IDS else None
+        if leaves is None:
+            if not strictly_sorted(ids):
+                raise MerkleError(_UNSORTED)
+            leaves = _leaf_level(ids)
+        levels = _levels(leaves)
         self.root = levels[-1][0]
         self._above = levels[1:]
         self.depth = len(self._above)

@@ -223,6 +223,14 @@ def _with_drop(drop_id):
     return edit
 
 
+def _first_drop_named_twice(blob):
+    """The index's text with its first drop id named once more, by the query
+    point, ahead of its own entry: a JSON object with a repeated key."""
+    first = json.dumps(min(blob["drops"]))
+    text = json.dumps(blob)
+    return text.replace('"drops": {', f'"drops": {{{first}: [35.7001, 139.7501], ', 1)
+
+
 # Ids a corpus file cannot hold; a JSON escape carries the lone surrogate.
 UNWRITABLE_IDS = {"tab": "a\tb", "lf": "a\nb", "cr": "a\rb", "empty": "", "comment": "#b", "surrogate": "\ud800"}
 # JSON values the loader once coerced: true to 1.0, "35.7001" to a number,
@@ -248,6 +256,7 @@ NOT_PRECISIONS = {"fraction": [5.9], "string": ["5"], "bool": [True]}
         *map(_with_drop, UNWRITABLE_IDS.values()),
         *map(_first_drop_as, NOT_COORDINATES.values()),
         *(lambda blob, p=p: {**blob, "precisions": p} for p in NOT_PRECISIONS.values()),
+        _first_drop_named_twice,
     ],
     ids=[
         "no-precisions", "no-drops", "no-key-fingerprint", "json-array",
@@ -256,17 +265,35 @@ NOT_PRECISIONS = {"fraction": [5.9], "string": ["5"], "bool": [True]}
         *(f"id-{name}" for name in UNWRITABLE_IDS),
         *(f"coordinate-{name}" for name in NOT_COORDINATES),
         *(f"precision-{name}" for name in NOT_PRECISIONS),
+        "id-named-twice",
     ],
 )
 def test_malformed_index_file_is_a_usage_error(demo, capsys, edit):
     bad = demo["tmp"] / "bad.json"
-    bad.write_text(json.dumps(edit(json.loads(demo["index"].read_text()))))
+    edited = edit(json.loads(demo["index"].read_text()))
+    bad.write_text(edited if isinstance(edited, str) else json.dumps(edited))
     code, out = _run(
         capsys, "search", "--lat", "35.70", "--lon", "139.75",
         "--index", str(bad), "--seed", "7",
     )
     assert code == 1
     assert out == ""
+
+
+@pytest.mark.parametrize("command", ["search", "unlock"])
+def test_an_index_file_naming_a_drop_twice_is_refused_naming_it(demo, capsys, command):
+    # json.load alone keeps the second entry and serves it
+    blob = json.loads(demo["index"].read_text())
+    first = min(blob["drops"])
+    bad = demo["tmp"] / "twice.json"
+    bad.write_text(_first_drop_named_twice(blob))
+    argv = [command, "--lat", "35.7001", "--lon", "139.7501", "--index", str(bad), "--seed", "7"]
+    if command == "unlock":
+        argv += ["--drop", first]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert f"index file names {first!r} twice" in captured.err
 
 
 @pytest.mark.parametrize("command", ["search", "unlock"])

@@ -1,15 +1,17 @@
 """Result-set commitment: tree construction, membership paths, forgery."""
 
+import gc
 import hashlib
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sbpp import merkle
-from sbpp.canon import lp_encode
+from sbpp.canon import lp_encode, strictly_sorted
 from sbpp.geoindex import Drop, GeoindexError, build_index, client_tokens, cover_cells, geohash_encode, make_token
 from sbpp.merkle import (
     DOMAIN_LEAF,
@@ -273,6 +275,160 @@ def test_level_pipelines_equal_the_hash_definitions(ids):
         nxt = _node_level(level)
         assert nxt == [node_hash(left, right) for left, right in zip(level[::2], level[1::2])]
         level = nxt
+
+
+# ---------------------------------------------------------------------------
+# the one-buffer leaf level: fixed-width ASCII ids are framed from one buffer
+
+_HEAD_TEXT = (lp_encode([DOMAIN_LEAF]) + (7).to_bytes(4, "big")).decode("ascii")  # a width-7 leaf head
+
+
+def _framed(ids: list[str]) -> bool:
+    """Whether `MerkleTree` frames ``ids`` from one buffer: three or more
+    ASCII ids, all one width below 128."""
+    return (
+        len(ids) >= 3
+        and len({len(i) for i in ids}) == 1
+        and len(ids[0]) < 128
+        and all(i.isascii() for i in ids)
+    )
+
+
+@st.composite
+def _fixed_width_lists(draw):
+    """A list of ids of one width, sorted, then perhaps broken: a repeated
+    id, or its first or last pair swapped."""
+    width = draw(st.sampled_from([0, 1, 7, 127, 128]))
+    alphabet = draw(st.sampled_from(["ab", "\x00\x7fa", "".join(map(chr, range(128)))]))
+    unit = st.text(alphabet, min_size=width, max_size=width)
+    if width >= len(_HEAD_TEXT):  # ids that hold the head's own text
+        padded = st.builds(
+            lambda at, pad: (pad * at + _HEAD_TEXT + pad * width)[:width],
+            st.integers(0, width - len(_HEAD_TEXT)),
+            st.sampled_from("\x00a\x7f"),
+        )
+        unit = st.one_of(unit, padded)
+    ids = _utf8_order(draw(st.lists(unit, min_size=1, max_size=40)))
+    fault = draw(st.sampled_from(["none", "repeat", "swap-first", "swap-last"]))
+    if fault == "repeat":
+        at = draw(st.integers(0, len(ids) - 1))
+        ids.insert(at, ids[at])
+    elif fault == "swap-first" and len(ids) > 1:
+        ids[0], ids[1] = ids[1], ids[0]
+    elif fault == "swap-last" and len(ids) > 1:
+        ids[-1], ids[-2] = ids[-2], ids[-1]
+    return ids
+
+
+@st.composite
+def _mixed_lists(draw):
+    """Sorted ids the one-buffer path must not take: ids of one width that
+    are not all ASCII, or ids of several widths whose total length is the
+    first id's width times their count (so one buffer would cut them)."""
+    if draw(st.booleans()):
+        width = draw(st.integers(1, 8))
+        unit = st.text(st.sampled_from("a\x7f\x80\u00e9\u65e5\U0001f600"), min_size=width, max_size=width)
+        return _utf8_order(draw(st.lists(unit, min_size=3, max_size=30)))
+    width = draw(st.integers(1, 6))
+    widths = [width, *draw(st.lists(st.integers(0, 2 * width), min_size=2, max_size=30))]
+    widths[-1] = width * len(widths) - sum(widths[:-1])
+    if widths[-1] < 0 or min(widths) == max(widths):
+        widths = [width, width - 1, width + 1]
+    ids = [chr(97 + i % 26) * w for i, w in enumerate(widths)]  # sorted when the widths allow
+    return ids
+
+
+@given(st.one_of(_fixed_width_lists(), _mixed_lists()))
+@example(["ab", "c", "def"])  # equal total length, three widths
+@example(["a", "bcd"])  # against ["ab", "cd"]: two ids, framed id by id
+@example(["ab", "cd"])
+@example([chr(c) for c in range(128)])
+@example(["x" * 127] * 3)
+@example([""] * 3)  # width 0: framed, and refused
+@example(["\x00" * 7, _HEAD_TEXT, "\x7f" * 7])
+@settings(max_examples=300, deadline=None)
+def test_tree_over_any_list_equals_the_oracle_or_refuses_exactly_the_unsorted(ids):
+    # Roots, paths and refusals of either leaf pipeline equal the lp_encode
+    # reference's; only the lists `_framed` names skip the per-id order check.
+    with mock.patch.object(merkle, "strictly_sorted", wraps=strictly_sorted) as per_id:
+        if ids != _utf8_order(ids):
+            with pytest.raises(MerkleError, match="^result set ids must be unique and sorted$"):
+                MerkleTree(ids)
+            tree = None
+        else:
+            tree = MerkleTree(ids)
+    assert per_id.called == (not _framed(ids))
+    if tree is None:
+        return
+    levels = _oracle_levels(ids)
+    assert tree.root == levels[-1][0]
+    for index, drop_id in enumerate(ids):
+        assert tree.prove_membership(drop_id) == _oracle_path(levels, index)
+
+
+def test_framed_trees_leave_no_compiled_format_behind():
+    # struct's module-level cache keeps up to 100 compiled formats, and a
+    # 17,034-id format alone is 0.55 MB: the kernel compiles its own
+    lists = [_ids(n) for n in range(50, 200)]
+    MerkleTree(lists[0])  # first-use allocations are not the trees'
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for ids in lists:
+            MerkleTree(ids)
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert left < 16 * 1024
+
+
+def _reference_serialize(path: MerklePath) -> bytes:
+    """The path frame, checked and written step by step."""
+    if len(path.steps) > 255:
+        raise MerkleError("path too deep to serialize")
+    out = bytearray([len(path.steps)])
+    for step in path.steps:
+        if step.side not in (SIDE_LEFT, SIDE_RIGHT):
+            raise MerkleError("invalid path step side")
+        if len(step.sibling) != 32:
+            raise MerkleError("sibling hash must be 32 bytes")
+        out.append(step.side)
+        out += step.sibling
+    return bytes(out)
+
+
+@st.composite
+def _paths(draw):
+    """Paths of 0, 1, a few, 255 or 256 steps, with a few steps broken: a
+    side of 2 or 255, a 31- or 33-byte sibling."""
+    count = draw(st.one_of(st.sampled_from([0, 1, 255, 256]), st.integers(0, 12)))
+    rng = draw(st.randoms(use_true_random=False))
+    steps = [PathStep(rng.choice((SIDE_LEFT, SIDE_RIGHT)), rng.randbytes(32)) for _ in range(count)]
+    for _ in range(draw(st.integers(0, 3)) if count else 0):
+        at = draw(st.integers(0, count - 1))
+        side, sibling = steps[at]
+        side = draw(st.sampled_from([side, 2, 255]))
+        sibling = draw(st.sampled_from([sibling, sibling[:31], sibling + b"\x00"]))
+        steps[at] = PathStep(side, sibling)
+    return MerklePath(tuple(steps))
+
+
+@given(_paths())
+@example(MerklePath((PathStep(2, bytes(31)),)))  # side before sibling
+@example(MerklePath((PathStep(SIDE_LEFT, bytes(33)), PathStep(255, bytes(32)))))
+@example(MerklePath((PathStep(SIDE_RIGHT, bytes(32)),) * 255))
+@example(MerklePath((PathStep(2, bytes(31)),) * 256))  # depth first
+@settings(max_examples=300, deadline=None)
+def test_path_serialize_equals_the_step_by_step_reference(path):
+    try:
+        want = _reference_serialize(path)
+    except MerkleError as exc:
+        with pytest.raises(MerkleError, match=f"^{exc}$"):
+            path.serialize()
+        return
+    assert path.serialize() == want
 
 
 _STEP = st.tuples(
