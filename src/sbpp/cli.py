@@ -12,7 +12,12 @@ The index file fixes the geohash precisions that search and unlock use; a
 radius that none of them covers in geoindex.COVER_BUDGET cells is a usage error.
 Its numbers must be JSON numbers: a coordinate an int or a float, a precision
 an int.  A bool, a numeric string or a fractional precision is a usage error
-naming the drop or the precision list, never coerced.
+naming the drop or the precision list, never coerced.  The file is read in
+one pass, in file order, that checks each drop once: a point that is not two
+JSON numbers on the globe is a usage error naming the drop.  Each other rule
+has one door: a repeated key is `_unique_keys`'s, and the drop-id rule and
+the id order are geoindex.build_index's, which every server runs, so this
+module neither checks the ids again nor sorts the drops.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import hashlib
 import inspect
 import json
 import sys
+from collections import Counter
 from dataclasses import asdict
 from operator import attrgetter
 from pathlib import Path
@@ -30,7 +36,6 @@ from . import nizk
 from .geoindex import (
     Drop,
     GeoIndex,
-    check_corpus,
     gen_clustered_corpus,
     gen_uniform_corpus,
     load_corpus,
@@ -48,7 +53,7 @@ from .harness.experiments import (
     search_quality_experiment,
 )
 from .harness.report import write_csv
-from .protocol import AuditRecord, AuditRecordError, ProtocolError, audit
+from .protocol import AuditRecord, AuditRecordError, ProtocolError, audit, emit_audit_record
 from .session import DEFAULT_EPOCH, DEFAULT_PV, DEFAULT_TTL_S, MODE_CORE, MODE_FULL
 
 EXIT_OK = 0
@@ -114,23 +119,23 @@ def _search_key(args: argparse.Namespace) -> bytes:
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object's dict; ValueError naming the first key it repeats,
-    where `json.load` would keep the last value without a word."""
+    """A JSON object's dict; ValueError naming a key it repeats (of several,
+    the first to appear), where `json.load` would keep the last value
+    without a word."""
     blob = dict(pairs)
     if len(blob) < len(pairs):
-        seen: set[str] = set()
-        for k, _ in pairs:
-            if k in seen:
-                raise ValueError(f"index file names {k!r} twice")
-            seen.add(k)
+        twice = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ValueError(f"index file names {twice!r} twice")
     return blob
 
 
 def _load_index_file(path: str, key: bytes) -> tuple[list[Drop], tuple[int, ...]]:
-    """The drops and the precisions an index file declares; ValueError on a
-    repeated key (a drop id named twice), on any other shape, on a coordinate
-    or precision that is not a JSON number of its kind, or on a drop its
-    corpus file could not hold (`check_corpus`)."""
+    """The drops, in file order, and the precisions an index file declares,
+    read in one pass; ValueError on a repeated key (a drop id named twice,
+    `_unique_keys`), on any other shape, on a coordinate or precision that is
+    not a JSON number of its kind, or on a point off the globe, naming the
+    drop.  The drop-id rule is the index build's (`build_index`, which every
+    server runs), and so is the id order: the build sorts the drops once."""
     with open(path, encoding="utf-8") as fh:
         blob = json.load(fh, object_pairs_hook=_unique_keys)
     if not isinstance(blob, dict) or blob.get("format") != INDEX_FORMAT:
@@ -138,12 +143,14 @@ def _load_index_file(path: str, key: bytes) -> tuple[list[Drop], tuple[int, ...]
     try:
         if blob["key_fingerprint"] != _key_fingerprint(key):
             raise ValueError("search key does not match the key this index was built with")
-        points = sorted(blob["drops"].items())
-        for i, point in points:  # a bool or a numeric string is not a coordinate
-            if len(point) != 2 or not all(type(v) in (int, float) for v in point):
+        drops = []
+        for i, point in blob["drops"].items():
+            lat, lon = point if type(point) is list and len(point) == 2 else (None, None)
+            if type(lat) not in (int, float) or type(lon) not in (int, float):  # nor a bool or a string
                 raise ValueError(f"drop {i!r}: coordinates {point!r} must be two JSON numbers")
-        drops = [Drop(i, float(lat), float(lon)) for i, (lat, lon) in points]
-        check_corpus(drops)
+            if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):  # as build_index; false for NaN
+                raise ValueError(f"drop id {i!r} has a coordinate out of range")
+            drops.append(Drop(i, float(lat), float(lon)))
         precisions = blob["precisions"]
         if not all(type(p) is int for p in precisions):
             raise ValueError(f"precisions {precisions!r} must be JSON integers")
@@ -241,8 +248,6 @@ def _cmd_unlock(args: argparse.Namespace) -> int:
         "nizk_vk_hex": server.nizk_vk.hex(),
     }
     if args.emit_record:
-        from .protocol import emit_audit_record
-
         record = emit_audit_record(ses, request)
         Path(args.emit_record).write_bytes(record.serialize())
         result["record_file"] = args.emit_record

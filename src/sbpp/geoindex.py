@@ -52,8 +52,8 @@ encodes to UTF-8: exactly what a corpus file line holds as an id and gives
 back unchanged, and what a leaf hash and a proof digest can take.  The rule
 has one home, the table `_ID_RULE` that `check_ids` runs, and every door a
 drop comes in by applies it: `build_index` (so every server, rung, study
-and CLI command), and `check_corpus`, which `save_corpus` and the CLI's
-index-file loader call.  `load_corpus` refuses a bad line by its number.
+and CLI command, an index file's drops included), and `check_corpus`,
+which `save_corpus` calls.  `load_corpus` refuses a bad line by its number.
 There is no length cap: `canon.lp_encode` frames up to 2**32 - 1 bytes, the
 client's tree memo charges by bytes and a corpus file has no line limit.
 

@@ -14,6 +14,14 @@ themselves.  In full mode it keeps the two-level Merkle root of
 sbpp.merkle: the top tree over the hit cells' roots, in tag order, built
 from roots the index keeps per cell before the session lock is taken.
 
+The server enforces the query's shape: `SbppServer.search` takes exactly
+COVER_BUDGET distinct 32-byte tags, the list `client_tokens` sends, and
+refuses any other with ProtocolError before it looks the session up.  So a
+search binds at most COVER_BUDGET cells, a core record keeps at most that
+many references and a full bind hashes at most that many cell roots, for
+any client, not only an honest one.  The ladder's rungs derive their own
+tags and call `bind` or `_hits` directly.
+
 The client proves proximity to one returned drop, committing a challenge
 digest over (drop, policy, epoch, nonce[, root]) inside the proof's public
 inputs; the server re-derives the digest from its own session state and
@@ -65,7 +73,7 @@ from .canon import (
     EncodingError, FieldElement, as_bytes, assemble, cd_core, cd_full, lp_decode, lp_head,
 )
 from .geoindex import (
-    DEFAULT_PRECISIONS, Drop, GeoIndex, build_index, client_tokens, drops_of, make_token,
+    COVER_BUDGET, DEFAULT_PRECISIONS, Drop, GeoIndex, build_index, client_tokens, drops_of, make_token,
 )
 from .merkle import (
     EMPTY_PATH, Cell, MerklePath, MerkleError, TreeMemo, build_tree, locate, verify_membership,
@@ -194,7 +202,13 @@ class SbppServer:
 
     def search(self, S: str, tags: list[bytes], now: int) -> SearchResponse:
         """Bind, then attest: the hit cells and the receipt over the bound
-        session are the whole answer."""
+        session are the whole answer.  A query is exactly COVER_BUDGET
+        distinct 32-byte tags, as `client_tokens` sends; any other list is a
+        ProtocolError, raised before the session is looked up (the check
+        reads only the tags and takes no lock), so it binds nothing."""
+        if not (len(tags) == COVER_BUDGET and all(type(t) is bytes and len(t) == 32 for t in tags)
+                and len(set(tags)) == COVER_BUDGET):  # set() last: every tag is hashable by then
+            raise ProtocolError(f"a query is {COVER_BUDGET} distinct 32-byte tags")
         cells, s = self.bind(S, tags, now)
         if s is None:
             return SearchResponse(cells=(), receipt=None)

@@ -9,8 +9,9 @@ every check asks `SessionRecord.expired`, the rule's one home.
 
 A bind is given the hit cells, in tag order, in both storage modes.  "core"
 keeps the cells themselves (stateful membership checks): at most 16
-references to the index's immutable cells, so a record costs the same
-whatever the result size, and membership bisects each cell's sorted ids.
+references to the index's immutable cells, since a search is refused unless
+it sends exactly 16 distinct tags (sbpp.protocol), so a record costs the
+same whatever the result size, and membership bisects each cell's sorted ids.
 "full" keeps only the 32-byte Merkle root over them (sbpp.merkle.build_tree),
 built before the bind takes the store's lock, so nothing is hashed under it.
 A core bind checks that each cell's ids are unique and sorted; the cell keeps

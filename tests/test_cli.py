@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import re
 from types import SimpleNamespace
 
@@ -238,6 +239,8 @@ UNWRITABLE_IDS = {"tab": "a\tb", "lf": "a\nb", "cr": "a\rb", "empty": "", "comme
 # numbers, once refused without naming its drop.
 NOT_COORDINATES = {"bool": [True, 139.75], "strings": ["35.7001", "139.7501"], "three": [35.7, 139.75, 0.0]}
 NOT_PRECISIONS = {"fraction": [5.9], "string": ["5"], "bool": [True]}
+# Points off the globe; json.dump writes the last two as NaN and Infinity.
+OFF_GLOBE = {"lat-91": [91, 139.75], "lon-minus-181": [35.7, -181], "nan": [math.nan, 139.75], "infinity": [35.7, math.inf]}
 
 
 @pytest.mark.parametrize(
@@ -257,6 +260,7 @@ NOT_PRECISIONS = {"fraction": [5.9], "string": ["5"], "bool": [True]}
         *map(_first_drop_as, NOT_COORDINATES.values()),
         *(lambda blob, p=p: {**blob, "precisions": p} for p in NOT_PRECISIONS.values()),
         _first_drop_named_twice,
+        *map(_first_drop_as, OFF_GLOBE.values()),
     ],
     ids=[
         "no-precisions", "no-drops", "no-key-fingerprint", "json-array",
@@ -266,6 +270,7 @@ NOT_PRECISIONS = {"fraction": [5.9], "string": ["5"], "bool": [True]}
         *(f"coordinate-{name}" for name in NOT_COORDINATES),
         *(f"precision-{name}" for name in NOT_PRECISIONS),
         "id-named-twice",
+        *(f"point-{name}" for name in OFF_GLOBE),
     ],
 )
 def test_malformed_index_file_is_a_usage_error(demo, capsys, edit):
@@ -330,6 +335,44 @@ def test_an_index_file_number_that_is_not_a_json_number_is_named(demo, capsys, f
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
     assert named in captured.err
+
+
+@pytest.mark.parametrize("command", ["search", "unlock"])
+@pytest.mark.parametrize("point", OFF_GLOBE.values(), ids=OFF_GLOBE)
+def test_an_index_file_point_off_the_globe_is_named(demo, capsys, command, point):
+    blob = json.loads(demo["index"].read_text())
+    first = min(blob["drops"])
+    blob["drops"][first] = point
+    bad = demo["tmp"] / "bad.json"
+    bad.write_text(json.dumps(blob))
+    argv = [command, "--lat", "35.70", "--lon", "139.75", "--index", str(bad), "--seed", "7"]
+    if command == "unlock":
+        argv += ["--drop", first]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert f"drop id {first!r} has a coordinate out of range" in captured.err
+
+
+def test_an_index_file_in_any_drop_order_gives_the_same_outputs(demo, capsys):
+    # the index build puts the drops in id order, so the file's order is never read
+    blob = json.loads(demo["index"].read_text())
+    reverse = demo["tmp"] / "reverse.json"
+    reverse.write_text(json.dumps({**blob, "drops": dict(sorted(blob["drops"].items(), reverse=True))}))
+    assert list(json.loads(reverse.read_text())["drops"]) == sorted(blob["drops"], reverse=True)
+    cand = _first_candidate(demo, capsys)
+    record = demo["tmp"] / "rec.bin"
+    outputs = []
+    for index in (demo["index"], reverse):
+        search = _run(capsys, "search", "--lat", "35.70", "--lon", "139.75", "--index", str(index), "--seed", "7")
+        unlock = _run(
+            capsys, "unlock", "--drop", cand["id"], "--lat", str(cand["lat"]), "--lon", str(cand["lon"]),
+            "--qlat", "35.70", "--qlon", "139.75", "--index", str(index), "--seed", "7",
+            "--emit-record", str(record),
+        )
+        outputs.append((search, unlock, record.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1][0] == 0 and json.loads(outputs[0][1][1])["accepted"] is True
 
 
 def test_an_index_file_with_no_precision_is_a_usage_error(demo, capsys):

@@ -4,12 +4,15 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sbpp import merkle, nizk, session
 from sbpp.canon import cd_core, cd_full, lp_decode, lp_encode
-from sbpp.geoindex import PAD_LABEL, Drop, GeoindexError, client_tokens, drops_of, geohash_encode, make_token
+from sbpp.geoindex import (
+    COVER_BUDGET, PAD_LABEL, Drop, GeoindexError, client_tokens, drops_of, gen_uniform_corpus, geohash_encode,
+    make_token,
+)
 from sbpp.merkle import Cell, MerklePath, PathStep, build_tree
 from sbpp.protocol import (
     R_CONSUMED,
@@ -284,7 +287,9 @@ _TAGS = ("one-precision", "mixed-precisions", "with-pads", "with-unknown")
 @st.composite
 def _hit_index(draw):
     """(drops, precisions, tags): drops around the query, an index of one to
-    four precisions, and a tag list of one of the _TAGS kinds, shuffled."""
+    four precisions, and a tag list of one of the _TAGS kinds, padded to
+    COVER_BUDGET with tags the index does not hold, as `client_tokens` pads
+    with dummies, and shuffled.  A tag drawn twice stays repeated."""
     points = draw(st.lists(_NEAR, min_size=1, max_size=30))
     ids = draw(st.lists(st.text(_ID_CHARS, min_size=1, max_size=3), min_size=len(points),
                         max_size=len(points), unique=True))
@@ -300,6 +305,7 @@ def _hit_index(draw):
         tags += [make_token(KEY, PAD_LABEL, f"x:{i}") for i in range(draw(st.integers(1, 10)))]
     elif kind == "with-unknown":
         tags += draw(st.lists(st.binary(min_size=32, max_size=32), min_size=1, max_size=4))
+    tags += [make_token(KEY, PAD_LABEL, f"pad:{i}") for i in range(COVER_BUDGET - len(tags))]
     return drops, precisions, draw(st.permutations(tags))
 
 
@@ -315,6 +321,10 @@ def test_search_lists_the_matched_drops_once_and_binds_their_cells(case, outside
         server = SbppServer(drops, KEY, _SIGNING_KEY, _VK, mode=mode, precisions=precisions)
         matched = server.index.match(tags)  # the reference: a sorted union
         ses = server.init_session(T0)
+        if len(set(tags)) < len(tags):  # not a query's shape
+            with pytest.raises(ProtocolError):
+                server.search(ses.S, tags, T0)
+            continue
         response = server.search(ses.S, tags, T0)
         candidates = drops_of(response.cells)  # the client's listing
         ses.candidates, ses.cells, ses.receipt = candidates, response.cells, response.receipt
@@ -333,6 +343,53 @@ def test_search_lists_the_matched_drops_once_and_binds_their_cells(case, outside
                 assert session.in_result_set(record.result_set, drop_id) == (drop_id in matched)
         else:
             assert record.result_set is None and record.root == build_tree(response.cells).root
+
+
+# An index of some hundreds of cells over Tokyo, so a list of its own tags
+# could bind far more than COVER_BUDGET of them.
+_SPREAD = {
+    mode: SbppServer(gen_uniform_corpus(300, 5), KEY, _SIGNING_KEY, _VK, mode=mode, precisions=[4, 5, 6])
+    for mode in (MODE_CORE, MODE_FULL)
+}
+_SPREAD_TAGS = sorted(_SPREAD[MODE_CORE].index.entries)
+_A_TAG = st.one_of(st.sampled_from(_SPREAD_TAGS), st.binary(min_size=32, max_size=32))
+_TAG_LISTS = st.one_of(
+    st.lists(st.one_of(_A_TAG, st.binary(max_size=40), st.none(), st.text(max_size=2), st.integers()),
+             max_size=3 * COVER_BUDGET),
+    st.lists(_A_TAG, min_size=COVER_BUDGET, max_size=COVER_BUDGET),
+    st.lists(st.sampled_from(_SPREAD_TAGS), min_size=COVER_BUDGET, max_size=COVER_BUDGET, unique=True),
+)
+
+
+@given(_TAG_LISTS, st.sampled_from([MODE_CORE, MODE_FULL]))
+@settings(max_examples=200, deadline=None)
+def test_a_tag_list_is_refused_or_binds_at_most_the_budget(tags, mode):
+    server = _SPREAD[mode]
+    ses = server.init_session(T0)
+    shaped = len(tags) == COVER_BUDGET == len(set(tags)) and all(type(t) is bytes and len(t) == 32 for t in tags)
+    try:
+        response = server.search(ses.S, tags, T0)
+    except ProtocolError:
+        assert not shaped
+        assert not server.sessions.validate(ses.S, T0).bound  # refused before any bind
+        return
+    assert shaped
+    assert len(response.cells) <= COVER_BUDGET
+    record = server.sessions.validate(ses.S, T0)
+    assert record.result_set is None or len(record.result_set) <= COVER_BUDGET
+
+
+@given(st.floats(-80, 80), st.floats(-180, 180), st.floats(1.0, 3000.0), st.sampled_from([MODE_CORE, MODE_FULL]))
+@settings(max_examples=100, deadline=None)
+@example(35.70, 139.75, 1000.0, MODE_FULL)
+def test_an_honest_query_always_has_the_shape(lat, lon, radius, mode):
+    server = _SPREAD[mode]
+    try:
+        tags = client_tokens(KEY, lat, lon, radius, server.index.precisions)[1]
+    except GeoindexError:
+        assume(False)  # no cover within the budget: nothing to send
+    ses = server.init_session(T0)
+    server.search(ses.S, tags, T0)
 
 
 @pytest.mark.parametrize("mode", [MODE_CORE, MODE_FULL])
