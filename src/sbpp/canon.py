@@ -12,6 +12,23 @@ reduced into the scalar field used by the proof backend, so they can ride in
 a public-input slot.  Strings are encoded as UTF-8 without unicode
 normalization: two ids that differ in codepoints are different ids.
 
+Fixed heads.  A frame whose first fields never change starts with their
+`lp_encode` bytes, computed once at import, and appends only its own
+fields.  `cd_core` and `cd_full` frame their three text fields and their
+32-byte fields after `lp_encode([DOMAIN_DIGEST])` in one join; a field of
+any other type goes through `digest`, so both give `digest`'s bytes and
+refusals for every input.  The generic `digest` stays the definition and
+the ladder's other digests.
+
+Key once.  A keyed hash runs from state prepared once per key:
+`hmac_sha256` hashes a key's two HMAC pads (and any fixed head) once and
+finishes copies of those states per message.  It is the one HMAC in the
+package: the index's cell tags, the proof tag of sbpp.nizk (keyed once per
+proof key, the analogue of a prepared verifying key) and the ladder's
+result MAC.  Nothing is kept per message: every tag and digest is
+computed again from its inputs each time it is checked.  BENCH_unlock.json
+records what each kernel saves.
+
 Encode once, check once.  A value that is hashed, signed or MAC'd more than
 once per unlock (a receipt's body, the proof's public inputs) carries the
 canonical bytes it was first encoded to or parsed from, and every later use
@@ -41,6 +58,7 @@ from __future__ import annotations
 import hashlib
 import operator
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 
 # Scalar field order of the alt_bn128 (BN254) pairing curve, the field that
@@ -53,6 +71,7 @@ DOMAIN_DIGEST = "SBPP-v1"
 _LEN = struct.Struct(">I")
 _pack_len = _LEN.pack
 _unpack_len = _LEN.unpack_from
+_sha256 = hashlib.sha256
 _MAX_FIELD = 2**32 - 1
 
 
@@ -182,17 +201,69 @@ def lp_decode(data: bytes) -> list[bytes]:
     return fields
 
 
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+_SHA256_BLOCK = 64
+
+
+def hmac_sha256(key: bytes, head: bytes = b"") -> Callable[[bytes], bytes]:
+    """HMAC-SHA-256 (RFC 2104) under ``key``, keyed once: the returned
+    function maps a message to ``hmac.digest(key, head + message,
+    "sha256")``.  The key's inner and outer pads are hashed here, the inner
+    state also absorbs ``head``, and each call finishes copies of the two
+    states, so no call sets the key up again."""
+    if len(key) > _SHA256_BLOCK:
+        key = _sha256(key).digest()
+    block = key.ljust(_SHA256_BLOCK, b"\0")
+    inner = _sha256(block.translate(_IPAD))
+    inner.update(head)
+    outer = _sha256(block.translate(_OPAD))
+
+    def mac(message: bytes) -> bytes:
+        h = inner.copy()
+        h.update(message)
+        o = outer.copy()
+        o.update(h.digest())
+        return o.digest()
+
+    return mac
+
+
+def _reduce(h: bytes) -> FieldElement:
+    """A SHA-256 output as a big-endian integer, reduced into the field."""
+    return _element(int.from_bytes(h, "big") % Q)
+
+
 def digest(fields: list[bytes | str] | tuple[bytes | str, ...]) -> FieldElement:
     """SHA-256 over the canonical encoding, reduced into the scalar field."""
-    h = hashlib.sha256(lp_encode(fields)).digest()
-    return _element(int.from_bytes(h, "big") % Q)
+    return _reduce(_sha256(lp_encode(fields)).digest())
+
+
+_DIGEST_HEAD = lp_encode([DOMAIN_DIGEST])  # every challenge digest's first field
+_HASH_HEAD = _pack_len(32)  # the length prefix of a 32-byte field
+
+
+def _challenge(drop_id: str, pv: str, epoch: str, *hashes: bytes) -> FieldElement:
+    """`digest([DOMAIN_DIGEST, drop_id, pv, epoch, *hashes])` for the
+    32-byte ``hashes`` of a challenge digest (the nonce, then any root).
+    Three `str` fields and `bytes` hashes are framed after the fixed head
+    in one join; any other field type goes through `digest`, so the bytes
+    and the refusals are the definition's (a lone surrogate's
+    UnicodeEncodeError included)."""
+    if type(drop_id) is type(pv) is type(epoch) is str and type(hashes[0]) is type(hashes[-1]) is bytes:
+        d, p, e = drop_id.encode(), pv.encode(), epoch.encode()
+        if len(d) + len(p) + len(e) <= _MAX_FIELD:
+            frame = (_DIGEST_HEAD, _pack_len(len(d)), d, _pack_len(len(p)), p, _pack_len(len(e)), e,
+                     _HASH_HEAD, _HASH_HEAD.join(hashes))
+            return _reduce(_sha256(b"".join(frame)).digest())
+    return digest([DOMAIN_DIGEST, drop_id, pv, epoch, *hashes])
 
 
 def cd_core(drop_id: str, pv: str, epoch: str, nonce: bytes) -> FieldElement:
     """Core challenge digest: binds drop, policy version, epoch, session nonce."""
     if len(nonce) != 32:
         raise EncodingError("session nonce must be 32 bytes")
-    return digest([DOMAIN_DIGEST, drop_id, pv, epoch, nonce])
+    return _challenge(drop_id, pv, epoch, nonce)
 
 
 def cd_full(drop_id: str, pv: str, epoch: str, nonce: bytes, root: bytes) -> FieldElement:
@@ -205,4 +276,4 @@ def cd_full(drop_id: str, pv: str, epoch: str, nonce: bytes, root: bytes) -> Fie
         raise EncodingError("session nonce must be 32 bytes")
     if len(root) != 32:
         raise EncodingError("result-set root must be 32 bytes")
-    return digest([DOMAIN_DIGEST, drop_id, pv, epoch, nonce, root])
+    return _challenge(drop_id, pv, epoch, nonce, root)

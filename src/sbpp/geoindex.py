@@ -57,10 +57,9 @@ which `save_corpus` calls.  `load_corpus` refuses a bad line by its number.
 There is no length cap: `canon.lp_encode` frames up to 2**32 - 1 bytes, the
 client's tree memo charges by bytes and a corpus file has no line limit.
 
-Tags are HMAC-SHA-256 (RFC 2104).  `hmac_tagger` hashes the key's inner and
-outer pads once and derives each tag from copies of those two states, which
-gives `hmac.digest`'s bytes without setting the key up again per tag; a query
-and a build each key one tagger.
+Tags are HMAC-SHA-256 (RFC 2104), from the package's one keyed-once kernel,
+`canon.hmac_sha256`: `hmac_tagger` keys it once, so a query and a build
+each set the search key up once, not once per tag.
 
 A query's dummy tags cost one keyed tag, not one each.  The tag of
 (PAD_LABEL, first cover cell) seeds a SHAKE-256 stream, and the dummy in slot
@@ -87,7 +86,7 @@ from functools import partial
 from itertools import chain
 from operator import attrgetter
 
-from .canon import strictly_sorted
+from .canon import hmac_sha256, strictly_sorted
 from .merkle import Cell
 
 GEOHASH_ALPHABET = "0123456789bcdefghjkmnpqrstuvwxyz"
@@ -316,26 +315,14 @@ def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
 # tokens and index
 
 
-_IPAD = bytes(b ^ 0x36 for b in range(256))
-_OPAD = bytes(b ^ 0x5C for b in range(256))
-_SHA256_BLOCK = 64
-
-
 def hmac_tagger(key: bytes) -> Callable[[int | str, str], bytes]:
-    """``make_token`` with ``key`` bound: the HMAC-SHA-256 pads are hashed
-    here once, and each tag finishes copies of the two keyed states."""
+    """``make_token`` with ``key`` bound, keyed once (`canon.hmac_sha256`)."""
     if len(key) != 32:
         raise GeoindexError("search key must be 32 bytes")
-    block = key.ljust(_SHA256_BLOCK, b"\0")
-    inner = hashlib.sha256(block.translate(_IPAD))
-    outer = hashlib.sha256(block.translate(_OPAD))
+    mac = hmac_sha256(key)
 
     def token(precision: int | str, cell: str) -> bytes:
-        h = inner.copy()
-        h.update(f"{TOKEN_LABEL}:{precision}:{cell}".encode("ascii"))
-        o = outer.copy()
-        o.update(h.digest())
-        return o.digest()
+        return mac(f"{TOKEN_LABEL}:{precision}:{cell}".encode("ascii"))
 
     return token
 

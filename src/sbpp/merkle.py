@@ -50,7 +50,10 @@ itself, since its running node is always a 32-byte digest; a test pins it to
 a fold over the two definitions.  `MerkleTree` hashes the same bytes a whole
 level at a time: each level is one chain of `map`/`zip` over C functions
 (encode, length prefix, join with the head, SHA-256, digest), so building a
-tree makes no Python-level call per node.  A tree keeps the levels above its
+tree makes no Python-level call per node.  A node level of at most four
+nodes (a tree's top levels, and the top tree over a search's few cell
+roots) is hashed pair by pair instead: setting up the chain costs more than
+it saves there (BENCH_unlock.json).  A tree keeps the levels above its
 leaves, about one 32-byte hash per id; a path's leaf sibling is one
 `leaf_hash` of the neighbouring id.  A member's position is found by
 bisecting the sorted ids, so the tree keeps no id -> position map.
@@ -79,7 +82,11 @@ step, cheap to write again, and a path a tamper test builds from steps
 never has old bytes to go stale.  `MerklePath.serialize` checks each step,
 its side and then its sibling, in one pass that collects the frame's parts,
 and joins them once.  `MerklePath.parse` checks every side byte in one pass
-before it builds a step, and a step is a `PathStep` named tuple.
+before it builds a step, and a step is a `PathStep` named tuple.  Every
+step, parsed or proved, is built by `tuple.__new__` in C, not by the named
+tuple's Python `__new__`, and a proved path is assembled from its steps
+(sbpp.canon's construction rule: each step's side is one of the two and
+its sibling a 32-byte digest by construction).
 The one-byte frame of an empty path (a one-leaf tree's) parses to the one
 shared `EMPTY_PATH`.
 """
@@ -95,6 +102,7 @@ from bisect import bisect_left
 from collections import OrderedDict
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from typing import Any, NamedTuple
 
@@ -114,6 +122,7 @@ _LEAF_HEAD = lp_encode([DOMAIN_LEAF])
 _LEAF_TEXT = _LEAF_HEAD.decode("ascii") + "\0\0\0"  # a leaf frame's head as text, less the id length's low byte
 _FRAMED_MIN_IDS = 3  # below this the per-id pipeline is as fast (BENCH_merkle.json)
 _NODE_HEAD = lp_encode([DOMAIN_NODE]) + _CHILD_LEN
+_PAIRWISE_MAX = 4  # a node level this short is hashed pair by pair (BENCH_unlock.json)
 
 _pack_len = struct.Struct(">I").pack
 _sha256 = hashlib.sha256
@@ -168,7 +177,12 @@ def _framed_leaf_level(ids: list[str] | tuple[str, ...]) -> list[bytes] | None:
 
 def _node_level(level: list[bytes]) -> list[bytes]:
     """`node_hash` over each (even, odd) pair of an even-length level of
-    32-byte hashes, hashed in one pipeline."""
+    32-byte hashes: pair by pair for a level of at most _PAIRWISE_MAX
+    nodes, where setting up the pipeline costs more than it saves, else
+    in one pipeline."""
+    if len(level) <= _PAIRWISE_MAX:
+        return [_digest(_sha256(b"".join((_NODE_HEAD, level[i], _CHILD_LEN, level[i + 1]))))
+                for i in range(0, len(level), 2)]
     frames = map(b"".join, zip(repeat(_NODE_HEAD), level[::2], repeat(_CHILD_LEN), level[1::2]))
     return list(map(_digest, map(hashlib.sha256, frames)))
 
@@ -189,6 +203,10 @@ def _levels(level: list[bytes]) -> list[list[bytes]]:
 class PathStep(NamedTuple):
     side: int  # SIDE_LEFT or SIDE_RIGHT, position of the sibling
     sibling: bytes
+
+
+# PathStep's own __new__ is a Python function; tuple.__new__ builds the same step in C
+_step = partial(tuple.__new__, PathStep)
 
 
 @dataclass(frozen=True)
@@ -226,9 +244,7 @@ class MerklePath:
         if sides.translate(None, _SIDES):
             raise MerkleError("invalid path step side")
         siblings = struct.unpack("x" + "x32s" * raw[0], raw)
-        # PathStep's own __new__ is a Python function; tuple.__new__ builds the same step in C
-        steps = map(tuple.__new__, repeat(PathStep), zip(sides, siblings))
-        return assemble(cls, steps=tuple(steps))
+        return assemble(cls, steps=tuple(map(_step, zip(sides, siblings))))
 
 
 EMPTY_PATH = MerklePath(())  # a one-leaf tree's path, and every parse of its frame
@@ -261,16 +277,15 @@ class MerkleTree:
         if not self.depth:
             return EMPTY_PATH
         sibling = self.ids[min(index ^ 1, len(self.ids) - 1)]  # odd tail: itself
-        first = PathStep(SIDE_LEFT if index % 2 else SIDE_RIGHT, leaf_hash(sibling))
-        return MerklePath((first, *_steps(self._above, index // 2)))
+        first = _step((SIDE_LEFT if index % 2 else SIDE_RIGHT, leaf_hash(sibling)))
+        return assemble(MerklePath, steps=(first, *_steps(self._above, index // 2)))
 
 
 def _steps(levels: list[list[bytes]], index: int) -> tuple[PathStep, ...]:
     """The path from node ``index`` of the bottom level to the root."""
     steps = []
     for level in levels[:-1]:
-        side = SIDE_LEFT if index % 2 else SIDE_RIGHT
-        steps.append(PathStep(side, level[index ^ 1]))
+        steps.append(_step((SIDE_LEFT if index % 2 else SIDE_RIGHT, level[index ^ 1])))
         index //= 2
     return tuple(steps)
 
@@ -400,7 +415,7 @@ def build_tree(
     if own is None:
         return ResultTree(top[-1][0], None)
     steps = own.prove_membership(member).steps + _steps(top, position)
-    return ResultTree(top[-1][0], MerklePath(steps))
+    return ResultTree(top[-1][0], assemble(MerklePath, steps=steps))
 
 
 def locate(cells: Sequence[Cell], drop_id: str) -> tuple[int, int] | None:

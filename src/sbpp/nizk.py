@@ -25,8 +25,17 @@ accepts only reduced elements, so its bytes are exactly what `to_bytes`
 would give; `dataclasses.replace` drops the bytes with the old elements.
 Having checked the whole frame, `from_bytes` and `Proof.parse` assemble
 their values without `__init__` (sbpp.canon's construction rule).
-The proof tag is one `hmac.digest` over a head fixed at import (the
+The proof tag is HMAC-SHA-256 over a head fixed at import (the
 `lp_encode` framing of the domain and a 256-byte field) and those bytes.
+It is keyed once per key (sbpp.canon's key-once rule): `_proof_mac` hashes
+the key's pads and absorbs the head, and keeps that state for the few keys
+a process holds, as a real backend prepares its verifying key once.  Each
+`prove` and `verify` still tags the public inputs it is given
+(BENCH_unlock.json has the tag's cost beside one `hmac.digest` a call).
+
+The server's statement check compares integers: `statement_values` gives
+the three values `make_public_inputs` builds its first elements from, with
+the same refusals, so no `PublicInputs` is built to be compared.
 """
 
 from __future__ import annotations
@@ -34,10 +43,12 @@ from __future__ import annotations
 import hashlib
 import hmac
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .canon import (
-    Q, ZERO, EncodingError, FieldElement, _element, assemble, decode_elements, lp_encode,
+    Q, ZERO, EncodingError, FieldElement, _element, assemble, decode_elements, hmac_sha256, lp_encode,
 )
 
 BACKEND_ID = "sim-hmac-v1"
@@ -88,7 +99,7 @@ class PublicInputs:
         encoded on first use and kept."""
         raw = self._bytes
         if raw is None:
-            raw = b"".join(e.to_bytes() for e in self.elements)
+            raw = b"".join([e.value.to_bytes(32, "big") for e in self.elements])  # each FieldElement.to_bytes, inline
             object.__setattr__(self, "_bytes", raw)
         return raw
 
@@ -145,26 +156,27 @@ def radius_value(radius_m: float) -> int:
     return radius
 
 
+def statement_values(target_lat: float, target_lon: float, radius_m: float) -> tuple[int, int, int]:
+    """The statement's first three values: offset-scaled integer coordinates,
+    non-negative so they embed directly as field elements, and the radius
+    (`radius_value`).  NizkError for a target off the globe."""
+    if not -90.0 <= target_lat <= 90.0 or not -180.0 <= target_lon <= 180.0:
+        raise NizkError("target coordinates out of range")
+    return (
+        round((target_lat + 90.0) * _COORD_SCALE),
+        round((target_lon + 180.0) * _COORD_SCALE),
+        radius_value(radius_m),
+    )
+
+
 def make_public_inputs(
     target_lat: float, target_lon: float, radius_m: float, cd: FieldElement
 ) -> PublicInputs:
-    """Statement encoding: offset-scaled integer coordinates keep the values
-    non-negative so they embed directly as field elements.  Every value is
-    range-checked here, so the elements are built without checking again."""
-    if not -90.0 <= target_lat <= 90.0 or not -180.0 <= target_lon <= 180.0:
-        raise NizkError("target coordinates out of range")
-    return PublicInputs(
-        (
-            _element(round((target_lat + 90.0) * _COORD_SCALE)),
-            _element(round((target_lon + 180.0) * _COORD_SCALE)),
-            _element(radius_value(radius_m)),
-            ZERO,
-            ZERO,
-            ZERO,
-            ZERO,
-            cd,
-        )
-    )
+    """The statement: `statement_values`, four zeroed reserved slots and the
+    challenge digest.  Every value is range-checked there, so the elements
+    are built without checking again."""
+    lat, lon, radius = statement_values(target_lat, target_lon, radius_m)
+    return PublicInputs((_element(lat), _element(lon), _element(radius), ZERO, ZERO, ZERO, ZERO, cd))
 
 
 def decode_target(pub: PublicInputs) -> tuple[float, float, float]:
@@ -193,9 +205,16 @@ def setup(seed: bytes) -> tuple[bytes, bytes]:
     return secret, secret
 
 
+@lru_cache(maxsize=4)  # a process holds one or two proof keys
+def _proof_mac(key: bytes) -> Callable[[bytes], bytes]:
+    """The proof tag keyed once: HMAC-SHA-256 under ``key`` with
+    `_PROOF_HEAD` absorbed, the backend's prepared verifying key."""
+    return hmac_sha256(key, _PROOF_HEAD)
+
+
 def _tag(key: bytes, pub: PublicInputs) -> bytes:
     """HMAC-SHA256 under ``key`` of lp_encode([DOMAIN_PROOF, pub.to_bytes()])."""
-    return hmac.digest(key, _PROOF_HEAD + pub.to_bytes(), "sha256")
+    return _proof_mac(bytes(key))(pub.to_bytes())
 
 
 def prove(proving_key: bytes, witness: Witness, pub: PublicInputs) -> Proof:

@@ -139,6 +139,9 @@ class VerifyOutcome:
             raise ProtocolError("outcome must carry exactly one of accept/reason")
 
 
+ACCEPTED = VerifyOutcome(True)  # frozen, so every accepting run returns this one
+
+
 class SbppServer:
     """Server half: index, session table, receipt signer, proof verifier."""
 
@@ -238,6 +241,7 @@ def challenge_digest(
 # read nothing but the attempt and the keys.
 
 Stage = Callable[[Any, Any], "str | None"]
+_value = attrgetter("value")
 
 
 @dataclass
@@ -261,7 +265,7 @@ def run_stages(stages: tuple[Stage, ...], subject: Any, attempt: Attempt) -> Ver
         reason = stage(subject, attempt)
         if reason is not None:
             return VerifyOutcome(False, reason)
-    return VerifyOutcome(True)
+    return ACCEPTED
 
 
 def check_session(verifier: Any, attempt: Attempt) -> str | None:
@@ -289,13 +293,19 @@ def check_receipt(keys: Any, attempt: Attempt) -> str | None:
 
 
 def check_digest(verifier: Any, attempt: Attempt) -> str | None:
-    """The challenge digest binds the proof to this session's context."""
+    """The challenge digest binds the proof to this session's context.  This
+    is the first stage to read the id, so it answers for an id no drop can
+    have: one that is not a `str`, or has no UTF-8 encoding (a lone
+    surrogate)."""
     record, claim = attempt.record, attempt.claim
-    if claim.pub is None:
+    if claim.pub is None or not isinstance(claim.drop_id, str):
         return R_NONCE_DIGEST
-    expected = challenge_digest(
-        record.mode, claim.drop_id, record.pv, record.epoch, record.N, record.root
-    )
+    try:
+        expected = challenge_digest(
+            record.mode, claim.drop_id, record.pv, record.epoch, record.N, record.root
+        )
+    except UnicodeEncodeError:  # a lone surrogate
+        return R_NONCE_DIGEST
     return None if claim.pub[7] == expected else R_NONCE_DIGEST
 
 
@@ -313,18 +323,20 @@ def check_membership(verifier: Any, attempt: Attempt) -> str | None:
 
 
 def check_statement(verifier: Any, attempt: Attempt) -> str | None:
-    """Online only: the public inputs state the named drop's position."""
+    """Online only: the public inputs state the named drop's position.  The
+    seven statement values (`nizk.statement_values` of the drop and the
+    radius, then four zeros) are compared with the public inputs' own, as
+    integers; a drop no statement can hold fails here too."""
     claim = attempt.claim
     drop = verifier.drops.get(claim.drop_id)
     if drop is None or claim.pub is None:
         return R_PROOF_INVALID
     try:
-        expected = nizk.make_public_inputs(
-            drop.lat, drop.lon, verifier.unlock_radius_m, claim.pub[7]
-        )
+        lat, lon, radius = nizk.statement_values(drop.lat, drop.lon, verifier.unlock_radius_m)
     except nizk.NizkError:
         return R_PROOF_INVALID
-    return None if expected.elements[:7] == claim.pub.elements[:7] else R_PROOF_INVALID
+    stated = tuple(map(_value, claim.pub.elements[:7]))
+    return None if stated == (lat, lon, radius, 0, 0, 0, 0) else R_PROOF_INVALID
 
 
 def check_proof(verifier: Any, attempt: Attempt) -> str | None:

@@ -46,7 +46,6 @@ server-signed evidence for a context the server never issued it for.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 import random
 from dataclasses import dataclass, field, replace
@@ -54,7 +53,7 @@ from functools import partial
 from operator import attrgetter
 
 from . import nizk
-from .canon import EncodingError, FieldElement, digest, lp_decode, lp_encode
+from .canon import EncodingError, FieldElement, digest, hmac_sha256, lp_decode, lp_encode
 from .geoindex import DEFAULT_PRECISIONS, Drop, client_tokens, drops_of, plain_tag
 from .merkle import MerklePath, build_tree, locate, verify_membership
 from .protocol import (
@@ -200,7 +199,7 @@ def _verify_blob(public_bytes: bytes, blob: bytes, domain: str) -> list[bytes] |
 
 def _mac_tag(mac_key: bytes, S: str, pv: str, epoch: str, ids: tuple[str, ...]) -> bytes:
     msg = lp_encode([DOMAIN_MAC, S, pv, epoch, *ids])
-    return hmac.new(mac_key, msg, hashlib.sha256).digest()
+    return hmac_sha256(mac_key)(msg)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ script before this module existed; they pin the wire format.
 """
 
 import hashlib
+import hmac
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sbpp.canon import (
@@ -20,6 +21,7 @@ from sbpp.canon import (
     cd_full,
     decode_elements,
     digest,
+    hmac_sha256,
     lp_decode,
     lp_encode,
 )
@@ -250,3 +252,51 @@ def test_lp_injective(a, b):
 @settings(max_examples=100)
 def test_digest_in_field_range(fields):
     assert 0 <= digest(fields).value < Q
+
+
+# ---------------------------------------------------------------------------
+# the fixed-shape kernels against their definitions
+
+# any text, lone surrogates included, and the non-text fields digest refuses
+_ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=12)
+_CD_FIELD = st.one_of(_ANY_TEXT, st.binary(max_size=8), st.none(), st.integers(), st.lists(_ANY_TEXT, max_size=1))
+_HASH_FIELD = st.one_of(
+    st.binary(min_size=32, max_size=32),
+    st.binary(min_size=32, max_size=32).map(bytearray),
+    st.text(st.characters(exclude_categories=()), min_size=32, max_size=32),
+)
+
+
+@given(_CD_FIELD, _CD_FIELD, _CD_FIELD, _HASH_FIELD, st.one_of(st.none(), _HASH_FIELD))
+@example("d1", "1", "ep0", Z32, None)
+@example("\ud800", "1", "ep0", Z32, Z32)
+@example(b"d1", "1", "ep0", Z32, Z32)
+@settings(max_examples=500)
+def test_challenge_digests_equal_the_generic_digest(drop_id, pv, epoch, nonce, root):
+    # same element, or the same error type, as digest() over the field list
+    fields = [DOMAIN_DIGEST, drop_id, pv, epoch, nonce]
+    if root is None:
+        kernel = lambda: cd_core(drop_id, pv, epoch, nonce)  # noqa: E731
+    else:
+        fields.append(root)
+        kernel = lambda: cd_full(drop_id, pv, epoch, nonce, root)  # noqa: E731
+    try:
+        want = digest(fields)
+    except Exception as exc:  # the definition's refusal, whatever its type
+        with pytest.raises(type(exc)):
+            kernel()
+    else:
+        assert kernel() == want
+
+
+@given(st.binary(max_size=200), st.binary(max_size=80), st.lists(st.binary(max_size=300), min_size=1, max_size=3))
+@example(bytes(64), b"", [b""])
+@example(bytes(65), b"", [b"m"])
+@example(b"\xff" * 200, b"head", [b"a", b"b"])
+@settings(max_examples=300)
+def test_hmac_kernel_equals_hmac_digest(key, head, messages):
+    # keys of any length (longer than a block: hashed first), and the keyed
+    # states are reused, never consumed, across messages
+    mac = hmac_sha256(key, head)
+    for message in messages:
+        assert mac(message) == hmac.digest(key, head + message, "sha256")

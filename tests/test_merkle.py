@@ -500,15 +500,47 @@ def test_verify_membership_equals_the_reference_fold(ids, data):
 # the two-level commitment against flat per-cell trees
 
 
-def _oracle_top(roots: list[bytes]) -> bytes:
-    """Reference top tree: pair nodes left to right, an odd tail with itself."""
-    level = list(roots)
-    while len(level) > 1:
-        level = [
+def _oracle_top_levels(roots: list[bytes]) -> list[list[bytes]]:
+    """Reference top tree, every level: pair nodes left to right, an odd
+    tail with itself."""
+    levels = [list(roots)]
+    while len(levels[-1]) > 1:
+        level = levels[-1]
+        levels.append([
             node_hash(level[i], level[i + 1] if i + 1 < len(level) else level[i])
             for i in range(0, len(level), 2)
-        ]
-    return level[0]
+        ])
+    return levels
+
+
+def _oracle_top(roots: list[bytes]) -> bytes:
+    """Reference top tree's root."""
+    return _oracle_top_levels(roots)[-1][0]
+
+
+@given(
+    st.lists(st.lists(st.text(alphabet="abc\u00e9\U0001f600", min_size=1, max_size=3), min_size=1, max_size=9),
+             min_size=1, max_size=16),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_proved_paths_equal_the_reference_fold(id_lists, data):
+    # flat and two-level paths, step for step, against the lp_encode
+    # reference; every step is a PathStep and the path's steps a tuple
+    cells = [Cell(_utf8_order(ids)) for ids in id_lists]
+    member = data.draw(st.sampled_from([i for cell in cells for i in cell.ids]))
+    position = next(p for p, cell in enumerate(cells) if member in cell.ids)
+    own = _oracle_levels(cells[position].ids)
+    top = _oracle_top_levels([_oracle_levels(cell.ids)[-1][0] for cell in cells])
+    flat = MerkleTree(cells[position].ids).prove_membership(member)
+    root, path = build_tree(cells, member)
+    assert flat == _oracle_path(own, cells[position].ids.index(member))
+    assert root == top[-1][0]
+    assert path.steps == flat.steps + _oracle_path(top, position).steps
+    for proved in (flat, path):
+        assert type(proved.steps) is tuple and all(type(step) is PathStep for step in proved.steps)
+        assert MerklePath.parse(proved.serialize()) == proved
+    assert verify_membership(root, member, path)
 
 
 def test_one_cell_result_keeps_the_flat_root_and_paths():

@@ -1,14 +1,16 @@
 """End-to-end protocol flow and the verifier's rejection pipeline."""
 
 import dataclasses
+import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sbpp import merkle, nizk, session
-from sbpp.canon import cd_core, cd_full, lp_decode, lp_encode
+from sbpp.canon import FieldElement, Q, cd_core, cd_full, lp_decode, lp_encode
 from sbpp.geoindex import (
     COVER_BUDGET, PAD_LABEL, Drop, GeoindexError, client_tokens, drops_of, gen_uniform_corpus, geohash_encode,
     make_token,
@@ -32,10 +34,11 @@ from sbpp.protocol import (
     SbppServer,
     VerifyOutcome,
     audit,
+    check_statement,
     emit_audit_record,
     run_stages,
 )
-from sbpp.harness.attacks import protocol_pair, seeded_env
+from sbpp.harness.attacks import QUERY_LAT, QUERY_LON, RADIUS_M, WITNESS_NEAR_QUERY, protocol_pair, seeded_env
 from sbpp.receipt import server_keygen
 from sbpp.session import MODE_CORE, MODE_FULL
 from sbpp.variants import VARIANT_KINDS, VariantEnv, VariantError, make_variant
@@ -696,6 +699,86 @@ def test_missing_public_inputs_answer_a_reason(mode):
     assert audit(server.public_key_bytes, server.nizk_vk, record).fail_reason == R_NONCE_DIGEST
     outcome = server.verify(dataclasses.replace(request, pub=None), T0 + 1)
     assert outcome.fail_reason == R_NONCE_DIGEST
+
+
+@pytest.mark.parametrize("drop_id", ["\ud800", "d0\udfff", None, ["d00"], b"d00", 7], ids=repr)
+@pytest.mark.parametrize("subject", [MODE_CORE, MODE_FULL, "V4a", "V4b"])
+def test_an_id_that_is_no_encodable_str_answers_a_digest_mismatch(subject, drop_id):
+    # the digest stage is the first to read the id: it answers, it does not
+    # raise, and the session stays open for the honest request
+    env = seeded_env(0)
+    if subject in (MODE_CORE, MODE_FULL):
+        server, client = protocol_pair(env, subject)
+        ses = client.open_session(server, T0)
+        client.search(server, ses, QUERY_LAT, QUERY_LON, RADIUS_M, T0)
+        build, verify = client.build_unlock, server.verify
+    else:
+        variant = make_variant(subject, env)
+        ses = variant.open_session(T0)
+        variant.search(ses, QUERY_LAT, QUERY_LON, RADIUS_M, T0)
+        build, verify = variant.build_unlock, variant.verify
+    request = build(ses, ses.result_ids()[0], WITNESS_NEAR_QUERY)
+    assert verify(dataclasses.replace(request, drop_id=drop_id), T0 + 1).fail_reason == R_NONCE_DIGEST
+    assert verify(request, T0 + 2).accepted
+
+
+def _reference_statement(verifier, attempt):
+    """The statement check as a comparison of whole public inputs: the
+    expected elements built by their checked constructor from the
+    statement's definition (offset-scaled coordinates on the globe, the
+    radius, four zeros), the first seven compared."""
+    claim = attempt.claim
+    drop = verifier.drops.get(claim.drop_id)
+    if drop is None or claim.pub is None:
+        return R_PROOF_INVALID
+    if not (-90.0 <= drop.lat <= 90.0 and -180.0 <= drop.lon <= 180.0):
+        return R_PROOF_INVALID
+    try:
+        radius = nizk.radius_value(verifier.unlock_radius_m)
+    except nizk.NizkError:
+        return R_PROOF_INVALID
+    values = (round((drop.lat + 90.0) * 10**7), round((drop.lon + 180.0) * 10**7), radius, 0, 0, 0, 0)
+    expected = tuple(map(FieldElement, values))
+    return None if expected == claim.pub.elements[:7] else R_PROOF_INVALID
+
+
+_EDGE_LATS = [-90.0, 90.0, math.nextafter(-90.0, -100), math.nextafter(90.0, 100), -0.0, 35.7, math.nan]
+_EDGE_LONS = [-180.0, 180.0, math.nextafter(-180.0, -200), math.nextafter(180.0, 200), 0.0, 139.75, math.inf]
+_EDGE_RADII = [0.5, 0.5000000000000001, 1.0, 1.5, 2.5, 999.5, 1000.5, 0.0, -1.0, math.inf, math.nan, float(Q)]
+
+
+@given(
+    st.one_of(st.sampled_from(_EDGE_LATS), st.floats(-91, 91)),
+    st.one_of(st.sampled_from(_EDGE_LONS), st.floats(-181, 181)),
+    st.one_of(st.sampled_from(_EDGE_RADII), st.floats(0, 1e7)),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_statement_check_agrees_with_the_whole_public_inputs_comparison(lat, lon, radius, data):
+    # an arbitrary statement, and where the drop and radius admit one the
+    # honest statement and each one-off-by-one-in-one-slot statement, for
+    # the named drop and an unknown id, at the globe's edges and at radius
+    # rounding edges
+    verifier = SimpleNamespace(drops={"d": Drop("d", lat, lon)}, unlock_radius_m=radius)
+    values = data.draw(st.lists(st.integers(0, Q - 1), min_size=8, max_size=8))
+    statements = [values]
+    try:
+        honest = nizk.make_public_inputs(lat, lon, radius, FieldElement(values[7]))
+    except nizk.NizkError:
+        honest = None
+    if honest is not None:
+        base = [e.value for e in honest.elements]
+        statements.append(base)
+        for slot in range(7):
+            for delta in (1, -1):
+                statements.append([*base[:slot], (base[slot] + delta) % Q, *base[slot + 1 :]])
+    for statement in statements:
+        pub = nizk.PublicInputs(tuple(map(FieldElement, statement)))
+        for drop_id in ("d", "other"):
+            attempt = Attempt(SimpleNamespace(drop_id=drop_id, pub=pub), None)
+            assert check_statement(verifier, attempt) == _reference_statement(verifier, attempt)
+    if honest is not None:
+        assert check_statement(verifier, Attempt(SimpleNamespace(drop_id="d", pub=honest), None)) is None
 
 
 def test_emit_audit_record_needs_a_receipt():
