@@ -12,6 +12,14 @@ reduced into the scalar field used by the proof backend, so they can ride in
 a public-input slot.  Strings are encoded as UTF-8 without unicode
 normalization: two ids that differ in codepoints are different ids.
 
+Text a hash can take.  A text field is a `str` (a subclass too) with a
+UTF-8 encoding, that is one holding no lone surrogate; `encodable` is that
+rule, answered from `isascii()` for ASCII text without a scan.  The
+definitions (`lp_encode`, `digest`, `cd_core`/`cd_full`, the Merkle leaf
+hash) keep their refusals: each raises on a field it cannot encode.  A
+check that reads a claimed id asks `encodable` first and answers with its
+own reason instead, and the drop-id rule's UTF-8 clause is this predicate.
+
 Fixed heads.  A frame whose first fields never change starts with their
 `lp_encode` bytes, computed once at import, and appends only its own
 fields.  `cd_core` and `cd_full` frame their three text fields and their
@@ -57,6 +65,7 @@ from __future__ import annotations
 
 import hashlib
 import operator
+import re
 import struct
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -73,6 +82,7 @@ _pack_len = _LEN.pack
 _unpack_len = _LEN.unpack_from
 _sha256 = hashlib.sha256
 _MAX_FIELD = 2**32 - 1
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class EncodingError(ValueError):
@@ -147,6 +157,12 @@ def strictly_sorted(ids: list[str] | tuple[str, ...]) -> bool:
     order of a result set.  Code point order is UTF-8 byte order, so the
     strings are compared unencoded."""
     return all(map(operator.lt, ids, ids[1:]))
+
+
+def encodable(value: object) -> bool:
+    """True iff ``value`` is text a hash can take: a `str` with a UTF-8
+    encoding, so no lone surrogate (ASCII text is answered without a scan)."""
+    return isinstance(value, str) and (value.isascii() or _SURROGATE.search(value) is None)
 
 
 def as_bytes(field: bytes | str) -> bytes:

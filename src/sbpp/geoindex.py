@@ -48,12 +48,13 @@ so a build hashes no id and a search hashes only cells never committed
 before.
 
 A drop id is non-empty, holds no TAB, CR or LF, does not start with '#' and
-encodes to UTF-8: exactly what a corpus file line holds as an id and gives
-back unchanged, and what a leaf hash and a proof digest can take.  The rule
-has one home, the table `_ID_RULE` that `check_ids` runs, and every door a
-drop comes in by applies it: `build_index` (so every server, rung, study
-and CLI command, an index file's drops included), and `check_corpus`,
-which `save_corpus` calls.  `load_corpus` refuses a bad line by its number.
+encodes to UTF-8 (`canon.encodable`): exactly what a corpus file line holds
+as an id and gives back unchanged, and what a leaf hash and a proof digest
+can take.  The rule has one home, the table `_ID_RULE` that `check_ids`
+runs, and every door a drop comes in by applies it: `build_index` (so
+every server, rung, study and CLI command, an index file's drops included),
+and `check_corpus`, which `save_corpus` calls.  `load_corpus` refuses a bad
+line by its number.
 There is no length cap: `canon.lp_encode` frames up to 2**32 - 1 bytes, the
 client's tree memo charges by bytes and a corpus file has no line limit.
 
@@ -78,7 +79,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-import re
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
@@ -86,7 +86,7 @@ from functools import partial
 from itertools import chain
 from operator import attrgetter
 
-from .canon import hmac_sha256, strictly_sorted
+from .canon import encodable, hmac_sha256, strictly_sorted
 from .merkle import Cell
 
 GEOHASH_ALPHABET = "0123456789bcdefghjkmnpqrstuvwxyz"
@@ -432,13 +432,14 @@ def drops_of(cells: Sequence[Cell]) -> tuple[Drop, ...]:
 # corpus, and the same test over "\n" + id + "\n" and 1 checks one id.  Only
 # the LF test counts: an LF inside an id is one LF more than the joins.  The
 # others may also fire on an id holding an LF, which that test refuses first.
-# The '#' and UTF-8 tests first ask what no valid corpus needs a full scan
-# for: whether the text holds a '#' at all, or anything beyond ASCII.
+# The '#' test and the UTF-8 test (`canon.encodable`, the rule for any text a
+# hash takes) first ask what no valid corpus needs a full scan for: whether
+# the text holds a '#' at all, or anything beyond ASCII.
 _ID_RULE = (
     ("holds a TAB, CR or LF", lambda text, n: "\t" in text or "\r" in text or text.count("\n") > n + 1),
     ("is empty", lambda text, n: "\n\n" in text),
     ("starts with '#', which marks a comment", lambda text, n: "#" in text and "\n#" in text),
-    ("does not encode to UTF-8", lambda text, n: not text.isascii() and bool(re.search("[\ud800-\udfff]", text))),
+    ("does not encode to UTF-8", lambda text, n: not encodable(text)),
 )
 
 

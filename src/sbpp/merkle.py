@@ -106,7 +106,7 @@ from functools import partial
 from itertools import repeat
 from typing import Any, NamedTuple
 
-from .canon import assemble, lp_encode, strictly_sorted
+from .canon import assemble, encodable, lp_encode, strictly_sorted
 
 DOMAIN_LEAF = "SBPP-LEAF"
 DOMAIN_NODE = "SBPP-NODE"
@@ -431,11 +431,12 @@ def locate(cells: Sequence[Cell], drop_id: str) -> tuple[int, int] | None:
 
 def verify_membership(root: bytes, drop_id: str, path: MerklePath) -> bool:
     """Recompute the root from the leaf and path; True iff it matches.
+    False for an id no leaf can hash (`canon.encodable`).
 
     Each step is checked once (its side, and a 32-byte sibling), and its
     node is hashed from `node_hash`'s frame directly: the running node is a
     digest, so it needs no length check either."""
-    if len(root) != 32:
+    if len(root) != 32 or not encodable(drop_id):
         return False
     node = leaf_hash(drop_id)
     for side, sibling in path.steps:

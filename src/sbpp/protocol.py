@@ -70,7 +70,7 @@ from typing import Any, Callable, NamedTuple
 
 from . import nizk
 from .canon import (
-    EncodingError, FieldElement, as_bytes, assemble, cd_core, cd_full, lp_decode, lp_head,
+    EncodingError, FieldElement, as_bytes, assemble, cd_core, cd_full, encodable, lp_decode, lp_head,
 )
 from .geoindex import (
     COVER_BUDGET, DEFAULT_PRECISIONS, Drop, GeoIndex, build_index, client_tokens, drops_of, make_token,
@@ -294,28 +294,25 @@ def check_receipt(keys: Any, attempt: Attempt) -> str | None:
 
 def check_digest(verifier: Any, attempt: Attempt) -> str | None:
     """The challenge digest binds the proof to this session's context.  This
-    is the first stage to read the id, so it answers for an id no drop can
-    have: one that is not a `str`, or has no UTF-8 encoding (a lone
-    surrogate)."""
+    is the first stage to read the id, so it answers for an id no digest
+    can take (`canon.encodable`: not a `str`, or a lone surrogate) with a
+    mismatch, as for any other id the proof was not made for."""
     record, claim = attempt.record, attempt.claim
-    if claim.pub is None or not isinstance(claim.drop_id, str):
+    if claim.pub is None or not encodable(claim.drop_id):
         return R_NONCE_DIGEST
-    try:
-        expected = challenge_digest(
-            record.mode, claim.drop_id, record.pv, record.epoch, record.N, record.root
-        )
-    except UnicodeEncodeError:  # a lone surrogate
-        return R_NONCE_DIGEST
+    expected = challenge_digest(record.mode, claim.drop_id, record.pv, record.epoch, record.N, record.root)
     return None if claim.pub[7] == expected else R_NONCE_DIGEST
 
 
 def check_membership(verifier: Any, attempt: Attempt) -> str | None:
     """The bound cells where the context holds them (a core session), else a
     Merkle path to the bound root.  A receipt holds no cells, and a core
-    receipt's zero root admits no path, so core audit records stop here."""
+    receipt's zero root admits no path, so core audit records stop here.
+    An id no hash can take (`canon.encodable`) is in no cells and on no path."""
     record, claim = attempt.record, attempt.claim
     if record.result_set is not None:
-        return None if in_result_set(record.result_set, claim.drop_id) else R_NOT_IN_RESULT_SET
+        member = encodable(claim.drop_id) and in_result_set(record.result_set, claim.drop_id)
+        return None if member else R_NOT_IN_RESULT_SET
     path = claim.merkle_path
     if path is None or not verify_membership(record.root, claim.drop_id, path):
         return R_MERKLE_INVALID

@@ -35,9 +35,12 @@ other rows add their own evidence here.
 An audit is the verify stages run without server state: the audit record
 is the request itself, stamped with the token and receipt the session was
 issued, and its receipt, where the rung issues one, takes the session
-record's place.  So every audit stage is a verify stage too, except the
-protocol's receipt signature and V8's token hash, signature and root,
-which read the token from the record instead of the server's session.
+record's place.  So every audit stage is a verify stage too, except the two
+signature checks, the protocol's receipt signature and V8's token
+signature: online the server's own session and token need none.  V8's
+token hash and root read the token the server holds for the session
+online and the record's token offline.  No stage raises on a claimed id:
+one no hash can take (`canon.encodable`) gets the stage's own reason.
 
 Attack adapters model an adversary who can re-route anything it computed
 itself (session ids, nonce echoes, membership paths) but cannot mint
@@ -53,7 +56,7 @@ from functools import partial
 from operator import attrgetter
 
 from . import nizk
-from .canon import EncodingError, FieldElement, digest, hmac_sha256, lp_decode, lp_encode
+from .canon import EncodingError, FieldElement, digest, encodable, hmac_sha256, lp_decode, lp_encode
 from .geoindex import DEFAULT_PRECISIONS, Drop, client_tokens, drops_of, plain_tag
 from .merkle import MerklePath, build_tree, locate, verify_membership
 from .protocol import (
@@ -204,8 +207,9 @@ def _mac_tag(mac_key: bytes, S: str, pv: str, epoch: str, ids: tuple[str, ...]) 
 
 # ---------------------------------------------------------------------------
 # ladder-only stages; the rest come from the protocol.  Every one but the
-# V8 audit stages also verifies online; an audit passes them the record as
-# the claim and no session record, so the context is the record's own.
+# token signature also verifies online; an audit passes them the record as
+# the claim, no clock and no session record, so the context is the record's
+# own.
 
 
 def _context(attempt: Attempt) -> tuple[str, str]:
@@ -251,19 +255,39 @@ def check_mac(variant: GenericVariant, attempt: Attempt) -> str | None:
 
 
 def check_context_digest(variant: GenericVariant, attempt: Attempt) -> str | None:
+    """The context digest over the claimed id; an id no digest can take
+    (`canon.encodable`) is a mismatch, as in the protocol's `check_digest`."""
     claim = attempt.claim
-    if claim.pub is None or claim.pub[7] != context_digest(claim.drop_id, *_context(attempt)):
+    if (claim.pub is None or not encodable(claim.drop_id)
+            or claim.pub[7] != context_digest(claim.drop_id, *_context(attempt))):
         return R_NONCE_DIGEST
     return None
 
 
-def _token_member(token: bytes | None, claim: VariantRequest) -> str | None:
-    """Membership against the root inside ``token``; a missing token, or one
-    that does not frame a root, admits no path."""
+def _token(variant: GenericVariant, attempt: Attempt) -> bytes | None:
+    """The token that counts: online the one the server issued the session,
+    offline (an audit has no clock) the one the record was stamped with."""
+    if attempt.now is None:
+        return attempt.claim.token
+    return variant.token_by_session.get(attempt.claim.S)
+
+
+def check_token_hash(variant: GenericVariant, attempt: Attempt) -> str | None:
+    """The only anchor of an opaque token is pub[7] == H(token), so any
+    token-level tampering collapses into this one symptom.  Online, a
+    session issued no token is not one this rung can unlock."""
+    token, pub = _token(variant, attempt), attempt.claim.pub
     if token is None:
-        return R_MERKLE_INVALID
+        return R_TOKEN_HASH if attempt.now is None else R_SESSION_INVALID
+    return None if pub is not None and pub[7] == digest([token]) else R_TOKEN_HASH
+
+
+def check_token_root(variant: GenericVariant, attempt: Attempt) -> str | None:
+    """Membership against the root inside the token; a missing token, or one
+    that does not frame a root, admits no path."""
+    token, claim = _token(variant, attempt), attempt.claim
     try:
-        fields = lp_decode(token)
+        fields = lp_decode(token or b"")
     except EncodingError:
         return R_MERKLE_INVALID
     path = claim.merkle_path
@@ -272,41 +296,13 @@ def _token_member(token: bytes | None, claim: VariantRequest) -> str | None:
     return None
 
 
-def check_token_hash(variant: GenericVariant, attempt: Attempt) -> str | None:
-    token = variant.token_by_session.get(attempt.claim.S)
-    if token is None:
-        return R_SESSION_INVALID
-    pub = attempt.claim.pub
-    return None if pub is not None and pub[7] == digest([token]) else R_TOKEN_HASH
-
-
-def check_token_root(variant: GenericVariant, attempt: Attempt) -> str | None:
-    """Membership against the root inside this session's token."""
-    return _token_member(variant.token_by_session.get(attempt.claim.S), attempt.claim)
-
-
-# V8 audits read the record's token; online, the token the server holds for
-# the session is the one that counts, so these are offline-only.
-
-
-def audit_token_hash(variant: GenericVariant, attempt: Attempt) -> str | None:
-    # The only anchor of an opaque token is pub[7] == H(token), so any
-    # token-level tampering collapses into this one symptom.
-    rec = attempt.claim
-    if rec.pub is None or rec.token is None or rec.pub[7] != digest([rec.token]):
-        return R_TOKEN_HASH
-    return None
-
-
 def audit_token_sig(variant: GenericVariant, attempt: Attempt) -> str | None:
+    """Offline only: the record's token is signed by the server, for the
+    rung's token kind (online the server's own copy needs no signature)."""
     domain = DOMAIN_TOKEN_FULL if check_token_root in variant.traits.verify else DOMAIN_TOKEN_LITE
-    if _verify_blob(variant.public_key_bytes, attempt.claim.token, domain) is None:
+    if _verify_blob(variant.public_key_bytes, attempt.claim.token or b"", domain) is None:
         return R_TOKEN_SIG
     return None
-
-
-def audit_token_root(variant: GenericVariant, attempt: Attempt) -> str | None:
-    return _token_member(attempt.claim.token, attempt.claim)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +367,7 @@ RUNGS: dict[str, VariantTraits] = {
     "V8": VariantTraits(
         "V8",
         (check_session, check_token_hash, check_token_root, *_PROVE, consume_session),
-        (audit_token_hash, audit_token_sig, audit_token_root, check_proof),
+        (check_token_hash, audit_token_sig, check_token_root, check_proof),
     ),
 }
 VARIANT_KINDS = tuple(RUNGS)
@@ -381,7 +377,7 @@ VARIANT_KINDS = tuple(RUNGS)
 _V8_LITE = replace(
     RUNGS["V8"],
     verify=(check_session, check_token_hash, check_membership, *_PROVE, consume_session),
-    audit=(audit_token_hash, audit_token_sig, check_proof),
+    audit=(check_token_hash, audit_token_sig, check_proof),
 )
 
 

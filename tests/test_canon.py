@@ -21,6 +21,7 @@ from sbpp.canon import (
     cd_full,
     decode_elements,
     digest,
+    encodable,
     hmac_sha256,
     lp_decode,
     lp_encode,
@@ -287,6 +288,33 @@ def test_challenge_digests_equal_the_generic_digest(drop_id, pv, epoch, nonce, r
             kernel()
     else:
         assert kernel() == want
+
+
+class _Text(str):
+    pass
+
+
+def _encodes(value) -> bool:
+    try:
+        str.encode(value, "utf-8")
+    except (TypeError, UnicodeEncodeError):  # no str, or a lone surrogate
+        return False
+    return True
+
+
+# any text, with ASCII's last and first non-ASCII code points and lone surrogates often
+_EDGE_TEXT = st.text(
+    st.sampled_from(["a", "\x7f", "\x80", "\ud800", "\udfff", "\U0010ffff"]) | st.characters(exclude_categories=())
+)
+
+
+@given(st.one_of(_EDGE_TEXT, _EDGE_TEXT.map(_Text), _CD_FIELD))
+@example("\ud83d\ude00")  # a surrogate pair as two code points: two lone surrogates
+@example(_Text("\udc80"))
+@example(bytearray(b"d00"))
+@settings(max_examples=500)
+def test_encodable_is_exactly_a_utf8_encoding(value):
+    assert encodable(value) is _encodes(value)
 
 
 @given(st.binary(max_size=200), st.binary(max_size=80), st.lists(st.binary(max_size=300), min_size=1, max_size=3))

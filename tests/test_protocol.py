@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sbpp import merkle, nizk, session
-from sbpp.canon import FieldElement, Q, cd_core, cd_full, lp_decode, lp_encode
+from sbpp.canon import FieldElement, Q, cd_core, cd_full, encodable, lp_decode, lp_encode
 from sbpp.geoindex import (
     COVER_BUDGET, PAD_LABEL, Drop, GeoindexError, client_tokens, drops_of, gen_uniform_corpus, geohash_encode,
     make_token,
@@ -41,7 +41,7 @@ from sbpp.protocol import (
 from sbpp.harness.attacks import QUERY_LAT, QUERY_LON, RADIUS_M, WITNESS_NEAR_QUERY, protocol_pair, seeded_env
 from sbpp.receipt import server_keygen
 from sbpp.session import MODE_CORE, MODE_FULL
-from sbpp.variants import VARIANT_KINDS, VariantEnv, VariantError, make_variant
+from sbpp.variants import R_EVIDENCE_INVALID, VARIANT_KINDS, VariantEnv, VariantError, make_variant
 
 T0 = 1_700_000_000
 KEY = b"\x11" * 32
@@ -701,25 +701,111 @@ def test_missing_public_inputs_answer_a_reason(mode):
     assert outcome.fail_reason == R_NONCE_DIGEST
 
 
-@pytest.mark.parametrize("drop_id", ["\ud800", "d0\udfff", None, ["d00"], b"d00", 7], ids=repr)
-@pytest.mark.parametrize("subject", [MODE_CORE, MODE_FULL, "V4a", "V4b"])
-def test_an_id_that_is_no_encodable_str_answers_a_digest_mismatch(subject, drop_id):
-    # the digest stage is the first to read the id: it answers, it does not
-    # raise, and the session stays open for the honest request
+def _unlocked(subject: str):
+    """The honest request of a searched session on ``subject`` (a mode's
+    server and client, a rung, or "V8-lite", the V8 rung whose token omits
+    the root), with the subject's verify and its audit of a request."""
     env = seeded_env(0)
     if subject in (MODE_CORE, MODE_FULL):
         server, client = protocol_pair(env, subject)
         ses = client.open_session(server, T0)
         client.search(server, ses, QUERY_LAT, QUERY_LON, RADIUS_M, T0)
-        build, verify = client.build_unlock, server.verify
-    else:
-        variant = make_variant(subject, env)
-        ses = variant.open_session(T0)
-        variant.search(ses, QUERY_LAT, QUERY_LON, RADIUS_M, T0)
-        build, verify = variant.build_unlock, variant.verify
-    request = build(ses, ses.result_ids()[0], WITNESS_NEAR_QUERY)
-    assert verify(dataclasses.replace(request, drop_id=drop_id), T0 + 1).fail_reason == R_NONCE_DIGEST
+        request = client.build_unlock(ses, ses.result_ids()[0], WITNESS_NEAR_QUERY)
+        keys = (server.public_key_bytes, server.nizk_vk)
+        return request, server.verify, lambda claim: audit(*keys, emit_audit_record(ses, claim))
+    variant = make_variant(subject.removesuffix("-lite"), env, token_includes_root=subject != "V8-lite")
+    ses = variant.open_session(T0)
+    variant.search(ses, QUERY_LAT, QUERY_LON, RADIUS_M, T0)
+    request = variant.build_unlock(ses, ses.result_ids()[0], WITNESS_NEAR_QUERY)
+    return request, variant.verify, lambda claim: variant.audit(variant.audit_record(ses, claim))
+
+
+# every test_reasons subject: the server in both modes, each rung, V8-lite
+ID_SUBJECTS = (MODE_CORE, MODE_FULL, *VARIANT_KINDS, "V8-lite")
+DIGEST_SUBJECTS = (MODE_CORE, MODE_FULL, "V1", "V2", "V3", "V4a", "V4b")
+
+
+@pytest.mark.parametrize("drop_id", ["\ud800", "d0\udfff", None, ["d00"], b"d00", 7], ids=repr)
+@pytest.mark.parametrize("subject", DIGEST_SUBJECTS)
+def test_an_id_that_is_no_encodable_str_answers_a_digest_mismatch(subject, drop_id):
+    # the digest stage is the first to read the id: it answers, online and
+    # offline, it does not raise, and the session stays open for the honest
+    # request
+    request, verify, audit_of = _unlocked(subject)
+    bad = dataclasses.replace(request, drop_id=drop_id)
+    assert verify(bad, T0 + 1).fail_reason == R_NONCE_DIGEST
+    assert audit_of(bad).fail_reason == R_NONCE_DIGEST
     assert verify(request, T0 + 2).accepted
+
+
+# (online, offline) for an id no hash can take, on the rungs without a
+# digest over the id.  V8-lite's audit has no membership stage, so its
+# record is accepted: the A4b boundary, by design.
+_ID_ANSWERS = {
+    "V5": (R_EVIDENCE_INVALID, R_EVIDENCE_INVALID),
+    "V6": (R_EVIDENCE_INVALID, R_EVIDENCE_INVALID),
+    "V7": (R_NOT_IN_RESULT_SET, R_NOT_IN_RESULT_SET),
+    "V8": (R_MERKLE_INVALID, R_MERKLE_INVALID),
+    "V8-lite": (R_NOT_IN_RESULT_SET, None),
+}
+
+
+@pytest.mark.parametrize("drop_id", [None, 7, b"d00", ["x"], "\ud800"], ids=repr)
+@pytest.mark.parametrize("subject", list(_ID_ANSWERS))
+def test_an_id_that_is_no_encodable_str_answers_each_rungs_own_reason(subject, drop_id):
+    assert set(DIGEST_SUBJECTS) | set(_ID_ANSWERS) == set(ID_SUBJECTS)  # the two tests cover every subject
+    request, verify, audit_of = _unlocked(subject)
+    bad = dataclasses.replace(request, drop_id=drop_id)
+    online, offline = _ID_ANSWERS[subject]
+    assert verify(bad, T0 + 1).fail_reason == online
+    assert audit_of(bad).fail_reason == offline
+    assert verify(request, T0 + 2).accepted
+
+
+class _Text(str):
+    pass
+
+
+# any text, lone surrogates often, and what is no text at all
+_CLAIMED_TEXT = st.text(
+    st.sampled_from(["d", "0", "\ud800", "\udbff", "\udc00", "\udfff", "\U0010ffff"])
+    | st.characters(exclude_categories=()),
+    max_size=6,
+)
+_CLAIMED_ID = st.one_of(
+    _CLAIMED_TEXT,
+    _CLAIMED_TEXT.map(_Text),
+    st.sampled_from(["d00", _Text("d00")]),
+    st.none(),
+    st.integers(),
+    st.binary(max_size=6),
+    st.lists(_CLAIMED_TEXT, max_size=2),
+)
+
+
+@pytest.fixture(scope="module")
+def unlocked():
+    """Each subject's unlock, kept across examples until an accept consumes it."""
+    return {}
+
+
+@given(drop_id=_CLAIMED_ID)
+@example(drop_id="d0\udfff")
+@example(drop_id=_Text("d00"))
+@settings(max_examples=150, deadline=None)
+def test_no_verify_or_audit_stage_raises_on_any_claimed_id(unlocked, drop_id):
+    # every subject gives an outcome, online and offline, and never accepts
+    # online an id no hash can take
+    for subject in ID_SUBJECTS:
+        if subject not in unlocked:
+            unlocked[subject] = _unlocked(subject)
+        request, verify, audit_of = unlocked[subject]
+        claim = dataclasses.replace(request, drop_id=drop_id)
+        online, offline = verify(claim, T0 + 1), audit_of(claim)
+        assert isinstance(online, VerifyOutcome) and isinstance(offline, VerifyOutcome)
+        assert encodable(drop_id) or not online.accepted
+        if online.accepted:
+            del unlocked[subject]
 
 
 def _reference_statement(verifier, attempt):
