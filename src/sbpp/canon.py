@@ -26,16 +26,18 @@ fields.  `cd_core` and `cd_full` frame their three text fields and their
 32-byte fields after `lp_encode([DOMAIN_DIGEST])` in one join; a field of
 any other type goes through `digest`, so both give `digest`'s bytes and
 refusals for every input.  The generic `digest` stays the definition and
-the ladder's other digests.
+the ladder's other digests.  A receipt body (sbpp.receipt) is framed the
+same way after `lp_encode([DOMAIN_RECEIPT])`, `lp_encode` its definition.
 
 Key once.  A keyed hash runs from state prepared once per key:
 `hmac_sha256` hashes a key's two HMAC pads (and any fixed head) once and
 finishes copies of those states per message.  It is the one HMAC in the
-package: the index's cell tags, the proof tag of sbpp.nizk (keyed once per
-proof key, the analogue of a prepared verifying key) and the ladder's
-result MAC.  Nothing is kept per message: every tag and digest is
-computed again from its inputs each time it is checked.  BENCH_unlock.json
-records what each kernel saves.
+package: the index's cell tags (keyed once per search key, sbpp.geoindex),
+the proof tag of sbpp.nizk (keyed once per proof key, the analogue of a
+prepared verifying key) and the ladder's result MAC.  Nothing is kept per
+message: every tag and digest is computed again from its inputs each time
+it is checked.  BENCH_unlock.json and BENCH_search.json record what each
+kernel saves.
 
 Encode once, check once.  A value that is hashed, signed or MAC'd more than
 once per unlock (a receipt's body, the proof's public inputs) carries the

@@ -41,8 +41,9 @@ the same order: pass 1 visits the drops in id order, so each cell's ids come
 out sorted without sorting any cell.  A query gets the cells it hit, in tag
 order, as the index holds them, and those cells are its result: the server
 answers with them, and the client lists their drops cell after cell
-(`drops_of`), as the studies do.  `GeoIndex.match`, the sorted union of
-their ids, is the tests' reference and `protocol_latency_bench`'s timed match.
+(`drops_of`), as the studies do; a one-cell answer is that cell's own
+drops tuple, not a copy.  `GeoIndex.match`, the sorted union of their ids,
+is the tests' reference and `protocol_latency_bench`'s timed match.
 A cell's Merkle root is computed on its first use in a commitment and kept,
 so a build hashes no id and a search hashes only cells never committed
 before.
@@ -59,18 +60,22 @@ There is no length cap: `canon.lp_encode` frames up to 2**32 - 1 bytes, the
 client's tree memo charges by bytes and a corpus file has no line limit.
 
 Tags are HMAC-SHA-256 (RFC 2104), from the package's one keyed-once kernel,
-`canon.hmac_sha256`: `hmac_tagger` keys it once, so a query and a build
-each set the search key up once, not once per tag.
+`canon.hmac_sha256`, keyed once per search key: `hmac_tagger` prepares a
+key's pads, with the tags' fixed head absorbed, on the key's first use and
+keeps them for the few keys a process holds, as sbpp.nizk keeps its proof
+key's.  So a build keys at most once and a query not at all.  Only the key's
+state is kept: every tag is computed again from its cell.
 
 A query's dummy tags cost one keyed tag, not one each.  The tag of
 (PAD_LABEL, first cover cell) seeds a SHAKE-256 stream, and the dummy in slot
 i, for each i from the cover's size to COVER_BUDGET - 1, is the stream's bytes
-[32i, 32i + 32).  A dummy is XOF output over a PRF output under the search
-key, so without the key the server can no more tell it from a real tag, or
-predict it, than it could an HMAC of its own.  Two queries share the dummy in
-slot i exactly when they share their first cell and both pad slot i, the
-rule a keyed tag of "{first cell}:{i}" per slot gives, so the dummies link
-two queries only where their first cells already do.  A query of
+[32i, 32i + 32), all slots cut in one precompiled unpack.  A dummy is XOF
+output over a PRF output under the search key, so without the key the
+server can no more tell it from a real tag, or predict it, than it could an
+HMAC of its own.  Two queries share the dummy in slot i exactly when they
+share their first cell and both pad slot i, the rule a keyed tag of
+"{first cell}:{i}" per slot gives, so the dummies link two queries only
+where their first cells already do.  A query of
 n < COVER_BUDGET cells makes n + 1 keyed tags.
 """
 
@@ -79,10 +84,11 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import struct
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain
 from operator import attrgetter
 
@@ -315,16 +321,27 @@ def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
 # tokens and index
 
 
-def hmac_tagger(key: bytes) -> Callable[[int | str, str], bytes]:
-    """``make_token`` with ``key`` bound, keyed once (`canon.hmac_sha256`)."""
-    if len(key) != 32:
-        raise GeoindexError("search key must be 32 bytes")
-    mac = hmac_sha256(key)
+_TOKEN_HEAD = f"{TOKEN_LABEL}:".encode("ascii")  # every cell tag's message starts so
+
+
+@lru_cache(maxsize=4)  # a process holds one or two search keys
+def _tagger(key: bytes) -> Callable[[int | str, str], bytes]:
+    """The cell tag under ``key``: HMAC-SHA-256 keyed once, with the
+    tag's fixed head absorbed (`canon.hmac_sha256`)."""
+    mac = hmac_sha256(key, _TOKEN_HEAD)
 
     def token(precision: int | str, cell: str) -> bytes:
-        return mac(f"{TOKEN_LABEL}:{precision}:{cell}".encode("ascii"))
+        return mac(f"{precision}:{cell}".encode("ascii"))
 
     return token
+
+
+def hmac_tagger(key: bytes) -> Callable[[int | str, str], bytes]:
+    """``make_token`` with ``key`` bound, keyed once per key: the states
+    `_tagger` prepared for it are kept for the few keys a process holds."""
+    if len(key) != 32:
+        raise GeoindexError("search key must be 32 bytes")
+    return _tagger(bytes(key))
 
 
 def make_token(key: bytes, precision: int | str, cell: str) -> bytes:
@@ -341,6 +358,9 @@ def plain_tag(key: bytes, precision: int | str, cell: str) -> bytes:
 def _keyed(tag, key: bytes) -> Callable[[int | str, str], bytes]:
     """``tag`` with ``key`` bound, keyed once for ``make_token``."""
     return hmac_tagger(key) if tag is make_token else partial(tag, key)
+
+
+_SLOTS = struct.Struct("32s" * COVER_BUDGET)  # a query's tag slots, cut from the pad stream at once
 
 
 def client_tokens(
@@ -376,8 +396,8 @@ def client_tokens(
     tag_of = _keyed(tag, key)
     tags = [tag_of(precision, c) for c in cells]
     if len(tags) < COVER_BUDGET:
-        pad = hashlib.shake_256(tag_of(PAD_LABEL, cells[0])).digest(32 * COVER_BUDGET)
-        tags += [pad[32 * i : 32 * i + 32] for i in range(len(cells), COVER_BUDGET)]
+        pad = hashlib.shake_256(tag_of(PAD_LABEL, cells[0])).digest(_SLOTS.size)
+        tags += _SLOTS.unpack(pad)[len(cells):]
     tags.sort()
     return precision, tags
 
@@ -412,16 +432,29 @@ class GeoIndex:
         return [self.entries[tag] for tag in sorted(set(tags)) if tag in self.entries]
 
 
+# The most cells whose drop tuples `drops_of` joins by `+`.  Each join copies
+# the cells before it again, and a chain's one pass costs about two copies
+# per drop: at four paper-scale cells the two tie, and from nine on `+` takes
+# about twice as long (BENCH_search.json's listing_joins).
+_JOINED_CELLS = 3
+
+
 def drops_of(cells: Sequence[Cell]) -> tuple[Drop, ...]:
     """The drops the cells list, cell after cell, each cell's in id order:
     a client's candidates, listed from the cells a search answered with.
     A query's cells are of one precision, so they are disjoint; cells of
     several precisions may overlap, and only then is a drop listed again
-    dropped."""
-    drops = tuple(chain.from_iterable(cell.drops for cell in cells))
+    dropped.
+
+    Nothing is copied that need not be: one cell's answer is its own drops
+    tuple, up to `_JOINED_CELLS` cells' tuples are joined by `+`, and more
+    cells are chained in one pass."""
+    listed = [cell.drops for cell in cells]
     if len({cell.precision for cell in cells}) > 1:
-        drops = tuple({drop.id: drop for drop in drops}.values())
-    return drops
+        return tuple({drop.id: drop for drop in chain.from_iterable(listed)}.values())
+    if 0 < len(listed) <= _JOINED_CELLS and all(type(drops) is tuple for drops in listed):
+        return sum(listed[1:], listed[0])
+    return tuple(chain.from_iterable(listed))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,11 @@ identical bytes).  Key generation is derived from a caller seed to keep
 experiment runs reproducible.  `verify_signature` is the package's one
 Ed25519 check; no other module imports `cryptography`.
 
+A body is framed after a head fixed at import, `lp_encode([DOMAIN_RECEIPT])`,
+in one join, as sbpp.canon frames a challenge digest (its fixed-heads rule);
+`receipt_body` falls back to `lp_encode`, its definition, for any field of
+another type.
+
 A receipt's body is encoded once (sbpp.canon's carried-bytes rule).  A
 `Receipt` keeps the body `sign_receipt` signed, or the one `Receipt.parse`
 read, and `body_bytes`, `serialize` and `verify_receipt` reuse it; a receipt
@@ -38,13 +43,14 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
-from .canon import EncodingError, assemble, lp_decode, lp_encode, lp_head
+from .canon import _HASH_HEAD, _MAX_FIELD, EncodingError, _pack_len, assemble, lp_decode, lp_encode, lp_head
 
 DOMAIN_RECEIPT = "SBPP-RECEIPT"
 DOMAIN_KEYGEN = "SBPP-SRVKEY"
 
 _BODY_FIELDS = 8  # domain, S, N, t_exp, root, mode, pv, epoch
 _DOMAIN = DOMAIN_RECEIPT.encode("ascii")
+_BODY_HEAD = lp_encode([DOMAIN_RECEIPT])  # every body's first field
 
 
 class ReceiptError(ValueError):
@@ -138,11 +144,24 @@ class Receipt:
 
 
 def receipt_body(S: str, N: bytes, t_exp: int, root: bytes, mode: str, pv: str, epoch: str) -> bytes:
+    """``lp_encode([DOMAIN_RECEIPT, S, N, str(t_exp), root, mode, pv, epoch])``.
+    Four `str` fields and `bytes` nonce and root are framed after the fixed
+    head in one join; any other field type goes through `lp_encode`, so the
+    bytes and the refusals are the definition's (a lone surrogate's
+    UnicodeEncodeError included)."""
     if len(N) != 32:
         raise ReceiptError("nonce must be 32 bytes")
     if len(root) != 32:
         raise ReceiptError("root must be 32 bytes")
-    return lp_encode([DOMAIN_RECEIPT, S, N, str(t_exp), root, mode, pv, epoch])
+    expiry = str(t_exp)
+    if type(S) is type(expiry) is type(mode) is type(pv) is type(epoch) is str and type(N) is type(root) is bytes:
+        s, t, m, p, e = S.encode(), expiry.encode(), mode.encode(), pv.encode(), epoch.encode()
+        if len(s) + len(t) + len(m) + len(p) + len(e) <= _MAX_FIELD:
+            return b"".join((
+                _BODY_HEAD, _pack_len(len(s)), s, _HASH_HEAD, N, _pack_len(len(t)), t, _HASH_HEAD, root,
+                _pack_len(len(m)), m, _pack_len(len(p)), p, _pack_len(len(e)), e,
+            ))
+    return lp_encode([DOMAIN_RECEIPT, S, N, expiry, root, mode, pv, epoch])
 
 
 def sign_receipt(

@@ -148,8 +148,9 @@ class SessionStore:
             return record
 
     def _live(self, S: str, now: int) -> SessionRecord:
-        """Caller holds the lock."""
-        record = self._records.get(S)
+        """Caller holds the lock.  Ids are issued as `str`, so any other
+        value, hashable or not, names no session."""
+        record = self._records.get(S) if isinstance(S, str) else None
         if record is None:
             raise UnknownSessionError("no such session")
         if record.consumed:

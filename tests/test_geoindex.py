@@ -6,6 +6,7 @@ import math
 import random
 import re
 from functools import partial
+from itertools import chain
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -27,12 +28,14 @@ from sbpp.geoindex import (
     check_ids,
     client_tokens,
     cover_cells,
+    drops_of,
     gen_clustered_corpus,
     gen_uniform_corpus,
     geohash_decode_bbox,
     geohash_encode,
     geohash_neighbors,
     haversine_m,
+    hmac_tagger,
     load_corpus,
     make_token,
     plain_tag,
@@ -164,6 +167,105 @@ def test_make_token_is_one_shot_hmac_sha256(key, precision, cell):
     # the copied keyed state gives the bytes of a fresh HMAC
     message = f"{TOKEN_LABEL}:{precision}:{cell}".encode("ascii")
     assert make_token(key, precision, cell) == hmac.digest(key, message, "sha256")
+
+
+@given(
+    st.binary(max_size=200),
+    st.one_of(st.integers(1, 12), st.just(PAD_LABEL)),
+    st.text(GEOHASH_ALPHABET, max_size=12),
+)
+@example(bytes(64), 5, "xn76u")
+@example(bytes(65), PAD_LABEL, "xn76u")  # longer than a block: hashed first
+@settings(max_examples=300, deadline=None)
+def test_keyed_tagger_is_hmac_sha256_for_any_key_length(key, precision, cell):
+    message = f"{TOKEN_LABEL}:{precision}:{cell}".encode("ascii")
+    assert geoindex._tagger(key)(precision, cell) == hmac.digest(key, message, "sha256")
+
+
+@given(
+    st.lists(
+        st.tuples(st.binary(min_size=32, max_size=32), st.booleans(), st.text(GEOHASH_ALPHABET, max_size=9)),
+        min_size=2,
+        max_size=12,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_tags_of_keys_made_in_turns_never_mix(queries):
+    # more keys than the tagger keeps states for, taggers made before any
+    # is used, and a bytearray key changed once its tagger is made: each
+    # tag is the HMAC under its own key as it was when the tagger was made
+    keys = [bytearray(key) if mutable else key for key, mutable, _ in queries]
+    taggers = [hmac_tagger(key) for key in keys]
+    frozen = [bytes(key) for key in keys]
+    for key in keys:
+        if isinstance(key, bytearray):
+            key[0] ^= 1
+    for tag, key, (_, _, cell) in zip(taggers, frozen, queries):
+        message = f"{TOKEN_LABEL}:5:{cell}".encode("ascii")
+        assert tag(5, cell) == make_token(key, 5, cell) == hmac.digest(key, message, "sha256")
+
+
+def _tag_lists_digest(precisions):
+    """SHA-256 of the tag lists of 200 seeded queries over the Tokyo box,
+    the queries' keys taking turns (a bytes key and a bytearray key)."""
+    rng = random.Random(f"tag lists {precisions}")
+    keys = (rng.randbytes(32), bytearray(rng.randbytes(32)))
+    lists = []
+    for i in range(200):
+        lat, lon = rng.uniform(35.6, 35.8), rng.uniform(139.6, 139.9)
+        radius = rng.choice((50.0, 300.0, 1000.0, 3000.0))
+        precision, tags = client_tokens(keys[i % 2], lat, lon, radius, precisions)
+        lists.append(bytes([precision]) + b"".join(tags))
+    return hashlib.sha256(b"".join(lists)).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "precisions, expected",
+    [
+        ([5], "326531fcb3bb8bac2ab94224d24e29352885a90936d2f18163be6bc4364810b6"),
+        ([4, 5, 6, 7], "f6febd23a11e9ac6d01f7bf709158b7d3341b54ea66775a8b532cffa4a8aef54"),
+    ],
+)
+def test_seeded_tag_lists_frozen(precisions, expected):
+    # the tags as they were when each query keyed its own HMAC and cut
+    # its dummy slots one slice at a time
+    assert _tag_lists_digest(precisions) == expected
+
+
+def _chained(cells):
+    """The listing as first written: every cell's drops chained, then
+    de-duplicated by id only when the cells are of several precisions."""
+    drops = tuple(chain.from_iterable(cell.drops for cell in cells))
+    if len({cell.precision for cell in cells}) > 1:
+        drops = tuple({drop.id: drop for drop in drops}.values())
+    return drops
+
+
+_POOL = [Drop(f"d{i:02d}", 35.7, 139.7) for i in range(24)]  # cells of several precisions share drops
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([None, 4, 5, 6, 7]), st.sets(st.integers(0, 23)), st.booleans()),
+        max_size=16,
+    ),
+    st.booleans(),
+)
+@example([(5, {0, 1}, False)], False)
+@example([(5, {0, 1}, True)], False)  # a cell listing its drops in a list
+@example([(5, {0}, False), (5, {1}, False), (5, {2}, False), (5, {3}, False)], False)
+@example([(4, {0, 1}, False), (5, {1}, False)], False)
+@settings(max_examples=300, deadline=None)
+def test_drops_of_is_the_chained_listing(specs, one_precision):
+    cells = []
+    for precision, members, as_list in specs:
+        drops = [_POOL[i] for i in sorted(members)]
+        ids = tuple(d.id for d in drops)
+        cells.append(Cell(ids, drops=drops if as_list else tuple(drops), precision=5 if one_precision else precision))
+    listed = drops_of(cells)
+    assert type(listed) is tuple and listed == _chained(cells)
+    if len(cells) == 1 and type(cells[0].drops) is tuple:
+        assert listed is cells[0].drops  # one cell's answer is its own tuple, not a copy
 
 
 def test_cells_are_kept_and_their_roots_computed_once(monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sbpp.canon import lp_decode, lp_encode
 from sbpp.receipt import (
+    DOMAIN_RECEIPT,
     Receipt,
     ReceiptError,
     receipt_body,
@@ -51,6 +52,34 @@ def test_body_layout():
         b"1",
         b"ep0",
     ]
+
+
+# any text, lone surrogates included, and the non-text fields lp_encode refuses
+_ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=12)
+_TEXT_FIELD = st.one_of(_ANY_TEXT, st.binary(max_size=8), st.none(), st.integers(), st.lists(_ANY_TEXT, max_size=1))
+_HASH_FIELD = st.one_of(
+    st.binary(min_size=32, max_size=32),
+    st.binary(min_size=32, max_size=32).map(bytearray),
+    st.text(st.characters(exclude_categories=()), min_size=32, max_size=32),
+)
+
+
+@given(_TEXT_FIELD, _HASH_FIELD, st.integers(), _HASH_FIELD, _TEXT_FIELD, _TEXT_FIELD, _TEXT_FIELD)
+@example("ab" * 16, N, T_EXP, ROOT, "full", "1", "ep0")
+@example("\ud800", N, T_EXP, ROOT, "full", "1", "ep0")
+@example("ab", N, -(2**70), ROOT, "core", "\udfff", "ep0")
+@example("ab", N, 10**5000, ROOT, "core", "1", "ep0")  # more digits than str() gives
+@example("ab", bytearray(N), T_EXP, ROOT, "core", "1", "ep0")
+@settings(max_examples=500, deadline=None)
+def test_receipt_body_equals_its_definition(S, nonce, t_exp, root, mode, pv, epoch):
+    # the same bytes, or the same error type, as lp_encode over the field list
+    try:
+        want = lp_encode([DOMAIN_RECEIPT, S, nonce, str(t_exp), root, mode, pv, epoch])
+    except Exception as exc:  # the definition's refusal, whatever its type
+        with pytest.raises(type(exc)):
+            receipt_body(S, nonce, t_exp, root, mode, pv, epoch)
+    else:
+        assert receipt_body(S, nonce, t_exp, root, mode, pv, epoch) == want
 
 
 def test_serialize_parse_round_trip():

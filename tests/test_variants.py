@@ -26,7 +26,7 @@ from sbpp.protocol import (
     R_RECEIPT_SIG,
     R_SESSION_INVALID,
 )
-from sbpp.harness.attacks import protocol_pair
+from sbpp.harness.attacks import WITNESS_NEAR_QUERY, protocol_pair, seeded_env
 from sbpp.receipt import server_keygen
 from sbpp.variants import (
     DOMAIN_CAPABILITY,
@@ -704,3 +704,50 @@ def test_v8_proves_nothing_for_a_session_it_issued_no_token(token_includes_root)
     far = DROPS[-1]
     with pytest.raises(VariantError, match="no token issued for this session"):
         variant.build_nonmember_unlock(vses, far, nizk.Witness(far.lat, far.lon))
+
+
+# ---------------------------------------------------------------------------
+# a session id that is not a str names no session
+
+
+def _unhashable_id_flow(kind: str):
+    """(search, verify, sessions, session, request) for one searched honest
+    session: the protocol's server and client in either mode, or a
+    session-aware rung; ``search(ses)`` searches a session as the client."""
+    env = seeded_env(0)
+    if kind in (session.MODE_CORE, session.MODE_FULL):
+        server, client = protocol_pair(env, kind)
+        ses = client.open_session(server, T0)
+
+        def search(listed):
+            return client.search(server, listed, QLAT, QLON, RADIUS, T0)
+
+        search(ses)
+        request = client.build_unlock(ses, ses.result_ids()[0], WITNESS_NEAR_QUERY)
+        return search, server.verify, server.sessions, ses, request
+    variant = make_variant(kind.removesuffix("-lite"), env, token_includes_root=not kind.endswith("-lite"))
+    vses = variant.open_session(T0)
+
+    def search(listed):
+        return variant.search(listed, QLAT, QLON, RADIUS, T0)
+
+    search(vses)
+    request = variant.build_unlock(vses, vses.result_ids()[0], WITNESS_NEAR_QUERY)
+    return search, variant.verify, variant.sessions, vses, request
+
+
+@pytest.mark.parametrize("S", [["x"], {"a": 1}, bytearray(b"x"), None], ids=["list", "dict", "bytearray", "none"])
+@pytest.mark.parametrize(
+    "kind", ["core", "full", "V3", "V4a", "V4b", "V5", "V6", "V7", "V8", "V8-lite"]
+)
+def test_a_session_id_that_is_not_a_str_is_an_unknown_session(kind, S):
+    # ids are issued as str: an unhashable one is refused as unknown, as
+    # None is, not with the TypeError of a dict lookup
+    search, verify, sessions, ses, request = _unhashable_id_flow(kind)
+    bound = [r.bound for r in sessions._records.values()]
+    with pytest.raises(session.UnknownSessionError):
+        search(dataclasses.replace(ses, S=S))
+    assert [r.bound for r in sessions._records.values()] == bound  # binds nothing
+    assert verify(dataclasses.replace(request, S=S), T0 + 1).fail_reason == R_SESSION_INVALID
+    assert verify(request, T0 + 1).accepted  # the honest request still is
+    assert sessions.stats(T0 + 1) == {"issued": 1, "consumed": 1, "expired": 0, "pending": 0}
