@@ -32,12 +32,13 @@ same way after `lp_encode([DOMAIN_RECEIPT])`, `lp_encode` its definition.
 Key once.  A keyed hash runs from state prepared once per key:
 `hmac_sha256` hashes a key's two HMAC pads (and any fixed head) once and
 finishes copies of those states per message.  It is the one HMAC in the
-package: the index's cell tags (keyed once per search key, sbpp.geoindex),
-the proof tag of sbpp.nizk (keyed once per proof key, the analogue of a
-prepared verifying key) and the ladder's result MAC.  Nothing is kept per
-message: every tag and digest is computed again from its inputs each time
-it is checked.  BENCH_unlock.json and BENCH_search.json record what each
-kernel saves.
+package and the one owner of keyed state: one bounded cache keeps each
+(key, head)'s prepared states, so the index's cell tags (per search key,
+sbpp.geoindex), the proof tag of sbpp.nizk (per proof key, the analogue of
+a prepared verifying key) and the ladder's result MAC all key once, and
+none of them keeps a cache of its own.  Nothing is kept per message: every
+tag and digest is computed again from its inputs each time it is checked.
+BENCH_unlock.json and BENCH_search.json record what each kernel saves.
 
 Encode once, check once.  A value that is hashed, signed or MAC'd more than
 once per unlock (a receipt's body, the proof's public inputs) carries the
@@ -71,6 +72,7 @@ import re
 import struct
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
 
 # Scalar field order of the alt_bn128 (BN254) pairing curve, the field that
 # Groth16-style backends expose for public inputs.  Digests are reduced to
@@ -222,14 +224,24 @@ def lp_decode(data: bytes) -> list[bytes]:
 _IPAD = bytes(b ^ 0x36 for b in range(256))
 _OPAD = bytes(b ^ 0x5C for b in range(256))
 _SHA256_BLOCK = 64
+_KEYED_STATES = 16  # (key, head) pairs: the search, proof and MAC keys of a few deployments
 
 
 def hmac_sha256(key: bytes, head: bytes = b"") -> Callable[[bytes], bytes]:
     """HMAC-SHA-256 (RFC 2104) under ``key``, keyed once: the returned
     function maps a message to ``hmac.digest(key, head + message,
-    "sha256")``.  The key's inner and outer pads are hashed here, the inner
-    state also absorbs ``head``, and each call finishes copies of the two
-    states, so no call sets the key up again."""
+    "sha256")``.  Its states are prepared once per (key, head) and kept in
+    one cache for the last `_KEYED_STATES` pairs, under `bytes` copies of
+    both, so a `bytearray` key changed after use never reaches them."""
+    return _prepared(key if type(key) is bytes else bytes(memoryview(key)),
+                     head if type(head) is bytes else bytes(memoryview(head)))
+
+
+@lru_cache(maxsize=_KEYED_STATES)
+def _prepared(key: bytes, head: bytes) -> Callable[[bytes], bytes]:
+    """The MAC under ``key``: the key's inner and outer pads hashed, the
+    inner state also absorbing ``head``, and each call finishing copies of
+    the two states, so no call sets the key up again."""
     if len(key) > _SHA256_BLOCK:
         key = _sha256(key).digest()
     block = key.ljust(_SHA256_BLOCK, b"\0")

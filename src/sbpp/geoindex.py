@@ -60,11 +60,11 @@ There is no length cap: `canon.lp_encode` frames up to 2**32 - 1 bytes, the
 client's tree memo charges by bytes and a corpus file has no line limit.
 
 Tags are HMAC-SHA-256 (RFC 2104), from the package's one keyed-once kernel,
-`canon.hmac_sha256`, keyed once per search key: `hmac_tagger` prepares a
-key's pads, with the tags' fixed head absorbed, on the key's first use and
-keeps them for the few keys a process holds, as sbpp.nizk keeps its proof
-key's.  So a build keys at most once and a query not at all.  Only the key's
-state is kept: every tag is computed again from its cell.
+`canon.hmac_sha256`, keyed once per search key: `hmac_tagger` asks it for
+the key's state with the tags' fixed head absorbed, which it prepares on
+the key's first use and keeps, as it does the proof and MAC keys'.  So a
+build keys at most once and a query not at all.  Only the key's state is
+kept: every tag is computed again from its cell.
 
 A query's dummy tags cost one keyed tag, not one each.  The tag of
 (PAD_LABEL, first cover cell) seeds a SHAKE-256 stream, and the dummy in slot
@@ -88,7 +88,7 @@ import struct
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain
 from operator import attrgetter
 
@@ -324,7 +324,6 @@ def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
 _TOKEN_HEAD = f"{TOKEN_LABEL}:".encode("ascii")  # every cell tag's message starts so
 
 
-@lru_cache(maxsize=4)  # a process holds one or two search keys
 def _tagger(key: bytes) -> Callable[[int | str, str], bytes]:
     """The cell tag under ``key``: HMAC-SHA-256 keyed once, with the
     tag's fixed head absorbed (`canon.hmac_sha256`)."""
@@ -337,11 +336,11 @@ def _tagger(key: bytes) -> Callable[[int | str, str], bytes]:
 
 
 def hmac_tagger(key: bytes) -> Callable[[int | str, str], bytes]:
-    """``make_token`` with ``key`` bound, keyed once per key: the states
-    `_tagger` prepared for it are kept for the few keys a process holds."""
+    """``make_token`` with ``key`` bound, keyed once per key
+    (`canon.hmac_sha256` keeps the key's state)."""
     if len(key) != 32:
         raise GeoindexError("search key must be 32 bytes")
-    return _tagger(bytes(key))
+    return _tagger(key)
 
 
 def make_token(key: bytes, precision: int | str, cell: str) -> bytes:

@@ -44,6 +44,7 @@ from ..merkle import (
 )
 from ..protocol import (
     AuditRecord,
+    ClientSession,
     ProtocolError,
     R_CONSUMED,
     R_EXPIRED,
@@ -55,6 +56,7 @@ from ..protocol import (
 )
 from ..receipt import verify_receipt
 from ..session import DEFAULT_EPOCH, DEFAULT_PV, MODE_CORE, MODE_FULL, SessionRecord, SessionStore
+from ..variants import VariantEnv
 from .attacks import (
     QUERY_LAT,
     QUERY_LON,
@@ -71,11 +73,16 @@ from .attacks import (
 from .report import ExperimentReport
 
 
-def _honest_flow(server: SbppServer, client: SbppClient, now: int):
-    ses = client.open_session(server, now)
-    client.search(server, ses, QUERY_LAT, QUERY_LON, RADIUS_M, now)
-    request = client.build_unlock(ses, ses.result_ids()[0], WITNESS_NEAR_QUERY)
-    return ses, request
+def _searched(server: SbppServer, client: SbppClient) -> ClientSession:
+    """A session opened on ``server`` and searched at the query point, at T0."""
+    ses = client.open_session(server, T0)
+    return client.search(server, ses, QUERY_LAT, QUERY_LON, RADIUS_M, T0)
+
+
+def _honest_flow(server: SbppServer, client: SbppClient) -> tuple[ClientSession, UnlockRequest]:
+    """A searched session and the client's request for its first id."""
+    ses = _searched(server, client)
+    return ses, client.build_unlock(ses, ses.result_ids()[0], WITNESS_NEAR_QUERY)
 
 
 # ---------------------------------------------------------------------------
@@ -131,15 +138,13 @@ def reassociation_experiment(
         variant = build_variant(kind, seed, drops=cluster)
         chooser = random.Random(f"reassoc:{seed}")
         records: list[tuple[str, str, bytes]] = []
-        for i in range(n_sessions):
-            if i % epoch_every == 0:
-                variant.set_epoch(f"ep{i // epoch_every}")
-            ses = variant.open_session(T0)
-            variant.search(ses, QUERY_LAT, QUERY_LON, RADIUS_M, T0)
-            ids = ses.result_ids()
-            drop_id = ids[chooser.randrange(len(ids))]
-            request = variant.build_unlock(ses, drop_id, WITNESS_NEAR_QUERY)
-            records.append((ses.epoch, drop_id, request.pub[7].to_bytes()))
+        for start in range(0, n_sessions, epoch_every):
+            variant.set_epoch(f"ep{start // epoch_every}")
+            for ses in _searched_sessions(variant, min(epoch_every, n_sessions - start)):
+                ids = ses.result_ids()
+                drop_id = ids[chooser.randrange(len(ids))]
+                request = variant.build_unlock(ses, drop_id, WITNESS_NEAR_QUERY)
+                records.append((ses.epoch, drop_id, request.pub[7].to_bytes()))
         groups = Counter(records)
         hits = sum(1 for rec in records if groups[rec] >= 2)
         rates[kind] = hits / n_sessions
@@ -274,7 +279,7 @@ def _honest_trail(server: SbppServer, client: SbppClient, n: int) -> list[AuditR
     re-parsed from its serialized bytes."""
     records = []
     for _ in range(n):
-        ses, request = _honest_flow(server, client, T0)
+        ses, request = _honest_flow(server, client)
         outcome = server.verify(request, T0 + 5)
         if not outcome.accepted:
             raise AssertionError(f"honest {server.mode} unlock rejected: {outcome.fail_reason}")
@@ -383,7 +388,7 @@ def atomicity_and_isolation_suite(
 
     sequential_ok = 0
     for _ in range(trials):
-        _, request = _honest_flow(server, client, T0)
+        _, request = _honest_flow(server, client)
         first = server.verify(request, T0 + 5)
         second = server.verify(request, T0 + 6)
         sequential_ok += int(
@@ -393,7 +398,7 @@ def atomicity_and_isolation_suite(
     parallel_exactly_one = 0
     with ThreadPoolExecutor(max_workers=2) as pool:
         for _ in range(trials):
-            _, request = _honest_flow(server, client, T0)
+            _, request = _honest_flow(server, client)
             barrier = threading.Barrier(2)
 
             def submit(req=request, gate=barrier):
@@ -406,7 +411,7 @@ def atomicity_and_isolation_suite(
 
     expiry_ok = 0
     for t in range(trials):
-        _, request = _honest_flow(server, client, T0)
+        _, request = _honest_flow(server, client)
         if t % 2 == 0:
             expiry_ok += int(server.verify(request, T0 + TTL_S - 1).accepted)
         else:
@@ -435,10 +440,7 @@ def atomicity_and_isolation_suite(
 
     # isolation: every client tries every other client's session id
     iso_server, iso_client = protocol_pair(seeded_env(seed + 13), MODE_FULL)
-    requests = []
-    for _ in range(clients):
-        _, request = _honest_flow(iso_server, iso_client, T0)
-        requests.append(request)
+    requests = [_honest_flow(iso_server, iso_client)[1] for _ in range(clients)]
     cross_successes = 0
     cross_attempts = 0
     for i, request in enumerate(requests):
@@ -547,34 +549,31 @@ class MaliciousServerResult:
 
 
 def malicious_server_suite(seed: int = 0, trials: int = 100) -> MaliciousServerResult:
-    # every server gets its own nonce RNG; all share the seed's keys
+    # every server gets its own nonce RNG; all share the seed's keys and one client
     env = seeded_env(seed)
+    client = SbppClient(env.search_key, env.proving_key)
 
-    # candidate omission: detectable against an honest reference root
-    omitting, client = protocol_pair(
-        replace(env, nonce_rng=random.Random(seed + 1)), MODE_FULL, _SubsetServer
-    )
-    reference_root = build_tree(
-        build_index(env.search_key, env.drops, list(env.precisions)).cells(
-            client_tokens(env.search_key, QUERY_LAT, QUERY_LON, RADIUS_M, env.precisions)[1]
-        )
-    ).root
+    def full_server(
+        offset: int, cls: type[SbppServer] = SbppServer, base: VariantEnv = env
+    ) -> SbppServer:
+        """A full-mode ``cls`` server over ``base``, its nonces drawn from seed + offset."""
+        return protocol_pair(replace(base, nonce_rng=random.Random(seed + offset)), MODE_FULL, cls)[0]
+
+    # candidate omission: detectable against the honest server's root
+    omitting, honest = full_server(1, _SubsetServer), full_server(4)
+    tags = client_tokens(env.search_key, QUERY_LAT, QUERY_LON, RADIUS_M, env.precisions)[1]
+    reference_root = build_tree(honest.index.cells(tags)).root
     omission_detected = 0
     for _ in range(trials):
-        ses = client.open_session(omitting, T0)
-        client.search(omitting, ses, QUERY_LAT, QUERY_LON, RADIUS_M, T0)
+        ses = _searched(omitting, client)
         omission_detected += int(ses.receipt is not None and ses.receipt.root != reference_root)
 
     # biased root signing: internally consistent, so the audit passes
-    biased, _ = protocol_pair(
-        replace(env, nonce_rng=random.Random(seed + 2)), MODE_FULL, _SubsetServer
-    )
+    biased = full_server(2, _SubsetServer)
     biased.kept = slice(None, None, 2)
     biased_passes = 0
     for _ in range(trials):
-        ses = client.open_session(biased, T0)
-        client.search(biased, ses, QUERY_LAT, QUERY_LON, RADIUS_M, T0)
-        request = client.build_unlock(ses, ses.result_ids()[0], WITNESS_NEAR_QUERY)
+        ses, request = _honest_flow(biased, client)
         if not biased.verify(request, T0 + 5).accepted:
             raise AssertionError("biased-server unlock should still verify")
         rec = emit_audit_record(ses, request)
@@ -582,24 +581,16 @@ def malicious_server_suite(seed: int = 0, trials: int = 100) -> MaliciousServerR
 
     # predictable nonces: pre-computed proofs transfer across users
     def transfer_trial(server: SbppServer) -> bool:
-        ses_a = client.open_session(server, T0)
-        client.search(server, ses_a, QUERY_LAT, QUERY_LON, RADIUS_M, T0)
-        drop_id = ses_a.result_ids()[0]
-        request_a = client.build_unlock(ses_a, drop_id, WITNESS_NEAR_QUERY)
-        ses_b = client.open_session(server, T0)
-        client.search(server, ses_b, QUERY_LAT, QUERY_LON, RADIUS_M, T0)
-        path_b = build_tree(ses_b.cells, drop_id).path
-        stolen = UnlockRequest(
-            S=ses_b.S, drop_id=drop_id, pub=request_a.pub, proof=request_a.proof, merkle_path=path_b
-        )
-        return server.verify(stolen, T0 + 5).accepted
+        _, request_a = _honest_flow(server, client)
+        ses_b = _searched(server, client)
+        path_b = build_tree(ses_b.cells, request_a.drop_id).path
+        return server.verify(replace(request_a, S=ses_b.S, merkle_path=path_b), T0 + 5).accepted
 
-    rigged, _ = protocol_pair(replace(env, nonce_rng=random.Random(seed + 3)), MODE_FULL)
+    rigged = full_server(3)
     rigged.sessions = _PredictableNonceStore(
         ttl_s=env.ttl_s, pv=env.pv, epoch=env.epoch, nonce_rng=rigged.sessions.nonce_rng
     )
     transfer_rigged = sum(int(transfer_trial(rigged)) for _ in range(trials))
-    honest, _ = protocol_pair(replace(env, nonce_rng=random.Random(seed + 4)), MODE_FULL)
     transfer_honest = sum(int(transfer_trial(honest)) for _ in range(trials))
 
     # session refusal: no artifact is ever issued, so nothing is attributable
@@ -607,9 +598,7 @@ def malicious_server_suite(seed: int = 0, trials: int = 100) -> MaliciousServerR
 
     # authorization forgery without the signing key
     rng = random.Random(f"forgery:{seed}")
-    honest_session = client.open_session(honest, T0)
-    client.search(honest, honest_session, QUERY_LAT, QUERY_LON, RADIUS_M, T0)
-    template = honest_session.receipt
+    template = _searched(honest, client).receipt
     forgery_successes = 0
     for i in range(trials):
         if i % 2 == 0:
@@ -629,8 +618,7 @@ def malicious_server_suite(seed: int = 0, trials: int = 100) -> MaliciousServerR
 
     def cell_trial(server: SbppServer) -> bool:
         """True iff the client builds a request and its unlock and audit pass."""
-        ses = client.open_session(server, T0)
-        client.search(server, ses, QUERY_LAT, QUERY_LON, RADIUS_M, T0)
+        ses = _searched(server, client)
         ids = ses.result_ids()
         target = ses.candidate(ids[picker.randrange(len(ids))])
         try:
@@ -643,13 +631,9 @@ def malicious_server_suite(seed: int = 0, trials: int = 100) -> MaliciousServerR
             and audit(server.public_key_bytes, server.nizk_vk, rec).accepted
         )
 
-    misreporting, _ = protocol_pair(
-        replace(spread, nonce_rng=random.Random(seed + 5)), MODE_FULL, _MisreportingServer
-    )
+    misreporting = full_server(5, _MisreportingServer, spread)
     mismatch_detected = sum(int(not cell_trial(misreporting)) for _ in range(trials))
-    recommitting, _ = protocol_pair(
-        replace(spread, nonce_rng=random.Random(seed + 6)), MODE_FULL, _RecommittingServer
-    )
+    recommitting = full_server(6, _RecommittingServer, spread)
     recommit_unnoticed = sum(int(cell_trial(recommitting)) for _ in range(trials))
 
     return MaliciousServerResult(

@@ -27,11 +27,11 @@ Having checked the whole frame, `from_bytes` and `Proof.parse` assemble
 their values without `__init__` (sbpp.canon's construction rule).
 The proof tag is HMAC-SHA-256 over a head fixed at import (the
 `lp_encode` framing of the domain and a 256-byte field) and those bytes.
-It is keyed once per key (sbpp.canon's key-once rule): `_proof_mac` hashes
-the key's pads and absorbs the head, and keeps that state for the few keys
-a process holds, as a real backend prepares its verifying key once.  Each
-`prove` and `verify` still tags the public inputs it is given
-(BENCH_unlock.json has the tag's cost beside one `hmac.digest` a call).
+It is keyed once per key (sbpp.canon's key-once rule): `canon.hmac_sha256`
+hashes the key's pads and absorbs the head once and keeps that state, as a
+real backend prepares its verifying key once; this module keeps no state
+of its own.  Each `prove` and `verify` still tags the public inputs it is
+given (BENCH_unlock.json has the tag's cost beside one `hmac.digest` a call).
 
 The server's statement check compares integers: `statement_values` gives
 the three values `make_public_inputs` builds its first elements from, with
@@ -43,9 +43,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .canon import (
     Q, ZERO, EncodingError, FieldElement, _element, assemble, decode_elements, hmac_sha256, lp_encode,
@@ -205,16 +203,10 @@ def setup(seed: bytes) -> tuple[bytes, bytes]:
     return secret, secret
 
 
-@lru_cache(maxsize=4)  # a process holds one or two proof keys
-def _proof_mac(key: bytes) -> Callable[[bytes], bytes]:
-    """The proof tag keyed once: HMAC-SHA-256 under ``key`` with
-    `_PROOF_HEAD` absorbed, the backend's prepared verifying key."""
-    return hmac_sha256(key, _PROOF_HEAD)
-
-
 def _tag(key: bytes, pub: PublicInputs) -> bytes:
-    """HMAC-SHA256 under ``key`` of lp_encode([DOMAIN_PROOF, pub.to_bytes()])."""
-    return _proof_mac(bytes(key))(pub.to_bytes())
+    """HMAC-SHA256 under ``key`` of lp_encode([DOMAIN_PROOF, pub.to_bytes()]),
+    from the key's state prepared once with `_PROOF_HEAD` absorbed."""
+    return hmac_sha256(key, _PROOF_HEAD)(pub.to_bytes())
 
 
 def prove(proving_key: bytes, witness: Witness, pub: PublicInputs) -> Proof:

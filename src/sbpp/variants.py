@@ -39,8 +39,11 @@ record's place.  So every audit stage is a verify stage too, except the two
 signature checks, the protocol's receipt signature and V8's token
 signature: online the server's own session and token need none.  V8's
 token hash and root read the token the server holds for the session
-online and the record's token offline.  No stage raises on a claimed id:
-one no hash can take (`canon.encodable`) gets the stage's own reason.
+online and the record's token offline.  No stage raises on a claimed text
+or bytes field: the one stage that reads it answers with its own reason
+for text no hash can take (`canon.encodable`: an id, policy version,
+epoch, session id or listed id) and for evidence that is not `bytes` (a
+capability, permit, MAC or token).
 
 Attack adapters model an adversary who can re-route anything it computed
 itself (session ids, nonce echoes, membership paths) but cannot mint
@@ -230,9 +233,11 @@ def check_echo(variant: GenericVariant, attempt: Attempt) -> str | None:
 def _check_grant(
     variant: GenericVariant, attempt: Attempt, *, attr: str, domain: str
 ) -> str | None:
-    """A server-signed grant for exactly this session, drop and context."""
+    """A server-signed grant for exactly this session, drop and context;
+    a grant that is not `bytes` is none."""
     claim = attempt.claim
-    fields = _verify_blob(variant.public_key_bytes, getattr(claim, attr) or b"", domain)
+    grant = getattr(claim, attr)
+    fields = _verify_blob(variant.public_key_bytes, grant, domain) if isinstance(grant, bytes) else None
     if fields is None or [f.decode() for f in fields[1:]] != [
         claim.S, claim.drop_id, *_context(attempt)
     ]:
@@ -245,21 +250,26 @@ check_permit = partial(_check_grant, attr="permit", domain=DOMAIN_PERMIT)
 
 
 def check_mac(variant: GenericVariant, attempt: Attempt) -> str | None:
+    """The server's MAC over the session's context and listed ids.  A MAC
+    that is not `bytes`, or a context or id list no MAC can take (a tuple
+    of text, `canon.encodable`), is no evidence."""
     claim = attempt.claim
-    if claim.result_ids is None or claim.result_mac is None:
+    context, ids = (claim.S, *_context(attempt)), claim.result_ids
+    if (not isinstance(claim.result_mac, bytes) or not isinstance(ids, tuple)
+            or not all(map(encodable, (*context, *ids)))):
         return R_EVIDENCE_INVALID
-    expected = _mac_tag(variant.env.mac_key, claim.S, *_context(attempt), claim.result_ids)
-    if not hmac.compare_digest(expected, claim.result_mac):
+    if not hmac.compare_digest(_mac_tag(variant.env.mac_key, *context, ids), claim.result_mac):
         return R_EVIDENCE_INVALID
-    return None if claim.drop_id in claim.result_ids else R_NOT_IN_RESULT_SET
+    return None if claim.drop_id in ids else R_NOT_IN_RESULT_SET
 
 
 def check_context_digest(variant: GenericVariant, attempt: Attempt) -> str | None:
-    """The context digest over the claimed id; an id no digest can take
-    (`canon.encodable`) is a mismatch, as in the protocol's `check_digest`."""
-    claim = attempt.claim
-    if (claim.pub is None or not encodable(claim.drop_id)
-            or claim.pub[7] != context_digest(claim.drop_id, *_context(attempt))):
+    """The context digest over the claimed id and context; an id, policy
+    version or epoch no digest can take (`canon.encodable`) is a mismatch,
+    as in the protocol's `check_digest`."""
+    claim, context = attempt.claim, (attempt.claim.drop_id, *_context(attempt))
+    if (claim.pub is None or not all(map(encodable, context))
+            or claim.pub[7] != context_digest(*context)):
         return R_NONCE_DIGEST
     return None
 
@@ -277,17 +287,21 @@ def check_token_hash(variant: GenericVariant, attempt: Attempt) -> str | None:
     token-level tampering collapses into this one symptom.  Online, a
     session issued no token is not one this rung can unlock."""
     token, pub = _token(variant, attempt), attempt.claim.pub
-    if token is None:
-        return R_TOKEN_HASH if attempt.now is None else R_SESSION_INVALID
-    return None if pub is not None and pub[7] == digest([token]) else R_TOKEN_HASH
+    if token is None and attempt.now is not None:
+        return R_SESSION_INVALID
+    if not isinstance(token, bytes) or pub is None or pub[7] != digest([token]):
+        return R_TOKEN_HASH
+    return None
 
 
 def check_token_root(variant: GenericVariant, attempt: Attempt) -> str | None:
-    """Membership against the root inside the token; a missing token, or one
-    that does not frame a root, admits no path."""
+    """Membership against the root inside the token; a missing token, one
+    that is not `bytes`, or one that does not frame a root, admits no path."""
     token, claim = _token(variant, attempt), attempt.claim
+    if not isinstance(token, bytes):
+        return R_MERKLE_INVALID
     try:
-        fields = lp_decode(token or b"")
+        fields = lp_decode(token)
     except EncodingError:
         return R_MERKLE_INVALID
     path = claim.merkle_path
@@ -300,7 +314,8 @@ def audit_token_sig(variant: GenericVariant, attempt: Attempt) -> str | None:
     """Offline only: the record's token is signed by the server, for the
     rung's token kind (online the server's own copy needs no signature)."""
     domain = DOMAIN_TOKEN_FULL if check_token_root in variant.traits.verify else DOMAIN_TOKEN_LITE
-    if _verify_blob(variant.public_key_bytes, attempt.claim.token or b"", domain) is None:
+    token = attempt.claim.token
+    if not isinstance(token, bytes) or _verify_blob(variant.public_key_bytes, token, domain) is None:
         return R_TOKEN_SIG
     return None
 

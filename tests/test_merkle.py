@@ -444,6 +444,8 @@ _STEP = st.tuples(
 )
 @example([], None, b"")
 @example([(SIDE_RIGHT, bytes(32))], None, b"")
+@example([(0, bytes(4))] * 3 + [(0, bytes(8))] * 2, 1, b"")  # short steps whose bytes frame one whole step
+@example([(0, bytes(31)), (0, bytes(33))], None, b"")  # two uneven steps that frame two whole ones
 @settings(max_examples=300, deadline=None)
 def test_path_parse_raises_or_round_trips(steps, count, tail):
     raw = bytes([len(steps) if count is None else count])
@@ -456,7 +458,8 @@ def test_path_parse_raises_or_round_trips(steps, count, tail):
         )
         return
     assert path.serialize() == raw
-    assert path.steps == tuple(PathStep(side, sibling) for side, sibling in steps)
+    # the steps the bytes frame, which are the drawn steps when those are well formed
+    assert path.steps == tuple(PathStep(raw[i], raw[i + 1 : i + 33]) for i in range(1, len(raw), 33))
 
 
 def _reference_verify(root: bytes, drop_id: str, path: MerklePath) -> bool:

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -41,7 +42,9 @@ from sbpp.protocol import (
 from sbpp.harness.attacks import QUERY_LAT, QUERY_LON, RADIUS_M, WITNESS_NEAR_QUERY, protocol_pair, seeded_env
 from sbpp.receipt import server_keygen
 from sbpp.session import MODE_CORE, MODE_FULL
-from sbpp.variants import R_EVIDENCE_INVALID, VARIANT_KINDS, VariantEnv, VariantError, make_variant
+from sbpp.variants import (
+    R_EVIDENCE_INVALID, R_TOKEN_HASH, VARIANT_KINDS, VariantEnv, VariantError, VariantRequest, make_variant,
+)
 
 T0 = 1_700_000_000
 KEY = b"\x11" * 32
@@ -701,23 +704,37 @@ def test_missing_public_inputs_answer_a_reason(mode):
     assert outcome.fail_reason == R_NONCE_DIGEST
 
 
-def _unlocked(subject: str):
-    """The honest request of a searched session on ``subject`` (a mode's
-    server and client, a rung, or "V8-lite", the V8 rung whose token omits
-    the root), with the subject's verify and its audit of a request."""
+def _unlocker(subject: str):
+    """Honest unlocks on ``subject`` (a mode's server and client, a rung, or
+    "V8-lite", the V8 rung whose token omits the root): each call searches
+    a fresh session on the one server and gives its honest request, the
+    subject's verify, the request's audit record and the subject's audit."""
     env = seeded_env(0)
     if subject in (MODE_CORE, MODE_FULL):
         server, client = protocol_pair(env, subject)
-        ses = client.open_session(server, T0)
-        client.search(server, ses, QUERY_LAT, QUERY_LON, RADIUS_M, T0)
-        request = client.build_unlock(ses, ses.result_ids()[0], WITNESS_NEAR_QUERY)
         keys = (server.public_key_bytes, server.nizk_vk)
-        return request, server.verify, lambda claim: audit(*keys, emit_audit_record(ses, claim))
+
+        def unlock():
+            ses = client.open_session(server, T0)
+            client.search(server, ses, QUERY_LAT, QUERY_LON, RADIUS_M, T0)
+            request = client.build_unlock(ses, ses.result_ids()[0], WITNESS_NEAR_QUERY)
+            return request, server.verify, emit_audit_record(ses, request), partial(audit, *keys)
+
+        return unlock
     variant = make_variant(subject.removesuffix("-lite"), env, token_includes_root=subject != "V8-lite")
-    ses = variant.open_session(T0)
-    variant.search(ses, QUERY_LAT, QUERY_LON, RADIUS_M, T0)
-    request = variant.build_unlock(ses, ses.result_ids()[0], WITNESS_NEAR_QUERY)
-    return request, variant.verify, lambda claim: variant.audit(variant.audit_record(ses, claim))
+
+    def unlock():
+        ses = variant.open_session(T0)
+        variant.search(ses, QUERY_LAT, QUERY_LON, RADIUS_M, T0)
+        request = variant.build_unlock(ses, ses.result_ids()[0], WITNESS_NEAR_QUERY)
+        return request, variant.verify, variant.audit_record(ses, request), variant.audit
+
+    return unlock
+
+
+def _unlocked(subject: str):
+    """One honest unlock on ``subject`` (`_unlocker`)."""
+    return _unlocker(subject)()
 
 
 # every test_reasons subject: the server in both modes, each rung, V8-lite
@@ -731,10 +748,9 @@ def test_an_id_that_is_no_encodable_str_answers_a_digest_mismatch(subject, drop_
     # the digest stage is the first to read the id: it answers, online and
     # offline, it does not raise, and the session stays open for the honest
     # request
-    request, verify, audit_of = _unlocked(subject)
-    bad = dataclasses.replace(request, drop_id=drop_id)
-    assert verify(bad, T0 + 1).fail_reason == R_NONCE_DIGEST
-    assert audit_of(bad).fail_reason == R_NONCE_DIGEST
+    request, verify, record, audit_of = _unlocked(subject)
+    assert verify(dataclasses.replace(request, drop_id=drop_id), T0 + 1).fail_reason == R_NONCE_DIGEST
+    assert audit_of(dataclasses.replace(record, drop_id=drop_id)).fail_reason == R_NONCE_DIGEST
     assert verify(request, T0 + 2).accepted
 
 
@@ -754,11 +770,10 @@ _ID_ANSWERS = {
 @pytest.mark.parametrize("subject", list(_ID_ANSWERS))
 def test_an_id_that_is_no_encodable_str_answers_each_rungs_own_reason(subject, drop_id):
     assert set(DIGEST_SUBJECTS) | set(_ID_ANSWERS) == set(ID_SUBJECTS)  # the two tests cover every subject
-    request, verify, audit_of = _unlocked(subject)
-    bad = dataclasses.replace(request, drop_id=drop_id)
+    request, verify, record, audit_of = _unlocked(subject)
     online, offline = _ID_ANSWERS[subject]
-    assert verify(bad, T0 + 1).fail_reason == online
-    assert audit_of(bad).fail_reason == offline
+    assert verify(dataclasses.replace(request, drop_id=drop_id), T0 + 1).fail_reason == online
+    assert audit_of(dataclasses.replace(record, drop_id=drop_id)).fail_reason == offline
     assert verify(request, T0 + 2).accepted
 
 
@@ -781,31 +796,84 @@ _CLAIMED_ID = st.one_of(
     st.binary(max_size=6),
     st.lists(_CLAIMED_TEXT, max_size=2),
 )
+_CLAIMED_VALUE = _CLAIMED_ID | st.binary(max_size=64) | st.lists(_CLAIMED_TEXT, max_size=3).map(tuple)
+
+# A claim's structured fields, whose rule for a value of the wrong type is still open.
+_STRUCTURED = {"pub", "proof", "merkle_path", "receipt"}
+# every text or bytes field a request or audit record of any subject carries
+_CLAIMED_FIELDS = tuple(f.name for f in dataclasses.fields(VariantRequest) if f.name not in _STRUCTURED)
+
+
+def _carries(claim, name: str) -> bool:
+    return name in {f.name for f in dataclasses.fields(claim)}
 
 
 @pytest.fixture(scope="module")
-def unlocked():
-    """Each subject's unlock, kept across examples until an accept consumes it."""
+def unlockers():
+    """Each subject's `_unlocker`, kept across examples."""
     return {}
 
 
-@given(drop_id=_CLAIMED_ID)
-@example(drop_id="d0\udfff")
-@example(drop_id=_Text("d00"))
-@settings(max_examples=150, deadline=None)
-def test_no_verify_or_audit_stage_raises_on_any_claimed_id(unlocked, drop_id):
-    # every subject gives an outcome, online and offline, and never accepts
-    # online an id no hash can take
+@given(name=st.sampled_from(_CLAIMED_FIELDS), value=_CLAIMED_VALUE)
+@example(name="drop_id", value="d0\udfff")
+@example(name="drop_id", value=_Text("d00"))
+@example(name="result_ids", value=("\ud800",))
+@example(name="token", value="x")
+@settings(max_examples=300, deadline=None)
+def test_no_verify_or_audit_stage_raises_on_any_claimed_field(unlockers, name, value):
+    # on a fresh session of every subject: the field set to the value gives
+    # an outcome online and offline, never an online accept of an id no
+    # hash can take, and unless it was accepted online (the session's one
+    # accept) the honest request is accepted after it
+    assert {f.name for f in dataclasses.fields(AuditRecord)} - _STRUCTURED <= set(_CLAIMED_FIELDS)
     for subject in ID_SUBJECTS:
-        if subject not in unlocked:
-            unlocked[subject] = _unlocked(subject)
-        request, verify, audit_of = unlocked[subject]
-        claim = dataclasses.replace(request, drop_id=drop_id)
-        online, offline = verify(claim, T0 + 1), audit_of(claim)
-        assert isinstance(online, VerifyOutcome) and isinstance(offline, VerifyOutcome)
-        assert encodable(drop_id) or not online.accepted
-        if online.accepted:
-            del unlocked[subject]
+        if subject not in unlockers:
+            unlockers[subject] = _unlocker(subject)
+        request, verify, record, audit_of = unlockers[subject]()
+        accepted = False
+        if _carries(request, name):
+            online = verify(dataclasses.replace(request, **{name: value}), T0 + 1)
+            assert isinstance(online, VerifyOutcome)
+            assert name != "drop_id" or encodable(value) or not online.accepted
+            accepted = online.accepted
+        if _carries(record, name):
+            assert isinstance(audit_of(dataclasses.replace(record, **{name: value})), VerifyOutcome)
+        assert verify(request, T0 + 2).accepted or accepted
+
+
+# The exact answer of the one stage that reads a claimed field, for each
+# probe value: (subjects, fields, values, reason, also online).  Online the
+# session rungs read the session's own context, and V8 the token the
+# server holds, so those claims are answered offline only.
+_FIELD_PROBES = (
+    (("V1", "V2"), ("pv", "epoch"), (None, "\ud800"), R_NONCE_DIGEST, True),
+    (("V3",), ("pv", "epoch"), (None, "\ud800"), R_NONCE_DIGEST, False),
+    (("V7",), ("pv", "epoch", "S"), (None, "\ud800"), R_EVIDENCE_INVALID, False),
+    (("V7",), ("result_ids",), (7, ("\ud800",), (None,)), R_EVIDENCE_INVALID, True),
+    (("V7",), ("result_mac",), ("x", 7), R_EVIDENCE_INVALID, True),
+    (("V5",), ("capability",), ("x", 7), R_EVIDENCE_INVALID, True),
+    (("V6",), ("permit",), ("x", 7), R_EVIDENCE_INVALID, True),
+    (("V8", "V8-lite"), ("token",), ("x", 7), R_TOKEN_HASH, False),
+)
+
+
+@pytest.mark.parametrize(
+    "subject, name, value, reason, online",
+    [
+        (subject, name, value, reason, online)
+        for subjects, names, values, reason, online in _FIELD_PROBES
+        for subject in subjects
+        for name in names
+        for value in values
+    ],
+    ids=repr,
+)
+def test_a_claimed_field_no_hash_can_take_gets_its_stages_reason(subject, name, value, reason, online):
+    request, verify, record, audit_of = _unlocked(subject)
+    assert audit_of(dataclasses.replace(record, **{name: value})).fail_reason == reason
+    if online:
+        assert verify(dataclasses.replace(request, **{name: value}), T0 + 1).fail_reason == reason
+    assert verify(request, T0 + 2).accepted
 
 
 def _reference_statement(verifier, attempt):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sbpp import merkle, nizk, session, variants
+from sbpp import canon, merkle, nizk, session, variants
 from sbpp.canon import digest, lp_encode
 from sbpp.geoindex import Drop, GeoIndex
 from sbpp import protocol
@@ -304,6 +304,22 @@ def test_v7_mac_covers_the_result_list():
     outcome = variant.verify(outside, T0 + 1)
     assert outcome.fail_reason in (R_NOT_IN_RESULT_SET, R_EVIDENCE_INVALID)
     assert not outcome.accepted
+
+
+def test_a_deployment_prepares_each_hmac_key_once():
+    # the index build, then 50 searches, V7 MACs, proofs, verifies and
+    # audits under one deployment: the pads of the search, proof and MAC
+    # keys are prepared once each, and every later use finds them kept
+    canon._prepared.cache_clear()
+    variant = make_variant("V7", _env())
+    for _ in range(50):
+        vses, request = _flow(variant)
+        assert variant.verify(request, T0 + 1).accepted
+        assert variant.audit(variant.audit_record(vses, request)).accepted
+    kept = canon._prepared.cache_info()
+    assert kept.misses == kept.currsize == 3
+    # per unlock: the tags, the MAC and the proof, then the MAC and proof checks twice
+    assert kept.hits + kept.misses >= 50 * 7
 
 
 def test_v8_token_digest_binds_the_session():
