@@ -18,6 +18,10 @@ JSON numbers on the globe is a usage error naming the drop.  Each other rule
 has one door: a repeated key is `_unique_keys`'s, and the drop-id rule and
 the id order are geoindex.build_index's, which every server runs, so this
 module neither checks the ids again nor sorts the drops.
+
+The `bench` and `experiment` studies are one table, STUDIES: each names its
+runner in sbpp.harness.experiments, which `_cmd_study` looks up there by
+name when the study runs, as `_default_text` does for a flag's default.
 """
 
 from __future__ import annotations
@@ -43,15 +47,6 @@ from .geoindex import (
 )
 from .harness import experiments
 from .harness.attacks import derive_key, protocol_pair, run_attack_matrix, seeded_env
-from .harness.experiments import (
-    atomicity_and_isolation_suite,
-    audit_replay_experiment,
-    malicious_server_suite,
-    merkle_bench,
-    protocol_latency_bench,
-    reassociation_experiment,
-    search_quality_experiment,
-)
 from .harness.report import write_csv
 from .protocol import AuditRecord, AuditRecordError, ProtocolError, audit, emit_audit_record
 from .session import DEFAULT_EPOCH, DEFAULT_PV, DEFAULT_TTL_S, MODE_CORE, MODE_FULL
@@ -290,7 +285,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
     _, studies = STUDIES[args.command]
     _, runner, flags = studies[args.study]
     kwargs = {kw: getattr(args, kw) for kw, _, _, _ in flags.values() if hasattr(args, kw)}
-    report = globals()[runner](seed=args.seed, **kwargs).to_report()  # patchable by name
+    report = getattr(experiments, runner)(seed=args.seed, **kwargs).to_report()
     print(report.render())
     if args.out_dir:
         print(f"csv: {report.write_csv(args.out_dir)}")
@@ -312,8 +307,9 @@ def _add_demo_flags(p: argparse.ArgumentParser) -> None:
 
 
 # command -> (help, study -> (help, runner, {flag: (runner keyword, type, default, help)})).
-# The runner is a name in this module, called with seed= and its flags' keywords;
-# a SUPPRESS default leaves the keyword to the runner's own default.
+# The runner is a name in sbpp.harness.experiments, looked up there when the
+# study runs and called with seed= and its flags' keywords; a SUPPRESS default
+# leaves the keyword to the runner's own default.
 STUDIES = {
     "bench": ("performance benchmarks", {
         "merkle": ("commitment scaling, path lengths, compact state size", "merkle_bench",

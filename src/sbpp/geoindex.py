@@ -64,7 +64,10 @@ Tags are HMAC-SHA-256 (RFC 2104), from the package's one keyed-once kernel,
 the key's state with the tags' fixed head absorbed, which it prepares on
 the key's first use and keeps, as it does the proof and MAC keys'.  So a
 build keys at most once and a query not at all.  Only the key's state is
-kept: every tag is computed again from its cell.
+kept: every tag is computed again from its cell.  A tagger maps a search
+key to its cell-tag function, and the index and the queries take the same
+one: `hmac_tagger` by default, `plain_tagger` (the cell string itself) for
+the plaintext baseline.
 
 A query's dummy tags cost one keyed tag, not one each.  The tag of
 (PAD_LABEL, first cover cell) seeds a SHAKE-256 stream, and the dummy in slot
@@ -88,7 +91,6 @@ import struct
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain
 from operator import attrgetter
 
@@ -336,27 +338,24 @@ def _tagger(key: bytes) -> Callable[[int | str, str], bytes]:
 
 
 def hmac_tagger(key: bytes) -> Callable[[int | str, str], bytes]:
-    """``make_token`` with ``key`` bound, keyed once per key
-    (`canon.hmac_sha256` keeps the key's state)."""
+    """The cell tags under ``key``, HMAC-SHA-256 keyed once per key
+    (`canon.hmac_sha256` keeps the key's state): the index's default
+    tagger, ``make_token`` with ``key`` bound."""
     if len(key) != 32:
         raise GeoindexError("search key must be 32 bytes")
     return _tagger(key)
+
+
+def plain_tagger(key: bytes) -> Callable[[int | str, str], bytes]:
+    """The cell itself as the tag, whatever the key: the plaintext-search
+    baseline (V1 of sbpp.variants)."""
+    return lambda precision, cell: f"{precision}:{cell}".encode("ascii")
 
 
 def make_token(key: bytes, precision: int | str, cell: str) -> bytes:
     """HMAC tag for one cell; the only thing the server ever sees of it.
     A dummy tag puts PAD_LABEL in the precision slot."""
     return hmac_tagger(key)(precision, cell)
-
-
-def plain_tag(key: bytes, precision: int | str, cell: str) -> bytes:
-    """The cell itself as the tag: the plaintext-search baseline.  Ignores the key."""
-    return f"{precision}:{cell}".encode("ascii")
-
-
-def _keyed(tag, key: bytes) -> Callable[[int | str, str], bytes]:
-    """``tag`` with ``key`` bound, keyed once for ``make_token``."""
-    return hmac_tagger(key) if tag is make_token else partial(tag, key)
 
 
 _SLOTS = struct.Struct("32s" * COVER_BUDGET)  # a query's tag slots, cut from the pad stream at once
@@ -368,19 +367,22 @@ def client_tokens(
     lon: float,
     radius_m: float,
     precisions: Iterable[int] = DEFAULT_PRECISIONS,
-    tag=make_token,
+    tagger=hmac_tagger,
 ) -> tuple[int, list[bytes]]:
     """Token set for a proximity query: the cover at the finest of the
-    index's ``precisions`` that fits in COVER_BUDGET cells, one ``tag`` per
-    cell, padded with 32-byte dummy tags to exactly COVER_BUDGET and sorted.
+    index's ``precisions`` that fits in COVER_BUDGET cells, one tag per
+    cell from ``tagger(key)``, padded with 32-byte dummy tags to exactly
+    COVER_BUDGET and sorted.  A tagger maps a search key to the function
+    from (precision, cell) to the cell's tag: ``hmac_tagger``, or
+    ``plain_tagger`` for the plaintext baseline.
 
     The dummies are slots n to COVER_BUDGET - 1 of one SHAKE-256 stream
-    seeded with ``tag(key, PAD_LABEL, <first cell>)`` (module docstring), so
-    a cover of n < COVER_BUDGET cells calls ``tag`` n + 1 times.
+    seeded with the tag of (PAD_LABEL, <first cell>) (module docstring), so
+    a cover of n < COVER_BUDGET cells makes n + 1 tags.
 
     Returns (precision, tags).  Deterministic, so identical queries emit
     byte-identical tag lists regardless of which protocol variant sends them.
-    ``tag`` must be the function the index was built with.  Raises
+    ``tagger`` must be the one the index was built with.  Raises
     GeoindexError when no indexed precision fits.
     """
     for precision in sorted(precisions, reverse=True):
@@ -392,7 +394,7 @@ def client_tokens(
             f"radius {radius_m:g} m has no cover of at most {COVER_BUDGET} cells "
             f"at precisions {sorted(precisions)}"
         )
-    tag_of = _keyed(tag, key)
+    tag_of = tagger(key)
     tags = [tag_of(precision, c) for c in cells]
     if len(tags) < COVER_BUDGET:
         pad = hashlib.shake_256(tag_of(PAD_LABEL, cells[0])).digest(_SLOTS.size)
@@ -402,8 +404,9 @@ def client_tokens(
 
 
 class GeoIndex:
-    """Server-side tag -> `Cell` map.  Built with HMAC tags it holds no
-    plaintext geometry; built with ``plain_tag`` it is the plaintext baseline."""
+    """Server-side tag -> `Cell` map.  Built with ``hmac_tagger`` it holds
+    no plaintext geometry; built with ``plain_tagger`` it is the plaintext
+    baseline."""
 
     def __init__(self, precisions: list[int]):
         if not precisions:
@@ -486,7 +489,7 @@ def check_ids(ids: Iterable[str]) -> None:
         raise CorpusError(f"drop id {i!r} {why}")
 
 
-def build_index(key: bytes, drops: list[Drop], precisions: list[int], tag=make_token) -> GeoIndex:
+def build_index(key: bytes, drops: list[Drop], precisions: list[int], tagger=hmac_tagger) -> GeoIndex:
     """The index of ``drops`` at each of ``precisions``, in two passes.
 
     Pass 1 visits the drops in id order, computes each drop's (x, y) cell
@@ -500,7 +503,9 @@ def build_index(key: bytes, drops: list[Drop], precisions: list[int], tag=make_t
     edges that define it; otherwise `_axis_cell` repairs it (at the top edge,
     and where the division rounds across an edge).  Pass 2 derives one tag
     per distinct (precision, cell) and files the cell's drops, sorted by the
-    visit order, and their ids as one `Cell`.  Pass 1 files each id beside
+    visit order, and their ids as one `Cell`, under the tag ``tagger(key)``
+    gives it (``hmac_tagger``, or ``plain_tagger`` for the plaintext
+    baseline; see `client_tokens`).  Pass 1 files each id beside
     its drop, while the drop is fresh in the cache: reading the ids in pass
     2 would revisit every drop out of memory order.
 
@@ -533,7 +538,7 @@ def build_index(key: bytes, drops: list[Drop], precisions: list[int], tag=make_t
             members.append(drop)
     # a level files each id once, so the rule's one pass over it reads them all
     check_ids(chain.from_iterable([ids for ids, _ in levels[0][3].values()]))
-    tag_of = _keyed(tag, key)
+    tag_of = tagger(key)
     for p, _, _, cells in levels:
         for (x, y), (ids, members) in cells.items():
             cell = Cell(tuple(ids), drops=tuple(members), precision=p)

@@ -103,11 +103,11 @@ def build_variant(
     return make_variant(kind, seeded_env(seed, drops), token_includes_root=token_includes_root)
 
 
-def _searched_sessions(variant, n: int, now: int = T0):
+def _searched_sessions(variant, n: int):
     out = []
     for _ in range(n):
-        s = variant.open_session(now)
-        variant.search(s, QUERY_LAT, QUERY_LON, RADIUS_M, now)
+        s = variant.open_session(T0)
+        variant.search(s, QUERY_LAT, QUERY_LON, RADIUS_M, T0)
         if not s.result_ids():
             raise EnvInsufficientError("search returned no candidates")
         out.append(s)

@@ -119,7 +119,6 @@ def reassociation_experiment(
     epoch_every: int = 25,
     n_drops: int = 20,
     seed: int = 0,
-    variants: tuple[str, ...] = ("V2", "V3", "V4a", "V4b"),
 ) -> ReassociationResult:
     """Adversary links proofs across sessions that share (drop, pv, epoch).
 
@@ -127,14 +126,15 @@ def reassociation_experiment(
     chosen uniformly, epoch rotated every `epoch_every` sessions.  A session
     is re-associated when some other same-epoch session produced a proof
     with an identical challenge digest for the same drop.  Under uniform
-    choice the per-session rate is 1 - (1 - 1/m)^(K-1).
+    choice the per-session rate is 1 - (1 - 1/m)^(K-1).  Measured on V2,
+    V3 (context-only digests) and V4a, V4b (session-bound).
     """
     if epoch_every < 1:
         raise ValueError("epoch_every must be >= 1")
     cluster = [Drop(f"d{i:02d}", QUERY_LAT + i * 5e-5, QUERY_LON) for i in range(n_drops)]
     analytic = 1.0 - (1.0 - 1.0 / n_drops) ** (epoch_every - 1)
     rates: dict[str, float] = {}
-    for kind in variants:
+    for kind in ("V2", "V3", "V4a", "V4b"):
         variant = build_variant(kind, seed, drops=cluster)
         chooser = random.Random(f"reassoc:{seed}")
         records: list[tuple[str, str, bytes]] = []
@@ -703,7 +703,6 @@ def protocol_latency_bench(
     iters: int = 1000,
     warmup: int = 100,
     seed: int = 0,
-    radius_m: float = 1000.0,
 ) -> LatencyBenchResult:
     """Per-query latency of the three discovery paths.
 
@@ -713,6 +712,8 @@ def protocol_latency_bench(
                the binding adds to the query path (sessions are issued ahead
                of time; receipt signing and tree building happen per search
                result set, not per query, and are benchmarked separately).
+
+    Every query is a RADIUS_M (1 km) circle, as the attack matrix's.
     """
     drops = gen_uniform_corpus(n_drops, seed)
     key = derive_key("latency-search", seed)
@@ -738,14 +739,14 @@ def protocol_latency_bench(
         live = i >= warmup
         # plaintext path
         t0 = time.perf_counter_ns()
-        p = precision_for_radius(radius_m, lat)
+        p = precision_for_radius(RADIUS_M, lat)
         geohash_encode(lat, lon, p)
         t1 = time.perf_counter_ns()
         if live:
             plain_us.append((t1 - t0) / 1e3)
         # gridse path
         t0 = time.perf_counter_ns()
-        _, tags = client_tokens(key, lat, lon, radius_m, index.precisions)
+        _, tags = client_tokens(key, lat, lon, RADIUS_M, index.precisions)
         t1 = time.perf_counter_ns()
         index.match(tags)
         t2 = time.perf_counter_ns()
@@ -756,7 +757,7 @@ def protocol_latency_bench(
         # sbpp query path
         record = session_records[i]
         t0 = time.perf_counter_ns()
-        _, tags = client_tokens(key, lat, lon, radius_m, index.precisions)
+        _, tags = client_tokens(key, lat, lon, RADIUS_M, index.precisions)
         t1 = time.perf_counter_ns()
         ids = index.match(tags)
         t2 = time.perf_counter_ns()

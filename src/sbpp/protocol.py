@@ -53,6 +53,15 @@ server forgets everything:
 Only the receipt check is offline-only; the statement check stays online,
 since it needs the server's drop table.  Each stage is written once.
 
+No stage raises on a claimed field: the stage that reads a field answers a
+value it cannot use with its own reason.  Text no hash can take
+(`canon.encodable`) and evidence that is not `bytes` are answered so, and a
+structured field is tested for its type, not for None: `pub` must be a
+`nizk.PublicInputs`, `proof` a `nizk.Proof`, `merkle_path` a
+`merkle.MerklePath` and a record's `receipt` a `receipt.Receipt`.  An
+instance of the right type is trusted to hold what its parse checks; one
+built by hand with wrong contents is out of scope.
+
 The comparison ladder in sbpp.variants runs this server and client: every
 rung takes its drop table, index, sessions and hit cells from an
 `SbppServer` (`bind`, or `_hits` alone for the rungs with no session), and
@@ -62,7 +71,6 @@ these same stage objects.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import attrgetter
 import random
@@ -73,7 +81,7 @@ from .canon import (
     EncodingError, FieldElement, as_bytes, assemble, cd_core, cd_full, encodable, lp_decode, lp_head,
 )
 from .geoindex import (
-    COVER_BUDGET, DEFAULT_PRECISIONS, Drop, GeoIndex, build_index, client_tokens, drops_of, make_token,
+    COVER_BUDGET, DEFAULT_PRECISIONS, Drop, GeoIndex, build_index, client_tokens, drops_of, hmac_tagger,
 )
 from .merkle import (
     EMPTY_PATH, Cell, MerklePath, MerkleError, TreeMemo, build_tree, locate, verify_membership,
@@ -90,7 +98,6 @@ from .session import (
     SessionRecord,
     SessionStore,
     UnknownSessionError,
-    in_result_set,
 )
 
 # Rejection reasons; one per failed check, in pipeline order.
@@ -145,7 +152,7 @@ ACCEPTED = VerifyOutcome(True)  # frozen, so every accepting run returns this on
 class SbppServer:
     """Server half: index, session table, receipt signer, proof verifier."""
 
-    _tag = staticmethod(make_token)  # the index's cell tags (the ladder's V1 server overrides it)
+    _tagger = staticmethod(hmac_tagger)  # the index's tagger (the ladder's V1 server overrides it)
 
     def __init__(
         self,
@@ -173,7 +180,7 @@ class SbppServer:
             raise ProtocolError("duplicate drop ids in corpus")
         if precisions is None:  # an empty list is the index's to refuse, not a default
             precisions = list(DEFAULT_PRECISIONS)
-        self.index: GeoIndex = build_index(search_key, drops, precisions, tag=self._tag)
+        self.index: GeoIndex = build_index(search_key, drops, precisions, tagger=self._tagger)
         self.signing_key = signing_key
         self.nizk_vk = nizk_vk
         self.unlock_radius_m = unlock_radius_m
@@ -186,7 +193,10 @@ class SbppServer:
     def init_session(self, now: int) -> ClientSession:
         """Issue a session; the client's view states its whole context."""
         record = self.sessions.issue(now, mode=self.mode)
-        return ClientSession.issued(record, self.unlock_radius_m, self.index.precisions)
+        return ClientSession(
+            record.S, record.N, record.t_exp, record.mode, record.pv, record.epoch,
+            self.unlock_radius_m, tuple(self.index.precisions),
+        )
 
     def _hits(self, tags: list[bytes]) -> list[Cell]:
         """The index cells under the tags, in tag order: every search's and
@@ -287,7 +297,7 @@ def check_bound(verifier: Any, attempt: Attempt) -> str | None:
 def check_receipt(keys: Any, attempt: Attempt) -> str | None:
     """Offline only: the receipt is the server's, so its fields are the context."""
     receipt = attempt.record
-    if receipt is None or not verify_receipt(keys.public_key_bytes, receipt):
+    if not isinstance(receipt, Receipt) or not verify_receipt(keys.public_key_bytes, receipt):
         return R_RECEIPT_SIG
     return None
 
@@ -298,7 +308,7 @@ def check_digest(verifier: Any, attempt: Attempt) -> str | None:
     can take (`canon.encodable`: not a `str`, or a lone surrogate) with a
     mismatch, as for any other id the proof was not made for."""
     record, claim = attempt.record, attempt.claim
-    if claim.pub is None or not encodable(claim.drop_id):
+    if not isinstance(claim.pub, nizk.PublicInputs) or not encodable(claim.drop_id):
         return R_NONCE_DIGEST
     expected = challenge_digest(record.mode, claim.drop_id, record.pv, record.epoch, record.N, record.root)
     return None if claim.pub[7] == expected else R_NONCE_DIGEST
@@ -310,11 +320,11 @@ def check_membership(verifier: Any, attempt: Attempt) -> str | None:
     receipt's zero root admits no path, so core audit records stop here.
     An id no hash can take (`canon.encodable`) is in no cells and on no path."""
     record, claim = attempt.record, attempt.claim
-    if record.result_set is not None:
-        member = encodable(claim.drop_id) and in_result_set(record.result_set, claim.drop_id)
+    if isinstance(record, SessionRecord) and record.result_set is not None:
+        member = encodable(claim.drop_id) and locate(record.result_set, claim.drop_id) is not None
         return None if member else R_NOT_IN_RESULT_SET
     path = claim.merkle_path
-    if path is None or not verify_membership(record.root, claim.drop_id, path):
+    if not isinstance(path, MerklePath) or not verify_membership(record.root, claim.drop_id, path):
         return R_MERKLE_INVALID
     return None
 
@@ -326,7 +336,7 @@ def check_statement(verifier: Any, attempt: Attempt) -> str | None:
     integers; a drop no statement can hold fails here too."""
     claim = attempt.claim
     drop = verifier.drops.get(claim.drop_id)
-    if drop is None or claim.pub is None:
+    if drop is None or not isinstance(claim.pub, nizk.PublicInputs):
         return R_PROOF_INVALID
     try:
         lat, lon, radius = nizk.statement_values(drop.lat, drop.lon, verifier.unlock_radius_m)
@@ -339,7 +349,8 @@ def check_statement(verifier: Any, attempt: Attempt) -> str | None:
 def check_proof(verifier: Any, attempt: Attempt) -> str | None:
     """The proximity proof holds for the public inputs."""
     pub, proof = attempt.claim.pub, attempt.claim.proof
-    if pub is None or proof is None or not nizk.verify(verifier.nizk_vk, pub, proof):
+    if (not isinstance(pub, nizk.PublicInputs) or not isinstance(proof, nizk.Proof)
+            or not nizk.verify(verifier.nizk_vk, pub, proof)):
         return R_PROOF_INVALID
     return None
 
@@ -377,16 +388,6 @@ class ClientSession:
     candidates: tuple[Drop, ...] = ()  # the cells' drops, cell after cell
     cells: tuple[Cell, ...] = ()  # the hit cells as the server listed them
     receipt: Receipt | None = None
-
-    @classmethod
-    def issued(
-        cls, record: SessionRecord, radius_m: float, precisions: Iterable[int]
-    ) -> ClientSession:
-        """The view of a freshly issued session record."""
-        return cls(
-            record.S, record.N, record.t_exp, record.mode, record.pv, record.epoch,
-            radius_m, tuple(precisions),
-        )
 
     def candidate(self, drop_id: str) -> Drop:
         """The listed drop, found through its cell: the first listed cell

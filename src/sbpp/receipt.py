@@ -93,7 +93,6 @@ class Receipt:
     sig: bytes
     # the signed body, set only by sign_receipt, parse and body_bytes (module docstring)
     _body: bytes | None = field(default=None, init=False, compare=False, repr=False)
-    result_set = None  # not a field: a receipt binds a root, never the cells
 
     def body_bytes(self) -> bytes:
         """The canonical body: the carried one, else encoded now and kept."""

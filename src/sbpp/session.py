@@ -30,7 +30,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .canon import lp_encode
-from .merkle import Cell, build_tree, locate
+from .merkle import Cell, build_tree
 
 DEFAULT_TTL_S = 300
 DEFAULT_PV = "1"  # policy version
@@ -59,11 +59,6 @@ class ConsumedSessionError(SessionError):
 
 class AlreadyBoundError(SessionError):
     pass
-
-
-def in_result_set(cells: Sequence[Cell], drop_id: str) -> bool:
-    """Membership in a core session's cells, each sorted and unique."""
-    return locate(cells, drop_id) is not None
 
 
 @dataclass

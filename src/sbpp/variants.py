@@ -39,11 +39,14 @@ record's place.  So every audit stage is a verify stage too, except the two
 signature checks, the protocol's receipt signature and V8's token
 signature: online the server's own session and token need none.  V8's
 token hash and root read the token the server holds for the session
-online and the record's token offline.  No stage raises on a claimed text
-or bytes field: the one stage that reads it answers with its own reason
-for text no hash can take (`canon.encodable`: an id, policy version,
-epoch, session id or listed id) and for evidence that is not `bytes` (a
-capability, permit, MAC or token).
+online and the record's token offline.  No stage raises on a claimed
+field: the one stage that reads it answers with its own reason for text
+no hash can take (`canon.encodable`: an id, policy version, epoch, session
+id or listed id), for evidence that is not `bytes` (a capability, permit,
+MAC or token), and for a structured field that is not of its type (the
+rule in sbpp.protocol's docstring).  The context is read from a
+`SessionRecord` or a `Receipt` only; a claimed receipt of any other type
+leaves the claim's own pv and epoch.
 
 Attack adapters model an adversary who can re-route anything it computed
 itself (session ids, nonce echoes, membership paths) but cannot mint
@@ -60,7 +63,7 @@ from operator import attrgetter
 
 from . import nizk
 from .canon import EncodingError, FieldElement, digest, encodable, hmac_sha256, lp_decode, lp_encode
-from .geoindex import DEFAULT_PRECISIONS, Drop, client_tokens, drops_of, plain_tag
+from .geoindex import DEFAULT_PRECISIONS, Drop, client_tokens, drops_of, plain_tagger
 from .merkle import MerklePath, build_tree, locate, verify_membership
 from .protocol import (
     AUDIT_STAGES,
@@ -87,7 +90,7 @@ from .protocol import (
     run_stages,
 )
 from .receipt import Receipt, SigningKey, verify_signature
-from .session import DEFAULT_EPOCH, DEFAULT_PV, DEFAULT_TTL_S, MODE_CORE, MODE_FULL
+from .session import DEFAULT_EPOCH, DEFAULT_PV, DEFAULT_TTL_S, MODE_CORE, MODE_FULL, SessionRecord
 
 # Additional rejection reasons used by the comparison rungs.
 R_NONCE_ECHO = "nonce-echo-mismatch"
@@ -150,7 +153,7 @@ def protocol_pair(
 
 
 class _PlaintextServer(SbppServer):
-    _tag = staticmethod(plain_tag)  # V1: the index's tags are the cells themselves
+    _tagger = staticmethod(plain_tagger)  # V1: the index's tags are the cells themselves
 
 
 @dataclass
@@ -216,9 +219,10 @@ def _mac_tag(mac_key: bytes, S: str, pv: str, epoch: str, ids: tuple[str, ...]) 
 
 
 def _context(attempt: Attempt) -> tuple[str, str]:
-    """(pv, epoch) from the session if the rung keeps one, else as claimed."""
+    """(pv, epoch) from the session record, or the receipt, if the rung
+    keeps one, else as claimed."""
     record = attempt.record
-    if record is not None:
+    if isinstance(record, (SessionRecord, Receipt)):
         return record.pv, record.epoch
     return attempt.claim.pv, attempt.claim.epoch
 
@@ -268,7 +272,7 @@ def check_context_digest(variant: GenericVariant, attempt: Attempt) -> str | Non
     version or epoch no digest can take (`canon.encodable`) is a mismatch,
     as in the protocol's `check_digest`."""
     claim, context = attempt.claim, (attempt.claim.drop_id, *_context(attempt))
-    if (claim.pub is None or not all(map(encodable, context))
+    if (not isinstance(claim.pub, nizk.PublicInputs) or not all(map(encodable, context))
             or claim.pub[7] != context_digest(*context)):
         return R_NONCE_DIGEST
     return None
@@ -289,7 +293,7 @@ def check_token_hash(variant: GenericVariant, attempt: Attempt) -> str | None:
     token, pub = _token(variant, attempt), attempt.claim.pub
     if token is None and attempt.now is not None:
         return R_SESSION_INVALID
-    if not isinstance(token, bytes) or pub is None or pub[7] != digest([token]):
+    if not isinstance(token, bytes) or not isinstance(pub, nizk.PublicInputs) or pub[7] != digest([token]):
         return R_TOKEN_HASH
     return None
 
@@ -305,7 +309,8 @@ def check_token_root(variant: GenericVariant, attempt: Attempt) -> str | None:
     except EncodingError:
         return R_MERKLE_INVALID
     path = claim.merkle_path
-    if len(fields) < 4 or path is None or not verify_membership(fields[3], claim.drop_id, path):
+    if (len(fields) < 4 or not isinstance(path, MerklePath)
+            or not verify_membership(fields[3], claim.drop_id, path)):
         return R_MERKLE_INVALID
     return None
 
@@ -431,7 +436,7 @@ class GenericVariant:
         if check_digest in stages:  # the protocol's own search and receipt
             return self.client.search(server, vses, lat, lon, radius_m, now)
         _, tags = client_tokens(
-            self.env.search_key, lat, lon, radius_m, vses.precisions, tag=server._tag
+            self.env.search_key, lat, lon, radius_m, vses.precisions, tagger=server._tagger
         )
         cells = server.bind(S, tags, now)[0] if row.session_aware else server._hits(tags)
         vses.candidates, vses.cells = drops_of(cells), tuple(cells)

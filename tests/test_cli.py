@@ -1,6 +1,7 @@
 """CLI exit-code discipline and file formats: 0 ok, 1 usage, 2 rejection."""
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 from sbpp import cli
 from sbpp.cli import main
 from sbpp.geoindex import geohash_encode, geohash_neighbors, haversine_m, load_corpus, make_token
-from sbpp.harness import attacks
+from sbpp.harness import attacks, experiments
 from sbpp.merkle import MerkleTree, node_hash
 from sbpp.protocol import ClientSession
 from sbpp.receipt import Receipt
@@ -632,6 +633,67 @@ def test_bench_merkle_writes_csv(tmp_path, capsys):
     assert "path_steps" in out
 
 
+# CI's console-script steps for the studies, at CI's sizes and seed 0:
+# (argv, how many metric rows the report has where CI counts them, the rows
+# CI greps, each a name and a value as an ERE).
+_CI_STUDIES = [
+    (("experiment", "atomicity", "--trials", "20"), None, [
+        "sequential_double_submit_ok +20/20",
+        "parallel_exactly_one +20/20",
+        "expiry_boundary_ok +20/20",
+        "lifecycle_issued +12000",
+        "lifecycle_consumed +3333",
+        "lifecycle_expired +6667",
+        "lifecycle_pending +2000",
+        "lifecycle_conserved +True",
+        "cross_access_successes +0/9900",
+        "honest_unlocks_after_cross_attempts +100",
+    ]),
+    (("experiment", "malicious-server", "--trials", "20"), 8, [
+        "omission_detected_vs_reference_root +20/20",
+        r"biased_root_audit_passes \(boundary\) +20/20",
+        "nonce_transfer_rigged_issuer +20/20",
+        "nonce_transfer_honest_issuer +0/20",
+        r"refusal_detected \(boundary\) +0/20",
+        "receipt_forgery_successes +0/20",
+        "receipt_vs_shown_cells_detected +20/20",
+        r"other_cell_recommit_unnoticed \(boundary\) +16/20",
+    ]),
+    (("experiment", "reassoc", "--sessions", "200"), None, [
+        "rate_V4a +0", "rate_V4b +0", "rate_V2 +0.72", "rate_V3 +0.72",
+    ]),
+    (("experiment", "search-quality", "--n-drops", "2000", "--n-queries", "40"), None, [
+        "recall_min +1", r"token_jaccard_near_pairs +0\.7645", r"token_jaccard_far_pairs +0\.0171",
+    ]),
+    (("experiment", "audit-replay", "--n", "20"), 9, [
+        "full_honest_pass +20/20",
+        "core_honest_pass +0/20",
+        r"core_fail\[merkle-invalid\] +20",
+        r"v4b_fault\[receipt_swap\]\[nonce-digest-mismatch\] +20",
+        r"v4b_fault\[path_corrupt\]\[merkle-invalid\] +20",
+        r"v4b_fault\[receipt_sig_corrupt\]\[receipt-sig-invalid\] +20",
+        r"v8_fault\[token_swap\]\[token-hash-mismatch\] +20",
+        r"v8_fault\[token_root_tamper\]\[token-hash-mismatch\] +20",
+        r"v8_fault\[token_sig_tamper\]\[token-hash-mismatch\] +20",
+    ]),
+    (("bench", "merkle", "--sizes", "100,1000,5000"), 15, [
+        "n=100 path_steps +7", "n=1000 path_steps +10", "n=5000 path_steps +13",
+        *(f"n={n} compact_state_bytes +140" for n in (100, 1000, 5000)),
+    ]),
+    (("bench", "latency", "--n-drops", "200", "--iters", "50"), 20, []),  # timings are not pinned
+]
+
+
+@pytest.mark.parametrize("argv, count, rows", _CI_STUDIES, ids=["-".join(argv[:2]) for argv, _, _ in _CI_STUDIES])
+def test_ci_study_steps_render_their_pinned_rows(capsys, argv, count, rows):
+    code, out = _run(capsys, *argv, "--seed", "0")
+    assert code == 0
+    for row in rows:
+        assert re.search(f"^ *{row}$", out, re.MULTILINE), row
+    metric_rows = [line for line in out.splitlines() if not re.match(r"==| *parameters:| *$", line)]
+    assert count is None or len(metric_rows) == count
+
+
 def test_experiment_command_writes_csv(tmp_path, capsys):
     code, out = _run(
         capsys, "experiment", "audit-replay", "--n", "5", "--out-dir", str(tmp_path),
@@ -651,13 +713,14 @@ def test_bbox_off_the_globe_exits_1_and_writes_nothing(tmp_path, capsys, bbox):
 
 @pytest.mark.parametrize("sizes", [[], ["--sizes", "100"]])
 def test_bench_merkle_passes_the_seed(tmp_path, capsys, monkeypatch, sizes):
-    real, seen = cli.merkle_bench, []
+    real, seen = experiments.merkle_bench, []
 
+    @functools.wraps(real)  # the help reads the runner's own defaults
     def spy(*args, **kwargs):  # records the seed, then runs one small size
         seen.append(kwargs.get("seed"))
         return real((100,), prove_samples=5, seed=kwargs.get("seed", 0))
 
-    monkeypatch.setattr(cli, "merkle_bench", spy)
+    monkeypatch.setattr(experiments, "merkle_bench", spy)
     code, _ = _run(capsys, "bench", "merkle", *sizes, "--seed", "5", "--out-dir", str(tmp_path))
     assert code == 0 and seen == [5]
 
@@ -699,11 +762,12 @@ def test_the_study_table_declares_exactly_the_pinned_studies():
 def _spy(monkeypatch, runner: str) -> list[dict]:
     calls = []
 
+    @functools.wraps(getattr(experiments, runner))  # the help reads the runner's own defaults
     def run(**kwargs):
         calls.append(kwargs)
         return SimpleNamespace(to_report=lambda: SimpleNamespace(render=lambda: "report"))
 
-    monkeypatch.setattr(cli, runner, run)
+    monkeypatch.setattr(experiments, runner, run)
     return calls
 
 

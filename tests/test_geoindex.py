@@ -38,7 +38,7 @@ from sbpp.geoindex import (
     hmac_tagger,
     load_corpus,
     make_token,
-    plain_tag,
+    plain_tagger,
     precision_for_radius,
     save_corpus,
 )
@@ -665,12 +665,15 @@ def test_client_tokens_pad_from_one_keyed_tag(lat, lon, radius, precisions, offs
     key = b"\x0a" * 32
     calls = []
 
-    def counting(k, precision, cell):
-        calls.append((precision, cell))
-        return make_token(k, precision, cell)
+    def counting(k):
+        def tag(precision, cell):
+            calls.append((precision, cell))
+            return make_token(k, precision, cell)
+
+        return tag
 
     try:
-        precision, tags = client_tokens(key, lat, lon, radius, precisions, tag=counting)
+        precision, tags = client_tokens(key, lat, lon, radius, precisions, tagger=counting)
     except GeoindexError:
         assume(False)  # no indexed precision fits: covered by the exactness property
     cells = cover_cells(lat, lon, radius, precision)
@@ -691,13 +694,13 @@ def test_client_tokens_pad_from_one_keyed_tag(lat, lon, radius, precisions, offs
 # the two-pass index build against a per-drop, per-precision reference
 
 
-def _reference_entries(key, drops, precisions, tag):
+def _reference_entries(key, drops, precisions, tagger):
     """The index built the direct way: encode and tag every drop at every
     precision, then sort each tag's ids."""
     entries = {}
     for drop in drops:
         for p in sorted(set(precisions)):
-            entries.setdefault(tag(key, p, geohash_encode(drop.lat, drop.lon, p)), []).append(drop.id)
+            entries.setdefault(tagger(key)(p, geohash_encode(drop.lat, drop.lon, p)), []).append(drop.id)
     return {t: tuple(sorted(ids)) for t, ids in entries.items()}
 
 
@@ -730,18 +733,18 @@ def _index_drops(draw):
     return [Drop(f"d{i:03d}", lat, lon) for i, (lat, lon) in zip(order, points)]
 
 
-@given(_index_drops(), st.sets(st.integers(1, 9), min_size=1), st.sampled_from([make_token, plain_tag]))
+@given(_index_drops(), st.sets(st.integers(1, 9), min_size=1), st.sampled_from([hmac_tagger, plain_tagger]))
 @example(
     [Drop("d3", 90.0, 180.0), Drop("d2", -90.0, -180.0), Drop("d1", 90.0, -180.0), Drop("d0", -90.0, 180.0)],
     {1, 2, 9},
-    make_token,
+    hmac_tagger,
 )
 @settings(max_examples=300, deadline=None)
-def test_build_index_equals_the_per_drop_reference(drops, precisions, tag):
+def test_build_index_equals_the_per_drop_reference(drops, precisions, tagger):
     key = b"\x09" * 32
-    index = build_index(key, drops, sorted(precisions), tag=tag)
+    index = build_index(key, drops, sorted(precisions), tagger=tagger)
     assert index.precisions == sorted(precisions)
-    assert {t: cell.ids for t, cell in index.entries.items()} == _reference_entries(key, drops, precisions, tag)
+    assert {t: cell.ids for t, cell in index.entries.items()} == _reference_entries(key, drops, precisions, tagger)
 
 
 def test_build_index_rejects_out_of_range_points():
@@ -788,7 +791,7 @@ def test_build_index_names_the_first_bad_drop_in_id_order_latitude_first():
 def test_build_files_each_drop_under_the_axis_cell(point, precisions):
     # the build's inline cell is _axis_cell's at every level, on and beside edges
     lat, lon = point
-    index = build_index(b"", [Drop("d", lat, lon)], sorted(precisions), tag=plain_tag)
+    index = build_index(b"", [Drop("d", lat, lon)], sorted(precisions), tagger=plain_tagger)
     expected = set()
     for p in precisions:
         lon_bits, lat_bits = (5 * p + 1) // 2, 5 * p // 2

@@ -16,7 +16,7 @@ from sbpp.geoindex import (
     COVER_BUDGET, PAD_LABEL, Drop, GeoindexError, client_tokens, drops_of, gen_uniform_corpus, geohash_encode,
     make_token,
 )
-from sbpp.merkle import Cell, MerklePath, PathStep, build_tree
+from sbpp.merkle import EMPTY_PATH, Cell, MerklePath, PathStep, build_tree
 from sbpp.protocol import (
     R_CONSUMED,
     R_EXPIRED,
@@ -346,7 +346,7 @@ def test_search_lists_the_matched_drops_once_and_binds_their_cells(case, outside
         record = server.sessions.validate(ses.S, T0)
         if mode == MODE_CORE:
             for drop_id in [*server.drops, outsider]:
-                assert session.in_result_set(record.result_set, drop_id) == (drop_id in matched)
+                assert (merkle.locate(record.result_set, drop_id) is not None) == (drop_id in matched)
         else:
             assert record.result_set is None and record.root == build_tree(response.cells).root
 
@@ -798,10 +798,13 @@ _CLAIMED_ID = st.one_of(
 )
 _CLAIMED_VALUE = _CLAIMED_ID | st.binary(max_size=64) | st.lists(_CLAIMED_TEXT, max_size=3).map(tuple)
 
-# A claim's structured fields, whose rule for a value of the wrong type is still open.
-_STRUCTURED = {"pub", "proof", "merkle_path", "receipt"}
-# every text or bytes field a request or audit record of any subject carries
-_CLAIMED_FIELDS = tuple(f.name for f in dataclasses.fields(VariantRequest) if f.name not in _STRUCTURED)
+# A claim's structured fields, each tested for its type by the stage that
+# reads it (the `protocol` docstring), and the values they are probed with:
+# no type's, another structured field's type, and their own type
+_STRUCTURED = ("pub", "proof", "merkle_path", "receipt")
+_STRUCTURED_VALUES = (None, 7, "x", b"x", ["x"], EMPTY_PATH, nizk.Proof(nizk.BACKEND_ID, bytes(32)))
+# every field a request or audit record of any subject carries
+_CLAIMED_FIELDS = tuple(f.name for f in dataclasses.fields(VariantRequest))
 
 
 def _carries(claim, name: str) -> bool:
@@ -814,18 +817,27 @@ def unlockers():
     return {}
 
 
-@given(name=st.sampled_from(_CLAIMED_FIELDS), value=_CLAIMED_VALUE)
+def _each_structured_value(test):
+    """``test`` with every structured field and probe value as an example."""
+    for name in _STRUCTURED:
+        for value in _STRUCTURED_VALUES:
+            test = example(name=name, value=value)(test)
+    return test
+
+
+@given(name=st.sampled_from(_CLAIMED_FIELDS), value=_CLAIMED_VALUE | st.sampled_from(_STRUCTURED_VALUES))
 @example(name="drop_id", value="d0\udfff")
 @example(name="drop_id", value=_Text("d00"))
 @example(name="result_ids", value=("\ud800",))
 @example(name="token", value="x")
+@_each_structured_value
 @settings(max_examples=300, deadline=None)
 def test_no_verify_or_audit_stage_raises_on_any_claimed_field(unlockers, name, value):
     # on a fresh session of every subject: the field set to the value gives
     # an outcome online and offline, never an online accept of an id no
     # hash can take, and unless it was accepted online (the session's one
     # accept) the honest request is accepted after it
-    assert {f.name for f in dataclasses.fields(AuditRecord)} - _STRUCTURED <= set(_CLAIMED_FIELDS)
+    assert {f.name for f in dataclasses.fields(AuditRecord)} <= set(_CLAIMED_FIELDS)
     for subject in ID_SUBJECTS:
         if subject not in unlockers:
             unlockers[subject] = _unlocker(subject)
@@ -874,6 +886,36 @@ def test_a_claimed_field_no_hash_can_take_gets_its_stages_reason(subject, name, 
     if online:
         assert verify(dataclasses.replace(request, **{name: value}), T0 + 1).fail_reason == reason
     assert verify(request, T0 + 2).accepted
+
+
+# The shipped server's answer, in (core verify, core audit, full verify,
+# full audit), to a structured field set to any probe value; None is an
+# accept, and "-" a field the claim does not carry (a request holds no
+# receipt).  A core session checks its own cells, not the path, and a core
+# receipt's zero root admits no path, so a core audit stops at membership.
+_STRUCTURED_ANSWERS = {
+    "pub": (R_NONCE_DIGEST, R_NONCE_DIGEST, R_NONCE_DIGEST, R_NONCE_DIGEST),
+    "proof": (R_PROOF_INVALID, R_MERKLE_INVALID, R_PROOF_INVALID, R_PROOF_INVALID),
+    "merkle_path": (None, R_MERKLE_INVALID, R_MERKLE_INVALID, R_MERKLE_INVALID),
+    "receipt": ("-", R_RECEIPT_SIG, "-", R_RECEIPT_SIG),
+}
+
+
+@pytest.mark.parametrize(
+    "value", _STRUCTURED_VALUES, ids=lambda v: type(v).__name__ if dataclasses.is_dataclass(v) else repr(v)
+)
+@pytest.mark.parametrize("name", _STRUCTURED)
+def test_the_shipped_server_answers_a_structured_field_of_any_value(name, value):
+    answers = []
+    for mode in (MODE_CORE, MODE_FULL):
+        request, verify, record, audit_of = _unlocked(mode)
+        if _carries(request, name):
+            online = verify(dataclasses.replace(request, **{name: value}), T0 + 1)
+            answers.append(online.fail_reason)
+        else:
+            answers.append("-")
+        answers.append(audit_of(dataclasses.replace(record, **{name: value})).fail_reason)
+    assert tuple(answers) == _STRUCTURED_ANSWERS[name]
 
 
 def _reference_statement(verifier, attempt):

@@ -22,7 +22,6 @@ from sbpp.session import (
     SessionError,
     SessionStore,
     UnknownSessionError,
-    in_result_set,
 )
 
 T0 = 1_700_000_000
@@ -186,7 +185,7 @@ def test_in_result_set_is_set_membership(ids, outsider, data):
     spans = zip([0, *cuts], [*cuts, len(bound)])
     cells = data.draw(st.permutations([Cell(tuple(bound[a:b])) for a, b in spans if a < b]))
     drop_id = data.draw(st.sampled_from(bound)) if bound and data.draw(st.booleans()) else outsider
-    assert in_result_set(cells, drop_id) == (drop_id in ids)
+    assert (merkle.locate(cells, drop_id) is not None) == (drop_id in ids)
 
 
 def test_bind_is_once_and_mode_checked():

@@ -6,6 +6,7 @@ test_harness; here we exercise the machinery one reason code at a time.
 """
 
 import dataclasses
+import hmac
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from sbpp import canon, merkle, nizk, session, variants
 from sbpp.canon import digest, lp_encode
-from sbpp.geoindex import Drop, GeoIndex
+from sbpp.geoindex import TOKEN_LABEL, Drop, GeoIndex, geohash_encode
 from sbpp import protocol
 from sbpp.protocol import (
     R_CONSUMED,
@@ -26,7 +27,7 @@ from sbpp.protocol import (
     R_RECEIPT_SIG,
     R_SESSION_INVALID,
 )
-from sbpp.harness.attacks import WITNESS_NEAR_QUERY, protocol_pair, seeded_env
+from sbpp.harness.attacks import QUERY_LAT, QUERY_LON, RADIUS_M, WITNESS_NEAR_QUERY, protocol_pair, seeded_env
 from sbpp.receipt import server_keygen
 from sbpp.variants import (
     DOMAIN_CAPABILITY,
@@ -232,6 +233,21 @@ def test_v1_searches_in_plaintext_v2_encrypted():
     env = _env()
     assert make_variant("V1", env).traits.plaintext_search
     assert not make_variant("V2", env).traits.plaintext_search
+    # and as behaviour, on the attack corpus: V1's index is keyed by the
+    # cells themselves, V2's by their HMAC tags, and one query lists the
+    # same drops on both
+    env = seeded_env(0)
+    v1, v2 = make_variant("V1", env), make_variant("V2", env)
+    cells = {f"{p}:{geohash_encode(d.lat, d.lon, p)}" for d in env.drops for p in env.precisions}
+    assert set(v1.server.index.entries) == {cell.encode() for cell in cells}
+    assert set(v2.server.index.entries) == {
+        hmac.digest(env.search_key, f"{TOKEN_LABEL}:{cell}".encode(), "sha256") for cell in cells
+    }
+    listed = []
+    for variant in (v1, v2):
+        ses = variant.open_session(T0)
+        listed.append(variant.search(ses, QUERY_LAT, QUERY_LON, RADIUS_M, T0).candidates)
+    assert listed[0] and listed[0] == listed[1]
 
 
 def test_session_aware_rungs_consume_and_expire():
