@@ -36,8 +36,10 @@ package and the one owner of keyed state: one bounded cache keeps each
 (key, head)'s prepared states, so the index's cell tags (per search key,
 sbpp.geoindex), the proof tag of sbpp.nizk (per proof key, the analogue of
 a prepared verifying key) and the ladder's result MAC all key once, and
-none of them keeps a cache of its own.  Nothing is kept per message: every
-tag and digest is computed again from its inputs each time it is checked.
+none of them keeps a cache of its own.  No keyed state is kept per
+message: every tag and digest is computed again from its inputs each time
+it is checked.  The one verdict kept is a signature's, by a verifier that
+outlives one check (sbpp.receipt's verify-once rule).
 BENCH_unlock.json and BENCH_search.json record what each kernel saves.
 
 Encode once, check once.  A value that is hashed, signed or MAC'd more than

@@ -8,6 +8,9 @@ one), 2 cryptographic rejection (failed unlock verification or audit).
 All randomness flows through --seed; the search key may be supplied as
 --key-hex, and the server signing / proof-system keys are derived from the
 seed (harness.attacks.seeded_env) so independent invocations agree on them.
+A key flag (--key-hex, and `audit`'s --server-pubkey-hex and --nizk-vk-hex)
+that does not decode to 32 bytes is a usage error naming the flag, checked
+before any work: `audit` answers a verdict only under keys of the right size.
 The index file fixes the geohash precisions that search and unlock use; a
 radius that none of them covers in geoindex.COVER_BUDGET cells is a usage error.
 Its numbers must be JSON numbers: a coordinate an int or a float, a precision
@@ -104,12 +107,21 @@ def _parse_bbox(text: str) -> tuple[float, float, float, float]:
     return (lat_min, lat_max, lon_min, lon_max)
 
 
+def _hex_key(text: str, flag: str) -> bytes:
+    """The 32 bytes a key flag's hex names; anything else is a usage error
+    naming the flag (an empty key is refused, not defaulted)."""
+    try:
+        key = bytes.fromhex(text)
+    except ValueError:
+        key = b""
+    if len(key) != 32:
+        raise ValueError(f"{flag} must decode to 32 bytes")
+    return key
+
+
 def _search_key(args: argparse.Namespace) -> bytes:
-    if getattr(args, "key_hex", None) is not None:  # an empty key is refused, not defaulted
-        key = bytes.fromhex(args.key_hex)
-        if len(key) != 32:
-            raise ValueError("--key-hex must decode to 32 bytes")
-        return key
+    if getattr(args, "key_hex", None) is not None:
+        return _hex_key(args.key_hex, "--key-hex")
     return derive_key("search", args.seed)
 
 
@@ -251,17 +263,18 @@ def _cmd_unlock(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
+    # both keys are checked before any audit: a bad key is a usage error, not a verdict
+    pub_key = _hex_key(args.server_pubkey_hex, "--server-pubkey-hex")
+    if args.nizk_vk_hex is not None:
+        vk = _hex_key(args.nizk_vk_hex, "--nizk-vk-hex")
+    else:
+        vk = seeded_env(args.seed).verifying_key
     try:
         raw = Path(args.record_file).read_bytes()
         record = AuditRecord.parse(raw)
     except (OSError, AuditRecordError) as exc:
         print(f"error: cannot read audit record: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    pub_key = bytes.fromhex(args.server_pubkey_hex)
-    if args.nizk_vk_hex:
-        vk = bytes.fromhex(args.nizk_vk_hex)
-    else:
-        vk = seeded_env(args.seed).verifying_key
     outcome = audit(pub_key, vk, record)
     print(json.dumps({"accepted": outcome.accepted, "fail_reason": outcome.fail_reason}))
     return EXIT_OK if outcome.accepted else EXIT_REJECTED

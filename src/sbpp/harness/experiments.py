@@ -43,6 +43,7 @@ from ..merkle import (
     verify_membership,
 )
 from ..protocol import (
+    AuditKeys,
     AuditRecord,
     ClientSession,
     ProtocolError,
@@ -54,7 +55,7 @@ from ..protocol import (
     audit,
     emit_audit_record,
 )
-from ..receipt import verify_receipt
+from ..receipt import VerifiedSignatures, verify_receipt
 from ..session import DEFAULT_EPOCH, DEFAULT_PV, MODE_CORE, MODE_FULL, SessionRecord, SessionStore
 from ..variants import VariantEnv
 from .attacks import (
@@ -295,15 +296,14 @@ def audit_replay_experiment(n: int = 100, seed: int = 0) -> AuditReplayResult:
     server, client = protocol_pair(seeded_env(seed), MODE_FULL)
     records = _honest_trail(server, client, n)
     server.sessions.purge_all()  # the server forgets everything
-    pub_key, vk = server.public_key_bytes, server.nizk_vk
-    full_pass = sum(int(audit(pub_key, vk, rec).accepted) for rec in records)
+    # one auditor per server key, so a receipt it has verified is not verified again
+    auditor = AuditKeys(server.public_key_bytes, server.nizk_vk, VerifiedSignatures())
+    full_pass = sum(int(auditor.audit(rec).accepted) for rec in records)
 
     # core-mode trail: receipts carry no root, so replay cannot attest
     core_server, core_client = protocol_pair(seeded_env(seed + 1), MODE_CORE)
-    core_outcomes = [
-        audit(core_server.public_key_bytes, core_server.nizk_vk, rec)
-        for rec in _honest_trail(core_server, core_client, n)
-    ]
+    core_auditor = AuditKeys(core_server.public_key_bytes, core_server.nizk_vk, VerifiedSignatures())
+    core_outcomes = [core_auditor.audit(rec) for rec in _honest_trail(core_server, core_client, n)]
     core_pass = sum(int(outcome.accepted) for outcome in core_outcomes)
     core_reasons = Counter(o.fail_reason for o in core_outcomes if not o.accepted)
 
@@ -317,7 +317,7 @@ def audit_replay_experiment(n: int = 100, seed: int = 0) -> AuditReplayResult:
             records[i], receipt=replace(records[i].receipt, sig=_flip_byte(records[i].receipt.sig))
         ),
     }
-    v4b_faults = _fault_reasons(injections, lambda rec: audit(pub_key, vk, rec), n)
+    v4b_faults = _fault_reasons(injections, auditor.audit, n)
 
     # the same three tampering classes against the opaque-token rung
     v8 = build_variant("V8", seed + 2)

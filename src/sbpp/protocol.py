@@ -52,6 +52,10 @@ server forgets everything:
 
 Only the receipt check is offline-only; the statement check stays online,
 since it needs the server's drop table.  Each stage is written once.
+`audit` is a one-shot auditor and checks every receipt afresh.  An auditor
+that one caller keeps across many records is an `AuditKeys` holding a
+memo (sbpp.receipt's verify-once rule), so records that share a receipt
+pay one Ed25519 check for it; every verdict is the one `audit` gives.
 
 No stage raises on a claimed field: the stage that reads a field answers a
 value it cannot use with its own reason.  Text no hash can take
@@ -86,7 +90,7 @@ from .geoindex import (
 from .merkle import (
     EMPTY_PATH, Cell, MerklePath, MerkleError, TreeMemo, build_tree, locate, verify_membership,
 )
-from .receipt import Receipt, ReceiptError, SigningKey, sign_receipt, verify_receipt
+from .receipt import Receipt, ReceiptError, SigningKey, VerifiedSignatures, sign_receipt, verify_receipt
 from .session import (
     DEFAULT_EPOCH,
     DEFAULT_PV,
@@ -295,9 +299,11 @@ def check_bound(verifier: Any, attempt: Attempt) -> str | None:
 
 
 def check_receipt(keys: Any, attempt: Attempt) -> str | None:
-    """Offline only: the receipt is the server's, so its fields are the context."""
+    """Offline only: the receipt is the server's, so its fields are the
+    context.  The signature is checked through the keys' memo, if they
+    hold one (sbpp.receipt's verify-once rule)."""
     receipt = attempt.record
-    if not isinstance(receipt, Receipt) or not verify_receipt(keys.public_key_bytes, receipt):
+    if not isinstance(receipt, Receipt) or not verify_receipt(keys.public_key_bytes, receipt, keys.verified):
         return R_RECEIPT_SIG
     return None
 
@@ -529,14 +535,23 @@ def emit_audit_record(ses: ClientSession, request: UnlockRequest) -> AuditRecord
 
 
 class AuditKeys(NamedTuple):
+    """The keys an audit checks a record under.  An auditor that one caller
+    keeps across many records also holds ``verified``, its memo of the
+    signatures that verified under them (sbpp.receipt), so each distinct
+    receipt costs one Ed25519 check; `audit` builds keys with none."""
+
     public_key_bytes: bytes
     nizk_vk: bytes
+    verified: VerifiedSignatures | None = None
+
+    def audit(self, record: AuditRecord) -> VerifyOutcome:
+        """AUDIT_STAGES in order (receipt signature, digest, membership,
+        proof), with the record's receipt as the session context."""
+        return run_stages(AUDIT_STAGES, self, Attempt(record, None, record.receipt))
 
 
 def audit(server_public_key: bytes, nizk_vk: bytes, record: AuditRecord) -> VerifyOutcome:
-    """Replay the protocol's bindings offline, with zero session state:
-    AUDIT_STAGES in order (receipt signature, digest, membership, proof),
-    with the record's receipt as the session context."""
-    return run_stages(
-        AUDIT_STAGES, AuditKeys(server_public_key, nizk_vk), Attempt(record, None, record.receipt)
-    )
+    """Replay the protocol's bindings offline, with zero session state.  A
+    one-shot auditor: it keeps no memo, so nothing it learns outlives the
+    call."""
+    return AuditKeys(server_public_key, nizk_vk).audit(record)

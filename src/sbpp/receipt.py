@@ -12,6 +12,20 @@ identical bytes).  Key generation is derived from a caller seed to keep
 experiment runs reproducible.  `verify_signature` is the package's one
 Ed25519 check; no other module imports `cryptography`.
 
+Verify a signature once per verifier.  A verifier that outlives one check
+holds a `VerifiedSignatures` and passes it to `verify_signature` (or
+`verify_receipt`): each ladder rung (sbpp.variants) for its receipt,
+capability, permit and token checks, and an auditor that one caller keeps
+across many records (`protocol.AuditKeys` with a memo).  The memo keeps
+only (key, signature, body) triples that verified, so a forged signature
+never takes a slot, and a triple found there is True without calling
+Ed25519 again.  It is consulted only when all three are `bytes`, so a
+`bytearray` or `memoryview` that could change later always gets the fresh
+check.  It holds at most VERIFIED_MAX triples, dropping the oldest first,
+and takes a lock to add one.  `protocol.audit` keeps none: it is a one-shot
+auditor, so nothing it learns outlives the call, and a process-wide memo
+would turn a replay of the same records into hits.
+
 A body is framed after a head fixed at import, `lp_encode([DOMAIN_RECEIPT])`,
 in one join, as sbpp.canon frames a challenge digest (its fixed-heads rule);
 `receipt_body` falls back to `lp_encode`, its definition, for any field of
@@ -34,6 +48,8 @@ rule).
 from __future__ import annotations
 
 import hashlib
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
@@ -51,6 +67,7 @@ DOMAIN_KEYGEN = "SBPP-SRVKEY"
 _BODY_FIELDS = 8  # domain, S, N, t_exp, root, mode, pv, epoch
 _DOMAIN = DOMAIN_RECEIPT.encode("ascii")
 _BODY_HEAD = lp_encode([DOMAIN_RECEIPT])  # every body's first field
+VERIFIED_MAX = 1024  # triples one verifier's memo keeps
 
 
 class ReceiptError(ValueError):
@@ -173,16 +190,50 @@ def sign_receipt(
     )
 
 
-def verify_signature(public_bytes: bytes, sig: bytes, body: bytes) -> bool:
+class VerifiedSignatures:
+    """The (key, signature, body) triples that verified under one verifier,
+    oldest first, at most VERIFIED_MAX (the module docstring's rule)."""
+
+    def __init__(self) -> None:
+        self._triples: OrderedDict[tuple[bytes, bytes, bytes], None] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._triples)
+
+    def __contains__(self, triple: tuple[bytes, bytes, bytes]) -> bool:
+        return triple in self._triples
+
+    def add(self, triple: tuple[bytes, bytes, bytes]) -> None:
+        with self._lock:
+            triples = self._triples
+            if triple not in triples:
+                if len(triples) >= VERIFIED_MAX:
+                    triples.popitem(last=False)
+                triples[triple] = None
+
+
+def verify_signature(
+    public_bytes: bytes, sig: bytes, body: bytes, verified: VerifiedSignatures | None = None
+) -> bool:
     """True iff ``sig`` signs ``body`` under ``public_bytes``; a malformed key
-    or signature is False.  Receipts and the ladder's signed blobs use it."""
+    or signature is False.  Receipts and the ladder's signed blobs use it.
+    A triple of `bytes` found in ``verified`` is True unchecked, and one
+    that verifies is added to it."""
+    triple = None
+    if verified is not None and type(public_bytes) is type(sig) is type(body) is bytes:
+        triple = (public_bytes, sig, body)
+        if triple in verified:
+            return True
     try:
         Ed25519PublicKey.from_public_bytes(public_bytes).verify(sig, body)
     except (InvalidSignature, ValueError):
         return False
+    if triple is not None:
+        verified.add(triple)
     return True
 
 
-def verify_receipt(public_bytes: bytes, receipt: Receipt) -> bool:
+def verify_receipt(public_bytes: bytes, receipt: Receipt, verified: VerifiedSignatures | None = None) -> bool:
     """True iff the signature covers this receipt's canonical body."""
-    return verify_signature(public_bytes, receipt.sig, receipt.body_bytes())
+    return verify_signature(public_bytes, receipt.sig, receipt.body_bytes(), verified)

@@ -48,6 +48,12 @@ rule in sbpp.protocol's docstring).  The context is read from a
 `SessionRecord` or a `Receipt` only; a claimed receipt of any other type
 leaves the claim's own pv and epoch.
 
+A rung outlives many checks, so it holds one memo of the signatures that
+verified under its key (sbpp.receipt's verify-once rule), `verified`.  Its
+receipt (V4a/V4b audit), capability (V5), permit (V6) and token (V8)
+checks go through it, online and offline, so a trial that shows the rung
+one signed artifact twice pays one Ed25519 check for it.
+
 Attack adapters model an adversary who can re-route anything it computed
 itself (session ids, nonce echoes, membership paths) but cannot mint
 server-signed evidence for a context the server never issued it for.
@@ -89,7 +95,7 @@ from .protocol import (
     consume_session,
     run_stages,
 )
-from .receipt import Receipt, SigningKey, verify_signature
+from .receipt import Receipt, SigningKey, VerifiedSignatures, verify_signature
 from .session import DEFAULT_EPOCH, DEFAULT_PV, DEFAULT_TTL_S, MODE_CORE, MODE_FULL, SessionRecord
 
 # Additional rejection reasons used by the comparison rungs.
@@ -192,9 +198,12 @@ def _sign_blob(key: SigningKey, fields: list[bytes | str]) -> bytes:
     return body + lp_encode([key.signer().sign(body)])
 
 
-def _verify_blob(public_bytes: bytes, blob: bytes, domain: str) -> list[bytes] | None:
+def _verify_blob(
+    public_bytes: bytes, blob: bytes, domain: str, verified: VerifiedSignatures | None = None
+) -> list[bytes] | None:
     """Parsed fields (sans signature) if the blob is well-formed and its own
-    bytes before the signature frame are signed (sbpp.canon's encode once)."""
+    bytes before the signature frame are signed (sbpp.canon's encode once),
+    checked through ``verified`` if given (sbpp.receipt's verify-once rule)."""
     try:
         fields = lp_decode(blob)
     except ValueError:
@@ -203,7 +212,7 @@ def _verify_blob(public_bytes: bytes, blob: bytes, domain: str) -> list[bytes] |
         return None
     sig = fields.pop()
     body = blob[: len(blob) - 4 - len(sig)]
-    return fields if verify_signature(public_bytes, sig, body) else None
+    return fields if verify_signature(public_bytes, sig, body, verified) else None
 
 
 def _mac_tag(mac_key: bytes, S: str, pv: str, epoch: str, ids: tuple[str, ...]) -> bytes:
@@ -241,7 +250,10 @@ def _check_grant(
     a grant that is not `bytes` is none."""
     claim = attempt.claim
     grant = getattr(claim, attr)
-    fields = _verify_blob(variant.public_key_bytes, grant, domain) if isinstance(grant, bytes) else None
+    fields = (
+        _verify_blob(variant.public_key_bytes, grant, domain, variant.verified)
+        if isinstance(grant, bytes) else None
+    )
     if fields is None or [f.decode() for f in fields[1:]] != [
         claim.S, claim.drop_id, *_context(attempt)
     ]:
@@ -320,7 +332,8 @@ def audit_token_sig(variant: GenericVariant, attempt: Attempt) -> str | None:
     rung's token kind (online the server's own copy needs no signature)."""
     domain = DOMAIN_TOKEN_FULL if check_token_root in variant.traits.verify else DOMAIN_TOKEN_LITE
     token = attempt.claim.token
-    if not isinstance(token, bytes) or _verify_blob(variant.public_key_bytes, token, domain) is None:
+    if (not isinstance(token, bytes)
+            or _verify_blob(variant.public_key_bytes, token, domain, variant.verified) is None):
         return R_TOKEN_SIG
     return None
 
@@ -419,6 +432,7 @@ class GenericVariant:
         self.unlock_radius_m = server.unlock_radius_m
         self.public_key_bytes = server.public_key_bytes
         self.token_by_session: dict[str, bytes] = {}
+        self.verified = VerifiedSignatures()  # for every signature check, online and offline
 
     def set_epoch(self, epoch: str) -> None:
         self.sessions.epoch = epoch

@@ -496,6 +496,39 @@ def test_audit_wrong_key_is_a_crypto_rejection(demo, capsys):
     assert json.loads(out)["fail_reason"] == "receipt-sig-invalid"
 
 
+@pytest.mark.parametrize(
+    "server_key, vk_hex, flag",
+    [
+        ("abcd", None, "--server-pubkey-hex"),
+        ("", None, "--server-pubkey-hex"),
+        ("11" * 33, None, "--server-pubkey-hex"),
+        ("own", "abcd", "--nizk-vk-hex"),  # beside the key the receipt verifies under
+        ("11" * 32, "abcd", "--nizk-vk-hex"),  # beside a foreign server key
+    ],
+    ids=["2-byte-server-key", "empty-server-key", "33-byte-server-key",
+         "2-byte-vk-own-server-key", "2-byte-vk-foreign-server-key"],
+)
+def test_an_audit_key_that_is_not_32_bytes_is_a_usage_error(demo, capsys, server_key, vk_hex, flag):
+    cand = _first_candidate(demo, capsys)
+    record = demo["tmp"] / "rec.bin"
+    _, out = _run(
+        capsys, "unlock", "--drop", cand["id"],
+        "--lat", str(cand["lat"]), "--lon", str(cand["lon"]),
+        "--qlat", "35.70", "--qlon", "139.75",
+        "--index", str(demo["index"]), "--seed", "7",
+        "--emit-record", str(record),
+    )
+    if server_key == "own":
+        server_key = json.loads(out)["server_pubkey_hex"]
+    argv = ["audit", "--record-file", str(record), "--server-pubkey-hex", server_key, "--seed", "7"]
+    if vk_hex is not None:
+        argv += ["--nizk-vk-hex", vk_hex]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert f"{flag} must decode to 32 bytes" in captured.err
+
+
 def test_audit_tampered_record_rejected(demo, capsys):
     cand = _first_candidate(demo, capsys)
     record = demo["tmp"] / "rec.bin"

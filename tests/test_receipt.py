@@ -1,16 +1,25 @@
 """Signed search receipts: the offline-audit trust anchor."""
 
 import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sbpp import receipt as receipt_module
 from sbpp.canon import lp_decode, lp_encode
+from sbpp.harness import attacks
+from sbpp.harness.experiments import audit_replay_experiment
+from sbpp.protocol import AuditKeys, audit, emit_audit_record
 from sbpp.receipt import (
     DOMAIN_RECEIPT,
+    VERIFIED_MAX,
     Receipt,
     ReceiptError,
+    VerifiedSignatures,
     receipt_body,
     server_keygen,
     sign_receipt,
@@ -280,3 +289,135 @@ def test_carried_body_is_not_a_field():
     assert "_body" not in repr(receipt)
     with pytest.raises(ValueError):
         dataclasses.replace(receipt, _body=b"")
+
+
+# ---------------------------------------------------------------------------
+# the verified-signature memo: one Ed25519 check per distinct triple per verifier
+
+
+_MEMO_KEYS = [server_keygen(bytes([i])) for i in range(2)]
+_MEMO_TRIPLES = [
+    (key.public_bytes, key.signer().sign(body), body) for key in _MEMO_KEYS for body in (b"a", b"a receipt body")
+]
+
+
+def _flip_bit(raw: bytes, bit: int) -> bytes:
+    bit %= 8 * len(raw)
+    out = bytearray(raw)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, len(_MEMO_TRIPLES) - 1),
+            st.sampled_from([None, 0, 1, 2]),  # keep the triple, or flip a bit of its key, signature or body
+            st.integers(0, 1023),
+        ),
+        max_size=16,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_the_memo_answers_what_a_fresh_check_answers(steps):
+    memo = VerifiedSignatures()
+    for index, part, bit in steps:
+        triple = list(_MEMO_TRIPLES[index])
+        if part is not None:
+            triple[part] = _flip_bit(triple[part], bit)
+        fresh = verify_signature(*triple)
+        assert verify_signature(*triple, memo) is fresh
+        assert (tuple(triple) in memo) is fresh  # a triple that fails never takes a slot
+
+
+def test_the_memo_never_holds_more_than_its_bound():
+    key, memo = server_keygen(b"bound"), VerifiedSignatures()
+    bodies = [str(i).encode() for i in range(VERIFIED_MAX + 3)]
+    for body in bodies:
+        assert verify_signature(key.public_bytes, key.signer().sign(body), body, memo)
+        assert len(memo) <= VERIFIED_MAX
+    assert len(memo) == VERIFIED_MAX
+    oldest = (key.public_bytes, key.signer().sign(bodies[0]), bodies[0])
+    assert oldest not in memo  # the oldest goes first
+    assert verify_signature(*oldest, memo)  # and is checked afresh
+
+
+def test_the_memo_keeps_its_bound_under_threads():
+    memo, threads = VerifiedSignatures(), 8
+
+    def fill(thread: int) -> None:
+        for i in range(2 * VERIFIED_MAX):
+            memo.add((b"key", bytes([thread]), i.to_bytes(4, "big")))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for future in [pool.submit(fill, t) for t in range(threads)]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(memo) == VERIFIED_MAX  # no add lost, no eviction doubled
+
+
+@pytest.mark.parametrize("buffer", [bytearray, memoryview])
+def test_a_buffer_signature_or_body_gets_the_fresh_check(buffer):
+    public, receipt = _receipt()
+    sig, body = receipt.sig, receipt.body_bytes()
+    memo = VerifiedSignatures()
+    for args in ((public, buffer(sig), body), (public, sig, buffer(body))):
+        assert verify_signature(*args, memo) is verify_signature(*args) is True
+    changing = bytearray(body)
+    assert verify_signature(public, sig, changing, memo)
+    changing[-1] ^= 1  # a buffer can change after it verified
+    assert verify_signature(public, sig, changing, memo) is verify_signature(public, sig, changing) is False
+    assert len(memo) == 0
+
+
+@pytest.fixture
+def ed25519_checks(monkeypatch):
+    """The keys of the package's Ed25519 verifies, one per check."""
+    checks, real = [], receipt_module.Ed25519PublicKey
+
+    def from_public_bytes(data):
+        checks.append(data)
+        return real.from_public_bytes(data)
+
+    monkeypatch.setattr(receipt_module, "Ed25519PublicKey", SimpleNamespace(from_public_bytes=from_public_bytes))
+    return checks
+
+
+@pytest.mark.parametrize("kind", ["V4b", "V5", "V8"])
+def test_an_a4b_trial_checks_each_signed_artifact_once(ed25519_checks, kind):
+    # both honest records' evidence, then the splice and the fabrication reuse it
+    variant = attacks.build_variant(kind, 0)
+    assert attacks.attack_a4b(variant) is attacks.EXPECTED_MATRIX["A4b"][kind]
+    assert len(ed25519_checks) == 2
+
+
+@pytest.mark.parametrize("kind", ["V5", "V6"])
+def test_an_a2_trial_checks_the_replayed_grant_once(ed25519_checks, kind):
+    variant = attacks.build_variant(kind, 0)
+    assert attacks.attack_a2(variant) is True
+    assert len(ed25519_checks) == 1
+
+
+def test_audit_keeps_nothing_past_the_call_and_a_kept_auditor_checks_once(ed25519_checks):
+    server, client = attacks.protocol_pair(attacks.seeded_env(0), "full")
+    ses = client.open_session(server, attacks.T0)
+    client.search(server, ses, attacks.QUERY_LAT, attacks.QUERY_LON, attacks.RADIUS_M, attacks.T0)
+    request = client.build_unlock(ses, ses.result_ids()[0], attacks.WITNESS_NEAR_QUERY)
+    record = emit_audit_record(ses, request)
+    keys = (server.public_key_bytes, server.nizk_vk)
+    assert audit(*keys, record).accepted and audit(*keys, record).accepted
+    assert len(ed25519_checks) == 2
+    auditor = AuditKeys(*keys, VerifiedSignatures())
+    assert auditor.audit(record).accepted and auditor.audit(record).accepted
+    assert len(ed25519_checks) == 3
+
+
+def test_the_audit_replay_study_checks_each_receipt_once_per_auditor(ed25519_checks):
+    # the full pass and the core trail once each, and the corrupted signatures
+    result = audit_replay_experiment(n=10)
+    assert result.full_pass == 10
+    assert len(ed25519_checks) == 3 * 10
