@@ -39,7 +39,9 @@ a prepared verifying key) and the ladder's result MAC all key once, and
 none of them keeps a cache of its own.  No keyed state is kept per
 message: every tag and digest is computed again from its inputs each time
 it is checked.  The one verdict kept is a signature's, by a verifier that
-outlives one check (sbpp.receipt's verify-once rule).
+outlives one check (sbpp.receipt's verify-once rule): the same standard
+`functools.lru_cache` as the keyed states', but one per verifier
+(`receipt.signature_memo()`), never one per process.
 BENCH_unlock.json and BENCH_search.json record what each kernel saves.
 
 Encode once, check once.  A value that is hashed, signed or MAC'd more than

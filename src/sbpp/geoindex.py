@@ -326,24 +326,18 @@ def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
 _TOKEN_HEAD = f"{TOKEN_LABEL}:".encode("ascii")  # every cell tag's message starts so
 
 
-def _tagger(key: bytes) -> Callable[[int | str, str], bytes]:
-    """The cell tag under ``key``: HMAC-SHA-256 keyed once, with the
-    tag's fixed head absorbed (`canon.hmac_sha256`)."""
+def hmac_tagger(key: bytes) -> Callable[[int | str, str], bytes]:
+    """The cell tags under ``key``, HMAC-SHA-256 keyed once per key, with
+    the tags' fixed head absorbed (`canon.hmac_sha256` keeps the key's
+    state): the index's default tagger, ``make_token`` with ``key`` bound."""
+    if len(key) != 32:
+        raise GeoindexError("search key must be 32 bytes")
     mac = hmac_sha256(key, _TOKEN_HEAD)
 
     def token(precision: int | str, cell: str) -> bytes:
         return mac(f"{precision}:{cell}".encode("ascii"))
 
     return token
-
-
-def hmac_tagger(key: bytes) -> Callable[[int | str, str], bytes]:
-    """The cell tags under ``key``, HMAC-SHA-256 keyed once per key
-    (`canon.hmac_sha256` keeps the key's state): the index's default
-    tagger, ``make_token`` with ``key`` bound."""
-    if len(key) != 32:
-        raise GeoindexError("search key must be 32 bytes")
-    return _tagger(key)
 
 
 def plain_tagger(key: bytes) -> Callable[[int | str, str], bytes]:

@@ -55,7 +55,7 @@ from ..protocol import (
     audit,
     emit_audit_record,
 )
-from ..receipt import VerifiedSignatures, verify_receipt
+from ..receipt import signature_memo, verify_receipt
 from ..session import DEFAULT_EPOCH, DEFAULT_PV, MODE_CORE, MODE_FULL, SessionRecord, SessionStore
 from ..variants import VariantEnv
 from .attacks import (
@@ -297,12 +297,12 @@ def audit_replay_experiment(n: int = 100, seed: int = 0) -> AuditReplayResult:
     records = _honest_trail(server, client, n)
     server.sessions.purge_all()  # the server forgets everything
     # one auditor per server key, so a receipt it has verified is not verified again
-    auditor = AuditKeys(server.public_key_bytes, server.nizk_vk, VerifiedSignatures())
+    auditor = AuditKeys(server.public_key_bytes, server.nizk_vk, signature_memo())
     full_pass = sum(int(auditor.audit(rec).accepted) for rec in records)
 
     # core-mode trail: receipts carry no root, so replay cannot attest
     core_server, core_client = protocol_pair(seeded_env(seed + 1), MODE_CORE)
-    core_auditor = AuditKeys(core_server.public_key_bytes, core_server.nizk_vk, VerifiedSignatures())
+    core_auditor = AuditKeys(core_server.public_key_bytes, core_server.nizk_vk, signature_memo())
     core_outcomes = [core_auditor.audit(rec) for rec in _honest_trail(core_server, core_client, n)]
     core_pass = sum(int(outcome.accepted) for outcome in core_outcomes)
     core_reasons = Counter(o.fail_reason for o in core_outcomes if not o.accepted)
@@ -507,15 +507,16 @@ class _RecommittingServer(SbppServer):
         return cells
 
 
-class _PredictableNonceStore(SessionStore):
-    """Rigged issuer: every session gets the same 'random' nonce."""
+class _FixedNonceRandom(random.Random):
+    """A rigged issuer's RNG: every 32-byte draw (a session nonce) is the
+    same 'random' nonce; every other draw is the seeded parent's."""
 
     FIXED_NONCE = b"\x42" * 32
 
-    def _random_bytes(self, n: int) -> bytes:
+    def randbytes(self, n: int) -> bytes:
         if n == 32:
             return self.FIXED_NONCE
-        return super()._random_bytes(n)
+        return super().randbytes(n)
 
 
 @dataclass
@@ -586,10 +587,7 @@ def malicious_server_suite(seed: int = 0, trials: int = 100) -> MaliciousServerR
         path_b = build_tree(ses_b.cells, request_a.drop_id).path
         return server.verify(replace(request_a, S=ses_b.S, merkle_path=path_b), T0 + 5).accepted
 
-    rigged = full_server(3)
-    rigged.sessions = _PredictableNonceStore(
-        ttl_s=env.ttl_s, pv=env.pv, epoch=env.epoch, nonce_rng=rigged.sessions.nonce_rng
-    )
+    rigged = protocol_pair(replace(env, nonce_rng=_FixedNonceRandom(seed + 3)), MODE_FULL)[0]
     transfer_rigged = sum(int(transfer_trial(rigged)) for _ in range(trials))
     transfer_honest = sum(int(transfer_trial(honest)) for _ in range(trials))
 

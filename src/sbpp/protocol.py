@@ -54,8 +54,10 @@ Only the receipt check is offline-only; the statement check stays online,
 since it needs the server's drop table.  Each stage is written once.
 `audit` is a one-shot auditor and checks every receipt afresh.  An auditor
 that one caller keeps across many records is an `AuditKeys` holding a
-memo (sbpp.receipt's verify-once rule), so records that share a receipt
-pay one Ed25519 check for it; every verdict is the one `audit` gives.
+memo from `receipt.signature_memo()` (sbpp.receipt's verify-once rule),
+so records that share a receipt pay one Ed25519 check for it; every
+verdict is the one `audit` gives.  A record frames its receipt as
+`Receipt.serialize` writes it: sbpp.receipt alone knows a signed frame.
 
 No stage raises on a claimed field: the stage that reads a field answers a
 value it cannot use with its own reason.  Text no hash can take
@@ -90,7 +92,7 @@ from .geoindex import (
 from .merkle import (
     EMPTY_PATH, Cell, MerklePath, MerkleError, TreeMemo, build_tree, locate, verify_membership,
 )
-from .receipt import Receipt, ReceiptError, SigningKey, VerifiedSignatures, sign_receipt, verify_receipt
+from .receipt import Receipt, ReceiptError, SignatureMemo, SigningKey, sign_receipt, verify_receipt
 from .session import (
     DEFAULT_EPOCH,
     DEFAULT_PV,
@@ -483,15 +485,14 @@ class AuditRecord:
 
     def serialize(self) -> bytes:
         """lp_encode of the five parts' frames, joined once from their pieces."""
-        receipt, proof = self.receipt, self.proof
-        body, sig = receipt.body_bytes(), receipt.sig
+        receipt, proof = self.receipt.serialize(), self.proof
         drop = as_bytes(self.drop_id)
         path = self.merkle_path.serialize()
         pub = self.pub.to_bytes()
         head = proof.head()
         return b"".join(
             (
-                lp_head(len(body) + 4 + len(sig)), body, lp_head(len(sig)), sig,
+                lp_head(len(receipt)), receipt,
                 lp_head(len(drop)), drop,
                 lp_head(len(path)), path,
                 lp_head(len(pub)), pub,
@@ -536,13 +537,14 @@ def emit_audit_record(ses: ClientSession, request: UnlockRequest) -> AuditRecord
 
 class AuditKeys(NamedTuple):
     """The keys an audit checks a record under.  An auditor that one caller
-    keeps across many records also holds ``verified``, its memo of the
-    signatures that verified under them (sbpp.receipt), so each distinct
-    receipt costs one Ed25519 check; `audit` builds keys with none."""
+    keeps across many records also holds ``verified``, a memo of the
+    signatures that verified under them (`receipt.signature_memo()`), so
+    each distinct receipt costs one Ed25519 check; `audit` builds keys
+    with none."""
 
     public_key_bytes: bytes
     nizk_vk: bytes
-    verified: VerifiedSignatures | None = None
+    verified: SignatureMemo | None = None
 
     def audit(self, record: AuditRecord) -> VerifyOutcome:
         """AUDIT_STAGES in order (receipt signature, digest, membership,

@@ -10,21 +10,36 @@ attest the session but deliberately cannot attest result-set membership.
 Signatures are Ed25519 (deterministic, so identical bindings re-sign to
 identical bytes).  Key generation is derived from a caller seed to keep
 experiment runs reproducible.  `verify_signature` is the package's one
-Ed25519 check; no other module imports `cryptography`.
+Ed25519 check; no other module imports `cryptography`.  It answers every
+call: a malformed key or signature, or a key, signature or body no check
+can take (not bytes-like, or a key that is not `bytes`), is False.
+
+One frame for every server-signed statement.  This module is the only one
+that seals or splits one: an `lp_encode` body, then the Ed25519 signature
+over those bytes as one more length-prefixed field.  A receipt is one
+(`Receipt.serialize`, `Receipt.parse`); the ladder's capabilities, permits
+and tokens (sbpp.variants) are the others, sealed by `sign_fields` and
+read back by `signed_fields`, which checks the bytes before the
+signature's frame as they stand (sbpp.canon's encode once) and answers
+None for any blob that is not `bytes`.  So `signed_fields` over a
+serialized receipt gives the fields of its body.
 
 Verify a signature once per verifier.  A verifier that outlives one check
-holds a `VerifiedSignatures` and passes it to `verify_signature` (or
-`verify_receipt`): each ladder rung (sbpp.variants) for its receipt,
-capability, permit and token checks, and an auditor that one caller keeps
-across many records (`protocol.AuditKeys` with a memo).  The memo keeps
-only (key, signature, body) triples that verified, so a forged signature
-never takes a slot, and a triple found there is True without calling
-Ed25519 again.  It is consulted only when all three are `bytes`, so a
-`bytearray` or `memoryview` that could change later always gets the fresh
-check.  It holds at most VERIFIED_MAX triples, dropping the oldest first,
-and takes a lock to add one.  `protocol.audit` keeps none: it is a one-shot
-auditor, so nothing it learns outlives the call, and a process-wide memo
-would turn a replay of the same records into hits.
+holds a memo made by `signature_memo()` and passes it to
+`verify_signature` (or `verify_receipt`): each ladder rung (sbpp.variants)
+for its receipt, capability, permit and token checks, and an auditor that
+one caller keeps across many records (`protocol.AuditKeys` with a memo).
+The memo is `functools.lru_cache` around an Ed25519 check that raises on
+failure, and a call that raises is never cached: so it keeps only (key,
+signature, body) triples that verified, a forged signature never takes a
+slot, and a triple found there passes without calling Ed25519 again.  It
+is consulted only when all three are `bytes`, so a `bytearray` or
+`memoryview` that could change later always gets the fresh check.  It
+holds at most VERIFIED_MAX triples, dropping the least recently used
+first, and the cache is safe to share between threads.  No memo is
+process-wide: `protocol.audit` keeps none, as a one-shot auditor, so
+nothing it learns outlives the call, and a replay of the same records
+checks them again.
 
 A body is framed after a head fixed at import, `lp_encode([DOMAIN_RECEIPT])`,
 in one join, as sbpp.canon frames a challenge digest (its fixed-heads rule);
@@ -48,9 +63,9 @@ rule).
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -72,6 +87,21 @@ VERIFIED_MAX = 1024  # triples one verifier's memo keeps
 
 class ReceiptError(ValueError):
     pass
+
+
+def _seal(body: bytes, sig: bytes) -> bytes:
+    """A signed frame: the body, then the length-prefixed signature."""
+    return b"".join((body, lp_head(len(sig)), sig))
+
+
+def _split(frame: bytes) -> tuple[list[bytes], bytes, bytes]:
+    """(fields, body, signature) of a signed frame: the body's fields, the
+    frame's own bytes before the signature, and the signature (empty, which
+    no key signs, for a frame of no fields).  Raises EncodingError for bytes
+    that are no `lp_encode` frame."""
+    fields = lp_decode(frame)
+    sig = fields.pop() if fields else b""
+    return fields, bytes(frame[: len(frame) - 4 - len(sig)]), sig
 
 
 @dataclass(frozen=True)
@@ -121,20 +151,19 @@ class Receipt:
 
     def serialize(self) -> bytes:
         """Canonical body followed by the length-prefixed signature."""
-        sig = self.sig
-        return b"".join((self.body_bytes(), lp_head(len(sig)), sig))
+        return _seal(self.body_bytes(), self.sig)
 
     @classmethod
     def parse(cls, raw: bytes) -> "Receipt":
         """The receipt a `serialize` frame holds; every field is checked
         once, then the value is assembled with the body it was read from."""
         try:
-            fields = lp_decode(raw)
+            fields, body, sig = _split(raw)
         except EncodingError as exc:
             raise ReceiptError(f"malformed receipt frame: {exc}") from exc
-        if len(fields) != _BODY_FIELDS + 1:
+        if len(fields) != _BODY_FIELDS:
             raise ReceiptError("receipt frame has wrong field count")
-        domain, S, N, t_exp_raw, root, mode, pv, epoch, sig = fields
+        domain, S, N, t_exp_raw, root, mode, pv, epoch = fields
         if domain != _DOMAIN:
             raise ReceiptError("receipt domain tag mismatch")
         if len(N) != 32 or len(root) != 32:
@@ -154,8 +183,7 @@ class Receipt:
         # every field re-encodes to the bytes it was read from, so the frame
         # before the signature is receipt_body of the parsed fields
         return assemble(
-            cls, S=S, N=N, t_exp=t_exp, root=root, mode=mode, pv=pv, epoch=epoch, sig=sig,
-            _body=bytes(raw[: len(raw) - 4 - len(sig)]),
+            cls, S=S, N=N, t_exp=t_exp, root=root, mode=mode, pv=pv, epoch=epoch, sig=sig, _body=body
         )
 
 
@@ -190,50 +218,62 @@ def sign_receipt(
     )
 
 
-class VerifiedSignatures:
-    """The (key, signature, body) triples that verified under one verifier,
-    oldest first, at most VERIFIED_MAX (the module docstring's rule)."""
+SignatureMemo = Callable[[bytes, bytes, bytes], None]  # what `signature_memo` returns
 
-    def __init__(self) -> None:
-        self._triples: OrderedDict[tuple[bytes, bytes, bytes], None] = OrderedDict()
-        self._lock = threading.Lock()
 
-    def __len__(self) -> int:
-        return len(self._triples)
+def _ed25519_check(public_bytes: bytes, sig: bytes, body: bytes) -> None:
+    """Returns iff ``sig`` signs ``body`` under ``public_bytes``; raises otherwise."""
+    Ed25519PublicKey.from_public_bytes(public_bytes).verify(sig, body)
 
-    def __contains__(self, triple: tuple[bytes, bytes, bytes]) -> bool:
-        return triple in self._triples
 
-    def add(self, triple: tuple[bytes, bytes, bytes]) -> None:
-        with self._lock:
-            triples = self._triples
-            if triple not in triples:
-                if len(triples) >= VERIFIED_MAX:
-                    triples.popitem(last=False)
-                triples[triple] = None
+def signature_memo() -> SignatureMemo:
+    """A new verifier's memo: the Ed25519 check behind an LRU cache of at
+    most VERIFIED_MAX triples (the module docstring's verify-once rule)."""
+    return lru_cache(maxsize=VERIFIED_MAX)(_ed25519_check)
 
 
 def verify_signature(
-    public_bytes: bytes, sig: bytes, body: bytes, verified: VerifiedSignatures | None = None
+    public_bytes: bytes, sig: bytes, body: bytes, verified: SignatureMemo | None = None
 ) -> bool:
-    """True iff ``sig`` signs ``body`` under ``public_bytes``; a malformed key
-    or signature is False.  Receipts and the ladder's signed blobs use it.
-    A triple of `bytes` found in ``verified`` is True unchecked, and one
-    that verifies is added to it."""
-    triple = None
+    """True iff ``sig`` signs ``body`` under ``public_bytes``; anything else
+    is False, a malformed key or signature and a value no check can take
+    included.  Receipts and the ladder's signed blobs use it.  A triple of
+    `bytes` is checked through ``verified``, if given."""
+    check = _ed25519_check
     if verified is not None and type(public_bytes) is type(sig) is type(body) is bytes:
-        triple = (public_bytes, sig, body)
-        if triple in verified:
-            return True
+        check = verified
     try:
-        Ed25519PublicKey.from_public_bytes(public_bytes).verify(sig, body)
-    except (InvalidSignature, ValueError):
+        check(public_bytes, sig, body)
+    except (InvalidSignature, ValueError, TypeError):
         return False
-    if triple is not None:
-        verified.add(triple)
     return True
 
 
-def verify_receipt(public_bytes: bytes, receipt: Receipt, verified: VerifiedSignatures | None = None) -> bool:
+def verify_receipt(public_bytes: bytes, receipt: Receipt, verified: SignatureMemo | None = None) -> bool:
     """True iff the signature covers this receipt's canonical body."""
     return verify_signature(public_bytes, receipt.sig, receipt.body_bytes(), verified)
+
+
+def sign_fields(key: SigningKey, fields: list[bytes | str]) -> bytes:
+    """The signed frame of ``lp_encode(fields)``: the ladder's capabilities,
+    permits and tokens."""
+    body = lp_encode(fields)
+    return _seal(body, key.signer().sign(body))
+
+
+def signed_fields(
+    public_bytes: bytes, blob: bytes, domain: str, verified: SignatureMemo | None = None
+) -> list[bytes] | None:
+    """The fields of a signed frame, its signature dropped, if ``blob`` is
+    `bytes`, its first field is ``domain`` and its own bytes before the
+    signature are signed under ``public_bytes`` (checked through
+    ``verified``, if given); else None."""
+    if not isinstance(blob, bytes):
+        return None
+    try:
+        fields, body, sig = _split(blob)
+    except EncodingError:
+        return None
+    if not fields or fields[0] != domain.encode("utf-8"):
+        return None
+    return fields if verify_signature(public_bytes, sig, body, verified) else None

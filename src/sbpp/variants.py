@@ -48,11 +48,15 @@ rule in sbpp.protocol's docstring).  The context is read from a
 `SessionRecord` or a `Receipt` only; a claimed receipt of any other type
 leaves the claim's own pv and epoch.
 
+A rung's capabilities (V5), permits (V6) and tokens (V8) are signed in
+the receipt's frame: sbpp.receipt seals them (`sign_fields`) and splits
+and checks them (`signed_fields`), and this module frames no signature.
 A rung outlives many checks, so it holds one memo of the signatures that
-verified under its key (sbpp.receipt's verify-once rule), `verified`.  Its
-receipt (V4a/V4b audit), capability (V5), permit (V6) and token (V8)
-checks go through it, online and offline, so a trial that shows the rung
-one signed artifact twice pays one Ed25519 check for it.
+verified under its key, `verified`, made by `receipt.signature_memo()` at
+its first signature check (sbpp.receipt's verify-once rule).  Its receipt
+(V4a/V4b audit), capability, permit and token checks go through it, online
+and offline, so a trial that shows the rung one signed artifact twice pays
+one Ed25519 check for it.
 
 Attack adapters model an adversary who can re-route anything it computed
 itself (session ids, nonce echoes, membership paths) but cannot mint
@@ -64,7 +68,7 @@ from __future__ import annotations
 import hmac
 import random
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 from operator import attrgetter
 
 from . import nizk
@@ -95,7 +99,7 @@ from .protocol import (
     consume_session,
     run_stages,
 )
-from .receipt import Receipt, SigningKey, VerifiedSignatures, verify_signature
+from .receipt import Receipt, SignatureMemo, SigningKey, sign_fields, signature_memo, signed_fields
 from .session import DEFAULT_EPOCH, DEFAULT_PV, DEFAULT_TTL_S, MODE_CORE, MODE_FULL, SessionRecord
 
 # Additional rejection reasons used by the comparison rungs.
@@ -190,29 +194,9 @@ class VariantRequest(UnlockRequest):
 
 
 # ---------------------------------------------------------------------------
-# signed sidecar blobs (capabilities, permits, tokens)
-
-
-def _sign_blob(key: SigningKey, fields: list[bytes | str]) -> bytes:
-    body = lp_encode(fields)
-    return body + lp_encode([key.signer().sign(body)])
-
-
-def _verify_blob(
-    public_bytes: bytes, blob: bytes, domain: str, verified: VerifiedSignatures | None = None
-) -> list[bytes] | None:
-    """Parsed fields (sans signature) if the blob is well-formed and its own
-    bytes before the signature frame are signed (sbpp.canon's encode once),
-    checked through ``verified`` if given (sbpp.receipt's verify-once rule)."""
-    try:
-        fields = lp_decode(blob)
-    except ValueError:
-        return None
-    if len(fields) < 2 or fields[0] != domain.encode("utf-8"):
-        return None
-    sig = fields.pop()
-    body = blob[: len(blob) - 4 - len(sig)]
-    return fields if verify_signature(public_bytes, sig, body, verified) else None
+# sidecar evidence: the result MAC here; capabilities, permits and tokens
+# are server-signed statements in sbpp.receipt's one frame, sealed by
+# `sign_fields` and checked by `signed_fields`
 
 
 def _mac_tag(mac_key: bytes, S: str, pv: str, epoch: str, ids: tuple[str, ...]) -> bytes:
@@ -247,13 +231,9 @@ def _check_grant(
     variant: GenericVariant, attempt: Attempt, *, attr: str, domain: str
 ) -> str | None:
     """A server-signed grant for exactly this session, drop and context;
-    a grant that is not `bytes` is none."""
+    a grant that is not `bytes` is none (`receipt.signed_fields`)."""
     claim = attempt.claim
-    grant = getattr(claim, attr)
-    fields = (
-        _verify_blob(variant.public_key_bytes, grant, domain, variant.verified)
-        if isinstance(grant, bytes) else None
-    )
+    fields = signed_fields(variant.public_key_bytes, getattr(claim, attr), domain, variant.verified)
     if fields is None or [f.decode() for f in fields[1:]] != [
         claim.S, claim.drop_id, *_context(attempt)
     ]:
@@ -331,9 +311,7 @@ def audit_token_sig(variant: GenericVariant, attempt: Attempt) -> str | None:
     """Offline only: the record's token is signed by the server, for the
     rung's token kind (online the server's own copy needs no signature)."""
     domain = DOMAIN_TOKEN_FULL if check_token_root in variant.traits.verify else DOMAIN_TOKEN_LITE
-    token = attempt.claim.token
-    if (not isinstance(token, bytes)
-            or _verify_blob(variant.public_key_bytes, token, domain, variant.verified) is None):
+    if signed_fields(variant.public_key_bytes, attempt.claim.token, domain, variant.verified) is None:
         return R_TOKEN_SIG
     return None
 
@@ -432,7 +410,12 @@ class GenericVariant:
         self.unlock_radius_m = server.unlock_radius_m
         self.public_key_bytes = server.public_key_bytes
         self.token_by_session: dict[str, bytes] = {}
-        self.verified = VerifiedSignatures()  # for every signature check, online and offline
+
+    @cached_property
+    def verified(self) -> SignatureMemo:
+        """The memo for every signature check, online and offline, made at
+        the first: a rung that checks no signature makes none."""
+        return signature_memo()
 
     def set_epoch(self, epoch: str) -> None:
         self.sessions.epoch = epoch
@@ -461,18 +444,18 @@ class GenericVariant:
         pv, epoch = vses.pv, vses.epoch
         if check_capability in stages:
             for i in vses.result_ids():
-                vses.capabilities[i] = _sign_blob(key, [DOMAIN_CAPABILITY, S, i, pv, epoch])
+                vses.capabilities[i] = sign_fields(key, [DOMAIN_CAPABILITY, S, i, pv, epoch])
         if check_permit in stages:
             for i in vses.result_ids():
-                vses.permits[i] = _sign_blob(key, [DOMAIN_PERMIT, S, i, pv, epoch])
+                vses.permits[i] = sign_fields(key, [DOMAIN_PERMIT, S, i, pv, epoch])
         if check_mac in stages:
             vses.result_mac = _mac_tag(self.env.mac_key, S, pv, epoch, tuple(vses.result_ids()))
         if check_token_hash in stages:
             if check_token_root in stages:
                 root = build_tree(cells).root
-                token = _sign_blob(key, [DOMAIN_TOKEN_FULL, S, vses.N, root, pv, epoch])
+                token = sign_fields(key, [DOMAIN_TOKEN_FULL, S, vses.N, root, pv, epoch])
             else:
-                token = _sign_blob(key, [DOMAIN_TOKEN_LITE, S, vses.N, pv, epoch])
+                token = sign_fields(key, [DOMAIN_TOKEN_LITE, S, vses.N, pv, epoch])
             self.token_by_session[S] = vses.token = token
         return vses
 

@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sbpp import geoindex, merkle, nizk
-from sbpp.canon import strictly_sorted
+from sbpp.canon import hmac_sha256, strictly_sorted
 from sbpp.geoindex import (
     COVER_BUDGET,
     GEOHASH_ALPHABET,
@@ -176,10 +176,18 @@ def test_make_token_is_one_shot_hmac_sha256(key, precision, cell):
 )
 @example(bytes(64), 5, "xn76u")
 @example(bytes(65), PAD_LABEL, "xn76u")  # longer than a block: hashed first
+@example(bytes(32), 5, "xn76u")  # a search key
 @settings(max_examples=300, deadline=None)
 def test_keyed_tagger_is_hmac_sha256_for_any_key_length(key, precision, cell):
+    # the tagger's kernel, its head absorbed, for any key; the tagger itself takes 32 bytes
     message = f"{TOKEN_LABEL}:{precision}:{cell}".encode("ascii")
-    assert geoindex._tagger(key)(precision, cell) == hmac.digest(key, message, "sha256")
+    tag = hmac_sha256(key, geoindex._TOKEN_HEAD)(f"{precision}:{cell}".encode("ascii"))
+    assert tag == hmac.digest(key, message, "sha256")
+    if len(key) == 32:
+        assert hmac_tagger(key)(precision, cell) == tag
+    else:
+        with pytest.raises(GeoindexError):
+            hmac_tagger(key)
 
 
 @given(

@@ -19,10 +19,11 @@ from sbpp.receipt import (
     VERIFIED_MAX,
     Receipt,
     ReceiptError,
-    VerifiedSignatures,
     receipt_body,
     server_keygen,
     sign_receipt,
+    signature_memo,
+    signed_fields,
     verify_receipt,
     verify_signature,
 )
@@ -320,34 +321,49 @@ def _flip_bit(raw: bytes, bit: int) -> bytes:
 )
 @settings(max_examples=100, deadline=None)
 def test_the_memo_answers_what_a_fresh_check_answers(steps):
-    memo = VerifiedSignatures()
+    memo, verified = signature_memo(), set()
     for index, part, bit in steps:
         triple = list(_MEMO_TRIPLES[index])
         if part is not None:
             triple[part] = _flip_bit(triple[part], bit)
         fresh = verify_signature(*triple)
         assert verify_signature(*triple, memo) is fresh
-        assert (tuple(triple) in memo) is fresh  # a triple that fails never takes a slot
+        if fresh:
+            verified.add(tuple(triple))
+        # a triple that fails never takes a slot
+        assert memo.cache_info().currsize == len(verified)
 
 
-def test_the_memo_never_holds_more_than_its_bound():
-    key, memo = server_keygen(b"bound"), VerifiedSignatures()
-    bodies = [str(i).encode() for i in range(VERIFIED_MAX + 3)]
-    for body in bodies:
-        assert verify_signature(key.public_bytes, key.signer().sign(body), body, memo)
-        assert len(memo) <= VERIFIED_MAX
-    assert len(memo) == VERIFIED_MAX
-    oldest = (key.public_bytes, key.signer().sign(bodies[0]), bodies[0])
-    assert oldest not in memo  # the oldest goes first
-    assert verify_signature(*oldest, memo)  # and is checked afresh
+def test_the_memo_never_holds_more_than_its_bound(ed25519_checks):
+    key, memo = server_keygen(b"bound"), signature_memo()
+    triples = [
+        (key.public_bytes, key.signer().sign(body), body)
+        for body in (str(i).encode() for i in range(VERIFIED_MAX + 3))
+    ]
+    for triple in triples:
+        assert verify_signature(*triple, memo)
+        assert memo.cache_info().currsize <= VERIFIED_MAX
+    assert memo.cache_info().currsize == VERIFIED_MAX
+    assert len(ed25519_checks) == VERIFIED_MAX + 3
+    assert verify_signature(*triples[-1], memo)  # the latest is kept
+    assert len(ed25519_checks) == VERIFIED_MAX + 3
+    assert verify_signature(*triples[0], memo)  # the first was dropped, and is checked afresh
+    assert len(ed25519_checks) == VERIFIED_MAX + 4
 
 
-def test_the_memo_keeps_its_bound_under_threads():
-    memo, threads = VerifiedSignatures(), 8
+def test_the_memo_keeps_its_bound_under_threads(monkeypatch):
+    bound, threads = 16, 8
+    monkeypatch.setattr(receipt_module, "VERIFIED_MAX", bound)
+    memo = signature_memo()  # made after the bound was set
+    key = server_keygen(b"threads")
+    triples = [
+        [(key.public_bytes, key.signer().sign(body), body) for body in (f"{t}:{i}".encode() for i in range(2 * bound))]
+        for t in range(threads)
+    ]
 
     def fill(thread: int) -> None:
-        for i in range(2 * VERIFIED_MAX):
-            memo.add((b"key", bytes([thread]), i.to_bytes(4, "big")))
+        for triple in triples[thread]:
+            assert verify_signature(*triple, memo)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -357,21 +373,53 @@ def test_the_memo_keeps_its_bound_under_threads():
                 future.result(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-    assert len(memo) == VERIFIED_MAX  # no add lost, no eviction doubled
+    assert memo.cache_info().currsize == bound  # no triple lost, no slot past the bound
 
 
 @pytest.mark.parametrize("buffer", [bytearray, memoryview])
 def test_a_buffer_signature_or_body_gets_the_fresh_check(buffer):
     public, receipt = _receipt()
     sig, body = receipt.sig, receipt.body_bytes()
-    memo = VerifiedSignatures()
+    memo = signature_memo()
     for args in ((public, buffer(sig), body), (public, sig, buffer(body))):
         assert verify_signature(*args, memo) is verify_signature(*args) is True
     changing = bytearray(body)
     assert verify_signature(public, sig, changing, memo)
     changing[-1] ^= 1  # a buffer can change after it verified
     assert verify_signature(public, sig, changing, memo) is verify_signature(public, sig, changing) is False
-    assert len(memo) == 0
+    assert memo.cache_info().currsize == 0
+
+
+_KEY_BYTES, _SIGNED = _receipt()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (bytearray(_KEY_BYTES), _SIGNED.sig, _SIGNED.body_bytes()),
+        (memoryview(_KEY_BYTES), _SIGNED.sig, _SIGNED.body_bytes()),
+        (None, _SIGNED.sig, _SIGNED.body_bytes()),
+        (_KEY_BYTES.hex(), _SIGNED.sig, _SIGNED.body_bytes()),
+        (_KEY_BYTES, None, _SIGNED.body_bytes()),
+        (_KEY_BYTES, _SIGNED.sig.hex(), _SIGNED.body_bytes()),
+        (_KEY_BYTES, _SIGNED.sig, None),
+        (_KEY_BYTES, _SIGNED.sig, _SIGNED.body_bytes().decode("latin-1")),
+    ],
+    ids=["bytearray-key", "memoryview-key", "None-key", "str-key", "None-sig", "str-sig", "None-body", "str-body"],
+)
+def test_a_value_no_check_can_take_is_false_not_an_error(args):
+    assert verify_signature(*args) is False
+    memo = signature_memo()
+    assert verify_signature(*args, memo) is False
+    assert memo.cache_info().currsize == 0
+
+
+def test_a_serialized_receipt_is_a_signed_frame_of_its_body_fields():
+    # one frame serves receipts and the ladder's blobs
+    public, receipt = _receipt()
+    assert signed_fields(public, receipt.serialize(), DOMAIN_RECEIPT) == lp_decode(receipt.body_bytes())
+    assert signed_fields(public, receipt.serialize(), "V5-CAP") is None
+    assert signed_fields(public, bytearray(receipt.serialize()), DOMAIN_RECEIPT) is None
 
 
 @pytest.fixture
@@ -411,7 +459,7 @@ def test_audit_keeps_nothing_past_the_call_and_a_kept_auditor_checks_once(ed2551
     keys = (server.public_key_bytes, server.nizk_vk)
     assert audit(*keys, record).accepted and audit(*keys, record).accepted
     assert len(ed25519_checks) == 2
-    auditor = AuditKeys(*keys, VerifiedSignatures())
+    auditor = AuditKeys(*keys, signature_memo())
     assert auditor.audit(record).accepted and auditor.audit(record).accepted
     assert len(ed25519_checks) == 3
 

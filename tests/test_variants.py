@@ -28,7 +28,7 @@ from sbpp.protocol import (
     R_SESSION_INVALID,
 )
 from sbpp.harness.attacks import QUERY_LAT, QUERY_LON, RADIUS_M, WITNESS_NEAR_QUERY, protocol_pair, seeded_env
-from sbpp.receipt import server_keygen
+from sbpp.receipt import server_keygen, sign_fields, signed_fields
 from sbpp.variants import (
     DOMAIN_CAPABILITY,
     DOMAIN_PERMIT,
@@ -49,8 +49,6 @@ from sbpp.variants import (
     check_token_root,
     context_digest,
     make_variant,
-    _sign_blob,
-    _verify_blob,
 )
 
 T0 = 1_700_000_000
@@ -196,27 +194,27 @@ def _blobs(draw):
     fields = draw(st.lists(st.binary(max_size=70), max_size=6))
     if kind == "framed":
         return lp_encode([draw(_DOMAINS), *fields])
-    blob = bytearray(_sign_blob(_SIGNER, [draw(_DOMAINS), *fields]))
+    blob = bytearray(sign_fields(_SIGNER, [draw(_DOMAINS), *fields]))
     i = draw(st.integers(0, len(blob) - 1))
     blob[i] ^= draw(st.integers(0, 255))
     return bytes(blob)
 
 
 @given(_blobs(), _DOMAINS, st.one_of(st.just(_SIGNER.public_bytes), st.binary(max_size=40)))
-@example(_sign_blob(_SIGNER, ["V5-CAP", "S", "d00"]), "V5-CAP", _SIGNER.public_bytes)
+@example(sign_fields(_SIGNER, ["V5-CAP", "S", "d00"]), "V5-CAP", _SIGNER.public_bytes)
 @example(lp_encode([b"x", b"y"]), "\u00e9", b"")  # a non-ASCII domain
 @settings(max_examples=400, deadline=None)
-def test_verify_blob_returns_fields_or_none(blob, domain, public_bytes):
-    fields = _verify_blob(public_bytes, blob, domain)
+def test_signed_fields_returns_fields_or_none(blob, domain, public_bytes):
+    fields = signed_fields(public_bytes, blob, domain)
     assert fields is None or (isinstance(fields, list) and all(isinstance(f, bytes) for f in fields))
 
 
-def test_verify_blob_accepts_exactly_the_signed_fields():
-    blob = _sign_blob(_SIGNER, ["V5-CAP", "S", "d00", "é"])
-    assert _verify_blob(_SIGNER.public_bytes, blob, "V5-CAP") == [b"V5-CAP", b"S", b"d00", "é".encode()]
-    assert _verify_blob(_SIGNER.public_bytes, blob, "V6-PERMIT") is None
-    blob = _sign_blob(_SIGNER, ["dömain", "x"])
-    assert _verify_blob(_SIGNER.public_bytes, blob, "dömain") == ["dömain".encode(), b"x"]
+def test_signed_fields_accepts_exactly_the_signed_fields():
+    blob = sign_fields(_SIGNER, ["V5-CAP", "S", "d00", "é"])
+    assert signed_fields(_SIGNER.public_bytes, blob, "V5-CAP") == [b"V5-CAP", b"S", b"d00", "é".encode()]
+    assert signed_fields(_SIGNER.public_bytes, blob, "V6-PERMIT") is None
+    blob = sign_fields(_SIGNER, ["dömain", "x"])
+    assert signed_fields(_SIGNER.public_bytes, blob, "dömain") == ["dömain".encode(), b"x"]
 
 
 @pytest.mark.parametrize("kind", ["V1", "V2"])
