@@ -56,16 +56,22 @@ them, and ``dataclasses.replace`` builds a value without them, so a changed
 field is never paired with the old field's bytes.  In the same spirit a
 value is range-checked once, where it crosses a trust boundary:
 `decode_elements` checks a whole run of field elements together and builds
-them without running each element's own check again.
+them without running each element's own check again.  The run of a
+proof's public inputs, eight 32-byte slots, is cut by one `struct.Struct`
+compiled at import.  Every parse reads `bytes`: one given a `bytearray` or
+a `memoryview` copies it once first, so each value it builds holds `bytes`
+that no later write to the buffer can reach.
 
 Build once.  A frozen value normally goes through its dataclass
 `__init__`, which sets one field at a time and runs any `__post_init__`
-check.  `assemble` fills a value's fields in one step and runs neither.
-The construction rule: a value may skip `__init__` only where a parse has
-checked every field it sets (the frame, each length, each range, each text
-decode), or where an encoder built it from values that were checked when
-they were made.  Everywhere else, and in `dataclasses.replace`, values go
-through `__init__`.
+check.  `assemble(cls, fields)` fills a value's fields from one dict in
+one step and runs neither.  A `FieldElement` is slotted: `_element` builds
+one by setting its one slot directly, past the frozen `__setattr__` and
+the range check.  The construction rule: a value may skip `__init__` only
+where a parse has checked every field it sets (the frame, each length,
+each range, each text decode), or where an encoder built it from values
+that were checked when they were made.  Everywhere else, and in
+`dataclasses.replace`, values go through `__init__`.
 """
 
 from __future__ import annotations
@@ -97,7 +103,7 @@ class EncodingError(ValueError):
     """Raised when a field list or a serialized frame cannot be encoded/decoded."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldElement:
     """An element of the scalar field, carried as a plain int in [0, Q)."""
 
@@ -122,9 +128,10 @@ class FieldElement:
 
 _new = object.__new__
 _set = object.__setattr__
+_set_value = FieldElement.value.__set__  # the slot's own setter, past the frozen __setattr__
 
 
-def assemble(cls, **fields):
+def assemble(cls, fields: dict):
     """A ``cls`` value with exactly ``fields`` set, in one step, without
     running ``cls.__init__`` or its checks (the construction rule above)."""
     value = _new(cls)
@@ -136,13 +143,15 @@ def _element(value: int) -> FieldElement:
     """A FieldElement whose value the caller has put in [0, Q) itself, built
     without running `FieldElement.__post_init__` again."""
     element = _new(FieldElement)
-    _set(element, "value", value)
+    _set_value(element, value)
     return element
 
 
 ZERO = _element(0)
 _ZERO_SLOT = bytes(32)
 _Q_SLOT = Q.to_bytes(32, "big")
+_SLOTS_8 = struct.Struct("32s" * 8)  # the 256-byte run of a proof's public inputs
+_from_bytes = int.from_bytes  # bound once: each lookup through `int` binds it again
 
 
 def decode_elements(raw: bytes) -> tuple[FieldElement, ...]:
@@ -151,13 +160,15 @@ def decode_elements(raw: bytes) -> tuple[FieldElement, ...]:
 
     The check compares the 32-byte slots with Q's own 32 bytes: slots of
     one length in big-endian order compare as bytes exactly as their values
-    do.  Only nonzero slots are decoded; every zero slot is `ZERO`."""
+    do.  Only nonzero slots are decoded; every zero slot is `ZERO`.  A run
+    of eight, the public inputs', is cut by one `struct.Struct` compiled at
+    import."""
     if len(raw) % 32:
         raise EncodingError("field elements must be 32 bytes each")
-    slots = struct.unpack("32s" * (len(raw) // 32), raw)
+    slots = _SLOTS_8.unpack(raw) if len(raw) == 256 else struct.unpack("32s" * (len(raw) // 32), raw)
     if slots and max(slots) >= _Q_SLOT:
         raise EncodingError("field element encoding not reduced")
-    return tuple([ZERO if s == _ZERO_SLOT else _element(int.from_bytes(s, "big")) for s in slots])
+    return tuple([ZERO if s == _ZERO_SLOT else _element(_from_bytes(s, "big")) for s in slots])
 
 
 def strictly_sorted(ids: list[str] | tuple[str, ...]) -> bool:
@@ -212,16 +223,16 @@ def lp_decode(data: bytes) -> list[bytes]:
     fields: list[bytes] = []
     end = len(data)
     pos = 0
-    while pos < end:
-        if pos + 4 > end:
-            raise EncodingError("truncated length prefix")
-        (length,) = _unpack_len(data, pos)
-        pos += 4
-        stop = pos + length
-        if stop > end:
-            raise EncodingError("truncated field body")
-        fields.append(data[pos:stop])
-        pos = stop
+    try:
+        while pos < end:
+            (length,) = _unpack_len(data, pos)  # struct.error past the end
+            pos += 4
+            fields.append(data[pos : pos + length])
+            pos += length
+    except struct.error:
+        raise EncodingError("truncated length prefix") from None
+    if pos > end:  # the last field ran past the end, which ended the walk
+        raise EncodingError("truncated field body")
     return fields
 
 

@@ -216,7 +216,10 @@ class MerklePath:
     def serialize(self) -> bytes:
         """The count byte, then each step's side byte and sibling.  One pass
         checks every step (its side, then its sibling) and collects the
-        parts, which are joined once."""
+        parts, which are joined once.  A path of no steps is the one-byte
+        frame of a zero count."""
+        if not self.steps:
+            return _EMPTY_FRAME
         if len(self.steps) > 255:
             raise MerkleError("path too deep to serialize")
         parts = [len(self.steps).to_bytes(1, "big")]
@@ -229,8 +232,8 @@ class MerklePath:
             parts.append(sibling)
         return b"".join(parts)
 
-    @classmethod
-    def parse(cls, raw: bytes) -> "MerklePath":
+    @staticmethod
+    def parse(raw: bytes) -> "MerklePath":
         """The path a frame of `serialize` holds; every side byte is checked
         in one pass before any step is built."""
         if len(raw) < 1:
@@ -244,11 +247,11 @@ class MerklePath:
         if sides.translate(None, _SIDES):
             raise MerkleError("invalid path step side")
         siblings = struct.unpack("x" + "x32s" * raw[0], raw)
-        return assemble(cls, steps=tuple(map(_step, zip(sides, siblings))))
+        return assemble(MerklePath, {"steps": tuple(map(_step, zip(sides, siblings)))})
 
 
 EMPTY_PATH = MerklePath(())  # a one-leaf tree's path, and every parse of its frame
-_EMPTY_FRAME = EMPTY_PATH.serialize()
+_EMPTY_FRAME = b"\x00"  # its frame, a zero count
 
 
 class MerkleTree:
@@ -278,7 +281,7 @@ class MerkleTree:
             return EMPTY_PATH
         sibling = self.ids[min(index ^ 1, len(self.ids) - 1)]  # odd tail: itself
         first = _step((SIDE_LEFT if index % 2 else SIDE_RIGHT, leaf_hash(sibling)))
-        return assemble(MerklePath, steps=(first, *_steps(self._above, index // 2)))
+        return assemble(MerklePath, {"steps": (first, *_steps(self._above, index // 2))})
 
 
 def _steps(levels: list[list[bytes]], index: int) -> tuple[PathStep, ...]:
@@ -415,7 +418,7 @@ def build_tree(
     if own is None:
         return ResultTree(top[-1][0], None)
     steps = own.prove_membership(member).steps + _steps(top, position)
-    return ResultTree(top[-1][0], assemble(MerklePath, steps=steps))
+    return ResultTree(top[-1][0], assemble(MerklePath, {"steps": steps}))
 
 
 def locate(cells: Sequence[Cell], drop_id: str) -> tuple[int, int] | None:

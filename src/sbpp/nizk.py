@@ -23,8 +23,12 @@ elements, or that `from_bytes` parsed, so proving, the server's verify, the
 audit record and the offline audit all read the same bytes.  `from_bytes`
 accepts only reduced elements, so its bytes are exactly what `to_bytes`
 would give; `dataclasses.replace` drops the bytes with the old elements.
-Having checked the whole frame, `from_bytes` and `Proof.parse` assemble
-their values without `__init__` (sbpp.canon's construction rule).
+Both parses, `from_bytes` and `Proof.parse`, copy an input that is not
+`bytes` once, so the carried bytes and a proof's body are `bytes` that
+no later write to the caller's buffer changes.  Having checked the whole
+frame, each assembles its value without `__init__` (sbpp.canon's
+construction rule).  They are static methods, as every part parse of an
+audit record is: a record parse calls each without binding a method.
 The proof tag is HMAC-SHA-256 over a head fixed at import (the
 `lp_encode` framing of the domain and a 256-byte field) and those bytes.
 It is keyed once per key (sbpp.canon's key-once rule): `canon.hmac_sha256`
@@ -101,16 +105,17 @@ class PublicInputs:
             object.__setattr__(self, "_bytes", raw)
         return raw
 
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "PublicInputs":
+    @staticmethod
+    def from_bytes(raw: bytes) -> "PublicInputs":
+        if type(raw) is not bytes:
+            raw = bytes(memoryview(raw))
         if len(raw) != _PUB_BYTES:
             raise NizkError("public inputs must be exactly 256 bytes")
-        raw = bytes(raw)
         try:
             elements = decode_elements(raw)
         except EncodingError as exc:
             raise NizkError(f"public input element: {exc}") from exc
-        return assemble(cls, elements=elements, _bytes=raw)  # 256 bytes: eight elements
+        return assemble(PublicInputs, {"elements": elements, "_bytes": raw})  # 256 bytes: eight elements
 
 
 @dataclass(frozen=True)
@@ -126,10 +131,14 @@ class Proof:
     def serialize(self) -> bytes:
         return self.head() + self.body
 
-    @classmethod
-    def parse(cls, raw: bytes) -> "Proof":
+    @staticmethod
+    def parse(raw: bytes) -> "Proof":
+        """The proof a `serialize` frame holds.  A frame that is not `bytes`
+        is copied once, so the body is `bytes` and never changes."""
+        if type(raw) is not bytes:
+            raw = bytes(memoryview(raw))
         if raw[: len(_BACKEND_HEAD)] == _BACKEND_HEAD:  # this backend's proof
-            return assemble(cls, backend_id=BACKEND_ID, body=raw[len(_BACKEND_HEAD) :])
+            return assemble(Proof, {"backend_id": BACKEND_ID, "body": raw[len(_BACKEND_HEAD) :]})
         if len(raw) < 4:
             raise NizkError("truncated proof frame")
         length = int.from_bytes(raw[:4], "big")
@@ -139,7 +148,7 @@ class Proof:
             backend_id = raw[4 : 4 + length].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise NizkError("proof backend id is not UTF-8") from exc
-        return assemble(cls, backend_id=backend_id, body=raw[4 + length :])
+        return assemble(Proof, {"backend_id": backend_id, "body": raw[4 + length :]})
 
 
 def radius_value(radius_m: float) -> int:

@@ -474,8 +474,12 @@ class AuditRecord:
     the bytes its receipt and public inputs carry (the signed body, the
     256-byte form), and a parse hands each part the bytes it was read from,
     so the audit checks the signature and proof over those same bytes.
-    Each part's parse checks all of that part, so the parse and
-    `emit_audit_record` assemble the record without `__init__`."""
+
+    A parse walks the record's frame once (an input that is not `bytes` is
+    copied once, there) and calls each part's own parse, a static method,
+    once on its field: that call is the one place the part is checked, and
+    it builds the part once.  So the parse and `emit_audit_record` assemble
+    the record without `__init__`."""
 
     receipt: Receipt
     drop_id: str
@@ -508,14 +512,17 @@ class AuditRecord:
             raise AuditRecordError(f"malformed record frame: {exc}") from exc
         if len(fields) != 5:
             raise AuditRecordError("audit record must have 5 fields")
+        receipt, drop_id, path, pub, proof = fields
         try:  # each part's parse checks all of it
             return assemble(
                 cls,
-                receipt=Receipt.parse(fields[0]),
-                drop_id=fields[1].decode("utf-8"),
-                merkle_path=MerklePath.parse(fields[2]),
-                pub=nizk.PublicInputs.from_bytes(fields[3]),
-                proof=nizk.Proof.parse(fields[4]),
+                {
+                    "receipt": Receipt.parse(receipt),
+                    "drop_id": drop_id.decode("utf-8"),
+                    "merkle_path": MerklePath.parse(path),
+                    "pub": nizk.PublicInputs.from_bytes(pub),
+                    "proof": nizk.Proof.parse(proof),
+                },
             )
         except (ReceiptError, MerkleError, nizk.NizkError, UnicodeDecodeError) as exc:
             raise AuditRecordError(f"malformed record field: {exc}") from exc
@@ -527,11 +534,13 @@ def emit_audit_record(ses: ClientSession, request: UnlockRequest) -> AuditRecord
         raise ProtocolError("session has no receipt to audit against")
     return assemble(  # from the parts the client built and checked
         AuditRecord,
-        receipt=ses.receipt,
-        drop_id=request.drop_id,
-        merkle_path=request.merkle_path if request.merkle_path is not None else EMPTY_PATH,
-        pub=request.pub,
-        proof=request.proof,
+        {
+            "receipt": ses.receipt,
+            "drop_id": request.drop_id,
+            "merkle_path": request.merkle_path if request.merkle_path is not None else EMPTY_PATH,
+            "pub": request.pub,
+            "proof": request.proof,
+        },
     )
 
 

@@ -72,14 +72,13 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
-from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from .canon import _HASH_HEAD, _MAX_FIELD, EncodingError, _pack_len, assemble, lp_decode, lp_encode, lp_head
 
 DOMAIN_RECEIPT = "SBPP-RECEIPT"
 DOMAIN_KEYGEN = "SBPP-SRVKEY"
 
-_BODY_FIELDS = 8  # domain, S, N, t_exp, root, mode, pv, epoch
+_FRAME_FIELDS = 9  # domain, S, N, t_exp, root, mode, pv, epoch, then the signature
 _DOMAIN = DOMAIN_RECEIPT.encode("ascii")
 _BODY_HEAD = lp_encode([DOMAIN_RECEIPT])  # every body's first field
 VERIFIED_MAX = 1024  # triples one verifier's memo keeps
@@ -94,14 +93,16 @@ def _seal(body: bytes, sig: bytes) -> bytes:
     return b"".join((body, lp_head(len(sig)), sig))
 
 
-def _split(frame: bytes) -> tuple[list[bytes], bytes, bytes]:
-    """(fields, body, signature) of a signed frame: the body's fields, the
-    frame's own bytes before the signature, and the signature (empty, which
-    no key signs, for a frame of no fields).  Raises EncodingError for bytes
-    that are no `lp_encode` frame."""
+def _split(frame: bytes) -> tuple[list[bytes], bytes]:
+    """(fields, body) of a signed frame: all its fields, the signature last,
+    and the frame's own bytes before the signature's field (empty for a
+    frame of no fields).  A frame that is not `bytes` is copied once, and
+    every part is a slice of the copy.  Raises EncodingError for bytes that
+    are no `lp_encode` frame."""
+    if type(frame) is not bytes:
+        frame = bytes(memoryview(frame))
     fields = lp_decode(frame)
-    sig = fields.pop() if fields else b""
-    return fields, bytes(frame[: len(frame) - 4 - len(sig)]), sig
+    return fields, frame[: len(frame) - 4 - len(fields[-1])] if fields else b""
 
 
 @dataclass(frozen=True)
@@ -115,9 +116,7 @@ class SigningKey:
     def __post_init__(self) -> None:
         signer = Ed25519PrivateKey.from_private_bytes(self.private_bytes)
         object.__setattr__(self, "_signer", signer)
-        object.__setattr__(
-            self, "public_bytes", signer.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-        )
+        object.__setattr__(self, "public_bytes", signer.public_key().public_bytes_raw())
 
     def signer(self) -> Ed25519PrivateKey:
         return self._signer
@@ -153,17 +152,19 @@ class Receipt:
         """Canonical body followed by the length-prefixed signature."""
         return _seal(self.body_bytes(), self.sig)
 
-    @classmethod
-    def parse(cls, raw: bytes) -> "Receipt":
-        """The receipt a `serialize` frame holds; every field is checked
-        once, then the value is assembled with the body it was read from."""
+    @staticmethod
+    def parse(raw: bytes) -> "Receipt":
+        """The receipt a `serialize` frame holds.  An input that is not
+        `bytes` is copied once; the frame is walked once, every field is
+        checked once, then the value is assembled with the body it was read
+        from, a slice of the same bytes."""
         try:
-            fields, body, sig = _split(raw)
+            fields, body = _split(raw)
         except EncodingError as exc:
             raise ReceiptError(f"malformed receipt frame: {exc}") from exc
-        if len(fields) != _BODY_FIELDS:
+        if len(fields) != _FRAME_FIELDS:
             raise ReceiptError("receipt frame has wrong field count")
-        domain, S, N, t_exp_raw, root, mode, pv, epoch = fields
+        domain, S, N, t_exp_raw, root, mode, pv, epoch, sig = fields
         if domain != _DOMAIN:
             raise ReceiptError("receipt domain tag mismatch")
         if len(N) != 32 or len(root) != 32:
@@ -183,7 +184,9 @@ class Receipt:
         # every field re-encodes to the bytes it was read from, so the frame
         # before the signature is receipt_body of the parsed fields
         return assemble(
-            cls, S=S, N=N, t_exp=t_exp, root=root, mode=mode, pv=pv, epoch=epoch, sig=sig, _body=body
+            Receipt,
+            {"S": S, "N": N, "t_exp": t_exp, "root": root, "mode": mode, "pv": pv, "epoch": epoch, "sig": sig,
+             "_body": body},
         )
 
 
@@ -214,7 +217,9 @@ def sign_receipt(
     body = receipt_body(S, N, t_exp, root, mode, pv, epoch)
     sig = key.signer().sign(body)
     return assemble(
-        Receipt, S=S, N=N, t_exp=t_exp, root=root, mode=mode, pv=pv, epoch=epoch, sig=sig, _body=body
+        Receipt,
+        {"S": S, "N": N, "t_exp": t_exp, "root": root, "mode": mode, "pv": pv, "epoch": epoch, "sig": sig,
+         "_body": body},
     )
 
 
@@ -271,9 +276,10 @@ def signed_fields(
     if not isinstance(blob, bytes):
         return None
     try:
-        fields, body, sig = _split(blob)
+        fields, body = _split(blob)
     except EncodingError:
         return None
-    if not fields or fields[0] != domain.encode("utf-8"):
+    if len(fields) < 2 or fields[0] != domain.encode("utf-8"):  # a domain and a signature at least
         return None
+    sig = fields.pop()
     return fields if verify_signature(public_bytes, sig, body, verified) else None

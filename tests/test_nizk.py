@@ -240,6 +240,24 @@ def test_proof_serialize_round_trip():
         Proof.parse(b"\x00\x00")
 
 
+def test_a_proof_parsed_from_a_buffer_does_not_change_with_it():
+    # a parse copies a bytearray or memoryview once, so a later write to the
+    # buffer reaches neither the verdict nor the bytes, and the proof hashes
+    pk, vk = _keys()
+    pub = make_public_inputs(35.7, 139.75, 1000.0, CD)
+    raw = prove(pk, Witness(35.7, 139.75), pub).serialize()
+    buf = bytearray(raw)
+    for source in (buf, memoryview(buf)):
+        proof = Proof.parse(source)
+        assert verify(vk, pub, proof)
+        buf[-1] ^= 1
+        assert verify(vk, pub, proof)
+        assert proof.serialize() == raw
+        assert type(proof.body) is bytes
+        assert hash(proof) == hash(Proof.parse(raw))
+        buf[-1] ^= 1
+
+
 def test_proof_parse_rejects_non_utf8_backend_id():
     with pytest.raises(NizkError):
         Proof.parse(b"\x00\x00\x00\x02\xff\xfe" + bytes(32))

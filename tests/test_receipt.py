@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import pytest
+from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -43,6 +44,12 @@ def test_keygen_deterministic():
     assert server_keygen(b"a").public_bytes == server_keygen(b"a").public_bytes
     assert server_keygen(b"a").public_bytes != server_keygen(b"b").public_bytes
     assert len(server_keygen(b"a").public_bytes) == 32
+
+
+def test_public_bytes_are_the_raw_encoding_of_the_public_key():
+    key = server_keygen(b"a")
+    assert key.public_bytes == key.signer().public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+    assert key.public_bytes.hex() == "a08a0e540e9af4346d7fede66f9c336ef7f04092eac37f392d41572119052482"
 
 
 def test_sign_verify_round_trip():
