@@ -62,6 +62,16 @@ compiled at import.  Every parse reads `bytes`: one given a `bytearray` or
 a `memoryview` copies it once first, so each value it builds holds `bytes`
 that no later write to the buffer can reach.
 
+One globe.  A point is on the globe when its latitude is in [-90, 90] and
+its longitude in [-180, 180]; NaN and ±inf are off it.  `off_globe` is that
+rule, and every door a coordinate comes in by asks it (a geohash, a cover,
+a corpus or index file, a generated corpus's box, a statement's target, a
+proof's witness, a CLI flag), each raising its own error with its own
+words.  The one exception is `geoindex.build_index`, whose per-drop loop
+compares inline and hands any failure to the rule.  `EARTH_RADIUS_M`, the
+reference sphere's radius, sits beside it: cells, covers and the
+statement's distance share it.
+
 Build once.  A frozen value normally goes through its dataclass
 `__init__`, which sets one field at a time and runs any `__post_init__`
 check.  `assemble(cls, fields)` fills a value's fields from one dict in
@@ -97,6 +107,8 @@ _unpack_len = _LEN.unpack_from
 _sha256 = hashlib.sha256
 _MAX_FIELD = 2**32 - 1
 _SURROGATE = re.compile("[\ud800-\udfff]")
+
+EARTH_RADIUS_M = 6_371_000.0
 
 
 class EncodingError(ValueError):
@@ -182,6 +194,15 @@ def encodable(value: object) -> bool:
     """True iff ``value`` is text a hash can take: a `str` with a UTF-8
     encoding, so no lone surrogate (ASCII text is answered without a scan)."""
     return isinstance(value, str) and (value.isascii() or _SURROGATE.search(value) is None)
+
+
+def off_globe(lat: float, lon: float) -> str | None:
+    """The axis, "latitude" checked first, on which (lat, lon) is off the
+    globe, or None for a point on it.  Every comparison with NaN is false,
+    so a NaN is off the globe, as is ±inf."""
+    if not -90.0 <= lat <= 90.0:
+        return "latitude"
+    return None if -180.0 <= lon <= 180.0 else "longitude"
 
 
 def as_bytes(field: bytes | str) -> bytes:

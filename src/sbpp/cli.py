@@ -11,6 +11,10 @@ seed (harness.attacks.seeded_env) so independent invocations agree on them.
 A key flag (--key-hex, and `audit`'s --server-pubkey-hex and --nizk-vk-hex)
 that does not decode to 32 bytes is a usage error naming the flag, checked
 before any work: `audit` answers a verdict only under keys of the right size.
+So is a coordinate flag (--lat, --lon, --qlat, --qlon) off the globe, by
+the package's one point rule (`canon.off_globe`: NaN and ±inf are off it),
+named and refused before any session opens or any record is written: an
+unlock's prover position is a point on the globe or no unlock at all.
 The index file fixes the geohash precisions that search and unlock use; a
 radius that none of them covers in geoindex.COVER_BUDGET cells is a usage error.
 Its numbers must be JSON numbers: a coordinate an int or a float, a precision
@@ -40,6 +44,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from . import nizk
+from .canon import off_globe
 from .geoindex import (
     Drop,
     GeoIndex,
@@ -98,8 +103,7 @@ def _parse_bbox(text: str) -> tuple[float, float, float, float]:
     if len(parts) != 4:
         raise ValueError("bbox needs four comma-separated numbers")
     lat_min, lon_min, lat_max, lon_max = parts
-    # every comparison is false for NaN, so a NaN corner fails the test
-    if not (-90 <= lat_min < lat_max <= 90 and -180 <= lon_min < lon_max <= 180):
+    if off_globe(*parts[:2]) or off_globe(*parts[2:]) or not (lat_min < lat_max and lon_min < lon_max):
         raise ValueError(
             "bbox must be lat_min,lon_min,lat_max,lon_max with -90 <= lat_min < lat_max <= 90"
             " and -180 <= lon_min < lon_max <= 180"
@@ -117,6 +121,16 @@ def _hex_key(text: str, flag: str) -> bytes:
     if len(key) != 32:
         raise ValueError(f"{flag} must decode to 32 bytes")
     return key
+
+
+def _point(lat: float, lon: float, lat_flag: str, lon_flag: str) -> tuple[float, float]:
+    """(lat, lon) as two coordinate flags give it; ValueError naming the
+    flag whose value `canon.off_globe` puts off the globe, latitude first."""
+    axis = off_globe(lat, lon)
+    if axis:
+        flag, value = (lat_flag, lat) if axis == "latitude" else (lon_flag, lon)
+        raise ValueError(f"{flag} {value!r}: {axis} out of range")
+    return lat, lon
 
 
 def _search_key(args: argparse.Namespace) -> bytes:
@@ -155,7 +169,7 @@ def _load_index_file(path: str, key: bytes) -> tuple[list[Drop], tuple[int, ...]
             lat, lon = point if type(point) is list and len(point) == 2 else (None, None)
             if type(lat) not in (int, float) or type(lon) not in (int, float):  # nor a bool or a string
                 raise ValueError(f"drop {i!r}: coordinates {point!r} must be two JSON numbers")
-            if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):  # as build_index; false for NaN
+            if off_globe(lat, lon):
                 raise ValueError(f"drop id {i!r} has a coordinate out of range")
             drops.append(Drop(i, float(lat), float(lon)))
         precisions = blob["precisions"]
@@ -211,7 +225,7 @@ def _demo_search(args: argparse.Namespace, lat: float, lon: float):
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    server, _, ses = _demo_search(args, args.lat, args.lon)
+    server, _, ses = _demo_search(args, *_point(args.lat, args.lon, "--lat", "--lon"))
     stamps = {"radius_m": ses.radius_m, "pv": ses.pv, "epoch": ses.epoch}
     listed = sorted(ses.candidates, key=attrgetter("id"))  # listed cell by cell
     out = {
@@ -225,9 +239,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_unlock(args: argparse.Namespace) -> int:
-    query_lat = args.qlat if args.qlat is not None else args.lat
-    query_lon = args.qlon if args.qlon is not None else args.lon
-    server, client, ses = _demo_search(args, query_lat, query_lon)
+    lat, lon = _point(args.lat, args.lon, "--lat", "--lon")
+    qlat = lat if args.qlat is None else args.qlat
+    qlon = lon if args.qlon is None else args.qlon
+    server, client, ses = _demo_search(args, *_point(qlat, qlon, "--qlat", "--qlon"))
     try:
         ses.candidate(args.drop)
     except ProtocolError:  # only a refusal lists the ids, sorted
@@ -242,7 +257,7 @@ def _cmd_unlock(args: argparse.Namespace) -> int:
         )
         return EXIT_REJECTED
     try:
-        request = client.build_unlock(ses, args.drop, nizk.Witness(args.lat, args.lon))
+        request = client.build_unlock(ses, args.drop, nizk.Witness(lat, lon))
     except nizk.StatementFalseError:
         print(json.dumps({"accepted": False, "fail_reason": "statement-false-out-of-radius"}))
         return EXIT_REJECTED

@@ -18,7 +18,8 @@ shifting: bisection is a prefix, so fewer bits are the top bits of more, and
 the coarser cell is (x >> dx, y >> dy) for the difference dx, dy in lon and
 lat bits.  A drop costs no function call when it is in range and its
 quotient cell is bracketed by that cell's exact edges, the rule that defines
-the cell; `_check_point` runs only to raise, and `_axis_cell`, the one
+the cell; `_check_point`, the package's one point rule (`canon.off_globe`)
+as a GeoindexError, runs only to raise, and `_axis_cell`, the one
 definition, only to repair a quotient (see `build_index`).  The second
 derives one tag per distinct (precision, cell), so the HMACs a build makes
 scale with the cells the corpus occupies, not its drops.
@@ -94,7 +95,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
 
-from .canon import encodable, hmac_sha256, strictly_sorted
+from .canon import EARTH_RADIUS_M, encodable, hmac_sha256, off_globe, strictly_sorted
 from .merkle import Cell
 
 GEOHASH_ALPHABET = "0123456789bcdefghjkmnpqrstuvwxyz"
@@ -108,7 +109,6 @@ MIN_PRECISION = 1
 MAX_PRECISION = 9
 MAX_GEOHASH_PRECISION = 12
 
-EARTH_RADIUS_M = 6_371_000.0
 _M_PER_DEG = math.pi / 180.0 * EARTH_RADIUS_M
 # Relative widening of the cover's box, far above the float rounding of the
 # trigonometry and far below a cell.
@@ -178,10 +178,9 @@ def _axis_cell(v: float, lo: float, span: float, bits: int) -> int:
 
 
 def _check_point(lat: float, lon: float) -> None:
-    if not -90.0 <= lat <= 90.0:
-        raise GeoindexError("latitude out of range")
-    if not -180.0 <= lon <= 180.0:
-        raise GeoindexError("longitude out of range")
+    axis = off_globe(lat, lon)
+    if axis:
+        raise GeoindexError(f"{axis} out of range")
 
 
 def _cell_string(x: int, y: int, precision: int) -> str:
@@ -265,7 +264,7 @@ def precision_for_radius(radius_m: float, lat: float = 35.7) -> int:
     latency baseline's; its 3x3 neighborhood holds every point within
     radius_m of the query, up to the curvature the planar width leaves out.
     """
-    if radius_m <= 0:
+    if not radius_m > 0:  # false for NaN too
         raise GeoindexError("radius must be positive")
     best = MIN_PRECISION
     for p in range(MIN_PRECISION, MAX_PRECISION + 1):
@@ -490,12 +489,14 @@ def build_index(key: bytes, drops: list[Drop], precisions: list[int], tagger=hma
     once, at the finest precision, and files the drop under that cell and
     each coarser precision's (x >> dx, y >> dy): bisection is a prefix, so
     the shift is the coarser cell.  A drop costs no function call: a chained
-    comparison checks its range, and `_check_point` runs only when that
-    fails, so the first bad drop in id order raises, latitude before
-    longitude.  Along each axis the quotient k = int((v - lo) / step) is the
-    cell when k < n and lo + k * step <= v < lo + (k + 1) * step, the exact
-    edges that define it; otherwise `_axis_cell` repairs it (at the top edge,
-    and where the division rounds across an edge).  Pass 2 derives one tag
+    comparison of `canon.off_globe`'s bounds, written inline as a fast
+    pre-filter, checks its range, and `_check_point` (the rule itself) runs
+    only when that fails, so the first bad drop in id order raises,
+    latitude before longitude.  Along each axis the quotient
+    k = int((v - lo) / step) is the cell when k < n and
+    lo + k * step <= v < lo + (k + 1) * step, the exact edges that define
+    it; otherwise `_axis_cell` repairs it (at the top edge, and where the
+    division rounds across an edge).  Pass 2 derives one tag
     per distinct (precision, cell) and files the cell's drops, sorted by the
     visit order, and their ids as one `Cell`, under the tag ``tagger(key)``
     gives it (``hmac_tagger``, or ``plain_tagger`` for the plaintext
@@ -518,7 +519,7 @@ def build_index(key: bytes, drops: list[Drop], precisions: list[int], tagger=hma
     dlon, dlat = 360.0 / nx, 180.0 / ny
     for drop in sorted(drops, key=attrgetter("id")):
         lat, lon = drop.lat, drop.lon
-        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):  # off_globe, inline
             _check_point(lat, lon)
         x = int((lon + 180.0) / dlon)
         if not (x < nx and -180.0 + x * dlon <= lon < -180.0 + (x + 1) * dlon):
@@ -543,11 +544,6 @@ def build_index(key: bytes, drops: list[Drop], precisions: list[int], tagger=hma
 # corpus files: one drop per line, `id<TAB>lat<TAB>lon`, '#' comments at column 0
 
 
-def _on_earth(lat: float, lon: float) -> bool:
-    """The coordinates a corpus file holds (NaN is not one)."""
-    return -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0
-
-
 def load_corpus(path: str) -> list[Drop]:
     """The drops of a corpus file, ids exactly as `save_corpus` wrote them:
     only the line terminator is stripped.  Blank and whitespace-only lines
@@ -570,7 +566,7 @@ def load_corpus(path: str) -> list[Drop]:
                 lat, lon = float(lat_s), float(lon_s)
             except ValueError as exc:
                 raise CorpusError(f"line {lineno}: bad coordinate") from exc
-            if not _on_earth(lat, lon):
+            if off_globe(lat, lon):
                 raise CorpusError(f"line {lineno}: coordinate out of range")
             drops[drop_id] = Drop(drop_id, lat, lon)
     return list(drops.values())
@@ -586,7 +582,7 @@ def check_corpus(drops: Sequence[Drop]) -> None:
     for drop in drops:
         if drop.id in seen:
             raise CorpusError(f"drop id {drop.id!r} is a duplicate")
-        if not _on_earth(drop.lat, drop.lon):
+        if off_globe(drop.lat, drop.lon):
             raise CorpusError(f"drop id {drop.id!r} has a coordinate out of range")
         seen.add(drop.id)
 

@@ -8,7 +8,9 @@ secret can mint proofs for true statements.  What it does preserve is the
 interface contract the rest of the protocol relies on:
 
   * prove() succeeds only when the witness actually satisfies the statement
-    (planar-approximation distance to the target within the radius), and
+    (planar-approximation distance to the target within the radius); a
+    witness off the globe (`canon.off_globe`: NaN and ±inf included) is a
+    NizkError before any distance is measured, and
   * verify() depends on nothing but (key, public inputs, proof bytes), so a
     proof cannot pass under public inputs it was not generated for.
 
@@ -49,15 +51,13 @@ import hmac
 import math
 from dataclasses import dataclass, field
 
-from .canon import (
-    Q, ZERO, EncodingError, FieldElement, _element, assemble, decode_elements, hmac_sha256, lp_encode,
-)
+from .canon import EARTH_RADIUS_M, off_globe  # the globe: its radius and its one point rule
+from .canon import Q, ZERO, EncodingError, FieldElement, _element, assemble, decode_elements, hmac_sha256, lp_encode
 
 BACKEND_ID = "sim-hmac-v1"
 DOMAIN_PROOF = "SBPP-PROOF"
 DOMAIN_SETUP = "SBPP-NIZK-SETUP"
 
-EARTH_RADIUS_M = 6_371_000.0
 _COORD_SCALE = 10**7
 
 PUB_LEN = 8
@@ -167,7 +167,7 @@ def statement_values(target_lat: float, target_lon: float, radius_m: float) -> t
     """The statement's first three values: offset-scaled integer coordinates,
     non-negative so they embed directly as field elements, and the radius
     (`radius_value`).  NizkError for a target off the globe."""
-    if not -90.0 <= target_lat <= 90.0 or not -180.0 <= target_lon <= 180.0:
+    if off_globe(target_lat, target_lon):
         raise NizkError("target coordinates out of range")
     return (
         round((target_lat + 90.0) * _COORD_SCALE),
@@ -219,11 +219,14 @@ def _tag(key: bytes, pub: PublicInputs) -> bytes:
 
 
 def prove(proving_key: bytes, witness: Witness, pub: PublicInputs) -> Proof:
-    """Proof of `distance(witness, target) <= radius`; raises if false."""
+    """Proof of `distance(witness, target) <= radius`: NizkError for a
+    witness off the globe, StatementFalseError for one out of the radius."""
     if len(proving_key) != 32:
         raise NizkError("proving key must be 32 bytes")
+    if off_globe(witness.lat, witness.lon):
+        raise NizkError("witness coordinates out of range")
     lat, lon, radius = decode_target(pub)
-    if distance_m(witness.lat, witness.lon, lat, lon) > radius:
+    if not distance_m(witness.lat, witness.lon, lat, lon) <= radius:  # `not <=`, so a NaN distance fails too
         raise StatementFalseError("witness is outside the target radius")
     return Proof(BACKEND_ID, _tag(proving_key, pub))
 

@@ -460,6 +460,31 @@ def test_unlock_rejects_unreturned_drop(demo, capsys):
     assert json.loads(out)["fail_reason"] == "drop-not-returned-by-search"
 
 
+_COORDINATE_FLAGS = [
+    ("search", "--lat"), ("search", "--lon"),
+    ("unlock", "--lat"), ("unlock", "--lon"), ("unlock", "--qlat"), ("unlock", "--qlon"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "400", "1e308"])
+@pytest.mark.parametrize("command, flag", _COORDINATE_FLAGS, ids=[" ".join(f) for f in _COORDINATE_FLAGS])
+def test_a_coordinate_flag_off_the_globe_is_a_usage_error_naming_it(demo, capsys, command, flag, value):
+    # a listed drop and its own position, but one flag off the globe: refused before any session or record
+    cand = _first_candidate(demo, capsys)
+    record = demo["tmp"] / "rec.bin"
+    argv = [command, "--index", str(demo["index"]), "--seed", "7"]
+    point = {"--lat": cand["lat"], "--lon": cand["lon"]}
+    if command == "unlock":
+        argv += ["--drop", cand["id"], "--emit-record", str(record)]
+        point.update({"--qlat": 35.70, "--qlon": 139.75})
+    point[flag] = value
+    code = main(argv + [f"{name}={v}" for name, v in point.items()])  # "=" lets "-inf" be a value
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith(f"error: {flag} ")
+    assert not record.exists()
+
+
 def test_unlock_refusal_lists_the_returned_ids_in_id_order(demo, capsys):
     _, out = _run(
         capsys, "search", "--lat", "35.70", "--lon", "139.75",

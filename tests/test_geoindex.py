@@ -135,8 +135,9 @@ def test_precision_for_radius_monotone():
         p = precision_for_radius(radius)
         assert p <= last
         last = p
-    with pytest.raises(GeoindexError):
-        precision_for_radius(0)
+    for radius in (0, math.nan):  # NaN fails `radius_m > 0` as 0 does
+        with pytest.raises(GeoindexError, match="^radius must be positive$"):
+            precision_for_radius(radius)
 
 
 def test_cell_dimensions_shrink_with_precision():
@@ -762,11 +763,19 @@ def test_build_index_rejects_out_of_range_points():
         (Drop("n", 90.000001, 0.0), "latitude out of range"),
         (Drop("s", -91.0, 0.0), "latitude out of range"),
         (Drop("nan", math.nan, 0.0), "latitude out of range"),
+        (Drop("n-inf", math.inf, 0.0), "latitude out of range"),
+        (Drop("s-inf", -math.inf, 0.0), "latitude out of range"),
         (Drop("e", 0.0, 180.000001), "longitude out of range"),
         (Drop("w", 0.0, -181.0), "longitude out of range"),
+        (Drop("lon-nan", 0.0, math.nan), "longitude out of range"),
+        (Drop("e-inf", 0.0, math.inf), "longitude out of range"),
+        (Drop("w-inf", 0.0, -math.inf), "longitude out of range"),
     ):
         with pytest.raises(GeoindexError, match=f"^{message}$"):
             build_index(key, [ok, drop], [4, 5, 6, 7])
+        # the build's inline pre-filter and the point rule itself refuse alike
+        with pytest.raises(GeoindexError, match=f"^{message}$"):
+            geohash_encode(drop.lat, drop.lon, 5)
 
 
 def test_build_index_names_the_first_bad_drop_in_id_order_latitude_first():

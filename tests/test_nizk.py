@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sbpp.canon import FieldElement, Q, cd_core, lp_encode
+from sbpp.canon import EARTH_RADIUS_M, FieldElement, Q, cd_core, lp_encode
 from sbpp.nizk import (
     BACKEND_ID,
     DOMAIN_PROOF,
@@ -285,6 +285,58 @@ def test_prove_verify_property(lat, lon, radius):
     pub = make_public_inputs(lat, lon, radius, CD)
     proof = prove(pk, Witness(lat, lon), pub)
     assert verify(vk, pub, proof)
+
+
+def _nudged(value: float, ulps: int) -> float:
+    """``value`` moved ``ulps`` floats up, or down for a negative count."""
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    return value
+
+
+@st.composite
+def _statement_and_witness(draw):
+    """A statement and a witness whose latitude is any float (NaN, ±inf,
+    subnormals and points off the globe included) or one about the radius
+    north or south of the target or at a pole, and whose longitude is any
+    float or the target's or the antimeridian's, each moved a few floats."""
+    pub = make_public_inputs(
+        draw(st.floats(-90.0, 90.0)), draw(st.floats(-180.0, 180.0)), draw(st.integers(1, 50_000)), CD
+    )
+    lat, lon, radius = decode_target(pub)
+    reach = math.degrees(radius / EARTH_RADIUS_M)  # the radius in degrees of latitude
+    wlat = draw(st.one_of(st.floats(), st.sampled_from([lat + reach, lat - reach, 90.0, -90.0])))
+    wlon = draw(st.one_of(st.floats(), st.sampled_from([lon, 180.0, -180.0])))
+    ulps = st.integers(-2, 2)
+    return pub, _nudged(wlat, draw(ulps)), _nudged(wlon, draw(ulps))
+
+
+_TOKYO = make_public_inputs(35.7, 139.75, 1000.0, CD)
+_ORIGIN = make_public_inputs(0.0, 0.0, 1000.0, CD)
+
+
+@given(_statement_and_witness())
+@example((_TOKYO, math.nan, 139.75))
+@example((_TOKYO, 35.7, math.nan))
+@example((_TOKYO, math.inf, 139.75))
+@example((_TOKYO, 35.7, -math.inf))
+@example((_TOKYO, 400.0, 139.75))
+@example((_TOKYO, 35.7, 1e308))
+@example((_ORIGIN, 5e-324, -5e-324))
+@example((_ORIGIN, math.nextafter(90.0, math.inf), 0.0))
+@settings(max_examples=300, deadline=None)
+def test_prove_succeeds_exactly_for_a_witness_on_the_globe_within_the_radius(case):
+    pub, lat, lon = case
+    pk, vk = _keys()
+    on_globe = -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0  # false for NaN
+    if on_globe:
+        t_lat, t_lon, radius = decode_target(pub)
+        if distance_m(lat, lon, t_lat, t_lon) <= radius:
+            assert verify(vk, pub, prove(pk, Witness(lat, lon), pub))
+            return
+    # off the globe a NizkError; on it but out of the radius, the statement is false
+    with pytest.raises(StatementFalseError if on_globe else NizkError):
+        prove(pk, Witness(lat, lon), pub)
 
 
 # ---------------------------------------------------------------------------
