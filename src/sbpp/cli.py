@@ -5,9 +5,13 @@ experiment/benchmark harness.  Exit codes: 0 success, 1 usage or input
 error (and, for attack-matrix, a matrix that differs from the expected
 one), 2 cryptographic rejection (failed unlock verification or audit).
 
+Every command but attack-matrix, bench and experiment is a plain client of
+the protocol: it loads no module of the ladder (sbpp.variants) or of
+sbpp.harness, which those three import inside their handlers.
+
 All randomness flows through --seed; the search key may be supplied as
 --key-hex, and the server signing / proof-system keys are derived from the
-seed (harness.attacks.seeded_env) so independent invocations agree on them.
+seed (sbpp.protocol.seeded_env) so independent invocations agree on them.
 A key flag (--key-hex, and `audit`'s --server-pubkey-hex and --nizk-vk-hex)
 that does not decode to 32 bytes is a usage error naming the flag, checked
 before any work: `audit` answers a verdict only under keys of the right size.
@@ -28,14 +32,14 @@ module neither checks the ids again nor sorts the drops.
 
 The `bench` and `experiment` studies are one table, STUDIES: each names its
 runner in sbpp.harness.experiments, which `_cmd_study` looks up there by
-name when the study runs, as `_default_text` does for a flag's default.
+name when the study runs, and holds every flag's default, so building the
+parser loads no runner.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import inspect
 import json
 import sys
 from collections import Counter
@@ -53,10 +57,10 @@ from .geoindex import (
     load_corpus,
     save_corpus,
 )
-from .harness import experiments
-from .harness.attacks import derive_key, protocol_pair, run_attack_matrix, seeded_env
-from .harness.report import write_csv
-from .protocol import AuditRecord, AuditRecordError, ProtocolError, audit, emit_audit_record
+from .protocol import (
+    AuditRecord, AuditRecordError, ProtocolError, audit, derive_key, emit_audit_record, protocol_pair,
+    seeded_env,
+)
 from .session import DEFAULT_EPOCH, DEFAULT_PV, DEFAULT_TTL_S, MODE_CORE, MODE_FULL
 
 EXIT_OK = 0
@@ -283,7 +287,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     if args.nizk_vk_hex is not None:
         vk = _hex_key(args.nizk_vk_hex, "--nizk-vk-hex")
     else:
-        vk = seeded_env(args.seed).verifying_key
+        vk = seeded_env(args.seed, []).verifying_key
     try:
         raw = Path(args.record_file).read_bytes()
         record = AuditRecord.parse(raw)
@@ -296,6 +300,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_attack_matrix(args: argparse.Namespace) -> int:
+    from .harness.attacks import run_attack_matrix
+    from .harness.report import write_csv
+
     matrix = run_attack_matrix(
         trials=args.trials, seed=args.seed, token_includes_root=not args.impoverished_token
     )
@@ -310,9 +317,11 @@ def _cmd_attack_matrix(args: argparse.Namespace) -> int:
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
+    from .harness import experiments
+
     _, studies = STUDIES[args.command]
     _, runner, flags = studies[args.study]
-    kwargs = {kw: getattr(args, kw) for kw, _, _, _ in flags.values() if hasattr(args, kw)}
+    kwargs = {kw: getattr(args, kw) for kw, _, _, _ in flags.values()}
     report = getattr(experiments, runner)(seed=args.seed, **kwargs).to_report()
     print(report.render())
     if args.out_dir:
@@ -336,12 +345,11 @@ def _add_demo_flags(p: argparse.ArgumentParser) -> None:
 
 # command -> (help, study -> (help, runner, {flag: (runner keyword, type, default, help)})).
 # The runner is a name in sbpp.harness.experiments, looked up there when the
-# study runs and called with seed= and its flags' keywords; a SUPPRESS default
-# leaves the keyword to the runner's own default.
+# study runs and called with seed= and every flag's keyword.
 STUDIES = {
     "bench": ("performance benchmarks", {
         "merkle": ("commitment scaling, path lengths, compact state size", "merkle_bench",
-                   {"--sizes": ("sizes", _counts, argparse.SUPPRESS,
+                   {"--sizes": ("sizes", _counts, (100, 1000, 5000, 10000, 20000, 50000),
                                 "comma-separated result-set sizes to commit to")}),
         "latency": ("plaintext vs encrypted vs protocol path", "protocol_latency_bench",
                     {"--n-drops": ("n_drops", _count, 1000, "drops in the corpus"),
@@ -369,11 +377,8 @@ STUDIES = {
 }
 
 
-def _default_text(runner: str, keyword: str, default: object) -> str:
-    """A flag's default as its help shows it: the runner's own where the
-    flag leaves it to the runner, a list of counts comma-separated."""
-    if default is argparse.SUPPRESS:
-        default = inspect.signature(getattr(experiments, runner)).parameters[keyword].default
+def _default_text(default: object) -> str:
+    """A flag's default as its help shows it, a list of counts comma-separated."""
     return ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
 
 
@@ -441,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
         study_parsers = sub.add_parser(command, help=command_help).add_subparsers(
             dest="study", required=True
         )
-        for study, (study_help, runner, flags) in studies.items():
+        for study, (study_help, _, flags) in studies.items():
             # no abbreviations, or audit-replay's --n would pass as latency's --n-drops
             p = study_parsers.add_parser(study, help=study_help, allow_abbrev=False)
             p.add_argument("--seed", type=int, default=0, help="seed of every input (default: 0)")
@@ -449,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
             for flag, (keyword, type_, default, flag_help) in flags.items():
                 p.add_argument(
                     flag, dest=keyword, type=type_, default=default,
-                    help=f"{flag_help} (default: {_default_text(runner, keyword, default)})",
+                    help=f"{flag_help} (default: {_default_text(default)})",
                 )
             p.set_defaults(fn=_cmd_study)
 

@@ -328,7 +328,8 @@ _TOKEN_HEAD = f"{TOKEN_LABEL}:".encode("ascii")  # every cell tag's message star
 def hmac_tagger(key: bytes) -> Callable[[int | str, str], bytes]:
     """The cell tags under ``key``, HMAC-SHA-256 keyed once per key, with
     the tags' fixed head absorbed (`canon.hmac_sha256` keeps the key's
-    state): the index's default tagger, ``make_token`` with ``key`` bound."""
+    state): the index's default tagger.  A tag is the only thing the server
+    ever sees of a cell; a dummy tag puts PAD_LABEL in the precision slot."""
     if len(key) != 32:
         raise GeoindexError("search key must be 32 bytes")
     mac = hmac_sha256(key, _TOKEN_HEAD)
@@ -343,12 +344,6 @@ def plain_tagger(key: bytes) -> Callable[[int | str, str], bytes]:
     """The cell itself as the tag, whatever the key: the plaintext-search
     baseline (V1 of sbpp.variants)."""
     return lambda precision, cell: f"{precision}:{cell}".encode("ascii")
-
-
-def make_token(key: bytes, precision: int | str, cell: str) -> bytes:
-    """HMAC tag for one cell; the only thing the server ever sees of it.
-    A dummy tag puts PAD_LABEL in the precision slot."""
-    return hmac_tagger(key)(precision, cell)
 
 
 _SLOTS = struct.Struct("32s" * COVER_BUDGET)  # a query's tag slots, cut from the pad stream at once

@@ -18,15 +18,13 @@ Attacks:
 
 from __future__ import annotations
 
-import hashlib
-import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .. import nizk
 from ..geoindex import Drop
-from ..receipt import server_keygen
-from ..variants import VARIANT_KINDS, VariantEnv, make_variant
-from ..variants import protocol_pair  # noqa: F401 - the CLI and experiments take it from here
+from ..protocol import seeded_env
+from ..session import DEFAULT_TTL_S
+from ..variants import VARIANT_KINDS, make_variant
 from .report import render_grid
 
 # Fixed desk-scale geometry: a candidate cluster near the query point and a
@@ -36,7 +34,6 @@ OUT_LAT, OUT_LON = 35.70, 139.88
 OUT_DROP_ID = "zz-out"
 RADIUS_M = 1000.0
 T0 = 1_700_000_000
-TTL_S = 300
 
 WITNESS_NEAR_QUERY = nizk.Witness(QUERY_LAT + 0.0001, QUERY_LON + 0.0001)
 WITNESS_NEAR_OUT = nizk.Witness(OUT_LAT + 0.0001, OUT_LON + 0.0001)
@@ -72,35 +69,13 @@ def attack_corpus() -> list[Drop]:
     return drops
 
 
-def derive_key(label: str, seed: int, n: int = 32) -> bytes:
-    return hashlib.sha256(f"{label}:{seed}".encode()).digest()[:n]
-
-
-def seeded_env(seed: int, drops: list[Drop] | None = None, **fields) -> VariantEnv:
-    """The one seeded deployment: every key and a fresh nonce RNG derive
-    from ``seed``, over ``drops`` (default: the attack corpus).  ``fields``
-    override the env's plain fields (search key, precisions, ttl, pv,
-    epoch, radius)."""
-    proving_key, verifying_key = nizk.setup(derive_key("nizk", seed))
-    env = VariantEnv(
-        drops=attack_corpus() if drops is None else drops,
-        search_key=derive_key("search", seed),
-        signing_key=server_keygen(derive_key("sign", seed)),
-        proving_key=proving_key,
-        verifying_key=verifying_key,
-        mac_key=derive_key("mac", seed),
-        ttl_s=TTL_S,
-        unlock_radius_m=RADIUS_M,
-        nonce_rng=random.Random(seed),
-    )
-    return replace(env, **fields) if fields else env
-
-
 def build_variant(
     kind: str, seed: int, token_includes_root: bool = True, drops: list[Drop] | None = None
 ):
-    """One rung over the seeded environment."""
-    return make_variant(kind, seeded_env(seed, drops), token_includes_root=token_includes_root)
+    """One rung over the seeded environment, serving ``drops`` (default: the
+    attack corpus)."""
+    env = seeded_env(seed, attack_corpus() if drops is None else drops)
+    return make_variant(kind, env, token_includes_root=token_includes_root)
 
 
 def _searched_sessions(variant, n: int):
@@ -180,7 +155,7 @@ def attack_a5(variant) -> bool:
     """Build honestly, then sit on the request until the TTL lapses."""
     (s,) = _searched_sessions(variant, 1)
     request = variant.build_unlock(s, s.result_ids()[0], WITNESS_NEAR_QUERY)
-    return not variant.verify(request, T0 + TTL_S).accepted
+    return not variant.verify(request, T0 + DEFAULT_TTL_S).accepted
 
 
 ATTACK_FUNCS = {

@@ -52,24 +52,24 @@ from ..protocol import (
     SbppClient,
     SbppServer,
     UnlockRequest,
+    VariantEnv,
     audit,
+    derive_key,
     emit_audit_record,
+    protocol_pair,
+    seeded_env,
 )
 from ..receipt import signature_memo, verify_receipt
-from ..session import DEFAULT_EPOCH, DEFAULT_PV, MODE_CORE, MODE_FULL, SessionRecord, SessionStore
-from ..variants import VariantEnv
+from ..session import DEFAULT_EPOCH, DEFAULT_PV, DEFAULT_TTL_S, MODE_CORE, MODE_FULL, SessionRecord, SessionStore
 from .attacks import (
     QUERY_LAT,
     QUERY_LON,
     RADIUS_M,
     T0,
-    TTL_S,
     WITNESS_NEAR_QUERY,
     _searched_sessions,
+    attack_corpus,
     build_variant,
-    derive_key,
-    protocol_pair,
-    seeded_env,
 )
 from .report import ExperimentReport
 
@@ -209,7 +209,7 @@ def merkle_bench(
         record = SessionRecord(
             S="00" * 16,
             N=bytes(32),
-            t_exp=T0 + TTL_S,
+            t_exp=T0 + DEFAULT_TTL_S,
             mode=MODE_FULL,
             pv=DEFAULT_PV,
             epoch=DEFAULT_EPOCH,
@@ -293,7 +293,7 @@ def audit_replay_experiment(n: int = 100, seed: int = 0) -> AuditReplayResult:
     core-mode records never do; three tampering classes localize to three
     distinct reasons under the full protocol and collapse to one
     undifferentiated reason under the opaque-token rung."""
-    server, client = protocol_pair(seeded_env(seed), MODE_FULL)
+    server, client = protocol_pair(seeded_env(seed, attack_corpus()), MODE_FULL)
     records = _honest_trail(server, client, n)
     server.sessions.purge_all()  # the server forgets everything
     # one auditor per server key, so a receipt it has verified is not verified again
@@ -301,7 +301,7 @@ def audit_replay_experiment(n: int = 100, seed: int = 0) -> AuditReplayResult:
     full_pass = sum(int(auditor.audit(rec).accepted) for rec in records)
 
     # core-mode trail: receipts carry no root, so replay cannot attest
-    core_server, core_client = protocol_pair(seeded_env(seed + 1), MODE_CORE)
+    core_server, core_client = protocol_pair(seeded_env(seed + 1, attack_corpus()), MODE_CORE)
     core_auditor = AuditKeys(core_server.public_key_bytes, core_server.nizk_vk, signature_memo())
     core_outcomes = [core_auditor.audit(rec) for rec in _honest_trail(core_server, core_client, n)]
     core_pass = sum(int(outcome.accepted) for outcome in core_outcomes)
@@ -384,7 +384,7 @@ class AtomicityResult:
 def atomicity_and_isolation_suite(
     seed: int = 0, trials: int = 1000, bulk_sessions: int = 10000, clients: int = 100
 ) -> AtomicityResult:
-    server, client = protocol_pair(seeded_env(seed), MODE_FULL)
+    server, client = protocol_pair(seeded_env(seed, attack_corpus()), MODE_FULL)
 
     sequential_ok = 0
     for _ in range(trials):
@@ -413,14 +413,14 @@ def atomicity_and_isolation_suite(
     for t in range(trials):
         _, request = _honest_flow(server, client)
         if t % 2 == 0:
-            expiry_ok += int(server.verify(request, T0 + TTL_S - 1).accepted)
+            expiry_ok += int(server.verify(request, T0 + DEFAULT_TTL_S - 1).accepted)
         else:
-            outcome = server.verify(request, T0 + TTL_S)
+            outcome = server.verify(request, T0 + DEFAULT_TTL_S)
             expiry_ok += int(not outcome.accepted and outcome.fail_reason == R_EXPIRED)
 
     # bulk lifecycle on a bare store: issue, consume a third, expire a wave,
     # leave the late wave pending; the counts must balance exactly
-    store = SessionStore(ttl_s=TTL_S, nonce_rng=random.Random(seed + 7))
+    store = SessionStore(ttl_s=DEFAULT_TTL_S, nonce_rng=random.Random(seed + 7))
     first_wave = [store.issue(T0, MODE_FULL) for _ in range(bulk_sessions)]
     consumed_n = bulk_sessions // 3
     for record in first_wave[:consumed_n]:
@@ -429,8 +429,8 @@ def atomicity_and_isolation_suite(
     late_wave_n = bulk_sessions // 5
     for _ in range(late_wave_n):
         store.issue(T0 + 200, MODE_FULL)
-    store.purge_expired(T0 + TTL_S + 1)
-    lifecycle = store.stats(T0 + TTL_S + 1)
+    store.purge_expired(T0 + DEFAULT_TTL_S + 1)
+    lifecycle = store.stats(T0 + DEFAULT_TTL_S + 1)
     conservation_ok = (
         lifecycle["issued"] == lifecycle["consumed"] + lifecycle["expired"] + lifecycle["pending"]
         and lifecycle["issued"] == bulk_sessions + late_wave_n
@@ -439,7 +439,7 @@ def atomicity_and_isolation_suite(
     )
 
     # isolation: every client tries every other client's session id
-    iso_server, iso_client = protocol_pair(seeded_env(seed + 13), MODE_FULL)
+    iso_server, iso_client = protocol_pair(seeded_env(seed + 13, attack_corpus()), MODE_FULL)
     requests = [_honest_flow(iso_server, iso_client)[1] for _ in range(clients)]
     cross_successes = 0
     cross_attempts = 0
@@ -551,7 +551,7 @@ class MaliciousServerResult:
 
 def malicious_server_suite(seed: int = 0, trials: int = 100) -> MaliciousServerResult:
     # every server gets its own nonce RNG; all share the seed's keys and one client
-    env = seeded_env(seed)
+    env = seeded_env(seed, attack_corpus())
     client = SbppClient(env.search_key, env.proving_key)
 
     def full_server(

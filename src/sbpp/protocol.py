@@ -68,6 +68,14 @@ structured field is tested for its type, not for None: `pub` must be a
 instance of the right type is trusted to hold what its parse checks; one
 built by hand with wrong contents is out of scope.
 
+One deployment is a `VariantEnv`: the drops, every key, the server's
+context and its nonce RNG.  `seeded_env` derives every key and the nonce
+RNG from one seed (`derive_key`), over the drops its caller gives, with the
+TTL and unlock radius left at their defaults, and `protocol_pair` serves a
+deployment as a server and client.  The CLI's demo and audit commands, the
+studies and the ladder all build their deployments so, and this module
+imports no part of the ladder or of sbpp.harness.
+
 The comparison ladder in sbpp.variants runs this server and client: every
 rung takes its drop table, index, sessions and hit cells from an
 `SbppServer` (`bind`, or `_hits` alone for the rungs with no session), and
@@ -77,7 +85,8 @@ these same stage objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+import hashlib
 from operator import attrgetter
 import random
 from typing import Any, Callable, NamedTuple
@@ -92,7 +101,9 @@ from .geoindex import (
 from .merkle import (
     EMPTY_PATH, Cell, MerklePath, MerkleError, TreeMemo, build_tree, locate, verify_membership,
 )
-from .receipt import Receipt, ReceiptError, SignatureMemo, SigningKey, sign_receipt, verify_receipt
+from .receipt import (
+    Receipt, ReceiptError, SignatureMemo, SigningKey, server_keygen, sign_receipt, verify_receipt,
+)
 from .session import (
     DEFAULT_EPOCH,
     DEFAULT_PV,
@@ -462,6 +473,73 @@ class SbppClient:
         pub = nizk.make_public_inputs(drop.lat, drop.lon, ses.radius_m, cd)
         proof = nizk.prove(self.proving_key, witness, pub)
         return UnlockRequest(S=ses.S, drop_id=drop.id, pub=pub, proof=proof, merkle_path=path)
+
+
+# ---------------------------------------------------------------------------
+# one deployment
+
+
+@dataclass(frozen=True)
+class VariantEnv:
+    """One deployment's material: the drops, every key, the server's context
+    and its nonce RNG.  `protocol_pair` serves it, and every rung of
+    sbpp.variants runs on one (``mac_key`` is V7's)."""
+
+    drops: list[Drop]
+    search_key: bytes
+    signing_key: SigningKey
+    proving_key: bytes
+    verifying_key: bytes
+    mac_key: bytes
+    precisions: tuple[int, ...] = DEFAULT_PRECISIONS
+    ttl_s: int = DEFAULT_TTL_S
+    pv: str = DEFAULT_PV
+    epoch: str = DEFAULT_EPOCH
+    unlock_radius_m: float = DEFAULT_UNLOCK_RADIUS_M
+    nonce_rng: random.Random | None = None
+
+
+def protocol_pair(
+    env: VariantEnv, mode: str, server_cls: type[SbppServer] = SbppServer
+) -> tuple[SbppServer, SbppClient]:
+    """The protocol's server and client over one environment.  The server
+    draws its nonces from ``env.nonce_rng``, so give each server its own."""
+    server = server_cls(
+        drops=env.drops,
+        search_key=env.search_key,
+        signing_key=env.signing_key,
+        nizk_vk=env.verifying_key,
+        mode=mode,
+        precisions=list(env.precisions),
+        ttl_s=env.ttl_s,
+        pv=env.pv,
+        epoch=env.epoch,
+        unlock_radius_m=env.unlock_radius_m,
+        nonce_rng=env.nonce_rng,
+    )
+    return server, SbppClient(env.search_key, env.proving_key)
+
+
+def derive_key(label: str, seed: int, n: int = 32) -> bytes:
+    return hashlib.sha256(f"{label}:{seed}".encode()).digest()[:n]
+
+
+def seeded_env(seed: int, drops: list[Drop], **fields) -> VariantEnv:
+    """The one seeded deployment over ``drops``: every key and a fresh nonce
+    RNG derive from ``seed``, and the rest is the env's defaults.
+    ``fields`` override the env's plain fields (search key, precisions,
+    ttl, pv, epoch, radius)."""
+    proving_key, verifying_key = nizk.setup(derive_key("nizk", seed))
+    env = VariantEnv(
+        drops=drops,
+        search_key=derive_key("search", seed),
+        signing_key=server_keygen(derive_key("sign", seed)),
+        proving_key=proving_key,
+        verifying_key=verifying_key,
+        mac_key=derive_key("mac", seed),
+        nonce_rng=random.Random(seed),
+    )
+    return replace(env, **fields) if fields else env
 
 
 # ---------------------------------------------------------------------------

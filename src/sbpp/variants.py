@@ -25,12 +25,14 @@ so each failure maps to one reason on every rung.  V4a and V4b are rows
 like the others: their stage tuples are the protocol's own VERIFY_STAGES
 and AUDIT_STAGES objects, and the ladder-only stages here (nonce echo,
 evidence, context digest, token hash/root) sit beside the shared session,
-membership, statement, proof and consume stages.  Every rung runs on the
-protocol's own server and client (`protocol_pair`), so the matrix attacks
-the shipped code: the server holds the drops, index and sessions and gives
-the hit cells (`bind`, or `_hits` alone on V1/V2; V1's index tags are
-plaintext), V4a/V4b search and unlock through the pair itself, and the
-other rows add their own evidence here.
+membership, statement, proof and consume stages.  Every rung runs on a
+deployment (sbpp.protocol's `VariantEnv`) served by the protocol's own
+server and client (`protocol_pair`), so the matrix attacks the shipped
+code and a rung refuses with the protocol's ProtocolError: the server
+holds the drops, index and sessions and gives the hit cells (`bind`, or
+`_hits` alone on V1/V2; V1's index tags are plaintext), V4a/V4b search and
+unlock through the pair itself, and the other rows add their own evidence
+here.
 
 An audit is the verify stages run without server state: the audit record
 is the request itself, stamped with the token and receipt the session was
@@ -66,18 +68,16 @@ server-signed evidence for a context the server never issued it for.
 from __future__ import annotations
 
 import hmac
-import random
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from operator import attrgetter
 
 from . import nizk
 from .canon import EncodingError, FieldElement, digest, encodable, hmac_sha256, lp_decode, lp_encode
-from .geoindex import DEFAULT_PRECISIONS, Drop, client_tokens, drops_of, plain_tagger
+from .geoindex import Drop, client_tokens, drops_of, plain_tagger
 from .merkle import MerklePath, build_tree, locate, verify_membership
 from .protocol import (
     AUDIT_STAGES,
-    DEFAULT_UNLOCK_RADIUS_M,
     VERIFY_STAGES,
     Attempt,
     ClientSession,
@@ -86,10 +86,10 @@ from .protocol import (
     R_NONCE_DIGEST,
     R_NOT_IN_RESULT_SET,
     R_SESSION_INVALID,
-    SbppClient,
     SbppServer,
     Stage,
     UnlockRequest,
+    VariantEnv,
     VerifyOutcome,
     check_digest,
     check_membership,
@@ -97,10 +97,11 @@ from .protocol import (
     check_session,
     check_statement,
     consume_session,
+    protocol_pair,
     run_stages,
 )
-from .receipt import Receipt, SignatureMemo, SigningKey, sign_fields, signature_memo, signed_fields
-from .session import DEFAULT_EPOCH, DEFAULT_PV, DEFAULT_TTL_S, MODE_CORE, MODE_FULL, SessionRecord
+from .receipt import Receipt, SignatureMemo, sign_fields, signature_memo, signed_fields
+from .session import MODE_CORE, MODE_FULL, SessionRecord
 
 # Additional rejection reasons used by the comparison rungs.
 R_NONCE_ECHO = "nonce-echo-mismatch"
@@ -115,51 +116,9 @@ DOMAIN_TOKEN_FULL = "V8-TOKEN-FULL"
 DOMAIN_TOKEN_LITE = "V8-TOKEN-LITE"
 
 
-VariantError = ProtocolError  # one implementation, one error type
-
-
 def context_digest(drop_id: str, pv: str, epoch: str) -> FieldElement:
     """Session-agnostic challenge digest used by the pre-binding rungs."""
     return digest([drop_id, pv, epoch])
-
-
-@dataclass(frozen=True)
-class VariantEnv:
-    """Deterministic material shared by every rung of one comparison run."""
-
-    drops: list[Drop]
-    search_key: bytes
-    signing_key: SigningKey
-    proving_key: bytes
-    verifying_key: bytes
-    mac_key: bytes
-    precisions: tuple[int, ...] = DEFAULT_PRECISIONS
-    ttl_s: int = DEFAULT_TTL_S
-    pv: str = DEFAULT_PV
-    epoch: str = DEFAULT_EPOCH
-    unlock_radius_m: float = DEFAULT_UNLOCK_RADIUS_M
-    nonce_rng: random.Random | None = None
-
-
-def protocol_pair(
-    env: VariantEnv, mode: str, server_cls: type[SbppServer] = SbppServer
-) -> tuple[SbppServer, SbppClient]:
-    """The protocol's server and client over one environment.  The server
-    draws its nonces from ``env.nonce_rng``, so give each server its own."""
-    server = server_cls(
-        drops=env.drops,
-        search_key=env.search_key,
-        signing_key=env.signing_key,
-        nizk_vk=env.verifying_key,
-        mode=mode,
-        precisions=list(env.precisions),
-        ttl_s=env.ttl_s,
-        pv=env.pv,
-        epoch=env.epoch,
-        unlock_radius_m=env.unlock_radius_m,
-        nonce_rng=env.nonce_rng,
-    )
-    return server, SbppClient(env.search_key, env.proving_key)
 
 
 class _PlaintextServer(SbppServer):
@@ -479,7 +438,7 @@ class GenericVariant:
         row = self.traits
         stages = row.verify
         if leaf is None and row.mode == MODE_FULL:
-            raise VariantError("no listed id to take a membership path from")
+            raise ProtocolError("no listed id to take a membership path from")
         if check_digest in stages:  # the protocol client's checked root, digest and proof
             request = self.client.request(vses, drop, witness, leaf)
             return VariantRequest(**vars(request), pv=vses.pv, epoch=vses.epoch)
@@ -489,7 +448,7 @@ class GenericVariant:
         if check_proof in stages:
             if check_token_hash in stages:
                 if vses.token is None:
-                    raise VariantError("no token issued for this session")
+                    raise ProtocolError("no token issued for this session")
                 cd = digest([vses.token])
             else:
                 cd = context_digest(drop.id, vses.pv, vses.epoch)
@@ -580,7 +539,7 @@ def make_variant(kind: str, env: VariantEnv, token_includes_root: bool = True) -
     """Instantiate one rung of the ladder over shared environment material."""
     traits = RUNGS.get(kind)
     if traits is None:
-        raise VariantError(f"unknown variant kind {kind!r}")
+        raise ProtocolError(f"unknown variant kind {kind!r}")
     if kind == "V8" and not token_includes_root:
         traits = _V8_LITE
     return GenericVariant(traits, env)

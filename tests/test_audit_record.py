@@ -18,9 +18,8 @@ from hypothesis import strategies as st
 from sbpp import nizk
 from sbpp.canon import Q, EncodingError, FieldElement, lp_decode, lp_encode
 from sbpp.geoindex import gen_uniform_corpus
-from sbpp.harness.attacks import protocol_pair, seeded_env
 from sbpp.merkle import SIDE_LEFT, SIDE_RIGHT, MerklePath, PathStep
-from sbpp.protocol import AuditRecord, AuditRecordError, emit_audit_record
+from sbpp.protocol import AuditRecord, AuditRecordError, emit_audit_record, protocol_pair, seeded_env
 from sbpp.receipt import DOMAIN_RECEIPT, Receipt
 from sbpp.session import MODE_CORE, MODE_FULL
 

@@ -1,8 +1,8 @@
 """CLI exit-code discipline and file formats: 0 ok, 1 usage, 2 rejection."""
 
 import csv
-import functools
 import hashlib
+import inspect
 import json
 import math
 import re
@@ -12,10 +12,10 @@ import pytest
 
 from sbpp import cli
 from sbpp.cli import main
-from sbpp.geoindex import geohash_encode, geohash_neighbors, haversine_m, load_corpus, make_token
+from sbpp.geoindex import geohash_encode, geohash_neighbors, haversine_m, hmac_tagger, load_corpus
 from sbpp.harness import attacks, experiments
 from sbpp.merkle import MerkleTree, node_hash
-from sbpp.protocol import ClientSession
+from sbpp.protocol import ClientSession, derive_key
 from sbpp.receipt import Receipt
 
 
@@ -136,10 +136,10 @@ def test_search_output_is_frozen(demo, capsys):
         if d.id in got:
             by_cell.setdefault(geohash_encode(d.lat, d.lon, 5), []).append(d.id)
     assert sorted(by_cell) == ["xn775", "xn77h"]
-    key = attacks.derive_key("search", 7)
+    key = derive_key("search", 7)
     left, right = (
         MerkleTree(sorted(by_cell[c])).root
-        for c in sorted(by_cell, key=lambda c: make_token(key, 5, c))
+        for c in sorted(by_cell, key=lambda c: hmac_tagger(key)(5, c))
     )
     receipt = Receipt.parse(bytes.fromhex(json.loads(out)["receipt_hex"]))
     assert receipt.root == node_hash(left, right)
@@ -773,19 +773,21 @@ def test_bbox_off_the_globe_exits_1_and_writes_nothing(tmp_path, capsys, bbox):
 def test_bench_merkle_passes_the_seed(tmp_path, capsys, monkeypatch, sizes):
     real, seen = experiments.merkle_bench, []
 
-    @functools.wraps(real)  # the help reads the runner's own defaults
-    def spy(*args, **kwargs):  # records the seed, then runs one small size
-        seen.append(kwargs.get("seed"))
-        return real((100,), prove_samples=5, seed=kwargs.get("seed", 0))
+    def spy(**kwargs):  # records the keywords, then runs one small size
+        seen.append(kwargs)
+        return real((100,), prove_samples=5, seed=kwargs["seed"])
 
     monkeypatch.setattr(experiments, "merkle_bench", spy)
     code, _ = _run(capsys, "bench", "merkle", *sizes, "--seed", "5", "--out-dir", str(tmp_path))
-    assert code == 0 and seen == [5]
+    given = (100,) if sizes else (100, 1000, 5000, 10000, 20000, 50000)
+    assert code == 0 and seen == [{"seed": 5, "sizes": given}]
 
 
 # (command, study) -> (runner, {own flag: runner keyword}, the keywords a bare run passes)
 STUDIES = {
-    ("bench", "merkle"): ("merkle_bench", {"--sizes": "sizes"}, {"seed": 0}),
+    ("bench", "merkle"): (
+        "merkle_bench", {"--sizes": "sizes"}, {"seed": 0, "sizes": (100, 1000, 5000, 10000, 20000, 50000)},
+    ),
     ("bench", "latency"): (
         "protocol_latency_bench",
         {"--n-drops": "n_drops", "--iters": "iters"},
@@ -817,10 +819,27 @@ def test_the_study_table_declares_exactly_the_pinned_studies():
     assert {(c, s) for c, (_, studies) in cli.STUDIES.items() for s in studies} == set(STUDIES)
 
 
+# the flags whose default is the CLI's own, not its runner's
+_CLI_OWN_DEFAULTS = {("experiment", "atomicity", "trials"): 100}
+
+
+def test_every_study_flag_default_is_its_runners_unless_pinned_as_the_clis_own():
+    # the table holds every default, so the parser reads no runner; this
+    # keeps each one equal to the runner's own signature default
+    for command, (_, studies) in cli.STUDIES.items():
+        for study, (_, runner, flags) in studies.items():
+            parameters = inspect.signature(getattr(experiments, runner)).parameters
+            for keyword, _, default, _ in flags.values():
+                own = _CLI_OWN_DEFAULTS.get((command, study, keyword))
+                if own is None:
+                    assert default == parameters[keyword].default, (study, keyword)
+                else:
+                    assert default == own != parameters[keyword].default, (study, keyword)
+
+
 def _spy(monkeypatch, runner: str) -> list[dict]:
     calls = []
 
-    @functools.wraps(getattr(experiments, runner))  # the help reads the runner's own defaults
     def run(**kwargs):
         calls.append(kwargs)
         return SimpleNamespace(to_report=lambda: SimpleNamespace(render=lambda: "report"))

@@ -37,14 +37,15 @@ from sbpp.geoindex import (
     haversine_m,
     hmac_tagger,
     load_corpus,
-    make_token,
     plain_tagger,
     precision_for_radius,
     save_corpus,
 )
-from sbpp.harness.attacks import T0, build_variant, derive_key, protocol_pair, seeded_env
+from sbpp.harness.attacks import T0, build_variant
 from sbpp.merkle import Cell, MerkleTree
-from sbpp.protocol import R_MERKLE_INVALID, AuditRecord, SbppServer, audit, emit_audit_record
+from sbpp.protocol import (
+    R_MERKLE_INVALID, AuditRecord, SbppServer, audit, derive_key, emit_audit_record, protocol_pair, seeded_env,
+)
 from sbpp.session import MODE_CORE, MODE_FULL
 from sbpp.variants import VARIANT_KINDS, make_variant
 
@@ -151,11 +152,11 @@ def test_haversine_known_distance():
     assert haversine_m(35.7, 139.75, 35.7, 139.75) == 0.0
 
 
-def test_make_token_frozen_vector():
-    tag = make_token(bytes(32), 5, "xn76u")
+def test_hmac_tagger_frozen_vector():
+    tag = hmac_tagger(bytes(32))(5, "xn76u")
     assert tag.hex() == "174f3fb62f6a4c202c6a33228d4e480573c4cfe16449b96b9737080933c87828"
     with pytest.raises(GeoindexError):
-        make_token(b"short", 5, "xn76u")
+        hmac_tagger(b"short")(5, "xn76u")
 
 
 @given(
@@ -164,10 +165,10 @@ def test_make_token_frozen_vector():
     st.text(GEOHASH_ALPHABET + ":0123456789", max_size=16),
 )
 @settings(max_examples=300, deadline=None)
-def test_make_token_is_one_shot_hmac_sha256(key, precision, cell):
+def test_hmac_tagger_is_one_shot_hmac_sha256(key, precision, cell):
     # the copied keyed state gives the bytes of a fresh HMAC
     message = f"{TOKEN_LABEL}:{precision}:{cell}".encode("ascii")
-    assert make_token(key, precision, cell) == hmac.digest(key, message, "sha256")
+    assert hmac_tagger(key)(precision, cell) == hmac.digest(key, message, "sha256")
 
 
 @given(
@@ -211,7 +212,7 @@ def test_tags_of_keys_made_in_turns_never_mix(queries):
             key[0] ^= 1
     for tag, key, (_, _, cell) in zip(taggers, frozen, queries):
         message = f"{TOKEN_LABEL}:5:{cell}".encode("ascii")
-        assert tag(5, cell) == make_token(key, 5, cell) == hmac.digest(key, message, "sha256")
+        assert tag(5, cell) == hmac_tagger(key)(5, cell) == hmac.digest(key, message, "sha256")
 
 
 def _tag_lists_digest(precisions):
@@ -625,7 +626,7 @@ def test_no_fit_raises_exactly_when_no_indexed_precision_fits(lat, lon, radius, 
     assert len(tags) == len(set(tags)) == COVER_BUDGET
     cells = cover_cells(lat, lon, radius, precision)
     assert 1 <= len(cells) <= COVER_BUDGET
-    assert {make_token(key, precision, c) for c in cells} <= set(tags)
+    assert {hmac_tagger(key)(precision, c) for c in cells} <= set(tags)
 
 
 # ---------------------------------------------------------------------------
@@ -649,14 +650,14 @@ def test_client_tokens_frozen_vectors(lat, lon, radius, precisions, n_cells, exp
     precision, tags = client_tokens(key, lat, lon, radius, precisions)
     cells = cover_cells(lat, lon, radius, precision)
     assert len(cells) == n_cells
-    assert {make_token(key, precision, c) for c in cells} <= set(tags)
+    assert {hmac_tagger(key)(precision, c) for c in cells} <= set(tags)
     assert hashlib.sha256(b"".join(tags)).hexdigest() == expected
 
 
 def _dummies(key, precision, cells):
     """The dummy tags the module docstring states: slots len(cells) to
     COVER_BUDGET - 1 of SHAKE-256 over the pad tag of the first cell."""
-    stream = hashlib.shake_256(make_token(key, PAD_LABEL, cells[0])).digest(32 * COVER_BUDGET)
+    stream = hashlib.shake_256(hmac_tagger(key)(PAD_LABEL, cells[0])).digest(32 * COVER_BUDGET)
     return [stream[32 * i : 32 * i + 32] for i in range(len(cells), COVER_BUDGET)]
 
 
@@ -677,7 +678,7 @@ def test_client_tokens_pad_from_one_keyed_tag(lat, lon, radius, precisions, offs
     def counting(k):
         def tag(precision, cell):
             calls.append((precision, cell))
-            return make_token(k, precision, cell)
+            return hmac_tagger(k)(precision, cell)
 
         return tag
 
@@ -686,7 +687,7 @@ def test_client_tokens_pad_from_one_keyed_tag(lat, lon, radius, precisions, offs
     except GeoindexError:
         assume(False)  # no indexed precision fits: covered by the exactness property
     cells = cover_cells(lat, lon, radius, precision)
-    real = [make_token(key, precision, c) for c in cells]
+    real = [hmac_tagger(key)(precision, c) for c in cells]
     dummies = _dummies(key, precision, cells)
     assert tags == sorted(real + dummies)
     assert len(set(tags)) == COVER_BUDGET and all(len(t) == 32 for t in tags)
@@ -821,7 +822,7 @@ def test_build_files_each_drop_under_the_axis_cell(point, precisions):
 def test_build_index_of_no_drops_is_empty():
     index = build_index(b"\x09" * 32, [], [7, 5])
     assert index.entries == {} and index.precisions == [5, 7]
-    assert index.match([make_token(b"\x09" * 32, 5, "xn77h")]) == []
+    assert index.match([hmac_tagger(b"\x09" * 32)(5, "xn77h")]) == []
 
 
 def test_build_index_frozen_digest():

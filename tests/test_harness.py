@@ -5,6 +5,7 @@ test_acceptance; these tests pin the same behaviors fast enough to run
 on every edit.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import sbpp
+from sbpp import cli
 from sbpp.geoindex import Drop
 from sbpp.harness import attacks
 from sbpp.harness.attacks import (
@@ -26,11 +28,9 @@ from sbpp.harness.attacks import (
     QUERY_LON,
     RADIUS_M,
     T0,
+    attack_corpus,
     build_variant,
-    derive_key,
-    protocol_pair,
     run_attack_matrix,
-    seeded_env,
 )
 from sbpp.harness.experiments import (
     atomicity_and_isolation_suite,
@@ -42,6 +42,7 @@ from sbpp.harness.experiments import (
     search_quality_experiment,
 )
 from sbpp.merkle import expected_depth
+from sbpp.protocol import derive_key, protocol_pair, seeded_env
 from sbpp.session import MODE_FULL
 from sbpp.variants import VARIANT_KINDS
 
@@ -57,7 +58,7 @@ def test_protocol_pair_and_v4b_rung_share_one_deployment():
     # Same seed, same environment: the server and the V4b rung issue the
     # same first session and sign the same receipt under the same key.
     for seed in (0, 5):
-        server, client = protocol_pair(seeded_env(seed), MODE_FULL)
+        server, client = protocol_pair(seeded_env(seed, attack_corpus()), MODE_FULL)
         variant = build_variant("V4b", seed)
         ses = client.open_session(server, T0)
         vses = variant.open_session(T0)
@@ -69,7 +70,7 @@ def test_protocol_pair_and_v4b_rung_share_one_deployment():
 
 
 def test_seeded_env_gives_each_call_its_own_nonce_rng():
-    first, second = seeded_env(4), seeded_env(4, search_key=b"k" * 32, ttl_s=60)
+    first, second = seeded_env(4, []), seeded_env(4, [], search_key=b"k" * 32, ttl_s=60)
     assert first.nonce_rng is not second.nonce_rng
     assert first.nonce_rng.random() == second.nonce_rng.random()
     assert (second.search_key, second.ttl_s) == (b"k" * 32, 60)
@@ -267,11 +268,15 @@ def test_search_quality_reduced():
     assert result.runtime_s < 10
 
 
-def _fresh_python(code: str) -> None:
-    """Run code in a new interpreter that imports this checkout's sbpp."""
+def _fresh_python(code: str, *argv: str) -> str:
+    """Run code in a new interpreter that imports this checkout's sbpp, with
+    ``argv`` as its arguments; its stdout."""
     src = str(Path(sbpp.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, check=True)
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env={**os.environ, "PYTHONPATH": path},
+        check=True, stdout=subprocess.PIPE, text=True,
+    ).stdout
 
 
 def test_importing_the_attack_harness_leaves_the_experiments_unloaded():
@@ -287,3 +292,33 @@ def test_importing_one_module_leaves_the_rest_of_the_package_unloaded():
         "import sys, sbpp.canon; "
         "sys.exit(sorted({'sbpp.protocol', 'sbpp.receipt', 'cryptography'} & set(sys.modules)) or None)"
     )
+
+
+# sbpp.cli with the arguments given, if any; exits non-zero if the command
+# does, or naming every ladder, harness or study-only module it loaded
+_CLI_ALONE = (
+    "import sys, sbpp.cli; code = sbpp.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+    "sys.exit(code or sorted(m for m in sys.modules if m.startswith("
+    "('sbpp.variants', 'sbpp.harness', 'concurrent.futures', 'statistics'))) or None)"
+)
+
+
+def test_the_demo_and_audit_commands_load_neither_the_ladder_nor_a_study(tmp_path):
+    # a search, an unlock and its record's offline audit are clients of sbpp.protocol alone
+    corpus, index, record = tmp_path / "corpus.tsv", tmp_path / "index.json", tmp_path / "rec.bin"
+    assert cli.main(["gen-corpus", "--n", "200", "--seed", "7", "--out", str(corpus)]) == 0
+    assert cli.main(["index", "--corpus", str(corpus), "--seed", "7", "--out", str(index)]) == 0
+    demo = ["--index", str(index), "--seed", "7"]
+    _fresh_python(_CLI_ALONE)
+    searched = json.loads(_fresh_python(_CLI_ALONE, "search", "--lat", "35.70", "--lon", "139.75", *demo))
+    drop = searched["candidates"][0]
+    unlocked = json.loads(_fresh_python(
+        _CLI_ALONE, "unlock", "--drop", drop["id"], "--lat", str(drop["lat"]), "--lon", str(drop["lon"]),
+        "--qlat", "35.70", "--qlon", "139.75", "--emit-record", str(record), *demo,
+    ))
+    assert unlocked["accepted"] and record.exists()
+    audited = _fresh_python(
+        _CLI_ALONE, "audit", "--record-file", str(record),
+        "--server-pubkey-hex", unlocked["server_pubkey_hex"], "--seed", "7",
+    )
+    assert json.loads(audited) == {"accepted": True, "fail_reason": None}

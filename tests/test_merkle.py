@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from sbpp import merkle
 from sbpp.canon import lp_encode, strictly_sorted
-from sbpp.geoindex import Drop, GeoindexError, build_index, client_tokens, cover_cells, geohash_encode, make_token
+from sbpp.geoindex import Drop, GeoindexError, build_index, client_tokens, cover_cells, geohash_encode, hmac_tagger
 from sbpp.merkle import (
     DOMAIN_LEAF,
     DOMAIN_NODE,
@@ -599,7 +599,7 @@ def test_result_commitment_equals_the_top_tree_over_flat_cell_roots(searched):
     returned = set(index.match(tags))
     # the oracle: the cover's cells from their geohash strings, in tag order
     oracle_cells = []
-    for cell in sorted(cover_cells(lat, lon, radius, precision), key=lambda c: make_token(key, precision, c)):
+    for cell in sorted(cover_cells(lat, lon, radius, precision), key=lambda c: hmac_tagger(key)(precision, c)):
         ids = sorted(d.id for d in drops if geohash_encode(d.lat, d.lon, precision) == cell)
         if ids:
             oracle_cells.append(ids)

@@ -16,9 +16,8 @@ from hypothesis import strategies as st
 from sbpp import nizk
 from sbpp.canon import lp_decode
 from sbpp.geoindex import gen_uniform_corpus
-from sbpp.harness.attacks import protocol_pair, seeded_env
 from sbpp.merkle import MerklePath
-from sbpp.protocol import AuditRecord, emit_audit_record
+from sbpp.protocol import AuditRecord, emit_audit_record, protocol_pair, seeded_env
 from sbpp.receipt import Receipt
 from sbpp.session import MODE_CORE, MODE_FULL
 

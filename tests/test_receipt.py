@@ -14,7 +14,7 @@ from sbpp import receipt as receipt_module
 from sbpp.canon import lp_decode, lp_encode
 from sbpp.harness import attacks
 from sbpp.harness.experiments import audit_replay_experiment
-from sbpp.protocol import AuditKeys, audit, emit_audit_record
+from sbpp.protocol import AuditKeys, audit, emit_audit_record, protocol_pair, seeded_env
 from sbpp.receipt import (
     DOMAIN_RECEIPT,
     VERIFIED_MAX,
@@ -458,7 +458,7 @@ def test_an_a2_trial_checks_the_replayed_grant_once(ed25519_checks, kind):
 
 
 def test_audit_keeps_nothing_past_the_call_and_a_kept_auditor_checks_once(ed25519_checks):
-    server, client = attacks.protocol_pair(attacks.seeded_env(0), "full")
+    server, client = protocol_pair(seeded_env(0, attacks.attack_corpus()), "full")
     ses = client.open_session(server, attacks.T0)
     client.search(server, ses, attacks.QUERY_LAT, attacks.QUERY_LON, attacks.RADIUS_M, attacks.T0)
     request = client.build_unlock(ses, ses.result_ids()[0], attacks.WITNESS_NEAR_QUERY)

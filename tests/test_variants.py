@@ -26,8 +26,12 @@ from sbpp.protocol import (
     R_PROOF_INVALID,
     R_RECEIPT_SIG,
     R_SESSION_INVALID,
+    ProtocolError,
+    VariantEnv,
+    protocol_pair,
+    seeded_env,
 )
-from sbpp.harness.attacks import QUERY_LAT, QUERY_LON, RADIUS_M, WITNESS_NEAR_QUERY, protocol_pair, seeded_env
+from sbpp.harness.attacks import QUERY_LAT, QUERY_LON, RADIUS_M, WITNESS_NEAR_QUERY, attack_corpus
 from sbpp.receipt import server_keygen, sign_fields, signed_fields
 from sbpp.variants import (
     DOMAIN_CAPABILITY,
@@ -41,8 +45,6 @@ from sbpp.variants import (
     R_TOKEN_HASH,
     R_TOKEN_SIG,
     GenericVariant,
-    VariantEnv,
-    VariantError,
     VariantRequest,
     audit_token_sig,
     check_mac,
@@ -90,7 +92,7 @@ def test_make_variant_dispatch():
         variant = make_variant(kind, env)
         assert type(variant) is GenericVariant, kind
         assert variant.kind == variant.traits.kind == kind
-    with pytest.raises(VariantError):
+    with pytest.raises(ProtocolError):
         make_variant("V9", env)
 
 
@@ -135,7 +137,7 @@ def test_v4b_nonmember_unlock_after_an_empty_search_is_a_variant_error():
     vses = variant.open_session(T0)
     variant.search(vses, 35.01, 139.01, RADIUS, T0)
     assert vses.candidates == ()
-    with pytest.raises(VariantError):
+    with pytest.raises(ProtocolError):
         variant.build_nonmember_unlock(vses, DROPS[0], nizk.Witness(DROPS[0].lat, DROPS[0].lon))
 
 
@@ -234,7 +236,7 @@ def test_v1_searches_in_plaintext_v2_encrypted():
     # and as behaviour, on the attack corpus: V1's index is keyed by the
     # cells themselves, V2's by their HMAC tags, and one query lists the
     # same drops on both
-    env = seeded_env(0)
+    env = seeded_env(0, attack_corpus())
     v1, v2 = make_variant("V1", env), make_variant("V2", env)
     cells = {f"{p}:{geohash_encode(d.lat, d.lon, p)}" for d in env.drops for p in env.precisions}
     assert set(v1.server.index.entries) == {cell.encode() for cell in cells}
@@ -507,7 +509,7 @@ def test_duplicate_drop_ids_rejected():
     drops = [Drop("a", 35.70, 139.75), Drop("a", 35.80, 139.75), Drop("b", 35.7001, 139.75)]
     env = dataclasses.replace(_env(), drops=drops)
     for kind in VARIANT_KINDS:
-        with pytest.raises(VariantError):
+        with pytest.raises(ProtocolError):
             make_variant(kind, env)
 
 
@@ -732,7 +734,7 @@ def test_v8_proves_nothing_for_a_session_it_issued_no_token(token_includes_root)
     variant = make_variant("V8", _env(), token_includes_root=token_includes_root)
     vses = variant.open_session(T0)
     far = DROPS[-1]
-    with pytest.raises(VariantError, match="no token issued for this session"):
+    with pytest.raises(ProtocolError, match="no token issued for this session"):
         variant.build_nonmember_unlock(vses, far, nizk.Witness(far.lat, far.lon))
 
 
@@ -744,7 +746,7 @@ def _unhashable_id_flow(kind: str):
     """(search, verify, sessions, session, request) for one searched honest
     session: the protocol's server and client in either mode, or a
     session-aware rung; ``search(ses)`` searches a session as the client."""
-    env = seeded_env(0)
+    env = seeded_env(0, attack_corpus())
     if kind in (session.MODE_CORE, session.MODE_FULL):
         server, client = protocol_pair(env, kind)
         ses = client.open_session(server, T0)
