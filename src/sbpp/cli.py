@@ -33,7 +33,11 @@ module neither checks the ids again nor sorts the drops.
 The `bench` and `experiment` studies are one table, STUDIES: each names its
 runner in sbpp.harness.experiments, which `_cmd_study` looks up there by
 name when the study runs, and holds every flag's default, so building the
-parser loads no runner.
+parser loads no runner.  A runner returns the ExperimentReport the study
+prints (and writes as CSV with --out-dir).
+
+`sbpp --help` shows a one-sentence description; this docstring is for the
+module's maintainers.
 """
 
 from __future__ import annotations
@@ -322,7 +326,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
     _, studies = STUDIES[args.command]
     _, runner, flags = studies[args.study]
     kwargs = {kw: getattr(args, kw) for kw, _, _, _ in flags.values()}
-    report = getattr(experiments, runner)(seed=args.seed, **kwargs).to_report()
+    report = getattr(experiments, runner)(seed=args.seed, **kwargs)
     print(report.render())
     if args.out_dir:
         print(f"csv: {report.write_csv(args.out_dir)}")
@@ -383,7 +387,11 @@ def _default_text(default: object) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="sbpp", description=__doc__)
+    parser = _Parser(
+        prog="sbpp",
+        description="Search-bound proximity proofs: search, unlock and audit demos, the attack"
+        " matrix, and the benchmark and experiment studies.",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-corpus", help="generate a synthetic drop corpus")

@@ -2,9 +2,11 @@
 Merkle scaling, session atomicity/isolation, malicious-server behaviors,
 protocol-path latency, and search quality.
 
-Every function takes a seed and returns a small result dataclass whose
-`to_report()` renders an aligned table / CSV.  Non-timing outputs are
-deterministic given the seed; timings are reported but never asserted here.
+Every runner takes a seed and returns the `ExperimentReport` its `sbpp
+bench` or `sbpp experiment` command prints: each metric once, with its raw
+value (`report[metric]`) and, for a measured float, the decimals it is
+shown with.  Non-timing outputs are deterministic given the seed; timings
+are reported but never asserted here.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .. import nizk
 from ..canon import cd_core, lp_decode, lp_encode
@@ -90,120 +92,78 @@ def _honest_flow(server: SbppServer, client: SbppClient) -> tuple[ClientSession,
 # cross-session re-association
 
 
-@dataclass
-class ReassociationResult:
-    n_sessions: int
-    epoch_every: int
-    n_drops: int
-    seed: int
-    rates: dict[str, float]
-    analytic_rate: float
-
-    def to_report(self) -> ExperimentReport:
-        rep = ExperimentReport(
-            "reassociation",
-            {
-                "n_sessions": self.n_sessions,
-                "epoch_every": self.epoch_every,
-                "n_drops": self.n_drops,
-                "seed": self.seed,
-            },
-        )
-        rep.add("analytic_rate_uniform_model", self.analytic_rate)
-        for kind, rate in self.rates.items():
-            rep.add(f"rate_{kind}", rate)
-        return rep
-
-
 def reassociation_experiment(
     n_sessions: int = 1000,
     epoch_every: int = 25,
     n_drops: int = 20,
     seed: int = 0,
-) -> ReassociationResult:
+) -> ExperimentReport:
     """Adversary links proofs across sessions that share (drop, pv, epoch).
 
     Model: `n_drops` co-located drops, one unlock per session with the drop
-    chosen uniformly, epoch rotated every `epoch_every` sessions.  A session
-    is re-associated when some other same-epoch session produced a proof
-    with an identical challenge digest for the same drop.  Under uniform
-    choice the per-session rate is 1 - (1 - 1/m)^(K-1).  Measured on V2,
-    V3 (context-only digests) and V4a, V4b (session-bound).
+    chosen uniformly, epoch rotated every `epoch_every` sessions (the last
+    epoch may be shorter).  A session is re-associated when some other
+    same-epoch session produced a proof with an identical challenge digest
+    for the same drop.  Under uniform choice the rate in an epoch of K
+    sessions is 1 - (1 - 1/m)^(K-1); the analytic rate averages it over the
+    run's sessions.  Measured on V2, V3 (context-only digests) and V4a, V4b
+    (session-bound).
     """
     if epoch_every < 1:
         raise ValueError("epoch_every must be >= 1")
+    rep = ExperimentReport(
+        "reassociation",
+        {"n_sessions": n_sessions, "epoch_every": epoch_every, "n_drops": n_drops, "seed": seed},
+    )
+    epochs = [min(epoch_every, n_sessions - start) for start in range(0, n_sessions, epoch_every)]
+    analytic = sum(k * (1.0 - (1.0 - 1.0 / n_drops) ** (k - 1)) for k in epochs) / n_sessions
+    rep.add("analytic_rate_uniform_model", analytic)
     cluster = [Drop(f"d{i:02d}", QUERY_LAT + i * 5e-5, QUERY_LON) for i in range(n_drops)]
-    analytic = 1.0 - (1.0 - 1.0 / n_drops) ** (epoch_every - 1)
-    rates: dict[str, float] = {}
     for kind in ("V2", "V3", "V4a", "V4b"):
         variant = build_variant(kind, seed, drops=cluster)
         chooser = random.Random(f"reassoc:{seed}")
         records: list[tuple[str, str, bytes]] = []
-        for start in range(0, n_sessions, epoch_every):
-            variant.set_epoch(f"ep{start // epoch_every}")
-            for ses in _searched_sessions(variant, min(epoch_every, n_sessions - start)):
+        for e, size in enumerate(epochs):
+            variant.set_epoch(f"ep{e}")
+            for ses in _searched_sessions(variant, size):
                 ids = ses.result_ids()
                 drop_id = ids[chooser.randrange(len(ids))]
                 request = variant.build_unlock(ses, drop_id, WITNESS_NEAR_QUERY)
                 records.append((ses.epoch, drop_id, request.pub[7].to_bytes()))
         groups = Counter(records)
-        hits = sum(1 for rec in records if groups[rec] >= 2)
-        rates[kind] = hits / n_sessions
-    return ReassociationResult(n_sessions, epoch_every, n_drops, seed, rates, analytic)
+        rep.add(f"rate_{kind}", sum(1 for rec in records if groups[rec] >= 2) / n_sessions)
+    return rep
 
 
 # ---------------------------------------------------------------------------
 # Merkle verifier scaling
 
 
-@dataclass(frozen=True)
-class MerkleSizeRow:
-    n: int
-    build_ms: float
-    prove_us: float
-    verify_us: float
-    steps: int
-    compact_state_bytes: int
-
-
-@dataclass
-class MerkleBenchResult:
-    rows: list[MerkleSizeRow]
-
-    def to_report(self) -> ExperimentReport:
-        rep = ExperimentReport("merkle_bench", {"sizes": [r.n for r in self.rows]})
-        for r in self.rows:
-            rep.add(f"n={r.n} build_ms", round(r.build_ms, 3))
-            rep.add(f"n={r.n} prove_us", round(r.prove_us, 2))
-            rep.add(f"n={r.n} verify_us", round(r.verify_us, 2))
-            rep.add(f"n={r.n} path_steps", r.steps)
-            rep.add(f"n={r.n} compact_state_bytes", r.compact_state_bytes)
-        return rep
-
-
 def merkle_bench(
     sizes: tuple[int, ...] = (100, 1000, 5000, 10000, 20000, 50000),
     prove_samples: int = 100,
     seed: int = 0,
-) -> MerkleBenchResult:
+) -> ExperimentReport:
     """Tree build/prove/verify scaling plus the size of the state a
     compact verifier keeps per session (root, not result set)."""
+    if len(set(sizes)) < len(sizes):
+        raise ValueError(f"sizes {list(sizes)} name a size twice")
+    rep = ExperimentReport("merkle_bench", {"sizes": list(sizes)})
     rng = random.Random(f"merkle:{seed}")
-    rows = []
     for n in sizes:
         ids = [f"d{i:06d}" for i in range(n)]
         t_start = time.perf_counter()
         tree = MerkleTree(ids)
-        build_ms = (time.perf_counter() - t_start) * 1e3
+        rep.add(f"n={n} build_ms", (time.perf_counter() - t_start) * 1e3, 3)
         sample = [ids[rng.randrange(n)] for _ in range(prove_samples)]
         t_start = time.perf_counter()
         paths = [tree.prove_membership(d) for d in sample]
-        prove_us = (time.perf_counter() - t_start) / prove_samples * 1e6
+        rep.add(f"n={n} prove_us", (time.perf_counter() - t_start) / prove_samples * 1e6, 2)
         t_start = time.perf_counter()
         ok = all(
             verify_membership(tree.root, d, p) for d, p in zip(sample, paths, strict=True)
         )
-        verify_us = (time.perf_counter() - t_start) / prove_samples * 1e6
+        rep.add(f"n={n} verify_us", (time.perf_counter() - t_start) / prove_samples * 1e6, 2)
         if not ok:
             raise AssertionError("membership verification failed during bench")
         record = SessionRecord(
@@ -215,45 +175,13 @@ def merkle_bench(
             epoch=DEFAULT_EPOCH,
             root=tree.root,
         )
-        rows.append(
-            MerkleSizeRow(
-                n=n,
-                build_ms=build_ms,
-                prove_us=prove_us,
-                verify_us=verify_us,
-                steps=len(paths[0].steps),
-                compact_state_bytes=len(record.compact_bytes()),
-            )
-        )
-    return MerkleBenchResult(rows)
+        rep.add(f"n={n} path_steps", len(paths[0].steps))
+        rep.add(f"n={n} compact_state_bytes", len(record.compact_bytes()))
+    return rep
 
 
 # ---------------------------------------------------------------------------
 # offline audit replay and fault localization
-
-
-@dataclass
-class AuditReplayResult:
-    n: int
-    full_pass: int
-    core_pass: int
-    core_reasons: Counter
-    v4b_fault_reasons: dict[str, Counter]
-    v8_fault_reasons: dict[str, Counter]
-
-    def to_report(self) -> ExperimentReport:
-        rep = ExperimentReport("audit_replay", {"n": self.n})
-        rep.add("full_honest_pass", f"{self.full_pass}/{self.n}")
-        rep.add("core_honest_pass", f"{self.core_pass}/{self.n}")
-        for reason, count in sorted(self.core_reasons.items()):
-            rep.add(f"core_fail[{reason}]", count)
-        for injection, reasons in self.v4b_fault_reasons.items():
-            for reason, count in sorted(reasons.items()):
-                rep.add(f"v4b_fault[{injection}][{reason}]", count)
-        for injection, reasons in self.v8_fault_reasons.items():
-            for reason, count in sorted(reasons.items()):
-                rep.add(f"v8_fault[{injection}][{reason}]", count)
-        return rep
 
 
 def _flip_byte(raw: bytes, index: int = 0) -> bytes:
@@ -267,12 +195,13 @@ def _flip_first_sibling(path: MerklePath) -> MerklePath:
     return MerklePath((PathStep(first.side, _flip_byte(first.sibling)), *rest))
 
 
-def _fault_reasons(injections: dict, audit_one, n: int) -> dict[str, Counter]:
-    """Per injection, what its n tampered records audit to: a reason or "accepted"."""
-    return {
-        name: Counter(audit_one(make(i)).fail_reason or "accepted" for i in range(n))
-        for name, make in injections.items()
-    }
+def _add_faults(rep: ExperimentReport, label: str, injections: dict, audit_one, n: int) -> None:
+    """Per injection, how many of its n tampered records audit to each
+    reason (or to "accepted"), one row per reason."""
+    for name, make in injections.items():
+        reasons = Counter(audit_one(make(i)).fail_reason or "accepted" for i in range(n))
+        for reason, count in sorted(reasons.items()):
+            rep.add(f"{label}[{name}][{reason}]", count)
 
 
 def _honest_trail(server: SbppServer, client: SbppClient, n: int) -> list[AuditRecord]:
@@ -288,24 +217,29 @@ def _honest_trail(server: SbppServer, client: SbppClient, n: int) -> list[AuditR
     return records
 
 
-def audit_replay_experiment(n: int = 100, seed: int = 0) -> AuditReplayResult:
+def audit_replay_experiment(n: int = 100, seed: int = 0) -> ExperimentReport:
     """Honest full-mode records all replay after the server purges state;
     core-mode records never do; three tampering classes localize to three
     distinct reasons under the full protocol and collapse to one
-    undifferentiated reason under the opaque-token rung."""
+    undifferentiated reason under the opaque-token rung.  Needs n >= 2:
+    a swap gives each record another record's receipt (or token)."""
+    if n < 2:
+        raise ValueError(f"audit replay needs n >= 2 records, got {n}: a swap takes another record's receipt")
+    rep = ExperimentReport("audit_replay", {"n": n})
     server, client = protocol_pair(seeded_env(seed, attack_corpus()), MODE_FULL)
     records = _honest_trail(server, client, n)
     server.sessions.purge_all()  # the server forgets everything
     # one auditor per server key, so a receipt it has verified is not verified again
     auditor = AuditKeys(server.public_key_bytes, server.nizk_vk, signature_memo())
-    full_pass = sum(int(auditor.audit(rec).accepted) for rec in records)
+    rep.add("full_honest_pass", f"{sum(int(auditor.audit(rec).accepted) for rec in records)}/{n}")
 
     # core-mode trail: receipts carry no root, so replay cannot attest
     core_server, core_client = protocol_pair(seeded_env(seed + 1, attack_corpus()), MODE_CORE)
     core_auditor = AuditKeys(core_server.public_key_bytes, core_server.nizk_vk, signature_memo())
     core_outcomes = [core_auditor.audit(rec) for rec in _honest_trail(core_server, core_client, n)]
-    core_pass = sum(int(outcome.accepted) for outcome in core_outcomes)
-    core_reasons = Counter(o.fail_reason for o in core_outcomes if not o.accepted)
+    rep.add("core_honest_pass", f"{sum(int(outcome.accepted) for outcome in core_outcomes)}/{n}")
+    for reason, count in sorted(Counter(o.fail_reason for o in core_outcomes if not o.accepted).items()):
+        rep.add(f"core_fail[{reason}]", count)
 
     # fault localization on the full-mode records
     injections = {
@@ -317,7 +251,7 @@ def audit_replay_experiment(n: int = 100, seed: int = 0) -> AuditReplayResult:
             records[i], receipt=replace(records[i].receipt, sig=_flip_byte(records[i].receipt.sig))
         ),
     }
-    v4b_faults = _fault_reasons(injections, auditor.audit, n)
+    _add_faults(rep, "v4b_fault", injections, auditor.audit, n)
 
     # the same three tampering classes against the opaque-token rung
     v8 = build_variant("V8", seed + 2)
@@ -340,50 +274,18 @@ def audit_replay_experiment(n: int = 100, seed: int = 0) -> AuditReplayResult:
             v8_records[i], token=_tamper_token_field(v8_records[i].token, 6)
         ),
     }
-    v8_faults = _fault_reasons(v8_injections, v8.audit, n)
-
-    return AuditReplayResult(
-        n=n,
-        full_pass=full_pass,
-        core_pass=core_pass,
-        core_reasons=core_reasons,
-        v4b_fault_reasons=v4b_faults,
-        v8_fault_reasons=v8_faults,
-    )
+    _add_faults(rep, "v8_fault", v8_injections, v8.audit, n)
+    return rep
 
 
 # ---------------------------------------------------------------------------
 # session atomicity and multi-client isolation
 
 
-@dataclass
-class AtomicityResult:
-    trials: int
-    sequential_ok: int
-    parallel_exactly_one: int
-    expiry_ok: int
-    lifecycle: dict[str, int]
-    conservation_ok: bool
-    cross_attempts: int
-    cross_successes: int
-    honest_after_cross: int
-
-    def to_report(self) -> ExperimentReport:
-        rep = ExperimentReport("atomicity_isolation", {"trials": self.trials})
-        rep.add("sequential_double_submit_ok", f"{self.sequential_ok}/{self.trials}")
-        rep.add("parallel_exactly_one", f"{self.parallel_exactly_one}/{self.trials}")
-        rep.add("expiry_boundary_ok", f"{self.expiry_ok}/{self.trials}")
-        for key, value in self.lifecycle.items():
-            rep.add(f"lifecycle_{key}", value)
-        rep.add("lifecycle_conserved", self.conservation_ok)
-        rep.add("cross_access_successes", f"{self.cross_successes}/{self.cross_attempts}")
-        rep.add("honest_unlocks_after_cross_attempts", self.honest_after_cross)
-        return rep
-
-
 def atomicity_and_isolation_suite(
     seed: int = 0, trials: int = 1000, bulk_sessions: int = 10000, clients: int = 100
-) -> AtomicityResult:
+) -> ExperimentReport:
+    rep = ExperimentReport("atomicity_isolation", {"trials": trials})
     server, client = protocol_pair(seeded_env(seed, attack_corpus()), MODE_FULL)
 
     sequential_ok = 0
@@ -394,6 +296,7 @@ def atomicity_and_isolation_suite(
         sequential_ok += int(
             first.accepted and not second.accepted and second.fail_reason == R_CONSUMED
         )
+    rep.add("sequential_double_submit_ok", f"{sequential_ok}/{trials}")
 
     parallel_exactly_one = 0
     with ThreadPoolExecutor(max_workers=2) as pool:
@@ -408,6 +311,7 @@ def atomicity_and_isolation_suite(
             futures = [pool.submit(submit), pool.submit(submit)]
             accepted = sum(int(f.result().accepted) for f in futures)
             parallel_exactly_one += int(accepted == 1)
+    rep.add("parallel_exactly_one", f"{parallel_exactly_one}/{trials}")
 
     expiry_ok = 0
     for t in range(trials):
@@ -417,6 +321,7 @@ def atomicity_and_isolation_suite(
         else:
             outcome = server.verify(request, T0 + DEFAULT_TTL_S)
             expiry_ok += int(not outcome.accepted and outcome.fail_reason == R_EXPIRED)
+    rep.add("expiry_boundary_ok", f"{expiry_ok}/{trials}")
 
     # bulk lifecycle on a bare store: issue, consume a third, expire a wave,
     # leave the late wave pending; the counts must balance exactly
@@ -431,11 +336,14 @@ def atomicity_and_isolation_suite(
         store.issue(T0 + 200, MODE_FULL)
     store.purge_expired(T0 + DEFAULT_TTL_S + 1)
     lifecycle = store.stats(T0 + DEFAULT_TTL_S + 1)
-    conservation_ok = (
+    for key, value in lifecycle.items():
+        rep.add(f"lifecycle_{key}", value)
+    rep.add(
+        "lifecycle_conserved",
         lifecycle["issued"] == lifecycle["consumed"] + lifecycle["expired"] + lifecycle["pending"]
         and lifecycle["issued"] == bulk_sessions + late_wave_n
         and lifecycle["consumed"] == consumed_n
-        and lifecycle["pending"] == late_wave_n
+        and lifecycle["pending"] == late_wave_n,
     )
 
     # isolation: every client tries every other client's session id
@@ -450,19 +358,12 @@ def atomicity_and_isolation_suite(
             cross_attempts += 1
             forged = replace(request, S=other.S)
             cross_successes += int(iso_server.verify(forged, T0 + 5).accepted)
-    honest_after = sum(int(iso_server.verify(r, T0 + 5).accepted) for r in requests)
-
-    return AtomicityResult(
-        trials=trials,
-        sequential_ok=sequential_ok,
-        parallel_exactly_one=parallel_exactly_one,
-        expiry_ok=expiry_ok,
-        lifecycle=lifecycle,
-        conservation_ok=conservation_ok,
-        cross_attempts=cross_attempts,
-        cross_successes=cross_successes,
-        honest_after_cross=honest_after,
+    rep.add("cross_access_successes", f"{cross_successes}/{cross_attempts}")
+    rep.add(
+        "honest_unlocks_after_cross_attempts",
+        sum(int(iso_server.verify(r, T0 + 5).accepted) for r in requests),
     )
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -519,37 +420,8 @@ class _FixedNonceRandom(random.Random):
         return super().randbytes(n)
 
 
-@dataclass
-class MaliciousServerResult:
-    trials: int
-    omission_detected: int
-    biased_audit_passes: int
-    transfer_success_rigged: int
-    transfer_success_honest: int
-    refusal_detected: int
-    forgery_successes: int
-    receipt_mismatch_detected: int
-    cell_recommit_unnoticed: int
-
-    def to_report(self) -> ExperimentReport:
-        rep = ExperimentReport("malicious_server", {"trials": self.trials})
-        rep.add("omission_detected_vs_reference_root", f"{self.omission_detected}/{self.trials}")
-        rep.add("biased_root_audit_passes (boundary)", f"{self.biased_audit_passes}/{self.trials}")
-        rep.add("nonce_transfer_rigged_issuer", f"{self.transfer_success_rigged}/{self.trials}")
-        rep.add("nonce_transfer_honest_issuer", f"{self.transfer_success_honest}/{self.trials}")
-        rep.add("refusal_detected (boundary)", f"{self.refusal_detected}/{self.trials}")
-        rep.add("receipt_forgery_successes", f"{self.forgery_successes}/{self.trials}")
-        rep.add(
-            "receipt_vs_shown_cells_detected", f"{self.receipt_mismatch_detected}/{self.trials}"
-        )
-        rep.add(
-            "other_cell_recommit_unnoticed (boundary)",
-            f"{self.cell_recommit_unnoticed}/{self.trials}",
-        )
-        return rep
-
-
-def malicious_server_suite(seed: int = 0, trials: int = 100) -> MaliciousServerResult:
+def malicious_server_suite(seed: int = 0, trials: int = 100) -> ExperimentReport:
+    rep = ExperimentReport("malicious_server", {"trials": trials})
     # every server gets its own nonce RNG; all share the seed's keys and one client
     env = seeded_env(seed, attack_corpus())
     client = SbppClient(env.search_key, env.proving_key)
@@ -568,6 +440,7 @@ def malicious_server_suite(seed: int = 0, trials: int = 100) -> MaliciousServerR
     for _ in range(trials):
         ses = _searched(omitting, client)
         omission_detected += int(ses.receipt is not None and ses.receipt.root != reference_root)
+    rep.add("omission_detected_vs_reference_root", f"{omission_detected}/{trials}")
 
     # biased root signing: internally consistent, so the audit passes
     biased = full_server(2, _SubsetServer)
@@ -579,6 +452,7 @@ def malicious_server_suite(seed: int = 0, trials: int = 100) -> MaliciousServerR
             raise AssertionError("biased-server unlock should still verify")
         rec = emit_audit_record(ses, request)
         biased_passes += int(audit(biased.public_key_bytes, biased.nizk_vk, rec).accepted)
+    rep.add("biased_root_audit_passes (boundary)", f"{biased_passes}/{trials}")
 
     # predictable nonces: pre-computed proofs transfer across users
     def transfer_trial(server: SbppServer) -> bool:
@@ -588,11 +462,13 @@ def malicious_server_suite(seed: int = 0, trials: int = 100) -> MaliciousServerR
         return server.verify(replace(request_a, S=ses_b.S, merkle_path=path_b), T0 + 5).accepted
 
     rigged = protocol_pair(replace(env, nonce_rng=_FixedNonceRandom(seed + 3)), MODE_FULL)[0]
-    transfer_rigged = sum(int(transfer_trial(rigged)) for _ in range(trials))
-    transfer_honest = sum(int(transfer_trial(honest)) for _ in range(trials))
+    for name, server in (("rigged", rigged), ("honest", honest)):
+        transfers = sum(int(transfer_trial(server)) for _ in range(trials))
+        rep.add(f"nonce_transfer_{name}_issuer", f"{transfers}/{trials}")
 
-    # session refusal: no artifact is ever issued, so nothing is attributable
-    refusal_detected = 0  # denial leaves no receipt to audit; boundary by design
+    # session refusal: no artifact is ever issued, so nothing is attributable;
+    # denial leaves no receipt to audit, a boundary by design
+    rep.add("refusal_detected (boundary)", f"0/{trials}")
 
     # authorization forgery without the signing key
     rng = random.Random(f"forgery:{seed}")
@@ -604,6 +480,7 @@ def malicious_server_suite(seed: int = 0, trials: int = 100) -> MaliciousServerR
         else:
             forged = replace(template, root=rng.randbytes(32))  # body swap, stale sig
         forgery_successes += int(verify_receipt(honest.public_key_bytes, forged))
+    rep.add("receipt_forgery_successes", f"{forgery_successes}/{trials}")
 
     # The client checks its recomputed root against the receipt.  Over a
     # corpus whose 1 km query hits several precision-6 cells, it catches
@@ -631,69 +508,15 @@ def malicious_server_suite(seed: int = 0, trials: int = 100) -> MaliciousServerR
 
     misreporting = full_server(5, _MisreportingServer, spread)
     mismatch_detected = sum(int(not cell_trial(misreporting)) for _ in range(trials))
+    rep.add("receipt_vs_shown_cells_detected", f"{mismatch_detected}/{trials}")
     recommitting = full_server(6, _RecommittingServer, spread)
     recommit_unnoticed = sum(int(cell_trial(recommitting)) for _ in range(trials))
-
-    return MaliciousServerResult(
-        trials=trials,
-        omission_detected=omission_detected,
-        biased_audit_passes=biased_passes,
-        transfer_success_rigged=transfer_rigged,
-        transfer_success_honest=transfer_honest,
-        refusal_detected=refusal_detected,
-        forgery_successes=forgery_successes,
-        receipt_mismatch_detected=mismatch_detected,
-        cell_recommit_unnoticed=recommit_unnoticed,
-    )
+    rep.add("other_cell_recommit_unnoticed (boundary)", f"{recommit_unnoticed}/{trials}")
+    return rep
 
 
 # ---------------------------------------------------------------------------
 # protocol-path latency
-
-
-@dataclass(frozen=True)
-class PathStats:
-    median_us: float
-    mean_us: float
-    p95_us: float
-    p99_us: float
-
-
-@dataclass
-class LatencyBenchResult:
-    n_drops: int
-    iters: int
-    paths: dict[str, PathStats]
-    component_share: dict[str, dict[str, float]]
-    ratio_sbpp_over_gridse: float
-    ratio_gridse_over_plaintext: float
-
-    def to_report(self) -> ExperimentReport:
-        rep = ExperimentReport(
-            "protocol_latency", {"n_drops": self.n_drops, "iters": self.iters}
-        )
-        for name, stats_row in self.paths.items():
-            rep.add(f"{name}_median_us", round(stats_row.median_us, 2))
-            rep.add(f"{name}_mean_us", round(stats_row.mean_us, 2))
-            rep.add(f"{name}_p95_us", round(stats_row.p95_us, 2))
-            rep.add(f"{name}_p99_us", round(stats_row.p99_us, 2))
-        for path, shares in self.component_share.items():
-            for comp, share in shares.items():
-                rep.add(f"{path}_share_{comp}", round(share, 3))
-        rep.add("ratio_sbpp_over_gridse_median", round(self.ratio_sbpp_over_gridse, 3))
-        rep.add("ratio_gridse_over_plaintext_median", round(self.ratio_gridse_over_plaintext, 3))
-        return rep
-
-
-def _stats(samples_us: list[float]) -> PathStats:
-    ordered = sorted(samples_us)
-    n = len(ordered)
-    return PathStats(
-        median_us=statistics.median(ordered),
-        mean_us=statistics.fmean(ordered),
-        p95_us=ordered[min(n - 1, int(0.95 * n))],
-        p99_us=ordered[min(n - 1, int(0.99 * n))],
-    )
 
 
 def protocol_latency_bench(
@@ -701,7 +524,7 @@ def protocol_latency_bench(
     iters: int = 1000,
     warmup: int = 100,
     seed: int = 0,
-) -> LatencyBenchResult:
+) -> ExperimentReport:
     """Per-query latency of the three discovery paths.
 
     plaintext: geohash-encode the query cell (no crypto, no hiding).
@@ -725,9 +548,7 @@ def protocol_latency_bench(
     ]
     session_records = [store.issue(T0, MODE_CORE) for _ in range(total)]
 
-    plain_us: list[float] = []
-    gridse_us: list[float] = []
-    sbpp_us: list[float] = []
+    samples_us: dict[str, list[float]] = {"plaintext": [], "gridse": [], "sbpp": []}
     comp_sums = {
         "gridse": {"token_gen": 0.0, "match": 0.0},
         "sbpp": {"token_gen": 0.0, "match": 0.0, "validate": 0.0, "digest": 0.0},
@@ -741,7 +562,7 @@ def protocol_latency_bench(
         geohash_encode(lat, lon, p)
         t1 = time.perf_counter_ns()
         if live:
-            plain_us.append((t1 - t0) / 1e3)
+            samples_us["plaintext"].append((t1 - t0) / 1e3)
         # gridse path
         t0 = time.perf_counter_ns()
         _, tags = client_tokens(key, lat, lon, RADIUS_M, index.precisions)
@@ -749,7 +570,7 @@ def protocol_latency_bench(
         index.match(tags)
         t2 = time.perf_counter_ns()
         if live:
-            gridse_us.append((t2 - t0) / 1e3)
+            samples_us["gridse"].append((t2 - t0) / 1e3)
             comp_sums["gridse"]["token_gen"] += (t1 - t0) / 1e3
             comp_sums["gridse"]["match"] += (t2 - t1) / 1e3
         # sbpp query path
@@ -764,29 +585,26 @@ def protocol_latency_bench(
         cd_core(ids[0] if ids else "d000000", record.pv, record.epoch, record.N)
         t4 = time.perf_counter_ns()
         if live:
-            sbpp_us.append((t4 - t0) / 1e3)
+            samples_us["sbpp"].append((t4 - t0) / 1e3)
             comp_sums["sbpp"]["token_gen"] += (t1 - t0) / 1e3
             comp_sums["sbpp"]["match"] += (t2 - t1) / 1e3
             comp_sums["sbpp"]["validate"] += (t3 - t2) / 1e3
             comp_sums["sbpp"]["digest"] += (t4 - t3) / 1e3
 
-    paths = {
-        "plaintext": _stats(plain_us),
-        "gridse": _stats(gridse_us),
-        "sbpp": _stats(sbpp_us),
-    }
-    component_share = {
-        path: {comp: val / sum(comps.values()) for comp, val in comps.items()}
-        for path, comps in comp_sums.items()
-    }
-    return LatencyBenchResult(
-        n_drops=n_drops,
-        iters=iters,
-        paths=paths,
-        component_share=component_share,
-        ratio_sbpp_over_gridse=paths["sbpp"].median_us / paths["gridse"].median_us,
-        ratio_gridse_over_plaintext=paths["gridse"].median_us / paths["plaintext"].median_us,
-    )
+    rep = ExperimentReport("protocol_latency", {"n_drops": n_drops, "iters": iters})
+    for name, samples in samples_us.items():
+        ordered = sorted(samples)
+        rep.add(f"{name}_median_us", statistics.median(ordered), 2)
+        rep.add(f"{name}_mean_us", statistics.fmean(ordered), 2)
+        rep.add(f"{name}_p95_us", ordered[min(iters - 1, int(0.95 * iters))], 2)
+        rep.add(f"{name}_p99_us", ordered[min(iters - 1, int(0.99 * iters))], 2)
+    for path, comps in comp_sums.items():
+        for comp, val in comps.items():
+            rep.add(f"{path}_share_{comp}", val / sum(comps.values()), 3)
+    for upper, lower in (("sbpp", "gridse"), ("gridse", "plaintext")):
+        ratio = rep[f"{upper}_median_us"] / rep[f"{lower}_median_us"]
+        rep.add(f"ratio_{upper}_over_{lower}_median", ratio, 3)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -797,72 +615,18 @@ QUALITY_RADII_M = (50.0, 100.0, 300.0, 1000.0, 3000.0, 5000.0)
 QUALITY_PRECISIONS = ((5,), (4, 5, 6, 7))
 QUALITY_CORPORA = {"uniform": gen_uniform_corpus, "clustered": gen_clustered_corpus}
 
-
-@dataclass(frozen=True)
-class QualityRow:
-    """One (corpus, index precisions, radius) cell of the sweep."""
-
-    corpus: str
-    precisions: tuple[int, ...]
-    radius_m: float
-    recall_mean: float
-    recall_min: float
-    queries_with_truth: int
-    precision_mean: float
-    ids_mean: float  # result-set size per query
-    hits_mean: float  # tags per query that hit the index: what the server sees of the cover
-    jaccard_near: float
-    jaccard_far: float
-
-
-@dataclass
-class SearchQualityResult:
-    n_drops: int
-    n_queries: int
-    rows: tuple[QualityRow, ...]
-    runtime_s: float
-
-    @property
-    def recall_mean(self) -> float:
-        return statistics.fmean(r.recall_mean for r in self.rows)
-
-    @property
-    def recall_min(self) -> float:
-        return min(r.recall_min for r in self.rows)
-
-    @property
-    def precision_mean(self) -> float:
-        return statistics.fmean(r.precision_mean for r in self.rows)
-
-    @property
-    def jaccard_near_mean(self) -> float:
-        return statistics.fmean(r.jaccard_near for r in self.rows)
-
-    @property
-    def jaccard_far_mean(self) -> float:
-        return statistics.fmean(r.jaccard_far for r in self.rows)
-
-    def to_report(self) -> ExperimentReport:
-        rep = ExperimentReport(
-            "search_quality",
-            {"n_drops": self.n_drops, "n_queries": self.n_queries, "rows": len(self.rows)},
-        )
-        rep.add("recall_mean", round(self.recall_mean, 4))
-        rep.add("recall_min", round(self.recall_min, 4))
-        rep.add("precision_mean", round(self.precision_mean, 4))
-        rep.add("token_jaccard_near_pairs", round(self.jaccard_near_mean, 4))
-        rep.add("token_jaccard_far_pairs", round(self.jaccard_far_mean, 4))
-        for row in self.rows:
-            name = f"{row.corpus}/p{'+'.join(map(str, row.precisions))}/{row.radius_m:g}m"
-            rep.add(f"{name}/recall_min", round(row.recall_min, 4))
-            rep.add(f"{name}/queries_with_truth", row.queries_with_truth)
-            rep.add(f"{name}/precision_mean", round(row.precision_mean, 4))
-            rep.add(f"{name}/ids_mean", round(row.ids_mean, 2))
-            rep.add(f"{name}/hits_mean", round(row.hits_mean, 2))
-            rep.add(f"{name}/jaccard_near", round(row.jaccard_near, 4))
-            rep.add(f"{name}/jaccard_far", round(row.jaccard_far, 4))
-        rep.add("runtime_s", round(self.runtime_s, 2))
-        return rep
+# per (corpus, index precisions, radius) row: each metric reported and the
+# decimals it is shown with; ids_mean is the result-set size per query and
+# hits_mean the tags per query that hit the index, what the server sees of the cover
+QUALITY_ROW_DIGITS = {
+    "recall_min": 4,
+    "queries_with_truth": None,
+    "precision_mean": 4,
+    "ids_mean": 2,
+    "hits_mean": 2,
+    "jaccard_near": 4,
+    "jaccard_far": 4,
+}
 
 
 def _jaccard(a: set, b: set) -> float:
@@ -879,7 +643,7 @@ def _within(by_lat: list[Drop], lats: list[float], lat: float, lon: float, radiu
 
 def search_quality_experiment(
     n_drops: int = 1000, n_queries: int = 200, radius_m: float | None = None, seed: int = 0
-) -> SearchQualityResult:
+) -> ExperimentReport:
     """Recall/precision of covering-cell search against exact haversine
     ground truth, with the result-set size and the token-set Jaccard
     similarity an observing server sees for co-located versus distant
@@ -903,7 +667,7 @@ def search_quality_experiment(
         pairs.append((lat, lon, lat_f, lon_f))
     radii = QUALITY_RADII_M if radius_m is None else (radius_m,)
 
-    rows = []
+    rows: dict[str, dict[str, float]] = {}
     for corpus, gen in QUALITY_CORPORA.items():
         drops = gen(n_drops, seed)
         by_lat = sorted(drops, key=lambda d: d.lat)
@@ -931,24 +695,30 @@ def search_quality_experiment(
                         hit_rates.append(len(got & truth) / len(got))
                 near = [_jaccard(set(tags(a, b, r)), set(tags(a + 0.002, b, r))) for a, b, _, _ in pairs]
                 far = [_jaccard(set(tags(a, b, r)), set(tags(c, d, r))) for a, b, c, d in pairs]
-                rows.append(
-                    QualityRow(
-                        corpus=corpus,
-                        precisions=precisions,
-                        radius_m=r,
-                        recall_mean=statistics.fmean(recalls) if recalls else 1.0,  # nothing to miss
-                        recall_min=min(recalls, default=1.0),
-                        queries_with_truth=len(recalls),
-                        precision_mean=statistics.fmean(hit_rates) if hit_rates else 0.0,
-                        ids_mean=statistics.fmean(sizes),
-                        hits_mean=statistics.fmean(hits),
-                        jaccard_near=statistics.fmean(near),
-                        jaccard_far=statistics.fmean(far),
-                    )
-                )
-    return SearchQualityResult(
-        n_drops=n_drops,
-        n_queries=n_queries,
-        rows=tuple(rows),
-        runtime_s=time.perf_counter() - t_start,
+                rows[f"{corpus}/p{'+'.join(map(str, precisions))}/{r:g}m"] = {
+                    "recall_mean": statistics.fmean(recalls) if recalls else 1.0,  # nothing to miss
+                    "recall_min": min(recalls, default=1.0),
+                    "queries_with_truth": len(recalls),
+                    "precision_mean": statistics.fmean(hit_rates) if hit_rates else 0.0,
+                    "ids_mean": statistics.fmean(sizes),
+                    "hits_mean": statistics.fmean(hits),
+                    "jaccard_near": statistics.fmean(near),
+                    "jaccard_far": statistics.fmean(far),
+                }
+    rep = ExperimentReport(
+        "search_quality", {"n_drops": n_drops, "n_queries": n_queries, "rows": len(rows)}
     )
+
+    def mean(metric: str) -> float:
+        return statistics.fmean(row[metric] for row in rows.values())
+
+    rep.add("recall_mean", mean("recall_mean"), 4)
+    rep.add("recall_min", min(row["recall_min"] for row in rows.values()), 4)
+    rep.add("precision_mean", mean("precision_mean"), 4)
+    rep.add("token_jaccard_near_pairs", mean("jaccard_near"), 4)
+    rep.add("token_jaccard_far_pairs", mean("jaccard_far"), 4)
+    for row_name, row in rows.items():
+        for metric, digits in QUALITY_ROW_DIGITS.items():
+            rep.add(f"{row_name}/{metric}", row[metric], digits)
+    rep.add("runtime_s", time.perf_counter() - t_start, 2)
+    return rep

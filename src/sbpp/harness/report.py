@@ -1,4 +1,9 @@
-"""Experiment report plumbing: aligned text tables and CSV emission."""
+"""Experiment report plumbing: a study's metrics, rendered as an aligned
+text table or written as CSV.
+
+A report keeps every metric's raw value, so `report[metric]` reads the
+number the study computed.  A metric may carry the number of decimals it
+is shown with; only `render` and `write_csv` round to it."""
 
 from __future__ import annotations
 
@@ -7,7 +12,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 
-def _fmt(value: object) -> str:
+def _fmt(value: object, digits: int | None = None) -> str:
+    if digits is not None:
+        value = round(value, digits)
     if isinstance(value, float):
         return f"{value:.6g}"
     return str(value)
@@ -15,30 +22,41 @@ def _fmt(value: object) -> str:
 
 @dataclass
 class ExperimentReport:
-    """Named list of (metric, value) rows plus the parameters that produced
-    them.  Deterministic given the experiment seed."""
+    """Named metrics in the order they were added, plus the parameters that
+    produced them.  Deterministic given the experiment seed."""
 
     name: str
     parameters: dict[str, object] = field(default_factory=dict)
-    rows: list[tuple[str, object]] = field(default_factory=list)
+    values: dict[str, object] = field(default_factory=dict)
+    digits: dict[str, int] = field(default_factory=dict)
 
-    def add(self, metric: str, value: object) -> None:
-        self.rows.append((metric, value))
+    def add(self, metric: str, value: object, digits: int | None = None) -> None:
+        """Append ``metric``, shown rounded to ``digits`` decimals if given."""
+        if metric in self.values:
+            raise ValueError(f"{self.name} names {metric!r} twice")
+        self.values[metric] = value
+        if digits is not None:
+            self.digits[metric] = digits
+
+    def __getitem__(self, metric: str) -> object:
+        return self.values[metric]
+
+    def _shown(self) -> list[tuple[str, str]]:
+        return [(metric, _fmt(value, self.digits.get(metric))) for metric, value in self.values.items()]
 
     def render(self) -> str:
         lines = [f"== {self.name} =="]
         if self.parameters:
             params = ", ".join(f"{k}={_fmt(v)}" for k, v in self.parameters.items())
             lines.append(f"   parameters: {params}")
-        if self.rows:
-            width = max(len(m) for m, _ in self.rows)
-            for metric, value in self.rows:
-                lines.append(f"   {metric.ljust(width)}  {_fmt(value)}")
+        rows = self._shown()
+        if rows:
+            width = max(len(m) for m, _ in rows)
+            lines += [f"   {metric.ljust(width)}  {shown}" for metric, shown in rows]
         return "\n".join(lines)
 
     def write_csv(self, outdir: str | Path) -> Path:
-        rows = [[metric, _fmt(value)] for metric, value in self.rows]
-        return write_csv(outdir, self.name, [["metric", "value"], *rows])
+        return write_csv(outdir, self.name, [["metric", "value"], *self._shown()])
 
 
 def write_csv(outdir: str | Path, name: str, rows: list[list[str]]) -> Path:

@@ -70,8 +70,9 @@ def test_criterion_1_attack_matrix_cell_for_cell():
 
 def test_criterion_2_merkle_steps_and_compact_state():
     result = merkle_bench()  # 100 .. 50000
-    steps = [row.steps for row in result.rows]
-    state_sizes = {row.compact_state_bytes for row in result.rows}
+    sizes = result.parameters["sizes"]
+    steps = [result[f"n={n} path_steps"] for n in sizes]
+    state_sizes = {result[f"n={n} compact_state_bytes"] for n in sizes}
     ok = steps == [7, 10, 13, 14, 15, 16] and len(state_sizes) == 1
     _verdict(
         2,
@@ -82,12 +83,13 @@ def test_criterion_2_merkle_steps_and_compact_state():
 
 
 def test_criterion_3_offline_audit_replay(replay):
-    ok = replay.full_pass == 100 and replay.core_pass == 0
+    full, core = replay["full_honest_pass"], replay["core_honest_pass"]
+    ok = full == "100/100" and core == "0/100"
     _verdict(
         3,
         ok,
         "state purged: full-mode audits 100/100, core-mode 0/100",
-        f"full {replay.full_pass}/100, core {replay.core_pass}/100",
+        f"full {full}, core {core}",
     )
 
 
@@ -97,33 +99,37 @@ def test_criterion_4_fault_localization(replay):
         "path_corrupt": "merkle-invalid",
         "receipt_sig_corrupt": "receipt-sig-invalid",
     }
-    full_ok = all(
-        replay.v4b_fault_reasons[inj] == {reason: 100} for inj, reason in want.items()
-    )
-    v8_reasons = {r for reasons in replay.v8_fault_reasons.values() for r in reasons}
-    v8_ok = v8_reasons == {"token-hash-mismatch"} and all(
-        sum(reasons.values()) == 100 for reasons in replay.v8_fault_reasons.values()
-    )
+    faults = {
+        label: {m: v for m, v in replay.values.items() if m.startswith(f"{label}[")}
+        for label in ("v4b_fault", "v8_fault")
+    }
+    full_ok = faults["v4b_fault"] == {f"v4b_fault[{inj}][{reason}]": 100 for inj, reason in want.items()}
+    # every V8 injection, 100 records each, audits to the one reason
+    v8_ok = faults["v8_fault"] == {
+        f"v8_fault[{inj}][token-hash-mismatch]": 100
+        for inj in ("token_swap", "token_root_tamper", "token_sig_tamper")
+    }
     _verdict(
         4,
         full_ok and v8_ok,
         "3 fault types localize to 3 distinct reasons (100/100 each); "
         "V8 collapses to one symptom",
-        f"v4b {dict(replay.v4b_fault_reasons)}, v8 reasons {sorted(v8_reasons)}",
+        f"v4b {faults['v4b_fault']}, v8 {faults['v8_fault']}",
     )
 
 
 def test_criterion_5_reassociation_rates():
     result = reassociation_experiment(n_sessions=1000, epoch_every=25, n_drops=20, seed=0)
-    analytic = result.analytic_rate
-    zero_ok = result.rates["V4a"] == 0.0 and result.rates["V4b"] == 0.0
-    model_ok = all(abs(result.rates[k] - analytic) <= 0.03 for k in ("V2", "V3"))
+    analytic = result["analytic_rate_uniform_model"]
+    rates = {kind: result[f"rate_{kind}"] for kind in ("V2", "V3", "V4a", "V4b")}
+    zero_ok = rates["V4a"] == 0.0 and rates["V4b"] == 0.0
+    model_ok = all(abs(rates[k] - analytic) <= 0.03 for k in ("V2", "V3"))
     _verdict(
         5,
         zero_ok and model_ok,
         "re-association 0 under session binding; context-digest rungs match "
         "the analytic epoch model within 3%",
-        f"rates {result.rates}, analytic {analytic:.4f} (reference rate 0.718 reported, not asserted)",
+        f"rates {rates}, analytic {analytic:.4f} (reference rate 0.718 reported, not asserted)",
     )
 
 
@@ -131,43 +137,42 @@ def test_criterion_6_atomicity_and_isolation():
     result = atomicity_and_isolation_suite(
         seed=0, trials=1000, bulk_sessions=10000, clients=100
     )
-    stats = result.lifecycle
+    stats = {key: result[f"lifecycle_{key}"] for key in ("issued", "consumed", "expired", "pending")}
     conserved = (
-        result.conservation_ok
+        result["lifecycle_conserved"] is True
         and stats["issued"] == stats["consumed"] + stats["expired"] + stats["pending"]
     )
     ok = (
-        result.parallel_exactly_one == 1000
-        and result.sequential_ok == 1000
+        result["parallel_exactly_one"] == "1000/1000"
+        and result["sequential_double_submit_ok"] == "1000/1000"
         and conserved
-        and result.cross_attempts == 9900
-        and result.cross_successes == 0
+        and result["cross_access_successes"] == "0/9900"
     )
     _verdict(
         6,
         ok,
         "parallel double-submit exactly-one 1000/1000; lifecycle conserved; "
         "0/9900 cross-access",
-        f"lifecycle {stats}, cross {result.cross_successes}/{result.cross_attempts}",
+        f"lifecycle {stats}, cross {result['cross_access_successes']}",
     )
 
 
 def test_criterion_7_search_quality():
     result = search_quality_experiment(n_drops=1000, n_queries=200, radius_m=1000.0, seed=0)
-    ok = result.recall_mean >= 0.92 and result.runtime_s < 10
+    ok = result["recall_mean"] >= 0.92 and result["runtime_s"] < 10
     _verdict(
         7,
         ok,
         "recall vs haversine oracle >= 0.92 at 1 km over 1000 Tokyo drops",
-        f"recall {result.recall_mean:.4f}, precision {result.precision_mean:.4f} "
-        f"(reported), runtime {result.runtime_s:.2f}s",
+        f"recall {result['recall_mean']:.4f}, precision {result['precision_mean']:.4f} "
+        f"(reported), runtime {result['runtime_s']:.2f}s",
     )
 
 
 def test_criterion_8_relative_latency():
     result = protocol_latency_bench(n_drops=1000, iters=1000, warmup=100, seed=0)
-    ratio = result.ratio_sbpp_over_gridse
-    medians = {name: round(s.median_us, 2) for name, s in result.paths.items()}
+    ratio = result["ratio_sbpp_over_gridse_median"]
+    medians = {name: round(result[f"{name}_median_us"], 2) for name in ("plaintext", "gridse", "sbpp")}
     _verdict(
         8,
         ratio <= 1.2,

@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -752,6 +753,76 @@ def test_ci_study_steps_render_their_pinned_rows(capsys, argv, count, rows):
     assert count is None or len(metric_rows) == count
 
 
+# Each study's whole text (less its "csv:" line) and CSV as frozen in
+# tests/studies/, at small sizes and seed 0.  A timing row is compared by
+# name only: its value is masked on both sides.
+_FROZEN_STUDIES = {
+    "reassociation": ("experiment", "reassoc", "--sessions", "100"),
+    "audit_replay": ("experiment", "audit-replay", "--n", "10"),
+    "atomicity_isolation": ("experiment", "atomicity", "--trials", "10"),
+    "malicious_server": ("experiment", "malicious-server", "--trials", "10"),
+    "search_quality": ("experiment", "search-quality", "--n-drops", "300", "--n-queries", "20"),
+    "merkle_bench": ("bench", "merkle", "--sizes", "100,1000"),
+    "protocol_latency": ("bench", "latency", "--n-drops", "200", "--iters", "50"),
+}
+_TIMING_METRIC = re.compile(r"_ms$|_us$|^runtime_s$|_share_|^ratio_")
+
+
+def _untimed(metric: str, value: str) -> str:
+    return "*" if _TIMING_METRIC.search(metric.strip()) else value
+
+
+def _untimed_text(text: str) -> list[str]:
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("   ") and not line.startswith("   parameters:"):
+            head, value = line.rsplit(" ", 1)  # a shown value has no space
+            line = f"{head} {_untimed(head, value)}"
+        lines.append(line)
+    return lines
+
+
+def _untimed_csv(path: Path) -> list[list[str]]:
+    with path.open(newline="") as fh:
+        return [[metric, _untimed(metric, value)] for metric, value in csv.reader(fh)]
+
+
+@pytest.mark.parametrize("name", _FROZEN_STUDIES)
+def test_study_prints_and_writes_its_frozen_report(tmp_path, capsys, name):
+    frozen = Path(__file__).parent / "studies"
+    code, out = _run(capsys, *_FROZEN_STUDIES[name], "--seed", "0", "--out-dir", str(tmp_path))
+    assert code == 0
+    *text, csv_line = out.splitlines()
+    assert csv_line == f"csv: {tmp_path / name}.csv"
+    assert _untimed_text("\n".join(text)) == _untimed_text((frozen / f"{name}.txt").read_text())
+    assert _untimed_csv(tmp_path / f"{name}.csv") == _untimed_csv(frozen / f"{name}.csv")
+
+
+def test_audit_replay_of_one_record_exits_1_with_nothing_on_stdout(capsys):
+    # one record has no other to swap with: the study would report its own
+    # receipt and token as a swap that audits as accepted
+    assert main(["experiment", "audit-replay", "--n", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "n >= 2" in err
+
+
+def test_reassoc_analytic_rate_counts_the_shorter_last_epoch(capsys):
+    # epochs of 25 and 5 sessions: (25 (1 - .95^24) + 5 (1 - .95^4)) / 30
+    code, out = _run(capsys, "experiment", "reassoc", "--sessions", "30", "--epoch-every", "25")
+    assert code == 0
+    assert re.search(r"^ +analytic_rate_uniform_model +0\.620925$", out, re.MULTILINE)
+
+
+def test_root_help_names_no_private_helper(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "experiment" in out
+    assert not re.search(r"\b_[a-z]", out), out
+
+
 def test_experiment_command_writes_csv(tmp_path, capsys):
     code, out = _run(
         capsys, "experiment", "audit-replay", "--n", "5", "--out-dir", str(tmp_path),
@@ -842,7 +913,7 @@ def _spy(monkeypatch, runner: str) -> list[dict]:
 
     def run(**kwargs):
         calls.append(kwargs)
-        return SimpleNamespace(to_report=lambda: SimpleNamespace(render=lambda: "report"))
+        return SimpleNamespace(render=lambda: "report")
 
     monkeypatch.setattr(experiments, runner, run)
     return calls

@@ -41,6 +41,7 @@ from sbpp.harness.experiments import (
     reassociation_experiment,
     search_quality_experiment,
 )
+from sbpp.harness.report import ExperimentReport
 from sbpp.merkle import expected_depth
 from sbpp.protocol import derive_key, protocol_pair, seeded_env
 from sbpp.session import MODE_FULL
@@ -178,94 +179,134 @@ def test_impoverished_token_opens_a4b():
 
 def test_reassociation_v4_zero_and_analytic_reference():
     result = reassociation_experiment(n_sessions=400, epoch_every=25, seed=0)
-    assert result.rates["V4a"] == 0.0
-    assert result.rates["V4b"] == 0.0
-    assert 0 < result.analytic_rate < 1
+    assert result["rate_V4a"] == 0.0
+    assert result["rate_V4b"] == 0.0
+    assert 0 < result["analytic_rate_uniform_model"] < 1
     for kind in ("V2", "V3"):
-        assert result.rates[kind] == pytest.approx(result.analytic_rate, abs=0.08)
+        assert result[f"rate_{kind}"] == pytest.approx(result["analytic_rate_uniform_model"], abs=0.08)
 
 
 def test_reassociation_single_epoch_means_no_rotation_pairs():
     result = reassociation_experiment(n_sessions=100, epoch_every=1, seed=0)
-    assert result.analytic_rate == 0.0
-    assert all(rate == 0.0 for rate in result.rates.values())
+    assert result["analytic_rate_uniform_model"] == 0.0
+    assert all(result[f"rate_{kind}"] == 0.0 for kind in ("V2", "V3", "V4a", "V4b"))
+
+
+def test_reassociation_analytic_rate_averages_over_a_shorter_last_epoch():
+    # 30 sessions in epochs of 25 and 5: the model's expectation per session
+    # weighs each epoch's rate 1 - (1 - 1/m)^(K-1) by its K sessions
+    result = reassociation_experiment(n_sessions=30, epoch_every=25, n_drops=20, seed=0)
+    expected = (25 * (1 - 0.95**24) + 5 * (1 - 0.95**4)) / 30
+    assert result["analytic_rate_uniform_model"] == pytest.approx(expected, rel=1e-12)
+    assert f"{expected:.6g}" == "0.620925"
+    # with an exact division the per-epoch rate is the whole run's
+    exact = reassociation_experiment(n_sessions=50, epoch_every=25, n_drops=20, seed=0)
+    assert exact["analytic_rate_uniform_model"] == pytest.approx(1 - 0.95**24, rel=1e-12)
 
 
 def test_merkle_bench_structure():
     result = merkle_bench(sizes=(100, 300, 1000), prove_samples=10)
-    assert [row.n for row in result.rows] == [100, 300, 1000]
-    for row in result.rows:
-        assert row.steps == expected_depth(row.n)
-        assert row.compact_state_bytes == 140
-        assert row.build_ms > 0 and row.prove_us > 0 and row.verify_us > 0
-    assert len({row.compact_state_bytes for row in result.rows}) == 1
+    assert result.parameters["sizes"] == [100, 300, 1000]
+    assert len(result.values) == 3 * 5
+    for n in (100, 300, 1000):
+        assert result[f"n={n} path_steps"] == expected_depth(n)
+        assert result[f"n={n} compact_state_bytes"] == 140
+        assert all(result[f"n={n} {timing}"] > 0 for timing in ("build_ms", "prove_us", "verify_us"))
+
+
+def test_merkle_bench_refuses_a_repeated_size():
+    with pytest.raises(ValueError, match="twice"):
+        merkle_bench(sizes=(100, 100), prove_samples=1)
+
+
+def _rows(report, prefix: str) -> dict:
+    """The report's raw values of every metric that starts with ``prefix``."""
+    return {metric: value for metric, value in report.values.items() if metric.startswith(prefix)}
 
 
 def test_audit_replay_reduced():
     result = audit_replay_experiment(n=20, seed=0)
-    assert result.full_pass == 20
-    assert result.core_pass == 0
-    assert result.core_reasons == {"merkle-invalid": 20}
-    assert result.v4b_fault_reasons == {
-        "receipt_swap": {"nonce-digest-mismatch": 20},
-        "path_corrupt": {"merkle-invalid": 20},
-        "receipt_sig_corrupt": {"receipt-sig-invalid": 20},
+    assert result["full_honest_pass"] == "20/20"
+    assert result["core_honest_pass"] == "0/20"
+    assert _rows(result, "core_fail[") == {"core_fail[merkle-invalid]": 20}
+    assert _rows(result, "v4b_fault[") == {
+        "v4b_fault[receipt_swap][nonce-digest-mismatch]": 20,
+        "v4b_fault[path_corrupt][merkle-invalid]": 20,
+        "v4b_fault[receipt_sig_corrupt][receipt-sig-invalid]": 20,
     }
-    assert result.v8_fault_reasons == {
-        "token_swap": {"token-hash-mismatch": 20},
-        "token_root_tamper": {"token-hash-mismatch": 20},
-        "token_sig_tamper": {"token-hash-mismatch": 20},
+    assert _rows(result, "v8_fault[") == {
+        "v8_fault[token_swap][token-hash-mismatch]": 20,
+        "v8_fault[token_root_tamper][token-hash-mismatch]": 20,
+        "v8_fault[token_sig_tamper][token-hash-mismatch]": 20,
     }
+
+
+def test_audit_replay_refuses_a_single_record():
+    # a swap with one record would give the record its own receipt and token
+    with pytest.raises(ValueError, match="n >= 2"):
+        audit_replay_experiment(n=1, seed=0)
 
 
 def test_atomicity_reduced():
     result = atomicity_and_isolation_suite(
         seed=0, trials=50, bulk_sessions=500, clients=10
     )
-    assert result.sequential_ok == 50
-    assert result.parallel_exactly_one == 50
-    assert result.expiry_ok == 50
-    assert result.conservation_ok
-    stats = result.lifecycle
+    assert result["sequential_double_submit_ok"] == "50/50"
+    assert result["parallel_exactly_one"] == "50/50"
+    assert result["expiry_boundary_ok"] == "50/50"
+    assert result["lifecycle_conserved"] is True
+    stats = {key: result[f"lifecycle_{key}"] for key in ("issued", "consumed", "expired", "pending")}
     assert stats["issued"] == stats["consumed"] + stats["expired"] + stats["pending"]
-    assert result.cross_successes == 0
-    assert result.cross_attempts == 10 * 9
-    assert result.honest_after_cross == 10
+    assert result["cross_access_successes"] == f"0/{10 * 9}"
+    assert result["honest_unlocks_after_cross_attempts"] == 10
 
 
 def test_malicious_server_reduced():
     result = malicious_server_suite(seed=0, trials=10)
-    assert result.omission_detected == 10
-    assert result.biased_audit_passes == 10
-    assert result.transfer_success_rigged == 10
-    assert result.transfer_success_honest == 0
-    assert result.forgery_successes == 0
-    assert result.refusal_detected == 0
+    assert result["omission_detected_vs_reference_root"] == "10/10"
+    assert result["biased_root_audit_passes (boundary)"] == "10/10"
+    assert result["nonce_transfer_rigged_issuer"] == "10/10"
+    assert result["nonce_transfer_honest_issuer"] == "0/10"
+    assert result["receipt_forgery_successes"] == "0/10"
+    assert result["refusal_detected (boundary)"] == "0/10"
     # the client's root check over a 12-cell result: a receipt that disagrees
     # with the cells shown is always caught; a consistent recommit of one
     # cell only when the client unlocks a drop in that cell (1 pick in 10)
-    assert result.receipt_mismatch_detected == 10
-    assert result.cell_recommit_unnoticed == 9
+    assert result["receipt_vs_shown_cells_detected"] == "10/10"
+    assert result["other_cell_recommit_unnoticed (boundary)"] == "9/10"
 
 
 def test_latency_bench_structure():
     result = protocol_latency_bench(n_drops=200, iters=50, warmup=5, seed=0)
-    assert set(result.paths) == {"plaintext", "gridse", "sbpp"}
-    for stats in result.paths.values():
-        assert 0 < stats.median_us
-        assert stats.median_us <= stats.p95_us <= stats.p99_us
-    assert result.paths["plaintext"].median_us <= result.paths["gridse"].median_us
-    assert result.ratio_sbpp_over_gridse > 0
-    for path, shares in result.component_share.items():
+    paths = ("plaintext", "gridse", "sbpp")
+    assert {metric.split("_")[0] for metric in result.values} == {*paths, "ratio"}
+    for path in paths:
+        assert 0 < result[f"{path}_median_us"]
+        assert result[f"{path}_median_us"] <= result[f"{path}_p95_us"] <= result[f"{path}_p99_us"]
+    assert result["plaintext_median_us"] <= result["gridse_median_us"]
+    assert result["ratio_sbpp_over_gridse_median"] > 0
+    for path in ("gridse", "sbpp"):
+        shares = _rows(result, f"{path}_share_")
         assert sum(shares.values()) == pytest.approx(1.0, abs=1e-9), path
 
 
 def test_search_quality_reduced():
     result = search_quality_experiment(n_drops=300, n_queries=50, seed=0)
-    assert result.recall_mean == pytest.approx(1.0)
-    assert 0 < result.precision_mean < 0.5
-    assert result.jaccard_near_mean > result.jaccard_far_mean
-    assert result.runtime_s < 10
+    assert result["recall_mean"] == pytest.approx(1.0)
+    assert 0 < result["precision_mean"] < 0.5
+    assert result["token_jaccard_near_pairs"] > result["token_jaccard_far_pairs"]
+    assert result["runtime_s"] < 10
+
+
+def test_a_report_keeps_the_raw_value_and_rounds_only_what_it_shows(tmp_path):
+    rep = ExperimentReport("r", {"n": 1})
+    rep.add("x_ms", 1.23456789, 3)
+    rep.add("count", 7)
+    assert rep["x_ms"] == 1.23456789
+    assert rep.render().splitlines()[2:] == ["   x_ms   1.235", "   count  7"]
+    assert rep.write_csv(tmp_path).read_bytes() == b"metric,value\r\nx_ms,1.235\r\ncount,7\r\n"
+    with pytest.raises(ValueError, match="twice"):
+        rep.add("count", 8)
 
 
 def _fresh_python(code: str, *argv: str) -> str:

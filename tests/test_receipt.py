@@ -474,5 +474,5 @@ def test_audit_keeps_nothing_past_the_call_and_a_kept_auditor_checks_once(ed2551
 def test_the_audit_replay_study_checks_each_receipt_once_per_auditor(ed25519_checks):
     # the full pass and the core trail once each, and the corrupted signatures
     result = audit_replay_experiment(n=10)
-    assert result.full_pass == 10
+    assert result["full_honest_pass"] == "10/10"
     assert len(ed25519_checks) == 3 * 10
