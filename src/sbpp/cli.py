@@ -340,7 +340,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
 def _add_demo_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--key-hex", help="32-byte search key (hex); default derived from seed")
-    p.add_argument("--ttl-seconds", type=int, default=DEFAULT_TTL_S)
+    p.add_argument("--ttl-seconds", type=_count, default=DEFAULT_TTL_S)
     p.add_argument("--mode", choices=[MODE_CORE, MODE_FULL], default=MODE_FULL)
     p.add_argument("--pv", default=DEFAULT_PV, help="policy version label")
     p.add_argument("--epoch", default=DEFAULT_EPOCH, help="epoch label")

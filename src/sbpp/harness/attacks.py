@@ -1,10 +1,16 @@
-"""Adversary scripts and the variant-by-attack matrix.
+"""Adversary moves, attack scripts and the variant-by-attack matrix.
 
-Each attack is a deterministic manipulation script run against a live
-variant instance; a "trial" opens fresh sessions (fresh nonces) and replays
-the same strategy.  The adversary can re-route anything a client computes
-locally but cannot mint server-signed evidence for contexts the server
-never issued.
+The adversary re-routes anything it computed itself (session ids, nonce
+echoes, membership paths) but cannot mint server-signed evidence for a
+context the server never issued it for.  Its moves are plain functions:
+`rebind`, `retarget`, `splice` and `fabricate`.  A move reads only the
+request or record it is handed and the sessions the adversary opened,
+never the rung's stage table: it rebinds the nonce echo only where the
+request carries one, and rebuilds a membership path only where the
+request carries one and the drop is listed in the session it targets.
+
+Each attack is a deterministic script of moves run against a live rung; a
+"trial" opens fresh sessions (fresh nonces) and replays the same strategy.
 
 Attacks:
   A1   substitute a proof from the adversary's first session into a second
@@ -14,17 +20,21 @@ Attacks:
   A4b  forge the offline audit trail for a never-returned drop (splice two
        sessions' records, or fabricate membership outright)
   A5   hold a fully built honest request past the session TTL
+
+The matrix maps each (attack, rung) cell to the number of trials the rung
+blocked, or to None where the environment cannot stage the attack (a skip).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .. import nizk
 from ..geoindex import Drop
+from ..merkle import MerklePath, build_tree, locate
 from ..protocol import seeded_env
 from ..session import DEFAULT_TTL_S
-from ..variants import VARIANT_KINDS, make_variant
+from ..variants import VARIANT_KINDS, VariantRequest, VariantSession, make_variant
 from .report import render_grid
 
 # Fixed desk-scale geometry: a candidate cluster near the query point and a
@@ -44,23 +54,6 @@ class EnvInsufficientError(RuntimeError):
     """The environment cannot satisfy an attack's preconditions."""
 
 
-@dataclass(frozen=True)
-class AttackResult:
-    variant: str
-    attack: str
-    trials: int
-    blocked_count: int
-    skipped: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.blocked_count <= self.trials:
-            raise ValueError("blocked_count out of range")
-
-    @property
-    def blocked(self) -> bool:
-        return not self.skipped and self.blocked_count == self.trials
-
-
 def attack_corpus() -> list[Drop]:
     drops = [
         Drop(f"d{i:02d}", QUERY_LAT + i * 0.0004, QUERY_LON + i * 0.0004) for i in range(6)
@@ -78,6 +71,61 @@ def build_variant(
     return make_variant(kind, env, token_includes_root=token_includes_root)
 
 
+# ---------------------------------------------------------------------------
+# the adversary's moves
+
+
+def _path_in(vses: VariantSession, drop_id: str, request: VariantRequest) -> MerklePath | None:
+    """A fresh path to ``drop_id`` in the session's list, where the request
+    carries a path and the drop is listed; otherwise the request's own."""
+    path = request.merkle_path
+    if path is not None and locate(vses.cells, drop_id) is not None:
+        return build_tree(vses.cells, drop_id).path
+    return path
+
+
+def rebind(request: VariantRequest, target: VariantSession) -> VariantRequest:
+    """Re-route a request to another session, recomputing only what the
+    adversary can (session id, nonce echo, membership path)."""
+    return replace(
+        request,
+        S=target.S,
+        merkle_path=_path_in(target, request.drop_id, request),
+        nonce_echo=None if request.nonce_echo is None else target.N,
+    )
+
+
+def retarget(request: VariantRequest, vses: VariantSession, drop_id: str) -> VariantRequest:
+    """Point a request at a different drop while keeping its proximity
+    attestation (the proof, or for V6 the permit)."""
+    return replace(
+        request,
+        drop_id=drop_id,
+        merkle_path=_path_in(vses, drop_id, request),
+        capability=vses.capabilities.get(drop_id),
+    )
+
+
+def splice(proof_rec: VariantRequest, ctx_rec: VariantRequest) -> VariantRequest:
+    """Pair one record's proof with another record's session evidence."""
+    return replace(ctx_rec, pub=proof_rec.pub, proof=proof_rec.proof, merkle_path=proof_rec.merkle_path)
+
+
+def fabricate(variant, vses: VariantSession, drop: Drop, witness: nizk.Witness) -> VariantRequest:
+    """An audit record for a drop the search never returned, carrying
+    whatever evidence the session was issued for other drops."""
+    rec = variant.audit_record(vses, variant.build_nonmember_unlock(vses, drop, witness))
+    return replace(
+        rec,
+        capability=next(iter(vses.capabilities.values()), None),
+        permit=next(iter(vses.permits.values()), None),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the attack scripts
+
+
 def _searched_sessions(variant, n: int):
     out = []
     for _ in range(n):
@@ -93,7 +141,7 @@ def attack_a1(variant) -> bool:
     """Cross-session proof substitution between two adversary sessions."""
     s1, s2 = _searched_sessions(variant, 2)
     request = variant.build_unlock(s1, s1.result_ids()[0], WITNESS_NEAR_QUERY)
-    adapted = variant.rebind_request(request, s2)
+    adapted = rebind(request, s2)
     return not variant.verify(adapted, T0 + 5).accepted
 
 
@@ -102,7 +150,7 @@ def attack_a2(variant) -> bool:
     victim, attacker = _searched_sessions(variant, 2)
     request = variant.build_unlock(victim, victim.result_ids()[0], WITNESS_NEAR_QUERY)
     variant.verify(request, T0 + 5)  # the victim spends it; adversary taped it
-    replay = variant.rebind_request(request, attacker)
+    replay = rebind(request, attacker)
     return not variant.verify(replay, T0 + 10).accepted
 
 
@@ -113,7 +161,7 @@ def attack_a3(variant) -> bool:
     if len(ids) < 2:
         raise EnvInsufficientError("retargeting needs two drops in one result set")
     request = variant.build_unlock(s, ids[0], WITNESS_NEAR_QUERY)
-    adapted = variant.retarget_request(request, s, ids[1])
+    adapted = retarget(request, s, ids[1])
     return not variant.verify(adapted, T0 + 5).accepted
 
 
@@ -143,9 +191,9 @@ def attack_a4b(variant) -> bool:
     rec2 = variant.audit_record(s2, variant.build_unlock(s2, drop_id, WITNESS_NEAR_QUERY))
     if not (variant.audit(rec1).accepted and variant.audit(rec2).accepted):
         return False  # honest trails don't attest, so there is nothing to defeat
-    if variant.audit(variant.splice_records(rec1, rec2)).accepted:
+    if variant.audit(splice(rec1, rec2)).accepted:
         return False
-    fabricated = variant.fabricate_nonmember_record(s1, OUT_DROP, WITNESS_NEAR_OUT)
+    fabricated = fabricate(variant, s1, OUT_DROP, WITNESS_NEAR_OUT)
     if variant.audit(fabricated).accepted:
         return False
     return True
@@ -183,30 +231,24 @@ EXPECTED_MATRIX: dict[str, dict[str, bool]] = {
 class MatrixResult:
     trials: int
     seed: int
-    results: dict[tuple[str, str], AttackResult]
-
-    def cell(self, attack: str, variant: str) -> AttackResult:
-        return self.results[(attack, variant)]
+    results: dict[tuple[str, str], int | None]  # (attack, rung) -> blocked trials, None = skip
 
     def matches_expected(self) -> bool:
-        for (attack, variant), res in self.results.items():
-            if res.skipped:
-                return False
-            want = EXPECTED_MATRIX[attack][variant]
-            if res.blocked_count != (res.trials if want else 0):
-                return False
-        return True
+        return all(
+            blocked == (self.trials if EXPECTED_MATRIX[attack][variant] else 0)
+            for (attack, variant), blocked in self.results.items()
+        )
 
     def render(self) -> str:
         def fmt(attack: str, variant: str) -> str:
-            res = self.cell(attack, variant)
-            if res.skipped:
+            blocked = self.results[(attack, variant)]
+            if blocked is None:
                 return "skip"
-            if res.blocked_count == res.trials:
+            if blocked == self.trials:
                 return "✓"
-            if res.blocked_count == 0:
+            if blocked == 0:
                 return "×"
-            return f"{res.blocked_count}/{res.trials}"
+            return f"{blocked}/{self.trials}"
 
         grid = render_grid(
             f"attack matrix (trials={self.trials}, seed={self.seed}; "
@@ -222,8 +264,8 @@ class MatrixResult:
         rows = [["attack", "variant", "trials", "blocked_count", "skipped"]]
         for attack in ATTACK_KINDS:
             for variant in VARIANT_KINDS:
-                r = self.cell(attack, variant)
-                rows.append([attack, variant, str(r.trials), str(r.blocked_count), str(r.skipped)])
+                blocked = self.results[(attack, variant)]
+                rows.append([attack, variant, str(self.trials), str(blocked or 0), str(blocked is None)])
         return rows
 
 
@@ -231,24 +273,13 @@ def run_attack_matrix(trials: int = 100, seed: int = 0, token_includes_root: boo
     """Every attack against every rung, `trials` fresh-session repetitions."""
     if trials < 1:
         raise ValueError("trials must be >= 1")  # zero trials would block every attack
-    results: dict[tuple[str, str], AttackResult] = {}
+    results: dict[tuple[str, str], int | None] = {}
     for variant_kind in VARIANT_KINDS:
         variant = build_variant(variant_kind, seed, token_includes_root=token_includes_root)
         for attack_kind in ATTACK_KINDS:
             fn = ATTACK_FUNCS[attack_kind]
-            blocked = 0
-            skipped = False
-            for _ in range(trials):
-                try:
-                    blocked += int(fn(variant))
-                except EnvInsufficientError:
-                    skipped = True
-                    break
-            results[(attack_kind, variant_kind)] = AttackResult(
-                variant=variant_kind,
-                attack=attack_kind,
-                trials=trials,
-                blocked_count=0 if skipped else blocked,
-                skipped=skipped,
-            )
+            try:
+                results[(attack_kind, variant_kind)] = sum(fn(variant) for _ in range(trials))
+            except EnvInsufficientError:
+                results[(attack_kind, variant_kind)] = None
     return MatrixResult(trials=trials, seed=seed, results=results)

@@ -235,12 +235,14 @@ class MerklePath:
     @staticmethod
     def parse(raw: bytes) -> "MerklePath":
         """The path a frame of `serialize` holds; every side byte is checked
-        in one pass before any step is built."""
+        in one pass before any step is built.  A frame that is not `bytes` is
+        copied once, so one that is not bytes-like (a list) is a TypeError."""
+        if type(raw) is not bytes:
+            raw = bytes(memoryview(raw))
         if len(raw) < 1:
             raise MerkleError("empty path frame")
         if raw == _EMPTY_FRAME:
             return EMPTY_PATH
-        raw = bytes(raw)
         if len(raw) != 1 + raw[0] * 33:
             raise MerkleError("path frame length mismatch")
         sides = raw[1::33]

@@ -35,7 +35,8 @@ consistently goes unnoticed, though the audit of the client's own unlock,
 whose path runs through the cell it rebuilt, is unaffected.  The client
 takes its own cell's tree from a `TreeMemo` (sbpp.merkle), so a repeat
 unlock in a cell it has checked rebuilds no cell; server binding, the
-ladder's V8 rung and its adversary adapters keep rebuilding.
+ladder's V8 rung and the adversary's moves (sbpp.harness.attacks) keep
+rebuilding.
 
 Verification is a fixed tuple of stages, VERIFY_STAGES, and every rejection
 carries exactly one reason, so a failure localizes to the first broken link:
@@ -191,10 +192,14 @@ class SbppServer:
             nizk.radius_value(unlock_radius_m)
         except nizk.NizkError as exc:
             raise ProtocolError(f"unlock radius: {exc}") from exc
+        if ttl_s < 1:  # every session would be issued expired
+            raise ProtocolError(f"session ttl must be at least 1 second, got {ttl_s}")
         self.mode = mode
         self.drops = {d.id: d for d in drops}
-        if len(self.drops) != len(drops):
-            raise ProtocolError("duplicate drop ids in corpus")
+        if len(self.drops) != len(drops):  # name the first repeat in list order
+            seen: set[str] = set()
+            repeat = next(d.id for d in drops if d.id in seen or seen.add(d.id))
+            raise ProtocolError(f"drop id {repeat!r} is a duplicate")
         if precisions is None:  # an empty list is the index's to refuse, not a default
             precisions = list(DEFAULT_PRECISIONS)
         self.index: GeoIndex = build_index(search_key, drops, precisions, tagger=self._tagger)

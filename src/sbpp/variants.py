@@ -60,9 +60,8 @@ its first signature check (sbpp.receipt's verify-once rule).  Its receipt
 and offline, so a trial that shows the rung one signed artifact twice pays
 one Ed25519 check for it.
 
-Attack adapters model an adversary who can re-route anything it computed
-itself (session ids, nonce echoes, membership paths) but cannot mint
-server-signed evidence for a context the server never issued it for.
+The adversary is not a rung: its moves live in sbpp.harness.attacks, and
+this module imports no part of sbpp.harness.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ from operator import attrgetter
 from . import nizk
 from .canon import EncodingError, FieldElement, digest, encodable, hmac_sha256, lp_decode, lp_encode
 from .geoindex import Drop, client_tokens, drops_of, plain_tagger
-from .merkle import MerklePath, build_tree, locate, verify_membership
+from .merkle import MerklePath, build_tree, verify_membership
 from .protocol import (
     AUDIT_STAGES,
     VERIFY_STAGES,
@@ -482,57 +481,6 @@ class GenericVariant:
         """The row's audit stages, with the record as the claim and its
         receipt (if the rung issues one) as the session context."""
         return run_stages(self.traits.audit, self, Attempt(rec, None, rec.receipt))
-
-    # -- adversary adapters
-
-    def _path_in(
-        self, vses: VariantSession, drop_id: str, fallback: MerklePath | None
-    ) -> MerklePath | None:
-        """A fresh path to ``drop_id`` in this session's list, where the rung
-        carries paths and the drop is listed; otherwise ``fallback``."""
-        if self.traits.carries_path and locate(vses.cells, drop_id) is not None:
-            return build_tree(vses.cells, drop_id).path
-        return fallback
-
-    def rebind_request(self, request: VariantRequest, target: VariantSession) -> VariantRequest:
-        """Re-route a request to another session, adapting only what the
-        adversary can recompute (id, echo, membership path)."""
-        return replace(
-            request,
-            S=target.S,
-            merkle_path=self._path_in(target, request.drop_id, request.merkle_path),
-            nonce_echo=target.N if check_echo in self.traits.verify else None,
-        )
-
-    def retarget_request(
-        self, request: VariantRequest, vses: VariantSession, new_drop_id: str
-    ) -> VariantRequest:
-        """Point a request at a different drop while keeping its proximity
-        attestation (the proof, or for V6 the permit)."""
-        return replace(
-            request,
-            drop_id=new_drop_id,
-            merkle_path=self._path_in(vses, new_drop_id, request.merkle_path),
-            capability=vses.capabilities.get(new_drop_id),
-        )
-
-    def splice_records(self, proof_rec: VariantRequest, ctx_rec: VariantRequest) -> VariantRequest:
-        """Pair one record's proof with another record's session evidence."""
-        return replace(
-            ctx_rec, pub=proof_rec.pub, proof=proof_rec.proof, merkle_path=proof_rec.merkle_path
-        )
-
-    def fabricate_nonmember_record(
-        self, vses: VariantSession, drop: Drop, witness: nizk.Witness
-    ) -> VariantRequest:
-        """An audit record for a drop the search never returned, carrying
-        whatever evidence the session was issued for other drops."""
-        rec = self.audit_record(vses, self.build_nonmember_unlock(vses, drop, witness))
-        return replace(
-            rec,
-            capability=next(iter(vses.capabilities.values()), None),
-            permit=next(iter(vses.permits.values()), None),
-        )
 
 
 def make_variant(kind: str, env: VariantEnv, token_includes_root: bool = True) -> GenericVariant:

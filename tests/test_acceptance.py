@@ -22,7 +22,10 @@ from sbpp.harness.attacks import (
     T0,
     WITNESS_NEAR_OUT,
     build_variant,
+    fabricate,
+    rebind,
     run_attack_matrix,
+    splice,
 )
 from sbpp.harness.experiments import (
     atomicity_and_isolation_suite,
@@ -195,7 +198,7 @@ def test_criterion_9_property_suites():
             variant.search(b, QUERY_LAT, QUERY_LON, RADIUS_M, T0)
             target = a.candidates[0]
             request = variant.build_unlock(a, target.id, nizk.Witness(target.lat, target.lon))
-            rebound = variant.rebind_request(request, b)
+            rebound = rebind(request, b)
             accepted += int(variant.verify(rebound, T0 + 1).accepted)
         if accepted:
             failures.append(f"theorem-1/2 {kind}: {accepted}/100 rebinds accepted")
@@ -237,9 +240,9 @@ def test_criterion_9_property_suites():
         r2 = variant.build_unlock(s2, t2.id, nizk.Witness(t2.lat, t2.lon))
         rec1 = variant.audit_record(s1, r1)
         rec2 = variant.audit_record(s2, r2)
-        splice_hits += int(variant.audit(variant.splice_records(rec1, rec2)).accepted)
+        splice_hits += int(variant.audit(splice(rec1, rec2)).accepted)
         forge_hits += int(
-            variant.audit(variant.fabricate_nonmember_record(s1, OUT_DROP, WITNESS_NEAR_OUT)).accepted
+            variant.audit(fabricate(variant, s1, OUT_DROP, WITNESS_NEAR_OUT)).accepted
         )
     if splice_hits or forge_hits:
         failures.append(f"win3: {splice_hits} splices, {forge_hits} fabrications accepted")

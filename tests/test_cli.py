@@ -637,16 +637,24 @@ def test_bad_bbox_exits_1(tmp_path, capsys):
         ["experiment", "search-quality", "--n-queries", "0"],
         ["bench", "merkle", "--sizes", "0"],
         ["bench", "merkle", "--sizes", "100,-5"],
+        # a session TTL under one second would issue every session expired
+        ["search", "--ttl-seconds", "0"],
+        ["search", "--ttl-seconds", "-5"],
+        ["unlock", "--ttl-seconds", "0"],
+        ["unlock", "--ttl-seconds", "-5"],
     ],
 )
 def test_non_positive_count_is_a_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "corpus.tsv"
+    flag = next(arg for arg in argv if arg.startswith("--"))
     if argv[0] == "gen-corpus":
         argv = [*argv, "--out", str(out)]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
-    assert "must be a positive integer" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be a positive integer" in captured.err
     assert not out.exists()
 
 
@@ -796,6 +804,21 @@ def test_study_prints_and_writes_its_frozen_report(tmp_path, capsys, name):
     assert csv_line == f"csv: {tmp_path / name}.csv"
     assert _untimed_text("\n".join(text)) == _untimed_text((frozen / f"{name}.txt").read_text())
     assert _untimed_csv(tmp_path / f"{name}.csv") == _untimed_csv(frozen / f"{name}.csv")
+
+
+@pytest.mark.parametrize("flags", [(), ("--impoverished-token",)], ids=["full", "impoverished"])
+def test_attack_matrix_prints_and_writes_its_frozen_grid(tmp_path, capsys, flags):
+    # the grid and the CSV byte for byte, as frozen in tests/studies/
+    frozen = Path(__file__).parent / "studies"
+    name = "attack_matrix" + "_impoverished" * bool(flags)
+    code, out = _run(
+        capsys, "attack-matrix", "--trials", "3", "--seed", "0", *flags, "--out-dir", str(tmp_path)
+    )
+    assert code == 0
+    *grid, csv_line = out.splitlines(keepends=True)
+    assert csv_line == f"csv: {tmp_path / 'attack_matrix.csv'}\n"
+    assert "".join(grid).encode() == (frozen / f"{name}.txt").read_bytes()
+    assert (tmp_path / "attack_matrix.csv").read_bytes() == (frozen / f"{name}.csv").read_bytes()
 
 
 def test_audit_replay_of_one_record_exits_1_with_nothing_on_stdout(capsys):

@@ -20,7 +20,6 @@ from sbpp.harness import attacks
 from sbpp.harness.attacks import (
     ATTACK_FUNCS,
     EXPECTED_MATRIX,
-    AttackResult,
     MatrixResult,
     OUT_DROP,
     OUT_DROP_ID,
@@ -78,18 +77,10 @@ def test_seeded_env_gives_each_call_its_own_nonce_rng():
     assert second.signing_key.public_bytes == first.signing_key.public_bytes
 
 
-def test_attack_result_validates_counts():
-    with pytest.raises(ValueError):
-        AttackResult("V1", "A1", 10, 11)
-    assert AttackResult("V1", "A1", 10, 10).blocked
-    assert not AttackResult("V1", "A1", 10, 9).blocked
-    assert not AttackResult("V1", "A1", 10, 10, skipped=True).blocked
-
-
 def test_matrix_matches_expected_at_low_trials():
     matrix = run_attack_matrix(trials=10, seed=0)
     assert matrix.matches_expected()
-    assert not any(r.skipped for r in matrix.results.values())
+    assert None not in matrix.results.values()
 
 
 def test_matrix_refuses_zero_trials():
@@ -115,8 +106,8 @@ def test_attack_outcomes_are_all_or_nothing():
     # the attacks are deterministic given the variant; partial counts would
     # mean hidden nondeterminism in the harness
     matrix = run_attack_matrix(trials=10, seed=3)
-    for result in matrix.results.values():
-        assert result.blocked_count in (0, result.trials), result
+    for cell, blocked in matrix.results.items():
+        assert blocked in (0, matrix.trials), cell
 
 
 def test_matrix_renders_skipped_and_partial_cells(monkeypatch):
@@ -125,7 +116,7 @@ def test_matrix_renders_skipped_and_partial_cells(monkeypatch):
     # outlier drop stays, so that A4a has its drop to attack.
     monkeypatch.setattr(attacks, "attack_corpus", lambda: [Drop("d00", QUERY_LAT, QUERY_LON), OUT_DROP])
     matrix = run_attack_matrix(trials=2, seed=0)
-    assert {key for key, r in matrix.results.items() if r.skipped} == {
+    assert {key for key, blocked in matrix.results.items() if blocked is None} == {
         ("A3", kind) for kind in VARIANT_KINDS
     }
     assert not matrix.matches_expected()
@@ -137,7 +128,7 @@ def test_matrix_renders_skipped_and_partial_cells(monkeypatch):
     assert row(matrix, "A3") == ["A3", *["skip"] * len(VARIANT_KINDS)]
     assert matrix.render().endswith("-> DIFFERS FROM the expected matrix")
     assert ["A3", "V4b", "2", "0", "True"] in matrix.csv_rows()
-    partial = MatrixResult(2, 0, {**matrix.results, ("A1", "V4b"): AttackResult("V4b", "A1", 2, 1)})
+    partial = MatrixResult(2, 0, {**matrix.results, ("A1", "V4b"): 1})
     assert row(partial, "A1")[1 + VARIANT_KINDS.index("V4b")] == "1/2"
 
 
@@ -148,7 +139,7 @@ def test_a4a_skips_on_a_corpus_without_the_outlier_drop(monkeypatch):
     assert len(cluster) == 6
     monkeypatch.setattr(attacks, "attack_corpus", lambda: cluster)
     matrix = run_attack_matrix(trials=2, seed=0)
-    assert {key for key, r in matrix.results.items() if r.skipped} == {("A4a", kind) for kind in VARIANT_KINDS}
+    assert {key for key, blocked in matrix.results.items() if blocked is None} == {("A4a", kind) for kind in VARIANT_KINDS}
     row = next(line for line in matrix.render().splitlines() if line.startswith("A4a "))
     assert row.split() == ["A4a", *["skip"] * len(VARIANT_KINDS)]
     assert not matrix.matches_expected()
@@ -168,13 +159,13 @@ def test_expected_matrix_shape():
 def test_impoverished_token_opens_a4b():
     # contrapositive: remove the root from the token and the splice works
     matrix = run_attack_matrix(trials=5, seed=0, token_includes_root=False)
-    assert not matrix.cell("A4b", "V8").blocked
+    assert matrix.results[("A4b", "V8")] == 0
     for attack in ("A1", "A2", "A3", "A4a", "A5"):
-        assert matrix.cell(attack, "V8").blocked, attack
+        assert matrix.results[(attack, "V8")] == matrix.trials, attack
     # the other columns are untouched by the token flavor
-    for (attack, kind), result in matrix.results.items():
+    for (attack, kind), blocked in matrix.results.items():
         if kind != "V8":
-            assert result.blocked == EXPECTED_MATRIX[attack][kind], (attack, kind)
+            assert (blocked == matrix.trials) == EXPECTED_MATRIX[attack][kind], (attack, kind)
 
 
 def test_reassociation_v4_zero_and_analytic_reference():
@@ -324,6 +315,14 @@ def test_importing_the_attack_harness_leaves_the_experiments_unloaded():
     # The harness package re-exports nothing, so the matrix loads no runner.
     _fresh_python(
         "import sys, sbpp.harness.attacks; sys.exit('sbpp.harness.experiments' in sys.modules)"
+    )
+
+
+def test_the_ladder_loads_no_part_of_the_harness():
+    # the adversary's moves and scripts read the rungs, never the reverse
+    _fresh_python(
+        "import sys, sbpp.variants; "
+        "sys.exit(sorted(m for m in sys.modules if m.startswith('sbpp.harness')) or None)"
     )
 
 

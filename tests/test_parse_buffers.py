@@ -5,11 +5,14 @@ The five parses of an audit record and its parts (`AuditRecord.parse`,
 `Proof.parse`) copy an input that is not `bytes` once.  So a `bytearray`, or
 a `memoryview` over one, gives the value the same bytes give (or the same
 refusal, message for message), every bytes field of that value is exact
-`bytes`, and writing to the buffer afterwards changes nothing in it.
+`bytes`, and writing to the buffer afterwards changes nothing in it.  The
+copy goes through `memoryview`, so an input that is not bytes-like (a list of
+ints) is a TypeError.
 """
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -127,3 +130,11 @@ def test_a_parse_of_a_buffer_is_the_parse_of_its_bytes_and_keeps_none_of_it(case
         assert frame_of(got) == raw
         assert got == expected
         buf[:] = raw
+
+
+def test_a_parse_refuses_an_input_that_is_not_bytes_like():
+    # a list of ints is no buffer: `bytes()` would take it, `memoryview` does not
+    for parse, _ in PARSES.values():
+        for source in ([0], [1] + [0] * 33):
+            with pytest.raises(TypeError):
+                parse(source)

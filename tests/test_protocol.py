@@ -1017,6 +1017,18 @@ def test_server_and_rungs_refuse_an_unlock_radius_no_statement_holds(radius):
             make_variant(kind, env)
 
 
+@pytest.mark.parametrize("ttl", [0, -5])
+def test_server_and_rungs_refuse_a_ttl_below_one_second(ttl):
+    # refused at construction: every session would be issued already expired
+    env = seeded_env(0, attack_corpus(), ttl_s=ttl)
+    for mode in (MODE_CORE, MODE_FULL):
+        with pytest.raises(ProtocolError, match=f"^session ttl must be at least 1 second, got {ttl}$"):
+            protocol_pair(env, mode)
+    for kind in VARIANT_KINDS:
+        with pytest.raises(ProtocolError, match="^session ttl "):
+            make_variant(kind, env)
+
+
 def test_server_and_rungs_refuse_an_empty_precision_list():
     # no precision is an index error, not a silent precision 5
     with pytest.raises(GeoindexError, match="at least one precision"):

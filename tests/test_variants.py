@@ -31,7 +31,9 @@ from sbpp.protocol import (
     protocol_pair,
     seeded_env,
 )
-from sbpp.harness.attacks import QUERY_LAT, QUERY_LON, RADIUS_M, WITNESS_NEAR_QUERY, attack_corpus
+from sbpp.harness.attacks import (
+    QUERY_LAT, QUERY_LON, RADIUS_M, WITNESS_NEAR_QUERY, attack_corpus, rebind, retarget, splice,
+)
 from sbpp.receipt import server_keygen, sign_fields, signed_fields
 from sbpp.variants import (
     DOMAIN_CAPABILITY,
@@ -269,7 +271,7 @@ def test_v3_nonce_echo_is_checked_but_client_computable():
     # and its nonce, keep the stolen proof, and the rung accepts it
     other = variant.open_session(T0)
     variant.search(other, QLAT, QLON, RADIUS, T0)
-    rebound = variant.rebind_request(request, other)
+    rebound = rebind(request, other)
     assert variant.verify(rebound, T0 + 1).accepted
 
 
@@ -435,7 +437,7 @@ def test_v4_rebind_rejected_via_digest():
         _, request = _flow(variant)
         target = variant.open_session(T0)
         variant.search(target, QLAT, QLON, RADIUS, T0)
-        rebound = variant.rebind_request(request, target)
+        rebound = rebind(request, target)
         assert variant.verify(rebound, T0 + 1).fail_reason == R_NONCE_DIGEST
 
 
@@ -443,7 +445,7 @@ def test_v4_retarget_rejected_via_digest():
     for kind in ("V4a", "V4b"):
         variant = make_variant(kind, _env())
         vses, request = _flow(variant, drop_id="d00")
-        retargeted = variant.retarget_request(request, vses, "d01")
+        retargeted = retarget(request, vses, "d01")
         assert variant.verify(retargeted, T0 + 1).fail_reason == R_NONCE_DIGEST
 
 
@@ -452,7 +454,7 @@ def test_generic_retarget_accepted_when_digest_ignores_session():
     # but the proof itself transplants across sessions (the A1/A2 gap)
     variant = make_variant("V2", _env())
     vses, request = _flow(variant, drop_id="d00")
-    retargeted = variant.retarget_request(request, vses, "d01")
+    retargeted = retarget(request, vses, "d01")
     assert variant.verify(retargeted, T0 + 1).fail_reason == R_NONCE_DIGEST
 
 
@@ -464,7 +466,7 @@ def test_splice_accepted_under_context_digest_rungs():
         s2, r2 = _flow(variant)
         rec1 = variant.audit_record(s1, r1)
         rec2 = variant.audit_record(s2, r2)
-        spliced = variant.splice_records(rec1, rec2)
+        spliced = splice(rec1, rec2)
         assert variant.audit(spliced).accepted is accepted, kind
 
 
@@ -509,7 +511,7 @@ def test_duplicate_drop_ids_rejected():
     drops = [Drop("a", 35.70, 139.75), Drop("a", 35.80, 139.75), Drop("b", 35.7001, 139.75)]
     env = dataclasses.replace(_env(), drops=drops)
     for kind in VARIANT_KINDS:
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match="'a'"):
             make_variant(kind, env)
 
 
